@@ -886,6 +886,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ValueError as exc:
+        # A value argparse accepted but the command refused (--clients 0,
+        # --seed -1, a one-device storm): a usage error, not a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe — normal CLI etiquette.
         try:

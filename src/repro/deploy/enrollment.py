@@ -8,16 +8,12 @@ digests the server can actually search for. The functions here are that
 shared contract — every parameter that feeds the PUF's RNG lives in one
 place, so the two sides cannot drift.
 
-Also here: the server-side false-authentication tripwire. Every found
-seed is re-hashed and compared against the digest the client actually
-submitted; a mismatch is the one failure a deployment storm can never
-explain away, and it rides the admin metrics frame so the storm runner
-can assert it stayed zero.
+The serving stack built here wraps its authority in the shared
+false-authentication tripwire
+(:class:`~repro.reliability.tripwire.VerifyingAuthority`).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -30,11 +26,11 @@ from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
 from repro.deploy.topology import TopologySpec
 from repro.engines import build_engine
-from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import TernaryMask, enroll_with_masking
+from repro.reliability.tripwire import VerifyingAuthority
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 
 __all__ = [
@@ -154,80 +150,19 @@ def enroll_topology_fleet(
     return enrolled
 
 
-class VerifyingAuthority:
-    """Authority wrapper that counts false authentications.
-
-    Thread-safe: the serving layer records each submitted digest before
-    admission, and every key issuance re-hashes the found seed against
-    it. The counter is exported over the admin metrics frame.
-    """
-
-    #: Outstanding digests retained per client; bounds memory if a
-    #: client records digests that never reach issuance (sheds, drops).
-    _MAX_OUTSTANDING = 16
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self._lock = threading.Lock()
-        self._digests: dict[str, list[bytes]] = {}
-        self.false_authentications = 0
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def record_digest(
-        self, client_id: str, digest: bytes, tenant_id: str | None = None
-    ) -> None:
-        """Remember an outstanding M1 for this client (keyed per tenant).
-
-        A *list* of outstanding digests, not a single slot: a client's
-        retry (or its next request racing the previous search) must not
-        overwrite the digest an in-flight search will be verified
-        against — that overwrite would misreport a correct search as a
-        false authentication.
-        """
-        with self._lock:
-            outstanding = self._digests.setdefault(
-                namespaced_key(tenant_id, client_id), []
-            )
-            if digest not in outstanding:
-                outstanding.append(digest)
-            del outstanding[: -self._MAX_OUTSTANDING]
-
-    def issue_public_key(
-        self, client_id: str, found_seed: bytes, tenant_id: str | None = None
-    ) -> bytes:
-        key = namespaced_key(tenant_id, client_id)
-        with self._lock:
-            outstanding = list(self._digests.get(key, ()))
-        if outstanding:
-            algo = get_hash(self._authority.hash_name)
-            digest = algo.scalar(found_seed)
-            if digest in outstanding:
-                with self._lock:
-                    recorded = self._digests.get(key)
-                    if recorded is not None and digest in recorded:
-                        recorded.remove(digest)
-            else:
-                with self._lock:
-                    self.false_authentications += 1
-        if tenant_id is None or tenant_id == DEFAULT_TENANT:
-            return self._authority.issue_public_key(client_id, found_seed)
-        return self._authority.issue_public_key(
-            client_id, found_seed, tenant_id=tenant_id
-        )
-
-
 def build_serving_stack(
     topology: TopologySpec, seed: int, data_dir: str | None = None
 ):
-    """(verifying_authority, scheduler_engine_or_None) for one server.
+    """(verifying_authority, dispatcher_engine_or_None) for one server.
 
-    ``fleet`` mode builds a :class:`~repro.fleet.engine.FleetSearchEngine`
-    over the topology's device tokens, ``sched`` a single-device
-    :class:`~repro.sched.engine.ScheduledSearchEngine`; both slot into
-    the ConcurrentCAServer's scheduler seat. ``fifo`` returns ``None``
-    and the server's bounded worker pool serves directly.
+    One engine per server: ``fleet`` mode builds the dispatcher over the
+    topology's device tokens, ``sched`` the one-device dispatcher, and
+    the authority's search service holds that same engine — so
+    ``max_distance`` / ``time_threshold`` and the engine live in one
+    object — while the second element slots into the
+    ConcurrentCAServer's ``scheduler`` seat. ``fifo`` gives the service a
+    plain ``batch`` engine and returns ``None``: the server's bounded
+    worker pool serves directly.
 
     With ``topology.durability`` set and a ``data_dir`` given, the
     enrollment store is a WAL-backed
@@ -244,13 +179,22 @@ def build_serving_stack(
         image_db = DurableImageStore(
             data_dir, b"deploy-master-k!", fsync=topology.durability
         )
+    geometry = {
+        "hash_name": topology.hash_name,
+        "batch_size": topology.batch_size,
+    }
+    if topology.engine == "fifo":
+        engine = build_engine("batch", **geometry)
+    else:
+        spec = (
+            "sched"
+            if topology.engine == "sched"
+            else "fleet:" + ",".join(topology.devices)
+        )
+        engine = build_engine(spec, max_queue=topology.max_queue, **geometry)
     authority = CertificateAuthority(
         search_service=RBCSearchService(
-            build_engine(
-                "batch",
-                hash_name=topology.hash_name,
-                batch_size=topology.batch_size,
-            ),
+            engine,
             max_distance=topology.max_distance,
             time_threshold=topology.time_budget,
         ),
@@ -261,24 +205,7 @@ def build_serving_stack(
         hash_name=topology.hash_name,
     )
     enroll_topology_fleet(authority, topology, seed, skip_existing=durable)
-    verifying = VerifyingAuthority(authority)
-
-    engine = None
-    if topology.engine == "fleet":
-        from repro.fleet.engine import FleetSearchEngine
-
-        engine = FleetSearchEngine(
-            *topology.devices,
-            hash_name=topology.hash_name,
-            batch_size=topology.batch_size,
-            max_queue=topology.max_queue,
-        )
-    elif topology.engine == "sched":
-        from repro.sched.engine import ScheduledSearchEngine
-
-        engine = ScheduledSearchEngine(
-            hash_name=topology.hash_name,
-            batch_size=topology.batch_size,
-            max_queue=topology.max_queue,
-        )
-    return verifying, engine
+    return (
+        VerifyingAuthority(authority),
+        None if topology.engine == "fifo" else engine,
+    )

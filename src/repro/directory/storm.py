@@ -23,9 +23,10 @@ protocol-level invariants at each step:
   again; the divergence planted in wave 3 must be healed through read
   repair (``read_repairs > 0``).
 
-A false-authentication tripwire re-hashes every found seed against the
-digest the client actually submitted — the zero-false-auth invariant is
-checked locally, not assumed from ``authenticated`` flags.
+The shared false-authentication tripwire
+(:mod:`repro.reliability.tripwire`) re-hashes every found seed against
+the digest the client actually submitted — the zero-false-auth invariant
+is checked locally, not assumed from ``authenticated`` flags.
 
 Deterministic by construction: the fleet is seeded, the victim/partner
 shards are chosen from the seeded ring, kill points are wave boundaries
@@ -46,12 +47,12 @@ from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
-from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
 from repro.reliability.faults import FaultPlan, FaultSpec
+from repro.reliability.tripwire import VerifyingAuthority
 from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE, RequestShed
 
 __all__ = ["ShardLossStormReport", "run_shard_loss_storm"]
@@ -136,40 +137,6 @@ class ShardLossStormReport:
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ]
         return "\n".join(lines)
-
-
-class _SeedTripwire:
-    """Re-hash every found seed against the digest the client submitted."""
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self.false_authentications = 0
-        self._digests: dict[str, bytes] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def expect(self, client_id: str, digest: bytes) -> None:
-        self._digests[client_id] = digest
-
-    def run_search(self, client_id, client_digest, deadline_seconds=None):
-        self.expect(client_id, client_digest)
-        result = self._authority.run_search(
-            client_id, client_digest, deadline_seconds=deadline_seconds
-        )
-        if result.found:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(result.seed) != client_digest:
-                self.false_authentications += 1
-        return result
-
-    def issue_public_key(self, client_id: str, found_seed: bytes) -> bytes:
-        expected = self._digests.get(client_id)
-        if expected is not None:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(found_seed) != expected:
-                self.false_authentications += 1
-        return self._authority.issue_public_key(client_id, found_seed)
 
 
 def _pick_victims(
@@ -281,7 +248,7 @@ def run_shard_loss_storm(
         shed_ceiling=shed_ceiling,
     )
 
-    tripwire = _SeedTripwire(authority)
+    tripwire = VerifyingAuthority(authority)
     start = time.perf_counter()
     with ConcurrentCAServer(tripwire, workers=workers,
                             max_queue=max(64, clients)) as server:
@@ -293,7 +260,7 @@ def run_shard_loss_storm(
                 digest = fleet[client_id].respond(
                     challenges[client_id], reference_mask=masks[client_id]
                 )
-                tripwire.expect(client_id, digest)
+                tripwire.record_digest(client_id, digest)
                 futures.append((client_id, server.submit(client_id, digest)))
             for client_id, future in futures:
                 try:

@@ -17,7 +17,6 @@ from repro.runtime.original_batch import BatchOriginalRBCSearch
 from repro.runtime.parallel import ParallelSearchExecutor
 from repro.runtime.pool import PooledSearchExecutor
 from repro.fleet.engine import FleetSearchEngine
-from repro.sched.engine import ScheduledSearchEngine
 
 __all__: list[str] = []
 
@@ -98,7 +97,7 @@ def _build_pool(
 
 @register_engine(
     "sched",
-    description="Deadline-aware continuous-batching scheduler over the vectorized kernel",
+    description="Deadline-aware continuous-batching scheduler: the one-device fleet",
 )
 def _build_sched(
     hash_name: str = "sha3-256",
@@ -113,8 +112,9 @@ def _build_sched(
     deep_distance: int = 3,
     fairness_cap: float = 0.75,
     aging_seconds: float = 30.0,
-) -> ScheduledSearchEngine:
-    return ScheduledSearchEngine(
+) -> FleetSearchEngine:
+    engine = FleetSearchEngine(
+        "host",
         hash_name=hash_name,
         batch_size=batch_size,
         iterator=iterator,
@@ -126,8 +126,15 @@ def _build_sched(
         max_queue=max_queue,
         deep_distance=deep_distance,
         fairness_cap=fairness_cap,
-        aging_seconds=aging_seconds if aging_seconds > 0 else None,
+        aging_seconds=aging_seconds,
     )
+    spec = f"sched:{engine.hash_name},bs={batch_size}"
+    if iterator != "unrank":
+        spec += f",it={iterator}"
+    if not cache:
+        spec += ",cache=no"
+    engine.scheduler.spec_string = spec
+    return engine
 
 
 @register_engine(

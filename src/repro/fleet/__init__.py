@@ -1,11 +1,11 @@
-"""Fault-tolerant multi-device dispatch for the search scheduler.
+"""The dispatcher: continuous batching over one or more health-checked devices.
 
-The fleet layer places :mod:`repro.sched` work units across several
+The fleet layer places :mod:`repro.sched` work units on one or several
 modeled device backends, health-checks them with heartbeat probes and
 per-device circuit breakers, re-dispatches chunks orphaned by a device
 failure onto survivors (preserving the byte-equivalence contract), and
 hedges straggler batches onto idle devices with first-result-wins
-settlement.
+settlement. ``sched:`` specs build the one-device case.
 
 Quick start::
 
@@ -27,14 +27,13 @@ Chaos harness::
 from __future__ import annotations
 
 from repro.fleet.device import FleetDevice
-from repro.fleet.dispatcher import FleetScheduler, FleetSearch
+from repro.fleet.dispatcher import FleetScheduler
 from repro.fleet.engine import DEVICE_WEIGHTS, FleetSearchEngine
 from repro.fleet.storm import DeviceLossStormReport, run_device_loss_storm
 
 __all__ = [
     "FleetDevice",
     "FleetScheduler",
-    "FleetSearch",
     "FleetSearchEngine",
     "DEVICE_WEIGHTS",
     "DeviceLossStormReport",

@@ -27,8 +27,6 @@ import dataclasses
 import time
 from collections import deque
 
-import numpy as np
-
 from repro.devices.base import DeviceModel
 from repro.devices.flaky import DeviceFailure
 from repro.hashes.registry import HashAlgorithm
@@ -40,6 +38,9 @@ __all__ = ["FleetDevice"]
 
 #: EWMA weight of the newest batch in per-device latency/rate estimates.
 _EWMA_ALPHA = 0.3
+
+#: What a heartbeat hashes (any 32-byte seed would do).
+_PROBE_SEED = bytes(32)
 
 #: Cap on injected slow-down sleep per batch, so a misconfigured factor
 #: cannot wedge a device loop.
@@ -118,13 +119,15 @@ class FleetDevice:
         return self.breaker.state == BreakerState.CLOSED
 
     def probe(self) -> bool:
-        """One heartbeat: a real (tiny) hash through this device's path.
+        """One heartbeat: a real (single) hash through this device's algorithm.
 
         Records the outcome on the breaker, so failed probes quarantine
         an idle dead device and successful probes close a half-open one
         (probation -> reinstatement). The fault injector is *not*
         consulted: probes observe health, they do not advance which
-        searches fail.
+        searches fail. The scalar hash is used because an idle fleet
+        heartbeats continuously: a one-row trip through the batch kernel
+        costs several times more and bought no extra signal.
         """
         self.probes += 1
         ok = not self.killed
@@ -132,7 +135,7 @@ class FleetDevice:
             ok = bool(self.model.health_probe())
         if ok:
             try:
-                self.algo.hash_seeds_batch(np.zeros((1, 4), dtype=np.uint64))
+                self.algo.hash_seed(_PROBE_SEED)
             except Exception:
                 ok = False
         if ok:

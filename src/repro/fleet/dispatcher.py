@@ -1,10 +1,18 @@
-"""Fault-tolerant multi-device dispatch over the scheduler's work units.
+"""The dispatcher: deadline-aware continuous batching over N >= 1 devices.
 
-:class:`FleetScheduler` is the multi-device sibling of
-:class:`~repro.sched.scheduler.SearchScheduler`: the same admission
-policy, lanes, chunk cursors, and continuous batcher — but with one
-dispatcher thread *per device* plus a monitor thread, so several modeled
-accelerators serve the shared request stream concurrently.
+:class:`FleetScheduler` turns concurrent authentication requests into a
+shared, continuously-batched work stream. Each submission is decomposed
+into shell chunks (:mod:`repro.sched.units`), admitted or shed by the
+policy (:mod:`repro.sched.policy`), and served chunk-slice by
+chunk-slice through each device's fused batcher
+(:mod:`repro.sched.batcher`) — one dispatcher thread *per device* plus
+a monitor thread. A request retires the moment its seed is found (its
+remaining chunks are simply dropped — the per-request early exit), when
+its shells are exhausted, when its protocol time budget expires (a
+``timed_out`` result, exactly like the unscheduled engines), or when
+its client deadline passes (a typed
+:class:`~repro.sched.errors.RequestShed`). One device is the ``sched:``
+engine; several modeled accelerators serve the same stream concurrently.
 
 Placement and recovery rules:
 
@@ -30,6 +38,9 @@ Placement and recovery rules:
 * **Grace shedding** — when every device has been quarantined for
   longer than the grace window, queued requests are shed with the typed
   reason ``no_healthy_devices`` instead of hanging their callers.
+* **Never hang callers** — a device or monitor thread that dies of an
+  unexpected exception closes the dispatcher and sheds every active
+  request with the typed reason ``shutdown`` before re-raising.
 """
 
 from __future__ import annotations
@@ -42,12 +53,7 @@ from typing import Sequence
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
 from repro.engines.hooks import EngineHooks
-from repro.engines.result import (
-    AmortizationStats,
-    FleetStats,
-    SearchResult,
-    ShellStats,
-)
+from repro.engines.result import AmortizationStats, SearchResult, ShellStats
 from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import DEFAULT_TENANT, TenantContext
 
@@ -65,37 +71,13 @@ from repro.sched.units import DEFAULT_CHUNK_RANKS, decompose_search
 
 from repro.fleet.device import FleetDevice
 
-__all__ = ["FleetSearch", "FleetScheduler"]
+__all__ = ["FleetScheduler"]
 
 #: EWMA weight of the newest batch in the fleet throughput estimate.
 _THROUGHPUT_ALPHA = 0.3
 
-
-class FleetSearch(ScheduledSearch):
-    """One admitted request plus its fleet placement state."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        #: Current device affinity (a FleetDevice), or None while parked.
-        self.device: FleetDevice | None = None
-        #: The unsettled batch carrying this request's chunks, if any.
-        self.inflight_batch: "_InflightBatch | None" = None
-        self.batches_by_device: dict[str, int] = {}
-        self.finder_device: str | None = None
-        self.redispatched = 0
-        self.hedged = 0
-        self.reassignments = 0
-
-    def fleet_stats(self) -> FleetStats:
-        """This request's :class:`FleetStats`."""
-        return FleetStats(
-            devices=tuple(sorted(self.batches_by_device)),
-            finder_device=self.finder_device,
-            batches_by_device=tuple(sorted(self.batches_by_device.items())),
-            redispatched_chunks=self.redispatched,
-            hedged_batches=self.hedged,
-            reassignments=self.reassignments,
-        )
+#: How many heartbeats an idle, all-healthy fleet lets pass between probes.
+_IDLE_HEARTBEAT_STRETCH = 10
 
 
 class _InflightBatch:
@@ -126,7 +108,7 @@ class _InflightBatch:
         self.primary_failed = False
 
     @property
-    def requests(self) -> list[FleetSearch]:
+    def requests(self) -> list[ScheduledSearch]:
         return [piece.key for piece in self.slices]  # type: ignore[misc]
 
 
@@ -173,9 +155,11 @@ class FleetScheduler:
         self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
         self._tick = tick_seconds
-        self._spec = spec_string
+        #: What :meth:`describe` answers when set; the ``sched`` factory
+        #: names its one-device fleet ``sched:...`` through it.
+        self.spec_string = spec_string
         self._wake = threading.Condition()
-        self._active: list[FleetSearch] = []
+        self._active: list[ScheduledSearch] = []
         #: Fleet-wide (tenant_id, rows) outcome window: fair share is
         #: enforced over the whole fleet's capacity, not per device.
         self._recent_tenant_rows: deque[tuple[str, int]] = deque(
@@ -224,9 +208,9 @@ class FleetScheduler:
         return self._executor.hash_name
 
     def describe(self) -> str:
-        """Canonical ``fleet:`` spec string for this configuration."""
-        if self._spec is not None:
-            return self._spec
+        """Canonical spec string for this configuration."""
+        if self.spec_string is not None:
+            return self.spec_string
         names = ",".join(d.name for d in self.devices)
         return (
             f"fleet:{names},hash={self.hash_name},bs={self.batch_size}"
@@ -273,13 +257,22 @@ class FleetScheduler:
         deadline_seconds: float | None = None,
         client_id: str = "",
         tenant: TenantContext | str | None = None,
-    ) -> FleetSearch:
+    ) -> ScheduledSearch:
         """Admit one search and place it on the least-loaded device.
 
-        Same contract as :meth:`SearchScheduler.submit`; when no device
-        is placeable the request is *parked* and either placed on the
-        next reinstatement or shed (``no_healthy_devices``) once the
-        whole fleet stays dark past the grace window.
+        ``time_budget`` is the protocol threshold T — on expiry the
+        request completes with a ``timed_out`` result, exactly like the
+        unscheduled engines. ``deadline_seconds`` is the client's TTL —
+        a request that cannot meet it (or outlives it) is *shed* with a
+        typed :class:`RequestShed`. ``tenant`` attributes the request to
+        a tenant for quota admission and weighted fair share; omitted,
+        it runs under the default tenant exactly as before tenancy.
+        Raises :class:`SchedulerClosed` after :meth:`close`, and
+        :class:`RequestShed` on admission rejection (full queue /
+        hopeless deadline / exhausted tenant budget). When no device is
+        placeable the request is *parked* and either placed on the next
+        reinstatement or shed (``no_healthy_devices``) once the whole
+        fleet stays dark past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -308,7 +301,7 @@ class FleetScheduler:
                 )
                 raise RequestShed(reason, f"client {client_id!r}")
             self._seq += 1
-            request = FleetSearch(
+            request = ScheduledSearch(
                 seq=self._seq,
                 client_id=client_id,
                 base_words=seed_to_words(base_seed),
@@ -354,14 +347,17 @@ class FleetScheduler:
             return
         for device in self.devices:
             thread = threading.Thread(
-                target=self._device_loop,
-                args=(device,),
+                target=self._guarded,
+                args=(self._device_loop, device),
                 name=f"rbc-fleet-{device.name}",
                 daemon=True,
             )
             self._threads.append(thread)
         monitor = threading.Thread(
-            target=self._monitor_loop, name="rbc-fleet-monitor", daemon=True
+            target=self._guarded,
+            args=(self._monitor_loop,),
+            name="rbc-fleet-monitor",
+            daemon=True,
         )
         self._threads.append(monitor)
         for thread in self._threads:
@@ -372,10 +368,36 @@ class FleetScheduler:
     def _exit_locked(self) -> bool:
         return self._closed and (not self._drain or not self._active)
 
+    def _guarded(self, loop, *args) -> None:
+        """Thread body: a loop that dies must never hang its callers.
+
+        An unexpected exception (a raising hook, an allocation failure
+        while assembling a batch) closes the dispatcher, sheds every
+        active request as ``shutdown`` and re-raises on this thread.
+        Batches still running on other devices are marked settled, so
+        their runners discard the results instead of committing to
+        requests that were just shed.
+        """
+        try:
+            loop(*args)
+        except Exception:
+            with self._wake:
+                self._closed = True
+                self._drain = False
+                orphans = list(self._active)
+                self._active.clear()
+                for request in orphans:
+                    if request.inflight_batch is not None:
+                        request.inflight_batch.settled = True
+                self._wake.notify_all()
+            for request in orphans:
+                self._finalize_shed(request, SHED_SHUTDOWN)
+            raise
+
     def _device_loop(self, device: FleetDevice) -> None:
         while True:
-            expired: list[tuple[FleetSearch, str]] = []
-            drained: list[FleetSearch] = []
+            expired: list[tuple[ScheduledSearch, str]] = []
+            drained: list[ScheduledSearch] = []
             kind: str | None = None
             inflight: _InflightBatch | None = None
             with self._wake:
@@ -386,7 +408,13 @@ class FleetScheduler:
                 if not expired:
                     kind, inflight, drained = self._assemble_locked(device, now)
                     if kind is None and not drained:
-                        self._wake.wait(timeout=self._tick)
+                        # Expiry and hedge thresholds are clock-driven,
+                        # so poll while requests are active; an idle
+                        # fleet blocks until submit / kill / revive /
+                        # close notifies.
+                        self._wake.wait(
+                            timeout=self._tick if self._active else None
+                        )
                         if self._exit_locked():
                             return
             for request, why in expired:
@@ -405,9 +433,9 @@ class FleetScheduler:
 
     def _expire_locked(
         self, now: float
-    ) -> list[tuple[FleetSearch, str]]:
+    ) -> list[tuple[ScheduledSearch, str]]:
         """Deadline/budget expiry for settled requests (lock held)."""
-        expired: list[tuple[FleetSearch, str]] = []
+        expired: list[tuple[ScheduledSearch, str]] = []
         for request in self._active:
             if request.inflight_batch is not None:
                 continue
@@ -428,7 +456,7 @@ class FleetScheduler:
 
     def _assemble_locked(
         self, device: FleetDevice, now: float
-    ) -> tuple[str | None, _InflightBatch | None, list[FleetSearch]]:
+    ) -> tuple[str | None, _InflightBatch | None, list[ScheduledSearch]]:
         """Build this device's next batch, or find a hedge (lock held)."""
         if not device.placeable:
             return None, None, []
@@ -458,7 +486,7 @@ class FleetScheduler:
         device.last_primary = primary
 
         slices: list[BatchSlice] = []
-        drained: list[FleetSearch] = []
+        drained: list[ScheduledSearch] = []
         room = self.batch_size
         for request in self.policy.fill_order(
             runnable, primary, self._recent_tenant_rows
@@ -562,7 +590,7 @@ class FleetScheduler:
         winner: FleetDevice,
     ) -> None:
         """First-result-wins settlement plus per-request accounting."""
-        found: list[tuple[FleetSearch, SliceOutcome]] = []
+        found: list[tuple[ScheduledSearch, SliceOutcome]] = []
         hook_calls: list[tuple[int, int]] = []
         with self._wake:
             if inflight.settled:
@@ -589,7 +617,7 @@ class FleetScheduler:
                 + _THROUGHPUT_ALPHA * rate
             )
             for outcome in outcomes:
-                request: FleetSearch = outcome.key  # type: ignore[assignment]
+                request: ScheduledSearch = outcome.key  # type: ignore[assignment]
                 request.inflight_batch = None
                 if request.device is not winner and (
                     hedge_won or request.device is None
@@ -631,16 +659,20 @@ class FleetScheduler:
                     found.append((request, outcome))
             self._wake.notify_all()
         on_batch = self.hooks.on_batch if self.hooks is not None else None
-        if on_batch is not None:
-            for distance, rows in hook_calls:
-                on_batch(distance, rows)
-        for request, outcome in found:
-            self._finalize_result(
-                request,
-                timed_out=False,
-                seed=outcome.seed,
-                distance=outcome.distance,
-            )
+        try:
+            if on_batch is not None:
+                for distance, rows in hook_calls:
+                    on_batch(distance, rows)
+        finally:
+            # The finders already left ``_active``: a raising hook must
+            # not strand them where the thread guard cannot see them.
+            for request, outcome in found:
+                self._finalize_result(
+                    request,
+                    timed_out=False,
+                    seed=outcome.seed,
+                    distance=outcome.distance,
+                )
 
     def _on_device_failure(
         self, device: FleetDevice, inflight: _InflightBatch
@@ -670,7 +702,7 @@ class FleetScheduler:
         """Replay the batch's chunk slices at each cursor's front."""
         inflight.settled = True
         for piece in reversed(inflight.slices):
-            request: FleetSearch = piece.key  # type: ignore[assignment]
+            request: ScheduledSearch = piece.key  # type: ignore[assignment]
             request.cursor.push_back(piece.distance, piece.masks)
             request.redispatched += 1
             self._redispatched += 1
@@ -712,7 +744,17 @@ class FleetScheduler:
             with self._wake:
                 if self._exit_locked():
                     return
-                self._wake.wait(timeout=self._heartbeat)
+                # With no request active and every breaker closed, the
+                # heartbeat only has to notice a device dying without
+                # work, so it runs at a fraction of the rate; submit /
+                # kill / revive still wake the monitor at once.
+                idle = not self._active and all(
+                    d.placeable for d in self.devices
+                )
+                self._wake.wait(
+                    timeout=self._heartbeat
+                    * (_IDLE_HEARTBEAT_STRETCH if idle else 1)
+                )
                 if self._exit_locked():
                     return
                 for device in self.devices:
@@ -728,7 +770,7 @@ class FleetScheduler:
                         to_probe.append(device)
             for device in to_probe:
                 device.probe()
-            shed: list[FleetSearch] = []
+            shed: list[ScheduledSearch] = []
             with self._wake:
                 for device in to_probe:
                     state = device.breaker.state
@@ -763,7 +805,7 @@ class FleetScheduler:
 
     # -- finalization ---------------------------------------------------
 
-    def _amortization(self, request: FleetSearch) -> AmortizationStats | None:
+    def _amortization(self, request: ScheduledSearch) -> AmortizationStats | None:
         cache = self._executor.plan_cache
         if cache is None:
             return None
@@ -774,7 +816,7 @@ class FleetScheduler:
 
     def _finalize_result(
         self,
-        request: FleetSearch,
+        request: ScheduledSearch,
         *,
         timed_out: bool,
         seed: bytes | None = None,
@@ -824,7 +866,7 @@ class FleetScheduler:
                 on_fleet(fleet)
         request._resolve(result, None)
 
-    def _finalize_shed(self, request: FleetSearch, reason: str) -> None:
+    def _finalize_shed(self, request: ScheduledSearch, reason: str) -> None:
         now = time.perf_counter()
         scheduling = request.scheduling_stats(now)
         with self._wake:
@@ -914,7 +956,7 @@ class FleetScheduler:
             self._wake.notify_all()
         for thread in threads:
             thread.join()
-        leftovers: list[FleetSearch] = []
+        leftovers: list[ScheduledSearch] = []
         with self._wake:
             if self._active:
                 leftovers = list(self._active)

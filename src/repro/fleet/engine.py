@@ -1,4 +1,12 @@
-"""``fleet:`` engine: the multi-device dispatcher behind the engine protocol.
+"""The dispatcher behind the engine protocol: ``fleet:`` and ``sched:``.
+
+:class:`FleetSearchEngine` satisfies
+:class:`~repro.engines.result.SearchEngine`, so the registry, the
+wrappers, the serving layer, and the equivalence tests treat the
+dispatcher like any other engine. A blocking :meth:`~FleetSearchEngine.search`
+submits one request and waits for its ticket; the serving layer uses
+:meth:`~FleetSearchEngine.submit` to keep many requests in flight. The
+``sched`` spec builds the same engine over a single ``host`` device.
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
@@ -27,10 +35,11 @@ from repro.tenancy.context import TenantContext
 from repro.tenancy.registry import TenantRegistry
 
 from repro.sched.policy import PolicyConfig, SchedulingPolicy
+from repro.sched.scheduler import ScheduledSearch
 from repro.sched.units import DEFAULT_CHUNK_RANKS
 
 from repro.fleet.device import FleetDevice
-from repro.fleet.dispatcher import FleetScheduler, FleetSearch
+from repro.fleet.dispatcher import FleetScheduler
 
 __all__ = ["FleetSearchEngine", "DEVICE_WEIGHTS"]
 
@@ -91,7 +100,7 @@ def _build_device(
 
 
 class FleetSearchEngine:
-    """Health-checked multi-device dispatch as a drop-in engine."""
+    """Continuous-batching, health-checked dispatch as a drop-in engine."""
 
     def __init__(
         self,
@@ -224,7 +233,7 @@ class FleetSearchEngine:
         deadline_seconds: float | None = None,
         client_id: str = "",
         tenant: TenantContext | str | None = None,
-    ) -> FleetSearch:
+    ) -> ScheduledSearch:
         """Non-blocking admission; returns the fleet's ticket."""
         return self.scheduler.submit(
             base_seed,

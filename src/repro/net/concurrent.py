@@ -1,50 +1,55 @@
-"""Concurrent CA front end: many clients, one search backend.
+"""Concurrent CA front end: many clients, one serving path.
 
 The capacity model (:mod:`repro.analysis.workload`) predicts what a CA
 can sustain; this module is the serving layer that actually does it:
-a bounded worker pool over the authority's search service, per-client
-serialization (two in-flight searches for the same identity make no
-sense — the second would race the RA update), admission control, an
-optional circuit breaker guarding the search backend, and service
+per-client serialization (two in-flight searches for the same identity
+make no sense — the second would race the RA update), admission control,
+an optional circuit breaker guarding the search backend, and service
 metrics the operator can read off.
 
-Two serving modes share the front door:
+Every request takes the same path — admission at the front door, a
+*start* on the search backend, and one settle function that does the
+typed-refusal accounting, issues the key, maps the
+:class:`~repro.engines.result.SearchResult` onto the metrics and builds
+the :class:`~repro.net.messages.AuthenticationResult`. Only the start
+differs, by which backend the server was given:
 
-* **FIFO mode** (default) — a bounded :class:`ThreadPoolExecutor`, one
-  worker per in-flight search, requests served in submission order.
-* **Scheduler mode** — pass a
-  :class:`~repro.sched.engine.ScheduledSearchEngine` and submissions
-  flow into its continuous-batching work stream instead: many requests
-  share one device, client deadlines are honored (EDF lanes, shedding),
-  and the queue-depth / shed / preemption counters below light up. A
-  :class:`~repro.fleet.engine.FleetSearchEngine` slots into the same
-  seat: the work stream then spans a health-checked device fleet, and
-  the ``redispatched`` / ``hedged`` counters record its recoveries.
+* **the dispatcher** — pass a
+  :class:`~repro.fleet.engine.FleetSearchEngine` (a ``fleet:`` or
+  ``sched:`` engine) as ``scheduler`` and each admitted request becomes
+  one ticket in its continuous-batching work stream: many requests
+  share the devices, client deadlines are honored (EDF lanes, shedding),
+  and the ``preempted`` / ``redispatched`` / ``hedged`` counters record
+  what the dispatcher did.
+* **the bounded pool** — without one, each admitted request runs
+  ``authority.run_search`` on a thread of a bounded
+  :class:`ThreadPoolExecutor`, in submission order. The pool is a
+  backend, not a serving mode: it has no lifecycle of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.authentication import CertificateAuthority
 from repro.directory.errors import DirectoryUnavailable
 from repro.directory.prefetch import DirectoryPrefetcher
-from repro.engines.result import DirectoryStats
+from repro.engines.result import DirectoryStats, SearchResult
 from repro.net.errors import ServerClosed
 from repro.net.messages import AuthenticationResult
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.runtime.pool import PooledSearchExecutor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_DIRECTORY_UNAVAILABLE,
     SHED_TENANT_QUOTA,
     RequestShed,
 )
-from repro.sched.scheduler import ScheduledSearch
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
@@ -54,137 +59,135 @@ if TYPE_CHECKING:
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
 
+#: Every counter, in snapshot order — the one place they are declared.
+_COUNTERS = (
+    "submitted",
+    "completed",
+    "authenticated",
+    "failed",
+    "rejected_busy",
+    "rejected_duplicate",
+    "rejected_open",
+    "total_search_seconds",
+    # Engine-level telemetry read off each unified search result:
+    # candidate seeds hashed and Hamming shells completed.
+    "seeds_hashed",
+    "shells_completed",
+    # Amortized-pipeline telemetry (searches served by engines with a
+    # mask-plan cache and/or warm worker pool; zero otherwise).
+    "plan_hits",
+    "plan_misses",
+    "pool_reuses",
+    # Dispatcher telemetry: requests shed (typed refusals), primary-
+    # request preemptions, the deepest front-door queue observed, chunks
+    # replayed on a survivor after a device failure, and batches that
+    # were hedge-duplicated onto an idle device.
+    "shed",
+    "preempted",
+    "queue_depth_peak",
+    "redispatched",
+    "hedged",
+    # Enrollment-directory telemetry (zero unless the authority's image
+    # store is a sharded directory): hot-cache hits/misses on the
+    # serving path, reads served by a replica after the primary shard
+    # was lost, stale/missing replica copies repaired in passing, and
+    # requests shed because a key's whole replica set was down.
+    "directory_hot_hits",
+    "directory_hot_misses",
+    "directory_failovers",
+    "directory_read_repairs",
+    "shed_directory",
+    # Requests refused because their tenant's admission budget (token
+    # bucket) or enrollment quota was exhausted.
+    "shed_tenant_quota",
+    # Durability telemetry (zero unless the enrollment store is a
+    # WAL-backed :class:`~repro.durability.store.DurableImageStore`):
+    # enrollments acknowledged durable over the wire, records recovered
+    # at startup, and how long that recovery took.
+    "enrollments",
+    "recovered_records",
+    "recovery_seconds",
+)
 
-@dataclass
+#: Counters :meth:`ServerMetrics.record` may increment by name. The rest
+#: have their own write path (``search_seconds`` / ``queue_depth`` /
+#: ``record_shed`` / ``record_enrollment`` / ``record_recovery``).
+_RECORDABLE = frozenset(_COUNTERS) - {
+    "total_search_seconds",
+    "shed",
+    "queue_depth_peak",
+    "shed_directory",
+    "shed_tenant_quota",
+    "enrollments",
+    "recovered_records",
+    "recovery_seconds",
+}
+
+
 class ServerMetrics:
-    """Operational counters (thread-safe snapshots via the server)."""
+    """Operational counters (thread-safe snapshots via the server).
 
-    submitted: int = 0
-    completed: int = 0
-    authenticated: int = 0
-    failed: int = 0
-    rejected_busy: int = 0
-    rejected_duplicate: int = 0
-    rejected_open: int = 0
-    total_search_seconds: float = 0.0
-    #: Engine-level telemetry read off each unified search result:
-    #: candidate seeds hashed and Hamming shells completed.
-    seeds_hashed: int = 0
-    shells_completed: int = 0
-    #: Amortized-pipeline telemetry (searches served by engines with a
-    #: mask-plan cache and/or warm worker pool; zero otherwise).
-    plan_hits: int = 0
-    plan_misses: int = 0
-    pool_reuses: int = 0
-    #: Scheduler-mode telemetry: requests shed (deadline or shutdown),
-    #: primary-request preemptions, and the deepest queue observed.
-    shed: int = 0
-    preempted: int = 0
-    queue_depth_peak: int = 0
-    #: Fleet-mode telemetry (zero unless the backend is a
-    #: :class:`~repro.fleet.engine.FleetSearchEngine`): chunks replayed
-    #: on a survivor after a device failure, and batches that were
-    #: hedge-duplicated onto an idle device.
-    redispatched: int = 0
-    hedged: int = 0
-    #: Enrollment-directory telemetry (zero unless the authority's image
-    #: store is a sharded directory): hot-cache hits/misses on the
-    #: serving path, reads served by a replica after the primary shard
-    #: was lost, stale/missing replica copies repaired in passing, and
-    #: requests shed because a key's whole replica set was down.
-    directory_hot_hits: int = 0
-    directory_hot_misses: int = 0
-    directory_failovers: int = 0
-    directory_read_repairs: int = 0
-    shed_directory: int = 0
-    #: Requests refused because their tenant's admission budget (token
-    #: bucket) or enrollment quota was exhausted.
-    shed_tenant_quota: int = 0
-    #: Durability telemetry (zero unless the enrollment store is a
-    #: WAL-backed :class:`~repro.durability.store.DurableImageStore`):
-    #: enrollments acknowledged durable over the wire, records recovered
-    #: at startup, and how long that recovery took.
-    enrollments: int = 0
-    recovered_records: int = 0
-    recovery_seconds: float = 0.0
-    #: Per-reason shed counts. Written only by :meth:`record_shed`, which
-    #: also increments ``shed`` — the two can never drift apart.
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    #: Per-tenant counters (submitted / shed / quota hits / latency
-    #: percentiles); fed by the same ``record`` / ``record_shed`` calls.
-    tenants: TenantLedger = field(default_factory=TenantLedger, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    One attribute per name in the module's counter tuple, plus
+    ``shed_reasons`` (per-reason shed counts, written only by
+    :meth:`record_shed`, which also increments ``shed`` — the two can
+    never drift apart) and ``tenants`` (the per-tenant ledger fed by the
+    same ``record`` / ``record_shed`` calls).
+    """
+
+    def __init__(self) -> None:
+        for name in _COUNTERS:
+            setattr(self, name, 0.0 if name.endswith("_seconds") else 0)
+        self.shed_reasons: dict[str, int] = {}
+        self.tenants = TenantLedger()
+        self._lock = threading.Lock()
 
     def record(
         self,
         *,
-        submitted: int = 0,
-        completed: int = 0,
-        authenticated: int = 0,
-        failed: int = 0,
-        rejected_busy: int = 0,
-        rejected_duplicate: int = 0,
-        rejected_open: int = 0,
         search_seconds: float = 0.0,
-        seeds_hashed: int = 0,
-        shells_completed: int = 0,
-        plan_hits: int = 0,
-        plan_misses: int = 0,
-        pool_reuses: int = 0,
-        preempted: int = 0,
         queue_depth: int = 0,
-        redispatched: int = 0,
-        hedged: int = 0,
-        directory_hot_hits: int = 0,
-        directory_hot_misses: int = 0,
-        directory_failovers: int = 0,
-        directory_read_repairs: int = 0,
         tenant_id: str | None = None,
+        **increments: int,
     ) -> None:
         """Atomically increment counters — the one write path callers use.
 
-        ``queue_depth`` is a gauge observation, not an increment: the
-        peak-so-far is kept (max-merge), so callers report the depth they
-        saw and the snapshot exposes the high-water mark. ``tenant_id``
-        mirrors the per-request counters into the per-tenant ledger.
+        ``increments`` names counters to add to; an unknown name is a
+        ``TypeError``. ``search_seconds`` accumulates into
+        ``total_search_seconds``. ``queue_depth`` is a gauge
+        observation, not an increment: the peak-so-far is kept
+        (max-merge), so callers report the depth they saw and the
+        snapshot exposes the high-water mark. ``tenant_id`` mirrors the
+        per-request counters into the per-tenant ledger.
 
         Sheds are deliberately *not* recordable here: every shed goes
         through :meth:`record_shed`, which keeps the ``shed`` total and
         the per-reason counts in lockstep.
         """
+        unknown = increments.keys() - _RECORDABLE
+        if unknown:
+            raise TypeError(
+                f"record() got an unexpected counter {min(unknown)!r}"
+            )
         with self._lock:
-            self.submitted += submitted
-            self.completed += completed
-            self.authenticated += authenticated
-            self.failed += failed
-            self.rejected_busy += rejected_busy
-            self.rejected_duplicate += rejected_duplicate
-            self.rejected_open += rejected_open
+            for name, amount in increments.items():
+                setattr(self, name, getattr(self, name) + amount)
             self.total_search_seconds += search_seconds
-            self.seeds_hashed += seeds_hashed
-            self.shells_completed += shells_completed
-            self.plan_hits += plan_hits
-            self.plan_misses += plan_misses
-            self.pool_reuses += pool_reuses
-            self.preempted += preempted
-            self.redispatched += redispatched
-            self.hedged += hedged
-            self.directory_hot_hits += directory_hot_hits
-            self.directory_hot_misses += directory_hot_misses
-            self.directory_failovers += directory_failovers
-            self.directory_read_repairs += directory_read_repairs
             if queue_depth > self.queue_depth_peak:
                 self.queue_depth_peak = queue_depth
         if tenant_id is not None:
+            count = increments.get
             self.tenants.record(
                 tenant_id,
-                submitted=submitted,
-                completed=completed,
-                authenticated=authenticated,
-                failed=failed,
+                submitted=count("submitted", 0),
+                completed=count("completed", 0),
+                authenticated=count("authenticated", 0),
+                failed=count("failed", 0),
                 search_seconds=search_seconds,
-                directory_lookups=directory_hot_hits + directory_hot_misses,
-                latency_seconds=search_seconds if completed else None,
+                directory_lookups=count("directory_hot_hits", 0)
+                + count("directory_hot_misses", 0),
+                latency_seconds=(
+                    search_seconds if count("completed", 0) else None
+                ),
             )
 
     def record_shed(
@@ -235,35 +238,7 @@ class ServerMetrics:
     def snapshot(self) -> dict[str, float]:
         """A consistent copy of the counters."""
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "authenticated": self.authenticated,
-                "failed": self.failed,
-                "rejected_busy": self.rejected_busy,
-                "rejected_duplicate": self.rejected_duplicate,
-                "rejected_open": self.rejected_open,
-                "total_search_seconds": self.total_search_seconds,
-                "seeds_hashed": self.seeds_hashed,
-                "shells_completed": self.shells_completed,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "pool_reuses": self.pool_reuses,
-                "shed": self.shed,
-                "preempted": self.preempted,
-                "queue_depth_peak": self.queue_depth_peak,
-                "redispatched": self.redispatched,
-                "hedged": self.hedged,
-                "directory_hot_hits": self.directory_hot_hits,
-                "directory_hot_misses": self.directory_hot_misses,
-                "directory_failovers": self.directory_failovers,
-                "directory_read_repairs": self.directory_read_repairs,
-                "shed_directory": self.shed_directory,
-                "shed_tenant_quota": self.shed_tenant_quota,
-                "enrollments": self.enrollments,
-                "recovered_records": self.recovered_records,
-                "recovery_seconds": self.recovery_seconds,
-            }
+            return {name: getattr(self, name) for name in _COUNTERS}
 
     def shed_breakdown(self) -> dict[str, int]:
         """Per-reason shed counts (sums exactly to ``snapshot()['shed']``)."""
@@ -287,6 +262,31 @@ def _directory_record_kwargs(stats: DirectoryStats | None) -> dict[str, int]:
     }
 
 
+def _tenant_kwargs(tenant: str) -> dict[str, str]:
+    """``tenant_id=`` for authority calls, omitted for the default tenant
+    so authority doubles (tests, adapters) predating tenancy keep working."""
+    return {} if tenant == DEFAULT_TENANT else {"tenant_id": tenant}
+
+
+@dataclass(frozen=True)
+class _Request:
+    """One admitted request, from the front door to its settlement."""
+
+    client_id: str
+    digest: bytes
+    deadline_seconds: float | None
+    tenant: str
+    admitted_at: float
+    #: Directory telemetry of a lookup done at the door (the dispatcher
+    #: start reads S_init before admission; a pool worker's lookup rides
+    #: its ``SearchResult.directory`` instead).
+    directory: DirectoryStats | None = None
+
+    def elapsed(self) -> float:
+        """Seconds since admission (what ``search_seconds`` reports)."""
+        return time.perf_counter() - self.admitted_at
+
+
 class ConcurrentCAServer:
     """Bounded-concurrency authentication service over one authority."""
 
@@ -296,7 +296,7 @@ class ConcurrentCAServer:
         workers: int = 4,
         max_queue: int = 64,
         breaker: CircuitBreaker | None = None,
-        scheduler: ScheduledSearchEngine | FleetSearchEngine | None = None,
+        scheduler: FleetSearchEngine | None = None,
         prefetch: bool = True,
         tenants: TenantRegistry | None = None,
     ):
@@ -310,22 +310,21 @@ class ConcurrentCAServer:
         #: one, a quota-free registry is created: every request resolves
         #: to the default tenant and behaves exactly as before tenancy.
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        #: Optional breaker guarding the search backend: when open,
-        #: searches are refused instantly instead of queued onto a
-        #: backend that is known to be failing.
+        #: Optional breaker guarding the pool backend's searches: when
+        #: open, they are refused instantly instead of run on a backend
+        #: that is known to be failing.
         self.breaker = breaker
-        #: Optional scheduler backend: submissions bypass the worker
-        #: pool and join the continuous-batching work stream instead.
+        #: Optional dispatcher backend: admitted requests become tickets
+        #: in its work stream instead of jobs of the worker pool.
         self.scheduler = scheduler
         if scheduler is not None:
-            # Share one registry with the scheduler's admission policy so
-            # token buckets are charged exactly once per submission —
-            # by the policy in scheduler mode, by the front door in FIFO
-            # mode. A policy that already has its own registry keeps it.
-            policy = getattr(
-                getattr(scheduler, "scheduler", None), "policy", None
-            )
-            if policy is not None and policy.tenants is None:
+            # Share one registry with the dispatcher's admission policy
+            # so token buckets are charged exactly once per submission —
+            # by the policy (last, so a saturated queue never spends a
+            # token) for tickets, by the pool start otherwise. A policy
+            # that already has its own registry keeps it.
+            policy = scheduler.scheduler.policy
+            if policy.tenants is None:
                 policy.tenants = self.tenants
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="rbc-search"
@@ -349,7 +348,7 @@ class ConcurrentCAServer:
         if prefetch and hasattr(image_db, "prefetch"):
             self.prefetcher = DirectoryPrefetcher(image_db)
 
-    # -- submission ---------------------------------------------------------
+    # -- the request path ---------------------------------------------------
 
     def submit(
         self,
@@ -362,15 +361,19 @@ class ConcurrentCAServer:
 
         Raises :class:`~repro.net.errors.ServerClosed` once the server is
         shut down, ``RuntimeError`` on admission-control rejection
-        (saturated queue, duplicate in-flight client), and — in scheduler
-        mode — :class:`~repro.sched.errors.RequestShed` when the
-        scheduler's admission controller refuses the request outright
-        (including an exhausted tenant budget, reason ``tenant_quota``).
+        (saturated queue, duplicate in-flight client), and
+        :class:`~repro.sched.errors.RequestShed` when the request is
+        refused at the door with a typed reason: an exhausted tenant
+        budget (``tenant_quota``) on either backend, and on the
+        dispatcher also an unmeetable deadline, saturated lanes, or a
+        dark directory replica set. Everything later — a runtime shed,
+        an open breaker, a directory outage met by a pool worker, a
+        failed search — surfaces through the future.
 
-        ``deadline_seconds`` is the client's own latency bound. In
-        scheduler mode it routes the request into the express lane and
-        arms deadline shedding; in FIFO mode it tightens the search's
-        time budget to ``min(T, deadline)``.
+        ``deadline_seconds`` is the client's own latency bound. The
+        dispatcher routes the request into the express lane and arms
+        deadline shedding; the pool tightens the search's time budget
+        to ``min(T, deadline)``.
 
         ``tenant_id`` attributes the request to a registered tenant
         (``None`` rides the default tenant): it selects the directory
@@ -392,267 +395,169 @@ class ConcurrentCAServer:
                 )
             self._in_flight_clients.add(in_flight_key)
             self._pending += 1
+            queue_depth = self._pending
         if self.prefetcher is not None:
             self.prefetcher.note(in_flight_key)
-        if self.scheduler is not None:
-            try:
-                return self._submit_scheduled(
-                    client_id, digest, deadline_seconds, tenant
-                )
-            except BaseException:
-                self._release(in_flight_key)
-                raise
-        # FIFO mode has no admission policy, so the front door charges
-        # the tenant's token bucket itself (in scheduler mode the
-        # policy's admission check charges it — exactly once either way).
-        if not self.tenants.try_admit(tenant):
+        request = _Request(
+            client_id, digest, deadline_seconds, tenant, time.perf_counter()
+        )
+        try:
+            future = self._start(request)
+        except RequestShed as exc:
+            # Refused at the door: observable as a typed shed, not a
+            # failed search.
             self._release(in_flight_key)
-            self.metrics.record_shed(SHED_TENANT_QUOTA, tenant_id=tenant)
-            raise RequestShed(
-                SHED_TENANT_QUOTA, f"tenant {tenant!r} over its lookup budget"
-            )
-        self.metrics.record(submitted=1, tenant_id=tenant)
-        future = self._pool.submit(
-            self._run, client_id, digest, deadline_seconds, tenant
+            self.metrics.record_shed(exc.reason, tenant_id=tenant)
+            raise
+        except BaseException:
+            self._release(in_flight_key)
+            raise
+        self.metrics.record(
+            submitted=1, queue_depth=queue_depth, tenant_id=tenant
         )
         future.add_done_callback(lambda _f: self._release(in_flight_key))
         return future
 
-    def _submit_scheduled(
-        self,
-        client_id: str,
-        digest: bytes,
-        deadline_seconds: float | None,
-        tenant: str,
-    ) -> Future:
-        """Scheduler-mode admission: one ticket in the shared work stream."""
-        assert self.scheduler is not None
+    def _start(self, request: _Request) -> Future:
+        """Start an admitted request on the backend — all that differs
+        between the dispatcher and the pool."""
+        if self.scheduler is None:
+            # The pool has no admission policy of its own, so its start
+            # charges the tenant's token bucket.
+            if not self.tenants.try_admit(request.tenant):
+                raise RequestShed(
+                    SHED_TENANT_QUOTA,
+                    f"tenant {request.tenant!r} over its lookup budget",
+                )
+            return self._pool.submit(
+                self._settle, request, lambda: self._search(request)
+            )
+        seed, directory = self._enrolled_seed(request)
+        request = dataclasses.replace(request, directory=directory)
         service = self.authority.search_service
-        start = time.perf_counter()
-        try:
-            seed, directory_stats = self._enrolled_seed(client_id, tenant)
-        except DirectoryUnavailable as exc:
-            # The whole replica set for this key is down: degraded-mode
-            # serving sheds the request with a typed reason instead of
-            # surfacing the directory's internal error.
-            self.metrics.record_shed(
-                SHED_DIRECTORY_UNAVAILABLE, tenant_id=tenant
-            )
-            raise RequestShed(SHED_DIRECTORY_UNAVAILABLE, str(exc)) from exc
-        try:
-            ticket = self.scheduler.submit(
-                seed,
-                digest,
-                service.max_distance,
-                time_budget=service.time_threshold,
-                deadline_seconds=deadline_seconds,
-                client_id=client_id,
-                tenant=tenant,
-            )
-        except RequestShed as exc:
-            # Refused at the door (unmeetable deadline / saturated lanes /
-            # exhausted tenant budget): observable as a typed shed, not a
-            # pool rejection.
-            self.metrics.record_shed(exc.reason, tenant_id=tenant)
-            raise
-        self.metrics.record(
-            submitted=1,
-            queue_depth=int(self.scheduler.scheduler.snapshot()["queue_depth"]),
-            tenant_id=tenant,
-            **_directory_record_kwargs(directory_stats),
+        ticket = self.scheduler.submit(
+            seed,
+            request.digest,
+            service.max_distance,
+            time_budget=service.time_threshold,
+            deadline_seconds=request.deadline_seconds,
+            client_id=request.client_id,
+            tenant=request.tenant,
         )
         future: Future = Future()
         future.set_running_or_notify_cancel()
+        # Settles on the dispatcher thread that retired the ticket.
         ticket.add_done_callback(
-            lambda t: self._on_ticket_done(t, client_id, start, future, tenant)
-        )
-        future.add_done_callback(
-            lambda _f: self._release(namespaced_key(tenant, client_id))
+            lambda done: _transfer(future, self._settle, request, done.result)
         )
         return future
 
-    def _on_ticket_done(
-        self,
-        ticket: ScheduledSearch,
-        client_id: str,
-        start: float,
-        future: Future,
-        tenant: str = DEFAULT_TENANT,
-    ) -> None:
-        """Runs on the dispatcher thread when a scheduled request settles."""
-        elapsed = time.perf_counter() - start
-        try:
-            result = ticket.result(timeout=0.0)
-        except RequestShed as exc:
-            self.metrics.record_shed(
-                exc.reason, failed=1, search_seconds=elapsed, tenant_id=tenant
-            )
-            future.set_exception(exc)
-            return
-        except BaseException as exc:  # pragma: no cover - defensive
-            self.metrics.record(failed=1, search_seconds=elapsed)
-            future.set_exception(exc)
-            return
-        try:
-            public_key = None
-            if result.found:
-                assert result.seed is not None
-                public_key = self._issue_public_key(
-                    client_id, result.seed, tenant
-                )
-            scheduling = result.scheduling
-            fleet = getattr(result, "fleet", None)
-            self.metrics.record(
-                completed=1,
-                authenticated=1 if result.found else 0,
-                search_seconds=elapsed,
-                seeds_hashed=result.seeds_hashed,
-                shells_completed=len(result.shells),
-                preempted=scheduling.preemptions if scheduling else 0,
-                redispatched=fleet.redispatched_chunks if fleet else 0,
-                hedged=fleet.hedged_batches if fleet else 0,
-                tenant_id=tenant,
-            )
-            future.set_result(
-                AuthenticationResult(
-                    client_id=client_id,
-                    authenticated=result.found,
-                    distance=result.distance,
-                    public_key=public_key,
-                    search_seconds=result.elapsed_seconds,
-                    timed_out=result.timed_out,
-                )
-            )
-        except BaseException as exc:  # pragma: no cover - defensive
-            future.set_exception(exc)
-
-    def _release(self, in_flight_key: str) -> None:
-        with self._lock:
-            self._in_flight_clients.discard(in_flight_key)
-            self._pending -= 1
-
-    def _enrolled_seed(self, client_id: str, tenant: str = DEFAULT_TENANT):
-        """S_init plus directory telemetry; tolerates minimal doubles."""
-        # Positional for default-tenant calls so authority doubles
-        # (tests, adapters) predating the tenant parameter keep working.
-        args = (
-            (client_id,)
-            if tenant == DEFAULT_TENANT
-            else (client_id, tenant)
-        )
-        with_stats = getattr(self.authority, "enrolled_seed_with_stats", None)
-        if with_stats is not None:
-            return with_stats(*args)
-        return self.authority.enrolled_seed(*args), None
-
-    def _issue_public_key(
-        self, client_id: str, seed: bytes, tenant: str
-    ) -> bytes:
-        """Key issuance, omitting the tenant for legacy authority doubles."""
-        if tenant == DEFAULT_TENANT:
-            return self.authority.issue_public_key(client_id, seed)
-        return self.authority.issue_public_key(
-            client_id, seed, tenant_id=tenant
-        )
-
-    def _search(
-        self,
-        client_id: str,
-        digest: bytes,
-        deadline_seconds: float | None = None,
-        tenant: str = DEFAULT_TENANT,
-    ):
-        # Only pass the deadline/tenant when set: authority doubles
-        # (tests, adapters) predating the parameters keep working.
-        kwargs = (
-            {"deadline_seconds": deadline_seconds}
-            if deadline_seconds is not None
-            else {}
-        )
-        if tenant != DEFAULT_TENANT:
-            kwargs["tenant_id"] = tenant
-        if self.breaker is None:
-            return self.authority.run_search(client_id, digest, **kwargs)
-        # A directory outage is the *directory's* failure, not the search
-        # backend's: it must not count against the breaker guarding the
-        # search engine (that would convert typed degraded-mode sheds
-        # into blanket CircuitOpenError refusals). Smuggle it past the
-        # breaker's failure accounting and re-raise outside.
-        smuggled: list[DirectoryUnavailable] = []
-
-        def guarded():
-            try:
-                return self.authority.run_search(client_id, digest, **kwargs)
-            except DirectoryUnavailable as exc:
-                smuggled.append(exc)
-                return None
-
-        result = self.breaker.call(guarded)
-        if smuggled:
-            raise smuggled[0]
-        return result
-
-    def _run(
-        self,
-        client_id: str,
-        digest: bytes,
-        deadline_seconds: float | None = None,
-        tenant: str = DEFAULT_TENANT,
+    def _settle(
+        self, request: _Request, search: Callable[[], SearchResult]
     ) -> AuthenticationResult:
-        start = time.perf_counter()
+        """Turn one search outcome into the reply — for every request.
+
+        ``search()`` returns the backend's result or raises what it
+        failed with; either way the request is accounted for here, so
+        ``submitted == completed + failed + pending`` stays true.
+        ``search_seconds`` runs from admission to settlement.
+        """
+        tenant = request.tenant
         try:
-            result = self._search(client_id, digest, deadline_seconds, tenant)
+            result = search()
         except CircuitOpenError:
             self.metrics.record(rejected_open=1, failed=1, tenant_id=tenant)
             raise
-        except DirectoryUnavailable as exc:
-            # Every replica of this client's enrollment record is down.
-            # Shed with a typed reason: the caller can tell "the
-            # directory is degraded, retry later" apart from "your
-            # authentication failed".
+        except RequestShed as exc:
             self.metrics.record_shed(
-                SHED_DIRECTORY_UNAVAILABLE,
+                exc.reason,
                 failed=1,
-                search_seconds=time.perf_counter() - start,
+                search_seconds=request.elapsed(),
                 tenant_id=tenant,
             )
-            raise RequestShed(SHED_DIRECTORY_UNAVAILABLE, str(exc)) from exc
+            raise
         except Exception:
-            # A failed search is still a finished search: account for it
-            # so `submitted == completed + failed + pending` stays true.
             self.metrics.record(
-                failed=1,
-                search_seconds=time.perf_counter() - start,
-                tenant_id=tenant,
+                failed=1, search_seconds=request.elapsed(), tenant_id=tenant
             )
             raise
         public_key = None
         if result.found:
             assert result.seed is not None
-            public_key = self._issue_public_key(client_id, result.seed, tenant)
-        amortized = getattr(result, "amortized", None)
+            public_key = self.authority.issue_public_key(
+                request.client_id, result.seed, **_tenant_kwargs(tenant)
+            )
+        amortized, scheduling, fleet = (
+            result.amortized,
+            result.scheduling,
+            result.fleet,
+        )
         self.metrics.record(
             completed=1,
             authenticated=1 if result.found else 0,
-            search_seconds=time.perf_counter() - start,
+            search_seconds=request.elapsed(),
             seeds_hashed=result.seeds_hashed,
             shells_completed=len(result.shells),
-            plan_hits=amortized.plan_hits if amortized is not None else 0,
-            plan_misses=amortized.plan_misses if amortized is not None else 0,
-            pool_reuses=(
-                1 if amortized is not None and amortized.pool_reused else 0
-            ),
+            plan_hits=amortized.plan_hits if amortized else 0,
+            plan_misses=amortized.plan_misses if amortized else 0,
+            pool_reuses=1 if amortized and amortized.pool_reused else 0,
+            preempted=scheduling.preemptions if scheduling else 0,
+            redispatched=fleet.redispatched_chunks if fleet else 0,
+            hedged=fleet.hedged_batches if fleet else 0,
             tenant_id=tenant,
-            **_directory_record_kwargs(getattr(result, "directory", None)),
+            **_directory_record_kwargs(result.directory or request.directory),
         )
         return AuthenticationResult(
-            client_id=client_id,
+            client_id=request.client_id,
             authenticated=result.found,
             distance=result.distance,
             public_key=public_key,
             search_seconds=result.elapsed_seconds,
             timed_out=result.timed_out,
         )
+
+    def _release(self, in_flight_key: str) -> None:
+        with self._lock:
+            self._in_flight_clients.discard(in_flight_key)
+            self._pending -= 1
+
+    def _enrolled_seed(self, request: _Request):
+        """S_init plus directory telemetry; tolerates minimal doubles."""
+        kwargs = _tenant_kwargs(request.tenant)
+        with_stats = getattr(self.authority, "enrolled_seed_with_stats", None)
+        try:
+            if with_stats is not None:
+                return with_stats(request.client_id, **kwargs)
+            return self.authority.enrolled_seed(request.client_id, **kwargs), None
+        except DirectoryUnavailable as exc:
+            raise _directory_shed(exc) from exc
+
+    def _search(self, request: _Request) -> SearchResult:
+        """The pool backend's search: the authority's, behind the breaker."""
+        # Only pass the deadline/tenant when set: authority doubles
+        # (tests, adapters) predating the parameters keep working.
+        kwargs: dict = _tenant_kwargs(request.tenant)
+        if request.deadline_seconds is not None:
+            kwargs["deadline_seconds"] = request.deadline_seconds
+
+        def run():
+            try:
+                return self.authority.run_search(
+                    request.client_id, request.digest, **kwargs
+                )
+            except DirectoryUnavailable as exc:
+                # A directory outage is the *directory's* failure, not
+                # the search backend's: it must not count against the
+                # breaker guarding the search engine (that would convert
+                # typed degraded-mode sheds into blanket CircuitOpenError
+                # refusals). Hand it past the breaker's failure
+                # accounting as a value and re-raise outside.
+                return exc
+
+        outcome = run() if self.breaker is None else self.breaker.call(run)
+        if isinstance(outcome, DirectoryUnavailable):
+            raise _directory_shed(outcome) from outcome
+        return outcome
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -663,8 +568,8 @@ class ConcurrentCAServer:
         :class:`~repro.net.errors.ServerClosed` from the moment the close
         begins. With ``wait=True`` (default) queued and in-flight
         searches drain to completion; with ``wait=False`` queued work is
-        cancelled (FIFO mode) or shed with reason ``"shutdown"``
-        (scheduler mode) — either way every outstanding future settles
+        cancelled (pool) or shed with reason ``"shutdown"``
+        (dispatcher) — either way every outstanding future settles
         before this method returns.
 
         If the authority's search backend is a persistent-pool engine,
@@ -694,3 +599,19 @@ class ConcurrentCAServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _transfer(future: Future, fn, *args) -> None:
+    """Hand the outcome of ``fn(*args)`` — value or exception — to ``future``."""
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:
+        future.set_exception(exc)
+
+
+def _directory_shed(exc: DirectoryUnavailable) -> RequestShed:
+    """Every replica of the client's enrollment record is down: degraded-
+    mode serving sheds with a typed reason, so the caller can tell "the
+    directory is degraded, retry later" apart from "your authentication
+    failed" — never the directory's internal error."""
+    return RequestShed(SHED_DIRECTORY_UNAVAILABLE, str(exc))

@@ -16,8 +16,9 @@ recovery timer reads. That serialization is what makes the whole report
 (fault spec, seed).
 
 Every authenticated result is *re-verified* against the submitted digest
-(`H(found seed) == M1`), so a false authentication cannot hide: the
-acceptance bar for every fault plan is ``false_authentications == 0``.
+(`H(found seed) == M1`, :mod:`repro.reliability.tripwire`), so a false
+authentication cannot hide: the acceptance bar for every fault plan is
+``false_authentications == 0``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.core import (
 )
 from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
-from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
@@ -53,6 +53,7 @@ from repro.reliability.failover import FailoverSearchService
 from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
 from repro.reliability.retry import DeadlineExceeded, RetriesExhausted, RetryPolicy
 from repro.reliability.transport import FaultyTransport
+from repro.reliability.tripwire import VerifyingAuthority
 from repro.engines import TelemetryHooks, build_engine
 from repro.devices.flaky import DeviceFailure, FlakyEngine
 from repro.sched.errors import RequestShed
@@ -75,9 +76,10 @@ class StormConfig:
     workers: int = 4
     max_queue: int = 64
     #: Serve the storm through the deadline-aware continuous-batching
-    #: scheduler instead of the FIFO worker pool. The transport-level
-    #: fault plan still applies in full; device-failure episodes do not
-    #: (the scheduler owns its device and has no failover behind it).
+    #: dispatcher (a ``sched`` engine) instead of the worker pool. The
+    #: transport-level fault plan still applies in full; device-failure
+    #: episodes do not (the dispatcher owns its device and has no
+    #: failover behind it).
     scheduler: bool = False
     hash_name: str = "sha1"
     max_distance: int = 1
@@ -143,55 +145,6 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
 }
 
 
-class _VerifyingAuthority:
-    """Delegates to a CertificateAuthority, re-verifying every find.
-
-    The chaos harness's tripwire: if the search backend ever claims a
-    seed whose digest does not match the submitted ``M1``, that is a
-    false authentication and the report must count it.
-    """
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self.false_authentications = 0
-        self._submitted_digests: dict[str, bytes] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def record_digest(self, client_id: str, client_digest: bytes) -> None:
-        """Remember the M1 a client submitted (scheduler-path tripwire)."""
-        self._submitted_digests[client_id] = client_digest
-
-    def run_search(
-        self,
-        client_id: str,
-        client_digest: bytes,
-        deadline_seconds: float | None = None,
-    ):
-        self.record_digest(client_id, client_digest)
-        result = self._authority.run_search(
-            client_id, client_digest, deadline_seconds=deadline_seconds
-        )
-        if result.found:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(result.seed) != client_digest:
-                self.false_authentications += 1
-        return result
-
-    def issue_public_key(self, client_id: str, found_seed: bytes) -> bytes:
-        # The scheduler-backed server bypasses run_search (it feeds the
-        # shared work stream directly), so the verification tripwire
-        # lives here too: every key issuance re-checks the found seed
-        # against the digest the client actually submitted.
-        expected = self._submitted_digests.get(client_id)
-        if expected is not None:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(found_seed) != expected:
-                self.false_authentications += 1
-        return self._authority.issue_public_key(client_id, found_seed)
-
-
 class _StormFrontend:
     """CAServer-shaped facade over the concurrent server for NetworkClient."""
 
@@ -211,9 +164,7 @@ class _StormFrontend:
         )
 
     def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
-        record = getattr(self.authority, "record_digest", None)
-        if record is not None:
-            record(submission.client_id, submission.digest)
+        self.authority.record_digest(submission.client_id, submission.digest)
         try:
             future = self.concurrent.submit(
                 submission.client_id,
@@ -317,13 +268,12 @@ def run_storm(
         max_distance=config.max_distance,
     )
     authority.search_service = service
-    verifying = _VerifyingAuthority(authority)
+    verifying = VerifyingAuthority(authority)
 
     scheduler_engine = None
     if config.scheduler:
-        from repro.sched.engine import ScheduledSearchEngine
-
-        scheduler_engine = ScheduledSearchEngine(
+        scheduler_engine = build_engine(
+            "sched",
             hash_name=config.hash_name,
             batch_size=16384,
             hooks=telemetry,

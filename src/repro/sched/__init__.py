@@ -1,13 +1,14 @@
-"""Deadline-aware continuous-batching scheduler for multi-client serving.
+"""The parts the deadline-aware continuous-batching dispatcher is made of.
 
 The layer between the protocol front end and the execution stack:
 concurrent authentication requests are decomposed into shell chunks
 (:mod:`~repro.sched.units`), admitted and ordered by deadline-aware
 lanes with a fairness cap (:mod:`~repro.sched.policy`), and served
 through a fused batcher that packs many clients' candidates into each
-device batch (:mod:`~repro.sched.batcher`). The scheduler core
-(:mod:`~repro.sched.scheduler`) runs it all on one dispatcher thread;
-:mod:`~repro.sched.engine` exposes it as the ``sched:`` engine spec.
+device batch (:mod:`~repro.sched.batcher`); each admitted request is one
+ticket (:mod:`~repro.sched.scheduler`). The dispatcher that runs them is
+:class:`repro.fleet.dispatcher.FleetScheduler` — the ``sched:`` engine
+spec is its one-device case.
 
 Quick start::
 
@@ -21,7 +22,6 @@ Quick start::
 from __future__ import annotations
 
 from repro.sched.batcher import BatchSlice, ContinuousBatcher, SliceOutcome, UnitCursor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_DEADLINE_EXPIRED,
     SHED_DEADLINE_UNMEETABLE,
@@ -39,7 +39,7 @@ from repro.sched.policy import (
     PolicyConfig,
     SchedulingPolicy,
 )
-from repro.sched.scheduler import ScheduledSearch, SearchScheduler
+from repro.sched.scheduler import ScheduledSearch
 from repro.sched.units import (
     DEFAULT_CHUNK_RANKS,
     WorkUnit,
@@ -62,8 +62,6 @@ __all__ = [
     "SliceOutcome",
     "ContinuousBatcher",
     "ScheduledSearch",
-    "SearchScheduler",
-    "ScheduledSearchEngine",
     "SchedulerError",
     "SchedulerClosed",
     "RequestShed",

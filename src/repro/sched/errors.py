@@ -49,7 +49,7 @@ class SchedulerError(Exception):
 
 
 class SchedulerClosed(SchedulerError):
-    """Submission after :meth:`SearchScheduler.close`."""
+    """Submission after the dispatcher was closed."""
 
 
 class RequestShed(SchedulerError):

@@ -1,58 +1,42 @@
-"""The deadline-aware search scheduler: one device, many requests.
+"""The dispatcher's ticket: one admitted search request.
 
-:class:`SearchScheduler` turns concurrent authentication requests into a
-shared, continuously-batched work stream. Each submission is decomposed
-into shell chunks (:mod:`repro.sched.units`), admitted or shed by the
-policy (:mod:`repro.sched.policy`), and served chunk-slice by
-chunk-slice through the fused batcher (:mod:`repro.sched.batcher`) on a
-single dispatcher thread — the modeled "device". A request retires the
-moment its seed is found (its remaining chunks are simply dropped —
-the per-request early exit), when its shells are exhausted, when its
-protocol time budget expires (a ``timed_out`` result, exactly like the
-unscheduled engines), or when its client deadline passes (a typed
-:class:`~repro.sched.errors.RequestShed`).
+:class:`ScheduledSearch` is what :meth:`FleetScheduler.submit
+<repro.fleet.dispatcher.FleetScheduler.submit>` hands back and what the
+dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`,
+:meth:`~ScheduledSearch.done`, :meth:`~ScheduledSearch.add_done_callback`)
+plus the per-request state the policy orders by (``lane`` / ``deadline`` /
+``remaining_work`` / ``seq``), the chunk cursor, the device placement and
+the accounting that becomes the result's ``scheduling`` and ``fleet``
+telemetry. There is one ticket class for every fleet size — a ``sched:``
+engine is the one-device fleet.
 
-Equivalence contract: a request served alone visits candidates in the
-same order as :class:`~repro.runtime.executor.BatchSearchExecutor` —
-distance-0 probe first, then ascending shells in ascending rank order —
-so scheduled searches return byte-identical seeds to unscheduled ones.
-Concurrency interleaves *between* requests, never reorders within one.
+Equivalence contract the dispatcher keeps per ticket: a request visits
+candidates in the same order as
+:class:`~repro.runtime.executor.BatchSearchExecutor` — distance-0 probe
+first, then ascending shells in ascending rank order — so scheduled
+searches return byte-identical seeds to unscheduled ones. Concurrency
+interleaves *between* requests, never reorders within one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._bitutils import seed_to_words
-from repro.engines.hooks import EngineHooks
-from repro.engines.result import (
-    AmortizationStats,
-    SchedulingStats,
-    SearchResult,
-    ShellStats,
-)
-from repro.runtime.executor import BatchSearchExecutor
-from repro.tenancy.context import DEFAULT_TENANT, TenantContext
+from repro.engines.result import FleetStats, SchedulingStats, SearchResult
+from repro.tenancy.context import DEFAULT_TENANT
 
-from repro.sched.batcher import BatchSlice, ContinuousBatcher, UnitCursor
-from repro.sched.errors import (
-    SHED_DEADLINE_EXPIRED,
-    SHED_SHUTDOWN,
-    RequestShed,
-    SchedulerClosed,
-)
-from repro.sched.policy import SchedulingPolicy
-from repro.sched.units import DEFAULT_CHUNK_RANKS, decompose_search, expected_work
+from repro.sched.batcher import UnitCursor
+from repro.sched.errors import RequestShed
+from repro.sched.units import expected_work
 
-__all__ = ["ScheduledSearch", "SearchScheduler"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.fleet.device import FleetDevice
 
-#: EWMA weight of the newest batch in the throughput estimate.
-_THROUGHPUT_ALPHA = 0.3
+__all__ = ["ScheduledSearch"]
 
 
 class ScheduledSearch:
@@ -60,7 +44,7 @@ class ScheduledSearch:
 
     Callers use :meth:`result`, :meth:`done`, and
     :meth:`add_done_callback`; every other attribute belongs to the
-    scheduler (policy ordering reads ``lane`` / ``deadline`` /
+    dispatcher (policy ordering reads ``lane`` / ``deadline`` /
     ``remaining_work`` / ``seq``).
     """
 
@@ -110,6 +94,16 @@ class ScheduledSearch:
         self.shared_batches = 0
         self.preemptions = 0
         self.first_batch_at: float | None = None
+        # -- placement, guarded by the dispatcher's lock --
+        #: Current device affinity, or None while parked.
+        self.device: FleetDevice | None = None
+        #: The unsettled batch carrying this request's chunks, if any.
+        self.inflight_batch = None
+        self.batches_by_device: dict[str, int] = {}
+        self.finder_device: str | None = None
+        self.redispatched = 0
+        self.hedged = 0
+        self.reassignments = 0
         # -- completion --
         self._done = threading.Event()
         self._result: SearchResult | None = None
@@ -176,527 +170,13 @@ class ScheduledSearch:
             chunks_run=self.cursor.units_started,
         )
 
-
-class SearchScheduler:
-    """Continuous-batching EDF scheduler over one vectorized device."""
-
-    def __init__(
-        self,
-        hash_name: str = "sha3-256",
-        batch_size: int = 16384,
-        iterator: str = "unrank",
-        fixed_padding: bool = True,
-        hooks: EngineHooks | None = None,
-        cache: bool = True,
-        warm: int = 0,
-        chunk_ranks: int = DEFAULT_CHUNK_RANKS,
-        max_queue: int = 256,
-        policy: SchedulingPolicy | None = None,
-        throughput_hint: float | None = None,
-    ):
-        if max_queue < 1:
-            raise ValueError("max_queue must be positive")
-        if chunk_ranks < batch_size:
-            raise ValueError("chunk_ranks must be at least batch_size")
-        self._executor = BatchSearchExecutor(
-            hash_name=hash_name,
-            batch_size=batch_size,
-            iterator=iterator,
-            fixed_padding=fixed_padding,
-            hooks=None,
-            cache=cache,
-            warm=warm,
+    def fleet_stats(self) -> FleetStats:
+        """This request's :class:`FleetStats`."""
+        return FleetStats(
+            devices=tuple(sorted(self.batches_by_device)),
+            finder_device=self.finder_device,
+            batches_by_device=tuple(sorted(self.batches_by_device.items())),
+            redispatched_chunks=self.redispatched,
+            hedged_batches=self.hedged,
+            reassignments=self.reassignments,
         )
-        self._batcher = ContinuousBatcher(self._executor.algo, fixed_padding)
-        self.hooks = hooks
-        self.max_queue = max_queue
-        self.chunk_ranks = chunk_ranks
-        self.policy = policy if policy is not None else SchedulingPolicy()
-        self._wake = threading.Condition()
-        self._active: list[ScheduledSearch] = []
-        self._recent_lanes: deque[str] = deque(
-            maxlen=self.policy.config.fairness_window
-        )
-        #: (tenant_id, rows) of recent batch outcomes — the window the
-        #: weighted fair-share filter measures tenant device share over.
-        self._recent_tenant_rows: deque[tuple[str, int]] = deque(
-            maxlen=self.policy.config.fairness_window
-        )
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        self._drain = True
-        self._seq = 0
-        self._last_primary: ScheduledSearch | None = None
-        self._throughput: float | None = throughput_hint
-        # -- counters (guarded by _wake's lock) --
-        self._admitted = 0
-        self._completed = 0
-        self._found = 0
-        self._timed_out = 0
-        self._shed: dict[str, int] = {}
-        self._preempted = 0
-        self._peak_depth = 0
-        self._batches_by_lane: dict[str, int] = {}
-        self._aged_promotions = 0
-        #: Per-tenant admitted / shed / served-row counters.
-        self._tenant_admitted: dict[str, int] = {}
-        self._tenant_shed: dict[str, int] = {}
-        self._tenant_rows: dict[str, int] = {}
-
-    # -- public geometry ------------------------------------------------
-
-    @property
-    def executor(self) -> BatchSearchExecutor:
-        """The underlying vectorized device this scheduler feeds."""
-        return self._executor
-
-    @property
-    def batch_size(self) -> int:
-        return self._executor.batch_size
-
-    @property
-    def hash_name(self) -> str:
-        return self._executor.hash_name
-
-    def describe(self) -> str:
-        """Canonical ``sched:`` spec string for this configuration."""
-        spec = f"sched:{self._executor.hash_name},bs={self._executor.batch_size}"
-        if self._executor.iterator != "unrank":
-            spec += f",it={self._executor.iterator}"
-        if not self._executor.cache:
-            spec += ",cache=no"
-        return spec
-
-    def prime_throughput(self, hashes_per_second: float) -> None:
-        """Seed the admission controller's throughput estimate.
-
-        Normally the estimate converges from observed batches; priming
-        it (e.g. from :meth:`BatchSearchExecutor.throughput_probe`) lets
-        deadline admission work from the very first request.
-        """
-        if hashes_per_second <= 0:
-            raise ValueError("throughput must be positive")
-        with self._wake:
-            self._throughput = hashes_per_second
-
-    # -- submission -----------------------------------------------------
-
-    def submit(
-        self,
-        base_seed: bytes,
-        target_digest: bytes,
-        max_distance: int,
-        *,
-        time_budget: float | None = None,
-        deadline_seconds: float | None = None,
-        client_id: str = "",
-        tenant: TenantContext | str | None = None,
-    ) -> ScheduledSearch:
-        """Admit one search into the shared work stream.
-
-        ``time_budget`` is the protocol threshold T — on expiry the
-        request completes with a ``timed_out`` result, exactly like the
-        unscheduled engines. ``deadline_seconds`` is the client's TTL —
-        a request that cannot meet it (or outlives it) is *shed* with a
-        typed :class:`RequestShed`. ``tenant`` attributes the request to
-        a tenant for quota admission and weighted fair share; omitted,
-        it runs under the default tenant exactly as before tenancy.
-        Raises :class:`SchedulerClosed` after :meth:`close`, and
-        :class:`RequestShed` on admission rejection (full queue /
-        hopeless deadline / exhausted tenant budget).
-        """
-        if max_distance < 0:
-            raise ValueError("max_distance must be non-negative")
-        if deadline_seconds is not None and deadline_seconds < 0:
-            raise ValueError("deadline_seconds must be non-negative")
-        if isinstance(tenant, TenantContext):
-            tenant_id = tenant.tenant_id
-        else:
-            tenant_id = tenant or DEFAULT_TENANT
-        now = time.perf_counter()
-        units = decompose_search(max_distance, self.chunk_ranks)
-        with self._wake:
-            if self._closed:
-                raise SchedulerClosed("scheduler is closed")
-            reason = self.policy.admission_shed_reason(
-                queue_depth=len(self._active),
-                max_queue=self.max_queue,
-                deadline_seconds=deadline_seconds,
-                throughput=self._throughput,
-                tenant_id=tenant_id,
-            )
-            if reason is not None:
-                self._shed[reason] = self._shed.get(reason, 0) + 1
-                self._tenant_shed[tenant_id] = (
-                    self._tenant_shed.get(tenant_id, 0) + 1
-                )
-                raise RequestShed(reason, f"client {client_id!r}")
-            self._seq += 1
-            request = ScheduledSearch(
-                seq=self._seq,
-                client_id=client_id,
-                base_words=seed_to_words(base_seed),
-                target_words=self._executor.algo.digest_to_words(target_digest),
-                max_distance=max_distance,
-                lane=self.policy.lane_of(max_distance, deadline_seconds),
-                submitted_at=now,
-                time_budget=time_budget,
-                expiry=None if time_budget is None else now + time_budget,
-                deadline=(
-                    None if deadline_seconds is None else now + deadline_seconds
-                ),
-                deadline_seconds=deadline_seconds,
-                cursor=UnitCursor(self._executor, units),
-                chunks_total=len(units),
-                tenant_id=tenant_id,
-            )
-            self._admitted += 1
-            self._tenant_admitted[tenant_id] = (
-                self._tenant_admitted.get(tenant_id, 0) + 1
-            )
-            self._active.append(request)
-            self._peak_depth = max(self._peak_depth, len(self._active))
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name="rbc-sched-dispatch",
-                    daemon=True,
-                )
-                self._thread.start()
-            self._wake.notify_all()
-        return request
-
-    # -- dispatcher -----------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        try:
-            while True:
-                with self._wake:
-                    while not self._active and not self._closed:
-                        self._wake.wait()
-                    if self._closed and (not self._active or not self._drain):
-                        to_shed = list(self._active)
-                        self._active.clear()
-                        break
-                    now = time.perf_counter()
-                    runnable, expired = self._partition(now)
-                if expired:
-                    for request, kind in expired:
-                        if kind == "deadline":
-                            self._finalize_shed(request, SHED_DEADLINE_EXPIRED)
-                        else:
-                            self._finalize_result(request, timed_out=True)
-                if not runnable:
-                    continue
-                self._run_one_batch(runnable)
-        except Exception:  # pragma: no cover - defensive: never hang callers
-            with self._wake:
-                self._closed = True
-                to_shed = list(self._active)
-                self._active.clear()
-            for request in to_shed:
-                self._finalize_shed(request, SHED_SHUTDOWN)
-            raise
-        for request in to_shed:
-            self._finalize_shed(request, SHED_SHUTDOWN)
-
-    def _partition(
-        self, now: float
-    ) -> tuple[list[ScheduledSearch], list[tuple[ScheduledSearch, str]]]:
-        """Split active requests into runnable vs. expired (lock held)."""
-        runnable: list[ScheduledSearch] = []
-        expired: list[tuple[ScheduledSearch, str]] = []
-        for request in self._active:
-            if request.deadline is not None and now > request.deadline:
-                expired.append((request, "deadline"))
-            elif (
-                request.expiry is not None
-                and now > request.expiry
-                and (
-                    # The budget check runs between device batches,
-                    # exactly where the unscheduled engines check
-                    # theirs...
-                    request.batches >= 1
-                    # ...plus a starvation guard: a request that waited
-                    # out twice its budget without ever reaching the
-                    # device is hopeless and must not hang its caller.
-                    or now > request.expiry + (request.time_budget or 0.0)
-                )
-            ):
-                expired.append((request, "budget"))
-            else:
-                runnable.append(request)
-        for request, _ in expired:
-            self._active.remove(request)
-        return runnable, expired
-
-    def _run_one_batch(self, runnable: list[ScheduledSearch]) -> None:
-        promoted = self.policy.apply_aging(runnable, time.perf_counter())
-        if promoted:
-            with self._wake:
-                self._aged_promotions += promoted
-        primary = self.policy.pick(
-            runnable, self._recent_lanes, self._recent_tenant_rows
-        )
-        last = self._last_primary
-        if (
-            last is not None
-            and last is not primary
-            and not last.done()
-            and last in runnable
-        ):
-            last.preemptions += 1
-            with self._wake:
-                self._preempted += 1
-        self._last_primary = primary
-
-        slices: list[BatchSlice] = []
-        drained: list[ScheduledSearch] = []
-        room = self._executor.batch_size
-        for request in self.policy.fill_order(
-            runnable, primary, self._recent_tenant_rows
-        ):
-            if room <= 0:
-                break
-            taken = request.cursor.take(room)
-            if taken is None:
-                drained.append(request)
-                continue
-            distance, masks = taken
-            slices.append(
-                BatchSlice(
-                    key=request,
-                    distance=distance,
-                    masks=masks,
-                    base_words=request.base_words,
-                    target_words=request.target_words,
-                )
-            )
-            room -= masks.shape[0]
-
-        # Requests that had nothing left to serve and found nothing in
-        # any earlier batch are exhausted: a clean not-found result.
-        for request in drained:
-            with self._wake:
-                if request in self._active:
-                    self._active.remove(request)
-            self._finalize_result(request, timed_out=False)
-        if not slices:
-            return
-
-        outcomes = self._batcher.run(slices)
-        shared = len(slices) > 1
-        with self._wake:
-            self._recent_lanes.append(primary.lane)
-            self._batches_by_lane[primary.lane] = (
-                self._batches_by_lane.get(primary.lane, 0) + 1
-            )
-            for outcome in outcomes:
-                served: ScheduledSearch = outcome.key  # type: ignore[assignment]
-                self._recent_tenant_rows.append(
-                    (served.tenant_id, outcome.rows)
-                )
-                self._tenant_rows[served.tenant_id] = (
-                    self._tenant_rows.get(served.tenant_id, 0) + outcome.rows
-                )
-            total_rows = sum(outcome.rows for outcome in outcomes)
-            total_seconds = max(
-                sum(outcome.seconds for outcome in outcomes), 1e-9
-            )
-            rate = total_rows / total_seconds
-            self._throughput = (
-                rate
-                if self._throughput is None
-                else (1 - _THROUGHPUT_ALPHA) * self._throughput
-                + _THROUGHPUT_ALPHA * rate
-            )
-
-        now = time.perf_counter()
-        on_batch = self.hooks.on_batch if self.hooks is not None else None
-        for outcome in outcomes:
-            request: ScheduledSearch = outcome.key  # type: ignore[assignment]
-            if request.first_batch_at is None:
-                request.first_batch_at = now
-            request.batches += 1
-            if shared:
-                request.shared_batches += 1
-            request.seeds_hashed += outcome.rows
-            request.remaining_work = max(
-                0, request.remaining_work - outcome.rows
-            )
-            request.shell_hashed[outcome.distance] = (
-                request.shell_hashed.get(outcome.distance, 0) + outcome.rows
-            )
-            request.shell_seconds[outcome.distance] = (
-                request.shell_seconds.get(outcome.distance, 0.0)
-                + outcome.seconds
-            )
-            if on_batch is not None:
-                on_batch(outcome.distance, outcome.rows)
-            if outcome.seed is not None:
-                with self._wake:
-                    if request in self._active:
-                        self._active.remove(request)
-                self._finalize_result(
-                    request,
-                    timed_out=False,
-                    seed=outcome.seed,
-                    distance=outcome.distance,
-                )
-
-    # -- finalization ---------------------------------------------------
-
-    def _emit_hooks(
-        self,
-        request: ScheduledSearch,
-        shells: tuple[ShellStats, ...],
-        amortized: AmortizationStats | None,
-        scheduling: SchedulingStats,
-    ) -> None:
-        hooks = self.hooks
-        if hooks is None:
-            return
-        for shell in shells:
-            hooks.on_shell_complete(shell)
-        if amortized is not None:
-            on_amortization = getattr(hooks, "on_amortization", None)
-            if on_amortization is not None:
-                on_amortization(amortized)
-        on_schedule = getattr(hooks, "on_schedule", None)
-        if on_schedule is not None:
-            on_schedule(scheduling)
-
-    def _amortization(
-        self, request: ScheduledSearch
-    ) -> AmortizationStats | None:
-        cache = self._executor.plan_cache
-        if cache is None:
-            return None
-        hits, misses = request.cursor.counters
-        return AmortizationStats(
-            plan_hits=hits, plan_misses=misses, plan_bytes=cache.bytes_in_use
-        )
-
-    def _finalize_result(
-        self,
-        request: ScheduledSearch,
-        *,
-        timed_out: bool,
-        seed: bytes | None = None,
-        distance: int | None = None,
-    ) -> None:
-        now = time.perf_counter()
-        found = seed is not None
-        shells = tuple(
-            ShellStats(d, request.shell_hashed[d], request.shell_seconds[d])
-            for d in sorted(request.shell_hashed)
-        )
-        scheduling = request.scheduling_stats(now)
-        amortized = self._amortization(request)
-        result = SearchResult(
-            found=found,
-            seed=seed,
-            distance=distance,
-            seeds_hashed=request.seeds_hashed,
-            elapsed_seconds=now - request.submitted_at,
-            timed_out=timed_out,
-            shells=shells,
-            engine=self.describe(),
-            amortized=amortized,
-            scheduling=scheduling,
-        )
-        with self._wake:
-            self._completed += 1
-            if found:
-                self._found += 1
-            if timed_out:
-                self._timed_out += 1
-        self._emit_hooks(request, shells, amortized, scheduling)
-        request._resolve(result, None)
-
-    def _finalize_shed(self, request: ScheduledSearch, reason: str) -> None:
-        now = time.perf_counter()
-        scheduling = request.scheduling_stats(now)
-        with self._wake:
-            self._shed[reason] = self._shed.get(reason, 0) + 1
-            self._tenant_shed[request.tenant_id] = (
-                self._tenant_shed.get(request.tenant_id, 0) + 1
-            )
-        on_schedule = getattr(self.hooks, "on_schedule", None)
-        if on_schedule is not None:
-            on_schedule(scheduling)
-        request._resolve(
-            None, RequestShed(reason, f"client {request.client_id!r}")
-        )
-
-    # -- observation ----------------------------------------------------
-
-    def snapshot(self) -> dict[str, object]:
-        """A consistent copy of the scheduler's counters."""
-        with self._wake:
-            shed_reasons = dict(self._shed)
-            tenant_ids = sorted(
-                set(self._tenant_admitted)
-                | set(self._tenant_shed)
-                | set(self._tenant_rows)
-            )
-            total_tenant_rows = sum(self._tenant_rows.values())
-            tenants = {
-                tenant_id: {
-                    "admitted": self._tenant_admitted.get(tenant_id, 0),
-                    "shed": self._tenant_shed.get(tenant_id, 0),
-                    "rows": self._tenant_rows.get(tenant_id, 0),
-                    "device_share": (
-                        self._tenant_rows.get(tenant_id, 0)
-                        / total_tenant_rows
-                        if total_tenant_rows
-                        else 0.0
-                    ),
-                }
-                for tenant_id in tenant_ids
-            }
-            return {
-                "admitted": self._admitted,
-                "completed": self._completed,
-                "found": self._found,
-                "timed_out": self._timed_out,
-                "shed": sum(shed_reasons.values()),
-                "shed_reasons": shed_reasons,
-                "preempted": self._preempted,
-                "aged_promotions": self._aged_promotions,
-                "queue_depth": len(self._active),
-                "peak_queue_depth": self._peak_depth,
-                "batches": self._batcher.batches,
-                "shared_batches": self._batcher.shared_batches,
-                "batches_by_lane": dict(self._batches_by_lane),
-                "throughput": self._throughput,
-                "tenants": tenants,
-            }
-
-    # -- lifecycle ------------------------------------------------------
-
-    def close(self, drain: bool = True) -> None:
-        """Stop admissions and retire the dispatcher deterministically.
-
-        With ``drain=True`` (default) every in-flight request runs to
-        its natural outcome first; with ``drain=False`` pending requests
-        are shed with reason ``"shutdown"``. Either way, when this
-        method returns the dispatcher thread has exited and every
-        ticket is resolved. Idempotent.
-        """
-        with self._wake:
-            if self._closed:
-                thread = self._thread
-            else:
-                self._closed = True
-                self._drain = drain
-                thread = self._thread
-                self._wake.notify_all()
-        if thread is not None:
-            thread.join()
-
-    def __enter__(self) -> "SearchScheduler":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

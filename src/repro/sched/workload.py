@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.analysis.metrics import percentile
 from repro.engines.result import SearchEngine
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import RequestShed
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.fleet.engine import FleetSearchEngine
 
 __all__ = [
     "WorkloadRequest",
@@ -145,7 +148,7 @@ def run_fifo(
 
 
 def run_scheduled(
-    engine: ScheduledSearchEngine,
+    engine: FleetSearchEngine,
     workload: list[WorkloadRequest],
     time_budget: float,
 ) -> list[RequestOutcome]:

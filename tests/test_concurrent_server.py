@@ -1,5 +1,7 @@
 """Concurrent CA server: pooling, admission control, metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
 )
 from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
+from repro.engines import build_engine
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer, ServerMetrics
 from repro.net.errors import ServerClosed
@@ -171,6 +174,40 @@ class TestConcurrentServer:
         assert snapshot["failed"] == 1
         assert snapshot["completed"] == 0
         assert snapshot["submitted"] == 1
+
+
+class TestOneServingPath:
+    def test_pool_and_dispatcher_settle_the_same_request_identically(
+        self, fleet_authority
+    ):
+        """Both backends go through one settle function: the same request
+        yields the same reply and the same counters."""
+        authority, clients = fleet_authority
+        client_id, device, mask = clients[0]
+        digest = _digest_for(authority, client_id, device, mask)
+        #: Wall-clock, and the plan cache only the dispatcher's engine has.
+        backend_specific = {"total_search_seconds", "plan_hits", "plan_misses"}
+        outcomes = {}
+        for backend in ("pool", "dispatcher"):
+            engine = (
+                build_engine("sched:sha1,bs=8192")
+                if backend == "dispatcher"
+                else None
+            )
+            with ConcurrentCAServer(
+                authority, workers=1, scheduler=engine
+            ) as server:
+                reply = server.submit(client_id, digest).result(timeout=60)
+            counters = server.metrics.snapshot()
+            outcomes[backend] = (
+                dataclasses.replace(reply, search_seconds=0.0),
+                {k: v for k, v in counters.items() if k not in backend_specific},
+            )
+        reply, counters = outcomes["pool"]
+        assert reply.authenticated and reply.public_key
+        assert counters["submitted"] == counters["completed"] == 1
+        assert counters["seeds_hashed"] > 0 and counters["queue_depth_peak"] == 1
+        assert outcomes["dispatcher"] == outcomes["pool"]
 
 
 class TestServerMetricsRecord:

@@ -16,7 +16,7 @@ import pytest
 
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
-from repro.engines import build_engine, engine_target
+from repro.engines import TelemetryHooks, build_engine, engine_target
 from repro.fleet import (
     DEVICE_WEIGHTS,
     FleetDevice,
@@ -425,6 +425,28 @@ class TestFleetClose:
             except RequestShed as exc:
                 reasons.add(exc.reason)
         assert reasons <= {SHED_SHUTDOWN}
+        assert engine.scheduler.snapshot()["queue_depth"] == 0
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize(
+        "spec", ["fleet:host,hash=sha1,bs=4096", "sched:sha1,bs=4096"]
+    )
+    def test_dying_dispatcher_thread_sheds_instead_of_hanging(self, spec):
+        class ExplodingHooks(TelemetryHooks):
+            def on_batch(self, distance, rows):
+                raise RuntimeError("hook blew up")
+
+        engine = build_engine(spec, hooks=ExplodingHooks())
+        absent = engine_target(engine, RNG.bytes(32))
+        ticket = engine.submit(BASE_SEED, absent, 1, client_id="orphan")
+        with pytest.raises(RequestShed) as excinfo:
+            ticket.result(timeout=3)
+        assert excinfo.value.reason == SHED_SHUTDOWN
+        with pytest.raises(SchedulerClosed):
+            engine.submit(BASE_SEED, absent, 1)
+        engine.close()  # returns: no thread is left to wait for
         assert engine.scheduler.snapshot()["queue_depth"] == 0
 
     def test_describe_round_trips_the_spec(self):

@@ -1,10 +1,11 @@
 """The deadline-aware continuous-batching scheduler (repro.sched).
 
 Three layers of coverage: the pure pieces (work-unit decomposition and
-the scheduling policy) as plain unit tests; the scheduler core's
-invariants (everything admitted is completed or shed with a reason,
-byte-identical equivalence with the unscheduled engine, deadline
-shedding, deterministic close); and the serving integration
+the scheduling policy) as plain unit tests; the dispatcher's invariants
+on the ``sched`` spec — a one-device fleet — (everything admitted is
+completed or shed with a reason, byte-identical equivalence with the
+unscheduled engine, deadline shedding, deterministic close, a dying
+dispatcher thread never hangs callers); and the serving integration
 (scheduler-backed ``ConcurrentCAServer`` with shed/preemption counters).
 """
 
@@ -33,10 +34,14 @@ from repro.sched import (
     decompose_search,
     expected_work,
 )
-from repro.sched.engine import ScheduledSearchEngine
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
+
+
+def sched_engine(**options):
+    """A ``sched`` engine: the dispatcher over exactly one host device."""
+    return build_engine("sched", hash_name="sha1", **options)
 
 
 class TestWorkUnits:
@@ -243,8 +248,7 @@ class TestAging:
         """Satellite: with the fairness rotation disabled (cap=1.0), only
         aging saves a deep request from starving under constant shallow
         pressure — and it must get service within a bounded wait."""
-        engine = ScheduledSearchEngine(
-            "sha1",
+        engine = sched_engine(
             batch_size=4096,
             chunk_ranks=8192,
             fairness_cap=1.0,
@@ -290,7 +294,7 @@ class TestAging:
 
 @pytest.fixture
 def engine():
-    engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+    engine = sched_engine(batch_size=4096, chunk_ranks=8192)
     yield engine
     engine.close()
 
@@ -397,8 +401,8 @@ class TestSchedulerCore:
         }
 
     def test_saturation_shed(self):
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192, max_queue=1
+        engine = sched_engine(
+            batch_size=4096, chunk_ranks=8192, max_queue=1
         )
         try:
             absent = engine_target(engine, RNG.bytes(32))
@@ -433,8 +437,8 @@ class TestSchedulerCore:
 
     def test_on_schedule_hook_fires(self):
         hooks = TelemetryHooks()
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192, hooks=hooks
+        engine = sched_engine(
+            batch_size=4096, chunk_ranks=8192, hooks=hooks
         )
         try:
             client_seed = _planted(1, np.random.default_rng(5))
@@ -451,20 +455,37 @@ class TestSchedulerCore:
         rebuilt = build_engine(engine.describe())
         try:
             assert rebuilt.batch_size == engine.batch_size
+            assert rebuilt.describe() == engine.describe()
         finally:
             rebuilt.close()
+
+    def test_sched_spec_is_the_one_device_fleet(self):
+        from repro.fleet import FleetSearchEngine
+
+        engine = build_engine("sched:sha1,bs=4096")
+        try:
+            assert isinstance(engine, FleetSearchEngine)
+            assert [d.name for d in engine.scheduler.devices] == ["host-0"]
+            client_seed = _planted(1, np.random.default_rng(17))
+            result = engine.search(
+                BASE_SEED, engine_target(engine, client_seed), 1
+            )
+            assert result.engine == "sched:sha1,bs=4096"
+            assert result.fleet.finder_device == "host-0"
+        finally:
+            engine.close()
 
 
 class TestSchedulerClose:
     def test_close_is_idempotent_and_rejects_new_work(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096)
+        engine = sched_engine(batch_size=4096)
         engine.close()
         engine.close()
         with pytest.raises(SchedulerClosed):
             engine.submit(BASE_SEED, b"\x00" * 20, 1)
 
     def test_close_drains_in_flight_requests(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
         client_seed = _planted(1, np.random.default_rng(9))
         target = engine_target(engine, client_seed)
         ticket = engine.submit(BASE_SEED, target, 2, client_id="drain")
@@ -473,7 +494,7 @@ class TestSchedulerClose:
         assert result.found and result.seed == client_seed
 
     def test_close_without_drain_sheds_with_shutdown_reason(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
         absent = engine_target(engine, RNG.bytes(32))
         tickets = [
             engine.submit(BASE_SEED, absent, 2, client_id=f"s{i}")
@@ -496,9 +517,7 @@ class TestSchedulerClose:
 class TestFairness:
     def test_deep_search_cannot_monopolize_the_device(self):
         """With a deep straggler in flight, shallow work still lands."""
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192
-        )
+        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
         try:
             absent = engine_target(engine, RNG.bytes(32))
             deep = engine.submit(
@@ -576,7 +595,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = sched_engine(batch_size=8192)
         with ConcurrentCAServer(authority, scheduler=scheduler) as server:
             futures = []
             for client_id, device, mask in clients:
@@ -600,7 +619,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = sched_engine(batch_size=8192)
         scheduler.scheduler.prime_throughput(1e6)
         with ConcurrentCAServer(authority, scheduler=scheduler) as server:
             client_id = clients[0][0]
@@ -614,7 +633,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = sched_engine(batch_size=8192)
         server = ConcurrentCAServer(authority, scheduler=scheduler)
         client_id, device, mask = clients[0]
         challenge = authority.issue_challenge(client_id)

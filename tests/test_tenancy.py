@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.core.salting import HashChainSalt
 from repro.directory.sharded import ShardedEnrollmentDirectory
+from repro.engines import build_engine
 from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
@@ -22,7 +23,6 @@ from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_SATURATED,
     SHED_TENANT_QUOTA,
@@ -481,7 +481,7 @@ class TestServerTenancy:
         digests = [
             _planted_digest(authority, f"c{i}", "gold") for i in range(2)
         ]
-        engine = ScheduledSearchEngine("sha1", batch_size=4096)
+        engine = build_engine("sched:sha1,bs=4096")
         with ConcurrentCAServer(
             authority, scheduler=engine, tenants=registry
         ) as server:
@@ -498,6 +498,63 @@ class TestServerTenancy:
         assert snapshot["completed"] == 1
         tenants = server.metrics.tenant_snapshot()
         assert tenants["gold"]["quota_hits"] == 1
+
+    @pytest.mark.parametrize("backend", ["pool", "dispatcher"])
+    def test_bucket_charged_once_per_admission_never_for_a_refusal(
+        self, backend
+    ):
+        from repro.net.errors import ServerClosed
+
+        clock = ManualClock()  # frozen: the bucket never refills
+        registry = TenantRegistry(
+            tenants=(
+                TenantContext(
+                    "gold", quota=TenantQuota(lookup_rate=1.0, burst=8.0)
+                ),
+            ),
+            clock=clock,
+        )
+
+        def tokens():
+            return registry.snapshot()["gold"]["tokens_available"]
+
+        # Absent digests searched to d=3 under a short T: every admitted
+        # request stays in flight far longer than the submits take.
+        authority = _build_authority(max_distance=3)
+        authority.search_service.time_threshold = 0.5
+        for i in range(3):
+            authority.enroll(f"c{i}", _mask_for(40 + i), tenant_id="gold")
+        absent = b"\x5a" * 20
+        engine = (
+            build_engine("sched:sha1,bs=4096")
+            if backend == "dispatcher"
+            else None
+        )
+        server = ConcurrentCAServer(
+            authority, workers=1, max_queue=2, scheduler=engine,
+            tenants=registry,
+        )
+        try:
+            first = server.submit("c0", absent, tenant_id="gold")
+            assert tokens() == 7.0
+            with pytest.raises(RuntimeError, match="already has a search"):
+                server.submit("c0", absent, tenant_id="gold")
+            second = server.submit("c1", absent, tenant_id="gold")
+            assert tokens() == 6.0
+            with pytest.raises(RuntimeError, match="saturated"):
+                server.submit("c2", absent, tenant_id="gold")
+            assert tokens() == 6.0
+        finally:
+            server.close(wait=True)
+        with pytest.raises(ServerClosed):
+            server.submit("c2", absent, tenant_id="gold")
+        assert tokens() == 6.0
+        assert not first.result(timeout=1).authenticated
+        assert not second.result(timeout=1).authenticated
+        snapshot = server.metrics.snapshot()
+        assert snapshot["submitted"] == snapshot["completed"] == 2
+        assert snapshot["rejected_duplicate"] == snapshot["rejected_busy"] == 1
+        assert snapshot["shed_tenant_quota"] == 0
 
     def test_untenanted_requests_ride_the_default_tenant_unchanged(self):
         authority = _build_authority()

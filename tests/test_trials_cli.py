@@ -75,3 +75,17 @@ class TestCLI:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--plan", "smoke", "--clients", "0"],
+            ["chaos", "--plan", "smoke", "--seed", "-1"],
+            ["fleet", "--storm", "--devices", "host"],
+        ],
+    )
+    def test_refused_values_are_usage_errors_not_tracebacks(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert "Traceback" not in captured.err and not captured.out
