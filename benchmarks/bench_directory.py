@@ -180,6 +180,9 @@ def _availability_section(
     repairs_before = directory.read_repairs
     directory.revive_shard(victim)
     directory.revive_shard(partner)
+    # Revived shards are re-admitted once their tripped breakers' recovery
+    # window has passed; the sweep must not start inside it.
+    time.sleep(directory.shard(victim).breaker.recovery_seconds)
     directory.drop_hot_caches()
     served_3, unavailable_3, errors_3 = _availability_sweep(
         directory, client_ids

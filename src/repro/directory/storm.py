@@ -314,6 +314,10 @@ def run_shard_loss_storm(
         repairs_before = directory.read_repairs
         directory.revive_shard(victim)
         directory.revive_shard(partner)
+        # A revived shard is re-admitted only once its tripped breaker's
+        # recovery window has passed: wait it out rather than count on
+        # the re-enrollments above taking that long.
+        time.sleep(directory.shard(victim).breaker.recovery_seconds)
         directory.drop_hot_caches()
         report.waves.append(wave(set()))
         report.read_repairs = directory.read_repairs - repairs_before

@@ -17,14 +17,14 @@ This package provides the cryptographic algorithms both variants draw on:
   protocol the RBC engines consume.
 """
 
-from repro.keygen.interface import KeyGenerator, get_keygen, available_keygens
-from repro.keygen.aes import AES128, aes128_encrypt_block, aes128_ctr_keystream
-from repro.keygen.chacha20 import chacha20_block, chacha20_encrypt
-from repro.keygen.speck import speck128_encrypt_block, Speck128
-from repro.keygen.lwe import ToyModuleLWE
+from repro.keygen.aes import AES128, aes128_ctr_keystream, aes128_encrypt_block
 from repro.keygen.batch_aes import aes128_encrypt_batch
-from repro.keygen.batch_speck import speck128_encrypt_batch
 from repro.keygen.batch_chacha20 import chacha20_block_batch
+from repro.keygen.batch_speck import speck128_encrypt_batch
+from repro.keygen.chacha20 import chacha20_block, chacha20_encrypt
+from repro.keygen.interface import KeyGenerator, available_keygens, get_keygen
+from repro.keygen.lwe import ToyModuleLWE
+from repro.keygen.speck import Speck128, speck128_encrypt_block
 
 __all__ = [
     "KeyGenerator",

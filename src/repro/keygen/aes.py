@@ -10,9 +10,18 @@ Used in two places:
 The S-box is derived programmatically from the GF(2^8) inverse plus the
 affine map rather than pasted as constants, and validated against the
 FIPS 197 appendix vectors in the tests.
+
+There is one CTR path. Every counter block ``nonce ‖ i`` is independent
+of the others, so :meth:`AES128.ctr_transform` runs all of them through
+the T-tables at once, one NumPy lane per block (the lane-parallel layout
+the batch hash kernels use, applied to the one place in the image store
+where the blocks do not chain). The scalar :meth:`AES128.encrypt_block`
+is the FIPS-197 reference the tests hold that kernel to, byte for byte.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["AES128", "aes128_encrypt_block", "aes128_decrypt_block", "aes128_ctr_keystream"]
 
@@ -67,7 +76,10 @@ def _build_enc_tables() -> tuple[list[int], list[int], list[int], list[int]]:
     to sixteen table lookups and a handful of XORs. Derived from the same
     programmatic S-box as the reference round functions below.
     """
-    t0, t1, t2, t3 = [], [], [], []
+    t0: list[int] = []
+    t1: list[int] = []
+    t2: list[int] = []
+    t3: list[int] = []
     for x in range(256):
         s = _SBOX[x]
         s2 = _gf_mul(s, 2)
@@ -81,6 +93,17 @@ def _build_enc_tables() -> tuple[list[int], list[int], list[int], list[int]]:
 
 _T0, _T1, _T2, _T3 = _build_enc_tables()
 
+# The same tables as gatherable arrays for the CTR kernel. The dtype is
+# explicitly little-endian so that, on any host, byte ``j`` of a state
+# word's uint8 view is ``(word >> 8*j) & 0xFF``.
+_T_NP = tuple(np.array(t, dtype="<u4") for t in (_T0, _T1, _T2, _T3))
+_SBOX_NP = np.array(_SBOX, dtype=np.uint8)
+#: ShiftRows as a gather on the column axis: row ``r`` of output column
+#: ``c`` comes from input column ``(c + r) % 4``.
+_SHIFTED_COLUMNS = tuple(
+    np.array([(c + r) % 4 for c in range(4)], dtype=np.intp) for r in range(4)
+)
+
 
 def _expand_key(key: bytes) -> list[list[int]]:
     """AES-128 key schedule: 11 round keys of 16 bytes each."""
@@ -93,8 +116,10 @@ def _expand_key(key: bytes) -> list[list[int]]:
             temp = temp[1:] + temp[:1]
             temp = [_SBOX[b] for b in temp]
             temp[0] ^= _RCON[i // 4 - 1]
-        words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-    return [sum(words[4 * r : 4 * r + 4], []) for r in range(11)]
+        words.append([a ^ b for a, b in zip(words[i - 4], temp, strict=True)])
+    return [
+        [b for word in words[4 * r : 4 * r + 4] for b in word] for r in range(11)
+    ]
 
 
 def _sub_bytes(state: list[int]) -> list[int]:
@@ -152,7 +177,7 @@ def _inv_mix_columns(state: list[int]) -> list[int]:
 
 
 def _add_round_key(state: list[int], round_key: list[int]) -> list[int]:
-    return [b ^ k for b, k in zip(state, round_key)]
+    return [b ^ k for b, k in zip(state, round_key, strict=True)]
 
 
 class AES128:
@@ -224,19 +249,50 @@ class AES128:
         state = _add_round_key(state, self._round_keys[0])
         return bytes(state)
 
-    def ctr_transform(self, data: bytes, nonce: bytes) -> bytes:
-        """CTR-mode encryption/decryption (its own inverse)."""
+    def _ctr_keystream(self, nonce: bytes, length: int) -> np.ndarray:
+        """``length`` CTR keystream bytes: ``E(nonce ‖ 0) ‖ E(nonce ‖ 1) ‖ …``.
+
+        All ``ceil(length / 16)`` counter blocks go through the cipher at
+        once: the state is ``(4, blocks)`` column words (row 0 in the top
+        byte, as in :meth:`encrypt_block`), one lane per block, and a
+        round is one gather per T-table over the matching byte of every
+        column — the same sixteen look-ups per block — with ShiftRows as
+        a permutation of the column axis.
+        """
         if len(nonce) != 8:
             raise ValueError("CTR nonce must be 8 bytes")
-        out = bytearray()
-        counter = 0
-        for offset in range(0, len(data), 16):
-            block = nonce + counter.to_bytes(8, "big")
-            keystream = self.encrypt_block(block)
-            chunk = data[offset : offset + 16]
-            out.extend(b ^ k for b, k in zip(chunk, keystream))
-            counter += 1
-        return bytes(out)
+        blocks = -(-length // 16)
+        round_keys = np.array(self._round_key_words, dtype="<u4")[:, :, None]
+        counters = np.arange(blocks, dtype=np.uint64)
+        state = np.empty((4, blocks), dtype="<u4")
+        state[0] = int.from_bytes(nonce[:4], "big")
+        state[1] = int.from_bytes(nonce[4:], "big")
+        state[2] = counters >> np.uint64(32)
+        state[3] = counters & np.uint64(0xFFFFFFFF)
+        state ^= round_keys[0]
+        for round_key in round_keys[1:10]:
+            # cells[c, :, 3 - r] is the row-r byte of column c.
+            cells = state.view(np.uint8).reshape(4, blocks, 4)
+            state = _T_NP[0][cells[:, :, 3]]
+            for r in (1, 2, 3):
+                state ^= _T_NP[r][cells[:, :, 3 - r]][_SHIFTED_COLUMNS[r]]
+            state ^= round_key
+        cells = state.view(np.uint8).reshape(4, blocks, 4)
+        # Output byte 4*c + r of each block: S-box, ShiftRows, last key.
+        out = np.empty((blocks, 4, 4), dtype=np.uint8)
+        for r in range(4):
+            out[:, :, r] = _SBOX_NP[cells[:, :, 3 - r]][_SHIFTED_COLUMNS[r]].T
+        out ^= np.array(self._round_keys[10], dtype=np.uint8).reshape(4, 4)
+        return out.reshape(-1)[:length]
+
+    def ctr_transform(
+        self, data: bytes | bytearray | memoryview, nonce: bytes
+    ) -> bytes:
+        """CTR-mode encryption/decryption (its own inverse)."""
+        buffer = np.frombuffer(data, dtype=np.uint8)
+        keystream = self._ctr_keystream(nonce, buffer.size)
+        keystream ^= buffer
+        return keystream.tobytes()
 
 
 def aes128_encrypt_block(key: bytes, plaintext: bytes) -> bytes:
@@ -251,4 +307,4 @@ def aes128_decrypt_block(key: bytes, ciphertext: bytes) -> bytes:
 
 def aes128_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """CTR keystream bytes for the encrypted PUF-image database."""
-    return AES128(key).ctr_transform(b"\x00" * length, nonce)
+    return AES128(key)._ctr_keystream(nonce, length).tobytes()

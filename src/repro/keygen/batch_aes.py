@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.keygen.aes import _SBOX, _RCON
+from repro.keygen.aes import _RCON, _SBOX_NP
 
 __all__ = ["aes128_encrypt_batch", "expand_keys_batch"]
-
-_SBOX_NP = np.array(_SBOX, dtype=np.uint8)
 
 # xtime (multiplication by 2 in GF(2^8)) as a table.
 _XTIME = np.array(

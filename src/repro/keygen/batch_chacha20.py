@@ -64,6 +64,6 @@ def chacha20_block_batch(
         _quarter(working, 2, 7, 8, 13)
         _quarter(working, 3, 4, 9, 14)
     out_words = np.stack(
-        [w + s for w, s in zip(working, state)], axis=1
+        [w + s for w, s in zip(working, state, strict=True)], axis=1
     )  # (N, 16) uint32
     return np.ascontiguousarray(out_words).view(np.uint8).reshape(n, 64)

@@ -23,7 +23,9 @@ def _rol(x: np.ndarray, s: int) -> np.ndarray:
     return (x << _U64(s)) | (x >> _U64(64 - s))
 
 
-def _round(x: np.ndarray, y: np.ndarray, k: np.ndarray):
+def _round(
+    x: np.ndarray, y: np.ndarray, k: np.ndarray | np.uint64
+) -> tuple[np.ndarray, np.ndarray]:
     x = _ror(x, 8) + y
     x ^= k
     y = _rol(y, 3) ^ x

@@ -53,7 +53,7 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
         _quarter_round(working, 1, 6, 11, 12)
         _quarter_round(working, 2, 7, 8, 13)
         _quarter_round(working, 3, 4, 9, 14)
-    out = [(w + s) & _MASK32 for w, s in zip(working, state)]
+    out = [(w + s) & _MASK32 for w, s in zip(working, state, strict=True)]
     return struct.pack("<16I", *out)
 
 
@@ -70,4 +70,4 @@ def chacha20_keystream(key: bytes, nonce: bytes, length: int, counter: int = 1) 
 def chacha20_encrypt(key: bytes, nonce: bytes, data: bytes, counter: int = 1) -> bytes:
     """XOR ``data`` with the ChaCha20 keystream (its own inverse)."""
     stream = chacha20_keystream(key, nonce, len(data), counter)
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return bytes(a ^ b for a, b in zip(data, stream, strict=True))

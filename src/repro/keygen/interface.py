@@ -14,13 +14,13 @@ baseline, and the values are calibrated from the paper's Table 7 rows
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.keygen.aes import aes128_encrypt_block
 from repro.keygen.chacha20 import chacha20_block
-from repro.keygen.speck import speck128_encrypt_block
 from repro.keygen.lwe import ToyModuleLWE
+from repro.keygen.speck import speck128_encrypt_block
 
 __all__ = ["KeyGenerator", "get_keygen", "available_keygens"]
 
@@ -44,9 +44,14 @@ class KeyGenerator:
         return self._fn(seed)
 
 
+def _tweaked_plaintext(seed: bytes) -> bytes:
+    # public_key() has checked the seed is 32 bytes, so both are 16 long.
+    return bytes(a ^ b for a, b in zip(seed[16:], _FIXED_PLAINTEXT, strict=True))
+
+
 def _aes_response(seed: bytes) -> bytes:
     # Prior-work convention: seed halves form key and plaintext tweak.
-    return aes128_encrypt_block(seed[:16], bytes(a ^ b for a, b in zip(seed[16:], _FIXED_PLAINTEXT)))
+    return aes128_encrypt_block(seed[:16], _tweaked_plaintext(seed))
 
 
 def _chacha_response(seed: bytes) -> bytes:
@@ -54,7 +59,7 @@ def _chacha_response(seed: bytes) -> bytes:
 
 
 def _speck_response(seed: bytes) -> bytes:
-    return speck128_encrypt_block(seed[:16], bytes(a ^ b for a, b in zip(seed[16:], _FIXED_PLAINTEXT)))
+    return speck128_encrypt_block(seed[:16], _tweaked_plaintext(seed))
 
 
 _LIGHT = ToyModuleLWE("light")

@@ -502,6 +502,9 @@ class SocketCAServer:
                     name=f"socket-ca-conn-{self.connections_accepted}",
                     daemon=True,
                 )
+                # close() joins the live threads only; a finished one
+                # kept here would be one leaked object per connection.
+                self._threads = [t for t in self._threads if t.is_alive()]
                 self._threads.append(thread)
             thread.start()
 

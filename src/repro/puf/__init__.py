@@ -14,18 +14,18 @@ this package models exactly that interface:
 * :mod:`repro.puf.image_db` — the CA's encrypted PUF-image database.
 """
 
-from repro.puf.model import SRAMPuf, PUFReadout
 from repro.puf.arbiter import ArbiterPuf
-from repro.puf.ring_oscillator import RingOscillatorPuf
-from repro.puf.ternary import TernaryMask, enroll_with_masking
-from repro.puf.noise import inject_noise_to_distance
-from repro.puf.image_db import EncryptedImageDatabase
-from repro.puf.fuzzy_extractor import RepetitionFuzzyExtractor, HelperData
 from repro.puf.environment import (
     EnvironmentalConditions,
     EnvironmentalPuf,
     stress_factor,
 )
+from repro.puf.fuzzy_extractor import HelperData, RepetitionFuzzyExtractor
+from repro.puf.image_db import EncryptedImageDatabase
+from repro.puf.model import PUFReadout, SRAMPuf
+from repro.puf.noise import inject_noise_to_distance
+from repro.puf.ring_oscillator import RingOscillatorPuf
+from repro.puf.ternary import TernaryMask, enroll_with_masking
 
 __all__ = [
     "SRAMPuf",

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.puf.model import PUFReadout
+from repro.puf.arbiter import ArbiterPuf
+from repro.puf.model import PUFReadout, SRAMPuf
+from repro.puf.ring_oscillator import RingOscillatorPuf
+from repro.puf.ternary import TernaryMask
 
 __all__ = ["EnvironmentalConditions", "stress_factor", "EnvironmentalPuf"]
 
@@ -39,7 +42,7 @@ class EnvironmentalConditions:
     #: Equivalent operating age in years (NBTI-style drift).
     age_years: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if not -55.0 <= self.temperature_c <= 150.0:
             raise ValueError("temperature outside -55..150 C")
         if not 0.5 <= self.supply_voltage <= 1.5:
@@ -72,7 +75,7 @@ class EnvironmentalPuf:
 
     def __init__(
         self,
-        puf,
+        puf: SRAMPuf | ArbiterPuf | RingOscillatorPuf,
         conditions: EnvironmentalConditions | None = None,
         aging_drift_per_year: float = 0.0005,
         base_noise_rate: float = 0.01,
@@ -114,7 +117,7 @@ class EnvironmentalPuf:
             [self.read(address, length).bits for _ in range(times)], axis=0
         )
 
-    def expected_distance(self, mask, bit_count: int = 256) -> float:
+    def expected_distance(self, mask: TernaryMask, bit_count: int = 256) -> float:
         """Expected Hamming distance of a masked field read vs enrollment."""
         indices = np.flatnonzero(mask.usable)[:bit_count]
         base = getattr(self.puf, "flip_probability", None)

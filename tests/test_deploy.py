@@ -322,6 +322,32 @@ class TestSocketEquivalence:
         with pytest.raises(ConnectionLost):
             transport.request("x", b"payload")
 
+    def test_finished_connection_threads_are_dropped(self):
+        """One thread per connection must not mean one list entry forever."""
+        server = SocketCAServer(object())  # metrics frames need no authority
+        host, port = server.start()
+        frame = MetricsRequest().to_bytes()
+        try:
+            for _ in range(300):
+                transport = SocketTransport(host, port)
+                MetricsSnapshot.from_bytes(transport.request("metrics", frame))
+                transport.close()
+            held = [SocketTransport(host, port) for _ in range(3)]
+            for transport in held:
+                transport.request("metrics", frame)
+            assert server.connections_accepted == 303
+            # Finished threads leave at the next accept; the slack covers
+            # the few still between their last recv and their exit.
+            assert len(server._threads) <= 16
+            live = [t for t in server._threads if t.is_alive()]
+            assert len(live) >= len(held)
+        finally:
+            server.close()
+        # close() still joins the threads of the connections left open.
+        assert not any(t.is_alive() for t in live)
+        for transport in held:
+            transport.close()
+
 
 # ---------------------------------------------------------------------------
 # WAN emulation

@@ -10,6 +10,15 @@ from repro.keygen.lwe import LWE_PRESETS, ToyModuleLWE
 from repro.keygen.speck import Speck128, speck128_encrypt_block
 
 
+def ctr_scalar_oracle(cipher: AES128, data: bytes, nonce: bytes) -> bytes:
+    """CTR spelled out block by block over the FIPS-197 scalar cipher."""
+    keystream = b"".join(
+        cipher.encrypt_block(nonce + i.to_bytes(8, "big"))
+        for i in range(-(-len(data) // 16))
+    )
+    return bytes(d ^ k for d, k in zip(data, keystream))
+
+
 class TestAES:
     def test_fips197_vector(self):
         key = bytes(range(16))
@@ -40,6 +49,28 @@ class TestAES:
 
     def test_ctr_keystream_length(self):
         assert len(aes128_ctr_keystream(bytes(16), bytes(8), 33)) == 33
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 4096, 22821])
+    def test_ctr_matches_scalar_oracle(self, rng, length):
+        """The vectorized kernel against per-block ``encrypt_block``."""
+        key, nonce, data = rng.bytes(16), rng.bytes(8), rng.bytes(length)
+        cipher = AES128(key)
+        expected = ctr_scalar_oracle(cipher, data, nonce)
+        ciphertext = cipher.ctr_transform(data, nonce)
+        assert ciphertext == expected
+        assert cipher.ctr_transform(ciphertext, nonce) == data
+        assert cipher.ctr_transform(bytearray(data), nonce) == expected
+        assert cipher.ctr_transform(memoryview(data), nonce) == expected
+        assert aes128_ctr_keystream(key, nonce, length) == ctr_scalar_oracle(
+            cipher, bytes(length), nonce
+        )
+
+    @pytest.mark.parametrize("nonce", [b"", bytes(7), bytes(9), bytes(16)])
+    def test_ctr_rejects_a_nonce_that_is_not_8_bytes(self, nonce):
+        with pytest.raises(ValueError):
+            AES128(bytes(16)).ctr_transform(b"data", nonce)
+        with pytest.raises(ValueError):
+            aes128_ctr_keystream(bytes(16), nonce, 4)
 
 
 class TestChaCha20:

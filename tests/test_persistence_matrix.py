@@ -1,5 +1,8 @@
 """Database persistence and the full configuration matrix."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from repro.puf.arbiter import ArbiterPuf
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ring_oscillator import RingOscillatorPuf
-from repro.puf.ternary import enroll_with_masking
+from repro.puf.ternary import TernaryMask, enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
 
 
@@ -89,6 +92,59 @@ PUF_BUILDERS = {
     "arbiter": lambda: ArbiterPuf(num_cells=2048, seed=5150),
     "ring-osc": lambda: RingOscillatorPuf(num_cells=2048, seed=5150),
 }
+
+
+class TestSnapshotsWrittenBeforeTheVectorizedKernel:
+    """tests/fixtures/image_db_snapshots.json holds `snapshot()` blobs the
+    scalar per-block CTR loop wrote (see its `written_by`): a durable
+    store from before the NumPy kernel must recover after it, and the
+    kernel must write the very same bytes."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        path = Path(__file__).parent / "fixtures" / "image_db_snapshots.json"
+        return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def mask(self, fixture):
+        image = fixture["mask"]
+        return TernaryMask(
+            address=image["address"],
+            usable=np.array(image["usable"], dtype=bool),
+            reference=np.array(image["reference"], dtype=np.uint8),
+            instability=np.array(image["instability"], dtype=float),
+        )
+
+    # v1: version 0, the identifier-only nonce; v2: the versioned nonce.
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    def test_restores_and_reproduces_the_ciphertext(self, fixture, mask, name):
+        client_id = fixture["client_id"]
+        version = fixture["snapshots"][name]["version"]
+        snapshot = fixture["snapshots"][name]["snapshot"].encode()
+        db = EncryptedImageDatabase.from_snapshot(
+            snapshot, fixture["master_key"].encode()
+        )
+        assert db.version_of(client_id) == version
+        loaded = db.lookup(client_id)
+        assert loaded.address == mask.address
+        assert (loaded.usable == mask.usable).all()
+        assert (loaded.reference == mask.reference).all()
+        assert (loaded.instability == mask.instability).all()
+        ciphertext, exported_version = db.export_record(client_id)
+        assert exported_version == version
+        assert db.encrypt_record(client_id, mask, version) == ciphertext
+        assert db.snapshot() == snapshot
+
+    def test_pre_versioning_file_format_still_decrypts(self, fixture, mask):
+        """The same version-0 ciphertext under the `/1` tag, no versions."""
+        payload = json.loads(fixture["snapshots"]["v1"]["snapshot"])
+        legacy = {"format": "repro-image-db/1", "records": payload["records"]}
+        db = EncryptedImageDatabase.from_snapshot(
+            json.dumps(legacy).encode(), fixture["master_key"].encode()
+        )
+        loaded = db.lookup(fixture["client_id"])
+        assert (loaded.reference == mask.reference).all()
+        assert (loaded.instability == mask.instability).all()
 
 
 class TestConfigurationMatrix:

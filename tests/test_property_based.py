@@ -32,6 +32,7 @@ from repro.combinatorics.ranking import (
 from repro.hashes.sha1 import sha1
 from repro.hashes.sha256 import sha256
 from repro.hashes.sha3 import sha3_256
+from repro.keygen.aes import AES128
 
 seeds_strategy = st.binary(min_size=32, max_size=32)
 messages_strategy = st.binary(min_size=0, max_size=300)
@@ -95,6 +96,25 @@ class TestHashProperties:
             batch = algo.hash_seeds_batch(words)
             for i, seed in enumerate(seeds):
                 assert (batch[i] == algo.digest_to_words(algo.scalar(seed))).all()
+
+
+class TestCipherProperties:
+    @given(
+        st.binary(min_size=16, max_size=16),
+        st.binary(min_size=8, max_size=8),
+        st.binary(min_size=0, max_size=2048),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ctr_kernel_matches_scalar_blocks(self, key, nonce, data):
+        """Vectorized CTR == data XOR per-block ``encrypt_block`` output."""
+        cipher = AES128(key)
+        keystream = b"".join(
+            cipher.encrypt_block(nonce + i.to_bytes(8, "big"))
+            for i in range(-(-len(data) // 16))
+        )
+        expected = bytes(d ^ k for d, k in zip(data, keystream))
+        assert cipher.ctr_transform(data, nonce) == expected
+        assert cipher.ctr_transform(expected, nonce) == data
 
 
 class TestCombinatoricProperties:
