@@ -17,296 +17,34 @@ Two claims behind :mod:`repro.fleet`, measured on the real kernel:
   same workload runs with hedging disabled and enabled; the gate is
   ``hedged p99 <= unhedged p99`` with at least one hedge launched.
 
-Runs standalone for CI (writes ``BENCH_fleet.json``, exits 1 on a lost
-request, a false authentication, or a hedging regression) and under
-pytest with the usual report plumbing::
+The gate itself is ``repro fleet --bench`` (:mod:`repro.gates`); this
+file is its reduced-scale pytest entry::
 
-    PYTHONPATH=src python benchmarks/bench_fleet.py --help
+    PYTHONPATH=src python -m repro fleet --bench --output BENCH_fleet.json
 """
 
-from __future__ import annotations
+from repro.gates import GATES, measure
 
-import argparse
-import dataclasses
-import json
-import sys
-import time
-from pathlib import Path
-
-from repro.analysis.metrics import percentile
-from repro.fleet import FleetSearchEngine
-from repro.hashes.registry import get_hash
-from repro.sched.errors import RequestShed
-from repro.sched.workload import mixed_workload
-
-FULL_SCALE = {
-    "requests": 12,
-    "depths": (1, 2, 2),
-    "straggler_requests": 4,
-    "batch_size": 8192,
-}
-
-
-def _run_workload(
-    devices: tuple[str, ...],
-    workload,
-    algo,
-    hash_name: str,
-    batch_size: int,
-    **engine_kwargs,
-) -> dict:
-    """Serve one workload through a fleet; return latencies + invariants."""
-    engine = FleetSearchEngine(
-        *devices, hash_name=hash_name, batch_size=batch_size, **engine_kwargs
-    )
-    latencies: list[float] = []
-    lost = false_auths = shed = found = 0
-    start = time.perf_counter()
-    try:
-        tickets = [
-            (
-                request,
-                engine.submit(
-                    request.base_seed,
-                    request.target_digest,
-                    request.max_distance,
-                    client_id=request.client_id,
-                ),
-            )
-            for request in workload
-        ]
-        for request, ticket in tickets:
-            try:
-                result = ticket.result(timeout=300.0)
-            except RequestShed:
-                shed += 1
-                continue
-            except TimeoutError:
-                lost += 1
-                continue
-            latencies.append(time.perf_counter() - start)
-            if result.found:
-                found += 1
-                if algo.hash_seed(result.seed) != request.target_digest:
-                    false_auths += 1
-        wall = time.perf_counter() - start
-        snapshot = engine.scheduler.snapshot()
-    finally:
-        engine.close(drain=False)
-    return {
-        "devices": list(devices),
-        "wall_seconds": wall,
-        "resolved": len(latencies) + shed,
-        "found": found,
-        "shed": shed,
-        "lost": lost,
-        "false_authentications": false_auths,
-        "p50_seconds": percentile(latencies, 50) if latencies else None,
-        "p99_seconds": percentile(latencies, 99) if latencies else None,
-        "throughput_rps": len(latencies) / wall if wall > 0 else 0.0,
-        "hedges_launched": snapshot["hedges_launched"],
-        "hedge_wins": snapshot["hedge_wins"],
-        "redispatched_chunks": snapshot["redispatched_chunks"],
-    }
-
-
-def run_benchmark(
-    hash_name: str = "sha1",
-    requests: int = 12,
-    depths: tuple[int, ...] = (1, 2, 2),
-    straggler_requests: int = 4,
-    batch_size: int = 8192,
-    seed: int = 0,
-    slow_factor: float = 30.0,
-) -> dict:
-    """Measure scaling + hedging; return the record."""
-    algo = get_hash(hash_name)
-
-    # -- scaling: the same planted workload on one device, then two --
-    workload = mixed_workload(
-        algo, requests=requests, depths=depths, seed=seed
-    )
-    single = _run_workload(
-        ("host",), workload, algo, hash_name, batch_size
-    )
-    dual = _run_workload(
-        ("host", "host"), workload, algo, hash_name, batch_size
-    )
-    scaling_ratio = (
-        dual["throughput_rps"] / single["throughput_rps"]
-        if single["throughput_rps"] > 0
-        else None
-    )
-
-    # -- hedging: absent targets straggle on a throttled device --
-    # Absent targets: the full d=2 shell must be swept, so per-request
-    # latency is the straggler story, not where the seed was planted.
-    absent = algo.hash_seed(b"\xa5" * 32)
-    straggler_workload = [
-        dataclasses.replace(request, target_digest=absent)
-        for request in mixed_workload(
-            algo, requests=straggler_requests, depths=(2,), seed=seed + 1
-        )
-    ]
-    unhedged = _run_workload(
-        ("host", "slow-host"),
-        straggler_workload,
-        algo,
-        hash_name,
-        batch_size,
-        slow_factor=slow_factor,
-        hedge_factor=0.0,  # disables hedging
-    )
-    hedged = _run_workload(
-        ("host", "slow-host"),
-        straggler_workload,
-        algo,
-        hash_name,
-        batch_size,
-        slow_factor=slow_factor,
-        hedge_factor=1.0,
-        hedge_min_seconds=0.02,
-    )
-
-    record = {
-        "config": {
-            "hash_name": hash_name,
-            "requests": requests,
-            "depths": list(depths),
-            "straggler_requests": straggler_requests,
-            "batch_size": batch_size,
-            "seed": seed,
-            "slow_factor": slow_factor,
-        },
-        "single_device": single,
-        "dual_device": dual,
-        "scaling_ratio": scaling_ratio,
-        "unhedged": unhedged,
-        "hedged": hedged,
-    }
-    record["lost_requests"] = sum(
-        section["lost"]
-        for section in (single, dual, unhedged, hedged)
-    )
-    record["false_authentications"] = sum(
-        section["false_authentications"]
-        for section in (single, dual, unhedged, hedged)
-    )
-    record["pass"] = (
-        record["lost_requests"] == 0
-        and record["false_authentications"] == 0
-        and scaling_ratio is not None
-        and scaling_ratio >= 0.9
-        and hedged["hedges_launched"] > 0
-        and hedged["p99_seconds"] <= unhedged["p99_seconds"]
-    )
-    return record
-
-
-def format_record(record: dict) -> str:
-    config = record["config"]
-
-    def row(label: str, section: dict) -> str:
-        p99 = section["p99_seconds"]
-        p99_text = f"{p99:.3f}s" if p99 is not None else "n/a"
-        return (
-            f"    {label:<10} devices={','.join(section['devices']):<16} "
-            f"wall={section['wall_seconds']:.2f}s p99={p99_text} "
-            f"found={section['found']} shed={section['shed']} "
-            f"lost={section['lost']} false={section['false_authentications']} "
-            f"hedges={section['hedges_launched']}"
-        )
-
-    lines = [
-        "Fleet — multi-device scaling and hedged-straggler p99",
-        f"  {config['requests']} requests, depths {config['depths']}, "
-        f"hash={config['hash_name']}, bs={config['batch_size']}",
-        "  scaling (same planted workload):",
-        row("1 device", record["single_device"]),
-        row("2 devices", record["dual_device"]),
-        f"    throughput ratio (2 dev / 1 dev): "
-        f"{record['scaling_ratio']:.2f}x",
-        f"  hedging ({config['straggler_requests']} exhaustive d=2 sweeps "
-        f"on host + slow-host, x{config['slow_factor']:g} throttle):",
-        row("unhedged", record["unhedged"]),
-        row("hedged", record["hedged"]),
-        f"    straggler p99: {record['unhedged']['p99_seconds']:.3f}s -> "
-        f"{record['hedged']['p99_seconds']:.3f}s "
-        f"({record['hedged']['hedges_launched']} hedges, "
-        f"{record['hedged']['hedge_wins']} wins)",
-        f"  lost={record['lost_requests']} "
-        f"false_auths={record['false_authentications']} "
-        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
-    ]
-    return "\n".join(lines)
+GATE = GATES["fleet"]
 
 
 def test_fleet_scales_and_hedging_cuts_straggler_p99(report):
-    """Reduced-scale pytest entry: the acceptance claims of the bench."""
-    record = run_benchmark(
-        requests=6, depths=(1, 2), straggler_requests=2, batch_size=4096
-    )
-    report("fleet", format_record(record))
-    assert record["lost_requests"] == 0
-    assert record["false_authentications"] == 0
-    assert record["scaling_ratio"] >= 0.8  # looser at reduced scale
-    assert record["hedged"]["hedges_launched"] > 0
-    # Small margin at reduced scale: two requests, so p99 == max.
-    assert record["hedged"]["p99_seconds"] <= (
-        record["unhedged"]["p99_seconds"] * 1.2
-    )
+    """Reduced-scale pytest entry: the acceptance claims of the bench.
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Fleet scaling and hedged-straggler tail latency."
+    Asserts on the metrics, not on the gate verdict: with two straggler
+    requests p99 == max, so the thresholds are looser than the gate's.
+    """
+    record = measure(
+        GATE,
+        ["--requests", "6", "--depths", "1,2", "--straggler-requests", "2",
+         "--batch-size", "4096"],
     )
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument(
-        "--requests", type=int, default=FULL_SCALE["requests"]
+    report("fleet", GATE.render(record))
+    metrics = record["metrics"]
+    assert metrics["lost_requests"] == 0
+    assert metrics["false_authentications"] == 0
+    assert metrics["scaling_ratio"] >= 0.8
+    assert metrics["hedged"]["hedges_launched"] > 0
+    assert metrics["hedged"]["p99_seconds"] <= (
+        metrics["unhedged"]["p99_seconds"] * 1.2
     )
-    parser.add_argument(
-        "--depths", default=",".join(str(d) for d in FULL_SCALE["depths"])
-    )
-    parser.add_argument(
-        "--straggler-requests", type=int,
-        default=FULL_SCALE["straggler_requests"], dest="straggler_requests",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=FULL_SCALE["batch_size"]
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--slow-factor", type=float, default=30.0,
-                        dest="slow_factor")
-    parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_fleet.json")
-    )
-    args = parser.parse_args(argv)
-
-    record = run_benchmark(
-        hash_name=args.hash_name,
-        requests=args.requests,
-        depths=tuple(int(d) for d in args.depths.split(",")),
-        straggler_requests=args.straggler_requests,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        slow_factor=args.slow_factor,
-    )
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_record(record))
-    print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            "REGRESSION: fleet gates failed "
-            f"(lost={record['lost_requests']}, "
-            f"false={record['false_authentications']}, "
-            f"scaling={record['scaling_ratio']}, "
-            f"hedges={record['hedged']['hedges_launched']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

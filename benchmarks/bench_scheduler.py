@@ -16,205 +16,27 @@ round-robin, seeds planted at seeded-random shell positions):
 * **scheduled** — all requests admitted at once, served by the
   ``sched:`` engine's EDF lanes and fused batches.
 
-The headline number is the shallow-class p99 ratio. Runs standalone for
-CI (writes ``BENCH_scheduler.json``, exits 1 when the scheduler fails to
-beat FIFO) and under pytest with the usual report plumbing::
+The headline number is the shallow-class p99 ratio. The gate itself —
+arguments, measurement, render, record — is ``repro sched``
+(:mod:`repro.gates`); this file is its reduced-scale pytest entry::
 
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --help
+    PYTHONPATH=src python -m repro sched --output BENCH_scheduler.json
 """
 
-from __future__ import annotations
+from repro.gates import GATES, measure
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from repro.engines import build_engine
-from repro.hashes.registry import get_hash
-from repro.sched.workload import (
-    mixed_workload,
-    run_fifo,
-    run_scheduled,
-    summarize_latencies,
-)
-
-#: Acceptance-scale defaults: a mixed d=1..4 fleet. The budget is short
-#: enough that d=4 cannot finish on one host device — the straggler
-#: pressure the scheduler exists to absorb.
-FULL_SCALE = {
-    "requests": 16,
-    "depths": (1, 2, 3, 4),
-    "time_budget": 3.0,
-    "batch_size": 16384,
-}
-
-
-def run_benchmark(
-    hash_name: str = "sha1",
-    requests: int = 16,
-    depths: tuple[int, ...] = (1, 2, 3, 4),
-    time_budget: float = 3.0,
-    batch_size: int = 16384,
-    seed: int = 0,
-) -> dict:
-    """Measure FIFO vs scheduled tail latency; return the record."""
-    algo = get_hash(hash_name)
-    workload = mixed_workload(
-        algo, requests=requests, depths=depths, seed=seed
-    )
-
-    fifo_engine = build_engine(
-        "batch", hash_name=hash_name, batch_size=batch_size, cache=True
-    )
-    fifo = summarize_latencies(run_fifo(fifo_engine, workload, time_budget))
-
-    sched_engine = build_engine(
-        "sched", hash_name=hash_name, batch_size=batch_size
-    )
-    try:
-        sched = summarize_latencies(
-            run_scheduled(sched_engine, workload, time_budget)
-        )
-        snapshot = sched_engine.scheduler.snapshot()
-    finally:
-        sched_engine.close()
-
-    fifo_p99 = fifo["shallow"]["p99_seconds"]
-    sched_p99 = sched["shallow"]["p99_seconds"]
-    return {
-        "config": {
-            "hash_name": hash_name,
-            "requests": requests,
-            "depths": list(depths),
-            "time_budget": time_budget,
-            "batch_size": batch_size,
-            "seed": seed,
-        },
-        "fifo": fifo,
-        "scheduled": sched,
-        "shallow_p99_fifo_seconds": fifo_p99,
-        "shallow_p99_scheduled_seconds": sched_p99,
-        "shallow_p99_speedup": fifo_p99 / sched_p99 if sched_p99 > 0 else None,
-        "scheduler": {
-            "batches": snapshot["batches"],
-            "shared_batches": snapshot["shared_batches"],
-            "shed": snapshot["shed"],
-            "preempted": snapshot["preempted"],
-            "peak_queue_depth": snapshot["peak_queue_depth"],
-            "batches_by_lane": snapshot["batches_by_lane"],
-        },
-    }
-
-
-def format_record(record: dict) -> str:
-    config = record["config"]
-
-    def row(label: str, stats: dict) -> str:
-        if stats["count"] == 0:
-            return f"    {label:<8} (no requests)"
-        return (
-            f"    {label:<8} n={stats['count']:<3} "
-            f"p50={stats['p50_seconds']:.3f}s "
-            f"p99={stats['p99_seconds']:.3f}s "
-            f"found={stats['found']} timed_out={stats['timed_out']} "
-            f"shed={stats['shed']}"
-        )
-
-    lines = [
-        "Scheduler — shallow tail latency on a mixed-depth fleet",
-        f"  {config['requests']} requests, depths {config['depths']}, "
-        f"T={config['time_budget']}s, hash={config['hash_name']}, "
-        f"bs={config['batch_size']}",
-        "  FIFO (submission order, one device):",
-        row("shallow", record["fifo"]["shallow"]),
-        row("deep", record["fifo"]["deep"]),
-        "  scheduled (continuous batching, EDF lanes):",
-        row("shallow", record["scheduled"]["shallow"]),
-        row("deep", record["scheduled"]["deep"]),
-    ]
-    sched = record["scheduler"]
-    lines.append(
-        f"  scheduler: batches={sched['batches']} "
-        f"shared={sched['shared_batches']} shed={sched['shed']} "
-        f"preempted={sched['preempted']} "
-        f"peak_queue={sched['peak_queue_depth']}"
-    )
-    speedup = record["shallow_p99_speedup"]
-    lines.append(
-        f"  shallow p99: FIFO {record['shallow_p99_fifo_seconds']:.3f}s -> "
-        f"scheduled {record['shallow_p99_scheduled_seconds']:.3f}s"
-        + (f"  ({speedup:.1f}x)" if speedup is not None else "")
-    )
-    return "\n".join(lines)
+GATE = GATES["scheduler"]
 
 
 def test_scheduler_beats_fifo_on_shallow_p99(report):
     """Reduced-scale pytest entry: the acceptance claim of the bench."""
-    record = run_benchmark(
-        requests=8, depths=(1, 2, 3), time_budget=2.0, batch_size=8192
+    record = measure(
+        GATE,
+        ["--requests", "8", "--depths", "1,2,3", "--budget", "2.0",
+         "--batch-size", "8192"],
     )
-    report("scheduler", format_record(record))
-    assert record["shallow_p99_scheduled_seconds"] <= (
-        record["shallow_p99_fifo_seconds"]
-    )
+    report("scheduler", GATE.render(record))
+    assert record["pass"], record["gates"]
     # Every shallow request really completed (found its planted seed).
-    assert (
-        record["scheduled"]["shallow"]["found"]
-        == record["scheduled"]["shallow"]["count"]
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="FIFO vs scheduled shallow-request tail latency."
-    )
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument(
-        "--requests", type=int, default=FULL_SCALE["requests"]
-    )
-    parser.add_argument(
-        "--depths", default=",".join(str(d) for d in FULL_SCALE["depths"]),
-        help="comma-separated search depths, cycled over the fleet",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=FULL_SCALE["time_budget"],
-        help="per-request time budget (protocol T)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=FULL_SCALE["batch_size"]
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_scheduler.json")
-    )
-    args = parser.parse_args(argv)
-
-    record = run_benchmark(
-        hash_name=args.hash_name,
-        requests=args.requests,
-        depths=tuple(int(d) for d in args.depths.split(",")),
-        time_budget=args.budget,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    record["pass"] = (
-        record["shallow_p99_scheduled_seconds"]
-        <= record["shallow_p99_fifo_seconds"]
-    )
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_record(record))
-    print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            "REGRESSION: scheduled shallow p99 "
-            f"{record['shallow_p99_scheduled_seconds']:.3f}s exceeds FIFO "
-            f"{record['shallow_p99_fifo_seconds']:.3f}s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    shallow = record["metrics"]["scheduled"]["shallow"]
+    assert shallow["found"] == shallow["count"]

@@ -13,81 +13,19 @@ else. Three phases over the same planted two-tenant fleet
 * **unprotected** — the identical storm with the quota removed (the
   damage the bucket exists to prevent; report-only, not gated).
 
-Gates (:func:`repro.tenancy.workload.evaluate_gates`): the victim is
+Gates (:func:`repro.tenancy.workload.isolation_failures`): the victim is
 never shed and keeps authenticating, every aggressor rejection is typed
 ``tenant_quota``, and the victim's p99 stays within 25% of its baseline
-(plus a small absolute allowance for CI clock noise). Runs standalone
-for CI (writes ``BENCH_tenancy.json``, exits 1 on any gate failure) and
-under pytest with the usual report plumbing::
+(plus a small absolute allowance for CI clock noise). The gate itself is
+``repro tenants`` (:mod:`repro.gates`); this file is its pytest entry::
 
-    PYTHONPATH=src python benchmarks/bench_tenancy.py --help
+    PYTHONPATH=src python -m repro tenants --output BENCH_tenancy.json
 """
 
-from __future__ import annotations
+from repro.gates import GATES, measure
+from repro.tenancy.workload import AGGRESSOR_TENANT
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from repro.tenancy.workload import (
-    AGGRESSOR_TENANT,
-    VICTIM_TENANT,
-    evaluate_gates,
-    run_noisy_neighbor,
-)
-
-#: Acceptance-scale defaults (also the workload's own): an 8-client
-#: victim fleet against a 20-request aggressor burst on a 1-token/s
-#: bucket.
-FULL_SCALE = {
-    "victims": 8,
-    "aggressors": 20,
-    "aggressor_rate": 1.0,
-    "aggressor_burst": 1.0,
-    "workers": 2,
-}
-
-
-def format_record(record: dict) -> str:
-    config = record["config"]
-
-    def row(phase: str, tenant: str) -> str:
-        stats = record[phase].get(tenant)
-        if stats is None:
-            return f"    {phase:<12} {tenant:<10} (absent)"
-        tail = (
-            f"p50={stats['p50_seconds']:.3f}s p99={stats['p99_seconds']:.3f}s"
-            if stats["served"]
-            else "(nothing served)"
-        )
-        return (
-            f"    {phase:<12} {tenant:<10} n={stats['count']:<3} "
-            f"served={stats['served']:<3} shed={stats['shed']:<3} {tail}"
-        )
-
-    lines = [
-        "Tenancy — noisy-neighbor isolation under per-tenant quotas",
-        f"  {config['victims']} victim + {config['aggressors']} aggressor "
-        f"requests, aggressor bucket {config['aggressor_rate']}/s "
-        f"burst={config['aggressor_burst']}, workers={config['workers']}, "
-        f"hash={config['hash_name']}",
-        row("baseline", VICTIM_TENANT),
-        row("storm", VICTIM_TENANT),
-        row("storm", AGGRESSOR_TENANT),
-        row("unprotected", VICTIM_TENANT),
-        f"  aggressor: {record['aggressor_admitted']} admitted, "
-        f"{record['aggressor_shed']} shed {record['aggressor_shed_reasons']}",
-        f"  victim p99: baseline {record['victim_p99_baseline_seconds']:.3f}s"
-        f" -> storm {record['victim_p99_storm_seconds']:.3f}s"
-        + (
-            f"  ({record['victim_p99_ratio']:.2f}x)"
-            if record["victim_p99_ratio"] is not None
-            else ""
-        )
-        + f"; unprotected {record['victim_p99_unprotected_seconds']:.3f}s",
-    ]
-    return "\n".join(lines)
+GATE = GATES["tenancy"]
 
 
 def test_quotas_isolate_the_victim_tenant(report):
@@ -97,66 +35,11 @@ def test_quotas_isolate_the_victim_tenant(report):
     that the one admitted aggressor search is small relative to the
     victim's own baseline tail, or clock noise dominates the ratio.
     """
-    record = run_noisy_neighbor(victims=10, aggressors=12)
-    report("tenancy", format_record(record))
-    failures = evaluate_gates(record)
-    assert not failures, failures
+    record = measure(GATE, ["--victims", "10", "--aggressors", "12"])
+    report("tenancy", GATE.render(record))
+    assert record["pass"], record["gates"]
     # The quota refused real work: the unprotected phase served the whole
     # aggressor fleet, the protected storm only the bucket's worth.
-    assert record["aggressor_admitted"] < record["config"]["aggressors"]
-    unprotected = record["unprotected"][AGGRESSOR_TENANT]
-    assert unprotected["shed"] == 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Noisy-neighbor tenant isolation under quotas."
-    )
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--victims", type=int, default=FULL_SCALE["victims"])
-    parser.add_argument(
-        "--aggressors", type=int, default=FULL_SCALE["aggressors"]
-    )
-    parser.add_argument(
-        "--aggressor-rate", type=float,
-        default=FULL_SCALE["aggressor_rate"],
-        help="aggressor token-bucket refill rate (lookups/second)",
-    )
-    parser.add_argument(
-        "--aggressor-burst", type=float,
-        default=FULL_SCALE["aggressor_burst"],
-        help="aggressor token-bucket capacity",
-    )
-    parser.add_argument("--workers", type=int, default=FULL_SCALE["workers"])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--ratio-limit", type=float, default=1.25,
-        help="allowed victim p99 degradation under the storm",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_tenancy.json")
-    )
-    args = parser.parse_args(argv)
-
-    record = run_noisy_neighbor(
-        hash_name=args.hash_name,
-        victims=args.victims,
-        aggressors=args.aggressors,
-        aggressor_rate=args.aggressor_rate,
-        aggressor_burst=args.aggressor_burst,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    failures = evaluate_gates(record, ratio_limit=args.ratio_limit)
-    record["pass"] = not failures
-    record["failures"] = failures
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_record(record))
-    print(f"  wrote {args.output}")
-    for failure in failures:
-        print(f"REGRESSION: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    metrics = record["metrics"]
+    assert metrics["aggressor_admitted"] < record["config"]["aggressors"]
+    assert metrics["unprotected"][AGGRESSOR_TENANT]["shed"] == 0

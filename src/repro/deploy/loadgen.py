@@ -129,7 +129,7 @@ def _run_entry(
     start = time.monotonic()
     try:
         result = client.authenticate(RemoteCAServer(transport))
-    except BaseException as exc:
+    except Exception as exc:
         outcome = classify_failure(exc)
         record["outcome"] = outcome
         if outcome.startswith("untyped:"):

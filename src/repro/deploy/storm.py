@@ -17,8 +17,9 @@ The acceptance gates are deliberately blunt:
 * every server drains and exits 0 under SIGTERM;
 * the ``lan`` profile authenticates 100% of requests.
 
-Results land in ``BENCH_deployment.json``: per-profile end-to-end
-p50/p99, throughput, and shed/redispatch/failover counters.
+``repro deploy --storm [--crash]`` (:mod:`repro.gates`) turns a report
+into the one benchmark record: per-profile end-to-end p50/p99,
+throughput, and shed/redispatch/failover counters.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.deploy.loadgen import spec_to_json
+from repro.analysis.metrics import percentile
+from repro.deploy.loadgen import classify_failure, spec_to_json
 from repro.deploy.supervisor import (
     ProcessDied,
     ProcessSupervisor,
     RestartPolicy,
 )
 from repro.deploy.topology import TopologySpec
+from repro.gates import invariant_failures
 from repro.net.errors import TransportError
 from repro.net.sockets import RemoteCAServer, SocketTransport
 
@@ -73,30 +76,8 @@ class ProfileReport:
     untyped: list[dict] = field(default_factory=list)
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
-    gate_failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
-
-    def to_json(self) -> dict:
-        return {
-            "profile": self.profile,
-            "requests": self.requests,
-            "outcomes": self.outcomes,
-            "latency_p50_ms": round(self.latency_p50_ms, 3),
-            "latency_p99_ms": round(self.latency_p99_ms, 3),
-            "throughput_rps": round(self.throughput_rps, 3),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "server_counters": self.server_counters,
-            "shed_reasons": self.shed_reasons,
-            "false_authentications": self.false_authentications,
-            "untyped_failures": len(self.untyped),
-            "server_exits": self.server_exits,
-            "drained": self.drained,
-            "gate_failures": self.gate_failures,
-            "passed": self.passed,
-        }
+    #: Gate invariants this profile broke, by name; empty is PASS.
+    failures: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -104,29 +85,16 @@ class DeploymentReport:
     """A full storm: one ProfileReport per WAN profile."""
 
     topology: str
-    seed: int
     profiles: list[ProfileReport]
 
     @property
-    def passed(self) -> bool:
-        return all(p.passed for p in self.profiles)
-
-    def to_json(self) -> dict:
-        return {
-            "benchmark": "deployment",
-            "topology": self.topology,
-            "seed": self.seed,
-            "passed": self.passed,
-            "profiles": [p.to_json() for p in self.profiles],
-        }
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[int(rank)]
+    def failures(self) -> list[str]:
+        """Every profile's broken invariants, prefixed with its profile."""
+        return [
+            f"[{p.profile}] {failure}"
+            for p in self.profiles
+            for failure in p.failures
+        ]
 
 
 def _child_env() -> dict[str, str]:
@@ -289,8 +257,8 @@ def run_profile(
         profile=profile,
         requests=len(records),
         outcomes=dict(sorted(outcomes.items())),
-        latency_p50_ms=_percentile(completed, 0.50) * 1000.0,
-        latency_p99_ms=_percentile(completed, 0.99) * 1000.0,
+        latency_p50_ms=percentile(completed, 50) * 1000.0 if completed else 0.0,
+        latency_p99_ms=percentile(completed, 99) * 1000.0 if completed else 0.0,
         throughput_rps=(len(completed) / wall) if wall > 0 else 0.0,
         wall_seconds=wall,
         server_counters=counters,
@@ -305,27 +273,19 @@ def run_profile(
 
 
 def _apply_gates(report: ProfileReport, requests: int) -> None:
-    if report.false_authentications:
-        report.gate_failures.append(
-            f"{report.false_authentications} false authentication(s)"
-        )
-    if report.untyped:
-        kinds = sorted({r["outcome"] for r in report.untyped})
-        report.gate_failures.append(
-            f"{len(report.untyped)} untyped failure(s): {kinds}"
-        )
+    report.failures += invariant_failures(
+        false_authentications=report.false_authentications,
+        untyped=[r["outcome"] for r in report.untyped],
+        lost=abs(requests - report.requests),
+    )
     if not report.drained:
-        report.gate_failures.append(
+        report.failures.append(
             f"unclean server shutdown: exits {report.server_exits}"
-        )
-    if report.requests != requests:
-        report.gate_failures.append(
-            f"{report.requests} outcomes recorded for {requests} requests"
         )
     if report.profile == "lan":
         authed = report.outcomes.get("authenticated", 0)
         if authed != report.requests:
-            report.gate_failures.append(
+            report.failures.append(
                 f"lan must authenticate everything: "
                 f"{authed}/{report.requests}"
             )
@@ -340,14 +300,12 @@ def run_deployment_storm(
     num_loadgens: int = 2,
     time_scale: float = 1.0,
     scratch_dir: str | Path | None = None,
-    output_path: str | Path | None = None,
     log=None,
 ) -> DeploymentReport:
-    """Run one topology under each profile; optionally write the bench.
+    """Run one topology under each profile.
 
     ``scratch_dir`` holds the per-loadgen result JSONs (defaults to
-    ``.deploy-scratch`` under the current directory); ``output_path``
-    writes the aggregated ``BENCH_deployment.json`` document.
+    ``.deploy-scratch`` under the current directory).
     """
     base = topology if topology is not None else TopologySpec()
     scratch = Path(scratch_dir) if scratch_dir else Path(".deploy-scratch")
@@ -364,14 +322,7 @@ def run_deployment_storm(
         )
         for name in profiles
     ]
-    deployment = DeploymentReport(
-        topology=base.describe(), seed=seed, profiles=reports
-    )
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(deployment.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return deployment
+    return DeploymentReport(topology=base.describe(), profiles=reports)
 
 
 # -- kill-9 crash-restart storm -------------------------------------------
@@ -390,26 +341,12 @@ class CrashRound:
     lost_acknowledged: int
     reenrolled: int
 
-    def to_json(self) -> dict:
-        return {
-            "round": self.round_index,
-            "victim": self.victim,
-            "acked_before_kill": self.acked_before_kill,
-            "refused_during_outage": self.refused_during_outage,
-            "recovered_records": self.recovered_records,
-            "recovery_seconds": round(self.recovery_seconds, 6),
-            "lost_acknowledged": self.lost_acknowledged,
-            "reenrolled": self.reenrolled,
-        }
-
 
 @dataclass
 class CrashStormReport:
     """Everything the crash-restart storm measured and gated on."""
 
     topology: str
-    seed: int
-    crashes: int
     clients: int
     fsync: str
     rounds: list[CrashRound] = field(default_factory=list)
@@ -425,36 +362,8 @@ class CrashStormReport:
     durability_overhead_pct: float = 0.0
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
-    gate_failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
-
-    def to_json(self) -> dict:
-        return {
-            "benchmark": "recovery",
-            "topology": self.topology,
-            "seed": self.seed,
-            "crashes": self.crashes,
-            "clients": self.clients,
-            "fsync": self.fsync,
-            "rounds": [r.to_json() for r in self.rounds],
-            "acknowledged_total": self.acknowledged_total,
-            "lost_acknowledged": self.lost_acknowledged,
-            "nonce_reuse_trips": self.nonce_reuse_trips,
-            "false_authentications": self.false_authentications,
-            "auth_outcomes": self.auth_outcomes,
-            "restarts": self.restarts,
-            "backoff_seconds": round(self.backoff_seconds, 6),
-            "durable_enroll_rps": round(self.durable_enroll_rps, 3),
-            "lossy_enroll_rps": round(self.lossy_enroll_rps, 3),
-            "durability_overhead_pct": round(self.durability_overhead_pct, 2),
-            "server_exits": self.server_exits,
-            "drained": self.drained,
-            "gate_failures": self.gate_failures,
-            "passed": self.passed,
-        }
+    #: Gate invariants the storm broke, by name; empty is PASS.
+    failures: list[str] = field(default_factory=list)
 
 
 def _last_recovery_line(lines: list[str]) -> tuple[int, float]:
@@ -538,9 +447,7 @@ def _auth_round(
         )
         try:
             result = client.authenticate(RemoteCAServer(transport))
-        except BaseException as exc:  # typed bucket, same as loadgen
-            from repro.deploy.loadgen import classify_failure
-
+        except Exception as exc:  # typed bucket, same as loadgen
             key = classify_failure(exc)
         else:
             key = "authenticated" if result.authenticated else (
@@ -559,7 +466,6 @@ def run_crash_storm(
     auth_requests: int = 4,
     restart_policy: RestartPolicy | None = None,
     scratch_dir: str | Path | None = None,
-    output_path: str | Path | None = None,
     log=None,
 ) -> CrashStormReport:
     """Kill -9 servers mid-enrollment-burst; gate on zero durable loss.
@@ -591,8 +497,6 @@ def run_crash_storm(
     env = _child_env()
     report = CrashStormReport(
         topology=base.describe(),
-        seed=seed,
-        crashes=crashes,
         clients=base.clients,
         fsync=base.durability,
     )
@@ -695,7 +599,7 @@ def run_crash_storm(
                 remotes[victim_index], burst, acked[victim_index]
             )
             if refused_after:
-                report.gate_failures.append(
+                report.failures.append(
                     f"round {round_index}: {refused_after} enrollments "
                     f"refused after restart"
                 )
@@ -773,35 +677,32 @@ def run_crash_storm(
         s.false_authentications for s in snapshots
     )
     _apply_crash_gates(report, auth_requests)
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return report
 
 
 def _apply_crash_gates(report: CrashStormReport, auth_requests: int) -> None:
-    if report.lost_acknowledged:
-        report.gate_failures.append(
-            f"{report.lost_acknowledged} acknowledged enrollment(s) lost "
-            f"across {report.crashes} kill-9 crash(es)"
-        )
+    report.failures += invariant_failures(
+        false_authentications=report.false_authentications,
+        untyped=[
+            outcome
+            for outcome, count in report.auth_outcomes.items()
+            if "untyped:" in outcome
+            for _ in range(count)
+        ],
+        lost=report.lost_acknowledged,
+    )
     if report.nonce_reuse_trips:
-        report.gate_failures.append(
+        report.failures.append(
             f"nonce-reuse tripwire fired {report.nonce_reuse_trips} time(s)"
-        )
-    if report.false_authentications:
-        report.gate_failures.append(
-            f"{report.false_authentications} false authentication(s)"
         )
     authed = report.auth_outcomes.get("authenticated", 0)
     expected = min(auth_requests, report.clients)
     if authed != expected:
-        report.gate_failures.append(
+        report.failures.append(
             f"post-recovery auth: {authed}/{expected} authenticated "
             f"({report.auth_outcomes})"
         )
     if not report.drained:
-        report.gate_failures.append(
+        report.failures.append(
             f"unclean final shutdown: exits {report.server_exits}"
         )

@@ -16,8 +16,7 @@ fault-modeled subsystem instead of an implicit in-memory dict.
 * :mod:`repro.directory.prefetch` — background batcher warming caches
   for queued admission requests.
 * :mod:`repro.directory.storm` — the deterministic shard-loss chaos
-  storm (also reachable as
-  :func:`repro.reliability.chaos.run_shard_loss_storm`).
+  storm (``repro directory --storm``).
 """
 
 from repro.directory.cache import HotCache

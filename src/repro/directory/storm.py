@@ -47,6 +47,7 @@ from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
+from repro.gates import invariant_failures
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
 from repro.puf.model import SRAMPuf
@@ -56,6 +57,8 @@ from repro.reliability.tripwire import VerifyingAuthority
 from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE, RequestShed
 
 __all__ = ["ShardLossStormReport", "run_shard_loss_storm"]
+
+WAVE_NAMES = ("healthy", "1-shard-down", "replica-set-down", "recovered")
 
 
 @dataclass
@@ -78,6 +81,8 @@ class ShardLossStormReport:
     shed_typed: int = 0
     shed_untyped: int = 0
     unexpected_sheds: int = 0
+    #: Exception type names of wave futures that neither resolved nor shed.
+    unhandled_errors: list[str] = field(default_factory=list)
     false_authentications: int = 0
     shed_rate: float = 0.0
     shed_ceiling: float = 0.5
@@ -86,33 +91,49 @@ class ShardLossStormReport:
     server_metrics: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        """The storm's hard invariants, as one flag."""
-        if len(self.waves) != 4:
-            return False
-        healthy, one_down, two_down, recovered = self.waves
-        return (
-            self.false_authentications == 0
-            # waves 1, 2, 4: every client authenticates, nothing fails.
-            and healthy == (self.clients, 0, 0)
-            and one_down == (self.clients, 0, 0)
-            and recovered == (self.clients, 0, 0)
-            # wave 2 really ran on replicas, not on luck.
-            and self.failovers > 0
-            # wave 3: exactly the doomed keys shed, all of them typed.
-            and two_down[2] == len(self.doomed)
-            and two_down[0] == self.clients - len(self.doomed)
-            and two_down[1] == 0
-            and self.shed_untyped == 0
-            and self.unexpected_sheds == 0
-            and self.shed_rate <= self.shed_ceiling
-            # the divergence planted while shards were dark was healed.
-            and self.read_repairs > 0
+    def failures(self) -> list[str]:
+        """The storm's hard invariants that broke, by name; empty is PASS."""
+        failures = invariant_failures(
+            false_authentications=self.false_authentications,
+            untyped=self.shed_untyped,
         )
+        if self.unhandled_errors:
+            failures.append(
+                "unhandled error(s) instead of a typed refusal: "
+                + ", ".join(sorted(set(self.unhandled_errors)))
+            )
+        for name, wave in zip(WAVE_NAMES, self.waves, strict=True):
+            # replica set dark: exactly the doomed keys shed, everyone
+            # else keeps authenticating; every other wave serves everyone.
+            shed = len(self.doomed) if name == "replica-set-down" else 0
+            expected = (self.clients - shed, 0, shed)
+            if tuple(wave) != expected:
+                failures.append(
+                    f"wave {name}: authenticated/failed/shed {tuple(wave)}, "
+                    f"expected {expected}"
+                )
+        if not self.failovers:
+            failures.append(
+                "no replica failover: the 1-shard-down wave ran on luck"
+            )
+        if self.unexpected_sheds:
+            failures.append(
+                f"{self.unexpected_sheds} client(s) with a live replica "
+                "were shed"
+            )
+        if self.shed_rate > self.shed_ceiling:
+            failures.append(
+                f"shed rate {self.shed_rate:.2f} over the ceiling "
+                f"{self.shed_ceiling:.2f}"
+            )
+        if not self.read_repairs:
+            failures.append(
+                "no read repair: the divergence planted while the shards "
+                "were dark was not healed"
+            )
+        return failures
 
     def render(self) -> str:
-        wave_names = ("healthy", "1-shard-down", "replica-set-down",
-                      "recovered")
         lines = [
             f"shard-loss storm  seed={self.seed}  "
             f"shards={self.shards} r={self.replication}  "
@@ -120,7 +141,7 @@ class ShardLossStormReport:
             f"  victim: {self.victim}  partner: {self.partner}  "
             f"doomed keys: {len(self.doomed)}",
         ]
-        for name, triple in zip(wave_names, self.waves):
+        for name, triple in zip(WAVE_NAMES, self.waves):
             ok, failed, shed = triple
             lines.append(
                 f"  wave {name}: authenticated={ok} failed={failed} "
@@ -134,7 +155,7 @@ class ShardLossStormReport:
             f"rate: {self.shed_rate:.2f} (ceiling {self.shed_ceiling:.2f})",
             f"  false auths: {self.false_authentications}",
             f"  wall: {self.wall_seconds:.2f}s  "
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
+            f"verdict: {'FAIL' if self.failures else 'PASS'}",
         ]
         return "\n".join(lines)
 
@@ -274,8 +295,9 @@ def run_shard_loss_storm(
                     if client_id not in expect_shed:
                         report.unexpected_sheds += 1
                     continue
-                except Exception:
+                except Exception as exc:
                     failed += 1
+                    report.unhandled_errors.append(type(exc).__name__)
                     continue
                 if result.authenticated:
                     authenticated += 1

@@ -21,7 +21,7 @@ Chaos harness::
     from repro.fleet import run_device_loss_storm
 
     report = run_device_loss_storm(seed=0)
-    assert report.passed, report.render()
+    assert not report.failures, report.render()
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engines.registry import build_engine
+from repro.gates import invariant_failures
 from repro.hashes.registry import get_hash
 
 from repro.sched.errors import RequestShed
@@ -65,15 +66,22 @@ class DeviceLossStormReport:
     snapshot: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        """The storm's hard invariants, as one flag."""
-        return (
-            self.lost_requests == 0
-            and self.false_authentications == 0
-            and self.byte_mismatches == 0
-            and self.redispatched_chunks > 0
-            and self.victim_reinstated
+    def failures(self) -> list[str]:
+        """The storm's hard invariants that broke, by name; empty is PASS."""
+        failures = invariant_failures(
+            false_authentications=self.false_authentications,
+            lost=self.lost_requests,
         )
+        if self.byte_mismatches:
+            failures.append(
+                f"{self.byte_mismatches} outcome(s) differ from the "
+                "single-device reference run"
+            )
+        if not self.redispatched_chunks:
+            failures.append("no orphaned chunk was re-dispatched to a survivor")
+        if not self.victim_reinstated:
+            failures.append(f"victim {self.victim!r} was never reinstated")
+        return failures
 
     def render(self) -> str:
         lines = [
@@ -92,7 +100,7 @@ class DeviceLossStormReport:
             f"false auths: {self.false_authentications}  "
             f"byte mismatches: {self.byte_mismatches}",
             f"  wall: {self.wall_seconds:.2f}s  "
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
+            f"verdict: {'FAIL' if self.failures else 'PASS'}",
         ]
         return "\n".join(lines)
 

@@ -1,0 +1,1299 @@
+"""The serving gates: one definition each, one runner, one record.
+
+A *gate* is a serving experiment with a verdict — a storm or a
+comparison that CI runs and that exits 1 when a named invariant broke.
+Each gate is defined once, here: its arguments, one ``run(args)`` that
+returns ``(metrics, failures)``, and one ``render(record)``. The
+``repro`` CLI registers its serving subcommands from :data:`GATES`, CI
+invokes those subcommands, and the reduced-scale pytest entries in
+``benchmarks/bench_*.py`` call :func:`measure` — so there is no second
+copy of a gate to drift.
+
+:func:`run_gate` is the one runner: parse, run, stamp the one record
+schema ::
+
+    {benchmark, config, host, git, metrics, gates, pass}
+
+with ``pass == (gates == [])``, print the render, write ``--output``,
+print one ``GATE: ...`` line per failure on stderr, return the exit
+code. ``config`` is the parsed arguments, so a record says exactly how
+to reproduce itself.
+
+:func:`invariant_failures` phrases the three invariants every serving
+gate asserts — zero false authentications, every refusal typed, nothing
+lost — once; the storm report classes build their ``failures`` lists on
+it and add their scenario's own.
+
+Scenario imports are deferred into each ``run`` so that parsing and
+``--help`` stay import-light.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from collections.abc import Callable, Collection, Sequence
+from pathlib import Path
+from typing import Any
+
+__all__ = [
+    "GATES",
+    "SCHEMA",
+    "Gate",
+    "gate_parser",
+    "invariant_failures",
+    "measure",
+    "run_gate",
+    "select_gate",
+]
+
+Record = dict[str, Any]
+#: What ``run`` returns: the measurements and the invariants that broke.
+Outcome = tuple[dict[str, Any], list[str]]
+
+#: The top-level keys of every record a gate writes, in order.
+SCHEMA = ("benchmark", "config", "host", "git", "metrics", "gates", "pass")
+
+
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """One serving gate: where it lives on the CLI and its three parts."""
+
+    #: ``record["benchmark"]``; the committed record is ``BENCH_<name>.json``.
+    name: str
+    #: The ``repro`` subcommand word.
+    command: str
+    #: Mode flags that pick this gate among its command's gates.
+    flags: tuple[str, ...]
+    help: str
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], Outcome]
+    render: Callable[[Record], str]
+
+
+# -- the runner -----------------------------------------------------------
+
+
+def invariant_failures(
+    *,
+    false_authentications: int = 0,
+    untyped: int | Collection[str] = 0,
+    lost: int = 0,
+) -> list[str]:
+    """The invariants every serving gate asserts, as named failures.
+
+    ``untyped`` counts refusals that escaped the typed-error vocabulary;
+    pass the offending kinds instead of a count to have them named.
+    """
+    failures = []
+    if false_authentications:
+        failures.append(f"{false_authentications} false authentication(s)")
+    count = untyped if isinstance(untyped, int) else len(untyped)
+    if count:
+        kinds = "" if isinstance(untyped, int) else f": {sorted(set(untyped))}"
+        failures.append(f"{count} untyped refusal(s){kinds}")
+    if lost:
+        failures.append(f"{lost} request(s) lost")
+    return failures
+
+
+def _host_fingerprint() -> dict[str, Any]:
+    import numpy as np
+
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": model,
+        "kernel": platform.release(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _git_state() -> dict[str, Any]:
+    """SHA and dirty flag of this checkout, or nulls outside a repository."""
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", *args],
+                cwd=Path(__file__).parent,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if sha else None
+    return {"sha": sha, "dirty": bool(status) if status is not None else None}
+
+
+def gate_parser(gate: Gate) -> argparse.ArgumentParser:
+    """The gate's own arguments plus the two every gate has."""
+    parser = argparse.ArgumentParser(
+        prog=" ".join(("repro", gate.command, *gate.flags)),
+        description=gate.help,
+    )
+    gate.arguments(parser)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the record here (committed as "
+                             f"BENCH_{gate.name}.json)")
+    return parser
+
+
+def _config(args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed arguments; a storm's flag dests are its keyword names."""
+    return {k: v for k, v in vars(args).items() if k != "output"}
+
+
+def _record(gate: Gate, args: argparse.Namespace) -> Record:
+    metrics, failures = gate.run(args)
+    return {
+        "benchmark": gate.name,
+        "config": _config(args),
+        "host": _host_fingerprint(),
+        "git": _git_state(),
+        "metrics": metrics,
+        "gates": failures,
+        "pass": not failures,
+    }
+
+
+def measure(gate: Gate, argv: Sequence[str]) -> Record:
+    """Run the gate on ``argv`` and return its stamped record."""
+    return _record(gate, gate_parser(gate).parse_args(argv))
+
+
+def run_gate(gate: Gate, argv: Sequence[str]) -> int:
+    """Parse, run, print, write ``--output``; exit code 0 iff the gate held."""
+    args = gate_parser(gate).parse_args(argv)
+    record = _record(gate, args)
+    print(gate.render(record))
+    if args.output is not None:
+        args.output.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {args.output}")
+    for failure in record["gates"]:
+        print(f"GATE: {failure}", file=sys.stderr)
+    return 0 if record["pass"] else 1
+
+
+def select_gate(argv: Sequence[str]) -> Gate | None:
+    """The gate ``argv`` names: its command word and the most mode flags."""
+    if not argv:
+        return None
+    matches = [
+        gate
+        for gate in GATES.values()
+        if gate.command == argv[0] and set(gate.flags) <= set(argv[1:])
+    ]
+    return max(matches, key=lambda gate: len(gate.flags), default=None)
+
+
+# -- shared argument shapes -----------------------------------------------
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.split(","))
+
+
+def _str_tuple(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _mixed_workload_arguments(
+    parser: argparse.ArgumentParser,
+    requests: int,
+    depths: tuple[int, ...],
+    batch_size: int,
+) -> None:
+    """The seeded mixed-depth fleet of :func:`repro.sched.workload.mixed_workload`."""
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--requests", type=int, default=requests)
+    parser.add_argument("--depths", type=_int_tuple, default=depths,
+                        help="comma-separated search depths, cycled over the fleet")
+    parser.add_argument("--batch-size", type=int, default=batch_size)
+
+
+def _topology_arguments(parser: argparse.ArgumentParser, engine: str) -> None:
+    """:class:`repro.deploy.topology.TopologySpec` flags; dests are its fields."""
+    parser.add_argument("--servers", type=int, default=1)
+    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
+                        help="fleet device tokens per server")
+    parser.add_argument("--engine", default=engine,
+                        choices=("fleet", "sched", "fifo"))
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--distance", type=int, default=2, dest="max_distance")
+    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--budget", type=float, default=5.0, dest="time_budget",
+                        help="per-search time budget (protocol T)")
+    parser.add_argument("--clients", type=int, default=8,
+                        help="enrolled fleet size")
+    parser.add_argument("--tenants", type=_str_tuple, default=(),
+                        help="comma-separated tenant namespaces")
+    parser.add_argument("--fsync", default="", dest="durability",
+                        help="WAL fsync policy: always, interval[:secs], or "
+                             "none; empty keeps the in-memory store (--crash "
+                             "forces always when empty)")
+
+
+def _topology(args: argparse.Namespace) -> Any:
+    from repro.deploy.topology import TopologySpec
+
+    fields = {field.name for field in dataclasses.fields(TopologySpec)}
+    return TopologySpec(**{k: v for k, v in vars(args).items() if k in fields})
+
+
+# -- chaos ----------------------------------------------------------------
+
+
+def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    # Kept literal so parsing stays import-free; test_chaos checks that
+    # every name in NAMED_PLANS parses.
+    parser.add_argument("--plan", default="lossy-wan",
+                        choices=("clean", "flaky-device", "lossy-wan", "smoke"),
+                        help="named fault plan")
+    parser.add_argument("--clients", type=int, default=None,
+                        help="override the plan's fleet size")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="override the server worker count")
+
+
+def _chaos_run(args: argparse.Namespace) -> Outcome:
+    from repro.reliability.chaos import run_named_storm
+
+    report = run_named_storm(
+        args.plan, seed=args.seed, clients=args.clients, workers=args.workers
+    )
+    return dataclasses.asdict(report), invariant_failures(
+        false_authentications=report.false_authentications
+    )
+
+
+def _chaos_render(record: Record) -> str:
+    from repro.analysis.metrics import ResilienceReport
+
+    return ResilienceReport(**record["metrics"]).render()
+
+
+# -- scheduler vs FIFO ----------------------------------------------------
+
+
+def _scheduler_arguments(parser: argparse.ArgumentParser) -> None:
+    # Acceptance scale: a mixed d=1..4 fleet with a budget short enough
+    # that d=4 cannot finish on one host device — the straggler pressure
+    # the scheduler exists to absorb.
+    _mixed_workload_arguments(
+        parser, requests=16, depths=(1, 2, 3, 4), batch_size=16384
+    )
+    parser.add_argument("--budget", type=float, default=3.0,
+                        help="per-request time budget (protocol T)")
+    parser.add_argument("--deadline", type=float, default=None,
+                        help="client deadline attached to shallow requests")
+
+
+def _scheduler_run(args: argparse.Namespace) -> Outcome:
+    """The same seeded fleet through FIFO, then through the dispatcher."""
+    from repro.engines import build_engine
+    from repro.hashes.registry import get_hash
+    from repro.sched.workload import (
+        mixed_workload,
+        run_fifo,
+        run_scheduled,
+        summarize_latencies,
+    )
+
+    workload = mixed_workload(
+        get_hash(args.hash_name),
+        requests=args.requests,
+        depths=args.depths,
+        seed=args.seed,
+        deadline_seconds=args.deadline,
+    )
+    fifo_engine = build_engine(
+        "batch", hash_name=args.hash_name, batch_size=args.batch_size, cache=True
+    )
+    fifo = summarize_latencies(run_fifo(fifo_engine, workload, args.budget))
+    sched_engine = build_engine(
+        "sched", hash_name=args.hash_name, batch_size=args.batch_size
+    )
+    try:
+        sched = summarize_latencies(
+            run_scheduled(sched_engine, workload, args.budget)
+        )
+        snapshot = sched_engine.scheduler.snapshot()
+    finally:
+        sched_engine.close()
+
+    # A fleet with no shallow request has no tail to compare.
+    fifo_p99 = fifo["shallow"].get("p99_seconds")
+    sched_p99 = sched["shallow"].get("p99_seconds")
+    failures = []
+    if fifo_p99 is not None and sched_p99 is not None and sched_p99 > fifo_p99:
+        failures.append(
+            f"scheduled shallow p99 {sched_p99:.3f}s exceeds FIFO {fifo_p99:.3f}s"
+        )
+    metrics = {
+        "fifo": fifo,
+        "scheduled": sched,
+        "shallow_p99_fifo_seconds": fifo_p99,
+        "shallow_p99_scheduled_seconds": sched_p99,
+        "shallow_p99_speedup": fifo_p99 / sched_p99 if sched_p99 else None,
+        "scheduler": {
+            key: snapshot[key]
+            for key in (
+                "batches", "shared_batches", "shed", "preempted",
+                "peak_queue_depth", "batches_by_lane",
+            )
+        },
+    }
+    return metrics, failures
+
+
+def _scheduler_render(record: Record) -> str:
+    config, metrics = record["config"], record["metrics"]
+
+    def row(label: str, stats: dict[str, Any]) -> str:
+        if stats["count"] == 0:
+            return f"    {label:<8} (no requests)"
+        return (
+            f"    {label:<8} n={stats['count']:<3} "
+            f"p50={stats['p50_seconds']:.3f}s "
+            f"p99={stats['p99_seconds']:.3f}s "
+            f"max={stats['max_seconds']:.3f}s "
+            f"found={stats['found']} timed_out={stats['timed_out']} "
+            f"shed={stats['shed']}"
+        )
+
+    sched = metrics["scheduler"]
+    lines = [
+        "Scheduler — shallow tail latency on a mixed-depth fleet",
+        f"  {config['requests']} requests, depths {list(config['depths'])}, "
+        f"T={config['budget']}s, hash={config['hash_name']}, "
+        f"bs={config['batch_size']}",
+        "  FIFO (submission order, one device):",
+        *(row(label, metrics["fifo"][label]) for label in ("shallow", "deep")),
+        "  scheduled (continuous batching, EDF lanes):",
+        *(row(label, metrics["scheduled"][label]) for label in ("shallow", "deep")),
+        f"  scheduler: batches={sched['batches']} "
+        f"shared={sched['shared_batches']} shed={sched['shed']} "
+        f"preempted={sched['preempted']} "
+        f"peak_queue={sched['peak_queue_depth']}",
+    ]
+    if metrics["shallow_p99_speedup"] is not None:
+        lines.append(
+            f"  shallow p99: FIFO {metrics['shallow_p99_fifo_seconds']:.3f}s -> "
+            f"scheduled {metrics['shallow_p99_scheduled_seconds']:.3f}s  "
+            f"({metrics['shallow_p99_speedup']:.1f}x)"
+        )
+    return "\n".join(lines)
+
+
+# -- fleet: device-loss storm ---------------------------------------------
+
+
+def _fleet_storm_arguments(parser: argparse.ArgumentParser) -> None:
+    _mixed_workload_arguments(
+        parser, requests=8, depths=(1, 2, 2, 3), batch_size=4096
+    )
+    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
+                        help="comma-separated device tokens, e.g. "
+                             "host,flaky-apu; the last one is killed")
+    parser.add_argument("--kill-fraction", type=float, default=0.25)
+    parser.add_argument("--revive-fraction", type=float, default=0.75)
+
+
+def _fleet_storm_run(args: argparse.Namespace) -> Outcome:
+    from repro.fleet.storm import run_device_loss_storm
+
+    report = run_device_loss_storm(**_config(args))
+    return dataclasses.asdict(report), report.failures
+
+
+def _fleet_storm_render(record: Record) -> str:
+    from repro.fleet.storm import DeviceLossStormReport
+
+    return DeviceLossStormReport(**record["metrics"]).render()
+
+
+# -- fleet: scaling + hedged stragglers -----------------------------------
+
+
+def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    _mixed_workload_arguments(
+        parser, requests=12, depths=(1, 2, 2), batch_size=8192
+    )
+    parser.add_argument("--straggler-requests", type=int, default=4,
+                        help="exhaustive d=2 sweeps served on host + slow-host")
+    parser.add_argument("--slow-factor", type=float, default=30.0,
+                        help="throttle of the straggler device")
+
+
+def _serve_on_fleet(
+    devices: tuple[str, ...],
+    workload: list[Any],
+    algo: Any,
+    args: argparse.Namespace,
+    **engine_kwargs: Any,
+) -> dict[str, Any]:
+    """Serve one workload through a fleet; latencies plus the invariants."""
+    from repro.analysis.metrics import percentile
+    from repro.fleet import FleetSearchEngine
+    from repro.sched.errors import RequestShed
+
+    engine = FleetSearchEngine(
+        *devices,
+        hash_name=args.hash_name,
+        batch_size=args.batch_size,
+        **engine_kwargs,
+    )
+    latencies: list[float] = []
+    lost = false_auths = shed = found = 0
+    start = time.perf_counter()
+    try:
+        tickets = [
+            (
+                request,
+                engine.submit(
+                    request.base_seed,
+                    request.target_digest,
+                    request.max_distance,
+                    client_id=request.client_id,
+                ),
+            )
+            for request in workload
+        ]
+        for request, ticket in tickets:
+            try:
+                result = ticket.result(timeout=300.0)
+            except RequestShed:
+                shed += 1
+                continue
+            except TimeoutError:
+                lost += 1
+                continue
+            latencies.append(time.perf_counter() - start)
+            if result.found:
+                found += 1
+                if algo.hash_seed(result.seed) != request.target_digest:
+                    false_auths += 1
+        wall = time.perf_counter() - start
+        snapshot = engine.scheduler.snapshot()
+    finally:
+        engine.close(drain=False)
+    return {
+        "devices": list(devices),
+        "wall_seconds": wall,
+        "resolved": len(latencies) + shed,
+        "found": found,
+        "shed": shed,
+        "lost": lost,
+        "false_authentications": false_auths,
+        "p50_seconds": percentile(latencies, 50) if latencies else None,
+        "p99_seconds": percentile(latencies, 99) if latencies else None,
+        "throughput_rps": len(latencies) / wall if wall > 0 else 0.0,
+        "hedges_launched": snapshot["hedges_launched"],
+        "hedge_wins": snapshot["hedge_wins"],
+        "redispatched_chunks": snapshot["redispatched_chunks"],
+    }
+
+
+def _fleet_run(args: argparse.Namespace) -> Outcome:
+    """One vs two devices on a planted workload, then hedging off vs on."""
+    from repro.hashes.registry import get_hash
+    from repro.sched.workload import mixed_workload
+
+    algo = get_hash(args.hash_name)
+    workload = mixed_workload(
+        algo, requests=args.requests, depths=args.depths, seed=args.seed
+    )
+    single = _serve_on_fleet(("host",), workload, algo, args)
+    dual = _serve_on_fleet(("host", "host"), workload, algo, args)
+    ratio = (
+        dual["throughput_rps"] / single["throughput_rps"]
+        if single["throughput_rps"] > 0
+        else None
+    )
+
+    # Absent targets: the full d=2 shell must be swept, so per-request
+    # latency is the straggler story, not where the seed was planted.
+    absent = algo.hash_seed(b"\xa5" * 32)
+    stragglers = [
+        dataclasses.replace(request, target_digest=absent)
+        for request in mixed_workload(
+            algo,
+            requests=args.straggler_requests,
+            depths=(2,),
+            seed=args.seed + 1,
+        )
+    ]
+    slow = ("host", "slow-host")
+    unhedged = _serve_on_fleet(
+        slow, stragglers, algo, args,
+        slow_factor=args.slow_factor,
+        hedge_factor=0.0,  # disables hedging
+    )
+    hedged = _serve_on_fleet(
+        slow, stragglers, algo, args,
+        slow_factor=args.slow_factor,
+        hedge_factor=1.0,
+        hedge_min_seconds=0.02,
+    )
+
+    sections = (single, dual, unhedged, hedged)
+    metrics = {
+        "single_device": single,
+        "dual_device": dual,
+        "scaling_ratio": ratio,
+        "unhedged": unhedged,
+        "hedged": hedged,
+        "lost_requests": sum(s["lost"] for s in sections),
+        "false_authentications": sum(
+            s["false_authentications"] for s in sections
+        ),
+    }
+    failures = invariant_failures(
+        false_authentications=metrics["false_authentications"],
+        lost=metrics["lost_requests"],
+    )
+    # Deliberately loose: a pure-Python dispatch layer under the GIL
+    # cannot promise linear scaling.
+    if ratio is None or ratio < 0.9:
+        scaling = "n/a" if ratio is None else f"{ratio:.2f}x"
+        failures.append(
+            f"two devices serve {scaling} the one-device throughput "
+            "(floor 0.9x)"
+        )
+    if not hedged["hedges_launched"]:
+        failures.append("no hedge was launched on the straggler fleet")
+    if None in (hedged["p99_seconds"], unhedged["p99_seconds"]):
+        failures.append("a straggler run resolved nothing")
+    elif hedged["p99_seconds"] > unhedged["p99_seconds"]:
+        failures.append(
+            f"hedged straggler p99 {hedged['p99_seconds']:.3f}s exceeds "
+            f"unhedged {unhedged['p99_seconds']:.3f}s"
+        )
+    return metrics, failures
+
+
+def _fleet_render(record: Record) -> str:
+    config, metrics = record["config"], record["metrics"]
+
+    def seconds(value: float | None) -> str:
+        return f"{value:.3f}s" if value is not None else "n/a"
+
+    def row(label: str, section: dict[str, Any]) -> str:
+        return (
+            f"    {label:<10} devices={','.join(section['devices']):<16} "
+            f"wall={section['wall_seconds']:.2f}s "
+            f"p99={seconds(section['p99_seconds'])} "
+            f"found={section['found']} shed={section['shed']} "
+            f"lost={section['lost']} false={section['false_authentications']} "
+            f"hedges={section['hedges_launched']}"
+        )
+
+    ratio = metrics["scaling_ratio"]
+    hedged = metrics["hedged"]
+    return "\n".join([
+        "Fleet — multi-device scaling and hedged-straggler p99",
+        f"  {config['requests']} requests, depths {list(config['depths'])}, "
+        f"hash={config['hash_name']}, bs={config['batch_size']}",
+        "  scaling (same planted workload):",
+        row("1 device", metrics["single_device"]),
+        row("2 devices", metrics["dual_device"]),
+        "    throughput ratio (2 dev / 1 dev): "
+        + (f"{ratio:.2f}x" if ratio is not None else "n/a"),
+        f"  hedging ({config['straggler_requests']} exhaustive d=2 sweeps "
+        f"on host + slow-host, x{config['slow_factor']:g} throttle):",
+        row("unhedged", metrics["unhedged"]),
+        row("hedged", hedged),
+        f"    straggler p99: {seconds(metrics['unhedged']['p99_seconds'])} -> "
+        f"{seconds(hedged['p99_seconds'])} "
+        f"({hedged['hedges_launched']} hedges, {hedged['hedge_wins']} wins)",
+        f"  lost={metrics['lost_requests']} "
+        f"false_auths={metrics['false_authentications']} "
+        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
+    ])
+
+
+# -- directory: shard-loss storm ------------------------------------------
+
+
+def _directory_storm_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--clients", type=int, default=24)
+    parser.add_argument("--shards", type=int, default=8)
+    parser.add_argument("--replication", type=int, default=2)
+    parser.add_argument("--shed-ceiling", type=float, default=0.5,
+                        help="max tolerated overall shed rate across the "
+                             "storm's four waves")
+
+
+def _directory_storm_run(args: argparse.Namespace) -> Outcome:
+    from repro.directory.storm import run_shard_loss_storm
+
+    report = run_shard_loss_storm(**_config(args))
+    return dataclasses.asdict(report), report.failures
+
+
+def _directory_storm_render(record: Record) -> str:
+    from repro.directory.storm import ShardLossStormReport
+
+    return ShardLossStormReport(**record["metrics"]).render()
+
+
+# -- directory: hot cache + availability ----------------------------------
+
+#: Keys read cold, then hot, for the latency comparison.
+_LATENCY_SAMPLE = 64
+
+
+def _directory_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--clients", type=int, default=512)
+    parser.add_argument("--shards", type=int, default=8)
+    parser.add_argument("--replication", type=int, default=2)
+    parser.add_argument("--cache-capacity", type=int, default=128,
+                        help="hot entries per shard")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="working-set sweeps; the first warms the caches")
+    parser.add_argument("--churn-per-round", type=int, default=8,
+                        help="clients re-enrolled before each steady-state sweep")
+
+
+def _directory_latency(directory: Any, sample: list[str]) -> dict[str, Any]:
+    """Cold quorum-read latency vs hot-cache hit latency, same keys."""
+    import numpy as np
+
+    from repro.analysis.metrics import percentile
+
+    def sweep(expect_hot: bool) -> list[float]:
+        seconds = []
+        for client_id in sample:
+            start = time.perf_counter()
+            _mask, stats = directory.lookup_with_stats(client_id)
+            seconds.append(time.perf_counter() - start)
+            if bool(stats.hot_hit) != expect_hot:
+                raise RuntimeError(
+                    f"{client_id}: hot_hit={stats.hot_hit} on the "
+                    f"{'hot' if expect_hot else 'cold'} sweep"
+                )
+        return seconds
+
+    directory.drop_hot_caches()
+    cold = sweep(expect_hot=False)
+    hot = sweep(expect_hot=True)
+    return {
+        "sample": len(sample),
+        "cold_mean_us": float(np.mean(cold) * 1e6),
+        "cold_p99_us": float(percentile(cold, 99.0) * 1e6),
+        "hot_mean_us": float(np.mean(hot) * 1e6),
+        "hot_p99_us": float(percentile(hot, 99.0) * 1e6),
+        "speedup": float(np.mean(cold) / np.mean(hot)),
+    }
+
+
+def _directory_steady_state(
+    directory: Any, client_ids: list[str], rounds: int, churn: int, rng: Any
+) -> dict[str, Any]:
+    """Hit rate over repeated working-set rounds with enrollment churn.
+
+    Round 0 warms the caches and is excluded from the steady-state rate;
+    every later round re-enrolls ``churn`` random clients first
+    (invalidating their cached entry — a miss the cache must re-absorb).
+    """
+    directory.drop_hot_caches()
+    hits = lookups = 0
+    for round_index in range(rounds):
+        if round_index > 0 and churn:
+            for client_id in rng.choice(client_ids, size=churn, replace=False):
+                directory.enroll(
+                    str(client_id), directory.lookup(str(client_id))
+                )
+        for client_id in client_ids:
+            _mask, stats = directory.lookup_with_stats(client_id)
+            if round_index > 0:
+                lookups += 1
+                hits += 1 if stats.hot_hit else 0
+    return {
+        "rounds": rounds,
+        "churn_per_round": churn,
+        "steady_lookups": lookups,
+        "steady_hits": hits,
+        "hit_rate": hits / lookups if lookups else 0.0,
+    }
+
+
+def _directory_sweep(directory: Any, client_ids: list[str]) -> dict[str, Any]:
+    """One full lookup sweep: served, typed-unavailable, and unhandled."""
+    from repro.directory import DirectoryUnavailable
+
+    served = unavailable = 0
+    errors: list[str] = []
+    for client_id in client_ids:
+        try:
+            directory.lookup(client_id)
+            served += 1
+        except DirectoryUnavailable:
+            unavailable += 1
+        except Exception as exc:
+            errors.append(type(exc).__name__)
+    return {
+        "served": served,
+        "unavailable": unavailable,
+        "errors": errors,
+        "availability": served / len(client_ids),
+    }
+
+
+def _directory_availability(
+    directory: Any, client_ids: list[str]
+) -> dict[str, Any]:
+    """Kill one shard, then its replica partner, then revive both."""
+    from repro.directory.storm import _pick_victims
+
+    victim, partner, doomed = _pick_victims(directory, client_ids)
+
+    directory.kill_shard(victim)
+    directory.drop_hot_caches()
+    failovers_before = directory.failovers
+    one_down = _directory_sweep(directory, client_ids)
+    one_down["failovers"] = directory.failovers - failovers_before
+
+    directory.kill_shard(partner)
+    directory.drop_hot_caches()
+    two_down = _directory_sweep(directory, client_ids)
+
+    repairs_before = directory.read_repairs
+    directory.revive_shard(victim)
+    directory.revive_shard(partner)
+    # Revived shards are re-admitted once their tripped breakers' recovery
+    # window has passed; the sweep must not start inside it.
+    time.sleep(directory.shard(victim).breaker.recovery_seconds)
+    directory.drop_hot_caches()
+    recovered = _directory_sweep(directory, client_ids)
+    recovered["read_repairs"] = directory.read_repairs - repairs_before
+
+    return {
+        "victim": victim,
+        "partner": partner,
+        "doomed_keys": len(doomed),
+        "one_shard_down": one_down,
+        "replica_set_down": two_down,
+        "recovered": recovered,
+    }
+
+
+def _directory_run(args: argparse.Namespace) -> Outcome:
+    """Cache latency, steady-state hit rate, then the shard-loss sweeps."""
+    import numpy as np
+
+    from repro.directory import ShardedEnrollmentDirectory
+    from repro.puf.ternary import TernaryMask
+
+    rng = np.random.default_rng(args.seed)
+    directory = ShardedEnrollmentDirectory(
+        master_key=b"bench-master-k!!",
+        shards=args.shards,
+        replication=args.replication,
+        cache_capacity=args.cache_capacity,
+    )
+    cells = 512
+    client_ids = [f"client-{index:05d}" for index in range(args.clients)]
+    masks = {
+        client_id: TernaryMask(
+            address=0,
+            usable=rng.random(cells) > 0.03,
+            reference=rng.random(cells) > 0.5,
+            instability=np.zeros(cells),
+        )
+        for client_id in client_ids
+    }
+    for client_id in client_ids:
+        directory.enroll(client_id, masks[client_id])
+
+    start = time.perf_counter()
+    latency = _directory_latency(directory, client_ids[:_LATENCY_SAMPLE])
+    steady = _directory_steady_state(
+        directory, client_ids, args.rounds, args.churn_per_round, rng
+    )
+    availability = _directory_availability(directory, client_ids)
+    metrics = {
+        "latency": latency,
+        "steady_state": steady,
+        "availability": availability,
+        "wall_seconds": time.perf_counter() - start,
+        "directory": {
+            key: value
+            for key, value in directory.snapshot().items()
+            if key != "shards_detail"
+        },
+    }
+
+    one_down = availability["one_shard_down"]
+    two_down = availability["replica_set_down"]
+    recovered = availability["recovered"]
+    failures = invariant_failures(
+        untyped=one_down["errors"] + two_down["errors"] + recovered["errors"]
+    )
+    if steady["hit_rate"] < 0.9:
+        failures.append(
+            f"steady-state hit rate {steady['hit_rate']:.1%} below 90%"
+        )
+    if latency["speedup"] <= 1.0:
+        failures.append(
+            "a hot hit is not cheaper than the cold quorum read "
+            f"({latency['speedup']:.2f}x)"
+        )
+    if one_down["availability"] != 1.0:
+        failures.append(
+            f"one shard down: availability {one_down['availability']:.1%}, "
+            "every key has a live replica"
+        )
+    if not one_down["failovers"]:
+        failures.append("one shard down: no read failed over to a replica")
+    if two_down["unavailable"] != availability["doomed_keys"]:
+        failures.append(
+            f"replica set down: {two_down['unavailable']} typed unavailable, "
+            f"expected exactly the {availability['doomed_keys']} doomed key(s)"
+        )
+    if recovered["availability"] != 1.0:
+        failures.append(
+            f"after revival: availability {recovered['availability']:.1%}"
+        )
+    return metrics, failures
+
+
+def _directory_render(record: Record) -> str:
+    config, metrics = record["config"], record["metrics"]
+    latency = metrics["latency"]
+    steady = metrics["steady_state"]
+    availability = metrics["availability"]
+    one_down = availability["one_shard_down"]
+    two_down = availability["replica_set_down"]
+    recovered = availability["recovered"]
+    return "\n".join([
+        "Directory — hot-cache latency and availability under shard loss",
+        f"  {config['clients']} clients over {config['shards']} shards, "
+        f"r={config['replication']}, cache={config['cache_capacity']}/shard",
+        f"  latency (n={latency['sample']}): "
+        f"cold quorum read {latency['cold_mean_us']:.0f}us "
+        f"(p99 {latency['cold_p99_us']:.0f}us) -> hot hit "
+        f"{latency['hot_mean_us']:.0f}us "
+        f"(p99 {latency['hot_p99_us']:.0f}us), "
+        f"{latency['speedup']:.1f}x",
+        f"  steady state ({steady['rounds']} rounds, "
+        f"{steady['churn_per_round']} re-enrolls/round): "
+        f"hit rate {steady['hit_rate']:.1%} "
+        f"({steady['steady_hits']}/{steady['steady_lookups']})",
+        f"  1-of-N loss ({availability['victim']}): "
+        f"availability {one_down['availability']:.1%}, "
+        f"{one_down['failovers']} failovers, "
+        f"{len(one_down['errors'])} errors",
+        f"  replica-set loss (+{availability['partner']}): "
+        f"availability {two_down['availability']:.1%}, "
+        f"{two_down['unavailable']} typed unavailable "
+        f"(= {availability['doomed_keys']} doomed keys), "
+        f"{len(two_down['errors'])} errors",
+        f"  recovered: availability {recovered['availability']:.1%}, "
+        f"{recovered['read_repairs']} read repairs, "
+        f"{len(recovered['errors'])} errors",
+        f"  wall: {metrics['wall_seconds']:.2f}s  "
+        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
+    ])
+
+
+# -- tenants: noisy neighbor ----------------------------------------------
+
+
+def _tenancy_arguments(parser: argparse.ArgumentParser) -> None:
+    # Acceptance scale: an 8-client victim fleet against a 20-request
+    # aggressor burst on a 1-token/s bucket.
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--victims", type=int, default=8,
+                        help="victim fleet size (requests)")
+    parser.add_argument("--aggressors", type=int, default=20,
+                        help="aggressor burst size (requests)")
+    parser.add_argument("--aggressor-rate", type=float, default=1.0,
+                        help="aggressor token-bucket refill (lookups/second)")
+    parser.add_argument("--aggressor-burst", type=float, default=1.0,
+                        help="aggressor token-bucket capacity")
+    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--ratio-limit", type=float, default=1.25,
+                        help="allowed victim p99 degradation under the storm")
+
+
+def _tenancy_run(args: argparse.Namespace) -> Outcome:
+    from repro.tenancy.workload import isolation_failures, run_noisy_neighbor
+
+    config = _config(args)
+    ratio_limit = config.pop("ratio_limit")
+    metrics = run_noisy_neighbor(**config)
+    return metrics, isolation_failures(metrics, ratio_limit=ratio_limit)
+
+
+def _tenancy_render(record: Record) -> str:
+    from repro.tenancy.workload import AGGRESSOR_TENANT, VICTIM_TENANT
+
+    config, metrics = record["config"], record["metrics"]
+
+    def row(phase: str, tenant: str) -> str:
+        stats = metrics[phase].get(tenant)
+        if stats is None:
+            return f"    {phase:<12} {tenant:<10} (absent)"
+        tail = (
+            f"p50={stats['p50_seconds']:.3f}s p99={stats['p99_seconds']:.3f}s"
+            if stats["served"]
+            else "(nothing served)"
+        )
+        return (
+            f"    {phase:<12} {tenant:<10} n={stats['count']:<3} "
+            f"served={stats['served']:<3} shed={stats['shed']:<3} {tail}"
+        )
+
+    ratio = metrics["victim_p99_ratio"]
+    return "\n".join([
+        "Tenancy — noisy-neighbor isolation under per-tenant quotas",
+        f"  {config['victims']} victim + {config['aggressors']} aggressor "
+        f"requests, aggressor bucket {config['aggressor_rate']}/s "
+        f"burst={config['aggressor_burst']}, workers={config['workers']}, "
+        f"hash={config['hash_name']}",
+        row("baseline", VICTIM_TENANT),
+        row("storm", VICTIM_TENANT),
+        row("storm", AGGRESSOR_TENANT),
+        row("unprotected", VICTIM_TENANT),
+        f"  aggressor: {metrics['aggressor_admitted']} admitted, "
+        f"{metrics['aggressor_shed']} shed {metrics['aggressor_shed_reasons']}",
+        f"  victim p99: baseline {metrics['victim_p99_baseline_seconds']:.3f}s"
+        f" -> storm {metrics['victim_p99_storm_seconds']:.3f}s"
+        + (f"  ({ratio:.2f}x)" if ratio is not None else "")
+        + f"; unprotected {metrics['victim_p99_unprotected_seconds']:.3f}s",
+    ])
+
+
+# -- deploy: WAN-profile storm over real processes ------------------------
+
+
+def _deployment_arguments(parser: argparse.ArgumentParser) -> None:
+    _topology_arguments(parser, engine="fleet")
+    parser.add_argument("--profiles", type=_str_tuple,
+                        default=("lan", "wan", "lossy-wan"),
+                        help="comma-separated WAN profiles")
+    parser.add_argument("--requests", type=int, default=36,
+                        help="requests per profile")
+    parser.add_argument("--duration", type=float, default=6.0,
+                        help="trace window in seconds")
+    parser.add_argument("--loadgens", type=int, default=2,
+                        help="load-generator processes")
+    parser.add_argument("--time-scale", type=float, default=1.0,
+                        help="compress (<1) or stretch (>1) arrivals")
+
+
+def _deployment_run(args: argparse.Namespace) -> Outcome:
+    from repro.deploy.storm import run_deployment_storm
+
+    report = run_deployment_storm(
+        _topology(args),
+        profiles=args.profiles,
+        seed=args.seed,
+        requests=args.requests,
+        duration_seconds=args.duration,
+        num_loadgens=args.loadgens,
+        time_scale=args.time_scale,
+        log=print,
+    )
+    return dataclasses.asdict(report), report.failures
+
+
+def _deployment_render(record: Record) -> str:
+    config, metrics = record["config"], record["metrics"]
+    lines = [
+        f"deployment storm: {metrics['topology']}",
+        f"  {config['requests']} requests over {config['duration']:g}s "
+        f"x{config['loadgens']} loadgen(s) per profile",
+    ]
+    for profile in metrics["profiles"]:
+        outcomes = ", ".join(f"{k}={v}" for k, v in profile["outcomes"].items())
+        lines.append(
+            f"  [{profile['profile']}] {outcomes}\n"
+            f"    p50={profile['latency_p50_ms']:.1f}ms "
+            f"p99={profile['latency_p99_ms']:.1f}ms "
+            f"throughput={profile['throughput_rps']:.2f}req/s "
+            f"false_auths={profile['false_authentications']} "
+            f"drained={profile['drained']}"
+        )
+    lines.append(f"  verdict: {'PASS' if record['pass'] else 'FAIL'}")
+    return "\n".join(lines)
+
+
+# -- deploy: kill-9 crash-restart storm -----------------------------------
+
+
+def _recovery_arguments(parser: argparse.ArgumentParser) -> None:
+    _topology_arguments(parser, engine="fifo")
+    parser.add_argument("--crashes", type=int, default=3, help="kill-9 rounds")
+    parser.add_argument("--max-restarts", type=int, default=8,
+                        help="supervisor restart budget")
+
+
+def _recovery_run(args: argparse.Namespace) -> Outcome:
+    from repro.deploy.storm import run_crash_storm
+    from repro.deploy.supervisor import RestartPolicy
+
+    report = run_crash_storm(
+        _topology(args),
+        seed=args.seed,
+        crashes=args.crashes,
+        restart_policy=RestartPolicy(
+            max_restarts=args.max_restarts, seed=args.seed
+        ),
+        log=print,
+    )
+    metrics = dataclasses.asdict(report)
+    return metrics, metrics.pop("failures")
+
+
+def _recovery_render(record: Record) -> str:
+    metrics = record["metrics"]
+    lines = [f"crash-restart storm: {metrics['topology']}"]
+    for entry in metrics["rounds"]:
+        lines.append(
+            f"  round {entry['round_index']}: {entry['victim']} killed after "
+            f"{entry['acked_before_kill']} ack(s), recovered "
+            f"{entry['recovered_records']} record(s) in "
+            f"{entry['recovery_seconds'] * 1000:.1f}ms, "
+            f"lost {entry['lost_acknowledged']}"
+        )
+    lines += [
+        f"  acked={metrics['acknowledged_total']} "
+        f"lost={metrics['lost_acknowledged']} "
+        f"nonce_reuse={metrics['nonce_reuse_trips']} "
+        f"false_auths={metrics['false_authentications']} "
+        f"restarts={metrics['restarts']} "
+        f"backoff={metrics['backoff_seconds']:.2f}s "
+        f"drained={metrics['drained']}",
+        f"  durable={metrics['durable_enroll_rps']:.1f} enroll/s "
+        f"lossy={metrics['lossy_enroll_rps']:.1f} enroll/s "
+        f"fsync_cost={metrics['durability_overhead_pct']:+.1f}%",
+        f"  verdict: {'PASS' if record['pass'] else 'FAIL'}",
+    ]
+    return "\n".join(lines)
+
+
+# -- amortization: cold vs warm pool --------------------------------------
+
+
+def _amortization_arguments(parser: argparse.ArgumentParser) -> None:
+    # Acceptance scale: the paper's SHA-3 engine at d <= 3.
+    parser.add_argument("--hash", default="sha3-256", dest="hash_name")
+    parser.add_argument("--max-distance", type=int, default=3)
+    parser.add_argument("--batch-size", type=int, default=16384)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="default: the process's CPU affinity count")
+    parser.add_argument("--searches", type=int, default=5,
+                        help="number of warm searches to average")
+    parser.add_argument("--no-parallel-baseline", action="store_true",
+                        help="skip the fork-per-call reference measurement")
+    parser.add_argument("--min-ratio", type=float, default=1.0,
+                        help="fail if warm/cold throughput falls below this")
+
+
+def _amortization_run(args: argparse.Namespace) -> Outcome:
+    """Cold (pool spawn + plan build) vs warm (both reused) on ``pool:``."""
+    import numpy as np
+
+    from repro._bitutils import flip_bits
+    from repro.engines import build_engine, engine_target
+    from repro.runtime.maskplan import MaskPlanCache
+    from repro.runtime.pool import PooledSearchExecutor, default_worker_count
+
+    workers = args.workers if args.workers is not None else default_worker_count()
+    base_seed = np.random.default_rng(args.seed).bytes(32)
+    # Rank 0 of the deepest shell: every search exhausts the shallower
+    # shells and runs one kernel batch at the deepest.
+    client_seed = flip_bits(base_seed, list(range(args.max_distance)))
+    missed = 0
+
+    def timed(engine: Any) -> tuple[Any, float]:
+        nonlocal missed
+        start = time.perf_counter()
+        result = engine.search(base_seed, target, args.max_distance)
+        seconds = time.perf_counter() - start
+        missed += not (result.found and result.seed == client_seed)
+        return result, seconds
+
+    # Private cache sized so even the deepest shell slices plan in.
+    plan_cache = MaskPlanCache(
+        max_bytes=512 * 1024 * 1024, max_plan_bytes=256 * 1024 * 1024
+    )
+    engine = PooledSearchExecutor(
+        args.hash_name,
+        workers=workers,
+        batch_size=args.batch_size,
+        plan_cache=plan_cache,
+    )
+    target = engine_target(engine, client_seed)
+    try:
+        cold, cold_seconds = timed(engine)
+        warm_hashed = 0
+        warm_seconds = 0.0
+        last = cold
+        for _ in range(args.searches):
+            last, seconds = timed(engine)
+            warm_seconds += seconds
+            warm_hashed += last.seeds_hashed
+    finally:
+        engine.close()
+        plan_cache.clear()
+
+    parallel_hps = None
+    if not args.no_parallel_baseline:
+        result, seconds = timed(
+            build_engine(
+                "parallel",
+                hash_name=args.hash_name,
+                workers=workers,
+                batch_size=args.batch_size,
+            )
+        )
+        parallel_hps = result.seeds_hashed / seconds
+
+    cold_hps = cold.seeds_hashed / cold_seconds
+    warm_hps = warm_hashed / warm_seconds
+    metrics = {
+        "workers": workers,
+        "cold_seconds": cold_seconds,
+        "cold_hashes_per_second": cold_hps,
+        "warm_seconds_mean": warm_seconds / args.searches,
+        "warm_hashes_per_second": warm_hps,
+        "warm_over_cold": warm_hps / cold_hps,
+        "parallel_hashes_per_second": parallel_hps,
+        "amortized": dataclasses.asdict(last.amortized),
+    }
+    failures = []
+    if missed:
+        failures.append(f"{missed} search(es) missed the planted seed")
+    if metrics["warm_over_cold"] < args.min_ratio:
+        failures.append(
+            f"warm/cold {metrics['warm_over_cold']:.2f}x below the required "
+            f"{args.min_ratio:.2f}x"
+        )
+    return metrics, failures
+
+
+def _amortization_render(record: Record) -> str:
+    config, metrics = record["config"], record["metrics"]
+    stats = metrics["amortized"]
+    lines = [
+        "Amortized pipeline — cold vs. warm search throughput",
+        f"  engine: pool:{config['hash_name']},workers={metrics['workers']},"
+        f"bs={config['batch_size']}  (d <= {config['max_distance']})",
+        "  cold (spawn + plan build): "
+        f"{metrics['cold_hashes_per_second']:>12,.0f} H/s "
+        f"({metrics['cold_seconds']:.3f}s)",
+        f"  warm (steady state, n={config['searches']}): "
+        f"{metrics['warm_hashes_per_second']:>12,.0f} H/s "
+        f"({metrics['warm_seconds_mean']:.3f}s/search)",
+        f"  warm / cold: {metrics['warm_over_cold']:.2f}x",
+    ]
+    if metrics["parallel_hashes_per_second"] is not None:
+        lines.append(
+            "  fork-per-call parallel baseline: "
+            f"{metrics['parallel_hashes_per_second']:>12,.0f} H/s"
+        )
+    lines.append(
+        f"  last search: plan_hits={stats['plan_hits']} "
+        f"plan_misses={stats['plan_misses']} "
+        f"plan_bytes={stats['plan_bytes']:,} "
+        f"workers_spawned={stats['workers_spawned']}"
+    )
+    return "\n".join(lines)
+
+
+# -- the table ------------------------------------------------------------
+
+GATES: dict[str, Gate] = {
+    gate.name: gate
+    for gate in (
+        Gate(
+            "chaos", "chaos", (),
+            "fault-injected authentication storm under a named plan (exit 1 "
+            "on any false authentication)",
+            _chaos_arguments, _chaos_run, _chaos_render,
+        ),
+        Gate(
+            "scheduler", "sched", (),
+            "FIFO vs the deadline-aware dispatcher on one mixed-depth fleet "
+            "(exit 1 if the scheduled shallow p99 exceeds FIFO's)",
+            _scheduler_arguments, _scheduler_run, _scheduler_render,
+        ),
+        Gate(
+            "fleet_storm", "fleet", ("--storm",),
+            "device-loss storm: kill a fleet device mid-run, revive it (exit "
+            "1 on a lost request, false auth, byte mismatch vs the "
+            "single-device run, or missing re-dispatch)",
+            _fleet_storm_arguments, _fleet_storm_run, _fleet_storm_render,
+        ),
+        Gate(
+            "fleet", "fleet", ("--bench",),
+            "two-device scaling and hedged vs unhedged straggler p99 (exit 1 "
+            "on a lost request, false auth, scaling or hedging regression)",
+            _fleet_arguments, _fleet_run, _fleet_render,
+        ),
+        Gate(
+            "directory_storm", "directory", ("--storm",),
+            "shard-loss storm: kill one enrollment shard, then its replica "
+            "partner, then revive both (exit 1 on a false auth, an untyped "
+            "or unexpected shed, or an unhealed replica)",
+            _directory_storm_arguments, _directory_storm_run,
+            _directory_storm_render,
+        ),
+        Gate(
+            "directory", "directory", ("--bench",),
+            "hot-cache hit rate and latency, and availability under shard "
+            "loss, on synthetic enrollment images",
+            _directory_arguments, _directory_run, _directory_render,
+        ),
+        Gate(
+            "tenancy", "tenants", (),
+            "noisy-neighbor storm: per-tenant quotas vs an aggressor burst "
+            "(exit 1 if the victim's tail degrades or a shed is mistyped)",
+            _tenancy_arguments, _tenancy_run, _tenancy_render,
+        ),
+        Gate(
+            "deployment", "deploy", ("--storm",),
+            "multi-process deployment storm: real server/loadgen processes "
+            "over TCP under emulated WAN profiles (exit 1 on any false auth, "
+            "untyped failure, or unclean drain)",
+            _deployment_arguments, _deployment_run, _deployment_render,
+        ),
+        Gate(
+            "recovery", "deploy", ("--storm", "--crash"),
+            "kill-9 crash-restart storm: SIGKILL a WAL-backed server "
+            "mid-enrollment burst, restart it (exit 1 on acknowledged loss, "
+            "nonce reuse, a false auth, or an unclean drain)",
+            _recovery_arguments, _recovery_run, _recovery_render,
+        ),
+        Gate(
+            "amortization", "amortization", (),
+            "cold vs warm search throughput on the pooled engine (exit 1 if "
+            "warm/cold falls below --min-ratio)",
+            _amortization_arguments, _amortization_run, _amortization_render,
+        ),
+    )
+}

@@ -63,8 +63,6 @@ __all__ = [
     "NAMED_PLANS",
     "run_storm",
     "run_named_storm",
-    "run_device_loss_storm",
-    "run_shard_loss_storm",
 ]
 
 
@@ -361,36 +359,3 @@ def run_named_storm(
     if workers is not None:
         config = replace(config, workers=workers)
     return run_storm(spec, seed, config)
-
-
-def run_device_loss_storm(*args, **kwargs):
-    """Device-loss storm over the multi-device fleet — see :mod:`repro.fleet.storm`.
-
-    A different chaos axis from :data:`NAMED_PLANS` (which stress one
-    engine behind a failover stack): here a whole *device* in a
-    :class:`~repro.fleet.engine.FleetSearchEngine` is killed mid-run and
-    the fleet must re-dispatch its orphaned chunks. Delegates so callers
-    have one chaos namespace; deliberately not a named plan because its
-    report type differs (:class:`~repro.fleet.storm.DeviceLossStormReport`).
-    """
-    from repro.fleet.storm import run_device_loss_storm as _run
-
-    return _run(*args, **kwargs)
-
-
-def run_shard_loss_storm(*args, **kwargs):
-    """Shard-loss storm over the enrollment directory — see
-    :mod:`repro.directory.storm`.
-
-    A third chaos axis: :data:`NAMED_PLANS` stress the search engine,
-    :func:`run_device_loss_storm` kills a compute device, and this one
-    kills whole *enrollment shards* — first one (replica failover must
-    carry every read), then a full replica set (exactly the doomed keys
-    must shed typed, nothing may error or falsely authenticate), then
-    both revive (read repair must heal the divergence planted while they
-    were dark). Delegates so callers have one chaos namespace; its
-    report type is :class:`~repro.directory.storm.ShardLossStormReport`.
-    """
-    from repro.directory.storm import run_shard_loss_storm as _run
-
-    return _run(*args, **kwargs)

@@ -1,108 +1,32 @@
-"""Multiprocessing RBC search with a shared early-exit flag.
+"""Multiprocessing RBC search with a shared early-exit flag, forked per call.
 
 The Python analogue of SALTED-CPU: ``p`` worker processes each own a
 contiguous rank range of every Hamming-distance shell and run the
 vectorized batch search over it; a shared flag (the OpenMP variant keeps
 it in main memory, Algorithm 1 lines 7/15) tells everyone to stop as soon
-as any worker finds the seed.
+as any worker finds the seed. Workers check the flag between kernel
+batches — the granularity knob the paper studies in Section 4.4.
 
-Workers check the flag between kernel batches — the same granularity knob
-the paper studies in Section 4.4 (it found checking every iteration free
-on the GPU; between-batch checking is the vectorized equivalent).
-
-The search body itself is
-:meth:`~repro.runtime.executor.BatchSearchExecutor.search_subspace` —
-shared with the single-process and pooled engines, so flag, timeout, and
-telemetry semantics are identical across all three. This engine forks a
-fresh pool per call (simple, fully isolated); the serving path uses
-:class:`~repro.runtime.pool.PooledSearchExecutor`, which keeps workers
-warm across searches.
-
-Telemetry: workers report per-shell statistics back to the parent, which
-merges them per distance (seed counts add, seconds take the slowest
-worker) so the unified :class:`~repro.engines.result.SearchResult` is as
-instrumented as the single-process engine's. Hooks do not cross process
-boundaries; the parent fires ``on_shell_complete`` for merged shells.
+This engine is a one-search :class:`~repro.runtime.pool.WorkerPool`:
+every call spawns the pool, runs one search with plan caching off, and
+closes it, so the fork/join cost is paid — and timed — inside every call.
+That is what the §4.3 / Figure 4 scaling benches and the amortization
+cold baseline measure; the serving path keeps the same pool warm
+(:class:`~repro.runtime.pool.PooledSearchExecutor`). Worker body,
+partitioning and the per-shell merge are the pool's, so flag, timeout
+and telemetry semantics are identical across both engines.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro._bitutils import SEED_BITS
-from repro.combinatorics.binomial import binomial
 from repro.engines.hooks import EngineHooks
-from repro.engines.registry import build_engine
-from repro.engines.result import SearchResult, ShellStats, merge_shells
-from repro.runtime.partition import partition_ranks
-from repro.runtime.pool import default_worker_count
+from repro.engines.result import SearchResult
+from repro.runtime.pool import PooledSearchExecutor, default_worker_count
 
 __all__ = ["ParallelSearchExecutor"]
-
-
-@dataclass
-class _WorkerTask:
-    worker_index: int
-    hash_name: str
-    batch_size: int
-    iterator: str
-    fixed_padding: bool
-    base_seed: bytes
-    target_digest: bytes
-    max_distance: int
-    rank_ranges: dict[int, tuple[int, int]]
-    time_budget: float | None
-
-
-@dataclass
-class _WorkerReport:
-    """What one worker sends back on the result queue."""
-
-    worker_index: int
-    found: bool
-    seed: bytes | None
-    distance: int | None
-    seeds_hashed: int
-    timed_out: bool = False
-    shells: tuple[ShellStats, ...] = ()
-
-
-def _search_worker(task: _WorkerTask, flag, result_queue) -> None:
-    """Worker body: batch-search this worker's subspace, honor the flag."""
-    executor = build_engine(
-        "batch",
-        hash_name=task.hash_name,
-        batch_size=task.batch_size,
-        iterator=task.iterator,
-        fixed_padding=task.fixed_padding,
-    )
-
-    def on_found() -> None:
-        flag.value = 1
-
-    report = executor.search_subspace(
-        task.base_seed,
-        task.target_digest,
-        task.max_distance,
-        task.rank_ranges,
-        time_budget=task.time_budget,
-        stop=lambda: bool(flag.value),
-        on_found=on_found,
-        check_distance_zero=task.worker_index == 0,
-    )
-    result_queue.put(
-        _WorkerReport(
-            worker_index=task.worker_index,
-            found=report.found,
-            seed=report.seed,
-            distance=report.distance,
-            seeds_hashed=report.seeds_hashed,
-            timed_out=report.timed_out,
-            shells=report.shells,
-        )
-    )
 
 
 class ParallelSearchExecutor:
@@ -143,68 +67,26 @@ class ParallelSearchExecutor:
         max_distance: int,
         time_budget: float | None = None,
     ) -> SearchResult:
-        """Run the parallel search; merges worker outcomes."""
+        """Spawn the workers, run one search, join them; all inside the clock."""
         start_time = time.perf_counter()
-        ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
-        flag = ctx.Value("i", 0)
-        result_queue = ctx.Queue()
-
-        processes = []
-        for w in range(self.workers):
-            rank_ranges = {}
-            for distance in range(1, max_distance + 1):
-                ranges = partition_ranks(binomial(SEED_BITS, distance), self.workers)
-                rank_ranges[distance] = ranges[w]
-            task = _WorkerTask(
-                worker_index=w,
-                hash_name=self.hash_name,
-                batch_size=self.batch_size,
-                iterator=self.iterator,
-                fixed_padding=self.fixed_padding,
-                base_seed=base_seed,
-                target_digest=target_digest,
-                max_distance=max_distance,
-                rank_ranges=rank_ranges,
-                time_budget=time_budget,
-            )
-            proc = ctx.Process(
-                target=_search_worker, args=(task, flag, result_queue), daemon=True
-            )
-            proc.start()
-            processes.append(proc)
-
-        found_seed = None
-        found_distance = None
-        total_hashed = 0
-        any_timed_out = False
-        shell_groups: list[tuple[ShellStats, ...]] = []
-        for _ in range(self.workers):
-            report: _WorkerReport = result_queue.get()
-            total_hashed += report.seeds_hashed
-            any_timed_out = any_timed_out or report.timed_out
-            shell_groups.append(report.shells)
-            if report.found:
-                found_seed = report.seed
-                found_distance = report.distance
-        for proc in processes:
-            proc.join()
-        elapsed = time.perf_counter() - start_time
-        timed_out = found_seed is None and (
-            any_timed_out
-            or (time_budget is not None and elapsed > time_budget)
-        )
-        shells = merge_shells(shell_groups)
+        with PooledSearchExecutor(
+            self.hash_name,
+            workers=self.workers,
+            batch_size=self.batch_size,
+            iterator=self.iterator,
+            fixed_padding=self.fixed_padding,
+            cache=False,
+        ) as pool:
+            result = pool.search(base_seed, target_digest, max_distance, time_budget)
+        # Hooks fire here, not in the pool: this engine pays full
+        # per-search costs and reports no amortization telemetry.
         if self.hooks is not None:
-            for shell in shells:
+            for shell in result.shells:
                 self.hooks.on_batch(shell.distance, shell.seeds_hashed)
                 self.hooks.on_shell_complete(shell)
-        return SearchResult(
-            found=found_seed is not None,
-            seed=found_seed,
-            distance=found_distance,
-            seeds_hashed=total_hashed,
-            elapsed_seconds=elapsed,
-            timed_out=timed_out,
-            shells=shells,
+        return replace(
+            result,
+            elapsed_seconds=time.perf_counter() - start_time,
             engine=self.describe(),
+            amortized=None,
         )

@@ -4,11 +4,9 @@ The scheduler's value proposition is a *tail-latency* story: when
 shallow (d <= 2) authentications share a device with deep stragglers,
 FIFO makes the shallow requests wait out every deep search queued ahead
 of them, while the continuous batcher serves all of them from the same
-device batches. Both the ``repro sched`` CLI and
-``benchmarks/bench_scheduler.py`` need the same apparatus to show that:
-a deterministic mixed-depth request fleet, a FIFO reference run, a
-scheduled run, and per-depth latency summaries. It lives here so the two
-entry points cannot drift apart.
+device batches. The ``repro sched`` gate (:mod:`repro.gates`) shows that
+with the apparatus here: a deterministic mixed-depth request fleet, a
+FIFO reference run, a scheduled run, and per-depth latency summaries.
 """
 
 from __future__ import annotations

@@ -499,6 +499,24 @@ class TestTopologyAndTrace:
         ) == "retries-exhausted:connection-lost"
         assert classify_failure(ValueError("?")) == "untyped:ValueError"
 
+    def test_interrupt_is_not_bucketed_as_an_outcome(self, monkeypatch):
+        """Ctrl-C inside an authentication must stop the load generator."""
+        from repro.deploy import loadgen
+        from repro.deploy.trace import TraceEntry
+
+        def interrupted(self, server):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(loadgen.NetworkClient, "authenticate", interrupted)
+        entry = TraceEntry(
+            index=0, client_index=0, offset_seconds=0.0, shell_depth=1,
+            deadline_seconds=5.0, tenant="",
+        )
+        with pytest.raises(KeyboardInterrupt):
+            loadgen._run_entry(
+                entry, TopologySpec(clients=1), 3, [("127.0.0.1", 9)]
+            )
+
 
 # ---------------------------------------------------------------------------
 # Process supervision
@@ -649,7 +667,7 @@ class TestDeploymentProcesses:
             spec, seed=5, requests=5, duration_seconds=1.0,
             num_loadgens=1, time_scale=1.0, scratch_dir=tmp_path,
         )
-        assert report.passed, report.gate_failures
+        assert not report.failures, report.failures
         assert report.outcomes.get("authenticated") == 5
         assert report.false_authentications == 0
         assert report.drained

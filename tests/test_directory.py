@@ -485,7 +485,7 @@ class TestShardLossStorm:
         from repro.directory.storm import run_shard_loss_storm
 
         first = run_shard_loss_storm(seed=0, clients=12, workers=2)
-        assert first.passed, first.render()
+        assert not first.failures, first.render()
         assert first.false_authentications == 0
         assert first.shed_typed == len(first.doomed)
         assert first.shed_untyped == 0
@@ -495,12 +495,3 @@ class TestShardLossStorm:
         assert (second.victim, second.partner) == (
             first.victim, first.partner
         )
-
-    def test_chaos_namespace_delegates(self):
-        from repro.directory.storm import run_shard_loss_storm as direct
-        from repro.reliability.chaos import run_shard_loss_storm as via_chaos
-
-        assert via_chaos.__module__ == "repro.reliability.chaos"
-        assert direct.__module__ == "repro.directory.storm"
-        report = via_chaos(seed=1, clients=10, workers=2)
-        assert report.passed, report.render()
