@@ -28,7 +28,7 @@ def test_ablation_lane_width(benchmark, report):
     from repro.hashes.registry import get_hash
 
     algo = get_hash("sha3-256")
-    algo.hash_seeds_batch(words[:256])  # warm-up
+    algo.batch(words[:256])  # warm-up
     rows = []
     rates = {}
     for width in (64, 256, 1024, 4096, 16384, 65536):
@@ -36,7 +36,7 @@ def test_ablation_lane_width(benchmark, report):
         repeats = max(1, 16384 // width)
         start = time.perf_counter()
         for _ in range(repeats):
-            algo.hash_seeds_batch(chunk)
+            algo.batch(chunk)
         elapsed = time.perf_counter() - start
         rates[width] = width * repeats / elapsed
         rows.append([width, f"{rates[width]:12,.0f}"])
@@ -55,7 +55,7 @@ def test_ablation_lane_width(benchmark, report):
     # Wide beats narrow by a large factor (the oversubscription story).
     assert rates[16384] > 3 * rates[64]
 
-    benchmark(lambda: algo.hash_seeds_batch(words[:4096]))
+    benchmark(lambda: algo.batch(words[:4096]))
 
 
 def test_ablation_tapki_threshold(benchmark, report):

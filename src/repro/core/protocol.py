@@ -91,7 +91,7 @@ class ClientDevice:
                     bits, self.noise_target_distance, self._rng
                 )
         seed = np.packbits(bits).tobytes()
-        return get_hash(challenge.hash_name).scalar(seed)
+        return get_hash(challenge.hash_name).hash_seed(seed)
 
 
 class RBCSaltedProtocol:

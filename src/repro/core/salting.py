@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro._bitutils import SEED_BYTES, int_to_seed, rotate_left_int, seed_to_int
-from repro.hashes.sha3 import sha3_256
+from repro.hashes.native import sha3_256
 
 __all__ = ["SaltScheme", "RotateSalt", "XorSalt", "HashChainSalt"]
 

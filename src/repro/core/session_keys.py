@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.authentication import CertificateAuthority, RegistrationAuthority
 from repro.core.salting import SaltScheme
-from repro.hashes.sha3 import sha3_256
+from repro.hashes.native import sha3_256
 from repro.keygen.lwe import ToyModuleLWE
 
 __all__ = ["SessionToken", "SessionService", "SessionClient", "LWESessionKeygen"]

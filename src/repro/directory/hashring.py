@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 
-from repro.hashes.sha3 import sha3_256
+from repro.hashes.native import sha3_256
 
 __all__ = ["ConsistentHashRing"]
 

@@ -27,6 +27,8 @@ import dataclasses
 import time
 from collections import deque
 
+import numpy as np
+
 from repro.devices.base import DeviceModel
 from repro.devices.flaky import DeviceFailure
 from repro.hashes.registry import HashAlgorithm
@@ -39,8 +41,8 @@ __all__ = ["FleetDevice"]
 #: EWMA weight of the newest batch in per-device latency/rate estimates.
 _EWMA_ALPHA = 0.3
 
-#: What a heartbeat hashes (any 32-byte seed would do).
-_PROBE_SEED = bytes(32)
+#: What a heartbeat hashes: one row (any seed would do) in the batch form.
+_PROBE_WORDS = np.zeros((1, 4), dtype=np.uint64)
 
 #: Cap on injected slow-down sleep per batch, so a misconfigured factor
 #: cannot wedge a device loop.
@@ -125,9 +127,10 @@ class FleetDevice:
         an idle dead device and successful probes close a half-open one
         (probation -> reinstatement). The fault injector is *not*
         consulted: probes observe health, they do not advance which
-        searches fail. The scalar hash is used because an idle fleet
-        heartbeats continuously: a one-row trip through the batch kernel
-        costs several times more and bought no extra signal.
+        searches fail. The row goes through ``hash_seeds_batch`` — the
+        call ``run_batch`` serves with — so a heartbeat exercises the
+        code a search would; one row costs a few microseconds, which an
+        idle fleet heartbeating continuously can afford.
         """
         self.probes += 1
         ok = not self.killed
@@ -135,7 +138,7 @@ class FleetDevice:
             ok = bool(self.model.health_probe())
         if ok:
             try:
-                self.algo.hash_seed(_PROBE_SEED)
+                self.algo.hash_seeds_batch(_PROBE_WORDS)
             except Exception:
                 ok = False
         if ok:

@@ -66,7 +66,9 @@ def sha256_batch_seeds(words: np.ndarray, fixed_padding: bool = True) -> np.ndar
         h, g, f, e, d, c, b, a = g, f, e, d + temp1, c, b, a, temp1 + temp2
 
     out = np.empty((n, 8), dtype=_U32)
-    for i, (col, h0) in enumerate(zip((a, b, c, d, e, f, g, h), SHA256_INITIAL_STATE)):
+    for i, (col, h0) in enumerate(
+        zip((a, b, c, d, e, f, g, h), SHA256_INITIAL_STATE, strict=True)
+    ):
         out[:, i] = col + _U32(h0)
     return out
 

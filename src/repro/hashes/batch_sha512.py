@@ -76,7 +76,9 @@ def sha512_batch_seeds(words: np.ndarray, fixed_padding: bool = True) -> np.ndar
         h, g, f, e, d, c, b, a = g, f, e, d + temp1, c, b, a, temp1 + temp2
 
     out = np.empty((n, 8), dtype=_U64)
-    for i, (col, init) in enumerate(zip((a, b, c, d, e, f, g, h), _H512)):
+    for i, (col, init) in enumerate(
+        zip((a, b, c, d, e, f, g, h), _H512, strict=True)
+    ):
         out[:, i] = col + _U64(init)
     return out
 

@@ -8,11 +8,11 @@ MAC key. Validated against RFC 4231 / ``hmac`` stdlib vectors in tests.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from repro.hashes.sha1 import sha1
-from repro.hashes.sha256 import sha256
 from repro.hashes.sha3 import sha3_256
+from repro.hashes.sha256 import sha256
 from repro.hashes.sha512 import sha512
 
 __all__ = ["hmac_digest", "hmac_verify"]
@@ -48,6 +48,6 @@ def hmac_verify(
     if len(tag) != len(expected):
         return False
     diff = 0
-    for a, b in zip(tag, expected):
+    for a, b in zip(tag, expected, strict=True):
         diff |= a ^ b
     return diff == 0

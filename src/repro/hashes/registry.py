@@ -1,25 +1,34 @@
 """Hash algorithm registry.
 
-Binds together, per algorithm: the scalar reference function, the batch
-kernel, the digest-to-words converter for vectorized comparison, and the
-APU state footprint (the paper's resource metric — a SHA-1 PE occupies
-2 bit-processors of 16 bits each, a SHA-3 PE occupies 5; Section 3.3).
+Binds together, per algorithm: the from-spec scalar reference function
+and batch kernel (the paper's algorithm, and the oracle), the
+digest-to-words converter for vectorized comparison, and the APU state
+footprint (the paper's resource metric — a SHA-1 PE occupies 2
+bit-processors of 16 bits each, a SHA-3 PE occupies 5; Section 3.3).
+
+``hash_seed`` / ``hash_seeds_batch`` / ``hash_seeds_suffixed`` are the
+seam every engine and request-path caller hashes through. They run on
+the host's native digests (:mod:`repro.hashes.native`), which produce the
+same bytes as the from-spec code and win on this platform at every
+width but one (EXPERIMENTS.md, E-NATIVE): wide SHA-1 batches, which stay
+on the NumPy kernel from ``from_spec_min_rows`` rows up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from repro.hashes import native
 from repro.hashes.batch_sha1 import sha1_batch_seeds, sha1_digest_to_words
-from repro.hashes.batch_sha256 import sha256_batch_seeds, sha256_digest_to_words
 from repro.hashes.batch_sha3 import sha3_256_batch_seeds, sha3_256_digest_to_words
+from repro.hashes.batch_sha256 import sha256_batch_seeds, sha256_digest_to_words
 from repro.hashes.batch_sha512 import sha512_batch_seeds, sha512_digest_to_words
 from repro.hashes.sha1 import sha1
-from repro.hashes.sha256 import sha256
 from repro.hashes.sha3 import sha3_256
+from repro.hashes.sha256 import sha256
 from repro.hashes.sha512 import sha512
 
 __all__ = ["HashAlgorithm", "get_hash", "available_hashes"]
@@ -35,19 +44,36 @@ class HashAlgorithm:
     apu_bps_per_pe: int
     #: Relative compute cost per hash (SHA-1 = 1.0); used by device models.
     relative_cost: float
+    #: From-spec scalar digest and ``(N, 4)`` uint64 batch kernel.
     scalar: Callable[[bytes], bytes]
     batch: Callable[..., np.ndarray]
     digest_to_words: Callable[[bytes], np.ndarray]
+    #: Batches of at least this many rows hash on ``batch`` instead of the
+    #: native digest; ``None`` where native wins at every measured width.
+    from_spec_min_rows: int | None = None
 
     def hash_seed(self, seed: bytes) -> bytes:
-        """Scalar digest of one 32-byte seed."""
-        return self.scalar(seed)
+        """Digest of one seed (32 bytes, or ``seed ‖ nonce`` when bound)."""
+        return native.digest(self.name, seed)
 
     def hash_seeds_batch(
         self, words: np.ndarray, fixed_padding: bool = True
     ) -> np.ndarray:
-        """Batched digests of ``(N, 4)`` uint64 seed words."""
-        return self.batch(words, fixed_padding=fixed_padding)
+        """Batched digests of ``(N, 4)`` uint64 seed words.
+
+        ``fixed_padding`` (§3.2.2) selects the from-spec kernel's padding
+        path; a native digest pads inside the library and ignores it.
+        """
+        if (
+            self.from_spec_min_rows is not None
+            and len(words) >= self.from_spec_min_rows
+        ):
+            return self.batch(words, fixed_padding=fixed_padding)
+        return native.digest_batch(self.name, words)
+
+    def hash_seeds_suffixed(self, words: np.ndarray, suffix: bytes) -> np.ndarray:
+        """Batched digests of ``seed ‖ suffix``, in the ``hash_seeds_batch`` form."""
+        return native.digest_batch(self.name, words, suffix)
 
 
 _REGISTRY: dict[str, HashAlgorithm] = {}
@@ -69,6 +95,8 @@ SHA1_ALGO = _register(
         scalar=sha1,
         batch=sha1_batch_seeds,
         digest_to_words=sha1_digest_to_words,
+        # Measured crossover ≈ 3 500 rows (EXPERIMENTS.md, E-NATIVE).
+        from_spec_min_rows=4096,
     )
 )
 

@@ -35,7 +35,7 @@ class SHA1:
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "SHA1":
+    def update(self, data: bytes) -> SHA1:
         """Absorb more message bytes; returns self for chaining."""
         self._length += len(data)
         self._buffer += data
@@ -65,7 +65,7 @@ class SHA1:
             tmp = (_rotl32(a, 5) + f + e + k + w[t]) & _MASK32
             e, d, c, b, a = d, c, _rotl32(b, 30), a, tmp
         self._h = [
-            (h + v) & _MASK32 for h, v in zip(self._h, (a, b, c, d, e))
+            (h + v) & _MASK32 for h, v in zip(self._h, (a, b, c, d, e), strict=True)
         ]
 
     def digest(self) -> bytes:
@@ -87,7 +87,7 @@ class SHA1:
         """The digest as a hex string."""
         return self.digest().hex()
 
-    def copy(self) -> "SHA1":
+    def copy(self) -> SHA1:
         """An independent clone of the current hash state."""
         clone = SHA1()
         clone._h = list(self._h)

@@ -52,7 +52,7 @@ class SHA256:
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "SHA256":
+    def update(self, data: bytes) -> SHA256:
         """Absorb more message bytes; returns self for chaining."""
         self._length += len(data)
         self._buffer += data
@@ -79,7 +79,8 @@ class SHA256:
                 g, f, e, (d + temp1) & _MASK32, c, b, a, (temp1 + temp2) & _MASK32,
             )
         self._h = [
-            (x + v) & _MASK32 for x, v in zip(self._h, (a, b, c, d, e, f, g, h))
+            (x + v) & _MASK32
+            for x, v in zip(self._h, (a, b, c, d, e, f, g, h), strict=True)
         ]
 
     def digest(self) -> bytes:
@@ -99,7 +100,7 @@ class SHA256:
         """The digest as a hex string."""
         return self.digest().hex()
 
-    def copy(self) -> "SHA256":
+    def copy(self) -> SHA256:
         """An independent clone of the current hash state."""
         clone = SHA256()
         clone._h = list(self._h)

@@ -104,12 +104,12 @@ def keccak_sponge(
         lanes = keccak_f1600(lanes)
         offset += rate_bytes
     # Pad the final (possibly empty) partial block: domain bits then 10*1.
-    block = bytearray(data[offset:])
-    block.append(domain)
-    block.extend(b"\x00" * (rate_bytes - len(block)))
-    block[rate_bytes - 1] |= 0x80
+    last = bytearray(data[offset:])
+    last.append(domain)
+    last.extend(b"\x00" * (rate_bytes - len(last)))
+    last[rate_bytes - 1] |= 0x80
     for i in range(rate_bytes // 8):
-        lanes[i] ^= int.from_bytes(block[8 * i : 8 * i + 8], "little")
+        lanes[i] ^= int.from_bytes(last[8 * i : 8 * i + 8], "little")
     lanes = keccak_f1600(lanes)
     # Squeeze.
     out = bytearray()

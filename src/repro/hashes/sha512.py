@@ -73,7 +73,7 @@ class SHA512:
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "SHA512":
+    def update(self, data: bytes) -> SHA512:
         """Absorb more message bytes; returns self for chaining."""
         self._length += len(data)
         self._buffer += data
@@ -100,7 +100,8 @@ class SHA512:
                 g, f, e, (d + temp1) & _MASK64, c, b, a, (temp1 + temp2) & _MASK64,
             )
         self._h = [
-            (x + v) & _MASK64 for x, v in zip(self._h, (a, b, c, d, e, f, g, h))
+            (x + v) & _MASK64
+            for x, v in zip(self._h, (a, b, c, d, e, f, g, h), strict=True)
         ]
 
     def digest(self) -> bytes:
@@ -119,7 +120,7 @@ class SHA512:
         """The digest as a hex string."""
         return self.digest().hex()
 
-    def copy(self) -> "SHA512":
+    def copy(self) -> SHA512:
         """An independent clone of the current hash state."""
         clone = SHA512(variant=self._variant)
         clone._h = list(self._h)

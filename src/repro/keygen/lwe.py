@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashes.sha3 import sha3_256
+from repro.hashes.native import sha3_256
 from repro.keygen.chacha20 import chacha20_keystream
 
 __all__ = ["ToyModuleLWE", "LWE_PRESETS"]

@@ -195,10 +195,10 @@ class SessionManager:
 class _NonceBindingEngine(EngineWrapper):
     """Adapter: search for H(candidate ‖ nonce) instead of H(candidate).
 
-    For SHA-3 the nonce is absorbed into the vectorized batch kernel
-    (``seed ‖ nonce`` still fits one sponge block, so the bound search
-    runs at full batch throughput); other hashes fall back to a scalar
-    Chase-sequence walk, adequate at reproduction scale.
+    The nonce rides as the suffix of the batched digest
+    (:meth:`~repro.hashes.registry.HashAlgorithm.hash_seeds_suffixed`),
+    so every registered hash runs the bound search at batch throughput,
+    shell by shell in rank order.
 
     Search geometry (notably ``batch_size``) forwards from the wrapped
     engine via :class:`~repro.engines.wrappers.EngineWrapper`, so the
@@ -223,28 +223,7 @@ class _NonceBindingEngine(EngineWrapper):
         max_distance: int,
         time_budget: float | None = None,
     ) -> SearchResult:
-        """Nonce-bound Algorithm 1 (vectorized for SHA-3)."""
-        import dataclasses
-
-        if self.algo.name == "sha3-256":
-            result = self._search_vectorized(
-                base_seed, target_digest, max_distance, time_budget
-            )
-        else:
-            result = self._search_scalar(
-                base_seed, target_digest, max_distance, time_budget
-            )
-        return dataclasses.replace(result, engine=self.describe())
-
-    def _search_vectorized(
-        self,
-        base_seed: bytes,
-        target_digest: bytes,
-        max_distance: int,
-        time_budget: float | None,
-    ) -> SearchResult:
-        import time as _time
-
+        """Nonce-bound Algorithm 1."""
         from repro._bitutils import (
             SEED_BITS,
             positions_to_mask_words,
@@ -253,19 +232,21 @@ class _NonceBindingEngine(EngineWrapper):
         )
         from repro.combinatorics.binomial import binomial
         from repro.combinatorics.ranking import unrank_lexicographic_batch
-        from repro.hashes.batch_sha3 import (
-            sha3_256_batch_seeds_suffixed,
-            sha3_256_digest_to_words,
-        )
 
-        start = _time.perf_counter()
-        target_words = sha3_256_digest_to_words(target_digest)
+        engine = self.describe()
+        start = time.perf_counter()
+
+        def result(found_seed=None, distance=None, timed_out=False) -> SearchResult:
+            return SearchResult(
+                found_seed is not None, found_seed, distance, hashed,
+                time.perf_counter() - start, timed_out=timed_out, engine=engine,
+            )
+
+        target_words = self.algo.digest_to_words(target_digest)
         base_words = seed_to_words(base_seed)
         hashed = 1
-        if self.algo.scalar(base_seed + self.nonce) == target_digest:
-            return SearchResult(
-                True, base_seed, 0, hashed, _time.perf_counter() - start
-            )
+        if self.algo.hash_seed(base_seed + self.nonce) == target_digest:
+            return result(base_seed, 0)
         for distance in range(1, max_distance + 1):
             total = binomial(SEED_BITS, distance)
             for lo in range(0, total, self.batch_size):
@@ -274,70 +255,19 @@ class _NonceBindingEngine(EngineWrapper):
                 positions = unrank_lexicographic_batch(SEED_BITS, distance, ranks)
                 masks = positions_to_mask_words(positions)
                 candidates = base_words[None, :] ^ masks
-                digests = sha3_256_batch_seeds_suffixed(candidates, self.nonce)
+                digests = self.algo.hash_seeds_suffixed(candidates, self.nonce)
                 hashed += candidates.shape[0]
                 matches = np.flatnonzero((digests == target_words).all(axis=1))
                 if matches.size:
-                    found = words_to_seed(candidates[int(matches[0])])
-                    return SearchResult(
-                        True, found, distance, hashed,
-                        _time.perf_counter() - start,
+                    return result(
+                        words_to_seed(candidates[int(matches[0])]), distance
                     )
                 if (
                     time_budget is not None
-                    and _time.perf_counter() - start > time_budget
+                    and time.perf_counter() - start > time_budget
                 ):
-                    return SearchResult(
-                        False, None, None, hashed,
-                        _time.perf_counter() - start, timed_out=True,
-                    )
-        return SearchResult(
-            False, None, None, hashed, _time.perf_counter() - start
-        )
-
-    def _search_scalar(
-        self,
-        base_seed: bytes,
-        target_digest: bytes,
-        max_distance: int,
-        time_budget: float | None,
-    ) -> SearchResult:
-        import time as _time
-
-        from repro._bitutils import SEED_BITS, flip_bits
-        from repro.combinatorics.algorithm382 import Algorithm382Iterator
-
-        start = _time.perf_counter()
-        hashed = 0
-
-        hashed += 1
-        if self.algo.scalar(base_seed + self.nonce) == target_digest:
-            return SearchResult(
-                True, base_seed, 0, hashed, _time.perf_counter() - start
-            )
-        for distance in range(1, max_distance + 1):
-            iterator = Algorithm382Iterator(SEED_BITS, distance)
-            while True:
-                candidate = flip_bits(base_seed, iterator.current())
-                hashed += 1
-                if self.algo.scalar(candidate + self.nonce) == target_digest:
-                    return SearchResult(
-                        True, candidate, distance, hashed,
-                        _time.perf_counter() - start,
-                    )
-                if (
-                    time_budget is not None
-                    and _time.perf_counter() - start > time_budget
-                ):
-                    return SearchResult(
-                        False, None, None, hashed,
-                        _time.perf_counter() - start, timed_out=True,
-                    )
-                if not iterator.advance():
-                    break
-        return SearchResult(
-            False, None, None, hashed, _time.perf_counter() - start
-        )
+                    return result(timed_out=True)
+        return result()
 
 
 class SecureClientSession:
@@ -365,4 +295,4 @@ class SecureClientSession:
                 bits, reference, self.device.noise_target_distance, self.device._rng
             )
         seed = np.packbits(bits).tobytes()
-        return get_hash(challenge.hash_name).scalar(seed + secure.nonce)
+        return get_hash(challenge.hash_name).hash_seed(seed + secure.nonce)

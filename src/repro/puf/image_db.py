@@ -33,7 +33,7 @@ import pathlib
 
 import numpy as np
 
-from repro.hashes.sha3 import sha3_256
+from repro.hashes.native import sha3_256
 from repro.keygen.aes import AES128
 from repro.puf.ternary import TernaryMask
 

@@ -68,7 +68,7 @@ class VerifyingAuthority:
             outstanding = list(self._digests.get(key, ()))
         if outstanding:
             algo = get_hash(self._authority.hash_name)
-            digest = algo.scalar(found_seed)
+            digest = algo.hash_seed(found_seed)
             if digest in outstanding:
                 with self._lock:
                     recorded = self._digests.get(key)

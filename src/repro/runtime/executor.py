@@ -418,11 +418,13 @@ class BatchSearchExecutor:
         breakdown: bool = False,
         distance: int = 3,
     ) -> float | dict[str, float]:
-        """Measured hashes/second of this executor's kernel on this host.
+        """Measured hashes/second of the from-spec batch kernel on this host.
 
         Feeds the device-model calibration cross-checks: the paper's
         throughput constants are scaled, but the *relative* costs between
-        hash algorithms come out of probes like this one.
+        hash algorithms come out of probes like this one — so it times
+        ``algo.batch``, the reproduced algorithm, not the native digest
+        ``search`` serves with.
 
         With ``breakdown=True`` the probe times each pipeline stage
         separately — unrank, mask build, hash, compare — and returns a
@@ -435,7 +437,7 @@ class BatchSearchExecutor:
         words = words.astype(np.uint64)
         if not breakdown:
             start = time.perf_counter()
-            self.algo.hash_seeds_batch(words, fixed_padding=self.fixed_padding)
+            self.algo.batch(words, fixed_padding=self.fixed_padding)
             elapsed = time.perf_counter() - start
             return num_seeds / elapsed
 
@@ -454,7 +456,7 @@ class BatchSearchExecutor:
         base_words = words[0]
         start = time.perf_counter()
         candidate_words = base_words[None, :] ^ masks
-        digests = self.algo.hash_seeds_batch(
+        digests = self.algo.batch(
             candidate_words, fixed_padding=self.fixed_padding
         )
         timings["hash"] = time.perf_counter() - start

@@ -91,6 +91,17 @@ class TestSalting:
         seed = rng.bytes(32)
         assert HashChainSalt(b"ctx-a").apply(seed) != HashChainSalt(b"ctx-b").apply(seed)
 
+    def test_hash_chain_salted_seed_is_pinned_to_from_spec_sha3(self):
+        """Issued keys derive from S': it is the from-spec digest, byte for byte."""
+        from repro.hashes.sha3 import sha3_256
+
+        seed = bytes(range(32))
+        salted = HashChainSalt().apply(seed)
+        assert salted == bytes.fromhex(
+            "385ddb0aec8d7e19a3360dbce9027534719cca4780c3be4546c8fee7b8bdbfb0"
+        )
+        assert salted == sha3_256(seed + b"rbc-salted/v1")
+
     def test_hash_chain_requires_context(self):
         with pytest.raises(ValueError):
             HashChainSalt(b"")

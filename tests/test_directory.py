@@ -41,6 +41,17 @@ class TestConsistentHashRing:
             assert len(replicas) == len(set(replicas)) == 3
             assert replicas == ring.replicas_for(key, 3)
 
+    def test_ring_points_are_pinned_to_from_spec_sha3(self):
+        """Placement is persistent state: a ring point is the from-spec digest."""
+        from repro.directory.hashring import _point
+        from repro.hashes.sha3 import sha3_256
+
+        label = "tenant-a/client-0007"
+        assert _point(label) == 14607041676604648428
+        assert _point(label) == int.from_bytes(sha3_256(label.encode())[:8], "big")
+        ring = ConsistentHashRing([f"shard-{i}" for i in range(4)])
+        assert ring.replicas_for(label, 2) == ("shard-3", "shard-1")
+
     def test_primary_is_first_replica(self):
         ring = ConsistentHashRing(["a", "b", "c"])
         assert ring.primary_for("key") == ring.replicas_for("key", 2)[0]

@@ -97,6 +97,37 @@ class TestHashProperties:
             for i, seed in enumerate(seeds):
                 assert (batch[i] == algo.digest_to_words(algo.scalar(seed))).all()
 
+    @given(
+        st.lists(seeds_strategy, max_size=4),
+        st.integers(0, 508),
+        st.integers(0, 2**32 - 1),
+        st.binary(max_size=103),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_native_batch_matches_from_spec_kernels(
+        self, edge_seeds, random_rows, rng_seed, suffix
+    ):
+        """Any batch (≤ 512 rows): native digests are the from-spec arrays."""
+        from repro.hashes import native
+        from repro.hashes.batch_sha3 import sha3_256_batch_seeds_suffixed
+        from repro.hashes.registry import available_hashes, get_hash
+
+        drawn = np.random.default_rng(rng_seed).integers(
+            0, 1 << 64, size=(random_rows, 4), dtype=np.uint64
+        )
+        words = np.concatenate([seeds_to_words(edge_seeds), drawn])
+        for name in available_hashes():
+            algo = get_hash(name)
+            expected = algo.batch(words)
+            got = native.digest_batch(name, words)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert (got == expected).all()
+            assert (algo.hash_seeds_batch(words) == expected).all()
+        assert (
+            native.digest_batch("sha3-256", words, suffix)
+            == sha3_256_batch_seeds_suffixed(words, suffix)
+        ).all()
+
 
 class TestCipherProperties:
     @given(

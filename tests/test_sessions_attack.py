@@ -117,6 +117,31 @@ class TestSecureSessions:
             manager.install_mac_key("x", b"short")
 
 
+class TestNonceBoundSearch:
+    """One vectorized body for every hash: same walk, same counts."""
+
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha256", "sha3-256", "sha512"])
+    def test_every_hash_walks_shells_in_rank_order(self, hash_name, rng):
+        from repro._bitutils import flip_bits
+        from repro.engines import build_engine
+        from repro.hashes.registry import get_hash
+        from repro.net.session import _NonceBindingEngine
+
+        base, nonce = rng.bytes(32), rng.bytes(16)
+        planted = flip_bits(base, [3, 200])
+        algo = get_hash(hash_name)
+        bound = _NonceBindingEngine(
+            build_engine(f"batch:{hash_name},bs=4096"), hash_name, nonce
+        )
+        result = bound.search(base, algo.scalar(planted + nonce), 2)
+        assert (result.found, result.seed, result.distance) == (True, planted, 2)
+        # {3, 200} ranks 958th of the 2-subsets: the shell's first 4096-row batch.
+        assert result.seeds_hashed == 1 + 256 + 4096
+        assert result.engine == bound.describe()
+        miss = bound.search(base, algo.scalar(planted + nonce), 1)
+        assert not miss.found and miss.seeds_hashed == 1 + 256
+
+
 class TestOpponent:
     def test_brute_force_never_wins_in_budget(self, rng):
         from repro.hashes.sha3 import sha3_256
