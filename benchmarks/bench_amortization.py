@@ -5,17 +5,18 @@ do not depend on the seed (combination unranking, mask building, worker
 spawn) should be paid once, not per request. This bench measures exactly
 that boundary on the ``pool:`` engine:
 
-* **cold** — the first search on a fresh engine: pays worker-pool spawn
-  plus mask-plan building for every shell slice;
+* **cold** — building the engine and its first search: pays the worker
+  forks plus mask-plan building for every shell chunk;
 * **warm** — the steady state the CA serves from: plans hit the cache,
-  the pool is already running, per-candidate work is XOR + hash +
-  compare.
+  the workers are already running and have them mapped, per-candidate
+  work is XOR + hash + compare.
 
 The client seed is planted at rank 0 of the deepest shell, so every
 search runs the same deterministic workload (all shallower shells
 exhausted, one kernel batch at the deepest) — the paper's "found at
-distance d" request shape. The fork-per-call ``parallel:`` engine is
-measured once as the pre-amortization baseline.
+distance d" request shape. The same engine built, used for one search
+and closed (``parallel:``, forks inside the clock, plans warm) is
+measured once as the fork-per-call baseline.
 
 The gate itself is ``repro amortization`` (:mod:`repro.gates`); this file
 is its reduced-scale pytest entry::

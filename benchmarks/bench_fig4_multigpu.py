@@ -6,8 +6,7 @@ multi-process strong-scaling run on this host cross-checks that the
 data-parallel split + early-exit-flag structure actually scales.
 """
 
-import numpy as np
-from conftest import comparison_table, record_report
+from conftest import comparison_table, quiet_sweep_seconds, record_report
 
 from repro.analysis.tables import format_table
 from repro.devices import speedup_curve
@@ -77,46 +76,37 @@ def test_fig4_reproduction(benchmark, report):
 
 
 def test_real_multiprocess_scaling(benchmark, report):
-    """Strong scaling of the real multiprocessing engine on this host.
+    """Strong scaling of the real worker processes on this host.
 
-    Reduced scale (exhaustive d=2 without a match, SHA-1) so the run
-    stays in seconds; checks speedup > 1 and the early-exit flag works.
+    Reduced scale (exhaustive d=2 without a match) so the run stays in
+    seconds; the ``parallel:`` engine's workers are warm, as the paper's
+    GPUs are when its search clock starts.
     """
-    import multiprocessing
-    import time
+    import os
 
-    from repro._bitutils import flip_bits
-    from repro.hashes.sha1 import sha1
-    from repro.engines import build_engine
+    from repro.hashes.sha3 import sha3_256
 
-    rng = np.random.default_rng(3)
-    base = rng.bytes(32)
-    absent = sha1(rng.bytes(32))
-    benchmark(lambda: sha1(base))
+    benchmark(lambda: sha3_256(bytes(32)))
 
-    available = multiprocessing.cpu_count()
-    worker_counts = [w for w in (1, 2, 4) if w <= available]
-    times = {}
-    for workers in worker_counts:
-        executor = build_engine(f"parallel:sha1,w={workers},bs=2048")
-        start = time.perf_counter()
-        result = executor.search(base, absent, 2)
-        times[workers] = time.perf_counter() - start
-        assert not result.found
+    available = len(os.sched_getaffinity(0))
+    worker_counts = tuple(w for w in (1, 2, 4) if w <= available)
+    times = quiet_sweep_seconds(worker_counts)
 
     rows = [
-        [w, f"{times[w]:.2f}", f"{times[worker_counts[0]] / times[w]:.2f}x"]
+        [w, f"{times[w] * 1e3:.1f}", f"{times[1] / times[w]:.2f}x"]
         for w in worker_counts
     ]
     record_report(
         "fig4_real_host_scaling",
         format_table(
-            ["workers", "seconds", "speedup"],
+            ["workers", "ms / sweep", "speedup"],
             rows,
-            title="Real multiprocessing strong scaling (exhaustive d=2, this host)",
+            title=(
+                "Real multiprocess strong scaling (parallel:sha3-256,bs=16384, "
+                "exhaustive d=2, this host)"
+            ),
         ),
     )
     if len(worker_counts) > 1:
-        # Process startup costs bound small-scale speedup; just require
-        # parallelism to help at all.
-        assert times[worker_counts[-1]] < times[1] * 1.05
+        # Pinned workers over shared plans: more of them must help.
+        assert times[worker_counts[-1]] < times[1]

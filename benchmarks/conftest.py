@@ -36,6 +36,46 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(text)
 
 
+def quiet_sweep_seconds(
+    worker_counts: tuple[int, ...],
+    hash_name: str = "sha3-256",
+    batch_size: int = 16384,
+    sweeps: int = 12,
+) -> dict[int, float]:
+    """Per worker count, the quiet-most exhaustive d=2 sweep (absent
+    target) of the ``parallel:`` engine — one ``host`` device on that many
+    pinned processes. The engines are warm (forks and plan build are paid
+    before the clock starts, as a server pays them once) and take turns
+    sweep by sweep, so that a slow spell of the host falls on all alike."""
+    import contextlib
+    import time
+
+    import numpy as np
+
+    from repro.engines import build_engine, engine_target
+
+    rng = np.random.default_rng(17)
+    base = rng.bytes(32)
+    quiet: dict[int, float] = {}
+    with contextlib.ExitStack() as stack:
+        engines = {
+            workers: stack.enter_context(
+                build_engine(f"parallel:{hash_name},w={workers},bs={batch_size}")
+            )
+            for workers in worker_counts
+        }
+        absent = engine_target(engines[worker_counts[0]], rng.bytes(32))
+        for sweep in range(1 + sweeps):  # the first one warms up
+            for workers, engine in engines.items():
+                start = time.perf_counter()
+                result = engine.search(base, absent, 2)
+                seconds = time.perf_counter() - start
+                assert not result.found and result.seeds_hashed == 1 + 256 + 32640
+                if sweep:
+                    quiet[workers] = min(seconds, quiet.get(workers, seconds))
+    return quiet
+
+
 def comparison_table(title: str, rows: list[tuple[str, float, float]]) -> str:
     """Render (quantity, paper, measured) rows with deviation column."""
     from repro.analysis.tables import format_table

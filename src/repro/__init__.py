@@ -36,7 +36,7 @@ from repro.core import (
     DEFAULT_TIME_THRESHOLD,
 )
 from repro.engines import build_engine
-from repro.runtime import BatchSearchExecutor, ParallelSearchExecutor
+from repro.runtime import BatchSearchExecutor
 
 __all__ = [
     "__version__",
@@ -48,7 +48,6 @@ __all__ = [
     "RegistrationAuthority",
     "DEFAULT_TIME_THRESHOLD",
     "BatchSearchExecutor",
-    "ParallelSearchExecutor",
     "build_engine",
     "quick_setup",
 ]

@@ -14,8 +14,6 @@ from repro.engines.registry import register_engine
 from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 from repro.runtime.executor import BatchSearchExecutor
 from repro.runtime.original_batch import BatchOriginalRBCSearch
-from repro.runtime.parallel import ParallelSearchExecutor
-from repro.runtime.pool import PooledSearchExecutor
 from repro.fleet.engine import FleetSearchEngine
 
 __all__: list[str] = []
@@ -45,9 +43,66 @@ def _build_batch(
     )
 
 
+def _describe_as(
+    engine: FleetSearchEngine,
+    name: str,
+    *,
+    iterator: str,
+    cache: bool,
+    warm: int = 0,
+    workers: bool = False,
+) -> FleetSearchEngine:
+    """Have the one-``host`` dispatcher answer ``describe()`` under the
+    registry name it was asked for by (``sched`` / ``pool`` / ``parallel``)."""
+    spec = f"{name}:{engine.hash_name}"
+    if workers:
+        spec += f",workers={engine.workers}"
+    spec += f",bs={engine.batch_size}"
+    if iterator != "unrank":
+        spec += f",it={iterator}"
+    if not cache:
+        spec += ",cache=no"
+    if warm:
+        spec += f",warm={warm}"
+    engine.scheduler.spec_string = spec
+    return engine
+
+
+def _host_on_workers(
+    name: str,
+    *,
+    hash_name: str,
+    workers: int | None,
+    batch_size: int,
+    iterator: str,
+    fixed_padding: bool,
+    hooks: EngineHooks | None,
+    cache: bool = True,
+    warm: int = 0,
+) -> FleetSearchEngine:
+    """``pool`` and ``parallel``: the dispatcher over one ``host`` device
+    whose worker set has ``workers`` processes (1: the device thread
+    itself)."""
+    engine = FleetSearchEngine(
+        "host",
+        hash_name=hash_name,
+        batch_size=batch_size,
+        iterator=iterator,
+        fixed_padding=fixed_padding,
+        hooks=hooks,
+        cache=cache,
+        warm=warm,
+        workers=workers,
+    )
+    return _describe_as(
+        engine, name, iterator=iterator, cache=cache, warm=warm, workers=True
+    )
+
+
 @register_engine(
     "parallel",
-    description="Multiprocessing SALTED search with a shared early-exit flag",
+    description="One host device hashing on `workers` pinned processes "
+    "(default: the cpuset); the SALTED-CPU analogue",
     aliases={"w": "workers"},
 )
 def _build_parallel(
@@ -57,8 +112,9 @@ def _build_parallel(
     iterator: str = "unrank",
     fixed_padding: bool = True,
     hooks: EngineHooks | None = None,
-) -> ParallelSearchExecutor:
-    return ParallelSearchExecutor(
+) -> FleetSearchEngine:
+    return _host_on_workers(
+        "parallel",
         hash_name=hash_name,
         workers=workers,
         batch_size=batch_size,
@@ -70,7 +126,8 @@ def _build_parallel(
 
 @register_engine(
     "pool",
-    description="Warm persistent-pool SALTED search with shared mask plans",
+    description="One host device hashing on `workers` pinned processes "
+    "that read the shared mask plans",
     aliases={"w": "workers"},
 )
 def _build_pool(
@@ -82,8 +139,9 @@ def _build_pool(
     hooks: EngineHooks | None = None,
     cache: bool = True,
     warm: int = 0,
-) -> PooledSearchExecutor:
-    return PooledSearchExecutor(
+) -> FleetSearchEngine:
+    return _host_on_workers(
+        "pool",
         hash_name=hash_name,
         workers=workers,
         batch_size=batch_size,
@@ -128,13 +186,7 @@ def _build_sched(
         fairness_cap=fairness_cap,
         aging_seconds=aging_seconds,
     )
-    spec = f"sched:{engine.hash_name},bs={batch_size}"
-    if iterator != "unrank":
-        spec += f",it={iterator}"
-    if not cache:
-        spec += ",cache=no"
-    engine.scheduler.spec_string = spec
-    return engine
+    return _describe_as(engine, "sched", iterator=iterator, cache=cache)
 
 
 @register_engine(

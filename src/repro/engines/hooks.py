@@ -7,7 +7,7 @@ all observe searches through this one interface instead of each
 inventing its own counters.
 
 ``on_amortization``, ``on_schedule``, and ``on_fleet`` are *optional*
-extensions: amortized-pipeline engines (plan cache / warm pool) call
+extensions: amortized-pipeline engines (plan cache) call
 ``on_amortization`` once per search with that search's
 :class:`~repro.engines.result.AmortizationStats`, the scheduler
 (:mod:`repro.sched`) calls ``on_schedule`` once per request — at

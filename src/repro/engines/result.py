@@ -72,23 +72,25 @@ def merge_shells(
 class AmortizationStats:
     """Amortized-pipeline extension: what this search reused vs. rebuilt.
 
-    Populated by engines that consult the mask-plan cache or run on the
-    persistent worker pool (``batch:...,cache=yes`` and ``pool:`` specs).
+    Populated by engines that consult the mask-plan cache
+    (``batch:...,cache=yes`` and every dispatcher spec).
     ``plan_hits``/``plan_misses`` count cache lookups for this search's
-    mask plans; ``pool_reused`` is True when the search ran on an
-    already-warm pool instead of paying a fork/join.
+    mask plans. The ``pool_*`` / ``workers_spawned`` fields describe an
+    engine's worker processes; no engine stamps them on a result — the
+    ``amortization`` gate fills them in its record from the worker set's
+    own counters (:class:`repro.fleet.workers.WorkerSet`).
     """
 
     plan_hits: int = 0
     plan_misses: int = 0
     #: Bytes of mask plans currently resident in the process-wide cache.
     plan_bytes: int = 0
-    #: Searches this pool has served since its workers were spawned
-    #: (including this one); 0 for engines without a pool.
+    #: Searches served since the workers were forked (including this one).
     pool_searches: int = 0
+    #: True when the search forked no worker process.
     pool_reused: bool = False
-    #: Worker processes spawned over the pool's lifetime (a healthy warm
-    #: pool spawns exactly ``workers`` once, then never again).
+    #: Worker processes forked over the engine's lifetime (a healthy set
+    #: forks ``workers`` once, then never again).
     workers_spawned: int = 0
 
 

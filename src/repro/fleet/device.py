@@ -4,7 +4,9 @@ A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
 * its own :class:`~repro.sched.batcher.ContinuousBatcher` (the kernel
-  path — per-device so batch counters and fairness state stay local);
+  path — per-device so batch counters and fairness state stay local),
+  which splits wide batches over the engine's one
+  :class:`~repro.fleet.workers.WorkerSet` when it was given it;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -18,7 +20,8 @@ again after it. The second check is what guarantees re-dispatch of
 in-flight work: a device killed mid-hash discards its results and raises
 :class:`~repro.devices.flaky.DeviceFailure`, so the dispatcher replays
 the batch's chunks on a survivor instead of trusting output from a
-device that died under it.
+device that died under it. A worker process dying under a batch is the
+same failure, found the same way.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,6 +39,8 @@ from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 
 from repro.sched.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
+
+from repro.fleet.workers import WorkerLost, WorkerSet
 
 __all__ = ["FleetDevice"]
 
@@ -62,12 +68,13 @@ class FleetDevice:
         weight: float = 1.0,
         fairness_window: int = 64,
         breaker: CircuitBreaker | None = None,
+        workers: WorkerSet | None = None,
     ):
         if weight <= 0:
             raise ValueError("weight must be positive")
         self.name = name
         self.algo = algo
-        self.batcher = ContinuousBatcher(algo, fixed_padding)
+        self.batcher = ContinuousBatcher(algo, fixed_padding, workers)
         self.model = model
         #: Fault stream discovered on the model (FlakyDeviceModel), if any.
         self.injector = getattr(model, "injector", None)
@@ -127,10 +134,13 @@ class FleetDevice:
         an idle dead device and successful probes close a half-open one
         (probation -> reinstatement). The fault injector is *not*
         consulted: probes observe health, they do not advance which
-        searches fail. The row goes through ``hash_seeds_batch`` — the
-        call ``run_batch`` serves with — so a heartbeat exercises the
-        code a search would; one row costs a few microseconds, which an
-        idle fleet heartbeating continuously can afford.
+        searches fail. The row goes through ``hash_seeds_batch`` on this
+        thread, as a narrow batch does in ``run_batch``; the worker
+        processes that wide batches go to are checked for being alive
+        and a missing one is forked again, which is how a device that
+        lost a worker comes back from quarantine. Either costs
+        microseconds, which an idle fleet heartbeating continuously can
+        afford.
         """
         self.probes += 1
         ok = not self.killed
@@ -138,6 +148,8 @@ class FleetDevice:
             ok = bool(self.model.health_probe())
         if ok:
             try:
+                if self.batcher.workers is not None:
+                    self.batcher.workers.revive()
                 self.algo.hash_seeds_batch(_PROBE_WORDS)
             except Exception:
                 ok = False
@@ -153,9 +165,9 @@ class FleetDevice:
         """Run one fused batch, subject to this device's faults.
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
-        when the device is killed or its fault stream schedules a
-        failure; a scheduled slowdown stretches real wall time and the
-        reported per-slice seconds.
+        when the device is killed, its fault stream schedules a failure,
+        or a worker process died under the batch; a scheduled slowdown
+        stretches real wall time and the reported per-slice seconds.
         """
         if self.killed:
             self._fail()
@@ -163,7 +175,10 @@ class FleetDevice:
         if fault == "fail":
             self._fail()
         start = time.perf_counter()
-        outcomes = self.batcher.run(list(slices))
+        try:
+            outcomes = self.batcher.run(list(slices))
+        except WorkerLost:
+            self._fail()
         if fault == "slow":
             self.slowdowns += 1
             factor = getattr(
@@ -197,7 +212,7 @@ class FleetDevice:
         )
         return outcomes
 
-    def _fail(self) -> None:
+    def _fail(self) -> NoReturn:
         self.failures += 1
         self.breaker.record_failure()
         raise DeviceFailure(self.name, self.batches)

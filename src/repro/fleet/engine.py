@@ -6,7 +6,15 @@ wrappers, the serving layer, and the equivalence tests treat the
 dispatcher like any other engine. A blocking :meth:`~FleetSearchEngine.search`
 submits one request and waits for its ticket; the serving layer uses
 :meth:`~FleetSearchEngine.submit` to keep many requests in flight. The
-``sched`` spec builds the same engine over a single ``host`` device.
+``sched`` spec builds the same engine over a single ``host`` device, and
+``pool`` / ``parallel`` that engine with a chosen number of worker
+processes.
+
+The host's cores belong to the engine, not to a device: one
+:class:`~repro.fleet.workers.WorkerSet`, sized to the process's cpuset
+and forked here before any dispatcher thread exists, hashes the wide
+batches of every device (a modeled ``gpu`` or a second ``host`` is still
+this machine).
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
@@ -27,6 +35,8 @@ Token grammar (resolved per device, left to right):
 
 from __future__ import annotations
 
+import weakref
+
 from repro.devices.flaky import FlakyDeviceModel
 from repro.engines.hooks import EngineHooks
 from repro.engines.result import SearchResult
@@ -40,6 +50,7 @@ from repro.sched.units import DEFAULT_CHUNK_RANKS
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
+from repro.fleet.workers import WorkerSet
 
 __all__ = ["FleetSearchEngine", "DEVICE_WEIGHTS"]
 
@@ -67,6 +78,7 @@ def _build_device(
     slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
+    workers: WorkerSet,
 ) -> FleetDevice:
     base = _base_name(token)
     if base not in DEVICE_WEIGHTS:
@@ -96,6 +108,7 @@ def _build_device(
             failure_threshold=failure_threshold,
             recovery_seconds=recovery_seconds,
         ),
+        workers=workers,
     )
 
 
@@ -129,7 +142,10 @@ class FleetSearchEngine:
         slow_factor: float = 8.0,
         scheduler: FleetScheduler | None = None,
         tenants: TenantRegistry | None = None,
+        workers: int | None = None,
     ):
+        #: The processes behind every device; None over a borrowed scheduler.
+        self.worker_set: WorkerSet | None = None
         if scheduler is not None:
             self.scheduler = scheduler
             return
@@ -151,36 +167,47 @@ class FleetSearchEngine:
             ),
             tenants=tenants,
         )
-        fleet_devices = [
-            _build_device(
-                token,
-                index,
-                executor.algo,
-                fixed_padding=fixed_padding,
-                fairness_window=policy.config.fairness_window,
-                fault_seed=fault_seed,
-                episodes=fault_episodes,
-                episode_length=fault_episode_length,
-                slow_factor=slow_factor,
-                failure_threshold=failure_threshold,
-                recovery_seconds=recovery_seconds,
+        # ``workers=None`` is the cpuset; only ``pool`` / ``parallel`` say.
+        self.worker_set = WorkerSet(executor.algo, fixed_padding, workers)
+        # A dropped engine must not leave its processes to interpreter exit.
+        self._reap_workers = weakref.finalize(self, self.worker_set.close)
+        try:
+            fleet_devices = [
+                _build_device(
+                    token,
+                    index,
+                    executor.algo,
+                    fixed_padding=fixed_padding,
+                    fairness_window=policy.config.fairness_window,
+                    fault_seed=fault_seed,
+                    episodes=fault_episodes,
+                    episode_length=fault_episode_length,
+                    slow_factor=slow_factor,
+                    failure_threshold=failure_threshold,
+                    recovery_seconds=recovery_seconds,
+                    workers=self.worker_set,
+                )
+                for index, token in enumerate(tokens)
+            ]
+            spec = (
+                f"fleet:{','.join(tokens)},hash={executor.hash_name},bs={batch_size}"
             )
-            for index, token in enumerate(tokens)
-        ]
-        spec = f"fleet:{','.join(tokens)},hash={executor.hash_name},bs={batch_size}"
-        self.scheduler = FleetScheduler(
-            fleet_devices,
-            executor,
-            hooks=hooks,
-            chunk_ranks=max(chunk_ranks, batch_size),
-            max_queue=max_queue,
-            policy=policy,
-            heartbeat_seconds=heartbeat_seconds,
-            hedge_factor=hedge_factor if hedge_factor > 0 else None,
-            hedge_min_seconds=hedge_min_seconds,
-            no_device_grace=no_device_grace,
-            spec_string=spec,
-        )
+            self.scheduler = FleetScheduler(
+                fleet_devices,
+                executor,
+                hooks=hooks,
+                chunk_ranks=max(chunk_ranks, batch_size),
+                max_queue=max_queue,
+                policy=policy,
+                heartbeat_seconds=heartbeat_seconds,
+                hedge_factor=hedge_factor if hedge_factor > 0 else None,
+                hedge_min_seconds=hedge_min_seconds,
+                no_device_grace=no_device_grace,
+                spec_string=spec,
+            )
+        except BaseException:
+            self._reap_workers()
+            raise
 
     # -- engine geometry (what wrappers and engine_target read) ---------
 
@@ -196,6 +223,11 @@ class FleetSearchEngine:
     @property
     def batch_size(self) -> int:
         return self.scheduler.batch_size
+
+    @property
+    def workers(self) -> int:
+        """Cores a wide batch is hashed on (1: the device thread itself)."""
+        return self.worker_set.workers if self.worker_set is not None else 1
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""
@@ -248,8 +280,11 @@ class FleetSearchEngine:
     # -- lifecycle ------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
-        """Close the underlying fleet (see ``FleetScheduler.close``)."""
+        """Close the underlying fleet (see ``FleetScheduler.close``), then
+        join the worker processes; safe to call twice."""
         self.scheduler.close(drain=drain)
+        if self.worker_set is not None:
+            self._reap_workers()
 
     def __enter__(self) -> "FleetSearchEngine":
         return self

@@ -44,7 +44,6 @@ from repro.engines.result import DirectoryStats, SearchResult
 from repro.net.errors import ServerClosed
 from repro.net.messages import AuthenticationResult
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
-from repro.runtime.pool import PooledSearchExecutor
 from repro.sched.errors import (
     SHED_DIRECTORY_UNAVAILABLE,
     SHED_TENANT_QUOTA,
@@ -570,12 +569,9 @@ class ConcurrentCAServer:
         searches drain to completion; with ``wait=False`` queued work is
         cancelled (pool) or shed with reason ``"shutdown"``
         (dispatcher) — either way every outstanding future settles
-        before this method returns.
-
-        If the authority's search backend is a persistent-pool engine,
-        its worker processes are released too — the server was the thing
-        keeping them warm. The engine re-spawns its pool transparently if
-        the authority is used again afterwards.
+        before this method returns. Closing the dispatcher joins its
+        worker processes; an engine the authority holds without handing
+        it to this server stays its owner's to close.
         """
         with self._lock:
             if self._closed:
@@ -589,10 +585,6 @@ class ConcurrentCAServer:
         self._pool.shutdown(wait=True, cancel_futures=not wait)
         if self.scheduler is not None:
             self.scheduler.close(drain=wait)
-        service = getattr(self.authority, "search_service", None)
-        engine = getattr(service, "engine", None)
-        if isinstance(engine, PooledSearchExecutor):
-            engine.close()
 
     def __enter__(self) -> "ConcurrentCAServer":
         return self

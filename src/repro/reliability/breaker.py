@@ -96,8 +96,11 @@ class CircuitBreaker:
             self._probes_in_flight = 0
 
     def transition_names(self) -> tuple[str, ...]:
-        """The transition history as 'from->to' strings."""
+        """The transition history as 'from->to' strings, as of now: an
+        expired open interval counts whether or not anyone has looked at
+        :attr:`state` since."""
         with self._lock:
+            self._maybe_half_open()
             return tuple(f"{a}->{b}" for a, b, _at in self.transitions)
 
     # -- request gating --------------------------------------------------

@@ -5,10 +5,13 @@ Where :mod:`repro.devices` *models* the paper's accelerators, this package
 
 * :mod:`repro.runtime.executor` — single-process, NumPy-vectorized batch
   search (the lane-parallel analogue of one GPU);
-* :mod:`repro.runtime.parallel` — ``multiprocessing`` search with a shared
-  early-exit flag (the analogue of the paper's OpenMP SALTED-CPU,
-  including its termination protocol);
-* :mod:`repro.runtime.partition` — seed-space partitioning shared by both.
+* :mod:`repro.runtime.maskplan` — the shared-memory mask plans every
+  cached search reads;
+* :mod:`repro.runtime.partition` — seed-space partitioning.
+
+The multi-core search (the analogue of the paper's OpenMP SALTED-CPU)
+is the fleet engine's worker set, :mod:`repro.fleet.workers`: ``pool:``
+and ``parallel:`` specs build it.
 
 Reduced-scale runs of these engines validate the device models' control
 flow in the test suite.
@@ -20,7 +23,6 @@ All engines here are registered with :mod:`repro.engines` — prefer
 """
 
 from repro.runtime.executor import BatchSearchExecutor, SearchResult, ShellStats
-from repro.runtime.parallel import ParallelSearchExecutor
 from repro.runtime.partition import partition_ranks, thread_rank_ranges
 from repro.runtime.original_batch import BatchOriginalRBCSearch
 from repro.runtime.cluster import ClusterSearchExecutor, ClusterSearchResult, Interconnect
@@ -29,7 +31,6 @@ __all__ = [
     "BatchSearchExecutor",
     "SearchResult",
     "ShellStats",
-    "ParallelSearchExecutor",
     "partition_ranks",
     "thread_rank_ranges",
     "BatchOriginalRBCSearch",

@@ -15,10 +15,10 @@ Two combination sources are supported, mirroring the paper's Table 4:
   compare iterator costs on real hardware at reduced scale.
 
 The search body itself lives in :meth:`BatchSearchExecutor.search_subspace`
-— one implementation shared by :meth:`~BatchSearchExecutor.search`, the
-fork-per-call parallel engine, and the persistent worker pool, so the
-early-exit, timeout, and telemetry semantics cannot drift apart. With
-``cache=True`` the executor reads XOR masks from the process-wide
+(Algorithm 1 over one rank range per shell); the dispatcher engines
+(``sched:`` / ``fleet:`` / ``pool:`` / ``parallel:``) read the same masks
+through :meth:`BatchSearchExecutor.mask_batches`. With ``cache=True``
+the executor reads XOR masks from the process-wide
 :mod:`~repro.runtime.maskplan` cache instead of re-unranking every
 search, cutting steady-state per-candidate work to XOR + hash + compare.
 """
@@ -44,7 +44,6 @@ from repro.engines.result import AmortizationStats, SearchResult, ShellStats
 from repro.hashes.registry import HashAlgorithm, get_hash
 from repro.runtime.maskplan import (
     ITERATOR_CHOICES,
-    MaskPlan,
     MaskPlanCache,
     combination_batches,
     global_plan_cache,
@@ -64,9 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    """Outcome of one :meth:`BatchSearchExecutor.search_subspace` call.
-
-    The raw per-subspace shape the parallel and pooled engines merge;
+    """Outcome of one :meth:`BatchSearchExecutor.search_subspace` call;
     :meth:`BatchSearchExecutor.search` wraps it into a full
     :class:`~repro.engines.result.SearchResult`.
     """
@@ -77,8 +74,6 @@ class SubspaceReport:
     seeds_hashed: int
     elapsed_seconds: float
     timed_out: bool = False
-    #: True when the shared early-exit flag stopped this subspace.
-    stopped: bool = False
     shells: tuple[ShellStats, ...] = ()
     plan_hits: int = 0
     plan_misses: int = 0
@@ -180,36 +175,6 @@ class BatchSearchExecutor:
             distance, start, stop, self.batch_size, self.iterator
         )
 
-    def _mask_batches(
-        self,
-        distance: int,
-        lo: int,
-        hi: int,
-        counters: list[int],
-        plans: dict[tuple[int, int, int, int, str], MaskPlan] | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Yield ``(N, 4)`` mask-word batches for one shell slice.
-
-        Prefers, in order: a caller-supplied attached plan (pool workers
-        mapping the parent's shared memory), the plan cache, streaming
-        generation. ``counters`` is ``[hits, misses]`` for this search.
-        """
-        plan: MaskPlan | None = None
-        if plans is not None:
-            plan = plans.get((distance, lo, hi, self.batch_size, self.iterator))
-            if plan is not None:
-                counters[0] += 1
-        if plan is None and self._plan_cache is not None:
-            plan, hit = self._plan_cache.get_or_build(
-                distance, lo, hi, self.batch_size, self.iterator
-            )
-            counters[0 if hit else 1] += 1
-        if plan is not None:
-            yield from plan.batches()
-            return
-        for positions in self._combination_batches(distance, lo, hi):
-            yield positions_to_mask_words(positions)
-
     def mask_batches(
         self,
         distance: int,
@@ -219,14 +184,23 @@ class BatchSearchExecutor:
     ) -> Iterator[np.ndarray]:
         """Yield ``(N, 4)`` mask-word batches covering ranks ``[lo, hi)``.
 
-        The public face of the mask pipeline for out-of-module harnesses
-        (the :mod:`repro.sched` work-unit cursors): plan-cache aware when
-        caching is enabled, streaming otherwise. ``counters`` is an
-        optional ``[hits, misses]`` pair this call increments.
+        The one mask pipeline, for the search body here and for the
+        :mod:`repro.sched` work-unit cursors: views of the cached plan
+        when caching is enabled (and the slice fits the cache), streaming
+        generation otherwise. ``counters`` is an optional ``[hits,
+        misses]`` pair this call increments.
         """
-        yield from self._mask_batches(
-            distance, lo, hi, counters if counters is not None else [0, 0]
-        )
+        if self._plan_cache is not None:
+            plan, hit = self._plan_cache.get_or_build(
+                distance, lo, hi, self.batch_size, self.iterator
+            )
+            if counters is not None:
+                counters[0 if hit else 1] += 1
+            if plan is not None:
+                yield from plan.batches()
+                return
+        for positions in self._combination_batches(distance, lo, hi):
+            yield positions_to_mask_words(positions)
 
     # -- search ---------------------------------------------------------
 
@@ -238,25 +212,14 @@ class BatchSearchExecutor:
         rank_ranges: dict[int, tuple[int, int]],
         *,
         time_budget: float | None = None,
-        stop: Callable[[], bool] | None = None,
-        on_found: Callable[[], None] | None = None,
-        check_distance_zero: bool = True,
         on_batch: Callable[[int, int], None] | None = None,
         on_shell: Callable[[ShellStats], None] | None = None,
-        plans: dict[tuple[int, int, int, int, str], MaskPlan] | None = None,
     ) -> SubspaceReport:
-        """Algorithm 1 over one rank-partitioned slice of the ball.
-
-        The shared search body: every engine (single-process, fork-based
-        parallel, persistent pool) runs this exact loop, so early-exit,
-        timeout, and found-seed semantics are identical across them.
+        """Algorithm 1 over one rank range of every shell of the ball.
 
         ``rank_ranges`` maps distance -> ``[lo, hi)``; distances absent
-        from the map (or with empty ranges) are skipped. ``stop`` is the
-        shared early-exit flag, checked before every batch; ``on_found``
-        fires the moment a match is seen (workers raise the flag here,
-        before any reporting). ``check_distance_zero`` mirrors Algorithm
-        1 lines 4-8, where only thread r=0 checks S_init itself.
+        from the map (or with empty ranges) are skipped. S_init itself is
+        checked first (Algorithm 1 lines 4-8).
         """
         start_time = time.perf_counter()
         target_words = self.algo.digest_to_words(target_digest)
@@ -275,7 +238,6 @@ class BatchSearchExecutor:
             seed: bytes | None = None,
             distance: int | None = None,
             timed_out: bool = False,
-            stopped: bool = False,
         ) -> SubspaceReport:
             return SubspaceReport(
                 found=found,
@@ -284,23 +246,19 @@ class BatchSearchExecutor:
                 seeds_hashed=seeds_hashed,
                 elapsed_seconds=time.perf_counter() - start_time,
                 timed_out=timed_out,
-                stopped=stopped,
                 shells=tuple(shells),
                 plan_hits=counters[0],
                 plan_misses=counters[1],
             )
 
-        if check_distance_zero:
-            # Distance 0: thread r=0 checks S_init (Algorithm 1 l.4-8).
-            digest0 = self.algo.hash_seed(base_seed)
-            seeds_hashed += 1
-            if on_batch is not None:
-                on_batch(0, 1)
-            shell_done(ShellStats(0, 1, time.perf_counter() - start_time))
-            if digest0 == target_digest:
-                if on_found is not None:
-                    on_found()
-                return report(True, base_seed, 0)
+        # Distance 0: S_init itself (Algorithm 1 l.4-8).
+        digest0 = self.algo.hash_seed(base_seed)
+        seeds_hashed += 1
+        if on_batch is not None:
+            on_batch(0, 1)
+        shell_done(ShellStats(0, 1, time.perf_counter() - start_time))
+        if digest0 == target_digest:
+            return report(True, base_seed, 0)
 
         for distance in range(1, max_distance + 1):
             lo, hi = rank_ranges.get(distance, (0, 0))
@@ -308,15 +266,7 @@ class BatchSearchExecutor:
                 continue
             shell_start = time.perf_counter()
             shell_hashed = 0
-            for masks in self._mask_batches(distance, lo, hi, counters, plans):
-                if stop is not None and stop():
-                    shell_done(
-                        ShellStats(
-                            distance, shell_hashed,
-                            time.perf_counter() - shell_start,
-                        )
-                    )
-                    return report(False, stopped=True)
+            for masks in self.mask_batches(distance, lo, hi, counters):
                 candidate_words = base_words[None, :] ^ masks
                 digests = self.algo.hash_seeds_batch(
                     candidate_words, fixed_padding=self.fixed_padding
@@ -327,8 +277,6 @@ class BatchSearchExecutor:
                     on_batch(distance, candidate_words.shape[0])
                 matches = np.flatnonzero((digests == target_words).all(axis=1))
                 if matches.size:
-                    if on_found is not None:
-                        on_found()
                     found = words_to_seed(candidate_words[int(matches[0])])
                     shell_done(
                         ShellStats(

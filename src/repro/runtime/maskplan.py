@@ -11,21 +11,25 @@ A :class:`MaskPlan` is the materialized ``(hi - lo, 4)`` uint64 mask
 array for one Hamming-distance shell slice; :class:`MaskPlanCache` is a
 bounded LRU over plans keyed by ``(distance, lo, hi, batch_size,
 iterator)``. Plans are backed by POSIX shared memory when available, so
-the persistent worker pool's processes map the *same* physical pages
-(via :func:`attach_plan`) instead of each re-unranking its slice; on
-platforms without shared memory the cache degrades to process-local
-heap arrays and workers rebuild locally.
+the fleet's worker processes (:mod:`repro.fleet.workers`) map the *same*
+physical pages (via :func:`attach_plan`) and are sent only a
+:class:`PlanDescriptor` and a row range; :func:`shared_rows` tells
+whether a mask array is such a view. On platforms without shared memory
+the cache degrades to process-local heap arrays, which are hashed where
+they are.
 
 Lifecycle: the cache owns its shared-memory segments and unlinks them
-on eviction, :meth:`MaskPlanCache.clear`, and interpreter exit. A
-worker holding a mapping to an evicted segment keeps using it safely
-(POSIX semantics); only *new* attaches fail, and callers fall back to
-streaming mask generation.
+on eviction, :meth:`MaskPlanCache.clear`, and interpreter exit. Whoever
+holds a mapping of an evicted segment — a search still reading its
+views here, a worker that attached it — keeps using it safely (POSIX
+semantics); only *new* attaches fail, and those rows are then hashed by
+the process that still has them mapped.
 """
 
 from __future__ import annotations
 
 import atexit
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -48,6 +52,7 @@ __all__ = [
     "PlanDescriptor",
     "MaskPlanCache",
     "global_plan_cache",
+    "shared_rows",
     "attach_plan",
     "detach_plan",
 ]
@@ -114,7 +119,7 @@ def combination_batches(
 
 @dataclass(frozen=True)
 class PlanDescriptor:
-    """How a pool worker finds a shared plan: segment name + geometry."""
+    """How a worker process finds a shared plan: segment name + geometry."""
 
     shm_name: str
     rows: int
@@ -152,7 +157,7 @@ class MaskPlan:
             yield self.masks[start : start + self.batch_size]
 
     def descriptor(self) -> PlanDescriptor | None:
-        """Attachment descriptor for pool workers; None if heap-backed."""
+        """Attachment descriptor for worker processes; None if heap-backed."""
         if self.shm is None:
             return None
         return PlanDescriptor(
@@ -164,6 +169,32 @@ class MaskPlan:
             batch_size=self.batch_size,
             iterator=self.iterator,
         )
+
+
+class _SegmentRows(np.ndarray):
+    """The array over one whole shared segment.
+
+    Every view of a shared plan ends its ``.base`` chain at this anchor:
+    it keeps the mapping open for as long as any view is alive, and it
+    tells :func:`shared_rows` which segment a view reads.
+    """
+
+    shm: object | None = None
+    descriptor: PlanDescriptor | None = None
+
+
+def shared_rows(masks: np.ndarray) -> tuple[PlanDescriptor, int] | None:
+    """``(descriptor, first row)`` when ``masks`` is a run of whole rows
+    of a shared plan, so that another process can read the same rows
+    through :func:`attach_plan`; ``None`` for heap-backed masks."""
+    anchor = masks
+    while isinstance(anchor.base, np.ndarray):
+        anchor = anchor.base
+    descriptor = getattr(anchor, "descriptor", None)
+    if descriptor is None or not masks.flags.c_contiguous:
+        return None
+    offset = masks.ctypes.data - anchor.ctypes.data
+    return descriptor, offset // _MASK_ROW_BYTES
 
 
 def _build_mask_rows(
@@ -225,9 +256,11 @@ class MaskPlanCache:
                 from multiprocessing import shared_memory
 
                 shm = shared_memory.SharedMemory(create=True, size=nbytes)
-                masks = np.ndarray(
+                anchor = _SegmentRows(
                     (rows, SEED_WORDS64), dtype=np.uint64, buffer=shm.buf
                 )
+                anchor.shm = shm
+                masks = anchor.view(np.ndarray)
                 masks.fill(0)
                 return masks, shm
             except (OSError, ValueError):
@@ -236,9 +269,11 @@ class MaskPlanCache:
 
     @staticmethod
     def _release(plan: MaskPlan) -> None:
+        """Drop the segment's name; its anchor closes the mapping once
+        the last view of the plan is gone (closing it here would pull the
+        pages from under a search still reading them)."""
         if plan.shm is not None:
             try:
-                plan.shm.close()  # type: ignore[attr-defined]
                 plan.shm.unlink()  # type: ignore[attr-defined]
             except OSError:
                 pass
@@ -286,6 +321,8 @@ class MaskPlanCache:
             )
             raise
         plan = MaskPlan(distance, lo, hi, batch_size, iterator, masks, shm)
+        if shm is not None:
+            masks.base.descriptor = plan.descriptor()  # the anchor
         with self._lock:
             self.misses += 1
             existing = self._plans.pop(key, None)
@@ -370,27 +407,29 @@ def global_plan_cache() -> MaskPlanCache:
 # -- worker-side attachment --------------------------------------------
 
 
+#: ``track=False`` (3.13+) attaches without telling a resource tracker.
+_UNTRACKED = {"track": False} if sys.version_info >= (3, 13) else {}
+
+
 def attach_plan(descriptor: PlanDescriptor) -> MaskPlan | None:
-    """Map a shared plan built by the parent; None if it was evicted.
+    """Map a shared plan built by the owning process; None if it was evicted.
 
     The returned plan's ``shm`` handle must be released with
-    :func:`detach_plan` (close only — the parent owns the unlink).
+    :func:`detach_plan` (close only — the owner does the unlink). The
+    caller is the owner itself or a process forked from it once its
+    resource tracker ran (:class:`repro.fleet.workers.WorkerSet` sees to
+    that): before 3.13 an attach registers the name with the tracker it
+    finds, which is then the owner's, where the name already is — and
+    where an ``unregister`` from here would drop the *owner's* entry, so
+    that its unlink trips the tracker and a crashed owner leaks the
+    segment.
     """
     try:
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(name=descriptor.shm_name)
+        shm = shared_memory.SharedMemory(name=descriptor.shm_name, **_UNTRACKED)
     except (OSError, ValueError, ImportError):
         return None
-    # Attaching re-registers the segment with this process's resource
-    # tracker, which would unlink it a second time at worker exit;
-    # unregister — the creating process owns cleanup.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:
-        pass
     masks = np.ndarray(
         (descriptor.rows, SEED_WORDS64), dtype=np.uint64, buffer=shm.buf
     )

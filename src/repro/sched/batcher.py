@@ -16,27 +16,39 @@ Two pieces:
   slices of any requested width, never mixing Hamming distances within
   a slice (plan-cache aware via the executor's mask pipeline);
 * :class:`ContinuousBatcher` — takes the slices the dispatcher
-  assembled, runs the fused XOR + hash + compare, and reports per-slice
-  outcomes (first matching rank wins within a slice, preserving the
-  single-engine candidate order).
+  assembled, runs the fused XOR + hash + compare (:func:`first_matches`,
+  here or — for wide batches over shared plans — on the fleet's worker
+  processes), and reports per-slice outcomes (first matching rank wins
+  within a slice, preserving the single-engine candidate order).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._bitutils import words_to_seed
 from repro.hashes.registry import HashAlgorithm
 from repro.runtime.executor import BatchSearchExecutor
+from repro.runtime.maskplan import PlanDescriptor, shared_rows
 
 from repro.sched.units import WorkUnit
 
-__all__ = ["UnitCursor", "BatchSlice", "SliceOutcome", "ContinuousBatcher"]
+if TYPE_CHECKING:
+    from repro.fleet.workers import WorkerSet
+
+__all__ = [
+    "UnitCursor",
+    "BatchSlice",
+    "SliceOutcome",
+    "first_matches",
+    "ContinuousBatcher",
+]
 
 _ZERO_MASK = np.zeros((1, 4), dtype=np.uint64)
 
@@ -139,6 +151,13 @@ class BatchSlice:
     base_words: np.ndarray  # (4,) uint64 enrolled seed
     target_words: np.ndarray  # digest words this slice compares against
 
+    @property
+    def shared(self) -> tuple[PlanDescriptor, int] | None:
+        """``(plan descriptor, first row)`` when ``masks`` is a view of a
+        shared-memory plan — all a worker process needs to read the same
+        rows — else ``None``."""
+        return shared_rows(self.masks)
+
 
 @dataclass(frozen=True)
 class SliceOutcome:
@@ -153,52 +172,121 @@ class SliceOutcome:
     seconds: float
 
 
-class ContinuousBatcher:
-    """Fused XOR + hash + compare over slices from many requests."""
+def first_matches(
+    algo: HashAlgorithm,
+    fixed_padding: bool,
+    slices: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> list[int | None]:
+    """Fused XOR + hash + compare: per ``(masks, base words, target
+    words)`` slice, the lowest row whose candidate hashes to the target.
 
-    def __init__(self, algo: HashAlgorithm, fixed_padding: bool = True):
+    Every slice's candidates go through one kernel call. The device
+    thread and the worker processes both scan with this, so a row range
+    answers the same wherever it is hashed.
+    """
+    if not slices:
+        return []
+    candidates = [base_words[None, :] ^ masks for masks, base_words, _t in slices]
+    combined = candidates[0] if len(candidates) == 1 else np.concatenate(candidates)
+    digests = algo.hash_seeds_batch(combined, fixed_padding=fixed_padding)
+    found: list[int | None] = []
+    offset = 0
+    for (masks, _base_words, target_words) in slices:
+        rows = masks.shape[0]
+        matches = np.flatnonzero(
+            (digests[offset : offset + rows] == target_words).all(axis=1)
+        )
+        offset += rows
+        found.append(int(matches[0]) if matches.size else None)
+    return found
+
+
+class ContinuousBatcher:
+    """Fused XOR + hash + compare over slices from many requests.
+
+    With a :class:`~repro.fleet.workers.WorkerSet`, the slices of a wide
+    enough batch that are views of shared plans are scanned by the
+    worker processes, a contiguous row range each; everything else —
+    narrow batches, heap-backed masks, a set of one — is hashed on the
+    calling thread. Which of the two scanned a row changes no outcome.
+    """
+
+    def __init__(
+        self,
+        algo: HashAlgorithm,
+        fixed_padding: bool = True,
+        workers: WorkerSet | None = None,
+    ):
         self.algo = algo
         self.fixed_padding = fixed_padding
+        self.workers = workers
         #: Fused batches run / batches carrying more than one request.
         self.batches = 0
         self.shared_batches = 0
 
+    def _sources(
+        self, slices: list[BatchSlice], widths: list[int]
+    ) -> list[tuple[PlanDescriptor, int] | None] | None:
+        """Per slice, where the workers can read it (``None``: hash it
+        here) — or ``None`` when the whole batch stays here. Judged on
+        what the batch is, never on who sent it."""
+        workers = self.workers
+        if workers is None or not workers.worth_splitting(sum(widths)):
+            return None
+        sources = [piece.shared for piece in slices]
+        shared = sum(
+            width for width, source in zip(widths, sources) if source is not None
+        )
+        return sources if workers.worth_splitting(shared) else None
+
     def run(self, slices: list[BatchSlice]) -> list[SliceOutcome]:
-        """Hash every slice's candidates in one kernel call."""
+        """Scan every slice's candidates as one fused batch.
+
+        Raises :class:`~repro.fleet.workers.WorkerLost` when a worker
+        process died under the batch; nothing is reported for it.
+        """
         if not slices:
             return []
         start = time.perf_counter()
-        candidates = [s.base_words[None, :] ^ s.masks for s in slices]
-        combined = candidates[0] if len(candidates) == 1 else np.concatenate(candidates)
-        digests = self.algo.hash_seeds_batch(
-            combined, fixed_padding=self.fixed_padding
-        )
+        widths = [piece.masks.shape[0] for piece in slices]
+        scans = [
+            (piece.masks, piece.base_words, piece.target_words) for piece in slices
+        ]
+        sources = self._sources(slices, widths)
+        hits: list[int | None]
+        if sources is None:
+            hits = first_matches(self.algo, self.fixed_padding, scans)
+        else:
+            assert self.workers is not None
+            far = [i for i, source in enumerate(sources) if source is not None]
+            near = [i for i, source in enumerate(sources) if source is None]
+            far_hits, near_hits = self.workers.scan(
+                [(*sources[i], *scans[i]) for i in far],
+                lambda: first_matches(
+                    self.algo, self.fixed_padding, [scans[i] for i in near]
+                ),
+            )
+            hits = [None] * len(slices)
+            for index, hit in zip(far + near, far_hits + near_hits):
+                hits[index] = hit
         elapsed = time.perf_counter() - start
-        total_rows = combined.shape[0]
+        total_rows = sum(widths)
         self.batches += 1
         if len(slices) > 1:
             self.shared_batches += 1
 
         outcomes: list[SliceOutcome] = []
-        offset = 0
-        for piece, candidate_words in zip(slices, candidates):
-            rows = candidate_words.shape[0]
-            slice_digests = digests[offset : offset + rows]
-            offset += rows
-            matches = np.flatnonzero(
-                (slice_digests == piece.target_words).all(axis=1)
-            )
-            seed = (
-                words_to_seed(candidate_words[int(matches[0])])
-                if matches.size
-                else None
-            )
+        for piece, rows, row in zip(slices, widths, hits):
             outcomes.append(
                 SliceOutcome(
                     key=piece.key,
                     distance=piece.distance,
                     rows=rows,
-                    seed=seed,
+                    seed=(
+                        None
+                        if row is None
+                        else words_to_seed(piece.base_words ^ piece.masks[row])
+                    ),
                     seconds=elapsed * (rows / total_rows),
                 )
             )

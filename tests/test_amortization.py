@@ -1,10 +1,11 @@
-"""Amortized search pipeline: mask-plan cache, warm pool, Keccak kernel.
+"""Amortized search pipeline: mask-plan cache, warm workers, Keccak kernel.
 
 The contract under test is the one the benchmark relies on: caching and
-pooling change *where* the work happens (once, up front) but never *what*
-the search computes — cached and uncached searches are byte-identical,
-the cache honors its memory bound, and a warm pool serves hundreds of
-searches without spawning new processes or leaking descriptors.
+worker processes change *where* the work happens (once, up front; on
+every core) but never *what* the search computes — cached and uncached
+searches are byte-identical, the cache honors its memory bound, and the
+``pool:`` engine's worker set serves hundreds of searches without forking
+new processes or leaking descriptors.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from repro.runtime.maskplan import (
     detach_plan,
     global_plan_cache,
 )
-from repro.runtime.parallel import ParallelSearchExecutor
-from repro.runtime.pool import PooledSearchExecutor, WorkerPool, default_worker_count
+from repro.fleet.workers import default_worker_count
+from repro.sched.errors import SchedulerClosed
 
 #: Restricting d=2 to this rank range keeps the scalar iterators fast.
 D2_RANGE = (0, 2048)
@@ -148,74 +149,75 @@ class TestMaskPlanCache:
         assert global_plan_cache() is global_plan_cache()
 
 
+def _mapped_plans(pid):
+    """Shared-memory plan segments mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted({line.split()[-1] for line in maps if "psm_" in line})
+
+
 class TestWarmPool:
     def test_pool_survives_100_searches_without_leaks(self, base_seed):
-        """One spawn, 100 searches, stable process and descriptor counts."""
+        """One fork, 100 searches, stable process and descriptor counts."""
         hit_seed = flip_bits(base_seed, [7])
         hit_target = hashlib.sha1(hit_seed).digest()
         miss_target = hashlib.sha1(b"no such seed").digest()
-        engine = PooledSearchExecutor(
-            "sha1", workers=2, batch_size=1024,
-            plan_cache=MaskPlanCache(max_bytes=1 << 22),
-        )
+        # 128-row batches would stay on the device thread; d=2 makes
+        # batches the workers take.
+        engine = build_engine("pool:sha1,workers=2,bs=2048")
         try:
-            engine.search(base_seed, hit_target, 1)  # cold: spawn + plans
-            pool = engine.pool
-            assert pool is not None and pool.workers_spawned == 2
+            assert not engine.search(base_seed, miss_target, 2).found  # cold
+            workers = engine.worker_set
+            assert workers.spawned == 2
+            pids = workers.pids()
+            mapped = [_mapped_plans(pid) for pid in pids]
+            assert all(mapped)  # each worker attached the plans it read
             fd_baseline = len(os.listdir("/proc/self/fd"))
             for i in range(99):
+                distance = 2 if i % 10 == 0 else 1
                 target = hit_target if i % 2 == 0 else miss_target
-                result = engine.search(base_seed, target, 1)
+                result = engine.search(base_seed, target, distance)
                 if i % 2 == 0:
                     assert result.found and result.seed == hit_seed
                 else:
                     assert not result.found
-                    assert result.seeds_hashed == 1 + 256
+                    assert result.seeds_hashed >= 1 + 256
                 assert result.amortized is not None
-                assert result.amortized.pool_reused
-                assert result.amortized.workers_spawned == 2
-            assert engine.pool is pool
-            assert pool.searches_served == 100
-            assert pool.workers_spawned == 2
-            assert pool.alive_workers() == 2
+                assert result.amortized.plan_misses == 0
+            assert workers.spawned == 2 and workers.pids() == pids
+            assert workers.batches > 0
+            # Attachments are memoized: the same segments, mapped once.
+            assert [_mapped_plans(pid) for pid in pids] == mapped
             assert len(os.listdir("/proc/self/fd")) <= fd_baseline + 2
         finally:
             engine.close()
-        assert engine.pool is None
+        assert engine.worker_set.pids() == []
 
     def test_pool_close_terminates_workers(self):
-        pool = WorkerPool(workers=2)
-        assert pool.alive_workers() == 2
-        processes = list(pool._processes)
-        pool.close()
-        assert all(not p.is_alive() for p in processes)
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run_search(
-                hash_name="sha1", batch_size=1024, iterator="unrank",
-                fixed_padding=True, base_seed=b"\x00" * 32,
-                target_digest=hashlib.sha1(b"x").digest(), max_distance=1,
-                rank_ranges_by_worker=[{1: (0, 128)}, {1: (128, 256)}],
-                time_budget=None,
-            )
-        pool.close()  # idempotent
+        engine = build_engine("pool:sha1,workers=2,bs=1024")
+        pids = engine.worker_set.pids()
+        assert len(pids) == 2
+        engine.close()
+        assert engine.worker_set.pids() == []
+        for pid in pids:  # reaped, not left as zombies
+            assert not os.path.exists(f"/proc/{pid}")
+        with pytest.raises(SchedulerClosed):
+            engine.search(b"\x00" * 32, hashlib.sha1(b"x").digest(), 1)
+        engine.close()  # idempotent
 
     def test_concurrent_searches_share_one_pool(self, base_seed):
-        """Two threads, one pool: per-search flag slots keep them isolated."""
+        """Two threads, one worker set: a hit does not stop the miss."""
         import threading
 
-        hit_seed = flip_bits(base_seed, [3])
+        hit_seed = flip_bits(base_seed, [3, 40])
         hit_target = hashlib.sha1(hit_seed).digest()
         miss_target = hashlib.sha1(b"no such seed").digest()
-        engine = PooledSearchExecutor(
-            "sha1", workers=2, batch_size=1024,
-            plan_cache=MaskPlanCache(max_bytes=1 << 22),
-        )
+        engine = build_engine("pool:sha1,workers=2,bs=2048")
         results: dict[str, object] = {}
         try:
             engine.search(base_seed, miss_target, 1)  # warm up
 
             def run(name, target):
-                results[name] = engine.search(base_seed, target, 1)
+                results[name] = engine.search(base_seed, target, 2)
 
             threads = [
                 threading.Thread(target=run, args=("hit", hit_target)),
@@ -224,12 +226,12 @@ class TestWarmPool:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
             assert results["hit"].found and results["hit"].seed == hit_seed
             assert not results["miss"].found
-            # The miss search ran to exhaustion: the hit search's
-            # early-exit flag did not leak into its slot.
-            assert results["miss"].seeds_hashed == 1 + 256
+            # The miss search ran to exhaustion: the hit search's early
+            # exit retired its own request only.
+            assert results["miss"].seeds_hashed == 1 + 256 + 32640
         finally:
             engine.close()
 
@@ -239,51 +241,55 @@ class TestServerReusesPool:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, client, mask = small_authority
-        engine = PooledSearchExecutor(
-            authority.hash_name, workers=2, batch_size=8192,
-            plan_cache=MaskPlanCache(),
+        engine = build_engine(
+            "pool", hash_name=authority.hash_name, workers=2, batch_size=8192
         )
         authority.search_service.engine = engine
-        with ConcurrentCAServer(authority, workers=1) as server:
+        with ConcurrentCAServer(authority, workers=1, scheduler=engine) as server:
             for _ in range(3):
                 challenge = authority.issue_challenge(client.client_id)
                 digest = client.respond(challenge, reference_mask=mask)
                 result = server.submit(client.client_id, digest).result(timeout=60)
                 assert result.authenticated
             snapshot = server.metrics.snapshot()
-            pool = engine.pool
-            assert pool is not None and pool.searches_served == 3
-        # One pool served all three requests: two of them found it warm,
-        # and every request after the first hit cached plans.
-        assert snapshot["pool_reuses"] == 2
+            pids = engine.worker_set.pids()
+            assert len(pids) == 2
+        # One worker set served all three requests, and every request
+        # after the first hit cached plans.
+        assert engine.worker_set.spawned == 2
         assert snapshot["plan_hits"] > 0
-        # Exiting the context called server.close(), which released the
-        # pooled backend.
-        assert engine.pool is None
-        assert pool.alive_workers() == 0
+        # Exiting the context called server.close(), which closed the
+        # dispatcher it was handed, workers included.
+        assert engine.worker_set.pids() == []
 
 
 class TestAffinityDefaults:
     def test_default_worker_count_respects_cpuset(self):
         expected = len(os.sched_getaffinity(0))
         assert default_worker_count() == expected
-        assert ParallelSearchExecutor("sha1").workers == expected
-        pooled = PooledSearchExecutor("sha1")
-        assert pooled.workers == expected
-        pooled.close()
+        for spec in ("parallel:sha1", "pool:sha1"):
+            with build_engine(spec) as engine:
+                assert engine.workers == expected
+                assert len(engine.worker_set.pids()) == (
+                    expected if expected > 1 else 0
+                )
 
 
 class TestSatellites:
     def test_parallel_describe_round_trips_iterator(self):
-        engine = ParallelSearchExecutor(
-            "sha1", workers=2, batch_size=1024, iterator="gosper"
-        )
-        spec = engine.describe()
-        assert "it=gosper" in spec
-        rebuilt = build_engine(spec)
-        assert rebuilt.describe() == spec
+        with build_engine("parallel:sha1,w=2,bs=1024,it=gosper") as engine:
+            spec = engine.describe()
+        assert spec == "parallel:sha1,workers=2,bs=1024,it=gosper"
+        with build_engine(spec) as rebuilt:
+            assert rebuilt.describe() == spec
         # Default iterator stays out of the spec, as before.
-        assert "it=" not in ParallelSearchExecutor("sha1", workers=2).describe()
+        with build_engine("parallel:sha1,w=2") as engine:
+            assert "it=" not in engine.describe()
+        with build_engine("pool:sha1,w=1,bs=512,cache=no") as engine:
+            spec = engine.describe()
+        assert spec == "pool:sha1,workers=1,bs=512,cache=no"
+        with build_engine(spec) as rebuilt:
+            assert rebuilt.describe() == spec
 
     def test_throughput_probe_breakdown(self):
         probe = BatchSearchExecutor("sha3-256").throughput_probe(

@@ -1,20 +1,27 @@
 """Fault-tolerant multi-device dispatch (repro.fleet).
 
-Four layers of coverage: the replay machinery that re-dispatch rides on
+Five layers of coverage: the replay machinery that re-dispatch rides on
 (cursor push-back, order preservation); one device's health lifecycle
 (kill, quarantine, probation, reinstatement); the dispatcher's
 protocol-level invariants (byte equivalence with the single-device
 engine, re-dispatch after a mid-search kill, grace shedding when the
-whole fleet is dark, hedged stragglers); and the device-loss chaos storm
-that exercises all of it at once.
+whole fleet is dark, hedged stragglers); the worker processes behind the
+devices (the same bytes on any number of them, a lost worker, nothing
+left behind); and the device-loss chaos storm that exercises all of it
+at once.
 """
 
+import gc
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro._bitutils import SEED_BITS, flip_bits
+from repro._bitutils import SEED_BITS, flip_bits, seed_to_words, words_to_seed
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import TelemetryHooks, build_engine, engine_target
 from repro.fleet import (
@@ -23,8 +30,13 @@ from repro.fleet import (
     FleetSearchEngine,
     run_device_loss_storm,
 )
+from repro.combinatorics.ranking import unrank_lexicographic_exact
+from repro.fleet.workers import SPLIT_MIN_ROWS, WorkerSet
+from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
+from repro.runtime.maskplan import MaskPlanCache
+from repro.runtime.partition import partition_ranks
 from repro.sched import (
     SHED_NO_DEVICES,
     SHED_SHUTDOWN,
@@ -32,7 +44,7 @@ from repro.sched import (
     SchedulerClosed,
     decompose_search,
 )
-from repro.sched.batcher import UnitCursor
+from repro.sched.batcher import BatchSlice, ContinuousBatcher, UnitCursor
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
@@ -473,6 +485,301 @@ class TestFleetClose:
             ]
         finally:
             engine.close()
+
+
+# -- the worker processes behind the devices ------------------------------
+
+#: Odd and not a multiple of 3, and so is what it leaves of shell 2
+#: (13 batches, then 1 999 rows): no cut lands on a round number.
+RAGGED_BATCH = 2357
+SHELL_2 = SEED_BITS * (SEED_BITS - 1) // 2
+
+
+def _fingerprint(result):
+    """Everything of a result that must not depend on who hashed it."""
+    return (
+        result.found,
+        result.seed,
+        result.distance,
+        result.seeds_hashed,
+        result.timed_out,
+        tuple((s.distance, s.seeds_hashed) for s in result.shells),
+    )
+
+
+def _alive(pid):
+    """Whether ``pid`` is still a running process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``, from /proc/<pid>/stat."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    if int(stat.read().rsplit(")", 1)[1].split()[1]) == pid:
+                        found.append(int(entry))
+            except OSError:
+                pass  # ended while we looked
+    return found
+
+
+def _gone_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not any(_alive(pid) for pid in pids)
+
+
+class TestWorkerEquivalence:
+    """Same found / seed / distance / seeds_hashed / shells on 1, 2 or 3
+    worker processes (3 oversubscribes this host on purpose) as in one."""
+
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bytes_wherever_the_seed_lies(self, hash_name, workers):
+        assert RAGGED_BATCH >= SPLIT_MIN_ROWS and SHELL_2 % RAGGED_BATCH % 6 in (1, 5)
+        cut = partition_ranks(RAGGED_BATCH, max(workers, 2))
+        last_batch = SHELL_2 - SHELL_2 % RAGGED_BATCH
+        ragged_cut = partition_ranks(SHELL_2 - last_batch, max(workers, 2))
+        ranks = {
+            "first row of a batch": 3 * RAGGED_BATCH,
+            "last row of worker 0's piece": 3 * RAGGED_BATCH + cut[0][1] - 1,
+            "first row of worker 1's piece": 3 * RAGGED_BATCH + cut[1][0],
+            "last row of a batch": 4 * RAGGED_BATCH - 1,
+            "ragged final batch, a cut": last_batch + ragged_cut[1][0],
+            "ragged final batch, last row": SHELL_2 - 1,
+        }
+        reference = build_engine(f"batch:{hash_name},bs={RAGGED_BATCH},cache=yes")
+        spec = f"pool:{hash_name},workers={workers},bs={RAGGED_BATCH}"
+        with build_engine(spec) as engine:
+            targets = {
+                where: engine_target(
+                    engine,
+                    flip_bits(
+                        BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, rank)
+                    ),
+                )
+                for where, rank in ranks.items()
+            }
+            targets["absent"] = engine_target(engine, RNG.bytes(32))
+            for where, target in targets.items():
+                result = engine.search(BASE_SEED, target, 2)
+                expected = reference.search(BASE_SEED, target, 2)
+                assert result.found is (where != "absent"), where
+                assert _fingerprint(result) == _fingerprint(expected), where
+            assert (engine.worker_set.batches > 0) is (workers > 1)
+
+    def test_two_matches_in_one_fused_batch(self):
+        """Two requests' slices in one batch, cut mid-slice: each settles
+        on its own seed."""
+        algo = get_hash("sha1")
+        cache = MaskPlanCache(max_bytes=1 << 20)
+        workers = WorkerSet(algo, True, 2)
+        try:
+            plan, _hit = cache.get_or_build(2, 0, 3000, 3000)
+            rng = np.random.default_rng(5)
+            bases = [seed_to_words(rng.bytes(32)) for _ in range(2)]
+            # 1 000 + 2 000 rows cut at 1 500: worker 0 ends 500 rows into
+            # the second slice, whose match is worker 1's first row.
+            slices, wanted = [], []
+            for key, base, rows, row in (
+                ("a", bases[0], plan.masks[:1000], 999),
+                ("b", bases[1], plan.masks[1000:], 500),
+            ):
+                seed = words_to_seed(base ^ rows[row])
+                wanted.append(seed)
+                slices.append(
+                    BatchSlice(
+                        key, 2, rows, base,
+                        algo.digest_to_words(algo.hash_seed(seed)),
+                    )
+                )
+            outcomes = ContinuousBatcher(algo, True, workers).run(slices)
+            assert [o.key for o in outcomes] == ["a", "b"]
+            assert [o.seed for o in outcomes] == wanted
+            assert [o.rows for o in outcomes] == [1000, 2000]
+            assert workers.batches == 1
+        finally:
+            workers.close()
+            cache.clear()
+
+    @pytest.mark.parametrize(
+        "options", [f"bs={SPLIT_MIN_ROWS // 2}", f"bs={RAGGED_BATCH},cache=no"]
+    )
+    def test_narrow_or_unshared_batches_never_touch_a_pipe(self, options):
+        reference = build_engine("batch:sha1,bs=512")
+        client_seed = _planted(2, np.random.default_rng(17))
+        with build_engine(f"pool:sha1,workers=2,{options}") as engine:
+            for seed in (client_seed, RNG.bytes(32)):
+                target = engine_target(engine, seed)
+                result = engine.search(BASE_SEED, target, 2)
+                expected = reference.search(BASE_SEED, target, 2)
+                assert (result.found, result.seed, result.distance) == (
+                    expected.found, expected.seed, expected.distance,
+                )
+            assert result.seeds_hashed == expected.seeds_hashed
+            assert len(engine.worker_set.pids()) == 2
+            assert engine.worker_set.batches == 0
+
+
+class _KillAWorkerOnce(TelemetryHooks):
+    """SIGKILLs one worker process as the first shell-2 batch commits."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = None
+        self.killed = None
+
+    def on_batch(self, distance, rows):
+        if distance == 2 and self.killed is None:
+            self.killed = self.engine.worker_set.pids()[0]
+            os.kill(self.killed, signal.SIGKILL)
+
+
+_ORPHAN_SCRIPT = """
+import os, sys
+from repro.engines import build_engine, engine_target
+engine = build_engine("pool:sha3-256,workers=2,bs=16384")
+print(os.getpid(), *engine.worker_set.pids(), flush=True)
+absent = engine_target(engine, bytes(32))
+while True:
+    engine.search(b"\\x01" * 32, absent, 2)
+    print("searched", flush=True)
+"""
+
+_TWO_ENGINES_SCRIPT = """
+from repro.engines import build_engine, engine_target
+for spec in ("pool:sha1,workers=2,bs=2048", "parallel:sha3-256,w=2,bs=2048"):
+    with build_engine(spec) as engine:
+        assert not engine.search(b"\\x01" * 32, engine_target(engine, bytes(32)), 2).found
+        assert engine.worker_set.batches > 0
+"""
+
+
+_IDLE_SCRIPT = """
+import os, time
+from repro.engines import build_engine, engine_target
+
+def worker_cpu(pids):
+    ticks = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+with build_engine("pool:sha1,workers=2,bs=2048") as engine:
+    assert not engine.search(b"\\x01" * 32, engine_target(engine, bytes(32)), 2).found
+    pids = engine.worker_set.pids()
+    assert len(pids) == 2 and engine.worker_set.batches > 0
+    time.sleep(0.2)  # the last request's bookkeeping
+    cpu, wall = time.process_time() + worker_cpu(pids), time.perf_counter()
+    time.sleep(1.0)
+    cpu = time.process_time() + worker_cpu(pids) - cpu
+    print(cpu / (time.perf_counter() - wall))
+"""
+
+
+def _spawn(script):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.Popen(
+        [sys.executable, "-c", script], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+class TestWorkerLoss:
+    def test_killed_worker_is_a_device_failure_then_replaced(self):
+        hooks = _KillAWorkerOnce()
+        reference = build_engine("batch:sha3-256,bs=2048,cache=yes")
+        engine = FleetSearchEngine(
+            "host", hash_name="sha3-256", batch_size=2048, hooks=hooks,
+            workers=2,
+        )
+        hooks.engine = engine
+        try:
+            absent = engine_target(engine, RNG.bytes(32))
+            result = engine.search(BASE_SEED, absent, 2)
+            expected = reference.search(BASE_SEED, absent, 2)
+            assert hooks.killed is not None
+            # Every candidate was still hashed, each counted once.
+            assert _fingerprint(result) == _fingerprint(expected)
+            assert result.fleet.redispatched_chunks >= 1
+            snapshot = engine.scheduler.snapshot()
+            assert snapshot["quarantines"] >= 1
+            # Probation's probe forked the replacement: full strength.
+            pids = engine.worker_set.pids()
+            assert len(pids) == 2 and hooks.killed not in pids
+            assert engine.worker_set.spawned == 3
+            assert not _alive(hooks.killed)
+        finally:
+            engine.close()
+
+    def test_killing_the_parent_leaves_no_descendant(self):
+        child = _spawn(_ORPHAN_SCRIPT)
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 3 and pids[0] == child.pid, child.stderr.read()
+            assert child.stdout.readline().strip() == "searched"  # mid-loop now
+            # The workers, and the resource tracker of the shared plans.
+            descendants = _children(child.pid)
+            assert set(pids[1:]) < set(descendants)
+            assert all(_alive(pid) for pid in descendants)
+            child.kill()
+            child.wait(timeout=10)
+            assert _gone_within(descendants, 1.0)
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+
+    def test_close_twice_is_safe_and_leaves_no_child(self):
+        engine = build_engine("parallel:sha1,workers=2,bs=2048")
+        pids = engine.worker_set.pids()
+        assert len(pids) == 2
+        engine.close()
+        engine.close()
+        assert engine.worker_set.pids() == []
+        # Joined, not abandoned: no zombie entry is left either.
+        assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
+
+    def test_dropped_engine_is_finalized_without_a_zombie(self):
+        engine = build_engine("pool:sha1,workers=2,bs=2048")
+        assert not engine.search(
+            BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
+        ).found
+        pids = engine.worker_set.pids()
+        assert len(pids) == 2
+        del engine
+        gc.collect()
+        assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
+
+    def test_idle_engine_and_workers_burn_no_cpu(self):
+        """Workers block on their pipes; the dispatcher's idle reading
+        (<= 0.03 CPU-s per wall-second) holds with them counted in."""
+        child = _spawn(_IDLE_SCRIPT)
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert float(out) <= 0.03, out
+
+    def test_two_engines_in_one_process_leave_the_tracker_quiet(self):
+        """``attach_plan`` must not drop the owner's tracker registration:
+        no traceback at unlink, no segment left in /dev/shm."""
+        def segments():
+            return sorted(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
+
+        before = segments()
+        child = _spawn(_TWO_ENGINES_SCRIPT)
+        _out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert err == ""
+        assert segments() == before
 
 
 # -- the chaos storm (satellite: device killed at 25%, revived at 75%) --

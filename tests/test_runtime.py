@@ -1,4 +1,4 @@
-"""Execution runtime: partitioning, batch executor, multiprocessing search."""
+"""Execution runtime: partitioning, batch executor, the ``parallel:`` alias."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.combinatorics.binomial import binomial
 from repro.hashes.sha1 import sha1
 from repro.hashes.sha3 import sha3_256
 from repro.runtime.executor import ITERATOR_CHOICES, BatchSearchExecutor
-from repro.runtime.parallel import ParallelSearchExecutor
+from repro.engines import build_engine
 from repro.runtime.partition import partition_ranks, thread_rank_ranges
 
 
@@ -114,29 +114,37 @@ class TestBatchExecutor:
 
 
 class TestParallelExecutor:
+    """``parallel:`` is the one-device fleet on ``workers`` processes."""
+
     def test_finds_planted_seed(self, base_seed):
         client_seed = flip_bits(base_seed, [31, 222])
-        executor = ParallelSearchExecutor("sha1", workers=4, batch_size=4096)
-        result = executor.search(base_seed, sha1(client_seed), 2)
+        with build_engine("parallel:sha1,workers=4,bs=4096") as executor:
+            result = executor.search(base_seed, sha1(client_seed), 2)
         assert result.found and result.seed == client_seed and result.distance == 2
 
     def test_not_found_aggregates_counts(self, base_seed, rng):
-        executor = ParallelSearchExecutor("sha1", workers=3, batch_size=2048)
-        result = executor.search(base_seed, sha1(rng.bytes(32)), 1)
+        with build_engine("parallel:sha1,workers=3,bs=2048") as executor:
+            result = executor.search(base_seed, sha1(rng.bytes(32)), 2)
+            assert executor.worker_set.batches > 0
         assert not result.found
-        assert result.seeds_hashed == 1 + 256  # workers jointly covered the shell
+        # The workers jointly covered every shell, each row once.
+        assert result.seeds_hashed == 1 + 256 + binomial(SEED_BITS, 2)
 
-    def test_worker_zero_checks_distance_zero(self, base_seed):
-        executor = ParallelSearchExecutor("sha1", workers=2, batch_size=2048)
-        result = executor.search(base_seed, sha1(base_seed), 1)
+    def test_enrolled_seed_itself_is_found_at_distance_zero(self, base_seed):
+        with build_engine("parallel:sha1,workers=2,bs=2048") as executor:
+            result = executor.search(base_seed, sha1(base_seed), 1)
+            assert executor.worker_set.batches == 0  # one row: never a pipe
         assert result.found and result.distance == 0
 
     def test_single_worker_degenerates_to_serial(self, base_seed):
         client_seed = flip_bits(base_seed, [64])
-        executor = ParallelSearchExecutor("sha1", workers=1, batch_size=2048)
-        result = executor.search(base_seed, sha1(client_seed), 1)
+        with build_engine("parallel:sha1,workers=1,bs=2048") as executor:
+            result = executor.search(base_seed, sha1(client_seed), 1)
+            assert executor.worker_set.pids() == []  # the device thread itself
         assert result.found
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
-            ParallelSearchExecutor("sha1", workers=0)
+            build_engine("parallel:sha1,workers=0")
+        with pytest.raises(ValueError):
+            build_engine("pool:sha1,workers=0")
