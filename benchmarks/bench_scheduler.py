@@ -8,13 +8,16 @@ all of them — so the shallow p99 collapses from "sum of the stragglers"
 to "a few shared device batches".
 
 Both serving paths run the *same* deterministic mixed-depth workload
-(:func:`repro.sched.workload.mixed_workload` — depths cycled
-round-robin, seeds planted at seeded-random shell positions):
+(:func:`repro.storm.planted` — depths cycled round-robin, seeds planted
+at seeded-random shell positions) through the same driver
+(:func:`repro.storm.drive`), every latency counted from the common
+arrival instant to the request's own settlement:
 
 * **FIFO** — requests served start-to-finish in submission order on one
-  vectorized engine, latency measured from the common arrival instant;
+  vectorized engine (:func:`repro.storm.search_submit`);
 * **scheduled** — all requests admitted at once, served by the
-  ``sched:`` engine's EDF lanes and fused batches.
+  ``sched:`` engine's EDF lanes and fused batches
+  (:func:`repro.storm.ticket_submit`).
 
 The headline number is the shallow-class p99 ratio. The gate itself —
 arguments, measurement, render, record — is ``repro sched``

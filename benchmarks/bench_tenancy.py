@@ -5,7 +5,9 @@ latency survives a neighbor slamming the same CA far past its admission
 budget, because the neighbor's excess is refused at the front door with
 a typed ``tenant_quota`` shed instead of queueing ahead of everyone
 else. Three phases over the same planted two-tenant fleet
-(:func:`repro.tenancy.workload.run_noisy_neighbor`):
+(:func:`repro.tenancy.workload.run_noisy_neighbor`; the fleet, the
+requests and the submit→settle loop are the storm kit's,
+:mod:`repro.storm`):
 
 * **baseline** — the victim tenant alone;
 * **storm** — the aggressor fleet arrives in one burst at ~20x its token

@@ -29,7 +29,17 @@ import argparse
 import sys
 from typing import Any
 
-from repro.gates import GATES, run_gate, select_gate
+from repro.gates import GATES, _int_tuple, _str_tuple, run_gate, select_gate
+from repro.storm import (
+    Outcome,
+    drive,
+    enrolled_fleet,
+    invariant_failures,
+    planted,
+    server_submit,
+    summarize,
+    ticket_submit,
+)
 
 __all__ = ["main"]
 
@@ -254,56 +264,45 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_lost(stats: dict[str, Any]) -> int:
+    """A demo's exit code from its outcome summary: 1, with one GATE line
+    each, if a request was lost or failed outside the typed refusals."""
+    failures = invariant_failures(untyped=stats["errors"], lost=stats["lost"])
+    for failure in failures:
+        print(f"GATE: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Serve a mixed workload on a multi-device fleet and show who ran what."""
     from repro.fleet.engine import FleetSearchEngine
     from repro.hashes.registry import get_hash
-    from repro.sched.errors import RequestShed
-    from repro.sched.workload import mixed_workload
 
-    devices = tuple(t.strip() for t in args.devices.split(",") if t.strip())
-    depths = tuple(int(d) for d in args.depths.split(","))
-    workload = mixed_workload(
-        get_hash(args.hash), requests=args.requests, depths=depths, seed=args.seed
-    )
+    workload = planted(get_hash(args.hash), args.requests, args.depths, args.seed)
     engine = FleetSearchEngine(
-        *devices, hash_name=args.hash, batch_size=args.batch_size
+        *args.devices, hash_name=args.hash, batch_size=args.batch_size
     )
-    found = shed = 0
     try:
-        tickets = [
-            (
-                request,
-                engine.submit(
-                    request.base_seed,
-                    request.target_digest,
-                    request.max_distance,
-                    time_budget=args.budget,
-                    client_id=request.client_id,
-                ),
-            )
-            for request in workload
-        ]
-        for request, ticket in tickets:
-            try:
-                result = ticket.result(timeout=300.0)
-            except RequestShed as exc:
-                shed += 1
-                print(f"  {request.client_id}: shed ({exc.reason})")
-                continue
-            found += 1 if result.found else 0
-            stats = result.fleet
-            device = stats.finder_device if stats else "?"
-            print(
-                f"  {request.client_id}: found={result.found} "
-                f"d={result.distance} device={device} "
-                f"elapsed={result.elapsed_seconds:.3f}s"
-            )
+        outcomes = drive(
+            ticket_submit(engine, args.budget), workload, timeout=300.0
+        )
         snapshot = engine.scheduler.snapshot()
     finally:
-        engine.close()
+        engine.close(drain=False)
+    for outcome in outcomes:
+        client_id, result = outcome.request.client_id, outcome.result
+        if not outcome.served:
+            print(f"  {client_id}: {outcome.status} ({outcome.detail})")
+            continue
+        device = result.fleet.finder_device if result.fleet else "?"
+        print(
+            f"  {client_id}: found={result.found} "
+            f"d={result.distance} device={device} "
+            f"elapsed={result.elapsed_seconds:.3f}s"
+        )
+    stats = summarize(outcomes)
     print(
-        f"fleet {engine.describe()}: {found} found, {shed} shed; "
+        f"fleet {engine.describe()}: {stats['found']} found, {stats['shed']} shed; "
         f"batches={snapshot['batches']} "
         f"redispatched={snapshot['redispatched_chunks']} "
         f"hedges={snapshot['hedges_launched']} "
@@ -315,49 +314,52 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"batches={dev['batches']} rows={dev['rows_hashed']} "
             f"failures={dev['failures']} probes={dev['probes']}"
         )
-    return 0
+    return _report_lost(stats)
 
 
 def _cmd_directory(args: argparse.Namespace) -> int:
     """Cold, warm and one-shard-down passes over a sharded directory."""
-    import numpy as np
-
-    from repro import quick_setup
-    from repro.core.protocol import ClientDevice
+    from repro.core.search import RBCSearchService
     from repro.directory import ShardedEnrollmentDirectory
+    from repro.directory.storm import fleet_reader
+    from repro.engines import build_engine
     from repro.net.concurrent import ConcurrentCAServer
-    from repro.puf.model import SRAMPuf
-    from repro.puf.ternary import enroll_with_masking
 
-    authority, _client, _mask = quick_setup(seed=args.seed, max_distance=2)
+    hash_name, max_distance = "sha3-256", 2
     directory = ShardedEnrollmentDirectory(
         master_key=b"demo-master-key!",
         shards=args.shards,
         replication=args.replication,
     )
-    authority.image_db = directory
-
+    authority, fleet = enrolled_fleet(
+        args.seed,
+        args.clients,
+        directory,
+        RBCSearchService(
+            build_engine("batch", hash_name=hash_name, batch_size=16384),
+            max_distance=max_distance,
+        ),
+        hash_name=hash_name,
+        noise_target_distance=1,
+        identity="client-{:02d}".format,
+    )
+    read = fleet_reader(authority, fleet, max_distance)
     print(f"directory: {args.shards} shards, replication {args.replication}")
-    fleet: dict[str, tuple[Any, Any, Any]] = {}
-    for index in range(args.clients):
-        client_id = f"client-{index:02d}"
-        puf = SRAMPuf(num_cells=2048, stable_error=0.001,
-                      seed=args.seed * 1_000_003 + index)
-        mask = enroll_with_masking(puf, address=0, window=2048, reads=48,
-                                   instability_threshold=0.02)
-        authority.enroll(client_id, mask)
-        device = ClientDevice(client_id, puf, noise_target_distance=1,
-                              rng=np.random.default_rng((args.seed, index)))
-        fleet[client_id] = (device, authority.issue_challenge(client_id), mask)
+    client_ids = [client_id for client_id, _device, _mask in fleet]
+    for client_id in client_ids:
         replicas = ", ".join(directory.replicas_for(client_id))
         print(f"  enrolled {client_id} -> [{replicas}]")
 
+    outcomes: list[Outcome] = []
+
     def authenticate_all(server: ConcurrentCAServer) -> None:
-        for client_id, (device, challenge, mask) in fleet.items():
-            digest = device.respond(challenge, reference_mask=mask)
-            result = server.submit(client_id, digest).result(timeout=60.0)
+        # One at a time, so each line shows what that request did to
+        # the directory's counters.
+        for request in read():
+            outcomes.extend(drive(server_submit(server), [request], timeout=60.0))
             stats = directory.snapshot()
-            print(f"  {client_id}: authenticated={result.authenticated} "
+            print(f"  {request.client_id}: "
+                  f"authenticated={outcomes[-1].status == 'found'} "
                   f"hot_hits={stats['hot_hits']} "
                   f"failovers={stats['failovers']}")
 
@@ -366,7 +368,7 @@ def _cmd_directory(args: argparse.Namespace) -> int:
         authenticate_all(server)
         print("warm pass (hot-cache hits):")
         authenticate_all(server)
-        primaries = [directory.replicas_for(c)[0] for c in fleet]
+        primaries = [directory.replicas_for(c)[0] for c in client_ids]
         victim = max(set(primaries), key=primaries.count)
         print(f"killing {victim}; replicas must carry its keys:")
         directory.kill_shard(victim)
@@ -383,7 +385,7 @@ def _cmd_directory(args: argparse.Namespace) -> int:
           f"directory_hot_hits={metrics['directory_hot_hits']:.0f} "
           f"directory_failovers={metrics['directory_failovers']:.0f} "
           f"shed_directory={metrics['shed_directory']:.0f}")
-    return 0
+    return _report_lost(summarize(outcomes))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -448,12 +450,12 @@ def _parser() -> argparse.ArgumentParser:
         help="multi-device dispatch demo; --storm is the device-loss "
              "storm, --bench the scaling + hedging gate",
     )
-    fleet.add_argument("--devices", default="host,host",
+    fleet.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                        help="comma-separated device tokens, e.g. "
                             "host,flaky-apu or gpu,slow-host")
     fleet.add_argument("--hash", default="sha1")
     fleet.add_argument("--requests", type=int, default=8)
-    fleet.add_argument("--depths", default="1,2,2,3",
+    fleet.add_argument("--depths", type=_int_tuple, default=(1, 2, 2, 3),
                        help="comma-separated search depths, cycled")
     fleet.add_argument("--budget", type=float, default=None,
                        help="per-request time budget (protocol T)")

@@ -14,7 +14,9 @@ Entry points: ``repro deploy --storm`` (CLI) or
 :func:`~repro.deploy.storm.run_deployment_storm` (library) for the
 WAN-profile sweep; ``repro deploy --storm --crash`` or
 :func:`~repro.deploy.storm.run_crash_storm` for the kill-9
-crash-restart storm against WAL-backed durable servers.
+crash-restart storm against WAL-backed durable servers. The storms are
+imported explicitly (``repro.deploy.storm``): a server process imports
+this package and has no use for its own test harness.
 """
 
 from repro.deploy.wan import WAN_PROFILES, WanProfile, WanShim, build_shim
@@ -35,14 +37,6 @@ from repro.deploy.supervisor import (
     ProcessSupervisor,
     RestartBudgetExhausted,
     RestartPolicy,
-)
-from repro.deploy.storm import (
-    CrashRound,
-    CrashStormReport,
-    DeploymentReport,
-    ProfileReport,
-    run_crash_storm,
-    run_deployment_storm,
 )
 
 __all__ = [
@@ -67,10 +61,4 @@ __all__ = [
     "ProcessSupervisor",
     "RestartPolicy",
     "RestartBudgetExhausted",
-    "CrashRound",
-    "CrashStormReport",
-    "DeploymentReport",
-    "ProfileReport",
-    "run_crash_storm",
-    "run_deployment_storm",
 ]

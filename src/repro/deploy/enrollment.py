@@ -15,6 +15,9 @@ false-authentication tripwire
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any
+
 import numpy as np
 
 from repro.core import (
@@ -44,11 +47,8 @@ __all__ = [
     "VerifyingAuthority",
 ]
 
-#: Seed stride between client PUFs (same convention the chaos fleet uses).
+#: Seed stride between client PUFs (every harness fleet uses it too).
 _CLIENT_SEED_STRIDE = 1_000_003
-#: Masking-enrollment parameters — must be identical on both sides.
-_ENROLL_READS = 8
-_ENROLL_INSTABILITY = 0.05
 
 
 def client_identity(index: int) -> str:
@@ -77,14 +77,22 @@ def tenant_for(index: int, tenants: tuple[str, ...]) -> str:
 
 
 def build_fleet_record(
-    seed: int, index: int, num_cells: int
+    seed: int,
+    index: int,
+    num_cells: int,
+    *,
+    reads: int = 8,
+    instability_threshold: float = 0.05,
+    identity: Callable[[int], str] = client_identity,
 ) -> tuple[str, SRAMPuf, TernaryMask]:
     """(client_id, puf, mask) for one fleet slot — both sides call this.
 
     The PUF is seeded from (storm seed, slot index) and the masking
     enrollment consumes a fixed number of reads, so a server process and
     a load-generator process that never share memory still derive the
-    byte-identical ternary mask.
+    byte-identical ternary mask. The keyword defaults are the deployed
+    fleet's — both of its sides must leave them alone; the in-process
+    storms (:func:`repro.storm.enrolled_fleet`) pass their own.
     """
     puf = SRAMPuf(
         num_cells=num_cells,
@@ -95,22 +103,28 @@ def build_fleet_record(
         puf,
         address=0,
         window=num_cells,
-        reads=_ENROLL_READS,
-        instability_threshold=_ENROLL_INSTABILITY,
+        reads=reads,
+        instability_threshold=instability_threshold,
     )
-    return client_identity(index), puf, mask
+    return identity(index), puf, mask
 
 
 def build_client_device(
-    seed: int, index: int, num_cells: int, noise_target_distance: int
+    seed: int,
+    index: int,
+    num_cells: int,
+    noise_target_distance: int | None,
+    **record: Any,
 ) -> tuple[str, ClientDevice, TernaryMask]:
     """A load-generator's client for one fleet slot.
 
     ``noise_target_distance`` plants the PUF read exactly that many bit
     flips from the enrolled image (the evaluation rig's knob for shell
-    depth), so the trace controls how deep each search must go.
+    depth), so the trace controls how deep each search must go; ``None``
+    leaves the read to the PUF's own noise. ``record`` is
+    :func:`build_fleet_record`'s keywords.
     """
-    client_id, puf, mask = build_fleet_record(seed, index, num_cells)
+    client_id, puf, mask = build_fleet_record(seed, index, num_cells, **record)
     device = ClientDevice(
         client_id,
         puf,

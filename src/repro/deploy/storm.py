@@ -33,16 +33,18 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.analysis.metrics import percentile
-from repro.deploy.loadgen import classify_failure, spec_to_json
+from repro.deploy.enrollment import client_identity, tenant_for
+from repro.deploy.loadgen import _run_entry, spec_to_json
 from repro.deploy.supervisor import (
     ProcessDied,
     ProcessSupervisor,
     RestartPolicy,
 )
 from repro.deploy.topology import TopologySpec
-from repro.gates import invariant_failures
+from repro.deploy.trace import TraceEntry
 from repro.net.errors import TransportError
 from repro.net.sockets import RemoteCAServer, SocketTransport
+from repro.storm import invariant_failures
 
 __all__ = [
     "ProfileReport",
@@ -108,6 +110,45 @@ def _child_env() -> dict[str, str]:
     return env
 
 
+def _spawn_server(
+    supervisor: ProcessSupervisor,
+    name: str,
+    spec_json: str,
+    seed: int,
+    env: dict[str, str],
+    data_dir: Path | None = None,
+) -> tuple[str, int]:
+    """Start one ``repro.deploy.server`` child; its announced address."""
+    argv = [
+        sys.executable, "-m", "repro.deploy.server",
+        "--spec", spec_json, "--seed", str(seed), "--port", "0",
+    ]
+    if data_dir is not None:
+        argv += ["--data-dir", str(data_dir)]
+    managed = supervisor.spawn(name, argv, env=env, ready_regex=_READY_REGEX)
+    return _ready_address(managed)
+
+
+def _ready_address(managed) -> tuple[str, int]:
+    match = managed.ready_match
+    assert match is not None
+    return match.group(1), int(match.group(2))
+
+
+def _drained(
+    supervisor: ProcessSupervisor, exits: dict[str, int | None], servers: int
+) -> bool:
+    """Every server exited 0 having printed ``DEPLOY-DRAINED``."""
+    return all(
+        exits.get(f"server-{i}") == 0
+        and any(
+            "DEPLOY-DRAINED" in line
+            for line in supervisor.output_of(f"server-{i}")
+        )
+        for i in range(servers)
+    )
+
+
 def _scrape_metrics(host: str, port: int, include_tenants: bool):
     transport = SocketTransport(host, port)
     try:
@@ -145,27 +186,10 @@ def run_profile(
     started = time.monotonic()
 
     with ProcessSupervisor(grace_seconds=30.0) as supervisor:
-        addresses: list[tuple[str, int]] = []
-        for index in range(topology.servers):
-            managed = supervisor.spawn(
-                f"server-{index}",
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.deploy.server",
-                    "--spec",
-                    spec_json,
-                    "--seed",
-                    str(seed),
-                    "--port",
-                    "0",
-                ],
-                env=env,
-                ready_regex=_READY_REGEX,
-            )
-            match = managed.ready_match
-            assert match is not None
-            addresses.append((match.group(1), int(match.group(2))))
+        addresses = [
+            _spawn_server(supervisor, f"server-{index}", spec_json, seed, env)
+            for index in range(topology.servers)
+        ]
         say(
             f"[{profile}] {topology.servers} server(s) ready at "
             + ", ".join(f"{h}:{p}" for h, p in addresses)
@@ -224,14 +248,7 @@ def run_profile(
             for host, port in addresses
         ]
         server_exits = supervisor.teardown()
-        drained = all(
-            server_exits.get(f"server-{i}") == 0
-            and any(
-                "DEPLOY-DRAINED" in line
-                for line in supervisor.output_of(f"server-{i}")
-            )
-            for i in range(topology.servers)
-        )
+        drained = _drained(supervisor, server_exits, topology.servers)
 
     wall = time.monotonic() - started
     records: list[dict] = []
@@ -418,43 +435,21 @@ def _timed_enroll_rate(remote: RemoteCAServer, client_ids: list[str]) -> float:
 def _auth_round(
     spec: TopologySpec, seed: int, addresses: list[tuple[str, int]], count: int
 ) -> dict[str, int]:
-    """A few real authentications after recovery — the false-auth probe."""
-    import numpy as np
-
-    from repro.deploy.enrollment import build_client_device, tenant_for
-    from repro.net.client import NetworkClient
-    from repro.reliability.retry import RetryPolicy
-
+    """A few real authentications after recovery — the false-auth probe:
+    one load-generator round per fleet slot, planted at depth 1 with a
+    patient deadline, over an unimpaired link."""
+    lan = spec.with_profile("lan")
     outcomes: dict[str, int] = {}
     for index in range(min(count, spec.clients)):
-        host, port = addresses[index % len(addresses)]
-        transport = SocketTransport(host, port)
-        _cid, device, mask = build_client_device(
-            seed, index, spec.num_cells, noise_target_distance=1
+        entry = TraceEntry(
+            index=index,
+            client_index=index,
+            offset_seconds=0.0,
+            shell_depth=1,
+            deadline_seconds=4.0 * spec.time_budget,
+            tenant=tenant_for(index, spec.tenants),
         )
-        client = NetworkClient(
-            device,
-            transport,
-            reference_mask=mask,
-            retry_policy=RetryPolicy(
-                max_attempts=4,
-                base_backoff_seconds=0.05,
-                max_backoff_seconds=0.5,
-                jitter_fraction=0.3,
-            ),
-            rng=np.random.default_rng((seed, index, 0xC2A54)),
-            tenant_id=tenant_for(index, spec.tenants),
-        )
-        try:
-            result = client.authenticate(RemoteCAServer(transport))
-        except Exception as exc:  # typed bucket, same as loadgen
-            key = classify_failure(exc)
-        else:
-            key = "authenticated" if result.authenticated else (
-                "timed-out" if result.timed_out else "denied"
-            )
-        finally:
-            transport.close()
+        key = _run_entry(entry, lan, seed, addresses)["outcome"]
         outcomes[key] = outcomes.get(key, 0) + 1
     return outcomes
 
@@ -480,8 +475,6 @@ def run_crash_storm(
     durability: acknowledged-enrollment throughput under the topology's
     fsync policy versus a no-fsync lossy baseline.
     """
-    from repro.deploy.enrollment import client_identity
-
     say = log if log is not None else (lambda _msg: None)
     base = topology if topology is not None else TopologySpec(
         servers=1, engine="fifo", wan_profile="lan", clients=8
@@ -501,34 +494,14 @@ def run_crash_storm(
         fsync=base.durability,
     )
 
-    def spawn(supervisor, name, data_dir, extra_spec_json=None):
-        managed = supervisor.spawn(
-            name,
-            [
-                sys.executable,
-                "-m",
-                "repro.deploy.server",
-                "--spec",
-                extra_spec_json or spec_json,
-                "--seed",
-                str(seed),
-                "--port",
-                "0",
-                "--data-dir",
-                str(data_dir),
-            ],
-            env=env,
-            ready_regex=_READY_REGEX,
-        )
-        match = managed.ready_match
-        assert match is not None
-        return match.group(1), int(match.group(2))
-
     with ProcessSupervisor(
         grace_seconds=30.0, restart_policy=policy
     ) as supervisor:
         addresses = [
-            spawn(supervisor, f"server-{i}", scratch / f"crash-server-{i}")
+            _spawn_server(
+                supervisor, f"server-{i}", spec_json, seed, env,
+                data_dir=scratch / f"crash-server-{i}",
+            )
             for i in range(base.servers)
         ]
         say(f"[crash] {base.servers} durable server(s) ready "
@@ -577,10 +550,7 @@ def run_crash_storm(
                 kill_at=kill_at,
                 on_kill=lambda: supervisor.kill(victim),
             )
-            managed = supervisor.restart(victim)
-            match = managed.ready_match
-            assert match is not None
-            addresses[victim_index] = (match.group(1), int(match.group(2)))
+            addresses[victim_index] = _ready_address(supervisor.restart(victim))
             transports[victim_index].close()
             transports[victim_index] = SocketTransport(
                 *addresses[victim_index]
@@ -640,11 +610,9 @@ def run_crash_storm(
 
         # Phase 4: the lossy baseline — same burst, WAL without fsync.
         lossy_spec = replace(base, servers=1, durability="none")
-        lossy_host, lossy_port = spawn(
-            supervisor,
-            "lossy-0",
-            scratch / "crash-lossy-0",
-            extra_spec_json=spec_to_json(lossy_spec),
+        lossy_host, lossy_port = _spawn_server(
+            supervisor, "lossy-0", spec_to_json(lossy_spec), seed, env,
+            data_dir=scratch / "crash-lossy-0",
         )
         with SocketTransport(lossy_host, lossy_port) as lossy_transport:
             report.lossy_enroll_rps = _timed_enroll_rate(
@@ -660,14 +628,7 @@ def run_crash_storm(
             f"({report.durability_overhead_pct:+.1f}% cost)")
 
         report.server_exits = supervisor.teardown()
-        report.drained = all(
-            report.server_exits.get(f"server-{i}") == 0
-            and any(
-                "DEPLOY-DRAINED" in line
-                for line in supervisor.output_of(f"server-{i}")
-            )
-            for i in range(base.servers)
-        )
+        report.drained = _drained(supervisor, report.server_exits, base.servers)
 
     counters = _merge_counters(s.counters for s in snapshots)
     report.nonce_reuse_trips = int(

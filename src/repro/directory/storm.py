@@ -37,26 +37,31 @@ seeded :class:`~repro.reliability.faults.FaultPlan`.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core import CertificateAuthority, RegistrationAuthority
-from repro.core.protocol import ClientDevice
-from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
-from repro.gates import invariant_failures
-from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import enroll_with_masking
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.tripwire import VerifyingAuthority
-from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE, RequestShed
+from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE
+from repro.storm import (
+    Request,
+    drive,
+    enrolled_fleet,
+    invariant_failures,
+    server_submit,
+    summarize,
+)
 
-__all__ = ["ShardLossStormReport", "run_shard_loss_storm"]
+__all__ = [
+    "ShardLossStormReport",
+    "fleet_reader",
+    "run_shard_loss_storm",
+    "shard_loss_schedule",
+]
 
 WAVE_NAMES = ("healthy", "1-shard-down", "replica-set-down", "recovered")
 
@@ -188,6 +193,50 @@ def _pick_victims(
     return victim, partner, doomed
 
 
+def shard_loss_schedule(
+    directory: ShardedEnrollmentDirectory, victim: str, partner: str
+) -> Iterator[str]:
+    """Walk the fault schedule after the healthy wave: kill the victim,
+    kill its partner, revive both — caches dropped at each step. Yields
+    the wave name (``WAVE_NAMES[1:]``) for the caller to serve under."""
+    directory.kill_shard(victim)
+    directory.drop_hot_caches()
+    yield "1-shard-down"
+    directory.kill_shard(partner)
+    directory.drop_hot_caches()
+    yield "replica-set-down"
+    directory.revive_shard(victim)
+    directory.revive_shard(partner)
+    # A revived shard is re-admitted only once its tripped breaker's
+    # recovery window has passed: wait it out rather than count on the
+    # caller's work in between taking that long.
+    time.sleep(directory.shard(victim).breaker.recovery_seconds)
+    directory.drop_hot_caches()
+    yield "recovered"
+
+
+def fleet_reader(authority, fleet, max_distance: int) -> Callable[[], list[Request]]:
+    """``read()``: one fresh PUF read per enrolled device, as requests.
+
+    Challenges are deterministic per client; capturing them here, at
+    enrollment, keeps the handshake off the directory, so a pass measures
+    the *search path's* degradation, not the handshake's.
+    """
+    challenges = {
+        client_id: authority.issue_challenge(client_id)
+        for client_id, _device, _mask in fleet
+    }
+    return lambda: [
+        Request(
+            client_id,
+            device.respond(challenges[client_id], reference_mask=mask),
+            max_distance,
+            device.noise_target_distance,
+        )
+        for client_id, device, mask in fleet
+    ]
+
+
 def run_shard_loss_storm(
     seed: int = 0,
     clients: int = 24,
@@ -203,7 +252,6 @@ def run_shard_loss_storm(
     re_enroll: int = 3,
 ) -> ShardLossStormReport:
     """Four deterministic waves against a sharded directory; see module doc."""
-    algo_seed = seed * 1_000_003
     directory = ShardedEnrollmentDirectory(
         master_key=b"storm-master-k!!",
         shards=shards,
@@ -213,50 +261,26 @@ def run_shard_loss_storm(
             FaultSpec(shard_timeout_rate=shard_timeout_rate), seed
         ),
     )
-    authority = CertificateAuthority(
-        search_service=RBCSearchService(
+    # Noise target one below the search radius: the PUF's natural noise
+    # occasionally lands a read a bit past the injected target, and the
+    # storm's invariants are about the directory, not about
+    # honest-failure statistics.
+    authority, fleet = enrolled_fleet(
+        seed,
+        clients,
+        directory,
+        RBCSearchService(
             build_engine("batch", hash_name=hash_name, batch_size=16384),
             max_distance=max_distance,
         ),
-        salt=HashChainSalt(),
-        keygen=get_keygen("aes-128"),
-        registration_authority=RegistrationAuthority(),
-        image_db=directory,
         hash_name=hash_name,
+        num_cells=num_cells,
+        noise_target_distance=max(0, max_distance - 1),
+        reads=32,
     )
-
-    fleet: dict[str, ClientDevice] = {}
-    masks = {}
-    challenges = {}
-    for index in range(clients):
-        client_id = f"client-{index:04d}"
-        puf = SRAMPuf(
-            num_cells=num_cells,
-            stable_error=0.001,
-            seed=algo_seed + index,
-        )
-        mask = enroll_with_masking(
-            puf, address=0, window=num_cells, reads=32,
-            instability_threshold=0.02,
-        )
-        authority.enroll(client_id, mask)
-        # Noise target one below the search radius: the PUF's natural
-        # noise occasionally lands a read a bit past the injected target,
-        # and the storm's invariants are about the directory, not about
-        # honest-failure statistics.
-        fleet[client_id] = ClientDevice(
-            client_id,
-            puf,
-            noise_target_distance=max(0, max_distance - 1),
-            rng=np.random.default_rng((seed, index)),
-        )
-        masks[client_id] = mask
-        # Challenges are deterministic per client; capturing them at
-        # enrollment keeps the handshake off the directory so the storm
-        # measures the *search path's* degradation, not the handshake's.
-        challenges[client_id] = authority.issue_challenge(client_id)
-
-    client_ids = sorted(fleet)
+    read = fleet_reader(authority, fleet, max_distance)
+    masks = {client_id: mask for client_id, _device, mask in fleet}
+    client_ids = sorted(masks)
     victim, partner, doomed = _pick_victims(directory, client_ids)
     report = ShardLossStormReport(
         seed=seed,
@@ -274,74 +298,38 @@ def run_shard_loss_storm(
     with ConcurrentCAServer(tripwire, workers=workers,
                             max_queue=max(64, clients)) as server:
 
-        def wave(expect_shed: set[str]) -> tuple[int, int, int]:
-            authenticated = failed = shed = 0
-            futures = []
-            for client_id in client_ids:
-                digest = fleet[client_id].respond(
-                    challenges[client_id], reference_mask=masks[client_id]
-                )
-                tripwire.record_digest(client_id, digest)
-                futures.append((client_id, server.submit(client_id, digest)))
-            for client_id, future in futures:
-                try:
-                    result = future.result(timeout=120.0)
-                except RequestShed as exc:
-                    shed += 1
-                    if exc.reason == SHED_DIRECTORY_UNAVAILABLE:
-                        report.shed_typed += 1
-                    else:
-                        report.shed_untyped += 1
-                    if client_id not in expect_shed:
-                        report.unexpected_sheds += 1
-                    continue
-                except Exception as exc:
-                    failed += 1
-                    report.unhandled_errors.append(type(exc).__name__)
-                    continue
-                if result.authenticated:
-                    authenticated += 1
-                else:
-                    failed += 1
-            return authenticated, failed, shed
+        def wave(expect_shed: Collection[str] = ()) -> None:
+            outcomes = drive(server_submit(server, tripwire), read(), timeout=120.0)
+            stats = summarize(outcomes)
+            typed = stats["shed_reasons"].get(SHED_DIRECTORY_UNAVAILABLE, 0)
+            report.shed_typed += typed
+            report.shed_untyped += stats["shed"] - typed
+            report.unexpected_sheds += sum(
+                o.status == "shed" and o.request.client_id not in expect_shed
+                for o in outcomes
+            )
+            report.unhandled_errors += stats["errors"] + ["lost"] * stats["lost"]
+            report.waves.append(
+                (stats["found"], stats["count"] - stats["found"] - stats["shed"],
+                 stats["shed"])
+            )
 
-        # wave 1: healthy baseline.
-        report.waves.append(wave(set()))
-
-        # wave 2: one whole shard dark, caches cold — replicas must carry.
-        directory.kill_shard(victim)
-        directory.drop_hot_caches()
-        report.waves.append(wave(set()))
-
-        # wave 3: the replica partner dies too; the doomed keys must shed
-        # typed, everyone else keeps authenticating.
-        directory.kill_shard(partner)
-        directory.drop_hot_caches()
-        report.waves.append(wave(set(doomed)))
-
-        # While the shards are dark, survivors re-enroll: their writes
-        # land only on live replicas, planting divergence the recovery
-        # wave must heal through read repair.
-        survivors = [c for c in client_ids if c not in doomed]
-        stale_writes = [
-            c for c in survivors
-            if {victim, partner} & set(directory.replicas_for(c))
-        ][:re_enroll]
-        for client_id in stale_writes:
-            authority.enroll(client_id, masks[client_id])
-        report.re_enrolled = tuple(stale_writes)
-
-        # wave 4: both shards revive; everyone authenticates again and
-        # the planted divergence is read-repaired away.
-        repairs_before = directory.read_repairs
-        directory.revive_shard(victim)
-        directory.revive_shard(partner)
-        # A revived shard is re-admitted only once its tripped breaker's
-        # recovery window has passed: wait it out rather than count on
-        # the re-enrollments above taking that long.
-        time.sleep(directory.shard(victim).breaker.recovery_seconds)
-        directory.drop_hot_caches()
-        report.waves.append(wave(set()))
+        wave()  # healthy; then the three faulted waves of the module doc
+        for name in shard_loss_schedule(directory, victim, partner):
+            wave(doomed if name == "replica-set-down" else ())
+            if name == "replica-set-down":
+                # While the shards are dark, survivors re-enroll: their
+                # writes land only on live replicas, planting divergence
+                # the recovery wave must heal through read repair.
+                stale_writes = [
+                    c for c in client_ids
+                    if c not in doomed
+                    and {victim, partner} & set(directory.replicas_for(c))
+                ][:re_enroll]
+                for client_id in stale_writes:
+                    authority.enroll(client_id, masks[client_id])
+                report.re_enrolled = tuple(stale_writes)
+                repairs_before = directory.read_repairs
         report.read_repairs = directory.read_repairs - repairs_before
 
         report.server_metrics = server.metrics.snapshot()

@@ -91,7 +91,6 @@ class TelemetryHooks:
         self.seeds_by_distance: dict[int, int] = {}
         self.plan_hits = 0
         self.plan_misses = 0
-        self.pool_reuses = 0
         self.scheduled = 0
         self.shared_batches = 0
         self.preemptions = 0
@@ -117,8 +116,6 @@ class TelemetryHooks:
         with self._lock:
             self.plan_hits += stats.plan_hits
             self.plan_misses += stats.plan_misses
-            if stats.pool_reused:
-                self.pool_reuses += 1
 
     def on_schedule(self, stats: SchedulingStats) -> None:
         with self._lock:
@@ -144,7 +141,6 @@ class TelemetryHooks:
                 "seeds_by_distance": dict(self.seeds_by_distance),
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,
-                "pool_reuses": self.pool_reuses,
                 "scheduled": self.scheduled,
                 "shared_batches": self.shared_batches,
                 "preemptions": self.preemptions,

@@ -75,23 +75,14 @@ class AmortizationStats:
     Populated by engines that consult the mask-plan cache
     (``batch:...,cache=yes`` and every dispatcher spec).
     ``plan_hits``/``plan_misses`` count cache lookups for this search's
-    mask plans. The ``pool_*`` / ``workers_spawned`` fields describe an
-    engine's worker processes; no engine stamps them on a result — the
-    ``amortization`` gate fills them in its record from the worker set's
-    own counters (:class:`repro.fleet.workers.WorkerSet`).
+    mask plans. What an engine's worker processes did is not a property
+    of one search: read it off :class:`repro.fleet.workers.WorkerSet`.
     """
 
     plan_hits: int = 0
     plan_misses: int = 0
     #: Bytes of mask plans currently resident in the process-wide cache.
     plan_bytes: int = 0
-    #: Searches served since the workers were forked (including this one).
-    pool_searches: int = 0
-    #: True when the search forked no worker process.
-    pool_reused: bool = False
-    #: Worker processes forked over the engine's lifetime (a healthy set
-    #: forks ``workers`` once, then never again).
-    workers_spawned: int = 0
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ class SearchResult:
     engine: str | None = None
     #: Distributed extension; ``None`` for single-node engines.
     cluster: ClusterStats | None = field(default=None)
-    #: Amortized-pipeline extension (plan cache / warm pool telemetry);
+    #: Amortized-pipeline extension (mask-plan cache telemetry);
     #: ``None`` for engines that pay full per-search costs.
     amortized: AmortizationStats | None = field(default=None)
     #: Scheduler extension (lane, queueing, batch sharing); ``None`` for

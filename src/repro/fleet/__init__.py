@@ -16,9 +16,10 @@ Quick start::
     result = ticket.result()
     print(result.fleet.batches_by_device)
 
-Chaos harness::
+The device-loss chaos harness lives in :mod:`repro.fleet.storm`
+(imported explicitly — a serving process has no use for it)::
 
-    from repro.fleet import run_device_loss_storm
+    from repro.fleet.storm import run_device_loss_storm
 
     report = run_device_loss_storm(seed=0)
     assert not report.failures, report.render()
@@ -29,13 +30,10 @@ from __future__ import annotations
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
 from repro.fleet.engine import DEVICE_WEIGHTS, FleetSearchEngine
-from repro.fleet.storm import DeviceLossStormReport, run_device_loss_storm
 
 __all__ = [
     "FleetDevice",
     "FleetScheduler",
     "FleetSearchEngine",
     "DEVICE_WEIGHTS",
-    "DeviceLossStormReport",
-    "run_device_loss_storm",
 ]

@@ -24,20 +24,28 @@ host device makes the candidate order the single-engine order.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.engines.registry import build_engine
-from repro.gates import invariant_failures
 from repro.hashes.registry import get_hash
-
-from repro.sched.errors import RequestShed
-from repro.sched.workload import WorkloadRequest, mixed_workload
+from repro.storm import (
+    drive,
+    false_authentications,
+    invariant_failures,
+    planted,
+    search_submit,
+    summarize,
+    ticket_submit,
+)
 
 from repro.fleet.engine import FleetSearchEngine
 
 __all__ = ["DeviceLossStormReport", "run_device_loss_storm"]
+
+#: How long the storm waits for its in-flight requests before calling
+#: them lost.
+_SETTLE_TIMEOUT = 120.0
 
 
 @dataclass
@@ -105,20 +113,6 @@ class DeviceLossStormReport:
         return "\n".join(lines)
 
 
-def _reference_outcomes(
-    workload: list[WorkloadRequest], hash_name: str, batch_size: int
-) -> dict[str, tuple[bool, bytes | None, int | None]]:
-    """Single-device byte-truth: what each search must return."""
-    engine = build_engine("batch", hash_name=hash_name, batch_size=batch_size)
-    truth = {}
-    for request in workload:
-        result = engine.search(
-            request.base_seed, request.target_digest, request.max_distance
-        )
-        truth[request.client_id] = (result.found, result.seed, result.distance)
-    return truth
-
-
 def run_device_loss_storm(
     seed: int = 0,
     requests: int = 10,
@@ -141,8 +135,13 @@ def run_device_loss_storm(
     if len(devices) < 2:
         raise ValueError("the storm needs at least two devices (one survives)")
     algo = get_hash(hash_name)
-    workload = mixed_workload(algo, requests, depths, seed)
-    truth = _reference_outcomes(workload, hash_name, batch_size)
+    workload = planted(algo, requests, depths, seed)
+    # Single-device byte-truth: what each search must return.
+    reference = build_engine("batch", hash_name=hash_name, batch_size=batch_size)
+    truth = [
+        (o.status, o.seed, o.distance)
+        for o in drive(search_submit(reference), workload, timeout=_SETTLE_TIMEOUT)
+    ]
 
     engine = FleetSearchEngine(
         *devices,
@@ -165,50 +164,27 @@ def run_device_loss_storm(
         revived_after=revive_after,
     )
 
-    completions = 0
-    switch_lock = threading.Lock()
-
-    def _on_done(_ticket) -> None:
-        nonlocal completions
-        with switch_lock:
-            completions += 1
-            count = completions
-        if count == kill_after:
+    def switch(settled: int) -> None:
+        if settled == kill_after:
             fleet.kill_device(victim)
-        elif count == revive_after:
+        elif settled == revive_after:
             fleet.revive_device(victim)
 
     start = time.perf_counter()
-    tickets = []
-    for request in workload:
-        ticket = engine.submit(
-            request.base_seed,
-            request.target_digest,
-            request.max_distance,
-            client_id=request.client_id,
-        )
-        ticket.add_done_callback(_on_done)
-        tickets.append((request, ticket))
-
-    for request, ticket in tickets:
-        try:
-            result = ticket.result(timeout=120.0)
-        except RequestShed:
-            report.resolved += 1
-            report.shed += 1
-            continue
-        except TimeoutError:
-            report.lost_requests += 1
-            continue
-        report.resolved += 1
-        if result.found:
-            report.found += 1
-            assert result.seed is not None
-            if algo.hash_seed(result.seed) != request.target_digest:
-                report.false_authentications += 1
-        expected = truth[request.client_id]
-        if (result.found, result.seed, result.distance) != expected:
-            report.byte_mismatches += 1
+    outcomes = drive(
+        ticket_submit(engine), workload, timeout=_SETTLE_TIMEOUT, on_settled=switch
+    )
+    stats = summarize(outcomes)
+    report.resolved = stats["served"] + stats["shed"]
+    report.found = stats["found"]
+    report.shed = stats["shed"]
+    # Neither a result nor a typed shed: an error is a lost request too.
+    report.lost_requests = stats["lost"] + len(stats["errors"])
+    report.false_authentications = false_authentications(algo, outcomes)
+    report.byte_mismatches = sum(
+        o.served and (o.status, o.seed, o.distance) != expected
+        for o, expected in zip(outcomes, truth, strict=True)
+    )
 
     # The storm may finish before 75% of completions (all resolved while
     # the victim was dark) — make sure the revive switch has flipped,
@@ -223,7 +199,8 @@ def run_device_loss_storm(
     report.wall_seconds = time.perf_counter() - start
 
     snapshot = fleet.snapshot()
-    engine.close()
+    # Not drained: a lost request must fail the storm, not hang it.
+    engine.close(drain=False)
     report.snapshot = snapshot
     report.redispatched_chunks = int(snapshot["redispatched_chunks"])
     report.reassigned_requests = int(snapshot["reassigned_requests"])

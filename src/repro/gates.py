@@ -19,10 +19,11 @@ print one ``GATE: ...`` line per failure on stderr, return the exit
 code. ``config`` is the parsed arguments, so a record says exactly how
 to reproduce itself.
 
-:func:`invariant_failures` phrases the three invariants every serving
-gate asserts — zero false authentications, every refusal typed, nothing
-lost — once; the storm report classes build their ``failures`` lists on
-it and add their scenario's own.
+The in-process gates build requests, serve them and phrase the three
+invariants every serving gate asserts — zero false authentications,
+every refusal typed, nothing lost — through the storm kit
+(:mod:`repro.storm`); the storm report classes build their ``failures``
+lists on the same phrasing and add their scenario's own.
 
 Scenario imports are deferred into each ``run`` so that parsing and
 ``--help`` stay import-light.
@@ -38,16 +39,26 @@ import platform
 import subprocess
 import sys
 import time
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
+
+from repro.storm import (
+    SHALLOW_DISTANCE,
+    drive,
+    false_authentications,
+    invariant_failures,
+    planted,
+    search_submit,
+    summarize,
+    ticket_submit,
+)
 
 __all__ = [
     "GATES",
     "SCHEMA",
     "Gate",
     "gate_parser",
-    "invariant_failures",
     "measure",
     "run_gate",
     "select_gate",
@@ -78,29 +89,6 @@ class Gate:
 
 
 # -- the runner -----------------------------------------------------------
-
-
-def invariant_failures(
-    *,
-    false_authentications: int = 0,
-    untyped: int | Collection[str] = 0,
-    lost: int = 0,
-) -> list[str]:
-    """The invariants every serving gate asserts, as named failures.
-
-    ``untyped`` counts refusals that escaped the typed-error vocabulary;
-    pass the offending kinds instead of a count to have them named.
-    """
-    failures = []
-    if false_authentications:
-        failures.append(f"{false_authentications} false authentication(s)")
-    count = untyped if isinstance(untyped, int) else len(untyped)
-    if count:
-        kinds = "" if isinstance(untyped, int) else f": {sorted(set(untyped))}"
-        failures.append(f"{count} untyped refusal(s){kinds}")
-    if lost:
-        failures.append(f"{lost} request(s) lost")
-    return failures
 
 
 def _host_fingerprint() -> dict[str, Any]:
@@ -207,6 +195,10 @@ def select_gate(argv: Sequence[str]) -> Gate | None:
     return max(matches, key=lambda gate: len(gate.flags), default=None)
 
 
+#: How long a gate waits, after its last submit, for every request to
+#: settle before it reports the rest as lost.
+_SETTLE_TIMEOUT = 300.0
+
 # -- shared argument shapes -----------------------------------------------
 
 
@@ -224,7 +216,7 @@ def _mixed_workload_arguments(
     depths: tuple[int, ...],
     batch_size: int,
 ) -> None:
-    """The seeded mixed-depth fleet of :func:`repro.sched.workload.mixed_workload`."""
+    """The seeded mixed-depth fleet of :func:`repro.storm.planted`."""
     parser.add_argument("--hash", default="sha1", dest="hash_name")
     parser.add_argument("--requests", type=int, default=requests)
     parser.add_argument("--depths", type=_int_tuple, default=depths,
@@ -313,39 +305,56 @@ def _scheduler_run(args: argparse.Namespace) -> Outcome:
     """The same seeded fleet through FIFO, then through the dispatcher."""
     from repro.engines import build_engine
     from repro.hashes.registry import get_hash
-    from repro.sched.workload import (
-        mixed_workload,
-        run_fifo,
-        run_scheduled,
-        summarize_latencies,
-    )
 
-    workload = mixed_workload(
-        get_hash(args.hash_name),
-        requests=args.requests,
-        depths=args.depths,
-        seed=args.seed,
+    workload = planted(
+        get_hash(args.hash_name), args.requests, args.depths, args.seed,
         deadline_seconds=args.deadline,
     )
     fifo_engine = build_engine(
         "batch", hash_name=args.hash_name, batch_size=args.batch_size, cache=True
     )
-    fifo = summarize_latencies(run_fifo(fifo_engine, workload, args.budget))
+
+    def by_class(outcomes: list[Any]) -> dict[str, Any]:
+        shallow = [
+            o for o in outcomes if o.request.max_distance <= SHALLOW_DISTANCE
+        ]
+        deep = [o for o in outcomes if o.request.max_distance > SHALLOW_DISTANCE]
+        return {
+            "all": summarize(outcomes),
+            "shallow": summarize(shallow),
+            "deep": summarize(deep),
+        }
+
+    # Every request arrives at t=0; FIFO serves them in submission order
+    # on one device, so each latency includes everything queued ahead.
+    fifo = by_class(
+        drive(
+            search_submit(fifo_engine, args.budget), workload,
+            timeout=_SETTLE_TIMEOUT,
+        )
+    )
     sched_engine = build_engine(
         "sched", hash_name=args.hash_name, batch_size=args.batch_size
     )
     try:
-        sched = summarize_latencies(
-            run_scheduled(sched_engine, workload, args.budget)
+        sched = by_class(
+            drive(
+                ticket_submit(sched_engine, args.budget), workload,
+                timeout=_SETTLE_TIMEOUT,
+            )
         )
         snapshot = sched_engine.scheduler.snapshot()
     finally:
-        sched_engine.close()
+        # Not drained: a lost request must end the gate, not hang it.
+        sched_engine.close(drain=False)
 
     # A fleet with no shallow request has no tail to compare.
     fifo_p99 = fifo["shallow"].get("p99_seconds")
     sched_p99 = sched["shallow"].get("p99_seconds")
-    failures = []
+    failures = invariant_failures(
+        untyped=fifo["all"]["errors"] + sched["all"]["errors"],
+        lost=fifo["all"]["lost"] + sched["all"]["lost"],
+    )
     if fifo_p99 is not None and sched_p99 is not None and sched_p99 > fifo_p99:
         failures.append(
             f"scheduled shallow p99 {sched_p99:.3f}s exceeds FIFO {fifo_p99:.3f}s"
@@ -373,6 +382,8 @@ def _scheduler_render(record: Record) -> str:
     def row(label: str, stats: dict[str, Any]) -> str:
         if stats["count"] == 0:
             return f"    {label:<8} (no requests)"
+        if "p50_seconds" not in stats:
+            return f"    {label:<8} n={stats['count']:<3} (nothing served)"
         return (
             f"    {label:<8} n={stats['count']:<3} "
             f"p50={stats['p50_seconds']:.3f}s "
@@ -454,9 +465,7 @@ def _serve_on_fleet(
     **engine_kwargs: Any,
 ) -> dict[str, Any]:
     """Serve one workload through a fleet; latencies plus the invariants."""
-    from repro.analysis.metrics import percentile
     from repro.fleet import FleetSearchEngine
-    from repro.sched.errors import RequestShed
 
     engine = FleetSearchEngine(
         *devices,
@@ -464,51 +473,26 @@ def _serve_on_fleet(
         batch_size=args.batch_size,
         **engine_kwargs,
     )
-    latencies: list[float] = []
-    lost = false_auths = shed = found = 0
     start = time.perf_counter()
     try:
-        tickets = [
-            (
-                request,
-                engine.submit(
-                    request.base_seed,
-                    request.target_digest,
-                    request.max_distance,
-                    client_id=request.client_id,
-                ),
-            )
-            for request in workload
-        ]
-        for request, ticket in tickets:
-            try:
-                result = ticket.result(timeout=300.0)
-            except RequestShed:
-                shed += 1
-                continue
-            except TimeoutError:
-                lost += 1
-                continue
-            latencies.append(time.perf_counter() - start)
-            if result.found:
-                found += 1
-                if algo.hash_seed(result.seed) != request.target_digest:
-                    false_auths += 1
+        outcomes = drive(ticket_submit(engine), workload, timeout=_SETTLE_TIMEOUT)
         wall = time.perf_counter() - start
         snapshot = engine.scheduler.snapshot()
     finally:
         engine.close(drain=False)
+    stats = summarize(outcomes)
     return {
         "devices": list(devices),
         "wall_seconds": wall,
-        "resolved": len(latencies) + shed,
-        "found": found,
-        "shed": shed,
-        "lost": lost,
-        "false_authentications": false_auths,
-        "p50_seconds": percentile(latencies, 50) if latencies else None,
-        "p99_seconds": percentile(latencies, 99) if latencies else None,
-        "throughput_rps": len(latencies) / wall if wall > 0 else 0.0,
+        "resolved": stats["served"] + stats["shed"],
+        "found": stats["found"],
+        "shed": stats["shed"],
+        "lost": stats["lost"],
+        "errors": stats["errors"],
+        "false_authentications": false_authentications(algo, outcomes),
+        "p50_seconds": stats.get("p50_seconds"),
+        "p99_seconds": stats.get("p99_seconds"),
+        "throughput_rps": stats["served"] / wall if wall > 0 else 0.0,
         "hedges_launched": snapshot["hedges_launched"],
         "hedge_wins": snapshot["hedge_wins"],
         "redispatched_chunks": snapshot["redispatched_chunks"],
@@ -588,12 +572,13 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
     """One vs two devices on a planted workload, hedging off vs on, then
     one core vs the cpuset."""
     from repro.hashes.registry import get_hash
-    from repro.sched.workload import mixed_workload
 
     algo = get_hash(args.hash_name)
-    workload = mixed_workload(
-        algo, requests=args.requests, depths=args.depths, seed=args.seed
-    )
+    workload = planted(algo, args.requests, args.depths, args.seed)
+    # One discarded pass builds the mask plans, so that both timed
+    # sections below read them warm instead of the first one paying
+    # (which read as a 1.3-1.6x two-device "speed-up").
+    _serve_on_fleet(("host",), workload, algo, args)
     single = _serve_on_fleet(("host",), workload, algo, args)
     dual = _serve_on_fleet(("host", "host"), workload, algo, args)
     ratio = (
@@ -606,12 +591,9 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
     # latency is the straggler story, not where the seed was planted.
     absent = algo.hash_seed(b"\xa5" * 32)
     stragglers = [
-        dataclasses.replace(request, target_digest=absent)
-        for request in mixed_workload(
-            algo,
-            requests=args.straggler_requests,
-            depths=(2,),
-            seed=args.seed + 1,
+        dataclasses.replace(request, digest=absent)
+        for request in planted(
+            algo, args.straggler_requests, (2,), args.seed + 1
         )
     ]
     slow = ("host", "slow-host")
@@ -645,16 +627,12 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
     }
     failures = invariant_failures(
         false_authentications=metrics["false_authentications"],
+        untyped=[kind for s in sections for kind in s["errors"]],
         lost=metrics["lost_requests"],
     )
-    # Deliberately loose: both devices hash on the one worker set, so a
-    # second device adds overlap between batches at most, never cores.
-    if ratio is None or ratio < 0.9:
-        scaling = "n/a" if ratio is None else f"{ratio:.2f}x"
-        failures.append(
-            f"two devices serve {scaling} the one-device throughput "
-            "(floor 0.9x)"
-        )
+    # ``scaling_ratio`` is recorded, not gated: both devices hash on the
+    # one worker set, so warm it reads 1.0x by construction, and over a
+    # 70 ms section run-to-run noise is +-0.15x. Cores are the gate.
     worker_ratio = worker_scaling["ratio"]
     if worker_ratio is not None and worker_ratio < _WORKER_SCALING_FLOOR:
         failures.append(
@@ -857,37 +835,25 @@ def _directory_availability(
     directory: Any, client_ids: list[str]
 ) -> dict[str, Any]:
     """Kill one shard, then its replica partner, then revive both."""
-    from repro.directory.storm import _pick_victims
+    from repro.directory.storm import _pick_victims, shard_loss_schedule
 
     victim, partner, doomed = _pick_victims(directory, client_ids)
-
-    directory.kill_shard(victim)
-    directory.drop_hot_caches()
-    failovers_before = directory.failovers
-    one_down = _directory_sweep(directory, client_ids)
-    one_down["failovers"] = directory.failovers - failovers_before
-
-    directory.kill_shard(partner)
-    directory.drop_hot_caches()
-    two_down = _directory_sweep(directory, client_ids)
-
-    repairs_before = directory.read_repairs
-    directory.revive_shard(victim)
-    directory.revive_shard(partner)
-    # Revived shards are re-admitted once their tripped breakers' recovery
-    # window has passed; the sweep must not start inside it.
-    time.sleep(directory.shard(victim).breaker.recovery_seconds)
-    directory.drop_hot_caches()
-    recovered = _directory_sweep(directory, client_ids)
-    recovered["read_repairs"] = directory.read_repairs - repairs_before
-
+    sweeps = {}
+    for name in shard_loss_schedule(directory, victim, partner):
+        failovers_before = directory.failovers
+        sweeps[name] = _directory_sweep(directory, client_ids)
+        if name == "1-shard-down":
+            sweeps[name]["failovers"] = directory.failovers - failovers_before
+        elif name == "replica-set-down":
+            repairs_before = directory.read_repairs
+    sweeps["recovered"]["read_repairs"] = directory.read_repairs - repairs_before
     return {
         "victim": victim,
         "partner": partner,
         "doomed_keys": len(doomed),
-        "one_shard_down": one_down,
-        "replica_set_down": two_down,
-        "recovered": recovered,
+        "one_shard_down": sweeps["1-shard-down"],
+        "replica_set_down": sweeps["replica-set-down"],
+        "recovered": sweeps["recovered"],
     }
 
 

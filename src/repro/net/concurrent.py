@@ -73,10 +73,9 @@ _COUNTERS = (
     "seeds_hashed",
     "shells_completed",
     # Amortized-pipeline telemetry (searches served by engines with a
-    # mask-plan cache and/or warm worker pool; zero otherwise).
+    # mask-plan cache; zero otherwise).
     "plan_hits",
     "plan_misses",
-    "pool_reuses",
     # Dispatcher telemetry: requests shed (typed refusals), primary-
     # request preemptions, the deepest front-door queue observed, chunks
     # replayed on a survivor after a device failure, and batches that
@@ -499,7 +498,6 @@ class ConcurrentCAServer:
             shells_completed=len(result.shells),
             plan_hits=amortized.plan_hits if amortized else 0,
             plan_misses=amortized.plan_misses if amortized else 0,
-            pool_reuses=1 if amortized and amortized.pool_reused else 0,
             preempted=scheduling.preemptions if scheduling else 0,
             redispatched=fleet.redispatched_chunks if fleet else 0,
             hedged=fleet.hedged_batches if fleet else 0,

@@ -25,16 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.analysis.metrics import ResilienceReport, percentile
-from repro.core import (
-    CertificateAuthority,
-    RegistrationAuthority,
-)
-from repro.core.protocol import ClientDevice
-from repro.core.salting import HashChainSalt
-from repro.keygen.interface import get_keygen
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.errors import ServerBusy
@@ -46,8 +37,6 @@ from repro.net.messages import (
 )
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.puf.image_db import EncryptedImageDatabase
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import enroll_with_masking
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.failover import FailoverSearchService
 from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
@@ -57,6 +46,7 @@ from repro.reliability.tripwire import VerifyingAuthority
 from repro.engines import TelemetryHooks, build_engine
 from repro.devices.flaky import DeviceFailure, FlakyEngine
 from repro.sched.errors import RequestShed
+from repro.storm import enrolled_fleet
 
 __all__ = [
     "StormConfig",
@@ -197,39 +187,6 @@ class _StormFrontend:
             )
 
 
-def _enroll_fleet(spec_seed: int, config: StormConfig):
-    """Build a CA with ``config.clients`` enrolled PUF devices."""
-    authority = CertificateAuthority(
-        search_service=None,  # installed by run_storm
-        salt=HashChainSalt(),
-        keygen=get_keygen("aes-128"),
-        registration_authority=RegistrationAuthority(),
-        image_db=EncryptedImageDatabase(b"chaos-master-key"),
-        hash_name=config.hash_name,
-    )
-    clients = []
-    for index in range(config.clients):
-        puf = SRAMPuf(
-            num_cells=config.num_cells,
-            stable_error=0.001,
-            seed=spec_seed * 1_000_003 + index,
-        )
-        mask = enroll_with_masking(
-            puf, address=0, window=config.num_cells, reads=48,
-            instability_threshold=0.02,
-        )
-        client_id = f"client-{index:04d}"
-        authority.enroll(client_id, mask)
-        device = ClientDevice(
-            client_id,
-            puf,
-            noise_target_distance=config.noise_target_distance,
-            rng=np.random.default_rng((spec_seed, index)),
-        )
-        clients.append((client_id, device, mask))
-    return authority, clients
-
-
 def run_storm(
     spec: FaultSpec, seed: int, config: StormConfig | None = None
 ) -> ResilienceReport:
@@ -238,7 +195,14 @@ def run_storm(
     plan = FaultPlan(spec, seed)
     clock = VirtualClock()
 
-    authority, clients = _enroll_fleet(seed, config)
+    authority, clients = enrolled_fleet(
+        seed,
+        config.clients,
+        EncryptedImageDatabase(b"chaos-master-key"),
+        hash_name=config.hash_name,
+        num_cells=config.num_cells,
+        noise_target_distance=config.noise_target_distance,
+    )
     device_injector = plan.device_injector(horizon=max(40, config.clients))
     # One telemetry tap across both backends: the report's engine
     # counters cover every batch either engine actually ran.

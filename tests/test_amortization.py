@@ -329,8 +329,8 @@ class TestSatellites:
         snap = hooks.snapshot()
         assert snap["plan_misses"] >= 1
         assert snap["plan_hits"] >= 1
-        hooks.on_amortization(AmortizationStats(pool_reused=True))
-        assert hooks.snapshot()["pool_reuses"] == 1
+        hooks.on_amortization(AmortizationStats(plan_hits=3))
+        assert hooks.snapshot()["plan_hits"] == snap["plan_hits"] + 3
 
     def test_warm_option_prebuilds_plans(self, base_seed):
         cache = MaskPlanCache()

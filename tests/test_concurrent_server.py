@@ -217,7 +217,7 @@ class TestServerMetricsRecord:
                        failed=1, search_seconds=0.5)
         metrics.record(rejected_busy=1, rejected_duplicate=2,
                        rejected_open=3, seeds_hashed=257, shells_completed=2)
-        metrics.record(plan_hits=4, plan_misses=1, pool_reuses=1)
+        metrics.record(plan_hits=4, plan_misses=1)
         metrics.record(preempted=1, queue_depth=5)
         metrics.record(queue_depth=3)  # gauge: peak is kept, not summed
         metrics.record(redispatched=3, hedged=2)
@@ -244,7 +244,6 @@ class TestServerMetricsRecord:
             "shells_completed": 2,
             "plan_hits": 4,
             "plan_misses": 1,
-            "pool_reuses": 1,
             "shed": 4,
             "preempted": 1,
             "queue_depth_peak": 5,

@@ -28,8 +28,8 @@ from repro.fleet import (
     DEVICE_WEIGHTS,
     FleetDevice,
     FleetSearchEngine,
-    run_device_loss_storm,
 )
+from repro.fleet.storm import run_device_loss_storm
 from repro.combinatorics.ranking import unrank_lexicographic_exact
 from repro.fleet.workers import SPLIT_MIN_ROWS, WorkerSet
 from repro.hashes.registry import get_hash
