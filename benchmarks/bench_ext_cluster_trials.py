@@ -11,6 +11,7 @@ from repro.analysis.trials import run_device_trials, run_search_trials
 from repro.devices import APUModel, CPUModel, GPUModel
 from repro.hashes.sha1 import sha1
 from repro.engines import build_engine
+from repro.runtime.cluster import ClusterSearchExecutor
 
 
 def test_cluster_engine_real_runs(benchmark, report):
@@ -21,7 +22,7 @@ def test_cluster_engine_real_runs(benchmark, report):
 
     rows = []
     for ranks in (1, 2, 4, 8):
-        cluster = build_engine(f"cluster:{ranks},hash=sha1,bs=4096")
+        cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
         result = cluster.search(base, absent, 2)
         assert not result.found
         slowest = max(result.per_rank_seconds)
@@ -40,7 +41,7 @@ def test_cluster_engine_real_runs(benchmark, report):
     )
 
     benchmark(
-        lambda: build_engine("cluster:2,hash=sha1,bs=8192").search(
+        lambda: ClusterSearchExecutor(2, "sha1", batch_size=8192).search(
             base, absent, 1
         )
     )
@@ -52,7 +53,7 @@ def test_cluster_early_exit_propagates(benchmark, report):
     client = flip_bits(base, [40, 222])
     digest = sha1(client)
 
-    cluster = build_engine("cluster:4,hash=sha1,bs=4096")
+    cluster = ClusterSearchExecutor(4, "sha1", batch_size=4096)
     result = benchmark(cluster.search, base, digest, 2)
     assert result.found and result.seed == client
     record_report(

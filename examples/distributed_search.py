@@ -17,9 +17,8 @@ import numpy as np
 from repro.analysis.plots import bar_chart, line_plot
 from repro.analysis.tables import format_table
 from repro.devices import APUModel, CPUModel, GPUModel, speedup_curve
-from repro.engines import build_engine
 from repro.hashes.sha1 import sha1
-from repro.runtime.cluster import Interconnect
+from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 
 
 def real_cluster_demo() -> None:
@@ -30,7 +29,7 @@ def real_cluster_demo() -> None:
     print("Real distributed search on this host (SALTED, SHA-1, exhaustive d=2):")
     rows = []
     for ranks in (1, 2, 4):
-        cluster = build_engine(f"cluster:{ranks},hash=sha1,bs=4096")
+        cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
         result = cluster.search(base, absent, 2)
         slowest = max(result.per_rank_seconds)
         rows.append(
@@ -44,7 +43,7 @@ def real_cluster_demo() -> None:
     from repro._bitutils import flip_bits
 
     client = flip_bits(base, [7, 201])
-    cluster = build_engine("cluster:4,hash=sha1,bs=4096")
+    cluster = ClusterSearchExecutor(4, "sha1", batch_size=4096)
     result = cluster.search(base, sha1(client), 2)
     print(
         f"\nplanted d=2 seed: found by rank {result.finder_rank} in "
@@ -56,8 +55,8 @@ def real_cluster_demo() -> None:
         name="WAN", broadcast_seconds=0.2, allreduce_seconds=0.2,
         gather_seconds=0.2, exit_propagation_seconds=0.2,
     )
-    wan = build_engine(
-        "cluster:4,hash=sha1,bs=4096", interconnect=slow_fabric
+    wan = ClusterSearchExecutor(
+        4, "sha1", batch_size=4096, interconnect=slow_fabric
     ).search(base, sha1(client), 2)
     print(
         f"same search over a WAN-grade fabric: {wan.wall_seconds:.2f} s "

@@ -96,7 +96,10 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.engines import build_engine
-    from repro.runtime.original_batch import BATCH_KEYGEN_CHOICES
+    from repro.runtime.original_batch import (
+        BATCH_KEYGEN_CHOICES,
+        BatchOriginalRBCSearch,
+    )
 
     print("hash kernels (seeds/s):")
     for name in ("sha1", "sha256", "sha3-256"):
@@ -104,9 +107,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         print(f"  {name:10s} {rate:14,.0f}")
     print("key-agile cipher kernels (responses/s):")
     for name in BATCH_KEYGEN_CHOICES:
-        rate = build_engine(
-            "original", keygen_name=name
-        ).throughput_probe(args.samples)
+        rate = BatchOriginalRBCSearch(name).throughput_probe(args.samples)
         print(f"  {name:10s} {rate:14,.0f}")
     return 0
 
@@ -336,7 +337,7 @@ def _cmd_directory(args: argparse.Namespace) -> int:
         args.clients,
         directory,
         RBCSearchService(
-            build_engine("batch", hash_name=hash_name, batch_size=16384),
+            build_engine("sched", hash_name=hash_name, batch_size=16384),
             max_distance=max_distance,
         ),
         hash_name=hash_name,
@@ -363,7 +364,7 @@ def _cmd_directory(args: argparse.Namespace) -> int:
                   f"hot_hits={stats['hot_hits']} "
                   f"failovers={stats['failovers']}")
 
-    with ConcurrentCAServer(authority, workers=2) as server:
+    with ConcurrentCAServer(authority) as server:
         print("healthy pass (cold caches -> quorum reads):")
         authenticate_all(server)
         print("warm pass (hot-cache hits):")
@@ -413,7 +414,8 @@ def _parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run one search on any engine")
     search.add_argument(
         "--engine", default="batch:sha3-256,bs=16384",
-        help="engine spec, e.g. cluster:4,bs=8192 or a dotted factory path",
+        help="engine spec, e.g. fleet:host,host,bs=8192, or a dotted factory "
+             "path: repro.runtime.cluster.ClusterSearchExecutor:4,bs=8192",
     )
     search.add_argument("--distance", type=int, default=2,
                         help="bit flips to plant between client and CA")

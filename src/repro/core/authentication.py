@@ -41,9 +41,8 @@ class EnrollmentStore(Protocol):
     sharded, replicated
     :class:`~repro.directory.sharded.ShardedEnrollmentDirectory`. Stores
     may additionally offer ``lookup_with_stats`` (per-lookup
-    :class:`~repro.engines.result.DirectoryStats` telemetry) and
-    ``prefetch`` (batched cache warming); the CA and the serving layer
-    use those when present.
+    :class:`~repro.engines.result.DirectoryStats` telemetry); the CA
+    uses it when present.
     """
 
     def enroll(self, client_id: str, mask: TernaryMask) -> None: ...

@@ -167,16 +167,14 @@ def enroll_topology_fleet(
 def build_serving_stack(
     topology: TopologySpec, seed: int, data_dir: str | None = None
 ):
-    """(verifying_authority, dispatcher_engine_or_None) for one server.
+    """(verifying_authority, dispatcher_engine) for one server.
 
     One engine per server: ``fleet`` mode builds the dispatcher over the
     topology's device tokens, ``sched`` the one-device dispatcher, and
     the authority's search service holds that same engine — so
     ``max_distance`` / ``time_threshold`` and the engine live in one
     object — while the second element slots into the
-    ConcurrentCAServer's ``scheduler`` seat. ``fifo`` gives the service a
-    plain ``batch`` engine and returns ``None``: the server's bounded
-    worker pool serves directly.
+    ConcurrentCAServer's ``scheduler`` seat.
 
     With ``topology.durability`` set and a ``data_dir`` given, the
     enrollment store is a WAL-backed
@@ -193,19 +191,14 @@ def build_serving_stack(
         image_db = DurableImageStore(
             data_dir, b"deploy-master-k!", fsync=topology.durability
         )
-    geometry = {
-        "hash_name": topology.hash_name,
-        "batch_size": topology.batch_size,
-    }
-    if topology.engine == "fifo":
-        engine = build_engine("batch", **geometry)
-    else:
-        spec = (
-            "sched"
-            if topology.engine == "sched"
-            else "fleet:" + ",".join(topology.devices)
-        )
-        engine = build_engine(spec, max_queue=topology.max_queue, **geometry)
+    engine = build_engine(
+        "sched"
+        if topology.engine == "sched"
+        else "fleet:" + ",".join(topology.devices),
+        hash_name=topology.hash_name,
+        batch_size=topology.batch_size,
+        max_queue=topology.max_queue,
+    )
     authority = CertificateAuthority(
         search_service=RBCSearchService(
             engine,
@@ -219,7 +212,4 @@ def build_serving_stack(
         hash_name=topology.hash_name,
     )
     enroll_topology_fleet(authority, topology, seed, skip_existing=durable)
-    return (
-        VerifyingAuthority(authority),
-        None if topology.engine == "fifo" else engine,
-    )
+    return VerifyingAuthority(authority), engine

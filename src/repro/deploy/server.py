@@ -27,7 +27,7 @@ the record is durable under the WAL's fsync policy.
 Shutdown is signal-safe by construction: the SIGTERM/SIGINT handler
 only sets a :class:`threading.Event` (handlers run on the main thread
 between bytecodes — doing real teardown there can deadlock against a
-worker holding the server lock). The main thread observes the event and
+thread holding the server lock). The main thread observes the event and
 runs the ordinary ``close(drain=True)`` path: in-flight searches drain
 within their time budgets, queued work is shed with a typed reason, the
 process prints ``DEPLOY-DRAINED`` and exits 0. SIGKILL skips all of
@@ -108,7 +108,6 @@ def build_server(
         )
     concurrent = ConcurrentCAServer(
         verifying,
-        workers=spec.workers,
         max_queue=spec.max_queue,
         scheduler=engine,
         tenants=tenants,

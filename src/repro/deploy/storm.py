@@ -477,7 +477,7 @@ def run_crash_storm(
     """
     say = log if log is not None else (lambda _msg: None)
     base = topology if topology is not None else TopologySpec(
-        servers=1, engine="fifo", wan_profile="lan", clients=8
+        servers=1, wan_profile="lan", clients=8
     )
     if not base.durability:
         base = replace(base, durability="always")

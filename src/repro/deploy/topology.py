@@ -16,11 +16,10 @@ from repro.deploy.wan import WAN_PROFILES
 
 __all__ = ["TopologySpec", "ENGINE_MODES"]
 
-#: How a server process serves searches: ``fleet`` (multi-device
-#: continuous batching — the default), ``sched`` (single-device
-#: continuous batching), ``fifo`` (bounded worker pool, the PR 1 front
-#: door).
-ENGINE_MODES = ("fleet", "sched", "fifo")
+#: The dispatcher a server process serves on: ``fleet`` (continuous
+#: batching over the topology's device tokens — the default) or
+#: ``sched`` (the same dispatcher over one ``host`` device).
+ENGINE_MODES = ("fleet", "sched")
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,7 @@ class TopologySpec:
     max_distance: int = 2
     num_cells: int = 2048
     batch_size: int = 8192
-    #: FIFO-mode worker threads / admission queue bound per server.
-    workers: int = 2
+    #: Admission queue bound per server.
     max_queue: int = 64
     #: Protocol time threshold T per search.
     time_budget: float = 5.0
@@ -79,8 +77,8 @@ class TopologySpec:
             raise ValueError("clients must be positive")
         if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.workers < 1 or self.max_queue < 1:
-            raise ValueError("workers and max_queue must be positive")
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be positive")
         if self.durability:
             from repro.durability.wal import FsyncPolicy
 

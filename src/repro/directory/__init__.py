@@ -9,12 +9,10 @@ fault-modeled subsystem instead of an implicit in-memory dict.
 * :mod:`repro.directory.shard` — one breaker-guarded, fault-injectable
   shard store with kill/revive for whole-shard loss.
 * :mod:`repro.directory.cache` — per-shard LRU hot cache with
-  hit/miss/stale/eviction and prefetch-drop telemetry.
+  hit/miss/stale/eviction telemetry.
 * :mod:`repro.directory.sharded` — the directory proper: R-way
   replication, quorum reads with retry/backoff, replica failover,
-  read-repair, batched prefetch, typed degraded mode.
-* :mod:`repro.directory.prefetch` — background batcher warming caches
-  for queued admission requests.
+  read-repair, typed degraded mode.
 * :mod:`repro.directory.storm` — the deterministic shard-loss chaos
   storm (``repro directory --storm``).
 """
@@ -28,7 +26,6 @@ from repro.directory.errors import (
     ShardTimeout,
 )
 from repro.directory.hashring import ConsistentHashRing
-from repro.directory.prefetch import DirectoryPrefetcher
 from repro.directory.shard import ShardStore
 from repro.directory.sharded import ShardedEnrollmentDirectory
 
@@ -37,7 +34,6 @@ __all__ = [
     "HotCache",
     "ShardStore",
     "ShardedEnrollmentDirectory",
-    "DirectoryPrefetcher",
     "DirectoryError",
     "ClientNotEnrolled",
     "ShardDown",

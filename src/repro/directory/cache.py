@@ -1,16 +1,9 @@
 """Per-shard LRU hot cache of decrypted enrollment images.
 
 Each shard's working set gets its own small cache inside the CA's trust
-boundary (the images are decrypted only here, same as any lookup). Two
-insert disciplines share the structure:
-
-* **demand inserts** (a lookup that just paid a quorum read) may evict
-  the least-recently-used entry — the requester proved the key is hot;
-* **prefetch inserts** (speculative, batched from the admission queue)
-  only fill *spare* capacity. A full cache drops the prefetch and counts
-  it, so speculation can never evict demonstrated-hot entries — the
-  "falls back cleanly" behavior: the later demand lookup simply pays the
-  quorum read it would have paid anyway.
+boundary (the images are decrypted only here, same as any lookup). An
+insert follows a lookup that just paid a quorum read and may evict the
+least-recently-used entry — the requester proved the key is hot.
 
 Entries carry the record's re-enrollment version; a write-through
 invalidation counts the entry as ``stale`` so the telemetry separates
@@ -41,8 +34,6 @@ class HotCache(Generic[V]):
         self.misses = 0
         self.stale_invalidations = 0
         self.evictions = 0
-        self.prefetch_inserts = 0
-        self.prefetch_dropped = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -60,16 +51,12 @@ class HotCache(Generic[V]):
             return entry
 
     def peek(self, key: str) -> tuple[V, int] | None:
-        """Like :meth:`get` but without touching recency or telemetry.
-
-        The prefetcher uses it to skip already-resident keys without
-        inflating the hit rate or promoting entries it never served.
-        """
+        """Like :meth:`get` but without touching recency or telemetry."""
         with self._lock:
             return self._entries.get(key)
 
     def put(self, key: str, value: V, version: int) -> None:
-        """Demand insert: may evict the LRU entry to make room."""
+        """Insert after a quorum read: may evict the LRU entry to make room."""
         with self._lock:
             if key in self._entries:
                 self._entries[key] = (value, version)
@@ -79,23 +66,6 @@ class HotCache(Generic[V]):
                 self._entries.popitem(last=False)
                 self.evictions += 1
             self._entries[key] = (value, version)
-
-    def put_speculative(self, key: str, value: V, version: int) -> bool:
-        """Prefetch insert: fills spare capacity only; False when dropped."""
-        with self._lock:
-            if key in self._entries:
-                # Refresh in place but keep the entry's recency: a
-                # prefetch is not evidence of demand.
-                self._entries[key] = (value, version)
-                self.prefetch_inserts += 1
-                return True
-            if len(self._entries) >= self.capacity:
-                self.prefetch_dropped += 1
-                return False
-            self._entries[key] = (value, version)
-            self._entries.move_to_end(key, last=False)
-            self.prefetch_inserts += 1
-            return True
 
     def invalidate(self, key: str) -> bool:
         """Drop ``key`` after a write made the cached copy stale."""
@@ -121,6 +91,4 @@ class HotCache(Generic[V]):
                 "misses": self.misses,
                 "stale_invalidations": self.stale_invalidations,
                 "evictions": self.evictions,
-                "prefetch_inserts": self.prefetch_inserts,
-                "prefetch_dropped": self.prefetch_dropped,
             }

@@ -18,8 +18,7 @@ its failure model explicit instead of assuming the image is at hand:
   in place — this is how a shard that rejoined after downtime catches up
   on the writes it missed;
 * each shard's working set has a **per-shard LRU hot cache** with
-  hit/miss/stale telemetry, plus a speculative **batched prefetch** path
-  that fills spare cache capacity for queued admission requests;
+  hit/miss/stale telemetry;
 * when a key's entire replica set is down, the lookup raises the typed
   :class:`~repro.directory.errors.DirectoryUnavailable` — the serving
   layer converts it into a ``SHED_DIRECTORY_UNAVAILABLE`` shed so the
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.directory.cache import HotCache
 from repro.directory.errors import (
@@ -152,7 +151,6 @@ class ShardedEnrollmentDirectory:
         self.read_repairs = 0
         self.retries = 0
         self.unavailable_lookups = 0
-        self.prefetch_batches = 0
         self.anti_entropy_sweeps = 0
         self.anti_entropy_repairs = 0
         if data_dir is not None:
@@ -532,53 +530,6 @@ class ShardedEnrollmentDirectory:
                 self.anti_entropy_repairs += report["repaired"]
         return report
 
-    # -- batched prefetch --------------------------------------------------
-
-    def prefetch(self, client_ids: Iterable[str]) -> dict[str, int]:
-        """Warm the hot caches for a batch of queued identifiers.
-
-        Speculative and best-effort by design: already-cached keys are
-        skipped, unreachable keys are counted (never raised), and a full
-        cache drops the insert rather than evicting demonstrated-hot
-        entries — the later demand lookup falls back to the quorum read
-        it would have paid anyway.
-        """
-        report = {
-            "requested": 0,
-            "loaded": 0,
-            "already_cached": 0,
-            "dropped": 0,
-            "unavailable": 0,
-            "unknown": 0,
-        }
-        with self._lock:
-            self.prefetch_batches += 1
-        for client_id in client_ids:
-            report["requested"] += 1
-            with self._lock:
-                current_version = self._known.get(client_id)
-            if current_version is None:
-                report["unknown"] += 1
-                continue
-            replicas = self.replicas_for(client_id)
-            cache = self._caches[replicas[0]]
-            entry = cache.peek(client_id)
-            if entry is not None and entry[1] == current_version:
-                report["already_cached"] += 1
-                continue
-            try:
-                mask, _stats = self._quorum_read(
-                    client_id, replicas, current_version, time.perf_counter()
-                )
-            except DirectoryUnavailable:
-                report["unavailable"] += 1
-                continue
-            if cache.put_speculative(client_id, mask, current_version):
-                report["loaded"] += 1
-            else:
-                report["dropped"] += 1
-        return report
-
     # -- introspection ----------------------------------------------------
 
     def cache_snapshot(self) -> dict[str, dict[str, int]]:
@@ -600,7 +551,6 @@ class ShardedEnrollmentDirectory:
                 "read_repairs": self.read_repairs,
                 "retries": self.retries,
                 "unavailable_lookups": self.unavailable_lookups,
-                "prefetch_batches": self.prefetch_batches,
                 "anti_entropy_sweeps": self.anti_entropy_sweeps,
                 "anti_entropy_repairs": self.anti_entropy_repairs,
                 "durable": self.data_dir is not None,
@@ -621,8 +571,7 @@ class ShardedEnrollmentDirectory:
                 tenants[tenant_id] = entry
             counters["tenants"] = tenants
         cache_totals = {"hits": 0, "misses": 0, "stale_invalidations": 0,
-                        "evictions": 0, "prefetch_inserts": 0,
-                        "prefetch_dropped": 0}
+                        "evictions": 0}
         for cache in self._caches.values():
             snap = cache.snapshot()
             for key in cache_totals:

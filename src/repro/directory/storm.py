@@ -245,7 +245,6 @@ def run_shard_loss_storm(
     hash_name: str = "sha1",
     num_cells: int = 1024,
     max_distance: int = 2,
-    workers: int = 2,
     cache_capacity: int = 64,
     shard_timeout_rate: float = 0.05,
     shed_ceiling: float = 0.5,
@@ -270,7 +269,7 @@ def run_shard_loss_storm(
         clients,
         directory,
         RBCSearchService(
-            build_engine("batch", hash_name=hash_name, batch_size=16384),
+            build_engine("sched", hash_name=hash_name, batch_size=16384),
             max_distance=max_distance,
         ),
         hash_name=hash_name,
@@ -295,8 +294,8 @@ def run_shard_loss_storm(
 
     tripwire = VerifyingAuthority(authority)
     start = time.perf_counter()
-    with ConcurrentCAServer(tripwire, workers=workers,
-                            max_queue=max(64, clients)) as server:
+    # The server serves on (and closes) the authority's own engine.
+    with ConcurrentCAServer(tripwire, max_queue=max(64, clients)) as server:
 
         def wave(expect_shed: Collection[str] = ()) -> None:
             outcomes = drive(server_submit(server, tripwire), read(), timeout=120.0)

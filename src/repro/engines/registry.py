@@ -18,11 +18,12 @@ Spec grammar::
     "batch"                        -> BatchSearchExecutor, defaults
     "batch:sha3-256,bs=16384"      -> positional hash, aliased option
     "parallel:sha1,workers=4"      -> full option names work too
-    "cluster:4,hash=sha1,bs=4096"  -> ranks first, like the constructor
+    "fleet:host,host,hash=sha1"    -> device tokens first, like the constructor
 
-Dotted specs bypass the registry and name a factory directly::
+Dotted specs bypass the registry and name a factory directly — how the
+engines with a single caller are built::
 
-    "repro.runtime.executor.BatchSearchExecutor:sha1,bs=4096"
+    "repro.runtime.cluster.ClusterSearchExecutor:4,hash=sha1,bs=4096"
 
 Values are coerced to the type of the factory parameter's default
 (int / float / bool / str); parameters without a usable default fall
@@ -124,17 +125,6 @@ _REGISTRY: dict[str, EngineEntry] = {}
 _builtins_loaded = False
 
 
-def _signature_of(factory: Callable[..., Any]) -> inspect.Signature:
-    target = factory.__init__ if inspect.isclass(factory) else factory
-    signature = inspect.signature(target)
-    if inspect.isclass(factory):
-        parameters = [
-            p for name, p in signature.parameters.items() if name != "self"
-        ]
-        signature = signature.replace(parameters=parameters)
-    return signature
-
-
 def _schema_rows(signature: inspect.Signature) -> tuple[tuple[str, str, str], ...]:
     rows = []
     for parameter in signature.parameters.values():
@@ -167,7 +157,7 @@ def register_engine(
     def _register(factory: Callable[..., SearchEngine]) -> Callable[..., SearchEngine]:
         if name in _REGISTRY:
             raise ValueError(f"engine {name!r} is already registered")
-        signature = _signature_of(factory)
+        signature = inspect.signature(factory)
         _REGISTRY[name] = EngineEntry(
             name=name,
             factory=factory,
@@ -229,14 +219,14 @@ def _coerce(value: str, default: Any) -> Any:
         return int(value)
     if isinstance(default, float):
         return float(value)
-    if isinstance(default, str) or default is None:
-        if default is None:
-            for caster in (int, float):
-                try:
-                    return caster(value)
-                except ValueError:
-                    continue
-        return value
+    if default is None or default is inspect.Parameter.empty:
+        # No usable default (a required parameter, as a dotted spec's
+        # ``ClusterSearchExecutor:4`` has): guess the literal.
+        for caster in (int, float):
+            try:
+                return caster(value)
+            except ValueError:
+                continue
     return value
 
 
@@ -258,7 +248,7 @@ def _bind_config(
     alias_map: dict[str, str],
     overrides: dict[str, Any],
 ) -> SearchEngine:
-    signature = _signature_of(factory)
+    signature = inspect.signature(factory)
     parameters = [
         p
         for p in signature.parameters.values()

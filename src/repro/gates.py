@@ -224,16 +224,14 @@ def _mixed_workload_arguments(
     parser.add_argument("--batch-size", type=int, default=batch_size)
 
 
-def _topology_arguments(parser: argparse.ArgumentParser, engine: str) -> None:
+def _topology_arguments(parser: argparse.ArgumentParser) -> None:
     """:class:`repro.deploy.topology.TopologySpec` flags; dests are its fields."""
     parser.add_argument("--servers", type=int, default=1)
     parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                         help="fleet device tokens per server")
-    parser.add_argument("--engine", default=engine,
-                        choices=("fleet", "sched", "fifo"))
+    parser.add_argument("--engine", default="fleet", choices=("fleet", "sched"))
     parser.add_argument("--hash", default="sha1", dest="hash_name")
     parser.add_argument("--distance", type=int, default=2, dest="max_distance")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--budget", type=float, default=5.0, dest="time_budget",
                         help="per-search time budget (protocol T)")
     parser.add_argument("--clients", type=int, default=8,
@@ -264,16 +262,12 @@ def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
                         help="named fault plan")
     parser.add_argument("--clients", type=int, default=None,
                         help="override the plan's fleet size")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override the server worker count")
 
 
 def _chaos_run(args: argparse.Namespace) -> Outcome:
     from repro.reliability.chaos import run_named_storm
 
-    report = run_named_storm(
-        args.plan, seed=args.seed, clients=args.clients, workers=args.workers
-    )
+    report = run_named_storm(args.plan, seed=args.seed, clients=args.clients)
     return dataclasses.asdict(report), invariant_failures(
         false_authentications=report.false_authentications
     )
@@ -991,7 +985,6 @@ def _tenancy_arguments(parser: argparse.ArgumentParser) -> None:
                         help="aggressor token-bucket refill (lookups/second)")
     parser.add_argument("--aggressor-burst", type=float, default=1.0,
                         help="aggressor token-bucket capacity")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--ratio-limit", type=float, default=1.25,
                         help="allowed victim p99 degradation under the storm")
 
@@ -1029,8 +1022,7 @@ def _tenancy_render(record: Record) -> str:
         "Tenancy — noisy-neighbor isolation under per-tenant quotas",
         f"  {config['victims']} victim + {config['aggressors']} aggressor "
         f"requests, aggressor bucket {config['aggressor_rate']}/s "
-        f"burst={config['aggressor_burst']}, workers={config['workers']}, "
-        f"hash={config['hash_name']}",
+        f"burst={config['aggressor_burst']}, hash={config['hash_name']}",
         row("baseline", VICTIM_TENANT),
         row("storm", VICTIM_TENANT),
         row("storm", AGGRESSOR_TENANT),
@@ -1048,7 +1040,7 @@ def _tenancy_render(record: Record) -> str:
 
 
 def _deployment_arguments(parser: argparse.ArgumentParser) -> None:
-    _topology_arguments(parser, engine="fleet")
+    _topology_arguments(parser)
     parser.add_argument("--profiles", type=_str_tuple,
                         default=("lan", "wan", "lossy-wan"),
                         help="comma-separated WAN profiles")
@@ -1103,7 +1095,7 @@ def _deployment_render(record: Record) -> str:
 
 
 def _recovery_arguments(parser: argparse.ArgumentParser) -> None:
-    _topology_arguments(parser, engine="fifo")
+    _topology_arguments(parser)
     parser.add_argument("--crashes", type=int, default=3, help="kill-9 rounds")
     parser.add_argument("--max-restarts", type=int, default=8,
                         help="supervisor restart budget")

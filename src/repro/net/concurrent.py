@@ -4,27 +4,20 @@ The capacity model (:mod:`repro.analysis.workload`) predicts what a CA
 can sustain; this module is the serving layer that actually does it:
 per-client serialization (two in-flight searches for the same identity
 make no sense — the second would race the RA update), admission control,
-an optional circuit breaker guarding the search backend, and service
-metrics the operator can read off.
+and service metrics the operator can read off.
 
-Every request takes the same path — admission at the front door, a
-*start* on the search backend, and one settle function that does the
-typed-refusal accounting, issues the key, maps the
-:class:`~repro.engines.result.SearchResult` onto the metrics and builds
-the :class:`~repro.net.messages.AuthenticationResult`. Only the start
-differs, by which backend the server was given:
-
-* **the dispatcher** — pass a
-  :class:`~repro.fleet.engine.FleetSearchEngine` (a ``fleet:`` or
-  ``sched:`` engine) as ``scheduler`` and each admitted request becomes
-  one ticket in its continuous-batching work stream: many requests
-  share the devices, client deadlines are honored (EDF lanes, shedding),
-  and the ``preempted`` / ``redispatched`` / ``hedged`` counters record
-  what the dispatcher did.
-* **the bounded pool** — without one, each admitted request runs
-  ``authority.run_search`` on a thread of a bounded
-  :class:`ThreadPoolExecutor`, in submission order. The pool is a
-  backend, not a serving mode: it has no lifecycle of its own.
+Every request takes the one path: admission at the front door, S_init
+read from the image store on the submitting thread, one ticket in the
+dispatcher's continuous-batching work stream (a
+:class:`~repro.fleet.engine.FleetSearchEngine` — a ``fleet:`` or
+``sched:`` engine: many requests share the devices, client deadlines are
+honored with EDF lanes and shedding, and the ``preempted`` /
+``redispatched`` / ``hedged`` counters record what the dispatcher did),
+and one settle function that does the typed-refusal accounting, issues
+the key, maps the :class:`~repro.engines.result.SearchResult` onto the
+metrics and builds the :class:`~repro.net.messages.AuthenticationResult`.
+:meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
+same path behind the Figure 1 message surface.
 """
 
 from __future__ import annotations
@@ -33,17 +26,20 @@ import dataclasses
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.authentication import CertificateAuthority
 from repro.directory.errors import DirectoryUnavailable
-from repro.directory.prefetch import DirectoryPrefetcher
 from repro.engines.result import DirectoryStats, SearchResult
 from repro.net.errors import ServerClosed
-from repro.net.messages import AuthenticationResult
-from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
+from repro.net.messages import (
+    AuthenticationResult,
+    DigestSubmission,
+    HandshakeRequest,
+    HandshakeResponse,
+)
 from repro.sched.errors import (
     SHED_DIRECTORY_UNAVAILABLE,
     SHED_TENANT_QUOTA,
@@ -58,6 +54,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
 
+#: How long ``handle_digest`` waits for a submitted request to settle
+#: (a search is bounded by its own time budget long before this).
+REQUEST_TIMEOUT_SECONDS = 300.0
+
 #: Every counter, in snapshot order — the one place they are declared.
 _COUNTERS = (
     "submitted",
@@ -66,7 +66,6 @@ _COUNTERS = (
     "failed",
     "rejected_busy",
     "rejected_duplicate",
-    "rejected_open",
     "total_search_seconds",
     # Engine-level telemetry read off each unified search result:
     # candidate seeds hashed and Hamming shells completed.
@@ -275,9 +274,7 @@ class _Request:
     deadline_seconds: float | None
     tenant: str
     admitted_at: float
-    #: Directory telemetry of a lookup done at the door (the dispatcher
-    #: start reads S_init before admission; a pool worker's lookup rides
-    #: its ``SearchResult.directory`` instead).
+    #: Directory telemetry of the S_init lookup done at the door.
     directory: DirectoryStats | None = None
 
     def elapsed(self) -> float:
@@ -291,42 +288,39 @@ class ConcurrentCAServer:
     def __init__(
         self,
         authority: CertificateAuthority,
-        workers: int = 4,
         max_queue: int = 64,
-        breaker: CircuitBreaker | None = None,
         scheduler: FleetSearchEngine | None = None,
-        prefetch: bool = True,
         tenants: TenantRegistry | None = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
+        if scheduler is None:
+            scheduler = authority.search_service.engine
+        if not hasattr(scheduler, "submit"):
+            raise TypeError(
+                "ConcurrentCAServer serves on a dispatcher (a fleet: or "
+                f"sched: engine), not {type(scheduler).__name__}"
+            )
         self.authority = authority
         self.max_queue = max_queue
         #: The tenant registry every admission decision consults. Without
         #: one, a quota-free registry is created: every request resolves
         #: to the default tenant and behaves exactly as before tenancy.
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        #: Optional breaker guarding the pool backend's searches: when
-        #: open, they are refused instantly instead of run on a backend
-        #: that is known to be failing.
-        self.breaker = breaker
-        #: Optional dispatcher backend: admitted requests become tickets
-        #: in its work stream instead of jobs of the worker pool.
+        #: The dispatcher every admitted request becomes a ticket of:
+        #: the one passed in, else the authority's own search engine.
+        #: Either way this server closes it.
         self.scheduler = scheduler
-        if scheduler is not None:
-            # Share one registry with the dispatcher's admission policy
-            # so token buckets are charged exactly once per submission —
-            # by the policy (last, so a saturated queue never spends a
-            # token) for tickets, by the pool start otherwise. A policy
-            # that already has its own registry keeps it.
-            policy = scheduler.scheduler.policy
-            if policy.tenants is None:
-                policy.tenants = self.tenants
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="rbc-search"
-        )
+        # Share one registry with the dispatcher's admission policy: it
+        # is the one place a token bucket is charged, once per
+        # submission and last, so a saturated queue never spends a
+        # token. A policy that already has its own registry keeps it.
+        policy = scheduler.scheduler.policy
+        if policy.tenants is None:
+            policy.tenants = self.tenants
+        #: False-authentication tripwire of a verifying authority: pins
+        #: each submitted M1 so key issuance can re-verify the found seed.
+        self._record_digest = getattr(authority, "record_digest", None)
         # Reentrant on purpose: a SIGTERM handler (which Python runs on
         # the main thread, possibly while submit() holds this lock) that
         # reaches close() must not deadlock against the interrupted
@@ -338,13 +332,34 @@ class ConcurrentCAServer:
         self._pending = 0
         self.metrics = ServerMetrics()
         self._closed = False
-        #: When the authority's image store is a sharded directory,
-        #: admitted requests queue their client ids here so the hot cache
-        #: is warm by the time a worker picks the search up.
-        self.prefetcher: DirectoryPrefetcher | None = None
-        image_db = getattr(authority, "image_db", None)
-        if prefetch and hasattr(image_db, "prefetch"):
-            self.prefetcher = DirectoryPrefetcher(image_db)
+
+    # -- the message surface (Figure 1) -------------------------------------
+
+    def handle_handshake(self, request: HandshakeRequest) -> HandshakeResponse:
+        """Handshake: the PUF address information, from the namespace the
+        wire tenant selects."""
+        return HandshakeResponse.from_challenge(
+            self.authority.issue_challenge(
+                request.client_id, tenant_id=request.tenant
+            )
+        )
+
+    def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
+        """Digest submission: tripwire, :meth:`submit`, wait for the reply.
+
+        Raises what :meth:`submit` raises and what its future carries.
+        """
+        if self._record_digest is not None:
+            self._record_digest(
+                submission.client_id, submission.digest, tenant_id=submission.tenant
+            )
+        future = self.submit(
+            submission.client_id,
+            submission.digest,
+            deadline_seconds=submission.deadline_seconds,
+            tenant_id=submission.tenant,
+        )
+        return future.result(timeout=REQUEST_TIMEOUT_SECONDS)
 
     # -- the request path ---------------------------------------------------
 
@@ -357,21 +372,28 @@ class ConcurrentCAServer:
     ) -> Future:
         """Queue one authentication; returns a Future[AuthenticationResult].
 
-        Raises :class:`~repro.net.errors.ServerClosed` once the server is
-        shut down, ``RuntimeError`` on admission-control rejection
-        (saturated queue, duplicate in-flight client), and
-        :class:`~repro.sched.errors.RequestShed` when the request is
-        refused at the door with a typed reason: an exhausted tenant
-        budget (``tenant_quota``) on either backend, and on the
-        dispatcher also an unmeetable deadline, saturated lanes, or a
-        dark directory replica set. Everything later — a runtime shed,
-        an open breaker, a directory outage met by a pool worker, a
-        failed search — surfaces through the future.
+        Where a request is accounted — the one rule: a *refusal* raises
+        from here and the request was never ``submitted``; everything
+        that becomes of an *admitted* request arrives through the
+        future, and ``submitted == completed + failed + pending``.
 
-        ``deadline_seconds`` is the client's own latency bound. The
+        Refusals: :class:`~repro.net.errors.ServerClosed` once the server
+        is shut down; ``RuntimeError`` from admission control (saturated
+        queue -> ``rejected_busy``, duplicate in-flight client ->
+        ``rejected_duplicate``); :class:`~repro.sched.errors.RequestShed`
+        with a typed reason, counted under ``shed`` — an exhausted tenant
+        budget (``tenant_quota``), an unmeetable deadline, saturated
+        lanes, or a dark directory replica set.
+
+        Through the future: the reply; a runtime shed (expired deadline,
+        shutdown, no healthy device — ``shed`` and ``failed``); and any
+        other failure, counted ``failed`` — a client that is not enrolled
+        (the store's ``KeyError``), a digest the search cannot parse, a
+        backend error.
+
+        ``deadline_seconds`` is the client's own latency bound: the
         dispatcher routes the request into the express lane and arms
-        deadline shedding; the pool tightens the search's time budget
-        to ``min(T, deadline)``.
+        deadline shedding.
 
         ``tenant_id`` attributes the request to a registered tenant
         (``None`` rides the default tenant): it selects the directory
@@ -394,8 +416,6 @@ class ConcurrentCAServer:
             self._in_flight_clients.add(in_flight_key)
             self._pending += 1
             queue_depth = self._pending
-        if self.prefetcher is not None:
-            self.prefetcher.note(in_flight_key)
         request = _Request(
             client_id, digest, deadline_seconds, tenant, time.perf_counter()
         )
@@ -417,34 +437,35 @@ class ConcurrentCAServer:
         return future
 
     def _start(self, request: _Request) -> Future:
-        """Start an admitted request on the backend — all that differs
-        between the dispatcher and the pool."""
-        if self.scheduler is None:
-            # The pool has no admission policy of its own, so its start
-            # charges the tenant's token bucket.
-            if not self.tenants.try_admit(request.tenant):
-                raise RequestShed(
-                    SHED_TENANT_QUOTA,
-                    f"tenant {request.tenant!r} over its lookup budget",
-                )
-            return self._pool.submit(
-                self._settle, request, lambda: self._search(request)
-            )
-        seed, directory = self._enrolled_seed(request)
-        request = dataclasses.replace(request, directory=directory)
-        service = self.authority.search_service
-        ticket = self.scheduler.submit(
-            seed,
-            request.digest,
-            service.max_distance,
-            time_budget=service.time_threshold,
-            deadline_seconds=request.deadline_seconds,
-            client_id=request.client_id,
-            tenant=request.tenant,
-        )
+        """Read S_init at the door and make the request a dispatcher
+        ticket; the future settles on the thread that retires it."""
         future: Future = Future()
         future.set_running_or_notify_cancel()
-        # Settles on the dispatcher thread that retired the ticket.
+        service = self.authority.search_service
+        try:
+            seed, directory = self.authority.enrolled_seed_with_stats(
+                request.client_id, **_tenant_kwargs(request.tenant)
+            )
+            ticket = self.scheduler.submit(
+                seed,
+                request.digest,
+                service.max_distance,
+                time_budget=service.time_threshold,
+                deadline_seconds=request.deadline_seconds,
+                client_id=request.client_id,
+                tenant=request.tenant,
+            )
+        except RequestShed:
+            raise
+        except DirectoryUnavailable as exc:
+            raise _directory_shed(exc) from exc
+        except Exception as exc:
+            # Not a refusal: the request was admitted and cannot be
+            # served, so it is settled (and counted failed) like any
+            # other search that raised.
+            _transfer(future, self._settle, request, _raiser(exc))
+            return future
+        request = dataclasses.replace(request, directory=directory)
         ticket.add_done_callback(
             lambda done: _transfer(future, self._settle, request, done.result)
         )
@@ -455,7 +476,7 @@ class ConcurrentCAServer:
     ) -> AuthenticationResult:
         """Turn one search outcome into the reply — for every request.
 
-        ``search()`` returns the backend's result or raises what it
+        ``search()`` returns the dispatcher's result or raises what it
         failed with; either way the request is accounted for here, so
         ``submitted == completed + failed + pending`` stays true.
         ``search_seconds`` runs from admission to settlement.
@@ -463,9 +484,6 @@ class ConcurrentCAServer:
         tenant = request.tenant
         try:
             result = search()
-        except CircuitOpenError:
-            self.metrics.record(rejected_open=1, failed=1, tenant_id=tenant)
-            raise
         except RequestShed as exc:
             self.metrics.record_shed(
                 exc.reason,
@@ -502,7 +520,7 @@ class ConcurrentCAServer:
             redispatched=fleet.redispatched_chunks if fleet else 0,
             hedged=fleet.hedged_batches if fleet else 0,
             tenant_id=tenant,
-            **_directory_record_kwargs(result.directory or request.directory),
+            **_directory_record_kwargs(request.directory),
         )
         return AuthenticationResult(
             client_id=request.client_id,
@@ -518,44 +536,6 @@ class ConcurrentCAServer:
             self._in_flight_clients.discard(in_flight_key)
             self._pending -= 1
 
-    def _enrolled_seed(self, request: _Request):
-        """S_init plus directory telemetry; tolerates minimal doubles."""
-        kwargs = _tenant_kwargs(request.tenant)
-        with_stats = getattr(self.authority, "enrolled_seed_with_stats", None)
-        try:
-            if with_stats is not None:
-                return with_stats(request.client_id, **kwargs)
-            return self.authority.enrolled_seed(request.client_id, **kwargs), None
-        except DirectoryUnavailable as exc:
-            raise _directory_shed(exc) from exc
-
-    def _search(self, request: _Request) -> SearchResult:
-        """The pool backend's search: the authority's, behind the breaker."""
-        # Only pass the deadline/tenant when set: authority doubles
-        # (tests, adapters) predating the parameters keep working.
-        kwargs: dict = _tenant_kwargs(request.tenant)
-        if request.deadline_seconds is not None:
-            kwargs["deadline_seconds"] = request.deadline_seconds
-
-        def run():
-            try:
-                return self.authority.run_search(
-                    request.client_id, request.digest, **kwargs
-                )
-            except DirectoryUnavailable as exc:
-                # A directory outage is the *directory's* failure, not
-                # the search backend's: it must not count against the
-                # breaker guarding the search engine (that would convert
-                # typed degraded-mode sheds into blanket CircuitOpenError
-                # refusals). Hand it past the breaker's failure
-                # accounting as a value and re-raise outside.
-                return exc
-
-        outcome = run() if self.breaker is None else self.breaker.call(run)
-        if isinstance(outcome, DirectoryUnavailable):
-            raise _directory_shed(outcome) from outcome
-        return outcome
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
@@ -565,24 +545,15 @@ class ConcurrentCAServer:
         :class:`~repro.net.errors.ServerClosed` from the moment the close
         begins. With ``wait=True`` (default) queued and in-flight
         searches drain to completion; with ``wait=False`` queued work is
-        cancelled (pool) or shed with reason ``"shutdown"``
-        (dispatcher) — either way every outstanding future settles
-        before this method returns. Closing the dispatcher joins its
-        worker processes; an engine the authority holds without handing
-        it to this server stays its owner's to close.
+        shed with reason ``"shutdown"`` — either way every outstanding
+        future settles before this method returns. Closing the
+        dispatcher joins its worker processes.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self.prefetcher is not None:
-            self.prefetcher.close()
-        # Always wait for *running* searches — a search thread mid-batch
-        # holds the executor; tearing the backend down under it would be
-        # nondeterministic. ``wait=False`` only cancels the queued tail.
-        self._pool.shutdown(wait=True, cancel_futures=not wait)
-        if self.scheduler is not None:
-            self.scheduler.close(drain=wait)
+        self.scheduler.close(drain=wait)
 
     def __enter__(self) -> "ConcurrentCAServer":
         return self
@@ -597,6 +568,16 @@ def _transfer(future: Future, fn, *args) -> None:
         future.set_result(fn(*args))
     except BaseException as exc:
         future.set_exception(exc)
+
+
+def _raiser(exc: Exception) -> Callable[[], SearchResult]:
+    """A ``search()`` for :meth:`ConcurrentCAServer._settle` that fails
+    with what kept the search from starting."""
+
+    def search() -> SearchResult:
+        raise exc
+
+    return search
 
 
 def _directory_shed(exc: DirectoryUnavailable) -> RequestShed:

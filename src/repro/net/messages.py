@@ -21,11 +21,15 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.net.errors import FrameTooLarge, MessageCorrupted
 from repro.tenancy.context import DEFAULT_TENANT
+
+if TYPE_CHECKING:
+    from repro.core.authentication import Challenge
 
 __all__ = [
     "HandshakeRequest",
@@ -222,6 +226,18 @@ class HandshakeResponse:
     usable_mask: bytes  # packed boolean mask over the window
     bit_count: int
     hash_name: str
+
+    @classmethod
+    def from_challenge(cls, challenge: Challenge) -> "HandshakeResponse":
+        """The wire form of the authority's challenge (usable mask packed)."""
+        return cls(
+            client_id=challenge.client_id,
+            address=challenge.address,
+            window=challenge.window,
+            usable_mask=cls.pack_usable(challenge.usable),
+            bit_count=challenge.bit_count,
+            hash_name=challenge.hash_name,
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize the message for the wire."""

@@ -41,14 +41,7 @@ class CAServer:
             request.client_id, tenant_id=request.tenant
         )
         self.handshakes_served += 1
-        return HandshakeResponse(
-            client_id=challenge.client_id,
-            address=challenge.address,
-            window=challenge.window,
-            usable_mask=HandshakeResponse.pack_usable(challenge.usable),
-            bit_count=challenge.bit_count,
-            hash_name=challenge.hash_name,
-        )
+        return HandshakeResponse.from_challenge(challenge)
 
     def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
         """Run the RBC search for a submitted digest."""

@@ -23,10 +23,11 @@ claims are actually about:
   the matching exception type.
 * :class:`SocketCAServer` — the accept loop: one thread per connection,
   incremental frame reassembly via
-  :class:`~repro.net.messages.FrameDecoder`, dispatch by frame type to a
-  :class:`~repro.net.concurrent.ConcurrentCAServer` (or any
-  ``handle_handshake`` / ``handle_digest`` object), every failure mapped
-  to a typed ``ErrorReply`` instead of a dropped connection.
+  :class:`~repro.net.messages.FrameDecoder`, dispatch by frame type to
+  the ``handle_handshake`` / ``handle_digest`` of the server it wraps (a
+  :class:`~repro.net.concurrent.ConcurrentCAServer`, or the serial
+  :class:`~repro.net.server.CAServer`), every failure mapped to a typed
+  ``ErrorReply`` instead of a dropped connection.
 
 An optional *shim* (see :mod:`repro.deploy.wan`) sits on the client's
 send path to emulate WAN latency, jitter, loss, and corruption with real
@@ -64,7 +65,6 @@ from repro.net.messages import (
     encode_frame,
     peek_frame_kind,
 )
-from repro.reliability.breaker import CircuitOpenError
 from repro.sched.errors import RequestShed
 
 __all__ = [
@@ -299,7 +299,7 @@ def error_reply_for(exc: BaseException) -> ErrorReply:
         return ErrorReply(kind="shed", reason=exc.reason, detail=str(exc))
     if isinstance(exc, ServerClosed):
         return ErrorReply(kind="closed", detail=str(exc))
-    if isinstance(exc, (ServerBusy, CircuitOpenError)):
+    if isinstance(exc, ServerBusy):
         return ErrorReply(kind="busy", detail=str(exc))
     if isinstance(exc, RuntimeError):
         # ConcurrentCAServer admission control: saturated queue or
@@ -361,11 +361,12 @@ class RemoteCAServer:
 class SocketCAServer:
     """TCP front end: accept loop + per-connection frame dispatch.
 
-    Wraps either a :class:`~repro.net.concurrent.ConcurrentCAServer`
-    (digest submissions join its admission-controlled queue) or any
-    object with ``handle_handshake`` / ``handle_digest``. Every frame
-    gets exactly one reply frame; every failure becomes a typed
-    :class:`~repro.net.messages.ErrorReply` rather than a vanished
+    Wraps an object with ``handle_handshake`` / ``handle_digest`` — a
+    :class:`~repro.net.concurrent.ConcurrentCAServer` (digest submissions
+    join its admission-controlled queue) or the serial
+    :class:`~repro.net.server.CAServer` — and closes it with itself.
+    Every frame gets exactly one reply frame; every failure becomes a
+    typed :class:`~repro.net.messages.ErrorReply` rather than a vanished
     connection, so remote clients see the same typed outcomes in-process
     callers get as exceptions.
     """
@@ -375,9 +376,6 @@ class SocketCAServer:
         server,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        request_timeout_seconds: float = 300.0,
-        close_inner: bool = True,
         false_auth_counter: Callable[[], int] | None = None,
         enroll_handler: Callable[[EnrollRequest], EnrollReply] | None = None,
         extra_counters: Callable[[], dict] | None = None,
@@ -385,10 +383,6 @@ class SocketCAServer:
         self.server = server
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.request_timeout_seconds = request_timeout_seconds
-        #: Whether close() also closes the wrapped serving object.
-        self.close_inner = close_inner
         #: Optional callable reporting server-side false authentications
         #: (the chaos tripwire) for the admin metrics snapshot.
         self.false_auth_counter = false_auth_counter
@@ -455,13 +449,9 @@ class SocketCAServer:
         # Settle the serving layer first: in-flight submissions resolve
         # (drain) or shed typed (no drain), so connection threads can
         # still write their reply frames before the sockets go away.
-        if self.close_inner:
-            inner_close = getattr(self.server, "close", None)
-            if inner_close is not None:
-                try:
-                    inner_close(drain)
-                except TypeError:
-                    inner_close()
+        inner_close = getattr(self.server, "close", None)
+        if inner_close is not None:
+            inner_close(drain)
         with self._lock:
             connections = list(self._connections)
         deadline = time.monotonic() + (5.0 if drain else 1.0)
@@ -509,7 +499,7 @@ class SocketCAServer:
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
+        decoder = FrameDecoder()
         try:
             while not self._closed.is_set():
                 try:
@@ -553,10 +543,10 @@ class SocketCAServer:
             kind = peek_frame_kind(raw)
             if kind == "handshake_request":
                 request = HandshakeRequest.from_bytes(raw)
-                return self._handshake(request).to_bytes()
+                return self.server.handle_handshake(request).to_bytes()
             if kind == "digest_submission":
                 submission = DigestSubmission.from_bytes(raw)
-                return self._digest(submission).to_bytes()
+                return self.server.handle_digest(submission).to_bytes()
             if kind == "enroll_request":
                 enroll_request = EnrollRequest.from_bytes(raw)
                 return self._enroll(enroll_request).to_bytes()
@@ -568,46 +558,7 @@ class SocketCAServer:
             self.error_replies += 1
             return error_reply_for(exc).to_bytes()
 
-    # -- dispatch over either server shape --------------------------------
-
-    def _handshake(self, request: HandshakeRequest) -> HandshakeResponse:
-        handle = getattr(self.server, "handle_handshake", None)
-        if handle is not None:
-            return handle(request)
-        challenge = self.server.authority.issue_challenge(
-            request.client_id, tenant_id=request.tenant
-        )
-        return HandshakeResponse(
-            client_id=challenge.client_id,
-            address=challenge.address,
-            window=challenge.window,
-            usable_mask=HandshakeResponse.pack_usable(challenge.usable),
-            bit_count=challenge.bit_count,
-            hash_name=challenge.hash_name,
-        )
-
-    def _digest(self, submission: DigestSubmission) -> AuthenticationResult:
-        record = getattr(
-            getattr(self.server, "authority", None), "record_digest", None
-        )
-        if record is not None:
-            # False-authentication tripwire: pin the submitted M1 before
-            # admission so key issuance can re-verify the found seed.
-            record(
-                submission.client_id,
-                submission.digest,
-                tenant_id=submission.tenant,
-            )
-        handle = getattr(self.server, "handle_digest", None)
-        if handle is not None:
-            return handle(submission)
-        future = self.server.submit(
-            submission.client_id,
-            submission.digest,
-            deadline_seconds=submission.deadline_seconds,
-            tenant_id=submission.tenant,
-        )
-        return future.result(timeout=self.request_timeout_seconds)
+    # -- frames the wrapped server does not speak -------------------------
 
     def _enroll(self, request: EnrollRequest) -> EnrollReply:
         if self.enroll_handler is None:

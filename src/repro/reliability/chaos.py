@@ -3,10 +3,12 @@
 This is the integration layer the rest of :mod:`repro.reliability`
 exists for: enroll a fleet, put every client behind a
 :class:`~repro.reliability.transport.FaultyTransport`, serve them from a
-:class:`~repro.net.concurrent.ConcurrentCAServer` whose backend is a
+:class:`~repro.net.server.CAServer` whose search service is a
 :class:`~repro.reliability.failover.FailoverSearchService` (flaky fast
-engine behind a circuit breaker, CPU baseline behind it), and report
-what happened as a deterministic
+engine behind a circuit breaker, CPU baseline behind it) — or, with
+``StormConfig(scheduler=True)``, from a
+:class:`~repro.net.concurrent.ConcurrentCAServer` on its dispatcher —
+and report what happened as a deterministic
 :class:`~repro.analysis.metrics.ResilienceReport`.
 
 Clients run back-to-back on one storm timeline: each client's virtual
@@ -23,18 +25,15 @@ authentication cannot hide: the acceptance bar for every fault plan is
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from repro.analysis.metrics import ResilienceReport, percentile
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.errors import ServerBusy
-from repro.net.messages import (
-    AuthenticationResult,
-    DigestSubmission,
-    HandshakeRequest,
-    HandshakeResponse,
-)
+from repro.net.messages import AuthenticationResult, DigestSubmission
+from repro.net.server import CAServer
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.reliability.breaker import CircuitBreaker
@@ -44,7 +43,7 @@ from repro.reliability.retry import DeadlineExceeded, RetriesExhausted, RetryPol
 from repro.reliability.transport import FaultyTransport
 from repro.reliability.tripwire import VerifyingAuthority
 from repro.engines import TelemetryHooks, build_engine
-from repro.devices.flaky import DeviceFailure, FlakyEngine
+from repro.devices.flaky import FlakyEngine
 from repro.sched.errors import RequestShed
 from repro.storm import enrolled_fleet
 
@@ -61,13 +60,12 @@ class StormConfig:
     """Shape of one authentication storm (independent of the fault spec)."""
 
     clients: int = 100
-    workers: int = 4
     max_queue: int = 64
-    #: Serve the storm through the deadline-aware continuous-batching
-    #: dispatcher (a ``sched`` engine) instead of the worker pool. The
-    #: transport-level fault plan still applies in full; device-failure
-    #: episodes do not (the dispatcher owns its device and has no
-    #: failover behind it).
+    #: Serve the storm through the concurrent front door and its
+    #: deadline-aware continuous-batching dispatcher (a ``sched``
+    #: engine) instead of the serial server. The transport-level fault
+    #: plan still applies in full; device-failure episodes do not (the
+    #: dispatcher owns its device and has no failover behind it).
     scheduler: bool = False
     hash_name: str = "sha1"
     max_distance: int = 1
@@ -134,57 +132,18 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
 
 
 class _StormFrontend:
-    """CAServer-shaped facade over the concurrent server for NetworkClient."""
+    """The concurrent server's refusals as the link-level ``ServerBusy``
+    a :class:`NetworkClient` retries on."""
 
-    def __init__(self, authority, concurrent: ConcurrentCAServer):
-        self.authority = authority
-        self.concurrent = concurrent
-
-    def handle_handshake(self, request: HandshakeRequest) -> HandshakeResponse:
-        challenge = self.authority.issue_challenge(request.client_id)
-        return HandshakeResponse(
-            client_id=challenge.client_id,
-            address=challenge.address,
-            window=challenge.window,
-            usable_mask=HandshakeResponse.pack_usable(challenge.usable),
-            bit_count=challenge.bit_count,
-            hash_name=challenge.hash_name,
-        )
+    def __init__(self, server: ConcurrentCAServer):
+        self.handle_handshake = server.handle_handshake
+        self._server = server
 
     def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
-        self.authority.record_digest(submission.client_id, submission.digest)
         try:
-            future = self.concurrent.submit(
-                submission.client_id,
-                submission.digest,
-                deadline_seconds=submission.deadline_seconds,
-            )
+            return self._server.handle_digest(submission)
         except (RuntimeError, RequestShed) as exc:
             raise ServerBusy(str(exc)) from exc
-        try:
-            return future.result(timeout=300)
-        except RequestShed:
-            # The scheduler gave up on the request at runtime (deadline
-            # or shutdown): a clean, observable rejection.
-            return AuthenticationResult(
-                client_id=submission.client_id,
-                authenticated=False,
-                distance=None,
-                public_key=None,
-                search_seconds=0.0,
-                timed_out=True,
-            )
-        except DeviceFailure:
-            # The backend died with no failover in place: report a clean
-            # rejection; the client's retry policy decides what's next.
-            return AuthenticationResult(
-                client_id=submission.client_id,
-                authenticated=False,
-                distance=None,
-                public_key=None,
-                search_seconds=0.0,
-                timed_out=True,
-            )
 
 
 def run_storm(
@@ -232,29 +191,30 @@ def run_storm(
     authority.search_service = service
     verifying = VerifyingAuthority(authority)
 
-    scheduler_engine = None
-    if config.scheduler:
-        scheduler_engine = build_engine(
-            "sched",
-            hash_name=config.hash_name,
-            batch_size=16384,
-            hooks=telemetry,
-            max_queue=config.max_queue,
-        )
-
     outcomes: dict[str, int] = {}
     fault_counts: dict[str, int] = {}
     latencies: list[float] = []
     attempts_total = 0
     max_attempts = 0
 
-    with ConcurrentCAServer(
-        verifying,
-        workers=config.workers,
-        max_queue=config.max_queue,
-        scheduler=scheduler_engine,
-    ) as server:
-        frontend = _StormFrontend(verifying, server)
+    with ExitStack() as stack:
+        # Clients run back to back, so the serial server is the storm's
+        # own timeline; the dispatcher storm puts the concurrent front
+        # door (and its one-device engine, closed with it) under the
+        # same link faults.
+        frontend: CAServer | _StormFrontend = CAServer(verifying)
+        if config.scheduler:
+            engine = build_engine(
+                "sched",
+                hash_name=config.hash_name,
+                batch_size=16384,
+                hooks=telemetry,
+                max_queue=config.max_queue,
+            )
+            server = ConcurrentCAServer(
+                verifying, max_queue=config.max_queue, scheduler=engine
+            )
+            frontend = _StormFrontend(stack.enter_context(server))
         for index, (client_id, device, mask) in enumerate(clients):
             transport = FaultyTransport(
                 InProcessTransport(latency=US_LINK),
@@ -310,7 +270,7 @@ def run_storm(
 
 
 def run_named_storm(
-    name: str, seed: int = 0, clients: int | None = None, workers: int | None = None
+    name: str, seed: int = 0, clients: int | None = None
 ) -> ResilienceReport:
     """Run one of :data:`NAMED_PLANS`, optionally resizing the fleet."""
     if name not in NAMED_PLANS:
@@ -320,6 +280,4 @@ def run_named_storm(
     spec, config = NAMED_PLANS[name]
     if clients is not None:
         config = replace(config, clients=clients)
-    if workers is not None:
-        config = replace(config, workers=workers)
     return run_storm(spec, seed, config)

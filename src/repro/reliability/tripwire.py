@@ -3,9 +3,10 @@
 Every found seed is re-hashed and compared against the digest the client
 actually submitted; a mismatch is the one failure no storm can explain
 away. The serving layer (or the storm driving it) records each submitted
-digest before ``submit``; every served request that found a seed reaches
-``issue_public_key``, where the check happens — whichever backend ran
-the search. The counter rides the admin metrics frame so a deployment
+digest before ``submit`` — a serial :class:`~repro.net.server.CAServer`
+records it by calling :meth:`VerifyingAuthority.run_search`; every
+served request that found a seed reaches ``issue_public_key``, where the
+check happens. The counter rides the admin metrics frame so a deployment
 storm can assert it stayed zero.
 """
 
@@ -59,6 +60,22 @@ class VerifyingAuthority:
             if digest not in outstanding:
                 outstanding.append(digest)
             del outstanding[: -self._MAX_OUTSTANDING]
+
+    def run_search(
+        self,
+        client_id: str,
+        client_digest: bytes,
+        deadline_seconds: float | None = None,
+        tenant_id: str | None = None,
+    ):
+        """The authority's blocking search, its M1 recorded first."""
+        self.record_digest(client_id, client_digest, tenant_id)
+        return self._authority.run_search(
+            client_id,
+            client_digest,
+            deadline_seconds=deadline_seconds,
+            tenant_id=tenant_id,
+        )
 
     def issue_public_key(
         self, client_id: str, found_seed: bytes, tenant_id: str | None = None

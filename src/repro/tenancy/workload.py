@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
+from repro.engines.registry import build_engine
 from repro.hashes.registry import get_hash
 from repro.net.concurrent import ConcurrentCAServer
-from repro.runtime.executor import BatchSearchExecutor
 from repro.sched.errors import SHED_TENANT_QUOTA
 from repro.storm import (
     Request,
@@ -145,7 +145,6 @@ def run_noisy_neighbor(
     aggressors: int = 20,
     aggressor_rate: float = 1.0,
     aggressor_burst: float = 1.0,
-    workers: int = 2,
     batch_size: int = 8192,
     time_budget: float = 5.0,
     seed: int = 0,
@@ -159,15 +158,7 @@ def run_noisy_neighbor(
     ``aggressor_rate``/s with ``aggressor_burst`` tokens of headroom.
     """
     authority, victim_requests, storm_order = tenant_storm(
-        victims,
-        aggressors,
-        RBCSearchService(
-            BatchSearchExecutor(hash_name, batch_size=batch_size),
-            max_distance=VICTIM_DISTANCE,
-            time_threshold=time_budget,
-        ),
-        hash_name=hash_name,
-        seed=seed,
+        victims, aggressors, None, hash_name=hash_name, seed=seed
     )
     quota = TenantQuota(lookup_rate=aggressor_rate, burst=aggressor_burst)
 
@@ -179,8 +170,16 @@ def run_noisy_neighbor(
         ("storm", tenant_registry(quota), storm_order),
         ("unprotected", tenant_registry(TenantQuota()), storm_order),
     ):
+        # One dispatcher per server: each phase's engine takes that
+        # phase's registry into its admission policy and is closed with
+        # the server.
+        authority.search_service = RBCSearchService(
+            build_engine("sched", hash_name=hash_name, batch_size=batch_size),
+            max_distance=VICTIM_DISTANCE,
+            time_threshold=time_budget,
+        )
         with ConcurrentCAServer(
-            authority, workers=workers, max_queue=256, tenants=registry
+            authority, max_queue=256, tenants=registry
         ) as server:
             outcomes = drive(server_submit(server), fleet, timeout=120.0)
         phases[name] = _by_tenant(outcomes)

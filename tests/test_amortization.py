@@ -245,7 +245,7 @@ class TestServerReusesPool:
             "pool", hash_name=authority.hash_name, workers=2, batch_size=8192
         )
         authority.search_service.engine = engine
-        with ConcurrentCAServer(authority, workers=1, scheduler=engine) as server:
+        with ConcurrentCAServer(authority, scheduler=engine) as server:
             for _ in range(3):
                 challenge = authority.issue_challenge(client.client_id)
                 digest = client.respond(challenge, reference_mask=mask)

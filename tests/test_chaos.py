@@ -5,6 +5,10 @@ The heavyweight test here runs the full 100-client `lossy-wan` plan
 every structural guarantee on that single run.
 """
 
+import dataclasses
+import json
+import pathlib
+
 import pytest
 
 from repro.analysis.metrics import ResilienceReport, percentile
@@ -94,6 +98,34 @@ class TestReproducibility:
         assert report.breaker_transitions == ()
 
 
+class TestPinnedToTheParent:
+    """The device-episode plans are served by the serial ``CAServer``
+    their back-to-back timeline always was, not by a thread pool in front
+    of it (deleted in PR 18): every report field — outcomes, fault
+    schedule, virtual latencies, breaker history, engine telemetry — is
+    what the pool-fronted storm reported at ``bbcc74f``."""
+
+    FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+    PARENT = json.loads((FIXTURES / "chaos_reports.json").read_text())
+
+    @staticmethod
+    def as_json(report: ResilienceReport) -> dict:
+        return json.loads(json.dumps(dataclasses.asdict(report)))
+
+    @pytest.mark.parametrize("plan, seed", [("smoke", 1), ("flaky-device", 0)])
+    def test_report_equals_the_parents(self, plan, seed):
+        report = run_named_storm(plan, seed=seed)
+        assert self.as_json(report) == self.PARENT[f"{plan}/{seed}"]
+
+    def test_acceptance_storm_equals_the_parents(self, lossy_wan_report):
+        assert self.as_json(lossy_wan_report) == self.PARENT["lossy-wan/0"]
+
+    def test_cli_smoke_stdout_is_the_parents(self, capsys):
+        assert main(["chaos", "--plan", "smoke", "--seed", "1"]) == 0
+        expected = (self.FIXTURES / "chaos_smoke_seed1.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+
 class TestNamedPlans:
     def test_known_names(self):
         assert {"clean", "lossy-wan", "flaky-device", "smoke"} <= set(NAMED_PLANS)
@@ -121,10 +153,11 @@ class TestNamedPlans:
 
 
 class TestSchedulerStorm:
-    """The smoke fault plan served through the continuous-batching
-    scheduler instead of the FIFO worker pool: link-level faults still
-    strike, every client still gets a typed outcome, and the false-
-    authentication tripwire (now on the key-issuance path) stays at 0.
+    """The smoke fault plan served through the concurrent front door and
+    its continuous-batching dispatcher instead of the serial server:
+    link-level faults still strike, every client still gets a typed
+    outcome, and the false-authentication tripwire (on the key-issuance
+    path) stays at 0.
     """
 
     @pytest.fixture(scope="class")
@@ -138,7 +171,7 @@ class TestSchedulerStorm:
             breaker_recovery_seconds=config.breaker_recovery_seconds,
         )
         # Transport faults only: the scheduler owns its device, so the
-        # device-failure episodes of the FIFO plan do not apply.
+        # device-failure episodes of the serial plan do not apply.
         from dataclasses import replace as dc_replace
 
         spec = dc_replace(spec, device_failure_episodes=0)

@@ -41,7 +41,7 @@ from repro.deploy.supervisor import (
     RestartBudgetExhausted,
     RestartPolicy,
 )
-from repro.deploy.topology import TopologySpec
+from repro.deploy.topology import ENGINE_MODES, TopologySpec
 from repro.deploy.trace import generate_trace
 from repro.deploy.wan import WAN_PROFILES, build_shim
 from repro.net.client import NetworkClient
@@ -87,6 +87,39 @@ def _child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = src
     return env
+
+
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name (state, ppid, ...), or
+    None once the process is gone from the table."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children_of(pid: int) -> list[int]:
+    """The process's children: a ``fleet`` server's pinned workers and the
+    resource tracker of the shared mask plans."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        fields = _stat_fields(int(entry.name)) if entry.name.isdigit() else None
+        if fields is not None and int(fields[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+def _assert_all_gone(pids: list[int], within_seconds: float = 5.0) -> None:
+    """``fleet/workers.py``: "Workers exit on pipe EOF, so neither a closed
+    engine nor a ``kill -9``'d parent leaves one behind." Gone means out
+    of the process table — these were never our children, so no zombie
+    of ours can stand in for one."""
+    deadline = time.monotonic() + within_seconds
+    left = pids
+    while left and time.monotonic() < deadline:
+        time.sleep(0.02)
+        left = [pid for pid in left if _stat_fields(pid) is not None]
+    assert not left, f"left behind after {within_seconds:g}s: {left}"
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +465,11 @@ class TestTopologyAndTrace:
             TopologySpec(wan_profile="dsl")
         with pytest.raises(ValueError):
             TopologySpec(engine="quantum")
+        # One backend: no pool mode and no pool width to select.
+        with pytest.raises(ValueError):
+            TopologySpec(engine="fifo")
+        assert ENGINE_MODES == ("fleet", "sched")
+        assert "workers" not in json.loads(spec_to_json(spec))
         with pytest.raises(ValueError):
             TopologySpec(servers=0)
         assert spec.with_profile("wan").wan_profile == "wan"
@@ -609,13 +647,15 @@ class TestDeploymentProcesses:
     def test_sigterm_mid_search_drains_typed_and_exits_zero(self):
         """Satellite (f) regression: SIGTERM during an in-flight search."""
         spec = TopologySpec(
-            clients=2, engine="fifo", workers=1, time_budget=8.0,
+            clients=2, engine="fleet", devices=("host",), time_budget=8.0,
             max_distance=2,
         )
         seed = 13
         proc, host, port = self._spawn_server(spec, seed)
+        children = _children_of(proc.pid)
+        assert children, "a fleet server forks its worker processes"
         try:
-            # Launch a real search (depth 2 keeps the worker busy for a
+            # Launch a real search (depth 2 keeps the device busy for a
             # beat), then SIGTERM the server while it is in flight.
             transport = SocketTransport(host, port, timeout_seconds=30.0)
             _cid, device, mask = build_client_device(
@@ -638,7 +678,7 @@ class TestDeploymentProcesses:
 
             driver = threading.Thread(target=drive)
             driver.start()
-            time.sleep(0.35)  # let the digest reach the worker
+            time.sleep(0.35)  # let the digest reach the device
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=30.0)
             driver.join(timeout=30.0)
@@ -654,6 +694,8 @@ class TestDeploymentProcesses:
             else:
                 assert outcome["result"].client_id == "dep-0000"
             transport.close()
+            # The drain joined the workers: no process outlives the server.
+            _assert_all_gone(children)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -661,8 +703,8 @@ class TestDeploymentProcesses:
 
     def test_mini_lan_storm_end_to_end(self, tmp_path):
         """1 server x 1 loadgen as real processes over real TCP."""
-        spec = TopologySpec(clients=3, time_budget=3.0, engine="fifo",
-                            workers=2)
+        spec = TopologySpec(clients=3, time_budget=3.0, engine="fleet",
+                            devices=("host",))
         report = run_profile(
             spec, seed=5, requests=5, duration_seconds=1.0,
             num_loadgens=1, time_scale=1.0, scratch_dir=tmp_path,
@@ -791,7 +833,7 @@ class TestCrashRestart:
         """The tentpole end-to-end: enroll over TCP, kill -9, restart,
         and every acknowledged enrollment is back at its version."""
         spec = TopologySpec(
-            clients=3, engine="fifo", workers=2, time_budget=3.0,
+            clients=3, engine="fleet", devices=("host",), time_budget=3.0,
             durability="always",
         )
         argv = [
@@ -815,7 +857,11 @@ class TestCrashRestart:
                     f"dep-{i:04d}": remote.enroll(f"dep-{i:04d}").version
                     for i in range(spec.clients)
                 }
+            children = _children_of(managed.popen.pid)
+            assert children, "a fleet server forks its worker processes"
             assert supervisor.kill("server") == -signal.SIGKILL
+            # Nobody told the workers: they saw their pipes close.
+            _assert_all_gone(children)
 
             managed = supervisor.restart("server")
             assert managed.ready_match is not None

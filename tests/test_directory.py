@@ -9,13 +9,13 @@ import pytest
 from repro.directory import (
     ClientNotEnrolled,
     ConsistentHashRing,
-    DirectoryPrefetcher,
     DirectoryUnavailable,
     HotCache,
     ShardDown,
     ShardedEnrollmentDirectory,
     ShardStore,
 )
+from repro.engines import build_engine
 from repro.puf.ternary import TernaryMask
 from repro.reliability.breaker import CircuitOpenError
 from repro.reliability.faults import FaultPlan, FaultSpec
@@ -95,27 +95,6 @@ class TestHotCache:
         snap = cache.snapshot()
         assert snap["evictions"] == 1
         assert snap["hits"] == 2 and snap["misses"] == 2
-
-    def test_speculative_insert_fills_spare_capacity_only(self):
-        cache = HotCache(2)
-        assert cache.put_speculative("a", "va", 0)
-        cache.put("b", "vb", 0)
-        # Full: the prefetch is dropped, never evicting demand entries.
-        assert not cache.put_speculative("c", "vc", 0)
-        assert cache.get("a") == ("va", 0)
-        assert cache.get("b") == ("vb", 0)
-        assert cache.get("c") is None
-        snap = cache.snapshot()
-        assert snap["prefetch_inserts"] == 1
-        assert snap["prefetch_dropped"] == 1
-
-    def test_speculative_entries_are_first_eviction_candidates(self):
-        cache = HotCache(2)
-        cache.put("hot", "vh", 0)
-        cache.put_speculative("spec", "vs", 0)
-        cache.put("new", "vn", 0)  # evicts the speculative entry
-        assert cache.get("spec") is None
-        assert cache.peek("hot") is not None
 
     def test_invalidate_counts_stale(self):
         cache = HotCache(2)
@@ -326,29 +305,6 @@ class TestShardedEnrollmentDirectory:
         with pytest.raises(DirectoryUnavailable):
             directory.enroll("alice", synthetic_mask(13))
 
-    def test_prefetch_loads_and_full_cache_falls_back_cleanly(self):
-        directory = self._directory(cache_capacity=1)
-        client_ids = [f"client-{i}" for i in range(24)]
-        for index, client_id in enumerate(client_ids):
-            directory.enroll(client_id, synthetic_mask(100 + index))
-        report = directory.prefetch(client_ids)
-        assert report["requested"] == 24
-        assert report["loaded"] >= 1
-        # capacity 1 per shard: most speculative inserts are dropped...
-        assert report["dropped"] > 0
-        # ...and every dropped key still serves through the quorum read.
-        for client_id in client_ids:
-            assert directory.lookup(client_id) is not None
-
-    def test_prefetch_counts_unknown_and_unavailable(self):
-        directory = self._directory()
-        directory.enroll("alice", synthetic_mask(14))
-        for name in directory.replicas_for("alice"):
-            directory.kill_shard(name)
-        report = directory.prefetch(["alice", "ghost"])
-        assert report["unavailable"] == 1
-        assert report["unknown"] == 1
-
     def test_snapshot_shape(self):
         directory = self._directory()
         directory.enroll("alice", synthetic_mask(15))
@@ -368,46 +324,6 @@ class TestShardedEnrollmentDirectory:
             ShardedEnrollmentDirectory(
                 master_key=KEY, shards=4, replication=2, read_quorum=3
             )
-
-
-class TestDirectoryPrefetcher:
-    def test_notes_coalesce_into_batches(self):
-        directory = ShardedEnrollmentDirectory(master_key=KEY, shards=4)
-        for index in range(8):
-            directory.enroll(f"client-{index}", synthetic_mask(200 + index))
-        prefetcher = DirectoryPrefetcher(directory, max_batch=16)
-        try:
-            for index in range(8):
-                prefetcher.note(f"client-{index}")
-            assert prefetcher.flush(timeout=5.0)
-            snap = prefetcher.snapshot()
-            assert snap["ids_noted"] == 8
-            assert snap["batches"] >= 1
-            # The demand lookups now hit the warmed caches.
-            _mask, stats = directory.lookup_with_stats("client-0")
-            assert stats.hot_hit
-        finally:
-            prefetcher.close()
-
-    def test_close_is_idempotent_and_drops_new_notes(self):
-        directory = ShardedEnrollmentDirectory(master_key=KEY, shards=2)
-        prefetcher = DirectoryPrefetcher(directory)
-        prefetcher.close()
-        prefetcher.close()
-        prefetcher.note("ignored")
-        assert prefetcher.snapshot()["ids_noted"] == 0
-
-    def test_prefetch_errors_never_escape(self):
-        class Exploding:
-            def prefetch(self, batch):
-                raise RuntimeError("boom")
-
-        prefetcher = DirectoryPrefetcher(Exploding())
-        try:
-            prefetcher.note("a")
-            assert prefetcher.flush(timeout=5.0)
-        finally:
-            prefetcher.close()
 
 
 class TestDegradedServing:
@@ -452,21 +368,23 @@ class TestDegradedServing:
 
         authority, directory, fleet = rig
         victim = next(iter(fleet))
-        with ConcurrentCAServer(authority, workers=2) as server:
-            assert server.prefetcher is not None  # auto-wired
+        engine = build_engine("sched", hash_name=authority.hash_name)
+        with ConcurrentCAServer(authority, scheduler=engine) as server:
             for name in directory.replicas_for(victim):
                 directory.kill_shard(name)
             directory.drop_hot_caches()
             futures = {}
             for client_id, (device, challenge, mask) in fleet.items():
                 digest = device.respond(challenge, reference_mask=mask)
-                futures[client_id] = server.submit(client_id, digest)
-            with pytest.raises(RequestShed) as excinfo:
-                futures[victim].result(timeout=60.0)
-            assert excinfo.value.reason == SHED_DIRECTORY_UNAVAILABLE
-            for client_id, future in futures.items():
-                if client_id == victim:
+                if client_id != victim:
+                    futures[client_id] = server.submit(client_id, digest)
                     continue
+                # The door reads the image: refused there, typed — never
+                # the directory's own error.
+                with pytest.raises(RequestShed) as excinfo:
+                    server.submit(client_id, digest)
+                assert excinfo.value.reason == SHED_DIRECTORY_UNAVAILABLE
+            for client_id, future in futures.items():
                 alive_replicas = [
                     name
                     for name in directory.replicas_for(client_id)
@@ -495,12 +413,12 @@ class TestShardLossStorm:
     def test_reduced_storm_passes_and_reproduces(self):
         from repro.directory.storm import run_shard_loss_storm
 
-        first = run_shard_loss_storm(seed=0, clients=12, workers=2)
+        first = run_shard_loss_storm(seed=0, clients=12)
         assert not first.failures, first.render()
         assert first.false_authentications == 0
         assert first.shed_typed == len(first.doomed)
         assert first.shed_untyped == 0
-        second = run_shard_loss_storm(seed=0, clients=12, workers=2)
+        second = run_shard_loss_storm(seed=0, clients=12)
         assert second.waves == first.waves
         assert second.doomed == first.doomed
         assert (second.victim, second.partner) == (

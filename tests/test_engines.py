@@ -36,6 +36,11 @@ from repro.reliability.retry import RetriesExhausted, RetryPolicy
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
 
+#: The two engines with a single caller each are not registry rows; a
+#: dotted spec names their classes (the matrix ids keep their short names).
+CLUSTER_SPEC = "repro.runtime.cluster.ClusterSearchExecutor:2,hash=sha1,bs=4096"
+ORIGINAL_SPEC = "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=4096"
+
 #: One spec per engine family — every row must behave identically on
 #: the protocol surface. SHA-1 keeps the matrix fast.
 HASH_ENGINE_SPECS = [
@@ -45,18 +50,22 @@ HASH_ENGINE_SPECS = [
     "parallel:sha1,w=2,bs=4096",
     "pool:sha1,w=2,bs=4096",
     "sched:sha1,bs=4096",
-    "cluster:2,hash=sha1,bs=4096",
+    pytest.param(CLUSTER_SPEC, id="cluster:2,hash=sha1,bs=4096"),
     "gpu-model:sha1,bs=4096",
 ]
-ALL_ENGINE_SPECS = HASH_ENGINE_SPECS + ["original:aes-128,bs=4096"]
+ALL_ENGINE_SPECS = HASH_ENGINE_SPECS + [
+    pytest.param(ORIGINAL_SPEC, id="original:aes-128,bs=4096")
+]
 
 
 class TestSpecGrammar:
     def test_builtins_registered(self):
-        assert {
-            "batch", "parallel", "pool", "sched", "cluster", "original",
+        assert set(engine_names()) >= {
+            "batch", "parallel", "pool", "sched", "fleet",
             "gpu-model", "apu-model", "cpu-model",
-        } <= set(engine_names())
+        }
+        # Single-caller engines are named by dotted spec, not registered.
+        assert not {"cluster", "original"} & set(engine_names())
 
     def test_parse_round_trip(self):
         spec = "cluster:2,hash=sha1,bs=4096"
@@ -69,7 +78,8 @@ class TestSpecGrammar:
 
     def test_per_engine_alias(self):
         assert build_engine("parallel:sha1,w=2").workers == 2
-        assert build_engine("cluster:r=3").ranks == 3
+        with build_engine("pool:sha1,w=1") as pool:
+            assert pool.workers == 1
 
     def test_keyword_overrides_accept_aliases(self):
         engine = build_engine("batch", hash="sha1", bs=2048)
@@ -86,6 +96,37 @@ class TestSpecGrammar:
         )
         assert engine.batch_size == 512
         assert engine.hash_name == "sha1"
+
+    def test_dotted_spec_guesses_a_required_parameters_type(self):
+        """``ranks`` has no default to coerce by: the literal is guessed."""
+        engine = build_engine("repro.runtime.cluster.ClusterSearchExecutor:3")
+        assert engine.ranks == 3
+
+    def test_dispatcher_rows_declare_no_parameter_of_their_own(self):
+        """``fleet`` is the class; ``sched`` / ``pool`` / ``parallel`` read
+        their options off it, so a new engine option is declared once."""
+        import inspect
+
+        from repro.fleet.engine import FleetSearchEngine
+
+        options = {
+            name: parameter.default
+            for name, parameter in inspect.signature(
+                FleetSearchEngine
+            ).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        for row, batch_size in (
+            ("fleet", 8192), ("sched", 16384), ("pool", 16384), ("parallel", 8192)
+        ):
+            schema = {name: default for name, default, _type in get_entry(row).schema}
+            assert schema == {
+                name: repr(batch_size if name == "batch_size" else default)
+                for name, default in options.items()
+            }, row
+        assert [row[0] for row in get_entry("pool").schema][:3] == [
+            "hash_name", "workers", "batch_size",
+        ]
 
     def test_unknown_engine_lists_choices(self):
         with pytest.raises(KeyError, match="registered:"):
@@ -172,7 +213,7 @@ class TestEquivalenceMatrix:
 
 class TestUnifiedClusterResult:
     def test_cluster_extension_and_legacy_properties(self):
-        engine = build_engine("cluster:2,hash=sha1,bs=4096")
+        engine = build_engine(CLUSTER_SPEC)
         client_seed = flip_bits(BASE_SEED, [3, 77])
         result = engine.search(
             BASE_SEED, engine_target(engine, client_seed), 2
@@ -351,7 +392,7 @@ class TestHooks:
         assert sum(snap["seeds_by_distance"].values()) == result.seeds_hashed
 
     def test_hooks_fire_across_engines(self):
-        for spec in ("parallel:sha1,w=2,bs=4096", "cluster:2,hash=sha1,bs=4096"):
+        for spec in ("parallel:sha1,w=2,bs=4096", CLUSTER_SPEC):
             hooks = TelemetryHooks()
             engine = build_engine(spec, hooks=hooks)
             engine.search(BASE_SEED, engine_target(engine, BASE_SEED), 1)

@@ -44,6 +44,18 @@ class TestTable:
         assert args.seed == 3
         assert args.output == pathlib.Path("r.json")
 
+    def test_no_gate_selects_a_backend_the_server_does_not_have(self):
+        from repro.deploy.topology import ENGINE_MODES
+
+        for name in ("chaos", "tenancy", "deployment", "recovery"):
+            actions = gate_parser(GATES[name])._actions
+            flags = {flag for action in actions for flag in action.option_strings}
+            assert "--workers" not in flags, name
+            if "--engine" in flags:
+                [engine] = [a for a in actions if a.dest == "engine"]
+                assert tuple(engine.choices) == ENGINE_MODES == ("fleet", "sched")
+                assert engine.default == "fleet"
+
     def test_the_committed_records_cover_the_seven_benchmarks(self):
         committed = {path.stem for path in REPO.glob("BENCH_*.json")}
         assert committed == {

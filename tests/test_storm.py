@@ -299,14 +299,14 @@ class TestDrive:
         assert false_authentications(algo, forged) == 1
 
         authority, victims, _storm = tenant_storm(
-            2, 1, RBCSearchService(build_engine("batch:sha1,bs=4096"), 2), seed=0
+            2, 1, RBCSearchService(build_engine("sched:sha1,bs=4096"), 2), seed=0
         )
         stranger = dataclasses.replace(
             victims[1], digest=algo.hash_seed(b"\xa5" * 32)
         )
         tripwire = VerifyingAuthority(authority)
         with ConcurrentCAServer(
-            tripwire, workers=2, tenants=tenant_registry(TenantQuota())
+            tripwire, tenants=tenant_registry(TenantQuota())
         ) as server:
             futures = drive(
                 server_submit(server, tripwire), [victims[0], stranger], timeout=30.0
@@ -425,12 +425,13 @@ class TestStormsAreSeedPinned:
         }
 
     def test_shard_loss_storm_twice(self):
-        """As above; failovers, read repairs and retries depend on how the
-        prefetcher and the workers interleave shard reads."""
+        """As above. The door reads each image on the submitting thread and
+        nothing reads ahead of it, so failovers, read repairs and retries
+        repeat too; only wall time — the report's, and the search seconds
+        in the server's counters — does not."""
         from repro.directory.storm import run_shard_loss_storm
 
-        timing = {"wall_seconds", "failovers", "read_repairs", "retries",
-                  "directory_snapshot", "server_metrics"}
+        timing = {"wall_seconds", "server_metrics"}
         first, second = (
             {k: v for k, v in dataclasses.asdict(run_shard_loss_storm(seed=0)).items()
              if k not in timing}
@@ -442,6 +443,9 @@ class TestStormsAreSeedPinned:
         assert first["re_enrolled"] == ("client-0000", "client-0003", "client-0004")
         assert first["waves"] == [(24, 0, 0), (24, 0, 0), (22, 0, 2), (24, 0, 0)]
         assert (first["shed_typed"], first["shed_untyped"]) == (2, 0)
+        assert (first["failovers"], first["read_repairs"], first["retries"]) == (
+            10, 1, 7
+        )
         assert first["unhandled_errors"] == []
         assert first["false_authentications"] == 0
 
@@ -511,6 +515,22 @@ def in_a_fresh_interpreter(program: str) -> list[str]:
     ).stdout.splitlines()
 
 
+#: ``imported(path)``: every module and ``module.name`` the file imports.
+IMPORTED_NAMES = (
+    "import ast, pathlib, sys\n"
+    "src = pathlib.Path(sys.argv[1])\n"
+    "def imported(path):\n"
+    "    names = set()\n"
+    "    for node in ast.walk(ast.parse(path.read_text())):\n"
+    "        if isinstance(node, ast.ImportFrom):\n"
+    "            names |= {node.module or ''} | {\n"
+    "                f'{node.module}.{a.name}' for a in node.names}\n"
+    "        elif isinstance(node, ast.Import):\n"
+    "            names |= {a.name for a in node.names}\n"
+    "    return names\n"
+)
+
+
 class TestImportDirection:
     def test_a_serving_process_imports_none_of_the_harness(self):
         loaded = in_a_fresh_interpreter(
@@ -529,19 +549,29 @@ class TestImportDirection:
 
     def test_no_subsystem_imports_the_runner(self):
         offenders = in_a_fresh_interpreter(
-            "import ast, pathlib, sys\n"
-            "for path in sorted(pathlib.Path(sys.argv[1]).glob('repro/*/**/*.py')):\n"
-            "    for node in ast.walk(ast.parse(path.read_text())):\n"
-            "        names = []\n"
-            "        if isinstance(node, ast.ImportFrom):\n"
-            "            names = [node.module or ''] + [\n"
-            "                f'{node.module}.{a.name}' for a in node.names]\n"
-            "        elif isinstance(node, ast.Import):\n"
-            "            names = [a.name for a in node.names]\n"
-            "        if {'repro.gates', 'repro.cli'} & set(names):\n"
-            "            print(path)\n"
+            IMPORTED_NAMES
+            + "for path in sorted(src.glob('repro/*/**/*.py')):\n"
+            "    if {'repro.gates', 'repro.cli'} & imported(path):\n"
+            "        print(path)\n"
         )
         assert offenders == []
+
+    def test_the_front_door_has_no_thread_pool_and_no_prefetcher(self):
+        """One backend behind the front door (PR 18): every admitted request
+        is a dispatcher ticket, and nothing reads images ahead of the door."""
+        offenders = in_a_fresh_interpreter(
+            IMPORTED_NAMES
+            + "front_door = [*sorted(src.glob('repro/net/*.py')),\n"
+            "              src / 'repro' / 'deploy' / 'server.py']\n"
+            "for path in front_door:\n"
+            "    for name in sorted(imported(path)):\n"
+            "        if (name.endswith('ThreadPoolExecutor')\n"
+            "                or name.startswith('repro.directory.prefetch')):\n"
+            "            print(path, name)\n"
+            "print(len(front_door))\n"
+        )
+        assert offenders == [str(len(list((SRC / "repro" / "net").glob("*.py"))) + 1)]
+        assert not (SRC / "repro" / "directory" / "prefetch.py").exists()
 
     def test_the_storm_entry_points_are_imported_explicitly(self):
         import repro.deploy

@@ -427,6 +427,8 @@ class TestAuthorityTenancy:
 
 class TestServerTenancy:
     def test_fifo_front_door_sheds_over_budget_tenant(self):
+        """Named for the FIFO pool it first ran on (deleted in PR 18): the
+        refusal at the door and the refill are the dispatcher policy's."""
         clock = ManualClock()
         registry = TenantRegistry(
             tenants=(
@@ -443,7 +445,8 @@ class TestServerTenancy:
             _planted_digest(authority, f"c{i}", "gold") for i in range(3)
         ]
         with ConcurrentCAServer(
-            authority, workers=2, tenants=registry
+            authority, scheduler=build_engine("sched:sha1,bs=4096"),
+            tenants=registry,
         ) as server:
             first = server.submit("c0", digests[0], tenant_id="gold")
             with pytest.raises(RequestShed) as excinfo:
@@ -499,10 +502,12 @@ class TestServerTenancy:
         tenants = server.metrics.tenant_snapshot()
         assert tenants["gold"]["quota_hits"] == 1
 
-    @pytest.mark.parametrize("backend", ["pool", "dispatcher"])
+    @pytest.mark.parametrize("backend", ["dispatcher", "authority"])
     def test_bucket_charged_once_per_admission_never_for_a_refusal(
         self, backend
     ):
+        """However the server got its dispatcher — handed in, or found as
+        the authority's own engine — the policy's bucket is the one."""
         from repro.net.errors import ServerClosed
 
         clock = ManualClock()  # frozen: the bucket never refills
@@ -521,19 +526,18 @@ class TestServerTenancy:
         # Absent digests searched to d=3 under a short T: every admitted
         # request stays in flight far longer than the submits take.
         authority = _build_authority(max_distance=3)
+        engine = build_engine("sched:sha1,bs=4096")
+        if backend == "authority":
+            authority.search_service = RBCSearchService(engine, max_distance=3)
         authority.search_service.time_threshold = 0.5
         for i in range(3):
             authority.enroll(f"c{i}", _mask_for(40 + i), tenant_id="gold")
         absent = b"\x5a" * 20
-        engine = (
-            build_engine("sched:sha1,bs=4096")
-            if backend == "dispatcher"
-            else None
-        )
         server = ConcurrentCAServer(
-            authority, workers=1, max_queue=2, scheduler=engine,
-            tenants=registry,
+            authority, max_queue=2, tenants=registry,
+            scheduler=engine if backend == "dispatcher" else None,
         )
+        assert server.scheduler is engine
         try:
             first = server.submit("c0", absent, tenant_id="gold")
             assert tokens() == 7.0
@@ -560,7 +564,9 @@ class TestServerTenancy:
         authority = _build_authority()
         authority.enroll("legacy", _mask_for(30))
         digest = _planted_digest(authority, "legacy")
-        with ConcurrentCAServer(authority, workers=1) as server:
+        with ConcurrentCAServer(
+            authority, scheduler=build_engine("sched:sha1,bs=4096")
+        ) as server:
             result = server.submit("legacy", digest).result(timeout=60)
         assert result.authenticated
         tenants = server.metrics.tenant_snapshot()
