@@ -30,8 +30,12 @@ is checked locally, not assumed from ``authenticated`` flags.
 
 Deterministic by construction: the fleet is seeded, the victim/partner
 shards are chosen from the seeded ring, kill points are wave boundaries
-(not wall-clock), and the optional transient-timeout noise comes from a
-seeded :class:`~repro.reliability.faults.FaultPlan`.
+(not wall-clock), the optional transient-timeout noise comes from a
+seeded :class:`~repro.reliability.faults.FaultPlan`, and the shard
+breakers run on the storm's own
+:class:`~repro.reliability.faults.VirtualClock`, which moves only when
+the directory backs off or the schedule waits out a recovery window —
+never with how long a wave happened to take.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
 from repro.net.concurrent import ConcurrentCAServer
-from repro.reliability.faults import FaultPlan, FaultSpec
+from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
 from repro.reliability.tripwire import VerifyingAuthority
 from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE
 from repro.storm import (
@@ -194,11 +198,15 @@ def _pick_victims(
 
 
 def shard_loss_schedule(
-    directory: ShardedEnrollmentDirectory, victim: str, partner: str
+    directory: ShardedEnrollmentDirectory,
+    victim: str,
+    partner: str,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> Iterator[str]:
     """Walk the fault schedule after the healthy wave: kill the victim,
     kill its partner, revive both — caches dropped at each step. Yields
-    the wave name (``WAVE_NAMES[1:]``) for the caller to serve under."""
+    the wave name (``WAVE_NAMES[1:]``) for the caller to serve under.
+    ``sleep`` is how a recovery window passes on the directory's clock."""
     directory.kill_shard(victim)
     directory.drop_hot_caches()
     yield "1-shard-down"
@@ -210,7 +218,7 @@ def shard_loss_schedule(
     # A revived shard is re-admitted only once its tripped breaker's
     # recovery window has passed: wait it out rather than count on the
     # caller's work in between taking that long.
-    time.sleep(directory.shard(victim).breaker.recovery_seconds)
+    sleep(directory.shard(victim).breaker.recovery_seconds)
     directory.drop_hot_caches()
     yield "recovered"
 
@@ -251,6 +259,12 @@ def run_shard_loss_storm(
     re_enroll: int = 3,
 ) -> ShardLossStormReport:
     """Four deterministic waves against a sharded directory; see module doc."""
+    # On ``time.monotonic`` a breaker's 50 ms window races the waves: at
+    # seed 0 the partner's re-admission probe draws an injected timeout,
+    # and whether the breaker is probed once more — and ends ``closed``,
+    # ``half_open`` or ``open`` — depends on how long the recovered wave
+    # takes on the day. Here time passes only where the storm says so.
+    clock = VirtualClock()
     directory = ShardedEnrollmentDirectory(
         master_key=b"storm-master-k!!",
         shards=shards,
@@ -259,6 +273,8 @@ def run_shard_loss_storm(
         fault_plan=FaultPlan(
             FaultSpec(shard_timeout_rate=shard_timeout_rate), seed
         ),
+        clock=clock.now,
+        sleep=clock.advance,
     )
     # Noise target one below the search radius: the PUF's natural noise
     # occasionally lands a read a bit past the injected target, and the
@@ -314,7 +330,7 @@ def run_shard_loss_storm(
             )
 
         wave()  # healthy; then the three faulted waves of the module doc
-        for name in shard_loss_schedule(directory, victim, partner):
+        for name in shard_loss_schedule(directory, victim, partner, clock.advance):
             wave(doomed if name == "replica-set-down" else ())
             if name == "replica-set-down":
                 # While the shards are dark, survivors re-enroll: their

@@ -80,8 +80,12 @@ class DurableImageStore:
                 self._checkpoint_locked()
 
     def lookup(self, client_id: str) -> TernaryMask:
-        with self._lock:
-            return self._store.lookup(client_id)
+        # Only the copy of (record, version) is under the lock; the
+        # decrypt is not, so readers do not queue behind one another and
+        # nothing waits for a decrypt. What is copied is always durable:
+        # enroll holds the lock from install to fsync.
+        blob, version = self.export_record(client_id)
+        return self._store.decrypt_record(client_id, blob, version)
 
     def version_of(self, client_id: str) -> int:
         with self._lock:

@@ -11,14 +11,41 @@ version counter*, so re-enrolling a client never reuses a keystream
 Version 0 keeps the historical identifier-only nonce, so databases saved
 before versioning existed still decrypt.
 
-Every read and write goes through the one CTR path,
-:meth:`repro.keygen.aes.AES128.ctr_transform`, which runs all of a
-record's counter blocks through the cipher at once (≈ 1 ms for a
-256-cell, 22.8 kB record). Nothing decrypted is kept: each
-:meth:`EncryptedImageDatabase.lookup` decrypts the stored ciphertext
-again, and the record bytes are a function of (key, client, version,
-image) only, so snapshots, WAL records and replica transfers written by
-any earlier version of this module stay readable.
+A record's plaintext is a fixed little-endian layout, ordered so that
+what both protocol legs read comes first (``n`` cells, ``p = ceil(n/8)``):
+
+======================  ==========  ====================================
+offset                  bytes       field
+======================  ==========  ====================================
+0                       4           magic ``93 50 55 46`` (no JSON
+                                    document and no UTF-8 text opens so)
+4                       8           ``address``, u64
+12                      4           ``n``, u32
+16                      ``p``       ``usable``, packed MSB first
+16 + ``p``              ``p``       ``reference``, packed MSB first
+16 + 2 ``p``            8 ``n``     ``instability``, float64
+======================  ==========  ====================================
+
+The deployed 2 048-cell image is 16 912 bytes, and its leading 528 —
+33 cipher blocks — hold everything a handshake or a digest leg reads.
+CTR is seekable, so the one read path,
+:meth:`EncryptedImageDatabase.decrypt_record` (a :meth:`lookup` is that
+on the stored record), decrypts exactly that leading span in one
+:meth:`repro.keygen.aes.AES128.ctr_transform` call (≈ 0.2 ms; the cell
+count follows from the ciphertext length, the header confirms it) and
+leaves ``instability`` as ciphertext until something reads the
+attribute: the same keystream under the same ``(client, version)``
+nonce, fewer blocks of it. Nothing decrypted is kept by the store: each
+look-up decrypts the stored ciphertext again.
+
+Records written before this layout are JSON text (the plaintext opens
+with ``{``); the decrypted magic picks the decoder per record, so
+snapshots, WAL segments, checkpoints and replica transfers written by
+any earlier version of this module stay readable and one store may hold
+both kinds. **A stored record is never re-encoded in place**: the same
+nonce over a different plaintext is exactly the keystream reuse the
+tripwire exists to refuse, so a JSON record becomes binary only when its
+client next enrolls — under the next version.
 
 This is a reproduction-grade container — it demonstrates the protocol's
 data flow (enrollment writes, validation reads, nothing is ever decrypted
@@ -30,6 +57,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import struct
 
 import numpy as np
 
@@ -42,6 +70,61 @@ __all__ = ["EncryptedImageDatabase", "NonceReuseError"]
 #: On-disk / snapshot format tags. v1 predates record versioning.
 _FORMAT_V1 = "repro-image-db/1"
 _FORMAT_V2 = "repro-image-db/2"
+
+#: Record plaintext header: magic, ``address``, cell count.
+_HEADER = struct.Struct("<4sQI")
+_MAGIC = b"\x93PUF"
+
+
+def _cells_in(length: int) -> int | None:
+    """The cell count of a ``length``-byte record, None if no count fits.
+
+    After the header every 8 cells are 66 bytes — one packed byte each of
+    ``usable`` and ``reference``, 64 of ``instability`` — and a last
+    partial group of ``r`` cells is ``2 + 8 r``, so the length names the
+    count and the read path knows its leading span before it decrypts.
+    """
+    groups, rest = divmod(length - _HEADER.size, 66)
+    if groups < 0 or (rest and (rest < 10 or (rest - 2) % 8)):
+        return None
+    return 8 * groups + (rest // 8 if rest else 0)
+
+
+class _StoredImage(TernaryMask):
+    """What a look-up returns: ``instability`` is decrypted at first read.
+
+    It is created without the ``instability`` attribute; ``__getattr__``
+    runs only while an attribute is missing, so the first read fills the
+    field in and every later one is a plain attribute.
+    """
+
+    #: What opens the tail: cipher, nonce, the record's ciphertext and the
+    #: offset ``instability`` starts at.
+    _sealed: tuple[AES128, bytes, bytes, int]
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name != "instability":
+            raise AttributeError(name)
+        cipher, nonce, blob, offset = self._sealed
+        value = np.frombuffer(
+            cipher.ctr_transform(blob, nonce), dtype="<f8", offset=offset
+        ).astype(float)
+        object.__setattr__(self, "instability", value)
+        return value
+
+    def _plain(self) -> TernaryMask:
+        return TernaryMask(
+            self.address, self.usable, self.reference, self.instability
+        )
+
+    # The dataclass's own methods compare and print the exact class.
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _StoredImage):
+            other = other._plain()
+        return self._plain() == other
+
+    def __repr__(self) -> str:
+        return repr(self._plain())
 
 
 class NonceReuseError(AssertionError):
@@ -96,16 +179,32 @@ class EncryptedImageDatabase:
 
     @staticmethod
     def _serialize(mask: TernaryMask) -> bytes:
-        payload = {
-            "address": mask.address,
-            "usable": mask.usable.astype(np.uint8).tolist(),
-            "reference": mask.reference.astype(np.uint8).tolist(),
-            "instability": mask.instability.tolist(),
-        }
-        return json.dumps(payload).encode()
+        """The record plaintext for ``mask`` (layout in the module doc)."""
+        usable = np.asarray(mask.usable, dtype=bool)
+        reference = np.asarray(mask.reference, dtype=np.uint8)
+        instability = np.asarray(mask.instability, dtype="<f8")
+        cells = usable.shape[0] if usable.ndim == 1 else -1
+        if not (reference.shape == instability.shape == (cells,)):
+            raise ValueError(
+                "usable, reference and instability must be one-dimensional "
+                "and of one length"
+            )
+        if not (0 <= mask.address < 1 << 64 and cells < 1 << 32):
+            raise ValueError("address must fit u64 and the cell count u32")
+        if cells and reference.max() > 1:
+            raise ValueError("reference bits must be 0 or 1")
+        return b"".join(
+            (
+                _HEADER.pack(_MAGIC, mask.address, cells),
+                np.packbits(usable).tobytes(),
+                np.packbits(reference).tobytes(),
+                instability.tobytes(),
+            )
+        )
 
     @staticmethod
-    def _deserialize(raw: bytes) -> TernaryMask:
+    def _deserialize_json(raw: bytes) -> TernaryMask:
+        """A record written before the binary layout (never written now)."""
         payload = json.loads(raw.decode())
         return TernaryMask(
             address=payload["address"],
@@ -138,13 +237,8 @@ class EncryptedImageDatabase:
 
     def lookup(self, client_id: str) -> TernaryMask:
         """Decrypt and return the enrollment image for ``client_id``."""
-        if client_id not in self._records:
-            raise KeyError(f"client {client_id!r} not enrolled")
-        plaintext = self._cipher.ctr_transform(
-            self._records[client_id],
-            self._nonce(client_id, self._versions.get(client_id, 0)),
-        )
-        return self._deserialize(plaintext)
+        blob, version = self.export_record(client_id)
+        return self.decrypt_record(client_id, blob, version)
 
     def version_of(self, client_id: str) -> int:
         """Current re-enrollment counter for ``client_id`` (0 = first)."""
@@ -186,12 +280,48 @@ class EncryptedImageDatabase:
     def decrypt_record(
         self, client_id: str, blob: bytes, version: int
     ) -> TernaryMask:
-        """Decrypt one exported record — inverse of :meth:`encrypt_record`."""
+        """Open one record — the read path, inverse of :meth:`encrypt_record`.
+
+        Decrypts the leading span that holds the header, ``usable`` and
+        ``reference`` in one keystream call; ``instability`` is decrypted
+        when the returned image's attribute is first read. A record whose
+        plaintext opens with ``{`` goes to the JSON decoder instead. Raises
+        ``ValueError`` for anything that is not a record under this key,
+        client and version.
+        """
         if version < 0:
             raise ValueError("record version must be non-negative")
-        return self._deserialize(
-            self._cipher.ctr_transform(blob, self._nonce(client_id, version))
+        nonce = self._nonce(client_id, version)
+        # No binary record has a length no cell count fits: nothing to read.
+        cells = _cells_in(len(blob))
+        packed = -(-(cells or 0) // 8)
+        lead = _HEADER.size + 2 * packed
+        head = b""
+        if cells is not None:
+            head = self._cipher.ctr_transform(blob[:lead], nonce)
+        if not head.startswith(_MAGIC):
+            plaintext = self._cipher.ctr_transform(blob, nonce)
+            if not plaintext.startswith(b"{"):
+                raise ValueError(
+                    f"no enrollment record for client {client_id!r} at "
+                    f"version {version} under this key"
+                )
+            return self._deserialize_json(plaintext)
+        _magic, address, count = _HEADER.unpack_from(head)
+        if count != cells:
+            raise ValueError(
+                f"record of {len(blob)} bytes holds {cells} cells, "
+                f"its header says {count}"
+            )
+        bits = np.frombuffer(head, dtype=np.uint8, offset=_HEADER.size)
+        image = _StoredImage.__new__(_StoredImage)
+        image.__dict__.update(
+            address=address,
+            usable=np.unpackbits(bits[:packed], count=cells).view(bool),
+            reference=np.unpackbits(bits[packed:], count=cells),
+            _sealed=(self._cipher, nonce, blob, lead),
         )
+        return image
 
     # -- replica transfer (records stay encrypted) ------------------------
 
@@ -258,6 +388,11 @@ class EncryptedImageDatabase:
             client_id: int(version)
             for client_id, version in payload.get("versions", {}).items()
         }
+        # A record the snapshot names no version for — every record of a
+        # `/1` file — is at version 0, and that keystream is spent: its
+        # client's next enrollment must be version 1, not 0 again.
+        for client_id in self._records:
+            self._versions.setdefault(client_id, 0)
         for client_id, version in self._versions.items():
             self.register_used_version(client_id, version)
 

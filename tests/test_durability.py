@@ -312,6 +312,53 @@ class TestDurableImageStore:
         store.close()
 
 
+    def test_a_lookup_does_not_decrypt_under_the_store_lock(self, tmp_path):
+        """One look-up parked inside the cipher: the version counter, the
+        membership test, a second look-up and an enrollment all still
+        answer — only the copy of (record, version) is under the lock."""
+        import threading
+
+        store = DurableImageStore(tmp_path / "db", KEY, fsync="none")
+        store.enroll("alice", synthetic_mask(1))
+        store.enroll("bob", synthetic_mask(2))
+        cipher = store._store._cipher
+        entered, release = threading.Event(), threading.Event()
+
+        class Gated:
+            def ctr_transform(self, data, nonce):
+                if threading.current_thread() is parked:
+                    entered.set()
+                    assert release.wait(30.0)
+                return cipher.ctr_transform(data, nonce)
+
+        store._store._cipher = Gated()
+        parked = threading.Thread(target=store.lookup, args=("alice",))
+        parked.start()
+        answered = []
+
+        def others():
+            answered.append(store.version_of("alice"))
+            answered.append("bob" in store)
+            answered.append(store.lookup("bob").address)
+            store.enroll("alice", synthetic_mask(3))
+            answered.append(store.version_of("alice"))
+
+        other = threading.Thread(target=others)
+        try:
+            assert entered.wait(30.0)
+            other.start()
+            other.join(10.0)
+            stuck = other.is_alive()
+        finally:
+            release.set()
+            parked.join(30.0)
+            other.join(30.0)
+            store.close()
+        assert not stuck, "waited for the lock behind another look-up's decrypt"
+        assert answered == [0, True, 0, 1]
+        assert not parked.is_alive()
+
+
 class TestDurableDirectory:
     def _directory(self, tmp_path, **kwargs):
         return ShardedEnrollmentDirectory(

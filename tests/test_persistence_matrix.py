@@ -94,11 +94,20 @@ PUF_BUILDERS = {
 }
 
 
+def assert_same_image(loaded, mask):
+    assert loaded.address == mask.address
+    assert (loaded.usable == mask.usable).all()
+    assert (loaded.reference == mask.reference).all()
+    assert (loaded.instability == mask.instability).all()
+
+
 class TestSnapshotsWrittenBeforeTheVectorizedKernel:
     """tests/fixtures/image_db_snapshots.json holds `snapshot()` blobs the
     scalar per-block CTR loop wrote (see its `written_by`): a durable
     store from before the NumPy kernel must recover after it, and the
-    kernel must write the very same bytes."""
+    kernel must write the very same bytes. `v1` / `v2` hold the JSON
+    records of that time, which are read but no longer written; `v3` is
+    the binary layout, which the writer must reproduce byte for byte."""
 
     @pytest.fixture(scope="class")
     def fixture(self):
@@ -115,8 +124,8 @@ class TestSnapshotsWrittenBeforeTheVectorizedKernel:
             instability=np.array(image["instability"], dtype=float),
         )
 
-    # v1: version 0, the identifier-only nonce; v2: the versioned nonce.
-    @pytest.mark.parametrize("name", ["v1", "v2"])
+    # v1: version 0, the identifier-only nonce; v2, v3: the versioned nonce.
+    @pytest.mark.parametrize("name", ["v1", "v2", "v3"])
     def test_restores_and_reproduces_the_ciphertext(self, fixture, mask, name):
         client_id = fixture["client_id"]
         version = fixture["snapshots"][name]["version"]
@@ -132,8 +141,77 @@ class TestSnapshotsWrittenBeforeTheVectorizedKernel:
         assert (loaded.instability == mask.instability).all()
         ciphertext, exported_version = db.export_record(client_id)
         assert exported_version == version
-        assert db.encrypt_record(client_id, mask, version) == ciphertext
+        if name == "v3":
+            assert db.encrypt_record(client_id, mask, version) == ciphertext
+        else:
+            # Re-encrypting the fixture's decrypted plaintext, the JSON
+            # text the writer of the time produced, reproduces it.
+            nonce = db._nonce(client_id, version)
+            plaintext = db._cipher.ctr_transform(ciphertext, nonce)
+            assert json.loads(plaintext)["address"] == mask.address
+            assert db._cipher.ctr_transform(plaintext, nonce) == ciphertext
         assert db.snapshot() == snapshot
+
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    def test_a_store_serves_both_kinds_of_record(self, fixture, mask, name):
+        """A JSON record is never re-encoded in place: it stays as stored
+        until its client enrolls again, beside binary ones."""
+        key = fixture["master_key"].encode()
+        alice = fixture["client_id"]
+        version = fixture["snapshots"][name]["version"]
+        payload = json.loads(fixture["snapshots"][name]["snapshot"])
+        if name == "v1":  # as a pre-versioning file held it
+            payload = {"format": "repro-image-db/1", "records": payload["records"]}
+        db = EncryptedImageDatabase.from_snapshot(json.dumps(payload).encode(), key)
+        json_record = db.encrypted_record(alice)
+        db.enroll("bob", mask)
+        assert db.encrypted_record(alice) == json_record
+        assert len(db.encrypted_record("bob")) < len(json_record)
+        clone = EncryptedImageDatabase.from_snapshot(db.snapshot(), key)
+        for store in (db, clone):
+            for client_id in (alice, "bob"):
+                assert_same_image(store.lookup(client_id), mask)
+        # Re-enrolling is what turns alice's record binary, one version on.
+        clone.enroll(alice, mask)
+        assert clone.version_of(alice) == version + 1
+        assert clone.encrypted_record(alice) == clone.encrypt_record(
+            alice, mask, version + 1
+        )
+        assert_same_image(clone.lookup(alice), mask)
+
+    def test_json_records_recover_from_a_wal_and_a_checkpoint(
+        self, fixture, mask, tmp_path
+    ):
+        """The containers carry ciphertext and do not care which kind: a
+        JSON record and a binary one come back from the WAL, and again
+        from the checkpoint that compacts it, with versions and floor."""
+        from repro.durability import DurableImageStore
+        from repro.puf.image_db import NonceReuseError
+
+        key = fixture["master_key"].encode()
+        alice = fixture["client_id"]
+        seed = EncryptedImageDatabase.from_snapshot(
+            fixture["snapshots"]["v2"]["snapshot"].encode(), key
+        )
+        json_record, version = seed.export_record(alice)
+        store = DurableImageStore(tmp_path / "db", key, fsync="none")
+        store.import_record(alice, json_record, version)
+        store.enroll("bob", mask)
+        for compact in (False, True):
+            if compact:
+                store.checkpoint()
+            store.close()
+            store = DurableImageStore(tmp_path / "db", key, fsync="none")
+            assert store.recovery.recovered_records == (0 if compact else 2)
+            assert store.export_record(alice) == (json_record, version)
+            assert store.version_of("bob") == 0
+            for client_id in (alice, "bob"):
+                assert_same_image(store.lookup(client_id), mask)
+        # The floor came back too: a counter rolled back under it trips.
+        store._store._versions[alice] = version - 1
+        with pytest.raises(NonceReuseError):
+            store.enroll(alice, mask)
+        store.close()
 
     def test_pre_versioning_file_format_still_decrypts(self, fixture, mask):
         """The same version-0 ciphertext under the `/1` tag, no versions."""

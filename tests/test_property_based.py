@@ -33,6 +33,8 @@ from repro.hashes.sha1 import sha1
 from repro.hashes.sha256 import sha256
 from repro.hashes.sha3 import sha3_256
 from repro.keygen.aes import AES128
+from repro.puf.image_db import EncryptedImageDatabase
+from repro.puf.ternary import TernaryMask
 
 seeds_strategy = st.binary(min_size=32, max_size=32)
 messages_strategy = st.binary(min_size=0, max_size=300)
@@ -146,6 +148,38 @@ class TestCipherProperties:
         expected = bytes(d ^ k for d, k in zip(data, keystream))
         assert cipher.ctr_transform(data, nonce) == expected
         assert cipher.ctr_transform(expected, nonce) == data
+
+
+class TestImageRecordProperties:
+    @given(
+        st.integers(1, 8192),
+        st.integers(0, 2**63) | st.just(2**64 - 1),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_enroll_lookup_is_bit_exact(self, cells, address, re_enrolls, seed):
+        """Any cell count (byte-aligned or not), address and version, and
+        any float64 bit pattern — NaNs and subnormals included — comes
+        back field for field, bit for bit."""
+        rng = np.random.default_rng(seed)
+        mask = TernaryMask(
+            address=address,
+            usable=rng.random(cells) < 0.9,
+            reference=rng.integers(0, 2, cells, dtype=np.uint8),
+            instability=rng.integers(0, 2**64, cells, dtype=np.uint64).view(float),
+        )
+        db = EncryptedImageDatabase(b"property-key-16!")
+        for _ in range(re_enrolls + 1):
+            db.enroll("alice", mask)
+        assert db.version_of("alice") == re_enrolls
+        assert len(db.encrypted_record("alice")) == 16 + 2 * -(-cells // 8) + 8 * cells
+        loaded = db.lookup("alice")
+        assert loaded.address == address
+        for name in ("usable", "reference", "instability"):
+            got, want = getattr(loaded, name), getattr(mask, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCombinatoricProperties:

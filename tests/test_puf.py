@@ -1,12 +1,14 @@
 """PUF substrate: statistical model, TAPKI masking, noise, encrypted DB."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.noise import flip_random_bits, inject_noise_to_distance
-from repro.puf.ternary import enroll_with_masking
+from repro.puf.ternary import TernaryMask, enroll_with_masking
 
 
 class TestSRAMPuf:
@@ -165,7 +167,8 @@ class TestEncryptedImageDatabase:
         db = EncryptedImageDatabase(b"k" * 16)
         db.enroll("alice", mask)
         ciphertext = db.encrypted_record("alice")
-        assert b"reference" not in ciphertext  # JSON keys not visible
+        assert np.packbits(mask.reference).tobytes() not in ciphertext
+        assert np.packbits(mask.usable).tobytes() not in ciphertext
 
     def test_unknown_client(self):
         db = EncryptedImageDatabase(b"k" * 16)
@@ -189,6 +192,163 @@ class TestEncryptedImageDatabase:
         db2._records["alice"] = db1.encrypted_record("alice")
         with pytest.raises(Exception):
             db2.lookup("alice")
+
+
+class _CountingCipher:
+    """Stands in for a store's cipher and counts the bytes it transforms."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bytes = 0
+
+    def ctr_transform(self, data, nonce):
+        self.bytes += len(data)
+        return self.inner.ctr_transform(data, nonce)
+
+
+class TestSeekableRecordLayout:
+    """The record layout of ``puf/image_db.py``: what a handshake and a
+    digest leg read sits in the leading blocks, and only those are
+    decrypted until something reads ``instability``."""
+
+    @pytest.fixture
+    def mask(self):
+        # The deployed topology's image: one 2 048-cell window.
+        puf = SRAMPuf(num_cells=2048, seed=8)
+        return enroll_with_masking(puf, 0, 2048)
+
+    def test_lookup_decrypts_the_leading_blocks_only(self, mask):
+        db = EncryptedImageDatabase(b"k" * 16)
+        db.enroll("alice", mask)
+        record = len(db.encrypted_record("alice"))
+        assert record == 16 + 256 + 256 + 8 * 2048  # was 22 821 of JSON
+        counter = db._cipher = _CountingCipher(db._cipher)
+        restored = db.lookup("alice")
+        assert (restored.usable == mask.usable).all()
+        assert (restored.reference == mask.reference).all()
+        assert counter.bytes <= 544
+        # The cold tail costs at most the record once more, and once.
+        assert restored.instability.tobytes() == mask.instability.tobytes()
+        assert counter.bytes <= 544 + record
+        spent = counter.bytes
+        assert (restored.instability == mask.instability).all()
+        assert counter.bytes == spent
+
+    def test_both_protocol_legs_decrypt_two_leading_spans(self, mask):
+        """One authentication = a challenge and an S_init read."""
+        from repro.core import (
+            CertificateAuthority,
+            RBCSearchService,
+            RegistrationAuthority,
+        )
+        from repro.core.salting import HashChainSalt
+        from repro.keygen.interface import get_keygen
+        from repro.runtime.executor import BatchSearchExecutor
+
+        db = EncryptedImageDatabase(b"k" * 16)
+        authority = CertificateAuthority(
+            search_service=RBCSearchService(BatchSearchExecutor("sha3-256")),
+            salt=HashChainSalt(),
+            keygen=get_keygen("aes-128"),
+            registration_authority=RegistrationAuthority(),
+            image_db=db,
+        )
+        authority.enroll("alice", mask)
+        counter = db._cipher = _CountingCipher(db._cipher)
+        challenge = authority.issue_challenge("alice")
+        assert (challenge.usable == mask.usable).all()
+        assert authority.enrolled_seed("alice") == np.packbits(
+            mask.reference_seed_bits(256)
+        ).tobytes()
+        assert counter.bytes <= 2 * 544  # was 2 x 22 821
+
+    def test_what_lookup_returns_is_a_ternary_mask(self, mask):
+        db = EncryptedImageDatabase(b"k" * 16)
+        db.enroll("alice", mask)
+        restored = db.lookup("alice")
+        assert isinstance(restored, TernaryMask)
+        assert restored.usable.dtype == bool
+        assert restored.reference.dtype == np.uint8
+        assert restored.instability.dtype == mask.instability.dtype
+        assert restored.usable_count == mask.usable_count
+        moved = dataclasses.replace(db.lookup("alice"), address=7)
+        assert moved.address == 7
+        assert (moved.instability == mask.instability).all()
+        fields = dataclasses.asdict(db.lookup("alice"))
+        assert list(fields) == ["address", "usable", "reference", "instability"]
+        assert (fields["instability"] == mask.instability).all()
+        assert repr(db.lookup("alice")) == repr(mask)
+        # Array fields compare by truth value, so `==` needs a one-cell image.
+        cell = TernaryMask(3, np.array([True]), np.array([1], np.uint8),
+                           np.array([0.25]))
+        db.enroll("bob", cell)
+        assert db.lookup("bob") == cell and cell == db.lookup("bob")
+        assert db.lookup("bob") == db.lookup("bob")
+        assert db.lookup("bob") != dataclasses.replace(cell, address=4)
+
+    @pytest.mark.parametrize("cells", [0, 1, 7, 8, 9, 65, 2047])
+    def test_cell_counts_off_the_byte_boundary(self, cells):
+        rng = np.random.default_rng(cells)
+        image = TernaryMask(
+            address=(1 << 64) - 1,
+            usable=rng.random(cells) < 0.9,
+            reference=rng.integers(0, 2, cells, dtype=np.uint8),
+            instability=rng.random(cells),
+        )
+        db = EncryptedImageDatabase(b"k" * 16)
+        restored = db.decrypt_record("a", db.encrypt_record("a", image, 3), 3)
+        assert restored.address == image.address
+        assert (restored.usable == image.usable).all()
+        assert (restored.reference == image.reference).all()
+        assert restored.instability.tobytes() == image.instability.tobytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: blob[:-5], id="cut mid-field"),
+            pytest.param(lambda blob: blob[:-66], id="cut to another cell count"),
+            pytest.param(lambda blob: blob[:300], id="cut inside the leading span"),
+            pytest.param(lambda blob: blob[:9], id="cut inside the header"),
+            pytest.param(lambda blob: b"", id="empty"),
+            pytest.param(lambda blob: blob + bytes(66), id="grown by eight cells"),
+            pytest.param(lambda blob: blob + b"\x00", id="grown by a byte"),
+        ],
+    )
+    def test_damaged_ciphertext_raises(self, mask, damage):
+        db = EncryptedImageDatabase(b"k" * 16)
+        blob = db.encrypt_record("alice", mask, 1)
+        with pytest.raises(ValueError):
+            db.decrypt_record("alice", damage(blob), 1)
+
+    @pytest.mark.parametrize(
+        "client_id, version, key",
+        [
+            pytest.param("alice", 1, b"x" * 16, id="wrong key"),
+            pytest.param("alice", 2, b"k" * 16, id="wrong version"),
+            pytest.param("bob", 1, b"k" * 16, id="another client"),
+        ],
+    )
+    def test_foreign_ciphertext_raises(self, mask, client_id, version, key):
+        blob = EncryptedImageDatabase(b"k" * 16).encrypt_record("alice", mask, 1)
+        with pytest.raises(ValueError):
+            EncryptedImageDatabase(key).decrypt_record(client_id, blob, version)
+
+    def test_enroll_refuses_what_the_layout_cannot_hold(self, mask):
+        db = EncryptedImageDatabase(b"k" * 16)
+        db.enroll("alice", mask)
+        before = db.export_record("alice")
+        for address in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                db.enroll("alice", dataclasses.replace(mask, address=address))
+        with pytest.raises(ValueError):
+            db.enroll("alice", dataclasses.replace(mask, reference=mask.reference + 1))
+        with pytest.raises(ValueError):
+            db.enroll("alice", dataclasses.replace(mask, usable=mask.usable[:-1]))
+        # A refused enrollment burns no version and changes no record.
+        assert db.export_record("alice") == before
+        db.enroll("alice", dataclasses.replace(mask, address=(1 << 64) - 1))
+        assert db.version_of("alice") == 1
+        assert db.lookup("alice").address == (1 << 64) - 1
 
 
 class TestImageDatabaseVersionedNonces:

@@ -428,7 +428,11 @@ class TestStormsAreSeedPinned:
         """As above. The door reads each image on the submitting thread and
         nothing reads ahead of it, so failovers, read repairs and retries
         repeat too; only wall time — the report's, and the search seconds
-        in the server's counters — does not."""
+        in the server's counters — does not. The shard breakers run on the
+        storm's own clock: on ``time.monotonic`` their 50 ms window raced
+        the length of the recovered wave, and ``shard-06``'s
+        ``breaker_state`` in ``directory_snapshot`` came out ``closed`` or
+        ``half_open`` by the host's speed that day."""
         from repro.directory.storm import run_shard_loss_storm
 
         timing = {"wall_seconds", "server_metrics"}
