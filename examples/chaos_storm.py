@@ -1,13 +1,14 @@
 """Chaos engineering for the RBC serving stack: a fault-injected storm.
 
 Authenticates a fleet of PUF clients across a lossy WAN — messages drop,
-arrive corrupted, duplicate, reorder, and spike in latency — while the
-CA's fast search device fails mid-storm. The resilience layer keeps the
-service honest: clients retry with backoff under deadlines, a circuit
-breaker trips around the sick device, and a CPU baseline absorbs the
-traffic until the device recovers. Every stochastic choice flows from
-one seed, so the run (including the breaker's transition history) is
-exactly reproducible.
+arrive corrupted, duplicate, reorder, and spike in latency — while one
+of the CA's two search devices is lost mid-storm. The served path keeps
+the service honest: clients retry with backoff under deadlines, the
+fleet dispatcher's health monitor quarantines the dead device, the
+surviving device serves every request, and a passing probe reinstates
+the victim once it is back. Every stochastic choice flows from one seed,
+so the run (quarantines and reinstatements included) is exactly
+reproducible.
 
     python examples/chaos_storm.py
 """
@@ -30,13 +31,15 @@ def main() -> None:
     print("same seed reproduces the report exactly:", report == again)
     print()
 
-    # The full acceptance storm: 100 clients on a 20%-drop WAN with a
-    # device-failure episode long enough to walk the breaker through
-    # closed -> open -> half-open (probe fails, re-opens) -> closed.
+    # The full acceptance storm: 100 clients on a 20%-drop WAN with one
+    # device outage six clients long.
     report = run_named_storm("lossy-wan", seed=0)
     print(report.render())
     print()
-    print("breaker lifecycle:", " ".join(report.breaker_transitions))
+    print(
+        "every outage quarantined and reinstated:",
+        report.quarantines == report.reinstatements == report.device_episodes,
+    )
 
 
 if __name__ == "__main__":

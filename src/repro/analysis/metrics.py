@@ -4,7 +4,7 @@ unified :class:`~repro.engines.result.SearchResult`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 __all__ = [
@@ -142,10 +142,12 @@ def compare_to_paper(
 class ResilienceReport:
     """What an authentication storm under a fault plan produced.
 
-    Every field is derived from the virtual clock and deterministic
-    counters — no wall-clock measurements — so two runs with the same
-    fault-plan seed compare equal (`==`), which is the reproducibility
-    contract the chaos regression tests assert.
+    Every compared field is derived from the links' virtual clocks, the
+    seeded outage schedule and per-request counters — no wall-clock
+    measurements — so two runs with the same fault-plan seed compare
+    equal (`==`), which is the reproducibility contract the chaos
+    regression tests assert. The last two fields are what the
+    dispatcher's real threads happened to see, and are not compared.
     """
 
     plan: str
@@ -165,17 +167,22 @@ class ResilienceReport:
     latency_p50: float
     latency_p95: float
     latency_max: float
-    #: Breaker history as 'from->to' strings, in order.
-    breaker_transitions: tuple[str, ...]
-    primary_searches: int
-    fallback_searches: int
-    device_failures: int
-    #: Engine telemetry (from the storm's shared
-    #: :class:`~repro.engines.hooks.TelemetryHooks` tap): candidate
-    #: seeds hashed and Hamming shells completed across both backends.
-    #: Pure counters — deterministic, unlike shell wall times.
+    #: Outages of the fleet's last device the storm played, and how many
+    #: the dispatcher's health monitor quarantined and reinstated — all
+    #: three equal when every outage was handled.
+    device_episodes: int
+    quarantines: int
+    reinstatements: int
+    #: What the front door counted on the requests it settled: candidate
+    #: seeds hashed and Hamming shells completed by their searches. Pure
+    #: counters — deterministic, unlike shell wall times.
     engine_seeds_hashed: int = 0
     engine_shells_completed: int = 0
+    #: Batches that failed on the killed device and chunks replayed on
+    #: the survivor: 0 while the monitor sees every outage edge before
+    #: the next client (in-flight re-dispatch is ``fleet --storm``'s).
+    victim_batch_failures: int = field(default=0, compare=False)
+    redispatched_chunks: int = field(default=0, compare=False)
 
     @property
     def availability(self) -> float:
@@ -209,12 +216,10 @@ class ResilienceReport:
             f"worst client {self.max_attempts_single_client}",
             f"virtual latency:     p50={self.latency_p50:.2f}s "
             f"p95={self.latency_p95:.2f}s max={self.latency_max:.2f}s",
-            f"searches:            {self.primary_searches} primary, "
-            f"{self.fallback_searches} fallback, "
-            f"{self.device_failures} device failures",
+            f"device episodes:     {self.device_episodes} played, "
+            f"{self.quarantines} quarantined, "
+            f"{self.reinstatements} reinstated",
             f"engine telemetry:    {self.engine_seeds_hashed} seeds hashed "
             f"across {self.engine_shells_completed} shells",
-            f"breaker transitions: "
-            + (" ".join(self.breaker_transitions) or "(none)"),
         ]
         return "\n".join(lines)

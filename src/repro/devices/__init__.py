@@ -31,7 +31,7 @@ from repro.devices.bitserial import (
     sha3_256_bitserial,
     hash_cost_profile,
 )
-from repro.devices.flaky import DeviceFailure, FlakyDeviceModel, FlakyEngine
+from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 
 __all__ = [
     "DeviceSpec",
@@ -56,5 +56,4 @@ __all__ = [
     "COMM_TIME_SECONDS",
     "DeviceFailure",
     "FlakyDeviceModel",
-    "FlakyEngine",
 ]

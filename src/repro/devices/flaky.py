@@ -1,16 +1,14 @@
-"""Fault-injecting wrappers for search backends.
+"""A fault-injecting wrapper for device models.
 
-Two wrappers share one fault stream
-(:class:`~repro.reliability.faults.DeviceFaultInjector`):
-
-* :class:`FlakyDeviceModel` wraps an analytic device model (GPU / APU /
-  CPU): a scheduled failure raises :class:`DeviceFailure` mid-search, a
-  scheduled slowdown stretches the modeled time (thermal throttling, a
-  sick HBM stack) — and the energy account scales with it.
-* :class:`FlakyEngine` wraps a *real* execution engine (the serving
-  path's :class:`~repro.runtime.executor.BatchSearchExecutor`): scheduled
-  failures raise before the search runs, which is what trips the
-  server-side circuit breaker and exercises CPU failover.
+:class:`FlakyDeviceModel` wraps an analytic device model (GPU / APU /
+CPU) with the fault stream of a
+:class:`~repro.reliability.faults.DeviceFaultInjector`: a scheduled
+failure raises :class:`DeviceFailure` mid-search, a scheduled slowdown
+stretches the modeled time (thermal throttling, a sick HBM stack) — and
+the energy account scales with it. Behind a ``flaky-<token>`` /
+``slow-<token>`` fleet device the same stream fails or throttles that
+device's batches, which the dispatcher answers with quarantine and
+re-dispatch.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.devices.base import DeviceModel, SearchTiming
-from repro.engines.wrappers import EngineWrapper, describe_engine
 
-__all__ = ["DeviceFailure", "FlakyDeviceModel", "FlakyEngine"]
+__all__ = ["DeviceFailure", "FlakyDeviceModel"]
 
 
 class DeviceFailure(RuntimeError):
@@ -93,8 +90,8 @@ class FlakyDeviceModel(DeviceModel):
         by hand. A ``slow-`` prefix yields a permanently-throttled
         device (no failures) instead of a failing one.
         """
-        # Lazy: reliability.chaos imports this module, so the plan
-        # machinery cannot be a module-scope import here.
+        # Lazy: the reliability package imports the net layer, whose
+        # dispatcher imports this module.
         from repro.reliability.faults import FaultPlan, FaultSpec
 
         name = token
@@ -127,7 +124,7 @@ class FlakyDeviceModel(DeviceModel):
     def _slow_factor(self, fault: str | None) -> float:
         if fault != "slow":
             return 1.0
-        return getattr(self.injector.spec, "device_slow_factor", 4.0)
+        return self.injector.spec.device_slow_factor
 
     def search_time(self, hash_name, distance, mode="exhaustive", **kwargs) -> float:
         """Modeled seconds, stretched or aborted per the fault stream."""
@@ -143,9 +140,8 @@ class FlakyDeviceModel(DeviceModel):
         whether the device would fail right now, they do not advance
         which searches fail.
         """
-        episodes = getattr(self.injector, "episodes", ())
-        index = getattr(self.injector, "calls", 0)
-        return not any(lo <= index < hi for lo, hi in episodes)
+        index = self.injector.calls
+        return not any(lo <= index < hi for lo, hi in self.injector.episodes)
 
     def simulate_search(self, hash_name, distance, mode="exhaustive", **kwargs) -> SearchTiming:
         """Full timing record; a throttled search burns energy for longer."""
@@ -159,37 +155,4 @@ class FlakyDeviceModel(DeviceModel):
             device=f"{timing.device} (throttled x{factor:g})",
             search_seconds=timing.search_seconds * factor,
             energy_joules=timing.energy_joules * factor,
-        )
-
-
-class FlakyEngine(EngineWrapper):
-    """A real SearchEngine whose device can die between searches.
-
-    Search geometry (batch size, hash name) forwards from the wrapped
-    engine via :class:`~repro.engines.wrappers.EngineWrapper`, so the
-    session layer's nonce-binding adapter composes around this wrapper
-    unchanged.
-    """
-
-    wrapper_name = "flaky"
-
-    def __init__(self, inner, injector, name: str = "primary"):
-        super().__init__(inner)
-        self.injector = injector
-        self.name = name
-        self.searches_attempted = 0
-        self.failures_injected = 0
-
-    def describe(self) -> str:
-        return f"flaky[{self.name}]({describe_engine(self.inner)})"
-
-    def search(self, base_seed, target_digest, max_distance, time_budget=None):
-        """Run the inner search unless the fault stream kills the device."""
-        index = self.searches_attempted
-        self.searches_attempted += 1
-        if self.injector.next() == "fail":
-            self.failures_injected += 1
-            raise DeviceFailure(self.name, index)
-        return self.inner.search(
-            base_seed, target_digest, max_distance, time_budget=time_budget
         )

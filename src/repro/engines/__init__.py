@@ -13,10 +13,9 @@ engines — is reachable through one front door::
 Specs follow ``name[:arg,...][,key=value,...]`` with short aliases
 (``bs`` → ``batch_size``, ``hash`` → ``hash_name``), or a dotted path
 to any callable returning an engine. Wrappers (:class:`EngineWrapper`
-subclasses — fault injection, failover, retry, circuit breaking, nonce
-binding) compose around any engine while forwarding its search
-geometry, and every engine returns the same instrumented
-:class:`SearchResult`.
+subclasses — nonce binding, modeled devices) compose around any engine
+while forwarding its search geometry, and every engine returns the same
+instrumented :class:`SearchResult`.
 
 This module is intentionally cheap to import: the built-in engines are
 registered lazily on first registry use.

@@ -6,8 +6,9 @@ the fault injector *and* the session layer). :class:`EngineWrapper`
 centralizes that: geometry (``batch_size``, ``iterator``,
 ``fixed_padding``) and identity (``hash_name``, ``describe()``) are
 forwarded properties, so wrappers nest arbitrarily — a nonce-binding
-adapter around a flaky engine around a batch executor still reports the
-innermost engine's geometry.
+adapter around a modeled device around a batch executor still reports
+the innermost engine's geometry. Surviving a device that fails is not a
+wrapper's job: the fleet dispatcher quarantines it and re-dispatches.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class EngineWrapper:
 
     Subclasses override :meth:`search` (and usually call
     ``self.inner.search``); geometry and identity come along for free.
-    A subclass whose routing is dynamic (e.g. failover) overrides
-    :meth:`_geometry_source` to point at whichever engine would serve
-    the next request.
     """
 
     #: Short name used in ``describe()``; subclasses override.
@@ -48,31 +46,25 @@ class EngineWrapper:
 
     # -- forwarded geometry and identity -------------------------------
 
-    def _geometry_source(self) -> SearchEngine:
-        """The engine whose geometry this wrapper reports."""
-        return self.inner
-
     @property
     def batch_size(self) -> int:
         """The wrapped engine's kernel batch size (lane width)."""
-        return int(
-            getattr(self._geometry_source(), "batch_size", DEFAULT_BATCH_SIZE)
-        )
+        return int(getattr(self.inner, "batch_size", DEFAULT_BATCH_SIZE))
 
     @property
     def hash_name(self) -> str | None:
         """The wrapped engine's hash algorithm, when it has one."""
-        return getattr(self._geometry_source(), "hash_name", None)
+        return getattr(self.inner, "hash_name", None)
 
     @property
     def iterator(self) -> str | None:
         """The wrapped engine's combination source, when it has one."""
-        return getattr(self._geometry_source(), "iterator", None)
+        return getattr(self.inner, "iterator", None)
 
     @property
     def fixed_padding(self) -> bool | None:
         """The wrapped engine's padding mode, when it has one."""
-        return getattr(self._geometry_source(), "fixed_padding", None)
+        return getattr(self.inner, "fixed_padding", None)
 
     def unwrap(self) -> SearchEngine:
         """The innermost wrapped engine."""
@@ -82,7 +74,7 @@ class EngineWrapper:
         return engine
 
     def describe(self) -> str:
-        """``wrapper(inner)`` chain, e.g. ``flaky(batch:sha1,bs=4096)``."""
+        """``wrapper(inner)`` chain, e.g. ``modeled[gpu](batch:sha1,bs=4096)``."""
         return f"{self.wrapper_name}({describe_engine(self.inner)})"
 
     # -- forwarded behaviour -------------------------------------------
@@ -101,7 +93,7 @@ class EngineWrapper:
 
     def throughput_probe(self, *args: Any, **kwargs: Any) -> float:
         """Delegate to the wrapped engine's probe, when it has one."""
-        probe = getattr(self._geometry_source(), "throughput_probe", None)
+        probe = getattr(self.inner, "throughput_probe", None)
         if probe is None:
             raise AttributeError(
                 f"{describe_engine(self)} wraps an engine with no "

@@ -11,8 +11,8 @@ about one modeled accelerator:
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
   turns consecutive failures into quarantine (open), probation
-  (half-open), and reinstatement (closed) — the same machine the serving
-  layer already uses for backend failover;
+  (half-open), and reinstatement (closed) — the same machine the
+  enrollment directory keeps per shard;
 * a ``kill()`` / ``revive()`` switch the chaos harness flips mid-run.
 
 The kill switch is checked *twice* per batch — before the kernel and
@@ -181,9 +181,7 @@ class FleetDevice:
             self._fail()
         if fault == "slow":
             self.slowdowns += 1
-            factor = getattr(
-                getattr(self.injector, "spec", None), "device_slow_factor", 4.0
-            )
+            factor = self.injector.spec.device_slow_factor
             elapsed = time.perf_counter() - start
             time.sleep(min(elapsed * (factor - 1.0), _MAX_THROTTLE_SLEEP))
             outcomes = [

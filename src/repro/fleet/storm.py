@@ -35,6 +35,7 @@ from repro.storm import (
     invariant_failures,
     planted,
     search_submit,
+    set_device_alive,
     summarize,
     ticket_submit,
 )
@@ -189,13 +190,9 @@ def run_device_loss_storm(
     # The storm may finish before 75% of completions (all resolved while
     # the victim was dark) — make sure the revive switch has flipped,
     # then give the monitor a bounded window to reinstate the victim.
-    fleet.revive_device(victim)
-    deadline = time.perf_counter() + reinstate_timeout
-    while time.perf_counter() < deadline:
-        if fleet.device(victim).health == "healthy":
-            break
-        time.sleep(heartbeat_seconds)
-    report.victim_reinstated = fleet.device(victim).health == "healthy"
+    report.victim_reinstated = set_device_alive(
+        fleet, victim, True, timeout=reinstate_timeout
+    )
     report.wall_seconds = time.perf_counter() - start
 
     snapshot = fleet.snapshot()

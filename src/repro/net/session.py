@@ -152,10 +152,10 @@ class SessionManager:
         try:
             result = self._nonce_bound_search(client_id, nonce, digest)
         except Exception:
-            # A transient backend failure (dead device, open breaker)
-            # must not burn the client's nonce: no search completed, so
-            # re-registering it cannot enable a replay, and the client's
-            # retry can reuse its challenge instead of re-handshaking.
+            # A search that raised must not burn the client's nonce: no
+            # search completed, so re-registering it cannot enable a
+            # replay, and the client's retry can reuse its challenge
+            # instead of re-handshaking.
             self._outstanding[nonce] = entry
             raise
         public_key = None
@@ -203,7 +203,7 @@ class _NonceBindingEngine(EngineWrapper):
     Search geometry (notably ``batch_size``) forwards from the wrapped
     engine via :class:`~repro.engines.wrappers.EngineWrapper`, so the
     bound search batches exactly like the engine it stands in for —
-    even when that engine is itself a wrapper stack (flaky, failover).
+    even when that engine is itself a wrapper (a modeled device).
     """
 
     wrapper_name = "nonce-bound"

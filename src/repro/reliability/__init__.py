@@ -7,9 +7,11 @@ Two halves, by design:
   failure episodes, dead cluster ranks) from one root seed;
   :class:`FaultyTransport` applies the message stream to a link.
 * **consuming failure** — :class:`RetryPolicy` bounds the client's
-  restart behaviour, :class:`CircuitBreaker` guards the server's search
-  backend, and :class:`FailoverSearchService` degrades gracefully to a
-  CPU baseline while the fast device is sick.
+  restart behaviour and :class:`CircuitBreaker` is the per-device (and
+  per-shard) health state machine. What survives a device going away is
+  the fleet dispatcher (:mod:`repro.fleet.dispatcher`): a device whose
+  breaker opens is quarantined, its work re-dispatched to the
+  survivors, and a passing probe reinstates it.
 
 The chaos harness that wires both halves together lives in
 :mod:`repro.reliability.chaos` (imported explicitly — it pulls in the
@@ -35,8 +37,6 @@ from repro.reliability.retry import (
 )
 from repro.reliability.breaker import BreakerState, CircuitBreaker, CircuitOpenError
 from repro.reliability.transport import FaultyTransport
-from repro.reliability.failover import FailoverSearchService
-from repro.reliability.guards import BreakerGuardedEngine, RetryingEngine
 
 __all__ = [
     "FaultSpec",
@@ -56,7 +56,4 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "FaultyTransport",
-    "FailoverSearchService",
-    "BreakerGuardedEngine",
-    "RetryingEngine",
 ]

@@ -2,20 +2,20 @@
 
 This is the integration layer the rest of :mod:`repro.reliability`
 exists for: enroll a fleet, put every client behind a
-:class:`~repro.reliability.transport.FaultyTransport`, serve them from a
-:class:`~repro.net.server.CAServer` whose search service is a
-:class:`~repro.reliability.failover.FailoverSearchService` (flaky fast
-engine behind a circuit breaker, CPU baseline behind it) — or, with
-``StormConfig(scheduler=True)``, from a
-:class:`~repro.net.concurrent.ConcurrentCAServer` on its dispatcher —
-and report what happened as a deterministic
+:class:`~repro.reliability.transport.FaultyTransport`, serve them from
+the deployed front door — a
+:class:`~repro.net.concurrent.ConcurrentCAServer` on a two-``host``
+fleet dispatcher — and report what happened as a
 :class:`~repro.analysis.metrics.ResilienceReport`.
 
-Clients run back-to-back on one storm timeline: each client's virtual
-link time advances the shared :class:`VirtualClock` that the breaker's
-recovery timer reads. That serialization is what makes the whole report
-— including the breaker's transition history — a pure function of
-(fault spec, seed).
+Clients run back to back, and a plan's device-failure episodes are
+outages of the fleet's last device: it is killed before the client a
+seeded window opens at and revived before the client it closes at (the
+switch ``repro fleet --storm`` flips), and the storm holds each edge
+until the dispatcher's health monitor has quarantined / reinstated the
+device. That is what makes the compared part of the report — outcomes,
+link faults, virtual latencies, quarantines and reinstatements — a pure
+function of (fault spec, seed).
 
 Every authenticated result is *re-verified* against the submitted digest
 (`H(found seed) == M1`, :mod:`repro.reliability.tripwire`), so a false
@@ -25,27 +25,23 @@ authentication cannot hide: the acceptance bar for every fault plan is
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from repro.analysis.metrics import ResilienceReport, percentile
+from repro.core.search import RBCSearchService
+from repro.fleet.engine import FleetSearchEngine
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.errors import ServerBusy
 from repro.net.messages import AuthenticationResult, DigestSubmission
-from repro.net.server import CAServer
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.puf.image_db import EncryptedImageDatabase
-from repro.reliability.breaker import CircuitBreaker
-from repro.reliability.failover import FailoverSearchService
-from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
+from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import DeadlineExceeded, RetriesExhausted, RetryPolicy
 from repro.reliability.transport import FaultyTransport
 from repro.reliability.tripwire import VerifyingAuthority
-from repro.engines import TelemetryHooks, build_engine
-from repro.devices.flaky import FlakyEngine
 from repro.sched.errors import RequestShed
-from repro.storm import enrolled_fleet
+from repro.storm import enrolled_fleet, set_device_alive
 
 __all__ = [
     "StormConfig",
@@ -61,18 +57,10 @@ class StormConfig:
 
     clients: int = 100
     max_queue: int = 64
-    #: Serve the storm through the concurrent front door and its
-    #: deadline-aware continuous-batching dispatcher (a ``sched``
-    #: engine) instead of the serial server. The transport-level fault
-    #: plan still applies in full; device-failure episodes do not (the
-    #: dispatcher owns its device and has no failover behind it).
-    scheduler: bool = False
     hash_name: str = "sha1"
     max_distance: int = 1
     noise_target_distance: int = 1
     num_cells: int = 2048
-    breaker_failure_threshold: int = 3
-    breaker_recovery_seconds: float = 5.0
     retry: RetryPolicy = RetryPolicy(
         max_attempts=6,
         base_backoff_seconds=0.25,
@@ -91,9 +79,8 @@ class StormConfig:
 #: Named fault plans the CLI and CI smoke runs refer to.
 NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
     "clean": (FaultSpec(name="clean"), StormConfig()),
-    # The acceptance-criteria plan: a lossy WAN plus one device-failure
-    # episode long enough to walk the breaker through open -> half-open
-    # (re-open on a sick probe) -> closed.
+    # The acceptance-criteria plan: a lossy WAN plus one device outage
+    # six clients long.
     "lossy-wan": (
         FaultSpec(
             name="lossy-wan",
@@ -113,7 +100,6 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
             name="flaky-device",
             device_failure_episodes=2,
             device_failure_length=5,
-            device_slow_rate=0.2,
         ),
         StormConfig(clients=60),
     ),
@@ -126,7 +112,7 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
             device_failure_episodes=1,
             device_failure_length=4,
         ),
-        StormConfig(clients=12, breaker_recovery_seconds=3.0),
+        StormConfig(clients=12),
     ),
 }
 
@@ -152,70 +138,45 @@ def run_storm(
     """Run one deterministic authentication storm and report on it."""
     config = config if config is not None else StormConfig()
     plan = FaultPlan(spec, seed)
-    clock = VirtualClock()
-
+    episodes = plan.device_injector(horizon=max(40, config.clients)).episodes
+    engine = FleetSearchEngine(
+        "host",
+        "host",
+        hash_name=config.hash_name,
+        batch_size=16384,
+        max_queue=config.max_queue,
+    )
     authority, clients = enrolled_fleet(
         seed,
         config.clients,
         EncryptedImageDatabase(b"chaos-master-key"),
+        RBCSearchService(engine, max_distance=config.max_distance),
         hash_name=config.hash_name,
         num_cells=config.num_cells,
         noise_target_distance=config.noise_target_distance,
     )
-    device_injector = plan.device_injector(horizon=max(40, config.clients))
-    # One telemetry tap across both backends: the report's engine
-    # counters cover every batch either engine actually ran.
-    telemetry = TelemetryHooks()
-    primary = FlakyEngine(
-        build_engine(
-            "batch", hash_name=config.hash_name, batch_size=16384,
-            hooks=telemetry,
-        ),
-        device_injector,
-        name="accelerator",
-    )
-    fallback = build_engine(
-        "batch", hash_name=config.hash_name, batch_size=4096, hooks=telemetry
-    )
-    breaker = CircuitBreaker(
-        failure_threshold=config.breaker_failure_threshold,
-        recovery_seconds=config.breaker_recovery_seconds,
-        clock=clock.now,
-    )
-    service = FailoverSearchService(
-        primary,
-        fallback,
-        breaker,
-        max_distance=config.max_distance,
-    )
-    authority.search_service = service
     verifying = VerifyingAuthority(authority)
+    fleet = engine.scheduler
+    # The last device, so device 0 always survives to serve.
+    victim = fleet.devices[-1]
 
     outcomes: dict[str, int] = {}
     fault_counts: dict[str, int] = {}
     latencies: list[float] = []
     attempts_total = 0
     max_attempts = 0
+    outages = 0
 
-    with ExitStack() as stack:
-        # Clients run back to back, so the serial server is the storm's
-        # own timeline; the dispatcher storm puts the concurrent front
-        # door (and its one-device engine, closed with it) under the
-        # same link faults.
-        frontend: CAServer | _StormFrontend = CAServer(verifying)
-        if config.scheduler:
-            engine = build_engine(
-                "sched",
-                hash_name=config.hash_name,
-                batch_size=16384,
-                hooks=telemetry,
-                max_queue=config.max_queue,
-            )
-            server = ConcurrentCAServer(
-                verifying, max_queue=config.max_queue, scheduler=engine
-            )
-            frontend = _StormFrontend(stack.enter_context(server))
+    # The server serves on (and closes) the authority's own engine.
+    with ConcurrentCAServer(verifying, max_queue=config.max_queue) as server:
+        frontend = _StormFrontend(server)
         for index, (client_id, device, mask) in enumerate(clients):
+            # Both edges of an outage fall between two clients' rounds,
+            # and the next client meets a device the monitor has seen.
+            down = any(lo <= index < hi for lo, hi in episodes)
+            if down != victim.killed:
+                set_device_alive(fleet, victim.name, not down)
+                outages += down
             transport = FaultyTransport(
                 InProcessTransport(latency=US_LINK),
                 plan.transport_injector(index),
@@ -242,8 +203,11 @@ def run_storm(
             latencies.append(transport.elapsed_seconds)
             attempts_total += network_client.last_attempts
             max_attempts = max(max_attempts, network_client.last_attempts)
-            # The next client arrives after this one's round completed.
-            clock.advance(transport.elapsed_seconds)
+        # An outage the last client's round fell in ends with the storm.
+        if victim.killed:
+            set_device_alive(fleet, victim.name, True)
+        dispatcher = fleet.snapshot()
+        served = server.metrics.snapshot()
 
     succeeded = outcomes.get("authenticated", 0)
     return ResilienceReport(
@@ -260,12 +224,15 @@ def run_storm(
         latency_p50=round(percentile(latencies, 50), 6),
         latency_p95=round(percentile(latencies, 95), 6),
         latency_max=round(max(latencies), 6),
-        breaker_transitions=breaker.transition_names(),
-        primary_searches=service.primary_searches,
-        fallback_searches=service.fallback_searches,
-        device_failures=primary.failures_injected,
-        engine_seeds_hashed=telemetry.seeds_hashed,
-        engine_shells_completed=telemetry.shells_completed,
+        device_episodes=outages,
+        quarantines=dispatcher["quarantines"],
+        reinstatements=dispatcher["reinstatements"],
+        # What the door counted on each settled request: the rows its
+        # search committed, not what a device hashed and discarded.
+        engine_seeds_hashed=served["seeds_hashed"],
+        engine_shells_completed=served["shells_completed"],
+        victim_batch_failures=victim.failures,
+        redispatched_chunks=dispatcher["redispatched_chunks"],
     )
 
 

@@ -181,6 +181,7 @@ class ScriptedFaultInjector:
     """
 
     def __init__(self, script):
+        self.spec = FaultSpec(name="scripted")
         self._script = list(script)
         self.schedule: list[tuple[int, str, str]] = []
         self.messages_seen = 0

@@ -88,9 +88,9 @@ class FaultyTransport:
             self.inner.charge(f"{label}:timeout", waited)
             raise MessageDropped(label, waited)
         if fault == "latency-spike":
-            spec = getattr(self.injector, "spec", None)
-            spike = spec.latency_spike_seconds if spec is not None else 1.0
-            self.inner.charge(f"{label}:latency-spike", spike)
+            self.inner.charge(
+                f"{label}:latency-spike", self.injector.spec.latency_spike_seconds
+            )
         if fault == "reorder":
             # Held back behind newer traffic: arrives half an RTT late.
             self.inner.charge(f"{label}:reorder", self.latency.round_trip_seconds / 2)

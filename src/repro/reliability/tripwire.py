@@ -3,11 +3,13 @@
 Every found seed is re-hashed and compared against the digest the client
 actually submitted; a mismatch is the one failure no storm can explain
 away. The serving layer (or the storm driving it) records each submitted
-digest before ``submit`` — a serial :class:`~repro.net.server.CAServer`
-records it by calling :meth:`VerifyingAuthority.run_search`; every
-served request that found a seed reaches ``issue_public_key``, where the
-check happens. The counter rides the admin metrics frame so a deployment
-storm can assert it stayed zero.
+digest before ``submit``, so the check holds whichever fleet device ends
+up answering; the serial :class:`~repro.net.server.CAServer` (the
+Figure 1 reference) records it by calling
+:meth:`VerifyingAuthority.run_search`. Every served request that found a
+seed reaches ``issue_public_key``, where the check happens. The counter
+rides the admin metrics frame so a deployment storm can assert it stayed
+zero.
 """
 
 from __future__ import annotations

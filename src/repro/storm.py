@@ -4,7 +4,8 @@ A storm *scenario* (device loss, shard loss, noisy neighbor, FIFO vs the
 dispatcher, the demos) owns its fault schedule and its verdicts; the kit
 owns request -> outcome: :class:`Request` and :class:`Outcome`,
 :func:`planted` (the seeded workload), :func:`enrolled_fleet` (a CA with
-a PUF fleet enrolled), :func:`drive` (submit everything, settle
+a PUF fleet enrolled), :func:`set_device_alive` (a device lost or back,
+and seen to be), :func:`drive` (submit everything, settle
 everything, lose nothing silently — over the three submit shapes
 :func:`ticket_submit`, :func:`server_submit`, :func:`search_submit`),
 :func:`summarize`, and the invariants every serving gate asserts
@@ -34,8 +35,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SHALLOW_DISTANCE", "Request", "Outcome", "planted", "enrolled_fleet",
-    "ticket_submit", "server_submit", "search_submit", "drive", "summarize",
-    "false_authentications", "invariant_failures",
+    "set_device_alive", "ticket_submit", "server_submit", "search_submit",
+    "drive", "summarize", "false_authentications", "invariant_failures",
 ]
 
 #: "Shallow" for workloads and reports: the interactive search depths the
@@ -175,6 +176,22 @@ def enrolled_fleet(
     for index, (client_id, _device, mask) in enumerate(fleet):
         authority.enroll(client_id, mask, tenant_id=tenant_of(index))
     return authority, fleet
+
+
+def set_device_alive(
+    fleet: Any, device: str, alive: bool, timeout: float = 5.0
+) -> bool:
+    """Kill or revive one fleet device, then wait (bounded) until the
+    dispatcher's health monitor has quarantined — or reinstated — it:
+    two heartbeats, or a breaker recovery interval and one probe, well
+    under a second on the fleet's defaults. Whether it got there."""
+    (fleet.revive_device if alive else fleet.kill_device)(device)
+    deadline = time.perf_counter() + timeout
+    while (fleet.device(device).health == "healthy") != alive:
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def ticket_submit(engine: Any, time_budget: float | None = None) -> Submit:

@@ -1,9 +1,8 @@
 """The unified engine stack: registry, wrappers, one result type.
 
 Covers the spec grammar and option aliasing, wrapper geometry
-forwarding (including dynamic failover routing and nested stacks),
-telemetry hooks, the reliability guards, and — the heart of it — an
-engine-equivalence matrix: every registered engine must find the same
+forwarding (including nested stacks), telemetry hooks, and — the heart
+of it — an engine-equivalence matrix: every registered engine must find the same
 planted seed at the same distance, and a zero time budget must yield
 ``timed_out=True`` uniformly when the target is absent.
 """
@@ -29,9 +28,6 @@ from repro.engines import (
     register_engine,
 )
 from repro.engines.registry import get_entry
-from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
-from repro.reliability.guards import BreakerGuardedEngine, RetryingEngine
-from repro.reliability.retry import RetriesExhausted, RetryPolicy
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
@@ -244,31 +240,25 @@ class TestUnifiedClusterResult:
         assert result.per_rank_seconds == ()
 
 
-class _NoFaults:
-    def next(self):
-        return None
-
-
 class TestWrapperGeometry:
-    def test_flaky_engine_forwards_geometry(self):
-        from repro.devices.flaky import FlakyEngine
-
-        inner = build_engine("batch:sha1,bs=1234")
-        flaky = FlakyEngine(inner, _NoFaults(), name="acc")
-        assert flaky.batch_size == 1234
-        assert flaky.hash_name == "sha1"
-        assert flaky.unwrap() is inner
-        assert "flaky[acc]" in flaky.describe()
-        assert "batch:sha1,bs=1234" in flaky.describe()
+    def test_modeled_engine_forwards_geometry(self):
+        modeled = build_engine("gpu-model:sha1,bs=1234")
+        assert modeled.batch_size == 1234
+        assert modeled.hash_name == "sha1"
+        assert modeled.unwrap() is modeled.inner
+        assert "modeled[" in modeled.describe()
+        assert "batch:sha1,bs=1234" in modeled.describe()
 
     def test_nested_wrappers_see_innermost_geometry(self):
-        inner = build_engine("batch:sha1,bs=777")
-        stack = RetryingEngine(BreakerGuardedEngine(inner))
+        from repro.net.session import _NonceBindingEngine
+
+        modeled = build_engine("gpu-model:sha1,bs=777")
+        stack = _NonceBindingEngine(modeled, "sha1", b"\x01" * 16)
         assert stack.batch_size == 777
         assert stack.hash_name == "sha1"
-        assert stack.unwrap() is inner
-        assert "retry" in stack.describe()
-        assert "breaker" in stack.describe()
+        assert stack.unwrap() is modeled.inner
+        assert stack.describe().startswith("nonce-bound[sha1](modeled[")
+        assert "batch:sha1,bs=777" in stack.describe()
 
     def test_default_batch_size_fallback(self):
         class _Bare:
@@ -296,23 +286,6 @@ class TestWrapperGeometry:
 
         assert describe_engine(_Anon()) == "_Anon"
 
-    def test_failover_geometry_follows_the_breaker(self):
-        from repro.reliability.failover import FailoverSearchService
-
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, recovery_seconds=1000.0, clock=lambda: now[0]
-        )
-        service = FailoverSearchService(
-            build_engine("batch:sha1,bs=1111"),
-            build_engine("batch:sha1,bs=2222"),
-            breaker,
-        )
-        assert service.batch_size == 1111
-        breaker.record_failure()  # trips open at threshold 1
-        assert service.batch_size == 2222
-        assert "failover" in service.describe()
-
     def test_nonce_binding_engine_is_a_wrapper(self):
         from repro.net.session import _NonceBindingEngine
 
@@ -327,54 +300,6 @@ class TestWrapperGeometry:
         result = bound.search(BASE_SEED, target, 1)
         assert result.found and result.seed == client_seed
         assert result.engine is not None and "nonce-bound" in result.engine
-
-
-class _Exploding:
-    """Engine stub that fails a scripted number of times, then succeeds."""
-
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def search(self, base_seed, target_digest, max_distance, time_budget=None):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise RuntimeError("backend died")
-        return SearchResult(True, base_seed, 0, 1, 0.0)
-
-
-class TestReliabilityGuards:
-    def test_breaker_guard_trips_and_refuses(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_seconds=1000.0)
-        guarded = BreakerGuardedEngine(_Exploding(failures=99), breaker)
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="backend died"):
-                guarded.search(BASE_SEED, b"", 1)
-        with pytest.raises(CircuitOpenError):
-            guarded.search(BASE_SEED, b"", 1)
-        assert breaker.state == "open"
-
-    def test_retrying_engine_recovers_and_charges_backoff(self):
-        waits: list[float] = []
-        engine = RetryingEngine(
-            _Exploding(failures=2),
-            policy=RetryPolicy(max_attempts=4, jitter_fraction=0.0),
-            waiter=waits.append,
-        )
-        result = engine.search(BASE_SEED, b"", 1)
-        assert result.found
-        assert engine.retries_used == 2
-        assert waits == [0.25, 0.5]
-        assert engine.backoff_charged_seconds == pytest.approx(0.75)
-
-    def test_retrying_engine_exhausts(self):
-        engine = RetryingEngine(
-            _Exploding(failures=99),
-            policy=RetryPolicy(max_attempts=3, jitter_fraction=0.0),
-        )
-        with pytest.raises(RetriesExhausted):
-            engine.search(BASE_SEED, b"", 1)
-        assert engine.attempts_made == 3
 
 
 class TestHooks:

@@ -1,12 +1,12 @@
 """Fault injection and resilience: plans, transport faults, retries,
-circuit breaker, failover, flaky devices, dead-rank recovery."""
+circuit breaker, flaky devices, dead-rank recovery."""
 
 import numpy as np
 import pytest
 
 from repro.core import RBCSearchService
 from repro.core.protocol import ClientDevice
-from repro.devices.flaky import DeviceFailure, FlakyDeviceModel, FlakyEngine
+from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.devices.gpu import GPUModel
 from repro.hashes.sha1 import sha1
 from repro.net.client import NetworkClient
@@ -20,7 +20,6 @@ from repro.net.messages import (
 from repro.net.server import CAServer
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.reliability.breaker import BreakerState, CircuitBreaker, CircuitOpenError
-from repro.reliability.failover import FailoverSearchService
 from repro.reliability.faults import (
     MESSAGE_FAULTS,
     FaultPlan,
@@ -35,7 +34,6 @@ from repro.reliability.retry import (
 )
 from repro.reliability.transport import FaultyTransport
 from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
-from repro.runtime.executor import BatchSearchExecutor
 
 
 LOSSY = FaultSpec(
@@ -297,75 +295,6 @@ class TestCircuitBreaker:
         assert breaker.failures_recorded == 1
 
 
-class _ExplodingEngine:
-    batch_size = 4096
-
-    def __init__(self, failures: int):
-        self.remaining = failures
-        self.calls = 0
-
-    def search(self, base_seed, target_digest, max_distance, time_budget=None):
-        self.calls += 1
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise DeviceFailure("exploding", self.calls - 1)
-        return BatchSearchExecutor("sha1", batch_size=4096).search(
-            base_seed, target_digest, max_distance, time_budget=time_budget
-        )
-
-
-class TestFailoverSearchService:
-    def _search_args(self):
-        seed = b"\x5a" * 32
-        return seed, sha1(seed)
-
-    def test_healthy_primary_serves(self):
-        service = FailoverSearchService(
-            BatchSearchExecutor("sha1"), BatchSearchExecutor("sha1"),
-            max_distance=1,
-        )
-        seed, digest = self._search_args()
-        result = service.find_seed(seed, digest)
-        assert result.found and service.primary_searches == 1
-        assert service.fallback_searches == 0
-
-    def test_primary_failure_falls_back_and_trips_breaker(self):
-        clock = VirtualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=2, recovery_seconds=5.0, clock=clock.now
-        )
-        service = FailoverSearchService(
-            _ExplodingEngine(failures=2), BatchSearchExecutor("sha1"),
-            breaker, max_distance=1,
-        )
-        seed, digest = self._search_args()
-        assert service.find_seed(seed, digest).found
-        assert service.find_seed(seed, digest).found
-        assert breaker.state == BreakerState.OPEN
-        assert service.fallback_searches == 2
-        # Open breaker: primary is skipped entirely.
-        primary = service.primary
-        assert service.find_seed(seed, digest).found
-        assert primary.calls == 2
-        assert service.engine is service.fallback
-
-    def test_recovered_device_closes_breaker(self):
-        clock = VirtualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, recovery_seconds=5.0, clock=clock.now
-        )
-        service = FailoverSearchService(
-            _ExplodingEngine(failures=1), BatchSearchExecutor("sha1"),
-            breaker, max_distance=1,
-        )
-        seed, digest = self._search_args()
-        service.find_seed(seed, digest)  # trips open
-        clock.advance(5.0)
-        assert service.find_seed(seed, digest).found  # half-open probe
-        assert breaker.state == BreakerState.CLOSED
-        assert service.engine is service.primary
-
-
 class TestFlakyDeviceModel:
     def test_scheduled_failure_raises(self):
         spec = FaultSpec(device_failure_episodes=1, device_failure_length=3)
@@ -391,22 +320,6 @@ class TestFlakyDeviceModel:
             4.0 * baseline.energy_joules
         )
         assert "throttled" in throttled.device
-
-    def test_flaky_engine_fails_before_searching(self):
-        spec = FaultSpec(device_failure_episodes=1, device_failure_length=2)
-        injector = FaultPlan(spec, seed=2).device_injector(horizon=10)
-        engine = FlakyEngine(BatchSearchExecutor("sha1"), injector)
-        seed = b"\x11" * 32
-        lo, hi = injector.episodes[0]
-        outcomes = []
-        for _ in range(hi + 1):
-            try:
-                engine.search(seed, sha1(seed), 0)
-                outcomes.append("ok")
-            except DeviceFailure:
-                outcomes.append("fail")
-        assert outcomes[lo:hi] == ["fail"] * (hi - lo)
-        assert "ok" in outcomes
 
 
 class TestNetworkClientRetries:
