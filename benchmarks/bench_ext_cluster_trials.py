@@ -25,10 +25,10 @@ def test_cluster_engine_real_runs(benchmark, report):
         cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
         result = cluster.search(base, absent, 2)
         assert not result.found
-        slowest = max(result.per_rank_seconds)
+        slowest = max(result.cluster.per_rank_seconds)
         rows.append(
-            [ranks, f"{slowest:.3f}", f"{result.wall_seconds:.3f}",
-             f"{result.seeds_hashed_total:,}"]
+            [ranks, f"{slowest:.3f}", f"{result.elapsed_seconds:.3f}",
+             f"{result.seeds_hashed:,}"]
         )
     report(
         "ext_cluster_real",
@@ -58,8 +58,8 @@ def test_cluster_early_exit_propagates(benchmark, report):
     assert result.found and result.seed == client
     record_report(
         "ext_cluster_early_exit",
-        f"4-rank cluster, planted d=2 seed: finder rank {result.finder_rank}, "
-        f"wall {result.wall_seconds:.3f} s; non-finders drain one batch + "
+        f"4-rank cluster, planted d=2 seed: finder rank {result.cluster.finder_rank}, "
+        f"wall {result.elapsed_seconds:.3f} s; non-finders drain one batch + "
         "flag propagation (the distributed analogue of the paper's "
         "unified-memory exit flag).",
     )

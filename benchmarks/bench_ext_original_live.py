@@ -44,7 +44,7 @@ def test_live_engine_comparison(benchmark, report):
         engine = BatchOriginalRBCSearch(name, batch_size=257)
         target = get_keygen(name).public_key(absent_seed)
         start = time.perf_counter()
-        result = engine.search(base, target[: engine._response_size], 1)
+        result = engine.search(base, target[: engine.algo.digest_size], 1)
         seconds = time.perf_counter() - start
         assert not result.found
         rows.append([f"Original RBC ({name})", f"{seconds * 1e3:8.1f}",

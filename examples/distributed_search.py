@@ -31,10 +31,10 @@ def real_cluster_demo() -> None:
     for ranks in (1, 2, 4):
         cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
         result = cluster.search(base, absent, 2)
-        slowest = max(result.per_rank_seconds)
+        slowest = max(result.cluster.per_rank_seconds)
         rows.append(
-            [ranks, f"{result.seeds_hashed_total:,}", f"{slowest:.2f}",
-             f"{result.wall_seconds:.2f}"]
+            [ranks, f"{result.seeds_hashed:,}", f"{slowest:.2f}",
+             f"{result.elapsed_seconds:.2f}"]
         )
     print(format_table(
         ["ranks", "seeds (all ranks)", "slowest rank (s)", "wall (s)"], rows
@@ -46,8 +46,8 @@ def real_cluster_demo() -> None:
     cluster = ClusterSearchExecutor(4, "sha1", batch_size=4096)
     result = cluster.search(base, sha1(client), 2)
     print(
-        f"\nplanted d=2 seed: found by rank {result.finder_rank} in "
-        f"{result.wall_seconds:.2f} s wall; the distributed exit flag "
+        f"\nplanted d=2 seed: found by rank {result.cluster.finder_rank} in "
+        f"{result.elapsed_seconds:.2f} s wall; the distributed exit flag "
         "stopped the other ranks after one in-flight batch."
     )
 
@@ -59,7 +59,7 @@ def real_cluster_demo() -> None:
         4, "sha1", batch_size=4096, interconnect=slow_fabric
     ).search(base, sha1(client), 2)
     print(
-        f"same search over a WAN-grade fabric: {wan.wall_seconds:.2f} s "
+        f"same search over a WAN-grade fabric: {wan.elapsed_seconds:.2f} s "
         "(fabric costs dominate small searches — why the paper keeps the "
         "search inside one node until d grows)"
     )

@@ -14,14 +14,17 @@ Specs follow ``name[:arg,...][,key=value,...]`` with short aliases
 (``bs`` → ``batch_size``, ``hash`` → ``hash_name``), or a dotted path
 to any callable returning an engine. Wrappers (:class:`EngineWrapper`
 subclasses — nonce binding, modeled devices) compose around any engine
-while forwarding its search geometry, and every engine returns the same
-instrumented :class:`SearchResult`.
+while forwarding its search geometry and its one-way function
+(``.algo``), and every engine returns the same instrumented
+:class:`SearchResult`.
 
 This module is intentionally cheap to import: the built-in engines are
 registered lazily on first registry use.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.engines.hooks import EngineHooks, NullHooks, TelemetryHooks
 from repro.engines.registry import (
@@ -73,25 +76,13 @@ __all__ = [
 ]
 
 
-def engine_target(engine: object, seed: bytes) -> bytes:
+def engine_target(engine: Any, seed: bytes) -> bytes:
     """The public value ``engine`` searches for, given the true ``seed``.
 
     Hash engines (SALTED) respond with a digest of the seed; the
     original-RBC baseline responds with a cipher output keyed by the
-    seed. This helper computes the right target for either family (and
-    unwraps composed wrappers first), so callers — the CLI, the
-    equivalence tests — can treat every registered engine uniformly.
+    seed. Every engine keeps that one-way function at ``.algo`` (wrappers
+    forward the wrapped engine's), so callers — the CLI, the equivalence
+    tests — can treat every engine uniformly.
     """
-    base = engine.unwrap() if isinstance(engine, EngineWrapper) else engine
-    response_batch = getattr(base, "response_batch", None)
-    if response_batch is not None:
-        from repro._bitutils import seed_to_words
-
-        return bytes(response_batch(seed_to_words(seed)[None, :])[0].tobytes())
-    algo = getattr(base, "algo", None)
-    if algo is not None:
-        return algo.hash_seed(seed)
-    from repro.hashes.registry import get_hash
-
-    hash_name = getattr(base, "hash_name", "sha3-256")
-    return get_hash(hash_name).hash_seed(seed)
+    return engine.algo.hash_seed(seed)

@@ -6,17 +6,10 @@ finishes. The serving layer, the chaos harness, and the analysis code
 all observe searches through this one interface instead of each
 inventing its own counters.
 
-``on_amortization``, ``on_schedule``, and ``on_fleet`` are *optional*
-extensions: amortized-pipeline engines (plan cache) call
-``on_amortization`` once per search with that search's
-:class:`~repro.engines.result.AmortizationStats`, the scheduler
-(:mod:`repro.sched`) calls ``on_schedule`` once per request — at
-retirement — with its
-:class:`~repro.engines.result.SchedulingStats`, and the device fleet
-(:mod:`repro.fleet`) calls ``on_fleet`` once per request with its
-:class:`~repro.engines.result.FleetStats`. All three are discovered
-via ``getattr`` so third-party hook objects implementing only the two
-required methods keep working unchanged.
+Everything else a search has to report — plan-cache amortization, the
+scheduler's lane and queueing, the fleet's devices — rides on the
+:class:`~repro.engines.result.SearchResult` it returns and in
+``FleetScheduler.snapshot()``, not through a hook.
 
 Hook discipline:
 
@@ -33,12 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Protocol, runtime_checkable
 
-from repro.engines.result import (
-    AmortizationStats,
-    FleetStats,
-    SchedulingStats,
-    ShellStats,
-)
+from repro.engines.result import ShellStats
 
 __all__ = ["EngineHooks", "NullHooks", "TelemetryHooks"]
 
@@ -65,15 +53,6 @@ class NullHooks:
     def on_shell_complete(self, shell: ShellStats) -> None:
         return None
 
-    def on_amortization(self, stats: AmortizationStats) -> None:
-        return None
-
-    def on_schedule(self, stats: SchedulingStats) -> None:
-        return None
-
-    def on_fleet(self, stats: FleetStats) -> None:
-        return None
-
 
 class TelemetryHooks:
     """Thread-safe accumulating hooks — the standard telemetry consumer.
@@ -89,15 +68,6 @@ class TelemetryHooks:
         self.shells_completed = 0
         self.shell_seconds = 0.0
         self.seeds_by_distance: dict[int, int] = {}
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.scheduled = 0
-        self.shared_batches = 0
-        self.preemptions = 0
-        self.queue_seconds = 0.0
-        self.fleet_requests = 0
-        self.redispatched_chunks = 0
-        self.hedged_batches = 0
 
     def on_batch(self, distance: int, seeds_hashed: int) -> None:
         with self._lock:
@@ -112,24 +82,6 @@ class TelemetryHooks:
             self.shells_completed += 1
             self.shell_seconds += shell.seconds
 
-    def on_amortization(self, stats: AmortizationStats) -> None:
-        with self._lock:
-            self.plan_hits += stats.plan_hits
-            self.plan_misses += stats.plan_misses
-
-    def on_schedule(self, stats: SchedulingStats) -> None:
-        with self._lock:
-            self.scheduled += 1
-            self.shared_batches += stats.shared_batches
-            self.preemptions += stats.preemptions
-            self.queue_seconds += stats.queue_seconds
-
-    def on_fleet(self, stats: FleetStats) -> None:
-        with self._lock:
-            self.fleet_requests += 1
-            self.redispatched_chunks += stats.redispatched_chunks
-            self.hedged_batches += stats.hedged_batches
-
     def snapshot(self) -> dict[str, object]:
         """A consistent copy of every counter."""
         with self._lock:
@@ -139,13 +91,4 @@ class TelemetryHooks:
                 "shells_completed": self.shells_completed,
                 "shell_seconds": self.shell_seconds,
                 "seeds_by_distance": dict(self.seeds_by_distance),
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "scheduled": self.scheduled,
-                "shared_batches": self.shared_batches,
-                "preemptions": self.preemptions,
-                "queue_seconds": self.queue_seconds,
-                "fleet_requests": self.fleet_requests,
-                "redispatched_chunks": self.redispatched_chunks,
-                "hedged_batches": self.hedged_batches,
             }

@@ -1,13 +1,10 @@
 """The one instrumented outcome type every search engine returns.
 
-Historically the stack had two result shapes: the single-node engines
-returned ``SearchResult`` while the distributed engine returned a
-``ClusterSearchResult`` with per-rank accounting. Every consumer — the
-serving layer, the chaos harness, the analysis code — had to know which
-one it was holding. This module merges them: per-rank statistics become
-an optional :class:`ClusterStats` extension, and ``timed_out`` /
-``shells`` are populated by every engine, so one telemetry shape flows
-from the combinator-driven kernels all the way up to the servers.
+Single-node and distributed engines return the same shape: per-rank
+statistics are an optional :class:`ClusterStats` extension (read
+``result.cluster.<field>``), and ``timed_out`` / ``shells`` are populated
+by every engine, so one telemetry shape flows from the combinator-driven
+kernels all the way up to the servers.
 
 Nothing in this module imports from the rest of :mod:`repro` — it is the
 bottom of the engine-stack dependency graph, safe to import from any
@@ -239,52 +236,6 @@ class SearchResult:
             self.seeds_hashed / self.elapsed_seconds
             if self.elapsed_seconds > 0
             else 0.0
-        )
-
-    # -- legacy ClusterSearchResult surface ----------------------------
-    # The distributed engine used to return its own result type; these
-    # properties keep that vocabulary alive on the unified shape.
-
-    @property
-    def wall_seconds(self) -> float:
-        """Modeled concurrent wall time (alias of ``elapsed_seconds``)."""
-        return self.elapsed_seconds
-
-    @property
-    def seeds_hashed_total(self) -> int:
-        """Total seeds hashed across all ranks (alias of ``seeds_hashed``)."""
-        return self.seeds_hashed
-
-    @property
-    def finder_rank(self) -> int | None:
-        return self.cluster.finder_rank if self.cluster is not None else None
-
-    @property
-    def per_rank_seconds(self) -> tuple[float, ...]:
-        return self.cluster.per_rank_seconds if self.cluster is not None else ()
-
-    @property
-    def per_rank_hashed(self) -> tuple[int, ...]:
-        return self.cluster.per_rank_hashed if self.cluster is not None else ()
-
-    @property
-    def dead_ranks(self) -> tuple[int, ...]:
-        return self.cluster.dead_ranks if self.cluster is not None else ()
-
-    @property
-    def straggler_ranks(self) -> tuple[int, ...]:
-        return self.cluster.straggler_ranks if self.cluster is not None else ()
-
-    @property
-    def recovery_seconds(self) -> float:
-        return self.cluster.recovery_seconds if self.cluster is not None else 0.0
-
-    @property
-    def simulation_seconds(self) -> float:
-        return (
-            self.cluster.simulation_seconds
-            if self.cluster is not None
-            else self.elapsed_seconds
         )
 
 

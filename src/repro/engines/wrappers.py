@@ -52,6 +52,11 @@ class EngineWrapper:
         return int(getattr(self.inner, "batch_size", DEFAULT_BATCH_SIZE))
 
     @property
+    def algo(self) -> Any:
+        """The wrapped engine's one-way function (``engine_target`` reads it)."""
+        return self.inner.algo
+
+    @property
     def hash_name(self) -> str | None:
         """The wrapped engine's hash algorithm, when it has one."""
         return getattr(self.inner, "hash_name", None)

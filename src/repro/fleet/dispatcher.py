@@ -828,9 +828,6 @@ class FleetScheduler:
             ShellStats(d, request.shell_hashed[d], request.shell_seconds[d])
             for d in sorted(request.shell_hashed)
         )
-        scheduling = request.scheduling_stats(now)
-        fleet = request.fleet_stats()
-        amortized = self._amortization(request)
         result = SearchResult(
             found=found,
             seed=seed,
@@ -840,9 +837,9 @@ class FleetScheduler:
             timed_out=timed_out,
             shells=shells,
             engine=self.describe(),
-            amortized=amortized,
-            scheduling=scheduling,
-            fleet=fleet,
+            amortized=self._amortization(request),
+            scheduling=request.scheduling_stats(now),
+            fleet=request.fleet_stats(),
         )
         with self._wake:
             self._completed += 1
@@ -854,29 +851,14 @@ class FleetScheduler:
         if hooks is not None:
             for shell in shells:
                 hooks.on_shell_complete(shell)
-            if amortized is not None:
-                on_amortization = getattr(hooks, "on_amortization", None)
-                if on_amortization is not None:
-                    on_amortization(amortized)
-            on_schedule = getattr(hooks, "on_schedule", None)
-            if on_schedule is not None:
-                on_schedule(scheduling)
-            on_fleet = getattr(hooks, "on_fleet", None)
-            if on_fleet is not None:
-                on_fleet(fleet)
         request._resolve(result, None)
 
     def _finalize_shed(self, request: ScheduledSearch, reason: str) -> None:
-        now = time.perf_counter()
-        scheduling = request.scheduling_stats(now)
         with self._wake:
             self._shed[reason] = self._shed.get(reason, 0) + 1
             self._tenant_shed[request.tenant_id] = (
                 self._tenant_shed.get(request.tenant_id, 0) + 1
             )
-        on_schedule = getattr(self.hooks, "on_schedule", None)
-        if on_schedule is not None:
-            on_schedule(scheduling)
         request._resolve(
             None, RequestShed(reason, f"client {request.client_id!r}")
         )

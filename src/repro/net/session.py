@@ -23,7 +23,7 @@ the protocol's cost model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from repro.core.authentication import CertificateAuthority, Challenge
 from repro.engines.result import SearchResult
 from repro.engines.wrappers import EngineWrapper, describe_engine
 from repro.hashes.hmac import hmac_digest, hmac_verify
-from repro.hashes.registry import get_hash
+from repro.hashes.registry import HashAlgorithm, get_hash
 from repro.net.messages import AuthenticationResult
+from repro.runtime.executor import BatchSearchExecutor
 
 __all__ = ["SessionError", "SecureChallenge", "SessionManager", "SecureClientSession"]
 
@@ -192,26 +193,53 @@ class SessionManager:
         )
 
 
+@dataclass(frozen=True)
+class _NonceBoundHash:
+    """``H(seed ‖ nonce)`` as the search body's one-way function."""
+
+    base: HashAlgorithm
+    nonce: bytes
+
+    @property
+    def name(self) -> str:
+        return self.base.name
+
+    def hash_seed(self, seed: bytes) -> bytes:
+        return self.base.hash_seed(seed + self.nonce)
+
+    def hash_seeds_batch(
+        self, words: np.ndarray, fixed_padding: bool = True
+    ) -> np.ndarray:
+        """The nonce rides as the suffix of the batched digest, so every
+        registered hash runs the bound search at batch throughput."""
+        return self.base.hash_seeds_suffixed(words, self.nonce)
+
+    def digest_to_words(self, public_value: bytes) -> np.ndarray:
+        return self.base.digest_to_words(public_value)
+
+
 class _NonceBindingEngine(EngineWrapper):
     """Adapter: search for H(candidate ‖ nonce) instead of H(candidate).
 
-    The nonce rides as the suffix of the batched digest
-    (:meth:`~repro.hashes.registry.HashAlgorithm.hash_seeds_suffixed`),
-    so every registered hash runs the bound search at batch throughput,
-    shell by shell in rank order.
-
-    Search geometry (notably ``batch_size``) forwards from the wrapped
-    engine via :class:`~repro.engines.wrappers.EngineWrapper`, so the
-    bound search batches exactly like the engine it stands in for —
-    even when that engine is itself a wrapper (a modeled device).
+    Runs the one Algorithm 1 body
+    (:meth:`~repro.runtime.executor.BatchSearchExecutor.search`) over
+    :class:`_NonceBoundHash`, shell by shell in rank order. Only the
+    search geometry (``batch_size``) is taken from the wrapped engine,
+    via :class:`~repro.engines.wrappers.EngineWrapper`, so the bound
+    search batches exactly like the engine it stands in for — even when
+    that engine is itself a wrapper (a modeled device).
     """
 
     wrapper_name = "nonce-bound"
 
     def __init__(self, engine, hash_name: str, nonce: bytes):
         super().__init__(engine)
-        self.algo = get_hash(hash_name)
-        self.nonce = nonce
+        self._algo = _NonceBoundHash(get_hash(hash_name), nonce)
+
+    @property
+    def algo(self) -> _NonceBoundHash:
+        """The bound one-way function, not the wrapped engine's."""
+        return self._algo
 
     def describe(self) -> str:
         return f"nonce-bound[{self.algo.name}]({describe_engine(self.inner)})"
@@ -224,50 +252,10 @@ class _NonceBindingEngine(EngineWrapper):
         time_budget: float | None = None,
     ) -> SearchResult:
         """Nonce-bound Algorithm 1."""
-        from repro._bitutils import (
-            SEED_BITS,
-            positions_to_mask_words,
-            seed_to_words,
-            words_to_seed,
+        result = BatchSearchExecutor(self.algo, batch_size=self.batch_size).search(
+            base_seed, target_digest, max_distance, time_budget=time_budget
         )
-        from repro.combinatorics.binomial import binomial
-        from repro.combinatorics.ranking import unrank_lexicographic_batch
-
-        engine = self.describe()
-        start = time.perf_counter()
-
-        def result(found_seed=None, distance=None, timed_out=False) -> SearchResult:
-            return SearchResult(
-                found_seed is not None, found_seed, distance, hashed,
-                time.perf_counter() - start, timed_out=timed_out, engine=engine,
-            )
-
-        target_words = self.algo.digest_to_words(target_digest)
-        base_words = seed_to_words(base_seed)
-        hashed = 1
-        if self.algo.hash_seed(base_seed + self.nonce) == target_digest:
-            return result(base_seed, 0)
-        for distance in range(1, max_distance + 1):
-            total = binomial(SEED_BITS, distance)
-            for lo in range(0, total, self.batch_size):
-                hi = min(lo + self.batch_size, total)
-                ranks = np.arange(lo, hi, dtype=np.uint64)
-                positions = unrank_lexicographic_batch(SEED_BITS, distance, ranks)
-                masks = positions_to_mask_words(positions)
-                candidates = base_words[None, :] ^ masks
-                digests = self.algo.hash_seeds_suffixed(candidates, self.nonce)
-                hashed += candidates.shape[0]
-                matches = np.flatnonzero((digests == target_words).all(axis=1))
-                if matches.size:
-                    return result(
-                        words_to_seed(candidates[int(matches[0])]), distance
-                    )
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - start > time_budget
-                ):
-                    return result(timed_out=True)
-        return result()
+        return replace(result, engine=self.describe())
 
 
 class SecureClientSession:

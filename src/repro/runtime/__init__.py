@@ -25,7 +25,7 @@ All engines here are registered with :mod:`repro.engines` — prefer
 from repro.runtime.executor import BatchSearchExecutor, SearchResult, ShellStats
 from repro.runtime.partition import partition_ranks, thread_rank_ranges
 from repro.runtime.original_batch import BatchOriginalRBCSearch
-from repro.runtime.cluster import ClusterSearchExecutor, ClusterSearchResult, Interconnect
+from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 
 __all__ = [
     "BatchSearchExecutor",
@@ -35,6 +35,5 @@ __all__ = [
     "thread_rank_ranges",
     "BatchOriginalRBCSearch",
     "ClusterSearchExecutor",
-    "ClusterSearchResult",
     "Interconnect",
 ]

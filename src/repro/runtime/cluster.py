@@ -26,9 +26,8 @@ fabric round) is accounted honestly in the result.
 
 The engine returns the unified
 :class:`~repro.engines.result.SearchResult`; the per-rank accounting
-that used to live in a separate ``ClusterSearchResult`` type now rides
-in the result's :class:`~repro.engines.result.ClusterStats` extension
-(and the legacy field names keep working as properties).
+rides in the result's :class:`~repro.engines.result.ClusterStats`
+extension (``result.cluster``).
 """
 
 from __future__ import annotations
@@ -41,14 +40,10 @@ from repro.combinatorics.binomial import binomial
 from repro.engines.hooks import EngineHooks
 from repro.engines.registry import build_engine
 from repro.engines.result import ClusterStats, SearchResult, merge_shells
+from repro.hashes.registry import HashAlgorithm, get_hash
 from repro.runtime.partition import partition_ranks
 
-__all__ = ["Interconnect", "ClusterSearchResult", "ClusterSearchExecutor"]
-
-#: Legacy alias — the distributed result type was merged into the
-#: unified SearchResult; its fields live on as the ClusterStats
-#: extension plus compatibility properties.
-ClusterSearchResult = SearchResult
+__all__ = ["Interconnect", "ClusterSearchExecutor"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,11 @@ class ClusterSearchExecutor:
         #: Telemetry tap forwarded to every per-rank engine, so hooks
         #: observe each rank's batches and shells.
         self.hooks = hooks
+
+    @property
+    def algo(self) -> HashAlgorithm:
+        """The hash every rank searches with."""
+        return get_hash(self.hash_name)
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""

@@ -14,8 +14,12 @@ Two combination sources are supported, mirroring the paper's Table 4:
   combinations are produced by stepping the scalar iterator; used to
   compare iterator costs on real hardware at reduced scale.
 
-The search body itself lives in :meth:`BatchSearchExecutor.search_subspace`
-(Algorithm 1 over one rank range per shell); the dispatcher engines
+The search body is :meth:`BatchSearchExecutor.search` — the one
+vectorized Algorithm 1 loop on the host. What it applies to a candidate
+is the :class:`OneWayFunction` the executor holds as ``algo``: a
+registered hash for RBC-SALTED, ``H(seed ‖ nonce)`` for a secure session
+(:mod:`repro.net.session`), one key generation for the original-RBC
+baseline (:mod:`repro.runtime.original_batch`). The dispatcher engines
 (``sched:`` / ``fleet:`` / ``pool:`` / ``parallel:``) read the same masks
 through :meth:`BatchSearchExecutor.mask_batches`. With ``cache=True``
 the executor reads XOR masks from the process-wide
@@ -26,8 +30,8 @@ search, cutting steady-state per-candidate work to XOR + hash + compare.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator
+from typing import Protocol
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from repro.combinatorics.binomial import binomial
 from repro.combinatorics.ranking import unrank_lexicographic_batch
 from repro.engines.hooks import EngineHooks
 from repro.engines.result import AmortizationStats, SearchResult, ShellStats
-from repro.hashes.registry import HashAlgorithm, get_hash
+from repro.hashes.registry import get_hash
 from repro.runtime.maskplan import (
     ITERATOR_CHOICES,
     MaskPlanCache,
@@ -55,28 +59,36 @@ from repro.runtime.maskplan import (
 __all__ = [
     "SearchResult",
     "ShellStats",
-    "SubspaceReport",
+    "OneWayFunction",
     "BatchSearchExecutor",
     "ITERATOR_CHOICES",
 ]
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
-    """Outcome of one :meth:`BatchSearchExecutor.search_subspace` call;
-    :meth:`BatchSearchExecutor.search` wraps it into a full
-    :class:`~repro.engines.result.SearchResult`.
+class OneWayFunction(Protocol):
+    """What the search applies to a candidate — the loop's one parameter.
+
+    :class:`~repro.hashes.registry.HashAlgorithm` is the registered
+    implementation; the session layer and the original-RBC baseline
+    supply their own.
     """
 
-    found: bool
-    seed: bytes | None
-    distance: int | None
-    seeds_hashed: int
-    elapsed_seconds: float
-    timed_out: bool = False
-    shells: tuple[ShellStats, ...] = ()
-    plan_hits: int = 0
-    plan_misses: int = 0
+    name: str
+
+    def hash_seed(self, seed: bytes) -> bytes:
+        """Public value of one 32-byte seed."""
+        ...
+
+    def hash_seeds_batch(
+        self, words: np.ndarray, fixed_padding: bool = True
+    ) -> np.ndarray:
+        """Public values of ``(N, 4)`` uint64 seed words, one row each."""
+        ...
+
+    def digest_to_words(self, public_value: bytes) -> np.ndarray:
+        """One public value in the row form ``hash_seeds_batch`` returns;
+        raises ``ValueError`` on a value of the wrong length."""
+        ...
 
 
 class BatchSearchExecutor:
@@ -85,7 +97,8 @@ class BatchSearchExecutor:
     Parameters
     ----------
     hash_name:
-        Registered hash algorithm ("sha1", "sha256", "sha3-256").
+        Registered hash algorithm ("sha1", "sha256", "sha3-256"), or the
+        :class:`OneWayFunction` to search with.
     batch_size:
         Seeds hashed per kernel call — the lane width. This plays the
         role of the GPU's total thread count times seeds-per-check.
@@ -109,7 +122,7 @@ class BatchSearchExecutor:
 
     def __init__(
         self,
-        hash_name: str = "sha3-256",
+        hash_name: str | OneWayFunction = "sha3-256",
         batch_size: int = 16384,
         iterator: str = "unrank",
         fixed_padding: bool = True,
@@ -126,7 +139,9 @@ class BatchSearchExecutor:
             )
         if warm < 0:
             raise ValueError("warm must be >= 0")
-        self.algo: HashAlgorithm = get_hash(hash_name)
+        self.algo: OneWayFunction = (
+            get_hash(hash_name) if isinstance(hash_name, str) else hash_name
+        )
         self.batch_size = batch_size
         self.iterator = iterator
         self.fixed_padding = fixed_padding
@@ -165,15 +180,7 @@ class BatchSearchExecutor:
             spec += f",warm={self.warm}"
         return spec
 
-    # -- combination batches -------------------------------------------
-
-    def _combination_batches(
-        self, distance: int, start: int, stop: int
-    ) -> Iterator[np.ndarray]:
-        """Yield ``(N, distance)`` position arrays covering ranks [start, stop)."""
-        yield from combination_batches(
-            distance, start, stop, self.batch_size, self.iterator
-        )
+    # -- mask batches --------------------------------------------------
 
     def mask_batches(
         self,
@@ -199,121 +206,12 @@ class BatchSearchExecutor:
             if plan is not None:
                 yield from plan.batches()
                 return
-        for positions in self._combination_batches(distance, lo, hi):
+        for positions in combination_batches(
+            distance, lo, hi, self.batch_size, self.iterator
+        ):
             yield positions_to_mask_words(positions)
 
     # -- search ---------------------------------------------------------
-
-    def search_subspace(
-        self,
-        base_seed: bytes,
-        target_digest: bytes,
-        max_distance: int,
-        rank_ranges: dict[int, tuple[int, int]],
-        *,
-        time_budget: float | None = None,
-        on_batch: Callable[[int, int], None] | None = None,
-        on_shell: Callable[[ShellStats], None] | None = None,
-    ) -> SubspaceReport:
-        """Algorithm 1 over one rank range of every shell of the ball.
-
-        ``rank_ranges`` maps distance -> ``[lo, hi)``; distances absent
-        from the map (or with empty ranges) are skipped. S_init itself is
-        checked first (Algorithm 1 lines 4-8).
-        """
-        start_time = time.perf_counter()
-        target_words = self.algo.digest_to_words(target_digest)
-        base_words = seed_to_words(base_seed)
-        seeds_hashed = 0
-        shells: list[ShellStats] = []
-        counters = [0, 0]  # [plan hits, plan misses]
-
-        def shell_done(shell: ShellStats) -> None:
-            shells.append(shell)
-            if on_shell is not None:
-                on_shell(shell)
-
-        def report(
-            found: bool,
-            seed: bytes | None = None,
-            distance: int | None = None,
-            timed_out: bool = False,
-        ) -> SubspaceReport:
-            return SubspaceReport(
-                found=found,
-                seed=seed,
-                distance=distance,
-                seeds_hashed=seeds_hashed,
-                elapsed_seconds=time.perf_counter() - start_time,
-                timed_out=timed_out,
-                shells=tuple(shells),
-                plan_hits=counters[0],
-                plan_misses=counters[1],
-            )
-
-        # Distance 0: S_init itself (Algorithm 1 l.4-8).
-        digest0 = self.algo.hash_seed(base_seed)
-        seeds_hashed += 1
-        if on_batch is not None:
-            on_batch(0, 1)
-        shell_done(ShellStats(0, 1, time.perf_counter() - start_time))
-        if digest0 == target_digest:
-            return report(True, base_seed, 0)
-
-        for distance in range(1, max_distance + 1):
-            lo, hi = rank_ranges.get(distance, (0, 0))
-            if lo >= hi:
-                continue
-            shell_start = time.perf_counter()
-            shell_hashed = 0
-            for masks in self.mask_batches(distance, lo, hi, counters):
-                candidate_words = base_words[None, :] ^ masks
-                digests = self.algo.hash_seeds_batch(
-                    candidate_words, fixed_padding=self.fixed_padding
-                )
-                seeds_hashed += candidate_words.shape[0]
-                shell_hashed += candidate_words.shape[0]
-                if on_batch is not None:
-                    on_batch(distance, candidate_words.shape[0])
-                matches = np.flatnonzero((digests == target_words).all(axis=1))
-                if matches.size:
-                    found = words_to_seed(candidate_words[int(matches[0])])
-                    shell_done(
-                        ShellStats(
-                            distance, shell_hashed,
-                            time.perf_counter() - shell_start,
-                        )
-                    )
-                    return report(True, found, distance)
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - start_time > time_budget
-                ):
-                    shell_done(
-                        ShellStats(
-                            distance, shell_hashed,
-                            time.perf_counter() - shell_start,
-                        )
-                    )
-                    return report(False, timed_out=True)
-            shell_done(
-                ShellStats(distance, shell_hashed, time.perf_counter() - shell_start)
-            )
-        return report(False)
-
-    def _amortization(self, plan_hits: int, plan_misses: int) -> AmortizationStats | None:
-        """Telemetry extension for this search; None when caching is off."""
-        if self._plan_cache is None:
-            return None
-        stats = AmortizationStats(
-            plan_hits=plan_hits,
-            plan_misses=plan_misses,
-            plan_bytes=self._plan_cache.bytes_in_use,
-        )
-        on_amortization = getattr(self.hooks, "on_amortization", None)
-        if on_amortization is not None:
-            on_amortization(stats)
-        return stats
 
     def search(
         self,
@@ -326,38 +224,90 @@ class BatchSearchExecutor:
         """Run Algorithm 1: search Hamming distances 0..max_distance.
 
         ``rank_range_by_distance`` restricts each shell to a rank
-        sub-range — how a multi-worker harness splits the space.
-        ``time_budget`` enforces the protocol's T threshold; on expiry the
-        result has ``timed_out=True``.
+        sub-range ``[lo, hi)`` — how a multi-worker harness splits the
+        space; an empty range skips the shell. ``time_budget`` enforces
+        the protocol's T threshold; on expiry the result has
+        ``timed_out=True``.
         """
-        rank_ranges: dict[int, tuple[int, int]] = {}
-        for distance in range(1, max_distance + 1):
-            total = binomial(SEED_BITS, distance)
-            lo, hi = (0, total)
-            if rank_range_by_distance and distance in rank_range_by_distance:
-                lo, hi = rank_range_by_distance[distance]
-            rank_ranges[distance] = (lo, hi)
+        start_time = time.perf_counter()
+        target_words = self.algo.digest_to_words(target_digest)
+        base_words = seed_to_words(base_seed)
+        rank_ranges = rank_range_by_distance or {}
         hooks = self.hooks
-        subspace = self.search_subspace(
-            base_seed,
-            target_digest,
-            max_distance,
-            rank_ranges,
-            time_budget=time_budget,
-            on_batch=hooks.on_batch if hooks is not None else None,
-            on_shell=hooks.on_shell_complete if hooks is not None else None,
-        )
-        return SearchResult(
-            found=subspace.found,
-            seed=subspace.seed,
-            distance=subspace.distance,
-            seeds_hashed=subspace.seeds_hashed,
-            elapsed_seconds=subspace.elapsed_seconds,
-            timed_out=subspace.timed_out,
-            shells=subspace.shells,
-            engine=self.describe(),
-            amortized=self._amortization(subspace.plan_hits, subspace.plan_misses),
-        )
+        seeds_hashed = 0
+        shells: list[ShellStats] = []
+        counters = [0, 0]  # [plan hits, plan misses]
+
+        def batch_done(distance: int, count: int) -> None:
+            nonlocal seeds_hashed
+            seeds_hashed += count
+            if hooks is not None:
+                hooks.on_batch(distance, count)
+
+        def shell_done(distance: int, hashed: int, since: float) -> None:
+            shell = ShellStats(distance, hashed, time.perf_counter() - since)
+            shells.append(shell)
+            if hooks is not None:
+                hooks.on_shell_complete(shell)
+
+        def result(
+            seed: bytes | None = None,
+            distance: int | None = None,
+            timed_out: bool = False,
+        ) -> SearchResult:
+            amortized = None
+            if self._plan_cache is not None:
+                amortized = AmortizationStats(
+                    plan_hits=counters[0],
+                    plan_misses=counters[1],
+                    plan_bytes=self._plan_cache.bytes_in_use,
+                )
+            return SearchResult(
+                found=seed is not None,
+                seed=seed,
+                distance=distance,
+                seeds_hashed=seeds_hashed,
+                elapsed_seconds=time.perf_counter() - start_time,
+                timed_out=timed_out,
+                shells=tuple(shells),
+                engine=self.describe(),
+                amortized=amortized,
+            )
+
+        # Distance 0: S_init itself (Algorithm 1 l.4-8).
+        digest0 = self.algo.hash_seed(base_seed)
+        batch_done(0, 1)
+        shell_done(0, 1, start_time)
+        if digest0 == target_digest:
+            return result(base_seed, 0)
+
+        for distance in range(1, max_distance + 1):
+            lo, hi = rank_ranges.get(distance, (0, binomial(SEED_BITS, distance)))
+            if lo >= hi:
+                continue
+            shell_start = time.perf_counter()
+            shell_hashed = 0
+            for masks in self.mask_batches(distance, lo, hi, counters):
+                candidate_words = base_words[None, :] ^ masks
+                digests = self.algo.hash_seeds_batch(
+                    candidate_words, fixed_padding=self.fixed_padding
+                )
+                shell_hashed += candidate_words.shape[0]
+                batch_done(distance, candidate_words.shape[0])
+                matches = np.flatnonzero((digests == target_words).all(axis=1))
+                if matches.size:
+                    shell_done(distance, shell_hashed, shell_start)
+                    return result(
+                        words_to_seed(candidate_words[int(matches[0])]), distance
+                    )
+                if (
+                    time_budget is not None
+                    and time.perf_counter() - start_time > time_budget
+                ):
+                    shell_done(distance, shell_hashed, shell_start)
+                    return result(timed_out=True)
+            shell_done(distance, shell_hashed, shell_start)
+        return result()
 
     def throughput_probe(
         self,

@@ -15,22 +15,21 @@ covers them.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._bitutils import SEED_BITS, positions_to_mask_words, seed_to_words, words_to_seed
-from repro.combinatorics.binomial import binomial
-from repro.combinatorics.ranking import unrank_lexicographic_batch
+from repro._bitutils import seed_to_words
+from repro.engines.hooks import EngineHooks
+from repro.engines.result import SearchResult
 from repro.keygen.batch_aes import aes128_encrypt_batch
 from repro.keygen.batch_chacha20 import chacha20_block_batch
-from repro.engines.hooks import EngineHooks
-from repro.engines.result import SearchResult, ShellStats
 from repro.keygen.batch_speck import speck128_encrypt_batch
 from repro.keygen.interface import _FIXED_PLAINTEXT
+from repro.runtime.executor import BatchSearchExecutor
 
 __all__ = ["BatchOriginalRBCSearch", "BATCH_KEYGEN_CHOICES"]
-
-BATCH_KEYGEN_CHOICES = ("aes-128", "speck-128", "chacha20")
 
 _FIXED_PT_NP = np.frombuffer(_FIXED_PLAINTEXT, dtype=np.uint8)
 
@@ -57,17 +56,48 @@ def _chacha_response_batch(seed_rows: np.ndarray) -> np.ndarray:
     return chacha20_block_batch(np.ascontiguousarray(seed_rows))[:, :32]
 
 
-_RESPONSE_KERNELS = {
-    "aes-128": _aes_response_batch,
-    "speck-128": _speck_response_batch,
-    "chacha20": _chacha_response_batch,
+@dataclass(frozen=True)
+class _CipherResponse:
+    """One key generation per candidate as the search body's one-way function."""
+
+    name: str
+    digest_size: int
+    kernel: Callable[[np.ndarray], np.ndarray]
+
+    def hash_seed(self, seed: bytes) -> bytes:
+        return self.hash_seeds_batch(seed_to_words(seed)[None, :])[0].tobytes()
+
+    def hash_seeds_batch(
+        self, words: np.ndarray, fixed_padding: bool = True
+    ) -> np.ndarray:
+        """``(N, digest_size)`` uint8 responses, each lane under its own key."""
+        return self.kernel(_words_to_bytes_rows(words))
+
+    def digest_to_words(self, public_value: bytes) -> np.ndarray:
+        if len(public_value) != self.digest_size:
+            raise ValueError(f"{self.name} responses are {self.digest_size} bytes")
+        return np.frombuffer(public_value, dtype=np.uint8)
+
+
+_CIPHERS = {
+    cipher.name: cipher
+    for cipher in (
+        _CipherResponse("aes-128", 16, _aes_response_batch),
+        _CipherResponse("speck-128", 16, _speck_response_batch),
+        _CipherResponse("chacha20", 32, _chacha_response_batch),
+    )
 }
 
-_RESPONSE_SIZES = {"aes-128": 16, "speck-128": 16, "chacha20": 32}
+BATCH_KEYGEN_CHOICES = tuple(_CIPHERS)
 
 
 class BatchOriginalRBCSearch:
-    """Key-agile batched original-RBC engine (AES / SPECK / ChaCha20)."""
+    """Key-agile batched original-RBC engine (AES / SPECK / ChaCha20).
+
+    An adapter: the one Algorithm 1 body
+    (:meth:`~repro.runtime.executor.BatchSearchExecutor.search`) run over
+    :class:`_CipherResponse`, kept at ``algo``.
+    """
 
     def __init__(
         self,
@@ -75,17 +105,17 @@ class BatchOriginalRBCSearch:
         batch_size: int = 8192,
         hooks: EngineHooks | None = None,
     ):
-        if keygen_name not in _RESPONSE_KERNELS:
+        if keygen_name not in _CIPHERS:
             raise ValueError(
                 f"no batch kernel for {keygen_name!r}; choices: {BATCH_KEYGEN_CHOICES}"
             )
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self.keygen_name = keygen_name
+        self.algo = _CIPHERS[keygen_name]
+        self._executor = BatchSearchExecutor(
+            self.algo, batch_size=batch_size, hooks=hooks
+        )
         self.batch_size = batch_size
         self.hooks = hooks
-        self._kernel = _RESPONSE_KERNELS[keygen_name]
-        self._response_size = _RESPONSE_SIZES[keygen_name]
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""
@@ -93,7 +123,7 @@ class BatchOriginalRBCSearch:
 
     def response_batch(self, seed_words: np.ndarray) -> np.ndarray:
         """Public responses for a batch of candidate seeds (words form)."""
-        return self._kernel(_words_to_bytes_rows(seed_words))
+        return self.algo.hash_seeds_batch(seed_words)
 
     def search(
         self,
@@ -103,89 +133,10 @@ class BatchOriginalRBCSearch:
         time_budget: float | None = None,
     ) -> SearchResult:
         """Search distances 0..max_distance by batched response comparison."""
-        if len(target_response) != self._response_size:
-            raise ValueError(
-                f"{self.keygen_name} responses are {self._response_size} bytes"
-            )
-        start = time.perf_counter()
-        target = np.frombuffer(target_response, dtype=np.uint8)
-        base_words = seed_to_words(base_seed)
-        generated = 0
-        shells: list[ShellStats] = []
-
-        def shell_done(shell: ShellStats) -> None:
-            shells.append(shell)
-            if self.hooks is not None:
-                self.hooks.on_shell_complete(shell)
-
-        # Distance 0.
-        generated += 1
-        if self.hooks is not None:
-            self.hooks.on_batch(0, 1)
-        match0 = (
-            self.response_batch(base_words[None, :])[0].tobytes()
-            == target_response
+        result = self._executor.search(
+            base_seed, target_response, max_distance, time_budget=time_budget
         )
-        shell_done(ShellStats(0, 1, time.perf_counter() - start))
-        if match0:
-            return SearchResult(
-                True, base_seed, 0, generated, time.perf_counter() - start,
-                shells=tuple(shells), engine=self.describe(),
-            )
-
-        for distance in range(1, max_distance + 1):
-            total = binomial(SEED_BITS, distance)
-            shell_start = time.perf_counter()
-            shell_generated = 0
-            for lo in range(0, total, self.batch_size):
-                hi = min(lo + self.batch_size, total)
-                ranks = np.arange(lo, hi, dtype=np.uint64)
-                positions = unrank_lexicographic_batch(SEED_BITS, distance, ranks)
-                masks = positions_to_mask_words(positions)
-                candidates = base_words[None, :] ^ masks
-                responses = self.response_batch(candidates)
-                generated += candidates.shape[0]
-                shell_generated += candidates.shape[0]
-                if self.hooks is not None:
-                    self.hooks.on_batch(distance, candidates.shape[0])
-                matches = np.flatnonzero((responses == target).all(axis=1))
-                if matches.size:
-                    found = words_to_seed(candidates[int(matches[0])])
-                    shell_done(
-                        ShellStats(
-                            distance, shell_generated,
-                            time.perf_counter() - shell_start,
-                        )
-                    )
-                    return SearchResult(
-                        True, found, distance, generated,
-                        time.perf_counter() - start,
-                        shells=tuple(shells), engine=self.describe(),
-                    )
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - start > time_budget
-                ):
-                    shell_done(
-                        ShellStats(
-                            distance, shell_generated,
-                            time.perf_counter() - shell_start,
-                        )
-                    )
-                    return SearchResult(
-                        False, None, None, generated,
-                        time.perf_counter() - start, timed_out=True,
-                        shells=tuple(shells), engine=self.describe(),
-                    )
-            shell_done(
-                ShellStats(
-                    distance, shell_generated, time.perf_counter() - shell_start
-                )
-            )
-        return SearchResult(
-            False, None, None, generated, time.perf_counter() - start,
-            shells=tuple(shells), engine=self.describe(),
-        )
+        return replace(result, engine=self.describe())
 
     def throughput_probe(self, num_seeds: int = 30000, rng_seed: int = 0) -> float:
         """Measured key-agile responses/second on this host."""

@@ -19,7 +19,6 @@ import pytest
 from repro._bitutils import flip_bits, positions_to_mask_words, words_to_seed
 from repro.engines import build_engine
 from repro.engines.hooks import TelemetryHooks
-from repro.engines.result import AmortizationStats
 from repro.hashes.batch_sha3 import sha3_256_batch_seeds
 from repro.runtime.executor import ITERATOR_CHOICES, BatchSearchExecutor
 from repro.runtime.maskplan import (
@@ -318,19 +317,19 @@ class TestSatellites:
                 assert digests[i].tobytes() == expected
 
     def test_telemetry_hooks_accumulate_amortization(self, base_seed):
+        """Plan-cache telemetry rides on the result, beside the hooks' counts."""
         hooks = TelemetryHooks()
         executor = BatchSearchExecutor(
             "sha1", batch_size=1024, hooks=hooks,
             cache=True, plan_cache=MaskPlanCache(),
         )
         target = hashlib.sha1(b"no such seed").digest()
-        executor.search(base_seed, target, 1)
-        executor.search(base_seed, target, 1)
-        snap = hooks.snapshot()
-        assert snap["plan_misses"] >= 1
-        assert snap["plan_hits"] >= 1
-        hooks.on_amortization(AmortizationStats(plan_hits=3))
-        assert hooks.snapshot()["plan_hits"] == snap["plan_hits"] + 3
+        cold = executor.search(base_seed, target, 1)
+        warm = executor.search(base_seed, target, 1)
+        assert (cold.amortized.plan_hits, cold.amortized.plan_misses) == (0, 1)
+        assert (warm.amortized.plan_hits, warm.amortized.plan_misses) == (1, 0)
+        assert warm.amortized.plan_bytes > 0
+        assert hooks.snapshot()["seeds_hashed"] == 2 * (1 + 256)
 
     def test_warm_option_prebuilds_plans(self, base_seed):
         cache = MaskPlanCache()

@@ -54,6 +54,17 @@ ALL_ENGINE_SPECS = HASH_ENGINE_SPECS + [
 ]
 
 
+def nonce_bound_batch(hash_name: str = "sha1", batch_size: int = 4096):
+    """The session layer's search: its adapter over ``batch:``, by dotted spec."""
+    from repro.net.session import _NonceBindingEngine
+
+    inner = build_engine("batch", hash_name=hash_name, batch_size=batch_size)
+    return _NonceBindingEngine(inner, hash_name, b"\x01" * 16)
+
+
+NONCE_BOUND_SPEC = f"{__name__}.nonce_bound_batch:sha1,bs=4096"
+
+
 class TestSpecGrammar:
     def test_builtins_registered(self):
         assert set(engine_names()) >= {
@@ -194,7 +205,11 @@ class TestEquivalenceMatrix:
         assert result.seed is None and result.distance is None
         assert bool(result) is False
 
-    @pytest.mark.parametrize("spec", ALL_ENGINE_SPECS)
+    @pytest.mark.parametrize(
+        "spec",
+        ALL_ENGINE_SPECS
+        + [pytest.param(NONCE_BOUND_SPEC, id="nonce-bound[sha1](batch:sha1,bs=4096)")],
+    )
     def test_results_are_tagged_and_shelled(self, spec):
         engine = build_engine(spec)
         client_seed = flip_bits(BASE_SEED, [5])
@@ -208,27 +223,22 @@ class TestEquivalenceMatrix:
 
 
 class TestUnifiedClusterResult:
-    def test_cluster_extension_and_legacy_properties(self):
+    def test_cluster_extension_carries_per_rank_stats(self):
         engine = build_engine(CLUSTER_SPEC)
         client_seed = flip_bits(BASE_SEED, [3, 77])
         result = engine.search(
             BASE_SEED, engine_target(engine, client_seed), 2
         )
         assert isinstance(result, SearchResult)
-        assert result.cluster is not None
-        assert result.finder_rank in (0, 1)
-        assert len(result.per_rank_seconds) == 2
-        assert len(result.per_rank_hashed) == 2
-        assert result.seeds_hashed_total == result.seeds_hashed
-        assert result.wall_seconds == result.elapsed_seconds
-        assert result.dead_ranks == ()
-        assert result.recovery_seconds == 0.0
-        assert result.simulation_seconds > 0.0
-
-    def test_legacy_alias_is_the_same_type(self):
-        from repro.runtime.cluster import ClusterSearchResult
-
-        assert ClusterSearchResult is SearchResult
+        stats = result.cluster
+        assert stats is not None
+        assert stats.finder_rank in (0, 1)
+        assert len(stats.per_rank_seconds) == 2
+        assert len(stats.per_rank_hashed) == 2
+        assert sum(stats.per_rank_hashed) == result.seeds_hashed
+        assert stats.dead_ranks == ()
+        assert stats.recovery_seconds == 0.0
+        assert stats.simulation_seconds > 0.0
 
     def test_single_process_result_has_no_cluster_stats(self):
         engine = build_engine("batch:sha1,bs=4096")
@@ -236,8 +246,6 @@ class TestUnifiedClusterResult:
             BASE_SEED, engine_target(engine, BASE_SEED), 0
         )
         assert result.cluster is None
-        assert result.finder_rank is None
-        assert result.per_rank_seconds == ()
 
 
 class TestWrapperGeometry:

@@ -429,17 +429,17 @@ class TestClusterFaults:
         base, digest = self._target(distance=1)
         healthy = self._cheap_cluster(3).search(base, digest, 1)
         assert healthy.found
-        owner = healthy.finder_rank
+        owner = healthy.cluster.finder_rank
         # Kill the rank that found it: survivors must recover the slice.
         result = self._cheap_cluster(
             3, self._Faults(dead=[owner])
         ).search(base, digest, 1)
         assert result.found
         assert result.seed == healthy.seed
-        assert result.finder_rank != owner
-        assert result.dead_ranks == (owner,)
-        assert result.recovery_seconds > 0.0
-        assert result.wall_seconds > healthy.wall_seconds
+        assert result.cluster.finder_rank != owner
+        assert result.cluster.dead_ranks == (owner,)
+        assert result.cluster.recovery_seconds > 0.0
+        assert result.elapsed_seconds > healthy.elapsed_seconds
 
     def test_dead_rank_zero_transfers_distance_zero(self):
         base, digest = self._target(distance=0)
@@ -447,20 +447,20 @@ class TestClusterFaults:
             3, self._Faults(dead=[0])
         ).search(base, digest, 1)
         assert result.found and result.distance == 0
-        assert result.finder_rank != 0
+        assert result.cluster.finder_rank != 0
 
     def test_straggler_slows_wall_time(self):
         base, digest = self._target(distance=1)
         healthy = self._cheap_cluster(2).search(base, digest, 1)
-        finder = healthy.finder_rank
+        finder = healthy.cluster.finder_rank
         slowed = self._cheap_cluster(
             2, self._Faults(stragglers={finder: 50.0})
         ).search(base, digest, 1)
         assert slowed.found
-        assert slowed.straggler_ranks == (finder,)
+        assert slowed.cluster.straggler_ranks == (finder,)
         # Wall time includes the straggled finder's stretched elapsed time.
-        assert slowed.wall_seconds >= slowed.per_rank_seconds[finder]
-        assert slowed.per_rank_seconds[finder] > 0.0
+        assert slowed.elapsed_seconds >= slowed.cluster.per_rank_seconds[finder]
+        assert slowed.cluster.per_rank_seconds[finder] > 0.0
 
     def test_whole_cluster_dead_raises(self):
         with pytest.raises(RuntimeError, match="surviving"):
@@ -473,8 +473,8 @@ class TestClusterFaults:
         result = self._cheap_cluster(
             3, self._Faults(dead=[1])
         ).search(base, digest, 1)
-        assert result.per_rank_hashed[1] == 0
-        assert result.per_rank_seconds[1] == 0.0
+        assert result.cluster.per_rank_hashed[1] == 0
+        assert result.cluster.per_rank_seconds[1] == 0.0
 
 
 class TestSessionNoncePreservedOnBackendFailure:

@@ -443,12 +443,13 @@ class TestSchedulerCore:
         try:
             client_seed = _planted(1, np.random.default_rng(5))
             target = engine_target(engine, client_seed)
-            assert engine.search(BASE_SEED, target, 1).found
+            result = engine.search(BASE_SEED, target, 1)
+            completed = engine.scheduler.snapshot()["completed"]
         finally:
             engine.close()
-        snapshot = hooks.snapshot()
-        assert snapshot["scheduled"] == 1
-        assert snapshot["batches"] >= 1
+        assert result.found and result.scheduling.batches >= 1
+        assert completed == 1
+        assert hooks.snapshot()["batches"] >= 1
 
     def test_describe_round_trips_the_spec(self, engine):
         assert engine.describe().startswith("sched:sha1")
