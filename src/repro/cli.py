@@ -295,11 +295,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if not outcome.served:
             print(f"  {client_id}: {outcome.status} ({outcome.detail})")
             continue
-        device = result.fleet.finder_device if result.fleet else "?"
         print(
             f"  {client_id}: found={result.found} "
-            f"d={result.distance} device={device} "
-            f"elapsed={result.elapsed_seconds:.3f}s"
+            f"d={result.distance} elapsed={result.elapsed_seconds:.3f}s"
         )
     stats = summarize(outcomes)
     print(

@@ -13,11 +13,10 @@ reports the largest tractable ``d``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.core.complexity import tractable_distance
-from repro.engines.result import SchedulingStats, SearchEngine, SearchResult
+from repro.engines.result import SearchEngine, SearchResult
 
 __all__ = ["RBCSearchService", "SearchEngine", "DEFAULT_TIME_THRESHOLD"]
 
@@ -53,9 +52,7 @@ class RBCSearchService:
         """Search for the client's seed; respects the T threshold.
 
         A client-supplied ``deadline_seconds`` tightens (never loosens)
-        the protocol budget: the engine runs under ``min(T, deadline)``
-        and the deadline is stamped into the result's scheduling
-        telemetry so it survives into serving-layer metrics.
+        the protocol budget: the engine runs under ``min(T, deadline)``.
         """
         if self.max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -64,18 +61,12 @@ class RBCSearchService:
             if deadline_seconds < 0:
                 raise ValueError("deadline_seconds must be non-negative")
             budget = min(budget, deadline_seconds)
-        result = self.engine.search(
+        return self.engine.search(
             enrolled_seed,
             client_digest,
             max_distance=self.max_distance,
             time_budget=budget,
         )
-        if deadline_seconds is not None and result.scheduling is None:
-            result = dataclasses.replace(
-                result,
-                scheduling=SchedulingStats(deadline_seconds=deadline_seconds),
-            )
-        return result
 
     def plan_max_distance(self, throughput_hashes_per_second: float) -> int:
         """Largest d tractable under T at the given engine throughput."""

@@ -15,8 +15,8 @@ Specs follow ``name[:arg,...][,key=value,...]`` with short aliases
 to any callable returning an engine. Wrappers (:class:`EngineWrapper`
 subclasses — nonce binding, modeled devices) compose around any engine
 while forwarding its search geometry and its one-way function
-(``.algo``), and every engine returns the same instrumented
-:class:`SearchResult`.
+(``.algo``), and every engine returns the same :class:`SearchResult`:
+seeds hashed and seconds, per Hamming shell.
 
 This module is intentionally cheap to import: the built-in engines are
 registered lazily on first registry use.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engines.hooks import EngineHooks, NullHooks, TelemetryHooks
 from repro.engines.registry import (
     EngineConfig,
     EngineEntry,
@@ -37,11 +36,8 @@ from repro.engines.registry import (
     register_engine,
 )
 from repro.engines.result import (
-    AmortizationStats,
     ClusterStats,
     DirectoryStats,
-    FleetStats,
-    SchedulingStats,
     SearchEngine,
     SearchResult,
     ShellStats,
@@ -59,16 +55,10 @@ __all__ = [
     "get_entry",
     "SearchResult",
     "ShellStats",
-    "AmortizationStats",
     "ClusterStats",
-    "SchedulingStats",
-    "FleetStats",
     "DirectoryStats",
     "SearchEngine",
     "merge_shells",
-    "EngineHooks",
-    "NullHooks",
-    "TelemetryHooks",
     "EngineWrapper",
     "DEFAULT_BATCH_SIZE",
     "describe_engine",

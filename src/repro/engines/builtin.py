@@ -19,7 +19,6 @@ import inspect
 from collections.abc import Callable
 from typing import Any
 
-from repro.engines.hooks import EngineHooks
 from repro.engines.modeled import ModeledDeviceEngine
 from repro.engines.registry import register_engine
 from repro.fleet.engine import FleetSearchEngine
@@ -103,14 +102,9 @@ def _register_modeled(name: str, model_factory, description: str) -> None:
         hash_name: str = "sha3-256",
         batch_size: int = 16384,
         mode: str = "exhaustive",
-        hooks: EngineHooks | None = None,
     ) -> ModeledDeviceEngine:
         return ModeledDeviceEngine(
-            model_factory(),
-            hash_name=hash_name,
-            batch_size=batch_size,
-            mode=mode,
-            hooks=hooks,
+            model_factory(), hash_name=hash_name, batch_size=batch_size, mode=mode
         )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.engines.hooks import EngineHooks
 from repro.engines.registry import build_engine
 from repro.engines.result import SearchResult
 from repro.engines.wrappers import EngineWrapper
@@ -40,12 +39,9 @@ class ModeledDeviceEngine(EngineWrapper):
         hash_name: str = "sha3-256",
         batch_size: int = 16384,
         mode: str = "exhaustive",
-        hooks: EngineHooks | None = None,
     ):
         super().__init__(
-            build_engine(
-                "batch", hash_name=hash_name, batch_size=batch_size, hooks=hooks
-            )
+            build_engine("batch", hash_name=hash_name, batch_size=batch_size)
         )
         self.model = model
         self.mode = mode

@@ -1,10 +1,14 @@
-"""The one instrumented outcome type every search engine returns.
+"""The one outcome type every search engine returns.
 
-Single-node and distributed engines return the same shape: per-rank
-statistics are an optional :class:`ClusterStats` extension (read
-``result.cluster.<field>``), and ``timed_out`` / ``shells`` are populated
-by every engine, so one telemetry shape flows from the combinator-driven
-kernels all the way up to the servers.
+A search is reported as the paper reports it (Table 5, §4): seeds hashed
+and seconds, in total and per Hamming shell (``shells``, populated by
+every engine). Two extensions ride along where the search itself
+produced them: the cluster engine's per-rank :class:`ClusterStats`
+(``result.cluster.<field>``) and the enrollment directory's
+:class:`DirectoryStats`. What a dispatcher or a mask-plan cache did
+around a search is not copied onto the result: those are counted once,
+where they happen (``FleetScheduler.snapshot()``,
+``MaskPlanCache.stats()``).
 
 Nothing in this module imports from the rest of :mod:`repro` — it is the
 bottom of the engine-stack dependency graph, safe to import from any
@@ -19,10 +23,7 @@ from typing import Protocol, runtime_checkable
 __all__ = [
     "ShellStats",
     "merge_shells",
-    "AmortizationStats",
     "ClusterStats",
-    "SchedulingStats",
-    "FleetStats",
     "DirectoryStats",
     "SearchResult",
     "SearchEngine",
@@ -63,85 +64,6 @@ def merge_shells(
         ShellStats(distance, hashed[distance], seconds[distance])
         for distance in sorted(hashed)
     )
-
-
-@dataclass(frozen=True)
-class AmortizationStats:
-    """Amortized-pipeline extension: what this search reused vs. rebuilt.
-
-    Populated by engines that consult the mask-plan cache
-    (``batch:...,cache=yes`` and every dispatcher spec).
-    ``plan_hits``/``plan_misses`` count cache lookups for this search's
-    mask plans. What an engine's worker processes did is not a property
-    of one search: read it off :class:`repro.fleet.workers.WorkerSet`.
-    """
-
-    plan_hits: int = 0
-    plan_misses: int = 0
-    #: Bytes of mask plans currently resident in the process-wide cache.
-    plan_bytes: int = 0
-
-
-@dataclass(frozen=True)
-class SchedulingStats:
-    """Scheduler extension: how the continuous batcher served this search.
-
-    Populated by the ``sched:`` engine family (:mod:`repro.sched`). A
-    search that rode the shared work stream records which lane it ran
-    in, how long it queued before its first device batch, how many
-    device batches carried its candidates (and how many of those were
-    shared with other requests), and how often it was set aside so
-    another request could use the device.
-    """
-
-    lane: str = ""
-    #: Tenant the request was attributed to ("" for pre-tenancy engines;
-    #: the scheduler stamps ``"default"`` for untenanted submissions).
-    tenant: str = ""
-    #: Client-supplied deadline, if any (relative seconds at submit).
-    deadline_seconds: float | None = None
-    #: Admission -> first device batch.
-    queue_seconds: float = 0.0
-    #: First device batch -> final state.
-    service_seconds: float = 0.0
-    #: Device batches that carried at least one of this search's chunks.
-    batches: int = 0
-    #: Of those, batches shared with other requests' candidates.
-    shared_batches: int = 0
-    #: Times the device was handed to another request while this one
-    #: still had work pending.
-    preemptions: int = 0
-    #: Work units the decomposer produced / actually executed (early
-    #: exit retires the difference).
-    chunks_total: int = 0
-    chunks_run: int = 0
-
-
-@dataclass(frozen=True)
-class FleetStats:
-    """Multi-device extension: how the device fleet served this search.
-
-    Populated by the ``fleet:`` engine family (:mod:`repro.fleet`). A
-    search placed on a health-checked device fleet records which devices
-    carried its batches, which device found the seed, and how often its
-    chunks had to be re-dispatched (device failure), duplicated (hedged
-    straggler batches), or moved to another device entirely.
-    """
-
-    #: Devices that served at least one batch for this request, sorted.
-    devices: tuple[str, ...] = ()
-    #: Device whose batch produced the matching seed (None if not found).
-    finder_device: str | None = None
-    #: ``(device, batches)`` pairs, sorted by device name.
-    batches_by_device: tuple[tuple[str, int], ...] = ()
-    #: Chunks returned to the queue after a device failed mid-flight
-    #: (plus pending chunks moved when the request changed devices).
-    redispatched_chunks: int = 0
-    #: Batches of this request duplicated onto a second device because
-    #: the first was past the straggler latency threshold.
-    hedged_batches: int = 0
-    #: Times this request's device affinity moved to another device.
-    reassignments: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,7 +114,7 @@ class ClusterStats:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one RBC search — the unified, instrumented shape.
+    """Outcome of one RBC search — the one shape every engine returns.
 
     ``elapsed_seconds`` is always the answer-latency the protocol
     compares against T: real wall time for host engines, modeled
@@ -212,15 +134,6 @@ class SearchResult:
     engine: str | None = None
     #: Distributed extension; ``None`` for single-node engines.
     cluster: ClusterStats | None = field(default=None)
-    #: Amortized-pipeline extension (mask-plan cache telemetry);
-    #: ``None`` for engines that pay full per-search costs.
-    amortized: AmortizationStats | None = field(default=None)
-    #: Scheduler extension (lane, queueing, batch sharing); ``None`` for
-    #: searches that ran outside the continuous batcher.
-    scheduling: SchedulingStats | None = field(default=None)
-    #: Multi-device extension (per-device batches, re-dispatch, hedging);
-    #: ``None`` for searches served by a single device.
-    fleet: FleetStats | None = field(default=None)
     #: Enrollment-directory extension (hot-cache/quorum/failover lookup
     #: telemetry); ``None`` when the enrolled image came from a plain
     #: in-memory database.

@@ -14,7 +14,7 @@ Quick start::
     engine = build_engine("fleet:host,host,hash=sha1,bs=8192")
     ticket = engine.submit(seed, digest, 3)
     result = ticket.result()
-    print(result.fleet.batches_by_device)
+    print(result.seeds_hashed, engine.scheduler.snapshot()["devices"])
 
 The device-loss chaos harness lives in :mod:`repro.fleet.storm`
 (imported explicitly — a serving process has no use for it)::

@@ -41,6 +41,10 @@ Placement and recovery rules:
 * **Never hang callers** — a device or monitor thread that dies of an
   unexpected exception closes the dispatcher and sheds every active
   request with the typed reason ``shutdown`` before re-raising.
+
+Each of these events is counted once, where it happens, and read off
+:meth:`FleetScheduler.snapshot`; a request's result carries only its
+own seeds hashed and seconds per shell.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from typing import Sequence
 
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
-from repro.engines.hooks import EngineHooks
-from repro.engines.result import AmortizationStats, SearchResult, ShellStats
+from repro.engines.result import SearchResult, ShellStats
 from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import DEFAULT_TENANT, TenantContext
 
@@ -78,6 +81,10 @@ _THROUGHPUT_ALPHA = 0.3
 
 #: How many heartbeats an idle, all-healthy fleet lets pass between probes.
 _IDLE_HEARTBEAT_STRETCH = 10
+
+#: How often a device loop re-checks expiry and hedge thresholds while
+#: requests are active (an idle fleet blocks until notified).
+_TICK_SECONDS = 0.005
 
 
 class _InflightBatch:
@@ -120,16 +127,13 @@ class FleetScheduler:
         devices: Sequence[FleetDevice],
         executor: BatchSearchExecutor,
         *,
-        hooks: EngineHooks | None = None,
         chunk_ranks: int = DEFAULT_CHUNK_RANKS,
         max_queue: int = 256,
         policy: SchedulingPolicy | None = None,
-        throughput_hint: float | None = None,
         heartbeat_seconds: float = 0.02,
         hedge_factor: float | None = 4.0,
         hedge_min_seconds: float = 0.05,
         no_device_grace: float = 2.0,
-        tick_seconds: float = 0.005,
         spec_string: str | None = None,
     ):
         if not devices:
@@ -144,7 +148,6 @@ class FleetScheduler:
         #: Shared mask/plan pipeline; masks are pure combinatorics, so
         #: one executor feeds every device's cursor identically.
         self._executor = executor
-        self.hooks = hooks
         self.chunk_ranks = chunk_ranks
         self.max_queue = max_queue
         self.policy = policy if policy is not None else SchedulingPolicy()
@@ -154,7 +157,6 @@ class FleetScheduler:
         )
         self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
-        self._tick = tick_seconds
         #: What :meth:`describe` answers when set; the ``sched`` factory
         #: names its one-device fleet ``sched:...`` through it.
         self.spec_string = spec_string
@@ -169,7 +171,7 @@ class FleetScheduler:
         self._closed = False
         self._drain = True
         self._seq = 0
-        self._throughput: float | None = throughput_hint
+        self._throughput: float | None = None
         self._no_healthy_since: float | None = None
         # -- counters (guarded by _wake's lock) --
         self._admitted = 0
@@ -314,9 +316,7 @@ class FleetScheduler:
                 deadline=(
                     None if deadline_seconds is None else now + deadline_seconds
                 ),
-                deadline_seconds=deadline_seconds,
                 cursor=UnitCursor(self._executor, units),
-                chunks_total=len(units),
                 tenant_id=tenant_id,
             )
             request.device = self._place_locked()
@@ -371,9 +371,10 @@ class FleetScheduler:
     def _guarded(self, loop, *args) -> None:
         """Thread body: a loop that dies must never hang its callers.
 
-        An unexpected exception (a raising hook, an allocation failure
-        while assembling a batch) closes the dispatcher, sheds every
-        active request as ``shutdown`` and re-raises on this thread.
+        An unexpected exception (a kernel that raised something other
+        than a device failure, an allocation failure while assembling a
+        batch) closes the dispatcher, sheds every active request as
+        ``shutdown`` and re-raises on this thread.
         Batches still running on other devices are marked settled, so
         their runners discard the results instead of committing to
         requests that were just shed.
@@ -413,7 +414,7 @@ class FleetScheduler:
                         # fleet blocks until submit / kill / revive /
                         # close notifies.
                         self._wake.wait(
-                            timeout=self._tick if self._active else None
+                            timeout=_TICK_SECONDS if self._active else None
                         )
                         if self._exit_locked():
                             return
@@ -445,7 +446,7 @@ class FleetScheduler:
                 request.expiry is not None
                 and now > request.expiry
                 and (
-                    request.batches >= 1
+                    request.shell_hashed
                     or now > request.expiry + (request.time_budget or 0.0)
                 )
             ):
@@ -481,7 +482,6 @@ class FleetScheduler:
             and not last.done()
             and last in runnable
         ):
-            last.preemptions += 1
             self._preempted += 1
         device.last_primary = primary
 
@@ -552,8 +552,6 @@ class FleetScheduler:
             if now - inflight.started >= threshold:
                 inflight.hedge_device = device
                 self._hedges_launched += 1
-                for request in inflight.requests:
-                    request.hedged += 1
                 return inflight
         return None
 
@@ -591,7 +589,6 @@ class FleetScheduler:
     ) -> None:
         """First-result-wins settlement plus per-request accounting."""
         found: list[tuple[ScheduledSearch, SliceOutcome]] = []
-        hook_calls: list[tuple[int, int]] = []
         with self._wake:
             if inflight.settled:
                 # Lost the race: the other runner already committed.
@@ -603,8 +600,6 @@ class FleetScheduler:
             hedge_won = winner is not inflight.device
             if hedge_won:
                 self._hedge_wins += 1
-            now = time.perf_counter()
-            shared = len(inflight.slices) > 1
             total_rows = sum(outcome.rows for outcome in outcomes)
             total_seconds = max(
                 sum(outcome.seconds for outcome in outcomes), 1e-9
@@ -624,15 +619,8 @@ class FleetScheduler:
                 ):
                     # The winner proved responsive — move affinity there.
                     if request.device is not None:
-                        request.reassignments += 1
                         self._reassigned += 1
                     request.device = winner
-                if request.first_batch_at is None:
-                    request.first_batch_at = now
-                request.batches += 1
-                if shared:
-                    request.shared_batches += 1
-                request.seeds_hashed += outcome.rows
                 request.remaining_work = max(
                     0, request.remaining_work - outcome.rows
                 )
@@ -643,36 +631,23 @@ class FleetScheduler:
                     request.shell_seconds.get(outcome.distance, 0.0)
                     + outcome.seconds
                 )
-                request.batches_by_device[winner.name] = (
-                    request.batches_by_device.get(winner.name, 0) + 1
-                )
                 self._recent_tenant_rows.append(
                     (request.tenant_id, outcome.rows)
                 )
                 self._tenant_rows[request.tenant_id] = (
                     self._tenant_rows.get(request.tenant_id, 0) + outcome.rows
                 )
-                hook_calls.append((outcome.distance, outcome.rows))
                 if outcome.seed is not None:
-                    request.finder_device = winner.name
                     self._active.remove(request)
                     found.append((request, outcome))
             self._wake.notify_all()
-        on_batch = self.hooks.on_batch if self.hooks is not None else None
-        try:
-            if on_batch is not None:
-                for distance, rows in hook_calls:
-                    on_batch(distance, rows)
-        finally:
-            # The finders already left ``_active``: a raising hook must
-            # not strand them where the thread guard cannot see them.
-            for request, outcome in found:
-                self._finalize_result(
-                    request,
-                    timed_out=False,
-                    seed=outcome.seed,
-                    distance=outcome.distance,
-                )
+        for request, outcome in found:
+            self._finalize_result(
+                request,
+                timed_out=False,
+                seed=outcome.seed,
+                distance=outcome.distance,
+            )
 
     def _on_device_failure(
         self, device: FleetDevice, inflight: _InflightBatch
@@ -704,7 +679,6 @@ class FleetScheduler:
         for piece in reversed(inflight.slices):
             request: ScheduledSearch = piece.key  # type: ignore[assignment]
             request.cursor.push_back(piece.distance, piece.masks)
-            request.redispatched += 1
             self._redispatched += 1
         for request in inflight.requests:
             request.inflight_batch = None
@@ -728,11 +702,8 @@ class FleetScheduler:
             if survivors:
                 target = min(survivors, key=self._load_locked)
                 request.device = target
-                request.reassignments += 1
                 self._reassigned += 1
-                moved = request.cursor.pending_chunks
-                request.redispatched += moved
-                self._redispatched += moved
+                self._redispatched += request.cursor.pending_chunks
             else:
                 request.device = None
 
@@ -805,15 +776,6 @@ class FleetScheduler:
 
     # -- finalization ---------------------------------------------------
 
-    def _amortization(self, request: ScheduledSearch) -> AmortizationStats | None:
-        cache = self._executor.plan_cache
-        if cache is None:
-            return None
-        hits, misses = request.cursor.counters
-        return AmortizationStats(
-            plan_hits=hits, plan_misses=misses, plan_bytes=cache.bytes_in_use
-        )
-
     def _finalize_result(
         self,
         request: ScheduledSearch,
@@ -822,24 +784,19 @@ class FleetScheduler:
         seed: bytes | None = None,
         distance: int | None = None,
     ) -> None:
-        now = time.perf_counter()
         found = seed is not None
-        shells = tuple(
-            ShellStats(d, request.shell_hashed[d], request.shell_seconds[d])
-            for d in sorted(request.shell_hashed)
-        )
         result = SearchResult(
             found=found,
             seed=seed,
             distance=distance,
-            seeds_hashed=request.seeds_hashed,
-            elapsed_seconds=now - request.submitted_at,
+            seeds_hashed=sum(request.shell_hashed.values()),
+            elapsed_seconds=time.perf_counter() - request.submitted_at,
             timed_out=timed_out,
-            shells=shells,
+            shells=tuple(
+                ShellStats(d, request.shell_hashed[d], request.shell_seconds[d])
+                for d in sorted(request.shell_hashed)
+            ),
             engine=self.describe(),
-            amortized=self._amortization(request),
-            scheduling=request.scheduling_stats(now),
-            fleet=request.fleet_stats(),
         )
         with self._wake:
             self._completed += 1
@@ -847,10 +804,6 @@ class FleetScheduler:
                 self._found += 1
             if timed_out:
                 self._timed_out += 1
-        hooks = self.hooks
-        if hooks is not None:
-            for shell in shells:
-                hooks.on_shell_complete(shell)
         request._resolve(result, None)
 
     def _finalize_shed(self, request: ScheduledSearch, reason: str) -> None:

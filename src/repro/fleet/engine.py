@@ -38,7 +38,6 @@ from __future__ import annotations
 import weakref
 
 from repro.devices.flaky import FlakyDeviceModel
-from repro.engines.hooks import EngineHooks
 from repro.engines.result import SearchResult
 from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import TenantContext
@@ -73,8 +72,6 @@ def _build_device(
     fixed_padding: bool,
     fairness_window: int,
     fault_seed: int,
-    episodes: int,
-    episode_length: int,
     slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
@@ -89,11 +86,7 @@ def _build_device(
     model = None
     if token != base:
         model = FlakyDeviceModel.from_token(
-            token,
-            seed=fault_seed + index,
-            episodes=episodes,
-            episode_length=episode_length,
-            slow_factor=slow_factor,
+            token, seed=fault_seed + index, slow_factor=slow_factor
         )
     from repro.reliability.breaker import CircuitBreaker
 
@@ -122,7 +115,6 @@ class FleetSearchEngine:
         batch_size: int = 8192,
         iterator: str = "unrank",
         fixed_padding: bool = True,
-        hooks: EngineHooks | None = None,
         cache: bool = True,
         warm: int = 0,
         chunk_ranks: int = DEFAULT_CHUNK_RANKS,
@@ -137,25 +129,16 @@ class FleetSearchEngine:
         failure_threshold: int = 2,
         recovery_seconds: float = 0.25,
         fault_seed: int = 0,
-        fault_episodes: int = 1,
-        fault_episode_length: int = 6,
         slow_factor: float = 8.0,
-        scheduler: FleetScheduler | None = None,
         tenants: TenantRegistry | None = None,
         workers: int | None = None,
     ):
-        #: The processes behind every device; None over a borrowed scheduler.
-        self.worker_set: WorkerSet | None = None
-        if scheduler is not None:
-            self.scheduler = scheduler
-            return
         tokens = tuple(devices) if devices else ("host", "host")
         executor = BatchSearchExecutor(
             hash_name=hash_name,
             batch_size=batch_size,
             iterator=iterator,
             fixed_padding=fixed_padding,
-            hooks=None,
             cache=cache,
             warm=warm,
         )
@@ -168,6 +151,7 @@ class FleetSearchEngine:
             tenants=tenants,
         )
         # ``workers=None`` is the cpuset; only ``pool`` / ``parallel`` say.
+        #: The processes behind every device.
         self.worker_set = WorkerSet(executor.algo, fixed_padding, workers)
         # A dropped engine must not leave its processes to interpreter exit.
         self._reap_workers = weakref.finalize(self, self.worker_set.close)
@@ -180,8 +164,6 @@ class FleetSearchEngine:
                     fixed_padding=fixed_padding,
                     fairness_window=policy.config.fairness_window,
                     fault_seed=fault_seed,
-                    episodes=fault_episodes,
-                    episode_length=fault_episode_length,
                     slow_factor=slow_factor,
                     failure_threshold=failure_threshold,
                     recovery_seconds=recovery_seconds,
@@ -195,7 +177,6 @@ class FleetSearchEngine:
             self.scheduler = FleetScheduler(
                 fleet_devices,
                 executor,
-                hooks=hooks,
                 chunk_ranks=max(chunk_ranks, batch_size),
                 max_queue=max_queue,
                 policy=policy,
@@ -227,7 +208,7 @@ class FleetSearchEngine:
     @property
     def workers(self) -> int:
         """Cores a wide batch is hashed on (1: the device thread itself)."""
-        return self.worker_set.workers if self.worker_set is not None else 1
+        return self.worker_set.workers
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""
@@ -283,8 +264,7 @@ class FleetSearchEngine:
         """Close the underlying fleet (see ``FleetScheduler.close``), then
         join the worker processes; safe to call twice."""
         self.scheduler.close(drain=drain)
-        if self.worker_set is not None:
-            self._reap_workers()
+        self._reap_workers()
 
     def __enter__(self) -> "FleetSearchEngine":
         return self

@@ -1196,16 +1196,19 @@ def _amortization_run(args: argparse.Namespace) -> Outcome:
     global_plan_cache().clear()
     start = time.perf_counter()
     engine = build_engine("pool", **geometry)
+    plans = engine.scheduler.executor.plan_cache
     try:
-        last = cold = search(engine)
+        before = plans.stats()
+        cold = search(engine)
         cold_seconds = time.perf_counter() - start
         forked_cold = engine.worker_set.spawned
         warm_hashed = 0
         start = time.perf_counter()
         for _ in range(args.searches):
-            last = search(engine)
-            warm_hashed += last.seeds_hashed
+            before = plans.stats()
+            warm_hashed += search(engine).seeds_hashed
         warm_seconds = time.perf_counter() - start
+        after = plans.stats()
         forked = engine.worker_set.spawned
     finally:
         engine.close()
@@ -1229,7 +1232,12 @@ def _amortization_run(args: argparse.Namespace) -> Outcome:
         "warm_over_cold": warm_hps / cold_hps,
         "parallel_hashes_per_second": parallel_hps,
         "amortized": {
-            **dataclasses.asdict(last.amortized),
+            # The plan cache's own count over the last search (a bypassed
+            # plan is a miss), and the bytes it holds after it.
+            "plan_hits": after["hits"] - before["hits"],
+            "plan_misses": after["misses"] + after["bypasses"]
+            - before["misses"] - before["bypasses"],
+            "plan_bytes": after["bytes_in_use"],
             # From the worker set's own count: processes forked over the
             # engine's life, and whether the warm searches forked any.
             "pool_searches": 1 + args.searches,

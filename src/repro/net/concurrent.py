@@ -11,11 +11,12 @@ read from the image store on the submitting thread, one ticket in the
 dispatcher's continuous-batching work stream (a
 :class:`~repro.fleet.engine.FleetSearchEngine` — a ``fleet:`` or
 ``sched:`` engine: many requests share the devices, client deadlines are
-honored with EDF lanes and shedding, and the ``preempted`` /
-``redispatched`` / ``hedged`` counters record what the dispatcher did),
-and one settle function that does the typed-refusal accounting, issues
-the key, maps the :class:`~repro.engines.result.SearchResult` onto the
-metrics and builds the :class:`~repro.net.messages.AuthenticationResult`.
+honored with EDF lanes and shedding), and one settle function that does
+the typed-refusal accounting, issues the key, counts the
+:class:`~repro.engines.result.SearchResult`'s seeds and shells and
+builds the :class:`~repro.net.messages.AuthenticationResult`. What the
+dispatcher and its mask-plan cache did is not re-summed from results:
+:class:`ServerMetrics` reads their own counters.
 :meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
 same path behind the Figure 1 message surface.
 """
@@ -71,14 +72,13 @@ _COUNTERS = (
     # candidate seeds hashed and Hamming shells completed.
     "seeds_hashed",
     "shells_completed",
-    # Amortized-pipeline telemetry (searches served by engines with a
-    # mask-plan cache; zero otherwise).
+    # Mask-plan cache look-ups since the server opened (a bypassed,
+    # oversized plan is a miss; zero without a cache).
     "plan_hits",
     "plan_misses",
-    # Dispatcher telemetry: requests shed (typed refusals), primary-
-    # request preemptions, the deepest front-door queue observed, chunks
-    # replayed on a survivor after a device failure, and batches that
-    # were hedge-duplicated onto an idle device.
+    # Requests shed (typed refusals), primary-request preemptions, the
+    # deepest front-door queue observed, chunks replayed on a survivor
+    # after a device failure, and hedges launched onto an idle device.
     "shed",
     "preempted",
     "queue_depth_peak",
@@ -106,10 +106,20 @@ _COUNTERS = (
     "recovery_seconds",
 )
 
+#: Counters the door does not keep: the plan pair is read off the served
+#: dispatcher's plan cache, the rest off its ``snapshot()`` under these keys.
+_DISPATCHER_KEYS = {
+    "preempted": "preempted",
+    "redispatched": "redispatched_chunks",
+    "hedged": "hedges_launched",
+}
+_READ = frozenset(_DISPATCHER_KEYS) | {"plan_hits", "plan_misses"}
+
 #: Counters :meth:`ServerMetrics.record` may increment by name. The rest
-#: have their own write path (``search_seconds`` / ``queue_depth`` /
-#: ``record_shed`` / ``record_enrollment`` / ``record_recovery``).
-_RECORDABLE = frozenset(_COUNTERS) - {
+#: are read (``_READ``) or have their own write path (``search_seconds``
+#: / ``queue_depth`` / ``record_shed`` / ``record_enrollment`` /
+#: ``record_recovery``).
+_RECORDABLE = frozenset(_COUNTERS) - _READ - {
     "total_search_seconds",
     "shed",
     "queue_depth_peak",
@@ -124,19 +134,47 @@ _RECORDABLE = frozenset(_COUNTERS) - {
 class ServerMetrics:
     """Operational counters (thread-safe snapshots via the server).
 
-    One attribute per name in the module's counter tuple, plus
-    ``shed_reasons`` (per-reason shed counts, written only by
-    :meth:`record_shed`, which also increments ``shed`` — the two can
-    never drift apart) and ``tenants`` (the per-tenant ledger fed by the
-    same ``record`` / ``record_shed`` calls).
+    One attribute per counter the door keeps, plus ``shed_reasons``
+    (per-reason shed counts, written only by :meth:`record_shed`, which
+    also increments ``shed`` — the two can never drift apart) and
+    ``tenants`` (the per-tenant ledger fed by the same ``record`` /
+    ``record_shed`` calls). The other five names are read at snapshot
+    time from where their events happen: ``dispatcher``'s own
+    ``snapshot()`` and its plan cache's ``stats()`` since this object
+    was made; without a dispatcher they read zero.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dispatcher: FleetSearchEngine | None = None) -> None:
         for name in _COUNTERS:
-            setattr(self, name, 0.0 if name.endswith("_seconds") else 0)
+            if name not in _READ:
+                setattr(self, name, 0.0 if name.endswith("_seconds") else 0)
         self.shed_reasons: dict[str, int] = {}
         self.tenants = TenantLedger()
         self._lock = threading.Lock()
+        self._dispatcher = dispatcher
+        self._plans_at_open = self._plan_lookups()
+
+    def _plan_lookups(self) -> tuple[int, int]:
+        """The dispatcher's plan-cache ``(hits, misses + bypasses)``."""
+        if self._dispatcher is None:
+            return 0, 0
+        cache = self._dispatcher.scheduler.executor.plan_cache
+        if cache is None:
+            return 0, 0
+        stats = cache.stats()
+        return stats["hits"], stats["misses"] + stats["bypasses"]
+
+    def _read(self) -> dict[str, int]:
+        """The counters the door does not keep, as of now."""
+        if self._dispatcher is None:
+            return dict.fromkeys(_READ, 0)
+        fleet = self._dispatcher.scheduler.snapshot()
+        (hits, misses), (hits0, misses0) = self._plan_lookups(), self._plans_at_open
+        return {
+            **{name: fleet[key] for name, key in _DISPATCHER_KEYS.items()},
+            "plan_hits": hits - hits0,
+            "plan_misses": misses - misses0,
+        }
 
     def record(
         self,
@@ -233,9 +271,13 @@ class ServerMetrics:
             self.recovery_seconds = seconds
 
     def snapshot(self) -> dict[str, float]:
-        """A consistent copy of the counters."""
+        """A consistent copy of the counters, in declaration order."""
+        read = self._read()
         with self._lock:
-            return {name: getattr(self, name) for name in _COUNTERS}
+            return {
+                name: read[name] if name in read else getattr(self, name)
+                for name in _COUNTERS
+            }
 
     def shed_breakdown(self) -> dict[str, int]:
         """Per-reason shed counts (sums exactly to ``snapshot()['shed']``)."""
@@ -330,7 +372,7 @@ class ConcurrentCAServer:
         self._lock = threading.RLock()
         self._in_flight_clients: set[str] = set()
         self._pending = 0
-        self.metrics = ServerMetrics()
+        self.metrics = ServerMetrics(scheduler)
         self._closed = False
 
     # -- the message surface (Figure 1) -------------------------------------
@@ -503,22 +545,12 @@ class ConcurrentCAServer:
             public_key = self.authority.issue_public_key(
                 request.client_id, result.seed, **_tenant_kwargs(tenant)
             )
-        amortized, scheduling, fleet = (
-            result.amortized,
-            result.scheduling,
-            result.fleet,
-        )
         self.metrics.record(
             completed=1,
             authenticated=1 if result.found else 0,
             search_seconds=request.elapsed(),
             seeds_hashed=result.seeds_hashed,
             shells_completed=len(result.shells),
-            plan_hits=amortized.plan_hits if amortized else 0,
-            plan_misses=amortized.plan_misses if amortized else 0,
-            preempted=scheduling.preemptions if scheduling else 0,
-            redispatched=fleet.redispatched_chunks if fleet else 0,
-            hedged=fleet.hedged_batches if fleet else 0,
             tenant_id=tenant,
             **_directory_record_kwargs(request.directory),
         )

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from repro._bitutils import SEED_BITS
 from repro.combinatorics.binomial import binomial
-from repro.engines.hooks import EngineHooks
 from repro.engines.registry import build_engine
 from repro.engines.result import ClusterStats, SearchResult, merge_shells
 from repro.hashes.registry import HashAlgorithm, get_hash
@@ -78,7 +77,6 @@ class ClusterSearchExecutor:
         batch_size: int = 16384,
         interconnect: Interconnect | None = None,
         fault_injector=None,
-        hooks: EngineHooks | None = None,
     ):
         if ranks < 1:
             raise ValueError("ranks must be positive")
@@ -89,9 +87,6 @@ class ClusterSearchExecutor:
         #: Optional rank-fault source: anything exposing ``dead_ranks``
         #: (a set of ints) and ``straggle_factor(rank) -> float``.
         self.fault_injector = fault_injector
-        #: Telemetry tap forwarded to every per-rank engine, so hooks
-        #: observe each rank's batches and shells.
-        self.hooks = hooks
 
     @property
     def algo(self) -> HashAlgorithm:
@@ -113,10 +108,7 @@ class ClusterSearchExecutor:
 
     def _make_executor(self):
         return build_engine(
-            "batch",
-            hash_name=self.hash_name,
-            batch_size=self.batch_size,
-            hooks=self.hooks,
+            "batch", hash_name=self.hash_name, batch_size=self.batch_size
         )
 
     def _run_slices(

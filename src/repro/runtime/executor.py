@@ -43,8 +43,7 @@ from repro._bitutils import (
 )
 from repro.combinatorics.binomial import binomial
 from repro.combinatorics.ranking import unrank_lexicographic_batch
-from repro.engines.hooks import EngineHooks
-from repro.engines.result import AmortizationStats, SearchResult, ShellStats
+from repro.engines.result import SearchResult, ShellStats
 from repro.hashes.registry import get_hash
 from repro.runtime.maskplan import (
     ITERATOR_CHOICES,
@@ -106,8 +105,6 @@ class BatchSearchExecutor:
         Combination source; see module docstring.
     fixed_padding:
         Use the fixed-pad fast path (paper Section 3.2.2).
-    hooks:
-        Optional :class:`~repro.engines.hooks.EngineHooks` telemetry tap.
     cache:
         Read XOR masks from the process-wide mask-plan cache instead of
         re-unranking per search (spec option ``cache=yes``). Results are
@@ -126,7 +123,6 @@ class BatchSearchExecutor:
         batch_size: int = 16384,
         iterator: str = "unrank",
         fixed_padding: bool = True,
-        hooks: EngineHooks | None = None,
         cache: bool = False,
         warm: int = 0,
         plan_cache: MaskPlanCache | None = None,
@@ -145,7 +141,6 @@ class BatchSearchExecutor:
         self.batch_size = batch_size
         self.iterator = iterator
         self.fixed_padding = fixed_padding
-        self.hooks = hooks
         self.cache = cache or warm > 0 or plan_cache is not None
         self.warm = warm
         self._plan_cache: MaskPlanCache | None = None
@@ -183,26 +178,20 @@ class BatchSearchExecutor:
     # -- mask batches --------------------------------------------------
 
     def mask_batches(
-        self,
-        distance: int,
-        lo: int,
-        hi: int,
-        counters: list[int] | None = None,
+        self, distance: int, lo: int, hi: int
     ) -> Iterator[np.ndarray]:
         """Yield ``(N, 4)`` mask-word batches covering ranks ``[lo, hi)``.
 
         The one mask pipeline, for the search body here and for the
         :mod:`repro.sched` work-unit cursors: views of the cached plan
         when caching is enabled (and the slice fits the cache), streaming
-        generation otherwise. ``counters`` is an optional ``[hits,
-        misses]`` pair this call increments.
+        generation otherwise. The cache counts every look-up
+        (:meth:`~repro.runtime.maskplan.MaskPlanCache.stats`).
         """
         if self._plan_cache is not None:
-            plan, hit = self._plan_cache.get_or_build(
+            plan, _hit = self._plan_cache.get_or_build(
                 distance, lo, hi, self.batch_size, self.iterator
             )
-            if counters is not None:
-                counters[0 if hit else 1] += 1
             if plan is not None:
                 yield from plan.batches()
                 return
@@ -233,50 +222,31 @@ class BatchSearchExecutor:
         target_words = self.algo.digest_to_words(target_digest)
         base_words = seed_to_words(base_seed)
         rank_ranges = rank_range_by_distance or {}
-        hooks = self.hooks
-        seeds_hashed = 0
         shells: list[ShellStats] = []
-        counters = [0, 0]  # [plan hits, plan misses]
-
-        def batch_done(distance: int, count: int) -> None:
-            nonlocal seeds_hashed
-            seeds_hashed += count
-            if hooks is not None:
-                hooks.on_batch(distance, count)
 
         def shell_done(distance: int, hashed: int, since: float) -> None:
-            shell = ShellStats(distance, hashed, time.perf_counter() - since)
-            shells.append(shell)
-            if hooks is not None:
-                hooks.on_shell_complete(shell)
+            shells.append(
+                ShellStats(distance, hashed, time.perf_counter() - since)
+            )
 
         def result(
             seed: bytes | None = None,
             distance: int | None = None,
             timed_out: bool = False,
         ) -> SearchResult:
-            amortized = None
-            if self._plan_cache is not None:
-                amortized = AmortizationStats(
-                    plan_hits=counters[0],
-                    plan_misses=counters[1],
-                    plan_bytes=self._plan_cache.bytes_in_use,
-                )
             return SearchResult(
                 found=seed is not None,
                 seed=seed,
                 distance=distance,
-                seeds_hashed=seeds_hashed,
+                seeds_hashed=sum(shell.seeds_hashed for shell in shells),
                 elapsed_seconds=time.perf_counter() - start_time,
                 timed_out=timed_out,
                 shells=tuple(shells),
                 engine=self.describe(),
-                amortized=amortized,
             )
 
         # Distance 0: S_init itself (Algorithm 1 l.4-8).
         digest0 = self.algo.hash_seed(base_seed)
-        batch_done(0, 1)
         shell_done(0, 1, start_time)
         if digest0 == target_digest:
             return result(base_seed, 0)
@@ -287,13 +257,12 @@ class BatchSearchExecutor:
                 continue
             shell_start = time.perf_counter()
             shell_hashed = 0
-            for masks in self.mask_batches(distance, lo, hi, counters):
+            for masks in self.mask_batches(distance, lo, hi):
                 candidate_words = base_words[None, :] ^ masks
                 digests = self.algo.hash_seeds_batch(
                     candidate_words, fixed_padding=self.fixed_padding
                 )
                 shell_hashed += candidate_words.shape[0]
-                batch_done(distance, candidate_words.shape[0])
                 matches = np.flatnonzero((digests == target_words).all(axis=1))
                 if matches.size:
                     shell_done(distance, shell_hashed, shell_start)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro._bitutils import seed_to_words
-from repro.engines.hooks import EngineHooks
 from repro.engines.result import SearchResult
 from repro.keygen.batch_aes import aes128_encrypt_batch
 from repro.keygen.batch_chacha20 import chacha20_block_batch
@@ -99,23 +98,15 @@ class BatchOriginalRBCSearch:
     :class:`_CipherResponse`, kept at ``algo``.
     """
 
-    def __init__(
-        self,
-        keygen_name: str = "aes-128",
-        batch_size: int = 8192,
-        hooks: EngineHooks | None = None,
-    ):
+    def __init__(self, keygen_name: str = "aes-128", batch_size: int = 8192):
         if keygen_name not in _CIPHERS:
             raise ValueError(
                 f"no batch kernel for {keygen_name!r}; choices: {BATCH_KEYGEN_CHOICES}"
             )
         self.keygen_name = keygen_name
         self.algo = _CIPHERS[keygen_name]
-        self._executor = BatchSearchExecutor(
-            self.algo, batch_size=batch_size, hooks=hooks
-        )
+        self._executor = BatchSearchExecutor(self.algo, batch_size=batch_size)
         self.batch_size = batch_size
-        self.hooks = hooks
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""

@@ -14,7 +14,8 @@ Two pieces:
 * :class:`UnitCursor` — walks one request's remaining
   :class:`~repro.sched.units.WorkUnit` chunks and serves mask-word
   slices of any requested width, never mixing Hamming distances within
-  a slice (plan-cache aware via the executor's mask pipeline);
+  a slice (plan-cache aware via the executor's mask pipeline; the
+  cache, not the cursor, counts the look-ups);
 * :class:`ContinuousBatcher` — takes the slices the dispatcher
   assembled, runs the fused XOR + hash + compare (:func:`first_matches`,
   here or — for wide batches over shared plans — on the fleet's worker
@@ -65,10 +66,6 @@ class UnitCursor:
         #: Slices returned to the cursor after a device failed mid-batch;
         #: served before anything else so candidate order is preserved.
         self._replay: deque[tuple[int, np.ndarray]] = deque()
-        #: ``[plan hits, plan misses]`` accumulated across all units.
-        self.counters = [0, 0]
-        #: Units whose first slice has been served (chunks_run telemetry).
-        self.units_started = 0
 
     @property
     def exhausted(self) -> bool:
@@ -126,12 +123,11 @@ class UnitCursor:
                     return None
                 unit = self._units.popleft()
                 self._distance = unit.distance
-                self.units_started += 1
                 if unit.distance == 0:
                     self._pending = _ZERO_MASK
                     continue
                 self._batches = self._executor.mask_batches(
-                    unit.distance, unit.lo, unit.hi, self.counters
+                    unit.distance, unit.lo, unit.hi
                 )
             batch = next(self._batches, None)
             if batch is None:

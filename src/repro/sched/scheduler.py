@@ -6,9 +6,11 @@ dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`
 :meth:`~ScheduledSearch.done`, :meth:`~ScheduledSearch.add_done_callback`)
 plus the per-request state the policy orders by (``lane`` / ``deadline`` /
 ``remaining_work`` / ``seq``), the chunk cursor, the device placement and
-the accounting that becomes the result's ``scheduling`` and ``fleet``
-telemetry. There is one ticket class for every fleet size — a ``sched:``
-engine is the one-device fleet.
+the rows and seconds per shell that become the result. What the
+dispatcher did around a request — preemptions, re-dispatched chunks,
+hedges — is counted once, on the dispatcher (``FleetScheduler.snapshot()``),
+not on the ticket. There is one ticket class for every fleet size — a
+``sched:`` engine is the one-device fleet.
 
 Equivalence contract the dispatcher keeps per ticket: a request visits
 candidates in the same order as
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engines.result import FleetStats, SchedulingStats, SearchResult
+from repro.engines.result import SearchResult
 from repro.tenancy.context import DEFAULT_TENANT
 
 from repro.sched.batcher import UnitCursor
@@ -61,9 +63,7 @@ class ScheduledSearch:
         time_budget: float | None,
         expiry: float | None,
         deadline: float | None,
-        deadline_seconds: float | None,
         cursor: UnitCursor,
-        chunks_total: int,
         tenant_id: str = DEFAULT_TENANT,
     ):
         self.seq = seq
@@ -80,30 +80,18 @@ class ScheduledSearch:
         self.expiry = expiry
         #: Absolute client deadline (shed past this), or None.
         self.deadline = deadline
-        self.deadline_seconds = deadline_seconds
         self.cursor = cursor
-        self.chunks_total = chunks_total
         self.remaining_work = expected_work(max_distance)
         #: Promoted into the express lane by starvation-free aging.
         self.aged = False
-        # -- accounting, dispatcher-thread only --
-        self.seeds_hashed = 0
+        # -- rows and seconds per shell committed so far --
         self.shell_hashed: dict[int, int] = {}
         self.shell_seconds: dict[int, float] = {}
-        self.batches = 0
-        self.shared_batches = 0
-        self.preemptions = 0
-        self.first_batch_at: float | None = None
         # -- placement, guarded by the dispatcher's lock --
         #: Current device affinity, or None while parked.
         self.device: FleetDevice | None = None
         #: The unsettled batch carrying this request's chunks, if any.
         self.inflight_batch = None
-        self.batches_by_device: dict[str, int] = {}
-        self.finder_device: str | None = None
-        self.redispatched = 0
-        self.hedged = 0
-        self.reassignments = 0
         # -- completion --
         self._done = threading.Event()
         self._result: SearchResult | None = None
@@ -152,31 +140,3 @@ class ScheduledSearch:
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
-
-    def scheduling_stats(self, now: float) -> SchedulingStats:
-        """This request's :class:`SchedulingStats` as of ``now``."""
-        started = self.first_batch_at
-        return SchedulingStats(
-            lane=self.lane,
-            tenant=self.tenant_id,
-            deadline_seconds=self.deadline_seconds,
-            queue_seconds=(started if started is not None else now)
-            - self.submitted_at,
-            service_seconds=0.0 if started is None else now - started,
-            batches=self.batches,
-            shared_batches=self.shared_batches,
-            preemptions=self.preemptions,
-            chunks_total=self.chunks_total,
-            chunks_run=self.cursor.units_started,
-        )
-
-    def fleet_stats(self) -> FleetStats:
-        """This request's :class:`FleetStats`."""
-        return FleetStats(
-            devices=tuple(sorted(self.batches_by_device)),
-            finder_device=self.finder_device,
-            batches_by_device=tuple(sorted(self.batches_by_device.items())),
-            redispatched_chunks=self.redispatched,
-            hedged_batches=self.hedged,
-            reassignments=self.reassignments,
-        )

@@ -18,7 +18,6 @@ import pytest
 
 from repro._bitutils import flip_bits, positions_to_mask_words, words_to_seed
 from repro.engines import build_engine
-from repro.engines.hooks import TelemetryHooks
 from repro.hashes.batch_sha3 import sha3_256_batch_seeds
 from repro.runtime.executor import ITERATOR_CHOICES, BatchSearchExecutor
 from repro.runtime.maskplan import (
@@ -47,6 +46,20 @@ def _result_fingerprint(result):
     )
 
 
+def _plan_lookups(cache):
+    """``(hits, misses)`` the cache has counted; a bypass is a miss."""
+    stats = cache.stats()
+    return stats["hits"], stats["misses"] + stats["bypasses"]
+
+
+def _lookups_during(cache, search):
+    """``(result, (hits, misses))`` of one search against ``cache``."""
+    hits, misses = _plan_lookups(cache)
+    result = search()
+    after_hits, after_misses = _plan_lookups(cache)
+    return result, (after_hits - hits, after_misses - misses)
+
+
 class TestCachedSearchEquivalence:
     @pytest.mark.parametrize("iterator", ITERATOR_CHOICES)
     def test_cached_and_uncached_results_identical(self, base_seed, iterator):
@@ -58,17 +71,21 @@ class TestCachedSearchEquivalence:
             "sha1", batch_size=512, iterator=iterator,
             cache=True, plan_cache=MaskPlanCache(max_bytes=1 << 22),
         )
-        reference = plain.search(base_seed, target, 2, rank_range_by_distance=ranges)
-        first = cached.search(base_seed, target, 2, rank_range_by_distance=ranges)
-        second = cached.search(base_seed, target, 2, rank_range_by_distance=ranges)
+        def search(engine):
+            return lambda: engine.search(
+                base_seed, target, 2, rank_range_by_distance=ranges
+            )
+
+        reference = search(plain)()
+        plans = cached.plan_cache
+        first, (_hits, first_misses) = _lookups_during(plans, search(cached))
+        second, lookups = _lookups_during(plans, search(cached))
         assert _result_fingerprint(first) == _result_fingerprint(reference)
         assert _result_fingerprint(second) == _result_fingerprint(reference)
         # First search built the plans; the second one reused every slice.
-        assert first.amortized is not None and first.amortized.plan_misses > 0
-        assert second.amortized is not None
-        assert second.amortized.plan_hits == len(ranges) + 1  # d=1 and d=2
-        assert second.amortized.plan_misses == 0
-        assert reference.amortized is None
+        assert first_misses > 0
+        assert lookups == (len(ranges) + 1, 0)  # d=1 and d=2, all hits
+        assert plain.plan_cache is None
 
     @pytest.mark.parametrize("iterator", ITERATOR_CHOICES)
     def test_plan_masks_match_streamed_masks(self, iterator):
@@ -171,17 +188,19 @@ class TestWarmPool:
             mapped = [_mapped_plans(pid) for pid in pids]
             assert all(mapped)  # each worker attached the plans it read
             fd_baseline = len(os.listdir("/proc/self/fd"))
+            plans = engine.scheduler.executor.plan_cache
             for i in range(99):
                 distance = 2 if i % 10 == 0 else 1
                 target = hit_target if i % 2 == 0 else miss_target
-                result = engine.search(base_seed, target, distance)
+                result, (_hits, misses) = _lookups_during(
+                    plans, lambda: engine.search(base_seed, target, distance)
+                )
                 if i % 2 == 0:
                     assert result.found and result.seed == hit_seed
                 else:
                     assert not result.found
                     assert result.seeds_hashed >= 1 + 256
-                assert result.amortized is not None
-                assert result.amortized.plan_misses == 0
+                assert misses == 0
             assert workers.spawned == 2 and workers.pids() == pids
             assert workers.batches > 0
             # Attachments are memoized: the same segments, mapped once.
@@ -317,19 +336,22 @@ class TestSatellites:
                 assert digests[i].tobytes() == expected
 
     def test_telemetry_hooks_accumulate_amortization(self, base_seed):
-        """Plan-cache telemetry rides on the result, beside the hooks' counts."""
-        hooks = TelemetryHooks()
+        """The plan cache counts each search's look-ups; the results count
+        the seeds."""
+        cache = MaskPlanCache()
         executor = BatchSearchExecutor(
-            "sha1", batch_size=1024, hooks=hooks,
-            cache=True, plan_cache=MaskPlanCache(),
+            "sha1", batch_size=1024, cache=True, plan_cache=cache
         )
         target = hashlib.sha1(b"no such seed").digest()
-        cold = executor.search(base_seed, target, 1)
-        warm = executor.search(base_seed, target, 1)
-        assert (cold.amortized.plan_hits, cold.amortized.plan_misses) == (0, 1)
-        assert (warm.amortized.plan_hits, warm.amortized.plan_misses) == (1, 0)
-        assert warm.amortized.plan_bytes > 0
-        assert hooks.snapshot()["seeds_hashed"] == 2 * (1 + 256)
+
+        def search():
+            return executor.search(base_seed, target, 1)
+
+        cold, cold_lookups = _lookups_during(cache, search)
+        warm, warm_lookups = _lookups_during(cache, search)
+        assert (cold_lookups, warm_lookups) == ((0, 1), (1, 0))
+        assert cache.bytes_in_use > 0
+        assert cold.seeds_hashed + warm.seeds_hashed == 2 * (1 + 256)
 
     def test_warm_option_prebuilds_plans(self, base_seed):
         cache = MaskPlanCache()
@@ -339,7 +361,7 @@ class TestSatellites:
         assert executor.cache  # warm implies cache
         assert cache.misses == 1  # the d=1 full-range plan
         target = hashlib.sha1(b"no such seed").digest()
-        result = executor.search(base_seed, target, 1)
-        assert result.amortized is not None
-        assert result.amortized.plan_hits == 1
-        assert result.amortized.plan_misses == 0
+        _result, lookups = _lookups_during(
+            cache, lambda: executor.search(base_seed, target, 1)
+        )
+        assert lookups == (1, 0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -307,10 +308,11 @@ class TestServerMetricsRecord:
                        failed=1, search_seconds=0.5)
         metrics.record(rejected_busy=1, rejected_duplicate=2,
                        seeds_hashed=257, shells_completed=2)
-        metrics.record(plan_hits=4, plan_misses=1)
-        metrics.record(preempted=1, queue_depth=5)
+        metrics.record(queue_depth=5)
         metrics.record(queue_depth=3)  # gauge: peak is kept, not summed
-        metrics.record(redispatched=3, hedged=2)
+        # What the dispatcher did is read off it, never recorded here.
+        with pytest.raises(TypeError, match="hedged"):
+            metrics.record(hedged=2)
         metrics.record(directory_hot_hits=4, directory_hot_misses=2,
                        directory_failovers=1, directory_read_repairs=2)
         metrics.record_shed("deadline_expired")
@@ -331,13 +333,13 @@ class TestServerMetricsRecord:
             "total_search_seconds": 0.5,
             "seeds_hashed": 257,
             "shells_completed": 2,
-            "plan_hits": 4,
-            "plan_misses": 1,
+            "plan_hits": 0,
+            "plan_misses": 0,
             "shed": 4,
-            "preempted": 1,
+            "preempted": 0,
             "queue_depth_peak": 5,
-            "redispatched": 3,
-            "hedged": 2,
+            "redispatched": 0,
+            "hedged": 0,
             "directory_hot_hits": 4,
             "directory_hot_misses": 2,
             "directory_failovers": 1,
@@ -434,6 +436,50 @@ class TestServerMetricsRecord:
         assert quota_hits == metrics.shed_breakdown()["tenant_quota"]
         for stats in per_tenant.values():
             assert stats["p99_seconds"] == pytest.approx(0.001)
+
+
+#: The metrics frame's counter names, in ``ServerMetrics.snapshot()``
+#: order, as the ladder and the deploy storm read them.
+PARENT_COUNTER_NAMES = (
+    "submitted", "completed", "authenticated", "failed", "rejected_busy",
+    "rejected_duplicate", "total_search_seconds", "seeds_hashed",
+    "shells_completed", "plan_hits", "plan_misses", "shed", "preempted",
+    "queue_depth_peak", "redispatched", "hedged", "directory_hot_hits",
+    "directory_hot_misses", "directory_failovers", "directory_read_repairs",
+    "shed_directory", "shed_tenant_quota", "enrollments",
+    "recovered_records", "recovery_seconds",
+)
+
+
+class TestMetricsFrame:
+    def test_counters_the_ladder_reads_cross_the_wire(self, fleet_authority):
+        """The same depth-1 authentication twice over TCP, on a dispatcher
+        whose plan cache is on: each adds the rows it hashed, and the
+        second reuses the first's plans."""
+        from repro.net.client import NetworkClient
+
+        authority, clients = fleet_authority
+        client_id, device, mask = clients[0]
+        assert authority.search_service.engine.scheduler.executor.cache
+        concurrent = ConcurrentCAServer(authority)
+        with SocketCAServer(concurrent) as server:
+            with SocketTransport(server.host, server.port) as transport:
+                remote = RemoteCAServer(transport)
+                scrapes = [remote.fetch_metrics().counters]
+                for _ in range(2):
+                    reply = NetworkClient(
+                        device, transport, reference_mask=mask
+                    ).authenticate(remote)
+                    assert reply.authenticated and reply.distance == 1
+                    scrapes.append(remote.fetch_metrics().counters)
+        assert list(concurrent.metrics.snapshot()) == list(PARENT_COUNTER_NAMES)
+        # The frame is canonical JSON: the same names, sorted.
+        assert list(scrapes[-1]) == sorted(PARENT_COUNTER_NAMES)
+        hashed = [counters["seeds_hashed"] for counters in scrapes]
+        # d = 0, then the whole d = 1 shell (one batch) where it was found.
+        assert [b - a for a, b in zip(hashed, hashed[1:])] == [1 + 256] * 2
+        assert scrapes[-1]["plan_hits"] >= 1
+        assert scrapes[-1]["completed"] == 2
 
 
 class TestAdmissionControlUnderConcurrency:
@@ -556,3 +602,57 @@ class TestFleetBackedServer:
         snapshot = server.metrics.snapshot()
         assert snapshot["authenticated"] == len(results)
         assert snapshot["queue_depth_peak"] >= 1
+
+    def test_hedged_counts_hedges_not_the_requests_they_carried(
+        self, fleet_authority
+    ):
+        """``hedged`` and ``redispatched`` are the dispatcher's own counts:
+        one hedged batch carrying two requests is one hedge, not two."""
+        from repro.fleet import FleetSearchEngine
+        from repro.storm import set_device_alive
+
+        authority, clients = fleet_authority
+        fleet = FleetSearchEngine(
+            "host", "slow-host", hash_name="sha1", batch_size=4096,
+            chunk_ranks=8192, slow_factor=30.0, hedge_factor=1.0,
+            hedge_min_seconds=0.02,
+        )
+        dispatcher = fleet.scheduler
+        authority.search_service = RBCSearchService(fleet, max_distance=2)
+        # One search starts the monitor; then host-0 goes dark, so both
+        # requests below are placed on the straggler.
+        assert fleet.search(b"\x01" * 32, fleet.algo.hash_seed(b"\x01" * 32), 0)
+        assert set_device_alive(dispatcher, "host-0", False)
+        straggler = dispatcher.device("slow-host-1")
+        run_batch = straggler.run_batch
+        shared, release = threading.Event(), threading.Event()
+
+        def held(slices):
+            # The straggler's first batch carrying both requests stays in
+            # flight until host-0 is back and has hedged it.
+            if len(slices) >= 2:
+                shared.set()
+                release.wait(timeout=30)
+            return run_batch(slices)
+
+        straggler.run_batch = held
+        with ConcurrentCAServer(authority, scheduler=fleet) as server:
+            futures = [
+                server.submit(client_id, b"\x00" * 20)
+                for client_id, _device, _mask in clients[:2]
+            ]
+            assert shared.wait(timeout=30)
+            assert set_device_alive(dispatcher, "host-0", True)
+            deadline = time.monotonic() + 30
+            while (
+                dispatcher.snapshot()["hedges_launched"] == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            release.set()
+            results = [f.result(timeout=120) for f in futures]
+        assert not any(r.authenticated or r.timed_out for r in results)
+        counters, fleet_counts = server.metrics.snapshot(), dispatcher.snapshot()
+        assert fleet_counts["hedges_launched"] >= 1
+        assert counters["hedged"] == fleet_counts["hedges_launched"]
+        assert counters["redispatched"] == fleet_counts["redispatched_chunks"]

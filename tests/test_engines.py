@@ -1,7 +1,7 @@
 """The unified engine stack: registry, wrappers, one result type.
 
 Covers the spec grammar and option aliasing, wrapper geometry
-forwarding (including nested stacks), telemetry hooks, and — the heart
+forwarding (including nested stacks), and — the heart
 of it — an engine-equivalence matrix: every registered engine must find the same
 planted seed at the same distance, and a zero time budget must yield
 ``timed_out=True`` uniformly when the target is absent.
@@ -15,10 +15,8 @@ from repro.engines import (
     DEFAULT_BATCH_SIZE,
     EngineConfig,
     EngineWrapper,
-    NullHooks,
     SearchResult,
     ShellStats,
-    TelemetryHooks,
     build_engine,
     describe_engine,
     engine_entries,
@@ -308,33 +306,6 @@ class TestWrapperGeometry:
         result = bound.search(BASE_SEED, target, 1)
         assert result.found and result.seed == client_seed
         assert result.engine is not None and "nonce-bound" in result.engine
-
-
-class TestHooks:
-    def test_telemetry_matches_result(self):
-        hooks = TelemetryHooks()
-        engine = build_engine("batch:sha1,bs=4096", hooks=hooks)
-        client_seed = flip_bits(BASE_SEED, [4, 200])
-        result = engine.search(
-            BASE_SEED, engine_target(engine, client_seed), 2
-        )
-        snap = hooks.snapshot()
-        assert snap["seeds_hashed"] == result.seeds_hashed
-        assert snap["shells_completed"] == len(result.shells)
-        assert snap["seeds_by_distance"][0] == 1
-        assert sum(snap["seeds_by_distance"].values()) == result.seeds_hashed
-
-    def test_hooks_fire_across_engines(self):
-        for spec in ("parallel:sha1,w=2,bs=4096", CLUSTER_SPEC):
-            hooks = TelemetryHooks()
-            engine = build_engine(spec, hooks=hooks)
-            engine.search(BASE_SEED, engine_target(engine, BASE_SEED), 1)
-            assert hooks.snapshot()["shells_completed"] > 0
-
-    def test_null_hooks_are_inert(self):
-        hooks = NullHooks()
-        hooks.on_batch(1, 256)
-        hooks.on_shell_complete(ShellStats(1, 256, 0.1))
 
 
 class TestMergeShells:

@@ -23,7 +23,7 @@ import pytest
 
 from repro._bitutils import SEED_BITS, flip_bits, seed_to_words, words_to_seed
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
-from repro.engines import TelemetryHooks, build_engine, engine_target
+from repro.engines import build_engine, engine_target
 from repro.fleet import (
     DEVICE_WEIGHTS,
     FleetDevice,
@@ -253,14 +253,12 @@ class TestFleetCore:
     def test_fleet_stats_attached_to_results(self, engine):
         client_seed = _planted(1, np.random.default_rng(3))
         target = engine_target(engine, client_seed)
-        result = engine.search(BASE_SEED, target, 2)
-        stats = result.fleet
-        assert stats is not None
+        assert engine.search(BASE_SEED, target, 2).found
+        snapshot = engine.scheduler.snapshot()
         names = {d.name for d in engine.scheduler.devices}
-        assert stats.finder_device in names
-        assert set(dict(stats.batches_by_device)) <= names
-        assert sum(dict(stats.batches_by_device).values()) >= 1
-        assert stats.redispatched_chunks == 0
+        assert set(snapshot["devices"]) == names
+        assert sum(d["batches"] for d in snapshot["devices"].values()) >= 1
+        assert snapshot["redispatched_chunks"] == 0
 
     def test_kill_mid_search_redispatches_onto_survivor(self, engine):
         """The tentpole invariant: orphaned chunks replay, result intact."""
@@ -276,7 +274,6 @@ class TestFleetCore:
         assert result.timed_out is False
         snapshot = engine.scheduler.snapshot()
         assert snapshot["redispatched_chunks"] > 0
-        assert result.fleet.redispatched_chunks > 0
         assert snapshot["quarantines"] >= 1
 
     def test_whole_fleet_dark_sheds_with_typed_reason(self):
@@ -397,7 +394,6 @@ class TestHedging:
         # the launches but their sum is not.
         assert snapshot["hedge_wins"] <= snapshot["hedges_launched"]
         assert snapshot["hedges_cancelled"] <= snapshot["hedges_launched"]
-        assert result.fleet.hedged_batches >= 1
 
 
 class TestFleetClose:
@@ -446,11 +442,12 @@ class TestFleetClose:
         "spec", ["fleet:host,hash=sha1,bs=4096", "sched:sha1,bs=4096"]
     )
     def test_dying_dispatcher_thread_sheds_instead_of_hanging(self, spec):
-        class ExplodingHooks(TelemetryHooks):
-            def on_batch(self, distance, rows):
-                raise RuntimeError("hook blew up")
+        def exploding_kernel(slices):
+            raise RuntimeError("kernel blew up")  # not a DeviceFailure
 
-        engine = build_engine(spec, hooks=ExplodingHooks())
+        engine = build_engine(spec)
+        for device in engine.scheduler.devices:
+            device.batcher.run = exploding_kernel
         absent = engine_target(engine, RNG.bytes(32))
         ticket = engine.submit(BASE_SEED, absent, 1, client_id="orphan")
         with pytest.raises(RequestShed) as excinfo:
@@ -629,18 +626,21 @@ class TestWorkerEquivalence:
             assert engine.worker_set.batches == 0
 
 
-class _KillAWorkerOnce(TelemetryHooks):
-    """SIGKILLs one worker process as the first shell-2 batch commits."""
+class _KillAWorkerOnce:
+    """Wraps a device's ``batcher.run``: SIGKILLs one of the engine's
+    worker processes as the first shell-2 batch reaches the kernel."""
 
-    def __init__(self):
-        super().__init__()
-        self.engine = None
+    def __init__(self, engine, device):
+        self.engine = engine
+        self.run = device.batcher.run
         self.killed = None
+        device.batcher.run = self
 
-    def on_batch(self, distance, rows):
-        if distance == 2 and self.killed is None:
+    def __call__(self, slices):
+        if self.killed is None and any(s.distance == 2 for s in slices):
             self.killed = self.engine.worker_set.pids()[0]
             os.kill(self.killed, signal.SIGKILL)
+        return self.run(slices)
 
 
 _ORPHAN_SCRIPT = """
@@ -697,28 +697,27 @@ def _spawn(script):
 
 class TestWorkerLoss:
     def test_killed_worker_is_a_device_failure_then_replaced(self):
-        hooks = _KillAWorkerOnce()
         reference = build_engine("batch:sha3-256,bs=2048,cache=yes")
         engine = FleetSearchEngine(
-            "host", hash_name="sha3-256", batch_size=2048, hooks=hooks,
-            workers=2,
+            "host", hash_name="sha3-256", batch_size=2048, workers=2,
         )
-        hooks.engine = engine
+        [device] = engine.scheduler.devices
+        kill = _KillAWorkerOnce(engine, device)
         try:
             absent = engine_target(engine, RNG.bytes(32))
             result = engine.search(BASE_SEED, absent, 2)
             expected = reference.search(BASE_SEED, absent, 2)
-            assert hooks.killed is not None
+            assert kill.killed is not None
             # Every candidate was still hashed, each counted once.
             assert _fingerprint(result) == _fingerprint(expected)
-            assert result.fleet.redispatched_chunks >= 1
             snapshot = engine.scheduler.snapshot()
+            assert snapshot["redispatched_chunks"] >= 1
             assert snapshot["quarantines"] >= 1
             # Probation's probe forked the replacement: full strength.
             pids = engine.worker_set.pids()
-            assert len(pids) == 2 and hooks.killed not in pids
+            assert len(pids) == 2 and kill.killed not in pids
             assert engine.worker_set.spawned == 3
-            assert not _alive(hooks.killed)
+            assert not _alive(kill.killed)
         finally:
             engine.close()
 
