@@ -7,7 +7,7 @@ Two claims behind :mod:`repro.fleet`, measured on the real kernel:
   alternating exhaustive sweeps, is the gated reading
   (``worker_scaling_ratio``). The two-device ``scaling_ratio`` on the
   planted workload is recorded but not gated — both devices hash on the
-  one worker set, so with warm mask plans it reads 1.0x by construction.
+  one worker set, so warm it reads 1.0x by construction.
   The hard gates are the protocol ones: zero lost requests and zero
   false authentications, re-verified by re-hashing every found seed.
 

@@ -58,18 +58,10 @@ def _one_host(
 
     def build(**given: Any) -> FleetSearchEngine:
         engine = FleetSearchEngine("host", **{"batch_size": batch_size, **given})
-        executor = engine.scheduler.executor
         spec = f"{name}:{engine.hash_name}"
         if workers:
             spec += f",workers={engine.workers}"
-        spec += f",bs={engine.batch_size}"
-        if executor.iterator != "unrank":
-            spec += f",it={executor.iterator}"
-        if not executor.cache:
-            spec += ",cache=no"
-        if executor.warm:
-            spec += f",warm={executor.warm}"
-        engine.scheduler.spec_string = spec
+        engine.scheduler.spec_string = spec + f",bs={engine.batch_size}"
         return engine
 
     build.__signature__ = inspect.Signature(  # type: ignore[attr-defined]
@@ -85,7 +77,7 @@ register_engine(
 register_engine(
     "pool",
     description="One host device hashing on `workers` pinned processes "
-    "that read the shared mask plans",
+    "that make their own candidates",
     aliases={"w": "workers"},
 )(_one_host("pool", batch_size=16384, workers=True))
 register_engine(

@@ -3,8 +3,8 @@
 :class:`FleetScheduler` turns concurrent authentication requests into a
 shared, continuously-batched work stream. Each submission is decomposed
 into shell chunks (:mod:`repro.sched.units`), admitted or shed by the
-policy (:mod:`repro.sched.policy`), and served chunk-slice by
-chunk-slice through each device's fused batcher
+policy (:mod:`repro.sched.policy`), and served rank range by rank range
+through each device's fused batcher
 (:mod:`repro.sched.batcher`) — one dispatcher thread *per device* plus
 a monitor thread. A request retires the moment its seed is found (its
 remaining chunks are simply dropped — the per-request early exit), when
@@ -145,8 +145,7 @@ class FleetScheduler:
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
         self.devices: tuple[FleetDevice, ...] = tuple(devices)
-        #: Shared mask/plan pipeline; masks are pure combinatorics, so
-        #: one executor feeds every device's cursor identically.
+        #: The hash and batch width every device's cursor is cut to.
         self._executor = executor
         self.chunk_ranks = chunk_ranks
         self.max_queue = max_queue
@@ -198,7 +197,7 @@ class FleetScheduler:
 
     @property
     def executor(self) -> BatchSearchExecutor:
-        """The shared mask/plan pipeline behind every device cursor."""
+        """The hash and batch width behind every device cursor."""
         return self._executor
 
     @property
@@ -316,7 +315,7 @@ class FleetScheduler:
                 deadline=(
                     None if deadline_seconds is None else now + deadline_seconds
                 ),
-                cursor=UnitCursor(self._executor, units),
+                cursor=UnitCursor(units, self.batch_size),
                 tenant_id=tenant_id,
             )
             request.device = self._place_locked()
@@ -497,17 +496,18 @@ class FleetScheduler:
             if taken is None:
                 drained.append(request)
                 continue
-            distance, masks = taken
+            distance, lo, hi = taken
             slices.append(
                 BatchSlice(
                     key=request,
                     distance=distance,
-                    masks=masks,
+                    lo=lo,
+                    hi=hi,
                     base_words=request.base_words,
                     target_words=request.target_words,
                 )
             )
-            room -= masks.shape[0]
+            room -= hi - lo
         for request in drained:
             self._active.remove(request)
         if not slices:
@@ -678,7 +678,7 @@ class FleetScheduler:
         inflight.settled = True
         for piece in reversed(inflight.slices):
             request: ScheduledSearch = piece.key  # type: ignore[assignment]
-            request.cursor.push_back(piece.distance, piece.masks)
+            request.cursor.push_back(piece.distance, piece.lo, piece.hi)
             self._redispatched += 1
         for request in inflight.requests:
             request.inflight_batch = None

@@ -14,7 +14,8 @@ The host's cores belong to the engine, not to a device: one
 :class:`~repro.fleet.workers.WorkerSet`, sized to the process's cpuset
 and forked here before any dispatcher thread exists, hashes the wide
 batches of every device (a modeled ``gpu`` or a second ``host`` is still
-this machine).
+this machine). A batch is rank ranges; the candidates are made where
+they are hashed, so the engine keeps no mask plans.
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
@@ -113,10 +114,7 @@ class FleetSearchEngine:
         *devices: str,
         hash_name: str = "sha3-256",
         batch_size: int = 8192,
-        iterator: str = "unrank",
         fixed_padding: bool = True,
-        cache: bool = True,
-        warm: int = 0,
         chunk_ranks: int = DEFAULT_CHUNK_RANKS,
         max_queue: int = 256,
         deep_distance: int = 3,
@@ -137,10 +135,7 @@ class FleetSearchEngine:
         executor = BatchSearchExecutor(
             hash_name=hash_name,
             batch_size=batch_size,
-            iterator=iterator,
             fixed_padding=fixed_padding,
-            cache=cache,
-            warm=warm,
         )
         policy = SchedulingPolicy(
             PolicyConfig(

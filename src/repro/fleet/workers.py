@@ -7,10 +7,11 @@ This module is the one place ``src/repro`` keeps long-lived ones: a
 pins worker *i* to the *i*-th CPU of the process's cpuset (unpinned, the
 kernel's wake-affine placement tends to stack the wakees next to the
 waker, and two workers read 1.2-1.6x where pinned ones read 1.8-1.9x —
-E-CORES), and has each block on its own pipe. The mask plans stay where they are, in the shared-memory
-segments of :mod:`repro.runtime.maskplan`; what crosses a pipe is
-``(plan descriptor, row range, base words, target words)`` one way and
-``first matching row | none`` the other.
+E-CORES), and has each block on its own pipe. What crosses a pipe is
+``(distance, rank lo, rank hi, base words, target words)`` one way and
+``first matching row | none`` the other: a worker makes its own
+candidates (:func:`repro.runtime.maskplan.candidates`) from the mask
+table the set builds before it forks.
 
 One fused batch is on the workers at a time: the cores are the resource,
 so a second device's batch queues behind the first. A worker that dies
@@ -27,44 +28,28 @@ import multiprocessing as mp
 import os
 import signal
 import threading
-from collections import OrderedDict
-from collections.abc import Callable, Sequence
-from multiprocessing import resource_tracker
+from collections.abc import Sequence
 from multiprocessing.connection import Connection
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 
 from repro.hashes.registry import HashAlgorithm
-from repro.runtime.maskplan import (
-    MaskPlan,
-    PlanDescriptor,
-    attach_plan,
-    detach_plan,
-)
+from repro.runtime.maskplan import mask_tables
 from repro.runtime.partition import partition_ranks
 from repro.sched.batcher import first_matches
 
 __all__ = ["SPLIT_MIN_ROWS", "WorkerLost", "WorkerSet", "default_worker_count"]
 
-#: Shared rows a fused batch needs before it is split over the workers.
+#: Rows a fused batch needs before it is split over the workers.
 #: Scatter, two wake-ups and gather cost ≈ 0.2 ms, which SHA3-256 — the
 #: serving hash — earns back between 512 and 1 024 rows (EXPERIMENTS.md,
 #: E-CORES); a depth-0 probe (one row) or a d=1 shell (256) never pays it.
 SPLIT_MIN_ROWS = 1024
 
-#: Shared-plan mappings each worker keeps across batches.
-_ATTACH_CACHE = 64
-
-#: A worker's answer for a piece whose plan it could not map (evicted
-#: since dispatch); real answers are a row or ``None``.
-_UNMAPPED = -1
-
-#: What the set is asked to scan: ``(descriptor, first row of the plan,
-#: the same rows as mapped here, base words, target words)``.
-Job = tuple[PlanDescriptor, int, np.ndarray, np.ndarray, np.ndarray]
-
-_T = TypeVar("_T")
+#: What the set is asked to scan: ``(distance, rank lo, rank hi, base
+#: words, target words)``.
+Job = tuple[int, int, int, np.ndarray, np.ndarray]
 
 
 def default_worker_count() -> int:
@@ -91,7 +76,7 @@ def _serve(
     cpu: int | None,
     inherited: Sequence[Connection],
 ) -> None:
-    """A worker's life: map, hash, answer; leave when the pipe closes."""
+    """A worker's life: make, hash, answer; leave when the pipe closes."""
     # The parent ends forked into this process would otherwise keep the
     # siblings' pipes (and this one) open after the parent is gone.
     for end in inherited:
@@ -104,40 +89,12 @@ def _serve(
             os.sched_setaffinity(0, {cpu})
         except OSError:
             pass  # a cpuset that forbids it: slower unpinned, still right
-    attached: OrderedDict[str, MaskPlan] = OrderedDict()
-
-    def rows_of(descriptor: PlanDescriptor, lo: int, hi: int) -> np.ndarray | None:
-        plan = attached.get(descriptor.shm_name)
-        if plan is None:
-            plan = attach_plan(descriptor)
-            if plan is None:
-                return None
-            attached[descriptor.shm_name] = plan
-            while len(attached) > _ATTACH_CACHE:
-                detach_plan(attached.popitem(last=False)[1])
-        else:
-            attached.move_to_end(descriptor.shm_name)
-        return plan.masks[lo:hi]
-
     while True:
         try:
             pieces = conn.recv()
         except (EOFError, OSError):
             return
-        rows = [rows_of(descriptor, lo, hi) for descriptor, lo, hi, _b, _t in pieces]
-        hits = iter(
-            first_matches(
-                algo,
-                fixed_padding,
-                [
-                    (masks, base_words, target_words)
-                    for masks, (_d, _lo, _hi, base_words, target_words)
-                    in zip(rows, pieces, strict=True)
-                    if masks is not None
-                ],
-            )
-        )
-        conn.send([_UNMAPPED if masks is None else next(hits) for masks in rows])
+        conn.send(first_matches(algo, fixed_padding, pieces))
 
 
 def _cut(rows: Sequence[int], parts: int) -> list[list[tuple[int, int, int]]]:
@@ -164,7 +121,7 @@ class _Worker:
 
 
 class WorkerSet:
-    """``workers`` pinned processes that scan row ranges of shared plans.
+    """``workers`` pinned processes that scan rank ranges.
 
     ``workers=None`` sizes the set to the cpuset; ``workers=1`` (or a
     one-CPU cpuset) forks nothing — the device thread is the one core,
@@ -190,9 +147,9 @@ class WorkerSet:
         self._closed = False
         self._slots: list[_Worker | None] = [None] * self.workers
         if self.splits:
-            # Before the fork, so that every worker inherits this
-            # process's resource tracker (see ``attach_plan``).
-            resource_tracker.ensure_running()
+            # Before the fork, so that the workers share this process's
+            # pages of the table instead of each building its own.
+            mask_tables()
             self.revive()
 
     @property
@@ -201,8 +158,8 @@ class WorkerSet:
         return self.workers > 1
 
     def worth_splitting(self, rows: int) -> bool:
-        """Whether ``rows`` shared rows hash sooner over the workers than
-        on the calling thread."""
+        """Whether ``rows`` rows hash sooner over the workers than on the
+        calling thread."""
         return self.splits and rows >= SPLIT_MIN_ROWS
 
     # -- processes ------------------------------------------------------
@@ -262,26 +219,23 @@ class WorkerSet:
 
     # -- one fused batch ------------------------------------------------
 
-    def scan(
-        self, jobs: Sequence[Job], meanwhile: Callable[[], _T]
-    ) -> tuple[list[int | None], _T]:
-        """First matching row of each job, the batch cut over the workers.
+    def scan(self, jobs: Sequence[Job]) -> list[int | None]:
+        """First matching row (from its ``lo``) of each job, the batch cut
+        over the workers.
 
-        The jobs' rows, laid end to end, are cut into one contiguous
+        The jobs' ranks, laid end to end, are cut into one contiguous
         range per worker; a job's answer is its lowest matching row in
         the lowest range — the row one in-order scan would have found.
-        ``meanwhile()`` runs here, between scatter and gather, for what
-        the caller hashes itself; its value is returned beside the rows.
         Raises :class:`WorkerLost` if a worker is missing or dies.
         """
-        shares = _cut([job[2].shape[0] for job in jobs], self.workers)
+        shares = _cut([hi - lo for _d, lo, hi, _b, _t in jobs], self.workers)
         scattered = []
         for share in shares:
             pieces = []
             for job, lo, hi in share:
-                descriptor, first, _rows, base_words, target_words = jobs[job]
+                distance, first, _hi, base_words, target_words = jobs[job]
                 pieces.append(
-                    (descriptor, first + lo, first + hi, base_words, target_words)
+                    (distance, first + lo, first + hi, base_words, target_words)
                 )
             scattered.append(pieces)
         with self._lock:
@@ -298,34 +252,22 @@ class WorkerSet:
                 except (OSError, ValueError):
                     lost.append(index)
             replies: list[list[int | None]] = [[] for _ in workers]
-            try:
-                aside = meanwhile()
-            finally:
-                # Gather whatever was scattered, even on the way out of
-                # an exception: an unread reply would answer the next batch.
-                for index, worker in enumerate(workers):
-                    if index not in lost:
-                        try:
-                            replies[index] = worker.conn.recv()
-                        except (EOFError, OSError):
-                            lost.append(index)
-                for index in lost:
-                    self._drop_locked(index)
+            for index, worker in enumerate(workers):
+                if index not in lost:
+                    try:
+                        replies[index] = worker.conn.recv()
+                    except (EOFError, OSError):
+                        lost.append(index)
+            for index in lost:
+                self._drop_locked(index)
             if lost:
                 raise WorkerLost(f"worker(s) {sorted(lost)} died mid-batch")
         found: list[int | None] = [None] * len(jobs)
         for share, reply in zip(shares, replies, strict=True):
-            for (job, lo, hi), row in zip(share, reply, strict=True):
-                if row == _UNMAPPED:
-                    _d, _first, rows, base_words, target_words = jobs[job]
-                    (row,) = first_matches(
-                        self.algo,
-                        self.fixed_padding,
-                        [(rows[lo:hi], base_words, target_words)],
-                    )
+            for (job, lo, _hi), row in zip(share, reply, strict=True):
                 if row is not None and found[job] is None:
                     found[job] = lo + row
-        return found, aside
+        return found
 
     # -- lifecycle ------------------------------------------------------
 

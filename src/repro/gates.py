@@ -569,9 +569,9 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
 
     algo = get_hash(args.hash_name)
     workload = planted(algo, args.requests, args.depths, args.seed)
-    # One discarded pass builds the mask plans, so that both timed
-    # sections below read them warm instead of the first one paying
-    # (which read as a 1.3-1.6x two-device "speed-up").
+    # One discarded pass first, so that both timed sections below run
+    # warm instead of the first one paying the process's first-use
+    # costs (which once read as a 1.3-1.6x two-device "speed-up").
     _serve_on_fleet(("host",), workload, algo, args)
     single = _serve_on_fleet(("host",), workload, algo, args)
     dual = _serve_on_fleet(("host", "host"), workload, algo, args)
@@ -1164,14 +1164,14 @@ def _amortization_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _amortization_run(args: argparse.Namespace) -> Outcome:
-    """Cold (worker fork + plan build) vs warm (both reused) on ``pool:``."""
+    """Cold (worker forks + the first search) vs warm (workers reused) on
+    ``pool:``."""
     import numpy as np
 
     from repro._bitutils import flip_bits
     from repro.engines import build_engine
     from repro.fleet.workers import default_worker_count
     from repro.hashes.registry import get_hash
-    from repro.runtime.maskplan import global_plan_cache
 
     workers = args.workers if args.workers is not None else default_worker_count()
     geometry = {
@@ -1192,23 +1192,18 @@ def _amortization_run(args: argparse.Namespace) -> Outcome:
         missed += not (result.found and result.seed == client_seed)
         return result
 
-    # Cold is what a first request pays: the forks, then every plan.
-    global_plan_cache().clear()
+    # Cold is what a first request pays: the forks, then its search.
     start = time.perf_counter()
     engine = build_engine("pool", **geometry)
-    plans = engine.scheduler.executor.plan_cache
     try:
-        before = plans.stats()
         cold = search(engine)
         cold_seconds = time.perf_counter() - start
         forked_cold = engine.worker_set.spawned
         warm_hashed = 0
         start = time.perf_counter()
         for _ in range(args.searches):
-            before = plans.stats()
             warm_hashed += search(engine).seeds_hashed
         warm_seconds = time.perf_counter() - start
-        after = plans.stats()
         forked = engine.worker_set.spawned
     finally:
         engine.close()
@@ -1232,12 +1227,6 @@ def _amortization_run(args: argparse.Namespace) -> Outcome:
         "warm_over_cold": warm_hps / cold_hps,
         "parallel_hashes_per_second": parallel_hps,
         "amortized": {
-            # The plan cache's own count over the last search (a bypassed
-            # plan is a miss), and the bytes it holds after it.
-            "plan_hits": after["hits"] - before["hits"],
-            "plan_misses": after["misses"] + after["bypasses"]
-            - before["misses"] - before["bypasses"],
-            "plan_bytes": after["bytes_in_use"],
             # From the worker set's own count: processes forked over the
             # engine's life, and whether the warm searches forked any.
             "pool_searches": 1 + args.searches,
@@ -1263,7 +1252,7 @@ def _amortization_render(record: Record) -> str:
         "Amortized pipeline — cold vs. warm search throughput",
         f"  engine: pool:{config['hash_name']},workers={metrics['workers']},"
         f"bs={config['batch_size']}  (d <= {config['max_distance']})",
-        "  cold (fork + plan build): "
+        "  cold (forks, 1st search): "
         f"{metrics['cold_hashes_per_second']:>12,.0f} H/s "
         f"({metrics['cold_seconds']:.3f}s)",
         f"  warm (steady state, n={config['searches']}): "
@@ -1277,9 +1266,8 @@ def _amortization_render(record: Record) -> str:
             f"{metrics['parallel_hashes_per_second']:>12,.0f} H/s"
         )
     lines.append(
-        f"  last search: plan_hits={stats['plan_hits']} "
-        f"plan_misses={stats['plan_misses']} "
-        f"plan_bytes={stats['plan_bytes']:,} "
+        f"  pool: searches={stats['pool_searches']} "
+        f"reused={stats['pool_reused']} "
         f"workers_spawned={stats['workers_spawned']}"
     )
     return "\n".join(lines)

@@ -15,8 +15,8 @@ honored with EDF lanes and shedding), and one settle function that does
 the typed-refusal accounting, issues the key, counts the
 :class:`~repro.engines.result.SearchResult`'s seeds and shells and
 builds the :class:`~repro.net.messages.AuthenticationResult`. What the
-dispatcher and its mask-plan cache did is not re-summed from results:
-:class:`ServerMetrics` reads their own counters.
+dispatcher did is not re-summed from results: :class:`ServerMetrics`
+reads its own counters.
 :meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
 same path behind the Figure 1 message surface.
 """
@@ -72,10 +72,6 @@ _COUNTERS = (
     # candidate seeds hashed and Hamming shells completed.
     "seeds_hashed",
     "shells_completed",
-    # Mask-plan cache look-ups since the server opened (a bypassed,
-    # oversized plan is a miss; zero without a cache).
-    "plan_hits",
-    "plan_misses",
     # Requests shed (typed refusals), primary-request preemptions, the
     # deepest front-door queue observed, chunks replayed on a survivor
     # after a device failure, and hedges launched onto an idle device.
@@ -106,14 +102,14 @@ _COUNTERS = (
     "recovery_seconds",
 )
 
-#: Counters the door does not keep: the plan pair is read off the served
-#: dispatcher's plan cache, the rest off its ``snapshot()`` under these keys.
+#: Counters the door does not keep: read off the served dispatcher's
+#: ``snapshot()`` under these keys.
 _DISPATCHER_KEYS = {
     "preempted": "preempted",
     "redispatched": "redispatched_chunks",
     "hedged": "hedges_launched",
 }
-_READ = frozenset(_DISPATCHER_KEYS) | {"plan_hits", "plan_misses"}
+_READ = frozenset(_DISPATCHER_KEYS)
 
 #: Counters :meth:`ServerMetrics.record` may increment by name. The rest
 #: are read (``_READ``) or have their own write path (``search_seconds``
@@ -138,10 +134,9 @@ class ServerMetrics:
     (per-reason shed counts, written only by :meth:`record_shed`, which
     also increments ``shed`` — the two can never drift apart) and
     ``tenants`` (the per-tenant ledger fed by the same ``record`` /
-    ``record_shed`` calls). The other five names are read at snapshot
-    time from where their events happen: ``dispatcher``'s own
-    ``snapshot()`` and its plan cache's ``stats()`` since this object
-    was made; without a dispatcher they read zero.
+    ``record_shed`` calls). The other three names are read at snapshot
+    time from where their events happen, ``dispatcher``'s own
+    ``snapshot()``; without a dispatcher they read zero.
     """
 
     def __init__(self, dispatcher: FleetSearchEngine | None = None) -> None:
@@ -152,29 +147,13 @@ class ServerMetrics:
         self.tenants = TenantLedger()
         self._lock = threading.Lock()
         self._dispatcher = dispatcher
-        self._plans_at_open = self._plan_lookups()
-
-    def _plan_lookups(self) -> tuple[int, int]:
-        """The dispatcher's plan-cache ``(hits, misses + bypasses)``."""
-        if self._dispatcher is None:
-            return 0, 0
-        cache = self._dispatcher.scheduler.executor.plan_cache
-        if cache is None:
-            return 0, 0
-        stats = cache.stats()
-        return stats["hits"], stats["misses"] + stats["bypasses"]
 
     def _read(self) -> dict[str, int]:
         """The counters the door does not keep, as of now."""
         if self._dispatcher is None:
             return dict.fromkeys(_READ, 0)
         fleet = self._dispatcher.scheduler.snapshot()
-        (hits, misses), (hits0, misses0) = self._plan_lookups(), self._plans_at_open
-        return {
-            **{name: fleet[key] for name, key in _DISPATCHER_KEYS.items()},
-            "plan_hits": hits - hits0,
-            "plan_misses": misses - misses0,
-        }
+        return {name: fleet[key] for name, key in _DISPATCHER_KEYS.items()}
 
     def record(
         self,

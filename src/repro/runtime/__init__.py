@@ -5,8 +5,8 @@ Where :mod:`repro.devices` *models* the paper's accelerators, this package
 
 * :mod:`repro.runtime.executor` — single-process, NumPy-vectorized batch
   search (the lane-parallel analogue of one GPU);
-* :mod:`repro.runtime.maskplan` — the shared-memory mask plans every
-  cached search reads;
+* :mod:`repro.runtime.maskplan` — where candidates come from: the
+  dispatcher's rank-range generator and the batch engine's plan cache;
 * :mod:`repro.runtime.partition` — seed-space partitioning.
 
 The multi-core search (the analogue of the paper's OpenMP SALTED-CPU)

@@ -19,12 +19,14 @@ vectorized Algorithm 1 loop on the host. What it applies to a candidate
 is the :class:`OneWayFunction` the executor holds as ``algo``: a
 registered hash for RBC-SALTED, ``H(seed ‖ nonce)`` for a secure session
 (:mod:`repro.net.session`), one key generation for the original-RBC
-baseline (:mod:`repro.runtime.original_batch`). The dispatcher engines
-(``sched:`` / ``fleet:`` / ``pool:`` / ``parallel:``) read the same masks
-through :meth:`BatchSearchExecutor.mask_batches`. With ``cache=True``
-the executor reads XOR masks from the process-wide
+baseline (:mod:`repro.runtime.original_batch`). With ``cache=True`` the
+executor reads XOR masks from the process-wide
 :mod:`~repro.runtime.maskplan` cache instead of re-unranking every
 search, cutting steady-state per-candidate work to XOR + hash + compare.
+The dispatcher engines (``sched:`` / ``fleet:`` / ``pool:`` /
+``parallel:``) do not read these masks: they make candidates from rank
+ranges with :func:`~repro.runtime.maskplan.candidates`, so this engine
+stays their independent reference.
 """
 
 from __future__ import annotations
@@ -182,9 +184,8 @@ class BatchSearchExecutor:
     ) -> Iterator[np.ndarray]:
         """Yield ``(N, 4)`` mask-word batches covering ranks ``[lo, hi)``.
 
-        The one mask pipeline, for the search body here and for the
-        :mod:`repro.sched` work-unit cursors: views of the cached plan
-        when caching is enabled (and the slice fits the cache), streaming
+        The search body's mask pipeline: views of the cached plan when
+        caching is enabled (and the slice fits the cache), streaming
         generation otherwise. The cache counts every look-up
         (:meth:`~repro.runtime.maskplan.MaskPlanCache.stats`).
         """

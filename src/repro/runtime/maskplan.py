@@ -1,35 +1,30 @@
-"""Process-wide cache of precomputed mask-word plans.
+"""Where candidates come from: the served path's rank-range generator and
+the ``batch:`` reference's mask-plan cache.
 
-The per-candidate work of Algorithm 1 is *supposed* to be one hash
-(paper Section 3.2), but the serving path re-paid two search-invariant
-costs on every request: unranking the same combinations and rebuilding
-the same XOR mask words. Both depend only on
-``(distance, rank range, iterator)`` — never on the seed under search —
-so they are computed once here and shared.
+The paper hands each thread a *rank range*: the thread unranks its first
+combination (Algorithm 515) and walks on from there (Section 3.2,
+Table 4), so nothing but the range crosses a boundary. :func:`candidates`
+is that walk for the dispatcher: ranks ``[lo, hi)`` of one Hamming shell
+become their ``(hi - lo, 4)`` uint64 candidate words, in lexicographic
+rank order, wherever the range is hashed — the device thread or a worker
+process (:mod:`repro.fleet.workers`). It reads one process-wide table of
+the d = 1 and d = 2 masks (256 + 32 640 rows, about 1 MB). A deeper shell
+is a run of (d - 2)-prefix groups, and each group is a contiguous suffix
+of the d = 2 table XOR ``prefix mask ^ base``: one broadcast XOR per
+group instead of one unrank per candidate.
 
-A :class:`MaskPlan` is the materialized ``(hi - lo, 4)`` uint64 mask
-array for one Hamming-distance shell slice; :class:`MaskPlanCache` is a
-bounded LRU over plans keyed by ``(distance, lo, hi, batch_size,
-iterator)``. Plans are backed by POSIX shared memory when available, so
-the fleet's worker processes (:mod:`repro.fleet.workers`) map the *same*
-physical pages (via :func:`attach_plan`) and are sent only a
-:class:`PlanDescriptor` and a row range; :func:`shared_rows` tells
-whether a mask array is such a view. On platforms without shared memory
-the cache degrades to process-local heap arrays, which are hashed where
-they are.
-
-Lifecycle: the cache owns its shared-memory segments and unlinks them
-on eviction, :meth:`MaskPlanCache.clear`, and interpreter exit. Whoever
-holds a mapping of an evicted segment — a search still reading its
-views here, a worker that attached it — keeps using it safely (POSIX
-semantics); only *new* attaches fail, and those rows are then hashed by
-the process that still has them mapped.
+The ``batch:`` engine (:class:`~repro.runtime.executor.BatchSearchExecutor`)
+keeps its own source on purpose, so that it stays an independent
+reference for the dispatcher: :func:`combination_batches` unranks (or
+steps a scalar iterator), and with ``cache=yes`` a :class:`MaskPlanCache`
+— a bounded LRU of materialized ``(hi - lo, 4)`` mask arrays keyed by
+``(distance, lo, hi, batch_size, iterator)`` — keeps what it built.
 """
 
 from __future__ import annotations
 
-import atexit
-import sys
+import functools
+import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -40,21 +35,23 @@ import numpy as np
 from repro._bitutils import SEED_BITS, SEED_WORDS64, positions_to_mask_words
 from repro.combinatorics.algorithm154 import Algorithm154Iterator
 from repro.combinatorics.algorithm382 import Algorithm382Iterator
-from repro.combinatorics.algorithm515 import Algorithm515Iterator
+from repro.combinatorics.algorithm515 import (
+    Algorithm515Iterator,
+    unrank_lexicographic,
+)
+from repro.combinatorics.binomial import binomial
 from repro.combinatorics.chase382 import Chase382Iterator
 from repro.combinatorics.gosper import GosperIterator
 from repro.combinatorics.ranking import unrank_lexicographic_batch
 
 __all__ = [
     "ITERATOR_CHOICES",
+    "candidates",
+    "mask_tables",
     "combination_batches",
     "MaskPlan",
-    "PlanDescriptor",
     "MaskPlanCache",
     "global_plan_cache",
-    "shared_rows",
-    "attach_plan",
-    "detach_plan",
 ]
 
 ITERATOR_CHOICES = (
@@ -78,6 +75,83 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: justify pinning them); callers stream masks instead.
 DEFAULT_MAX_PLAN_BYTES = 64 * 1024 * 1024
 
+#: Rows of the d = 2 table.
+_PAIRS = binomial(SEED_BITS, 2)
+
+
+# -- the served path's candidates -----------------------------------------
+
+
+@functools.cache
+def mask_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The d = 0, 1 and 2 shells' masks in lexicographic rank order.
+
+    Built once per process, read-only; the worker set builds it before
+    it forks, so that the workers share the parent's pages.
+    """
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(SEED_BITS), 2)),
+        dtype=np.int64,
+        count=2 * _PAIRS,
+    ).reshape(_PAIRS, 2)
+    tables = (
+        np.zeros((1, SEED_WORDS64), dtype=np.uint64),
+        positions_to_mask_words(np.arange(SEED_BITS)[:, None]),
+        positions_to_mask_words(pairs),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _pairs_from(low: int) -> int:
+    """First row of the d = 2 table whose lower bit is ``low`` or above."""
+    return _PAIRS - binomial(SEED_BITS - low, 2)
+
+
+def _next_prefix(prefix: list[int]) -> list[int]:
+    """The lexicographic successor among prefixes with a non-empty group
+    (every bit below ``SEED_BITS - 2``, so that two more fit above)."""
+    k = len(prefix)
+    i = k - 1
+    while prefix[i] == SEED_BITS - 3 - (k - 1 - i):
+        i -= 1
+    return prefix[:i] + list(range(prefix[i] + 1, prefix[i] + 1 + k - i))
+
+
+def candidates(
+    distance: int, lo: int, hi: int, base_words: np.ndarray
+) -> np.ndarray:
+    """``(hi - lo, 4)`` uint64 words: ``base_words`` with the bits of each
+    lexicographic rank in ``[lo, hi)`` of the ``distance`` shell flipped.
+
+    Distance 0 is the one-rank shell of ``base_words`` itself.
+    """
+    if not 0 <= lo <= hi <= binomial(SEED_BITS, distance):
+        raise IndexError(f"ranks [{lo}, {hi}) outside shell {distance}")
+    tables = mask_tables()
+    if distance <= 2:
+        return tables[distance][lo:hi] ^ base_words
+    singles, pairs = tables[1], tables[2]
+    out = np.empty((hi - lo, SEED_WORDS64), dtype=np.uint64)
+    if lo == hi:
+        return out
+    *prefix, low, high = unrank_lexicographic(SEED_BITS, distance, lo)
+    row = 0
+    start = _pairs_from(low) + high - low - 1  # rank lo's suffix pair
+    while True:
+        take = min(_PAIRS - start, hi - lo - row)
+        head = np.bitwise_xor.reduce(singles[prefix], axis=0) ^ base_words
+        np.bitwise_xor(pairs[start : start + take], head, out=out[row : row + take])
+        row += take
+        if row == hi - lo:
+            return out
+        prefix = _next_prefix(prefix)
+        start = _pairs_from(prefix[-1] + 1)
+
+
+# -- the batch: reference's masks -----------------------------------------
+
 
 def combination_batches(
     distance: int,
@@ -88,8 +162,8 @@ def combination_batches(
 ) -> Iterator[np.ndarray]:
     """Yield ``(N, distance)`` position arrays covering ranks [start, stop).
 
-    The one combination source shared by the batch executor, the plan
-    builder, and the calibration probes. ``"unrank"`` is the vectorized
+    The combination source of the batch executor, the plan builder, and
+    the calibration probes. ``"unrank"`` is the vectorized
     Algorithm-515-style fast path; the scalar iterator names step a
     :class:`~repro.combinatorics.iterator_base.CombinationIterator`.
     """
@@ -117,19 +191,6 @@ def combination_batches(
             return
 
 
-@dataclass(frozen=True)
-class PlanDescriptor:
-    """How a worker process finds a shared plan: segment name + geometry."""
-
-    shm_name: str
-    rows: int
-    distance: int
-    lo: int
-    hi: int
-    batch_size: int
-    iterator: str
-
-
 @dataclass
 class MaskPlan:
     """One precomputed shell slice: ``(hi - lo, 4)`` uint64 XOR masks."""
@@ -140,8 +201,6 @@ class MaskPlan:
     batch_size: int
     iterator: str
     masks: np.ndarray
-    #: Owning SharedMemory segment, or None for heap-backed plans.
-    shm: object | None = None
 
     @property
     def key(self) -> tuple[int, int, int, int, str]:
@@ -156,52 +215,12 @@ class MaskPlan:
         for start in range(0, self.masks.shape[0], self.batch_size):
             yield self.masks[start : start + self.batch_size]
 
-    def descriptor(self) -> PlanDescriptor | None:
-        """Attachment descriptor for worker processes; None if heap-backed."""
-        if self.shm is None:
-            return None
-        return PlanDescriptor(
-            shm_name=self.shm.name,  # type: ignore[attr-defined]
-            rows=self.masks.shape[0],
-            distance=self.distance,
-            lo=self.lo,
-            hi=self.hi,
-            batch_size=self.batch_size,
-            iterator=self.iterator,
-        )
-
-
-class _SegmentRows(np.ndarray):
-    """The array over one whole shared segment.
-
-    Every view of a shared plan ends its ``.base`` chain at this anchor:
-    it keeps the mapping open for as long as any view is alive, and it
-    tells :func:`shared_rows` which segment a view reads.
-    """
-
-    shm: object | None = None
-    descriptor: PlanDescriptor | None = None
-
-
-def shared_rows(masks: np.ndarray) -> tuple[PlanDescriptor, int] | None:
-    """``(descriptor, first row)`` when ``masks`` is a run of whole rows
-    of a shared plan, so that another process can read the same rows
-    through :func:`attach_plan`; ``None`` for heap-backed masks."""
-    anchor = masks
-    while isinstance(anchor.base, np.ndarray):
-        anchor = anchor.base
-    descriptor = getattr(anchor, "descriptor", None)
-    if descriptor is None or not masks.flags.c_contiguous:
-        return None
-    offset = masks.ctypes.data - anchor.ctypes.data
-    return descriptor, offset // _MASK_ROW_BYTES
-
 
 def _build_mask_rows(
-    distance: int, lo: int, hi: int, batch_size: int, iterator: str,
-    out: np.ndarray,
-) -> None:
-    """Fill ``out`` (shape ``(hi - lo, 4)``) with the slice's masks."""
+    distance: int, lo: int, hi: int, batch_size: int, iterator: str
+) -> np.ndarray:
+    """The slice's ``(hi - lo, 4)`` masks."""
+    out = np.empty((hi - lo, SEED_WORDS64), dtype=np.uint64)
     row = 0
     for positions in combination_batches(distance, lo, hi, batch_size, iterator):
         masks = positions_to_mask_words(positions)
@@ -212,27 +231,21 @@ def _build_mask_rows(
             f"iterator {iterator!r} produced {row} masks for "
             f"[{lo}, {hi}) at distance {distance}"
         )
+    return out
 
 
 class MaskPlanCache:
-    """Bounded, thread-safe LRU cache of :class:`MaskPlan` objects.
-
-    ``use_shared_memory`` selects the backing store; when shared-memory
-    creation fails at runtime (no /dev/shm, exhausted names) the cache
-    transparently builds heap-backed plans instead.
-    """
+    """Bounded, thread-safe LRU cache of heap-backed :class:`MaskPlan`\\ s."""
 
     def __init__(
         self,
         max_bytes: int = DEFAULT_MAX_BYTES,
         max_plan_bytes: int = DEFAULT_MAX_PLAN_BYTES,
-        use_shared_memory: bool = True,
     ):
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
         self.max_plan_bytes = min(max_plan_bytes, max_bytes)
-        self.use_shared_memory = use_shared_memory
         self._plans: OrderedDict[tuple[int, int, int, int, str], MaskPlan]
         self._plans = OrderedDict()
         self._lock = threading.Lock()
@@ -241,45 +254,6 @@ class MaskPlanCache:
         self.evictions = 0
         self.bypasses = 0
         self.bytes_in_use = 0
-        # Unlink this cache's shared segments at interpreter exit, so
-        # short-lived private caches don't trip the resource tracker's
-        # leaked-segment warning.
-        atexit.register(self.clear)
-
-    # -- allocation -----------------------------------------------------
-
-    def _allocate(self, rows: int) -> tuple[np.ndarray, object | None]:
-        """A zeroed ``(rows, 4)`` uint64 array, shared-memory backed if we can."""
-        nbytes = max(rows * _MASK_ROW_BYTES, 1)
-        if self.use_shared_memory:
-            try:
-                from multiprocessing import shared_memory
-
-                shm = shared_memory.SharedMemory(create=True, size=nbytes)
-                anchor = _SegmentRows(
-                    (rows, SEED_WORDS64), dtype=np.uint64, buffer=shm.buf
-                )
-                anchor.shm = shm
-                masks = anchor.view(np.ndarray)
-                masks.fill(0)
-                return masks, shm
-            except (OSError, ValueError):
-                pass
-        return np.zeros((rows, SEED_WORDS64), dtype=np.uint64), None
-
-    @staticmethod
-    def _release(plan: MaskPlan) -> None:
-        """Drop the segment's name; its anchor closes the mapping once
-        the last view of the plan is gone (closing it here would pull the
-        pages from under a search still reading them)."""
-        if plan.shm is not None:
-            try:
-                plan.shm.unlink()  # type: ignore[attr-defined]
-            except OSError:
-                pass
-            plan.shm = None
-
-    # -- cache interface ------------------------------------------------
 
     def get_or_build(
         self,
@@ -292,8 +266,7 @@ class MaskPlanCache:
         """``(plan, was_hit)`` for the slice; ``(None, False)`` if too big.
 
         A returned plan stays valid for the caller even if it is evicted
-        mid-search (eviction unlinks the shared segment's *name*; live
-        mappings persist until dropped).
+        mid-search.
         """
         if lo >= hi:
             return None, False
@@ -311,35 +284,23 @@ class MaskPlanCache:
             return None, False
         # Build outside the lock — plan construction is the expensive
         # part and must not serialize concurrent searches. A racing
-        # duplicate build is benign: last writer wins, bytes stay bounded.
-        masks, shm = self._allocate(rows)
-        try:
-            _build_mask_rows(distance, lo, hi, batch_size, iterator, masks)
-        except BaseException:
-            MaskPlanCache._release(
-                MaskPlan(distance, lo, hi, batch_size, iterator, masks, shm)
-            )
-            raise
-        plan = MaskPlan(distance, lo, hi, batch_size, iterator, masks, shm)
-        if shm is not None:
-            masks.base.descriptor = plan.descriptor()  # the anchor
+        # duplicate build is benign: the incumbent stays, bytes stay bounded.
+        plan = MaskPlan(
+            distance, lo, hi, batch_size, iterator,
+            _build_mask_rows(distance, lo, hi, batch_size, iterator),
+        )
         with self._lock:
             self.misses += 1
-            existing = self._plans.pop(key, None)
+            existing = self._plans.get(key)
             if existing is not None:
-                # Lost a build race; keep the incumbent, drop ours.
-                self._plans[key] = existing
                 self._plans.move_to_end(key)
-                stale = plan
-            else:
-                self._plans[key] = plan
-                self.bytes_in_use += plan.nbytes
-                stale = None
-                self._evict_to_bound_locked()
-        if stale is not None:
-            MaskPlanCache._release(stale)
-            with self._lock:
-                return self._plans[key], False
+                return existing, False
+            self._plans[key] = plan
+            self.bytes_in_use += plan.nbytes
+            while self.bytes_in_use > self.max_bytes and len(self._plans) > 1:
+                _key, evicted = self._plans.popitem(last=False)
+                self.bytes_in_use -= evicted.nbytes
+                self.evictions += 1
         return plan, False
 
     def get(
@@ -357,21 +318,11 @@ class MaskPlanCache:
             self.hits += 1
             return plan
 
-    def _evict_to_bound_locked(self) -> None:
-        while self.bytes_in_use > self.max_bytes and len(self._plans) > 1:
-            _key, plan = self._plans.popitem(last=False)
-            self.bytes_in_use -= plan.nbytes
-            self.evictions += 1
-            MaskPlanCache._release(plan)
-
     def clear(self) -> None:
-        """Drop every plan and unlink all shared segments."""
+        """Drop every plan."""
         with self._lock:
-            plans = list(self._plans.values())
             self._plans.clear()
             self.bytes_in_use = 0
-        for plan in plans:
-            MaskPlanCache._release(plan)
 
     def stats(self) -> dict[str, int]:
         """A consistent snapshot of the cache counters."""
@@ -402,54 +353,3 @@ def global_plan_cache() -> MaskPlanCache:
         if _global_cache is None:
             _global_cache = MaskPlanCache()
         return _global_cache
-
-
-# -- worker-side attachment --------------------------------------------
-
-
-#: ``track=False`` (3.13+) attaches without telling a resource tracker.
-_UNTRACKED = {"track": False} if sys.version_info >= (3, 13) else {}
-
-
-def attach_plan(descriptor: PlanDescriptor) -> MaskPlan | None:
-    """Map a shared plan built by the owning process; None if it was evicted.
-
-    The returned plan's ``shm`` handle must be released with
-    :func:`detach_plan` (close only — the owner does the unlink). The
-    caller is the owner itself or a process forked from it once its
-    resource tracker ran (:class:`repro.fleet.workers.WorkerSet` sees to
-    that): before 3.13 an attach registers the name with the tracker it
-    finds, which is then the owner's, where the name already is — and
-    where an ``unregister`` from here would drop the *owner's* entry, so
-    that its unlink trips the tracker and a crashed owner leaks the
-    segment.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=descriptor.shm_name, **_UNTRACKED)
-    except (OSError, ValueError, ImportError):
-        return None
-    masks = np.ndarray(
-        (descriptor.rows, SEED_WORDS64), dtype=np.uint64, buffer=shm.buf
-    )
-    return MaskPlan(
-        distance=descriptor.distance,
-        lo=descriptor.lo,
-        hi=descriptor.hi,
-        batch_size=descriptor.batch_size,
-        iterator=descriptor.iterator,
-        masks=masks,
-        shm=shm,
-    )
-
-
-def detach_plan(plan: MaskPlan) -> None:
-    """Drop a worker's mapping of a shared plan (never unlinks)."""
-    if plan.shm is not None:
-        try:
-            plan.masks = np.empty((0, SEED_WORDS64), dtype=np.uint64)
-            plan.shm.close()  # type: ignore[attr-defined]
-        except OSError:
-            pass
-        plan.shm = None

@@ -4,30 +4,32 @@ The throughput devices the paper evaluates only pay off when their
 batches are full. A lone d<=1 request offers 257 candidates — a few
 percent of one device batch — so serving requests one at a time leaves
 the device idle. This module fuses chunks from *different* requests into
-one full-width batch: each request contributes a slice of candidate
-seeds (its base seed XOR its chunk's masks), the whole batch is hashed
-with a single kernel call, and each slice is compared against its own
-client's digest.
+one full-width batch: each request contributes a rank range of one of
+its shells, the whole batch's candidates are hashed with a single kernel
+call, and each slice is compared against its own client's digest.
 
 Two pieces:
 
 * :class:`UnitCursor` — walks one request's remaining
-  :class:`~repro.sched.units.WorkUnit` chunks and serves mask-word
-  slices of any requested width, never mixing Hamming distances within
-  a slice (plan-cache aware via the executor's mask pipeline; the
-  cache, not the cursor, counts the look-ups);
+  :class:`~repro.sched.units.WorkUnit` chunks and serves ``(distance,
+  lo, hi)`` rank ranges of any requested width, never mixing Hamming
+  distances within a range and never crossing a ``batch_size`` boundary
+  of its chunk;
 * :class:`ContinuousBatcher` — takes the slices the dispatcher
   assembled, runs the fused XOR + hash + compare (:func:`first_matches`,
-  here or — for wide batches over shared plans — on the fleet's worker
-  processes), and reports per-slice outcomes (first matching rank wins
-  within a slice, preserving the single-engine candidate order).
+  here or — for wide batches — on the fleet's worker processes), and
+  reports per-slice outcomes (first matching rank wins within a slice,
+  preserving the single-engine candidate order).
+
+A slice is only ever ranks: its candidates are made, by
+:func:`~repro.runtime.maskplan.candidates`, where they are hashed.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,8 +37,7 @@ import numpy as np
 
 from repro._bitutils import words_to_seed
 from repro.hashes.registry import HashAlgorithm
-from repro.runtime.executor import BatchSearchExecutor
-from repro.runtime.maskplan import PlanDescriptor, shared_rows
+from repro.runtime.maskplan import candidates
 
 from repro.sched.units import WorkUnit
 
@@ -51,40 +52,41 @@ __all__ = [
     "ContinuousBatcher",
 ]
 
-_ZERO_MASK = np.zeros((1, 4), dtype=np.uint64)
+#: ``(distance, lo, hi)``: ranks ``[lo, hi)`` of one shell.
+Ranks = tuple[int, int, int]
 
 
 class UnitCursor:
-    """Serves mask-word slices across one request's work units, in order."""
+    """Serves rank ranges across one request's work units, in order.
 
-    def __init__(self, executor: BatchSearchExecutor, units: list[WorkUnit]):
-        self._executor = executor
+    Within a unit, ranges are cut at multiples of ``batch_size`` from the
+    unit's first rank — the batches the ``batch:`` engine walks — so a
+    request's kernel calls line up with the single-engine search.
+    """
+
+    def __init__(self, units: list[WorkUnit], batch_size: int):
         self._units: deque[WorkUnit] = deque(units)
-        self._batches: Iterator[np.ndarray] | None = None
-        self._pending: np.ndarray | None = None
-        self._distance = 0
-        #: Slices returned to the cursor after a device failed mid-batch;
+        self._batch_size = batch_size
+        #: The unit being served and the first rank not yet served.
+        self._unit: WorkUnit | None = None
+        self._next = 0
+        #: Ranges returned to the cursor after a device failed mid-batch;
         #: served before anything else so candidate order is preserved.
-        self._replay: deque[tuple[int, np.ndarray]] = deque()
+        self._replay: deque[Ranks] = deque()
 
     @property
     def exhausted(self) -> bool:
         """True when every unit has been fully served."""
-        return (
-            not self._replay
-            and self._pending is None
-            and self._batches is None
-            and not self._units
-        )
+        return not self._replay and self._unit is None and not self._units
 
     @property
     def pending_chunks(self) -> int:
-        """Chunks not yet fully served (replayed slices + current + units)."""
-        current = 1 if self._pending is not None or self._batches is not None else 0
+        """Chunks not yet fully served (replayed ranges + current + units)."""
+        current = 1 if self._unit is not None else 0
         return len(self._replay) + current + len(self._units)
 
-    def push_back(self, distance: int, masks: np.ndarray) -> None:
-        """Return an unconsumed slice to the *front* of the cursor.
+    def push_back(self, distance: int, lo: int, hi: int) -> None:
+        """Return an unconsumed range to the *front* of the cursor.
 
         Used when a device dies mid-batch: the dispatcher pushes the
         failed batch's slices back (in reverse order, so earlier slices
@@ -92,48 +94,34 @@ class UnitCursor:
         original candidate order — the byte-equivalence contract holds
         across re-dispatch.
         """
-        self._replay.appendleft((distance, masks))
+        self._replay.appendleft((distance, lo, hi))
 
-    def take(self, max_rows: int) -> tuple[int, np.ndarray] | None:
-        """Up to ``max_rows`` mask words from the current shell.
+    def take(self, max_rows: int) -> Ranks | None:
+        """Up to ``max_rows`` ranks of the current shell.
 
-        Returns ``(distance, masks)`` or ``None`` when exhausted. A
-        slice never spans two distances; the distance-0 unit serves the
-        all-zero mask (the enrolled seed itself).
+        Returns ``(distance, lo, hi)`` or ``None`` when exhausted. The
+        distance-0 unit is the one rank of the enrolled seed itself.
         """
         if max_rows < 1:
             raise ValueError("max_rows must be positive")
-        while True:
-            if self._replay:
-                distance, rows = self._replay[0]
-                if rows.shape[0] > max_rows:
-                    self._replay[0] = (distance, rows[max_rows:])
-                    return distance, rows[:max_rows]
-                self._replay.popleft()
-                return distance, rows
-            if self._pending is not None:
-                rows = self._pending
-                if rows.shape[0] > max_rows:
-                    self._pending = rows[max_rows:]
-                    return self._distance, rows[:max_rows]
-                self._pending = None
-                return self._distance, rows
-            if self._batches is None:
-                if not self._units:
-                    return None
-                unit = self._units.popleft()
-                self._distance = unit.distance
-                if unit.distance == 0:
-                    self._pending = _ZERO_MASK
-                    continue
-                self._batches = self._executor.mask_batches(
-                    unit.distance, unit.lo, unit.hi
-                )
-            batch = next(self._batches, None)
-            if batch is None:
-                self._batches = None
-                continue
-            self._pending = batch
+        if self._replay:
+            distance, lo, hi = self._replay[0]
+            if hi - lo > max_rows:
+                self._replay[0] = (distance, lo + max_rows, hi)
+                return distance, lo, lo + max_rows
+            return self._replay.popleft()
+        if self._unit is None:
+            if not self._units:
+                return None
+            self._unit = self._units.popleft()
+            self._next = self._unit.lo
+        unit, lo = self._unit, self._next
+        batch = (lo - unit.lo) // self._batch_size + 1
+        hi = min(unit.hi, unit.lo + batch * self._batch_size, lo + max_rows)
+        if hi == unit.hi:
+            self._unit = None
+        self._next = hi
+        return unit.distance, lo, hi
 
 
 @dataclass(frozen=True)
@@ -143,16 +131,14 @@ class BatchSlice:
     #: Opaque handle the dispatcher uses to route the outcome back.
     key: object
     distance: int
-    masks: np.ndarray  # (N, 4) uint64 XOR masks
+    lo: int
+    hi: int
     base_words: np.ndarray  # (4,) uint64 enrolled seed
     target_words: np.ndarray  # digest words this slice compares against
 
     @property
-    def shared(self) -> tuple[PlanDescriptor, int] | None:
-        """``(plan descriptor, first row)`` when ``masks`` is a view of a
-        shared-memory plan — all a worker process needs to read the same
-        rows — else ``None``."""
-        return shared_rows(self.masks)
+    def rows(self) -> int:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -171,28 +157,31 @@ class SliceOutcome:
 def first_matches(
     algo: HashAlgorithm,
     fixed_padding: bool,
-    slices: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    slices: Sequence[tuple[int, int, int, np.ndarray, np.ndarray]],
 ) -> list[int | None]:
-    """Fused XOR + hash + compare: per ``(masks, base words, target
-    words)`` slice, the lowest row whose candidate hashes to the target.
+    """Fused candidates + hash + compare: per ``(distance, lo, hi, base
+    words, target words)`` slice, the lowest row (from ``lo``) whose
+    candidate hashes to the target.
 
     Every slice's candidates go through one kernel call. The device
-    thread and the worker processes both scan with this, so a row range
+    thread and the worker processes both scan with this, so a rank range
     answers the same wherever it is hashed.
     """
     if not slices:
         return []
-    candidates = [base_words[None, :] ^ masks for masks, base_words, _t in slices]
-    combined = candidates[0] if len(candidates) == 1 else np.concatenate(candidates)
+    words = [
+        candidates(distance, lo, hi, base_words)
+        for distance, lo, hi, base_words, _t in slices
+    ]
+    combined = words[0] if len(words) == 1 else np.concatenate(words)
     digests = algo.hash_seeds_batch(combined, fixed_padding=fixed_padding)
     found: list[int | None] = []
     offset = 0
-    for (masks, _base_words, target_words) in slices:
-        rows = masks.shape[0]
+    for _d, lo, hi, _b, target_words in slices:
         matches = np.flatnonzero(
-            (digests[offset : offset + rows] == target_words).all(axis=1)
+            (digests[offset : offset + hi - lo] == target_words).all(axis=1)
         )
-        offset += rows
+        offset += hi - lo
         found.append(int(matches[0]) if matches.size else None)
     return found
 
@@ -200,11 +189,10 @@ def first_matches(
 class ContinuousBatcher:
     """Fused XOR + hash + compare over slices from many requests.
 
-    With a :class:`~repro.fleet.workers.WorkerSet`, the slices of a wide
-    enough batch that are views of shared plans are scanned by the
-    worker processes, a contiguous row range each; everything else —
-    narrow batches, heap-backed masks, a set of one — is hashed on the
-    calling thread. Which of the two scanned a row changes no outcome.
+    With a :class:`~repro.fleet.workers.WorkerSet`, a batch of enough
+    rows is scanned by the worker processes, a contiguous rank range
+    each; anything narrower — or a set of one — is hashed on the calling
+    thread. Which of the two scanned a row changes no outcome.
     """
 
     def __init__(
@@ -220,21 +208,6 @@ class ContinuousBatcher:
         self.batches = 0
         self.shared_batches = 0
 
-    def _sources(
-        self, slices: list[BatchSlice], widths: list[int]
-    ) -> list[tuple[PlanDescriptor, int] | None] | None:
-        """Per slice, where the workers can read it (``None``: hash it
-        here) — or ``None`` when the whole batch stays here. Judged on
-        what the batch is, never on who sent it."""
-        workers = self.workers
-        if workers is None or not workers.worth_splitting(sum(widths)):
-            return None
-        sources = [piece.shared for piece in slices]
-        shared = sum(
-            width for width, source in zip(widths, sources) if source is not None
-        )
-        return sources if workers.worth_splitting(shared) else None
-
     def run(self, slices: list[BatchSlice]) -> list[SliceOutcome]:
         """Scan every slice's candidates as one fused batch.
 
@@ -244,46 +217,37 @@ class ContinuousBatcher:
         if not slices:
             return []
         start = time.perf_counter()
-        widths = [piece.masks.shape[0] for piece in slices]
         scans = [
-            (piece.masks, piece.base_words, piece.target_words) for piece in slices
+            (piece.distance, piece.lo, piece.hi, piece.base_words, piece.target_words)
+            for piece in slices
         ]
-        sources = self._sources(slices, widths)
-        hits: list[int | None]
-        if sources is None:
-            hits = first_matches(self.algo, self.fixed_padding, scans)
+        total_rows = sum(piece.rows for piece in slices)
+        if self.workers is not None and self.workers.worth_splitting(total_rows):
+            hits = self.workers.scan(scans)
         else:
-            assert self.workers is not None
-            far = [i for i, source in enumerate(sources) if source is not None]
-            near = [i for i, source in enumerate(sources) if source is None]
-            far_hits, near_hits = self.workers.scan(
-                [(*sources[i], *scans[i]) for i in far],
-                lambda: first_matches(
-                    self.algo, self.fixed_padding, [scans[i] for i in near]
-                ),
-            )
-            hits = [None] * len(slices)
-            for index, hit in zip(far + near, far_hits + near_hits):
-                hits[index] = hit
+            hits = first_matches(self.algo, self.fixed_padding, scans)
         elapsed = time.perf_counter() - start
-        total_rows = sum(widths)
         self.batches += 1
         if len(slices) > 1:
             self.shared_batches += 1
-
-        outcomes: list[SliceOutcome] = []
-        for piece, rows, row in zip(slices, widths, hits):
-            outcomes.append(
-                SliceOutcome(
-                    key=piece.key,
-                    distance=piece.distance,
-                    rows=rows,
-                    seed=(
-                        None
-                        if row is None
-                        else words_to_seed(piece.base_words ^ piece.masks[row])
-                    ),
-                    seconds=elapsed * (rows / total_rows),
-                )
+        return [
+            SliceOutcome(
+                key=piece.key,
+                distance=piece.distance,
+                rows=piece.rows,
+                seed=(
+                    None
+                    if row is None
+                    else words_to_seed(
+                        candidates(
+                            piece.distance,
+                            piece.lo + row,
+                            piece.lo + row + 1,
+                            piece.base_words,
+                        )[0]
+                    )
+                ),
+                seconds=elapsed * (piece.rows / total_rows),
             )
-        return outcomes
+            for piece, row in zip(slices, hits)
+        ]

@@ -11,9 +11,9 @@ found.
 
 Chunk geometry is a pure function of ``(distance, shell size,
 chunk_ranks)`` — every request at the same search depth produces
-identical ``(distance, lo, hi)`` chunks, so the mask plans built for one
-client's chunks are plan-cache hits for every other client
-(:mod:`repro.runtime.maskplan`).
+identical ``(distance, lo, hi)`` chunks. A chunk is only ranks: its
+candidates are made where they are hashed
+(:func:`repro.runtime.maskplan.candidates`).
 """
 
 from __future__ import annotations

@@ -99,8 +99,7 @@ def _stat_fields(pid: int) -> list[str] | None:
 
 
 def _children_of(pid: int) -> list[int]:
-    """The process's children: a ``fleet`` server's pinned workers and the
-    resource tracker of the shared mask plans."""
+    """The process's children: a ``fleet`` server's pinned workers."""
     children = []
     for entry in Path("/proc").iterdir():
         fields = _stat_fields(int(entry.name)) if entry.name.isdigit() else None

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro._bitutils import SEED_BITS, flip_bits, seed_to_words, words_to_seed
+from repro._bitutils import SEED_BITS, flip_bits, seed_to_words
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import build_engine, engine_target
 from repro.fleet import (
@@ -35,7 +35,6 @@ from repro.fleet.workers import SPLIT_MIN_ROWS, WorkerSet
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
-from repro.runtime.maskplan import MaskPlanCache
 from repro.runtime.partition import partition_ranks
 from repro.sched import (
     SHED_NO_DEVICES,
@@ -61,53 +60,44 @@ def _planted(distance, rng):
 
 
 class TestCursorReplay:
-    @pytest.fixture
-    def executor(self):
-        return BatchSearchExecutor("sha1", batch_size=2048, cache=True)
-
-    def _cursor(self, executor):
-        """A cursor positioned past the single-row distance-0 probe."""
-        cursor = UnitCursor(executor, decompose_search(1, chunk_ranks=2048))
-        distance, probe = cursor.take(64)
-        assert distance == 0 and probe.shape[0] == 1
+    def _cursor(self):
+        """A cursor positioned past the single-rank distance-0 probe."""
+        cursor = UnitCursor(decompose_search(1, chunk_ranks=2048), 2048)
+        assert cursor.take(64) == (0, 0, 1)
         return cursor
 
-    def test_pushed_back_slice_is_served_first_and_byte_identical(
-        self, executor
-    ):
-        cursor = self._cursor(executor)
-        distance, rows = cursor.take(64)
-        cursor.push_back(distance, rows.copy())
-        replay_distance, replayed = cursor.take(64)
-        assert replay_distance == distance
-        assert np.array_equal(replayed, rows)
+    def test_pushed_back_slice_is_served_first_and_byte_identical(self):
+        cursor = self._cursor()
+        taken = cursor.take(64)
+        assert taken == (1, 0, 64)
+        cursor.push_back(*taken)
+        assert cursor.take(64) == taken
 
-    def test_reverse_push_back_restores_original_order(self, executor):
+    def test_reverse_push_back_restores_original_order(self):
         """The dispatcher pushes a failed batch's slices back in reverse."""
-        cursor = self._cursor(executor)
+        cursor = self._cursor()
         first = cursor.take(32)
         second = cursor.take(32)
-        for distance, rows in reversed([first, second]):
-            cursor.push_back(distance, rows.copy())
-        assert np.array_equal(cursor.take(32)[1], first[1])
-        assert np.array_equal(cursor.take(32)[1], second[1])
+        for ranks in reversed([first, second]):
+            cursor.push_back(*ranks)
+        assert cursor.take(32) == first
+        assert cursor.take(32) == second
 
-    def test_oversized_replay_slice_is_split(self, executor):
-        cursor = self._cursor(executor)
-        distance, rows = cursor.take(90)
-        cursor.push_back(distance, rows.copy())
-        _d, head = cursor.take(30)
-        assert head.shape[0] == 30
-        _d, tail = cursor.take(90)
-        assert tail.shape[0] == 60
-        assert np.array_equal(np.vstack([head, tail]), rows)
+    def test_oversized_replay_slice_is_split(self):
+        cursor = self._cursor()
+        distance, lo, hi = cursor.take(90)
+        cursor.push_back(distance, lo, hi)
+        head = cursor.take(30)
+        assert head == (distance, lo, lo + 30)
+        tail = cursor.take(90)
+        assert tail == (distance, lo + 30, hi) and hi - lo == 90
 
-    def test_pending_chunks_counts_replay(self, executor):
-        cursor = self._cursor(executor)
+    def test_pending_chunks_counts_replay(self):
+        cursor = self._cursor()
         before = cursor.pending_chunks
-        distance, rows = cursor.take(16)
-        cursor.push_back(distance, rows)
-        cursor.push_back(distance, rows)
+        ranks = cursor.take(16)
+        cursor.push_back(*ranks)
+        cursor.push_back(*ranks)
         # The partially-served unit still counts once; each pushed-back
         # slice adds one replay chunk in front of it.
         assert cursor.pending_chunks == before + 2
@@ -577,24 +567,22 @@ class TestWorkerEquivalence:
         """Two requests' slices in one batch, cut mid-slice: each settles
         on its own seed."""
         algo = get_hash("sha1")
-        cache = MaskPlanCache(max_bytes=1 << 20)
         workers = WorkerSet(algo, True, 2)
         try:
-            plan, _hit = cache.get_or_build(2, 0, 3000, 3000)
             rng = np.random.default_rng(5)
-            bases = [seed_to_words(rng.bytes(32)) for _ in range(2)]
-            # 1 000 + 2 000 rows cut at 1 500: worker 0 ends 500 rows into
+            bases = [rng.bytes(32) for _ in range(2)]
+            # 1 000 + 2 000 ranks cut at 1 500: worker 0 ends 500 ranks into
             # the second slice, whose match is worker 1's first row.
             slices, wanted = [], []
-            for key, base, rows, row in (
-                ("a", bases[0], plan.masks[:1000], 999),
-                ("b", bases[1], plan.masks[1000:], 500),
+            for key, base, lo, hi, rank in (
+                ("a", bases[0], 0, 1000, 999),
+                ("b", bases[1], 1000, 3000, 1500),
             ):
-                seed = words_to_seed(base ^ rows[row])
+                seed = flip_bits(base, unrank_lexicographic_exact(SEED_BITS, 2, rank))
                 wanted.append(seed)
                 slices.append(
                     BatchSlice(
-                        key, 2, rows, base,
+                        key, 2, lo, hi, seed_to_words(base),
                         algo.digest_to_words(algo.hash_seed(seed)),
                     )
                 )
@@ -605,11 +593,8 @@ class TestWorkerEquivalence:
             assert workers.batches == 1
         finally:
             workers.close()
-            cache.clear()
 
-    @pytest.mark.parametrize(
-        "options", [f"bs={SPLIT_MIN_ROWS // 2}", f"bs={RAGGED_BATCH},cache=no"]
-    )
+    @pytest.mark.parametrize("options", [f"bs={SPLIT_MIN_ROWS // 2}"])
     def test_narrow_or_unshared_batches_never_touch_a_pipe(self, options):
         reference = build_engine("batch:sha1,bs=512")
         client_seed = _planted(2, np.random.default_rng(17))
@@ -654,12 +639,29 @@ while True:
     print("searched", flush=True)
 """
 
-_TWO_ENGINES_SCRIPT = """
+_SHM_SCRIPT = """
+import os
 from repro.engines import build_engine, engine_target
-for spec in ("pool:sha1,workers=2,bs=2048", "parallel:sha3-256,w=2,bs=2048"):
-    with build_engine(spec) as engine:
-        assert not engine.search(b"\\x01" * 32, engine_target(engine, bytes(32)), 2).found
-        assert engine.worker_set.batches > 0
+
+def children():
+    found = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    if int(stat.read().rsplit(")", 1)[1].split()[1]) == os.getpid():
+                        found.add(int(entry))
+            except OSError:
+                pass
+    return found
+
+with build_engine("fleet:host,hash=sha3-256,bs=16384,workers=2") as engine:
+    absent = engine_target(engine, bytes(32))
+    assert not engine.search(b"\\x01" * 32, absent, 2).found
+    assert engine.search(b"\\x01" * 32, absent, 3, time_budget=0.3).timed_out
+    assert engine.worker_set.batches > 0
+    assert children() == set(engine.worker_set.pids()), children()
+print("ok")
 """
 
 
@@ -727,9 +729,8 @@ class TestWorkerLoss:
             pids = [int(pid) for pid in child.stdout.readline().split()]
             assert len(pids) == 3 and pids[0] == child.pid, child.stderr.read()
             assert child.stdout.readline().strip() == "searched"  # mid-loop now
-            # The workers, and the resource tracker of the shared plans.
             descendants = _children(child.pid)
-            assert set(pids[1:]) < set(descendants)
+            assert set(pids[1:]) == set(descendants)
             assert all(_alive(pid) for pid in descendants)
             child.kill()
             child.wait(timeout=10)
@@ -767,17 +768,18 @@ class TestWorkerLoss:
         assert child.returncode == 0, err
         assert float(out) <= 0.03, out
 
-    def test_two_engines_in_one_process_leave_the_tracker_quiet(self):
-        """``attach_plan`` must not drop the owner's tracker registration:
-        no traceback at unlink, no segment left in /dev/shm."""
+    def test_served_path_leaves_no_segment_and_forks_no_tracker(self):
+        """An exhaustive d = 2 search and a budgeted d = 3 search on two
+        workers: nothing is left in /dev/shm, and the engine's children
+        are its workers and nothing else."""
         def segments():
             return sorted(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
 
         before = segments()
-        child = _spawn(_TWO_ENGINES_SCRIPT)
-        _out, err = child.communicate(timeout=120)
+        child = _spawn(_SHM_SCRIPT)
+        out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-        assert err == ""
+        assert out.split() == ["ok"]
         assert segments() == before
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro._bitutils import SEED_BITS, flip_bits
+from repro._bitutils import SEED_BITS, flip_bits, positions_to_mask_words
 from repro.combinatorics.binomial import binomial
+from repro.combinatorics.ranking import rank_lexicographic, unrank_lexicographic_batch
 from repro.hashes.sha1 import sha1
 from repro.hashes.sha3 import sha3_256
 from repro.runtime.executor import ITERATOR_CHOICES, BatchSearchExecutor
 from repro.engines import build_engine
+from repro.runtime.maskplan import candidates
 from repro.runtime.partition import partition_ranks, thread_rank_ranges
 
 
@@ -38,6 +40,55 @@ class TestPartition:
     def test_thread_rank_ranges_match_shell(self):
         ranges = thread_rank_ranges(SEED_BITS, 2, 8)
         assert ranges[-1][1] == binomial(SEED_BITS, 2)
+
+
+def _group_start(prefix):
+    """Rank of the first combination with this (d - 2)-prefix."""
+    return rank_lexicographic(SEED_BITS, (*prefix, prefix[-1] + 1, prefix[-1] + 2))
+
+
+def _candidate_windows():
+    """``(distance, lo, hi)`` cases for the generator against the oracle."""
+    cases = [(d, 0, binomial(SEED_BITS, d)) for d in (0, 1, 2)]
+    shell3 = binomial(SEED_BITS, 3)
+    cases += [(3, lo, min(lo + (1 << 18), shell3)) for lo in range(0, shell3, 1 << 18)]
+    for d, middle in ((4, (100, 101)), (5, (60, 97, 140))):
+        shell = binomial(SEED_BITS, d)
+        second = (*range(d - 3), d - 2)  # the group after the first one
+        last = tuple(range(SEED_BITS - d, SEED_BITS - 2))
+        for prefix in (second, middle, last):
+            boundary = _group_start(prefix)
+            cases.append((d, boundary - 3000, min(shell, boundary + 3000)))
+        cases += [(d, 0, 4096), (d, shell - 4096, shell)]
+    cases += [(3, 5000, 5000), (4, 123_456, 123_457), (0, 1, 1)]
+    return cases
+
+
+class TestCandidates:
+    """The dispatcher's generator equals the ``batch:`` engine's unranking."""
+
+    BASE = np.random.default_rng(7).integers(0, 1 << 63, size=4).astype(np.uint64)
+
+    @pytest.mark.parametrize(
+        "distance, lo, hi", _candidate_windows(), ids=lambda value: str(value)
+    )
+    def test_equals_unranked_masks_xor_base(self, distance, lo, hi):
+        ranks = np.arange(lo, hi, dtype=np.uint64)
+        expected = (
+            positions_to_mask_words(
+                unrank_lexicographic_batch(SEED_BITS, distance, ranks)
+            )
+            ^ self.BASE
+        )
+        got = candidates(distance, lo, hi, self.BASE)
+        assert got.shape == (hi - lo, 4) and got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    def test_ranks_outside_the_shell_are_refused(self):
+        with pytest.raises(IndexError):
+            candidates(3, 0, binomial(SEED_BITS, 3) + 1, self.BASE)
+        with pytest.raises(IndexError):
+            candidates(1, 5, 4, self.BASE)
 
 
 class TestBatchExecutor:
