@@ -1,6 +1,7 @@
 """Scheduler benchmark — shallow-request tail latency under a mixed fleet.
 
-The serving claim behind :mod:`repro.sched`: when shallow (d <= 2)
+The serving claim behind the ``sched:`` engine (the one-device
+:mod:`repro.fleet` dispatcher): when shallow (d <= 2)
 authentications share one device with deep stragglers, a FIFO worker
 makes every shallow request wait out the deep searches queued ahead of
 it, while the deadline-aware continuous batcher interleaves chunks of

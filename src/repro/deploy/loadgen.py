@@ -34,21 +34,14 @@ from repro.deploy.topology import TopologySpec
 from repro.deploy.trace import TraceEntry, generate_trace
 from repro.deploy.wan import build_shim
 from repro.net.client import NetworkClient
-from repro.net.errors import (
-    ConnectionLost,
-    MessageCorrupted,
-    MessageDropped,
-    ServerBusy,
-    ServerClosed,
-    TransportError,
-)
+from repro.net.errors import ConnectionLost, MessageDropped, TransportError
 from repro.net.sockets import RemoteCAServer, SocketTransport
+from repro.refusals import Refusal
 from repro.reliability.retry import (
     DeadlineExceeded,
     RetriesExhausted,
     RetryPolicy,
 )
-from repro.sched.errors import RequestShed
 
 __all__ = ["run_loadgen", "classify_failure", "spec_to_json", "spec_from_json"]
 
@@ -69,24 +62,20 @@ def spec_from_json(raw: str) -> TopologySpec:
 
 
 def classify_failure(exc: BaseException) -> str:
-    """Map an exception to its typed outcome bucket (never raises)."""
+    """Map an exception to its typed outcome bucket (never raises): a
+    refusal is its wire kind (``shed:<reason>`` for a shed)."""
     if isinstance(exc, RetriesExhausted):
         inner = classify_failure(exc.last_error) if exc.last_error else "error"
         return f"retries-exhausted:{inner}"
     if isinstance(exc, DeadlineExceeded):
         return "deadline"
-    if isinstance(exc, RequestShed):
-        return f"shed:{exc.reason}"
+    refusal = Refusal.of(exc)
+    if refusal is not None:
+        return f"shed:{refusal.reason}" if refusal.kind == "shed" else refusal.kind
     if isinstance(exc, MessageDropped):
         return "dropped"
-    if isinstance(exc, MessageCorrupted):
-        return "corrupt"
     if isinstance(exc, ConnectionLost):
         return "connection-lost"
-    if isinstance(exc, ServerBusy):
-        return "busy"
-    if isinstance(exc, ServerClosed):
-        return "closed"
     if isinstance(exc, TransportError):
         return "transport"
     return f"untyped:{type(exc).__name__}"

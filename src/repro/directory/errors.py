@@ -5,12 +5,13 @@ or shard exception into the serving path: a lookup either returns the
 enrollment image, raises :class:`ClientNotEnrolled` (the key genuinely
 does not exist anywhere), or raises :class:`DirectoryUnavailable` (the
 key exists but every replica holding it is unreachable right now). The
-serving layer converts the latter into a typed shed
-(``SHED_DIRECTORY_UNAVAILABLE``) so a storm can tell "degraded but
-correct" apart from "broken".
+latter *is* a typed shed (``Refusal.DIRECTORY_UNAVAILABLE``), so a storm
+can tell "degraded but correct" apart from "broken".
 """
 
 from __future__ import annotations
+
+from repro.refusals import Refusal, RequestShed
 
 __all__ = [
     "DirectoryError",
@@ -54,16 +55,16 @@ class ShardTimeout(DirectoryError):
         self.operation = operation
 
 
-class DirectoryUnavailable(DirectoryError):
+class DirectoryUnavailable(DirectoryError, RequestShed):
     """Every replica holding this key is unreachable.
 
-    The degraded-mode signal: the serving layer sheds the request with
-    reason ``SHED_DIRECTORY_UNAVAILABLE`` instead of erroring, because
-    the failure is the directory's, not the client's.
+    The degraded-mode signal: a shed (``directory_unavailable``), not an
+    error, because the failure is the directory's, not the client's.
     """
 
     def __init__(self, client_id: str, shards_tried: tuple[str, ...]):
         super().__init__(
+            Refusal.DIRECTORY_UNAVAILABLE,
             f"no live replica for client {client_id!r} "
             f"(tried {', '.join(shards_tried) or 'no shards'})"
         )

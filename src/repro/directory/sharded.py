@@ -21,7 +21,7 @@ its failure model explicit instead of assuming the image is at hand:
   hit/miss/stale telemetry;
 * when a key's entire replica set is down, the lookup raises the typed
   :class:`~repro.directory.errors.DirectoryUnavailable` — the serving
-  layer converts it into a ``SHED_DIRECTORY_UNAVAILABLE`` shed so the
+  layer counts it as the ``directory_unavailable`` shed it is, so the
   CA degrades instead of erroring.
 
 The directory duck-types :class:`~repro.puf.image_db.EncryptedImageDatabase`

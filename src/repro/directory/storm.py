@@ -13,7 +13,7 @@ protocol-level invariants at each step:
   the reads (``failovers > 0``);
 * **wave 3 (replica set dark)** — the dead shard's replica partner is
   killed too, so some keys have **no** live replica. Exactly those
-  clients must be shed with the typed ``SHED_DIRECTORY_UNAVAILABLE``
+  clients must be shed with the typed ``directory_unavailable``
   reason — never an unhandled error, never a false authentication —
   while every other client keeps authenticating. While the shards are
   dark, a few surviving clients re-enroll, deliberately diverging the
@@ -48,9 +48,9 @@ from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
 from repro.net.concurrent import ConcurrentCAServer
+from repro.refusals import Refusal
 from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
 from repro.reliability.tripwire import VerifyingAuthority
-from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE
 from repro.storm import (
     Request,
     drive,
@@ -316,7 +316,7 @@ def run_shard_loss_storm(
         def wave(expect_shed: Collection[str] = ()) -> None:
             outcomes = drive(server_submit(server, tripwire), read(), timeout=120.0)
             stats = summarize(outcomes)
-            typed = stats["shed_reasons"].get(SHED_DIRECTORY_UNAVAILABLE, 0)
+            typed = stats["shed_reasons"].get(Refusal.DIRECTORY_UNAVAILABLE.reason, 0)
             report.shed_typed += typed
             report.shed_untyped += stats["shed"] - typed
             report.unexpected_sheds += sum(

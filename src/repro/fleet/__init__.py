@@ -1,11 +1,15 @@
 """The dispatcher: continuous batching over one or more health-checked devices.
 
-The fleet layer places :mod:`repro.sched` work units on one or several
-modeled device backends, health-checks them with heartbeat probes and
-per-device circuit breakers, re-dispatches chunks orphaned by a device
-failure onto survivors (preserving the byte-equivalence contract), and
-hedges straggler batches onto idle devices with first-result-wins
-settlement. ``sched:`` specs build the one-device case.
+A search becomes shell chunks (:mod:`~repro.fleet.units`) and one ticket
+(:mod:`~repro.fleet.scheduler`), admitted and ordered by deadline-aware
+lanes (:mod:`~repro.fleet.policy`) and fused with other clients' chunks
+into each device batch (:mod:`~repro.fleet.batcher`). The dispatcher
+places those chunks on one or several modeled device backends,
+health-checks them with heartbeat probes and per-device circuit
+breakers, re-dispatches chunks orphaned by a device failure onto
+survivors (preserving the byte-equivalence contract), and hedges
+straggler batches onto idle devices with first-result-wins settlement.
+``sched:`` specs build the one-device case.
 
 Quick start::
 

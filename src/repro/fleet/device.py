@@ -3,7 +3,7 @@
 A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
-* its own :class:`~repro.sched.batcher.ContinuousBatcher` (the kernel
+* its own :class:`~repro.fleet.batcher.ContinuousBatcher` (the kernel
   path — per-device so batch counters and fairness state stay local),
   which splits wide batches over the engine's one
   :class:`~repro.fleet.workers.WorkerSet` when it was given it;
@@ -38,7 +38,7 @@ from repro.devices.flaky import DeviceFailure
 from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 
-from repro.sched.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
+from repro.fleet.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
 
 from repro.fleet.workers import WorkerLost, WorkerSet
 

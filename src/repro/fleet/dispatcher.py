@@ -2,16 +2,16 @@
 
 :class:`FleetScheduler` turns concurrent authentication requests into a
 shared, continuously-batched work stream. Each submission is decomposed
-into shell chunks (:mod:`repro.sched.units`), admitted or shed by the
-policy (:mod:`repro.sched.policy`), and served rank range by rank range
+into shell chunks (:mod:`repro.fleet.units`), admitted or shed by the
+policy (:mod:`repro.fleet.policy`), and served rank range by rank range
 through each device's fused batcher
-(:mod:`repro.sched.batcher`) — one dispatcher thread *per device* plus
+(:mod:`repro.fleet.batcher`) — one dispatcher thread *per device* plus
 a monitor thread. A request retires the moment its seed is found (its
 remaining chunks are simply dropped — the per-request early exit), when
 its shells are exhausted, when its protocol time budget expires (a
 ``timed_out`` result, exactly like the unscheduled engines), or when
 its client deadline passes (a typed
-:class:`~repro.sched.errors.RequestShed`). One device is the ``sched:``
+:class:`~repro.refusals.RequestShed`). One device is the ``sched:``
 engine; several modeled accelerators serve the same stream concurrently.
 
 Placement and recovery rules:
@@ -57,22 +57,15 @@ from typing import Sequence
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
 from repro.engines.result import SearchResult, ShellStats
+from repro.fleet.batcher import BatchSlice, SliceOutcome, UnitCursor
+from repro.fleet.device import FleetDevice
+from repro.fleet.policy import SchedulingPolicy
+from repro.fleet.scheduler import ScheduledSearch
+from repro.fleet.units import DEFAULT_CHUNK_RANKS, decompose_search
+from repro.net.errors import ServerClosed
+from repro.refusals import Refusal, RequestShed
 from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import DEFAULT_TENANT, TenantContext
-
-from repro.sched.batcher import BatchSlice, SliceOutcome, UnitCursor
-from repro.sched.errors import (
-    SHED_DEADLINE_EXPIRED,
-    SHED_NO_DEVICES,
-    SHED_SHUTDOWN,
-    RequestShed,
-    SchedulerClosed,
-)
-from repro.sched.policy import SchedulingPolicy
-from repro.sched.scheduler import ScheduledSearch
-from repro.sched.units import DEFAULT_CHUNK_RANKS, decompose_search
-
-from repro.fleet.device import FleetDevice
 
 __all__ = ["FleetScheduler"]
 
@@ -268,7 +261,7 @@ class FleetScheduler:
         typed :class:`RequestShed`. ``tenant`` attributes the request to
         a tenant for quota admission and weighted fair share; omitted,
         it runs under the default tenant exactly as before tenancy.
-        Raises :class:`SchedulerClosed` after :meth:`close`, and
+        Raises :class:`~repro.net.errors.ServerClosed` after :meth:`close`, and
         :class:`RequestShed` on admission rejection (full queue /
         hopeless deadline / exhausted tenant budget). When no device is
         placeable the request is *parked* and either placed on the next
@@ -287,20 +280,20 @@ class FleetScheduler:
         units = decompose_search(max_distance, self.chunk_ranks)
         with self._wake:
             if self._closed:
-                raise SchedulerClosed("fleet scheduler is closed")
-            reason = self.policy.admission_shed_reason(
+                raise ServerClosed("fleet scheduler is closed")
+            refusal = self.policy.admission_shed_reason(
                 queue_depth=len(self._active),
                 max_queue=self.max_queue,
                 deadline_seconds=deadline_seconds,
                 throughput=self._throughput,
                 tenant_id=tenant_id,
             )
-            if reason is not None:
-                self._shed[reason] = self._shed.get(reason, 0) + 1
+            if refusal is not None:
+                self._shed[refusal.reason] = self._shed.get(refusal.reason, 0) + 1
                 self._tenant_shed[tenant_id] = (
                     self._tenant_shed.get(tenant_id, 0) + 1
                 )
-                raise RequestShed(reason, f"client {client_id!r}")
+                raise RequestShed(refusal, f"client {client_id!r}")
             self._seq += 1
             request = ScheduledSearch(
                 seq=self._seq,
@@ -391,7 +384,7 @@ class FleetScheduler:
                         request.inflight_batch.settled = True
                 self._wake.notify_all()
             for request in orphans:
-                self._finalize_shed(request, SHED_SHUTDOWN)
+                self._finalize_shed(request, Refusal.SHUTDOWN)
             raise
 
     def _device_loop(self, device: FleetDevice) -> None:
@@ -419,7 +412,7 @@ class FleetScheduler:
                             return
             for request, why in expired:
                 if why == "deadline":
-                    self._finalize_shed(request, SHED_DEADLINE_EXPIRED)
+                    self._finalize_shed(request, Refusal.DEADLINE_EXPIRED)
                 else:
                     self._finalize_result(request, timed_out=True)
             for request in drained:
@@ -772,7 +765,7 @@ class FleetScheduler:
                             self._active.remove(request)
                 self._wake.notify_all()
             for request in shed:
-                self._finalize_shed(request, SHED_NO_DEVICES)
+                self._finalize_shed(request, Refusal.NO_HEALTHY_DEVICES)
 
     # -- finalization ---------------------------------------------------
 
@@ -806,14 +799,14 @@ class FleetScheduler:
                 self._timed_out += 1
         request._resolve(result, None)
 
-    def _finalize_shed(self, request: ScheduledSearch, reason: str) -> None:
+    def _finalize_shed(self, request: ScheduledSearch, refusal: Refusal) -> None:
         with self._wake:
-            self._shed[reason] = self._shed.get(reason, 0) + 1
+            self._shed[refusal.reason] = self._shed.get(refusal.reason, 0) + 1
             self._tenant_shed[request.tenant_id] = (
                 self._tenant_shed.get(request.tenant_id, 0) + 1
             )
         request._resolve(
-            None, RequestShed(reason, f"client {request.client_id!r}")
+            None, RequestShed(refusal, f"client {request.client_id!r}")
         )
 
     # -- observation ----------------------------------------------------
@@ -897,7 +890,7 @@ class FleetScheduler:
                 leftovers = list(self._active)
                 self._active.clear()
         for request in leftovers:
-            self._finalize_shed(request, SHED_SHUTDOWN)
+            self._finalize_shed(request, Refusal.SHUTDOWN)
 
     def __enter__(self) -> "FleetScheduler":
         return self

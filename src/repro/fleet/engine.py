@@ -44,9 +44,9 @@ from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import TenantContext
 from repro.tenancy.registry import TenantRegistry
 
-from repro.sched.policy import PolicyConfig, SchedulingPolicy
-from repro.sched.scheduler import ScheduledSearch
-from repro.sched.units import DEFAULT_CHUNK_RANKS
+from repro.fleet.policy import PolicyConfig, SchedulingPolicy
+from repro.fleet.scheduler import ScheduledSearch
+from repro.fleet.units import DEFAULT_CHUNK_RANKS
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler

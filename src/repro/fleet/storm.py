@@ -6,7 +6,7 @@ dark, and comes back (at 75%). The storm then asserts the protocol-level
 invariants:
 
 * **zero lost requests** — every submission resolves to a result or a
-  typed :class:`~repro.sched.errors.RequestShed`, never hangs;
+  typed :class:`~repro.refusals.RequestShed`, never hangs;
 * **zero false authentications** — every ``found`` seed re-hashes to its
   client's digest;
 * **byte equivalence** — every fleet outcome (found flag, seed bytes,

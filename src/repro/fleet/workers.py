@@ -34,10 +34,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.fleet.batcher import first_matches
 from repro.hashes.registry import HashAlgorithm
 from repro.runtime.maskplan import mask_tables
 from repro.runtime.partition import partition_ranks
-from repro.sched.batcher import first_matches
 
 __all__ = ["SPLIT_MIN_ROWS", "WorkerLost", "WorkerSet", "default_worker_count"]
 

@@ -32,20 +32,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.authentication import CertificateAuthority
-from repro.directory.errors import DirectoryUnavailable
 from repro.engines.result import DirectoryStats, SearchResult
-from repro.net.errors import ServerClosed
+from repro.net.errors import ServerBusy, ServerClosed
 from repro.net.messages import (
     AuthenticationResult,
     DigestSubmission,
     HandshakeRequest,
     HandshakeResponse,
 )
-from repro.sched.errors import (
-    SHED_DIRECTORY_UNAVAILABLE,
-    SHED_TENANT_QUOTA,
-    RequestShed,
-)
+from repro.refusals import Refusal, RequestShed
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
@@ -223,9 +218,9 @@ class ServerMetrics:
         with self._lock:
             self.shed += 1
             self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-            if reason == SHED_DIRECTORY_UNAVAILABLE:
+            if reason == Refusal.DIRECTORY_UNAVAILABLE.reason:
                 self.shed_directory += 1
-            elif reason == SHED_TENANT_QUOTA:
+            elif reason == Refusal.TENANT_QUOTA.reason:
                 self.shed_tenant_quota += 1
             self.failed += failed
             self.total_search_seconds += search_seconds
@@ -235,7 +230,7 @@ class ServerMetrics:
                 shed=1,
                 failed=failed,
                 search_seconds=search_seconds,
-                quota_hits=1 if reason == SHED_TENANT_QUOTA else 0,
+                quota_hits=1 if reason == Refusal.TENANT_QUOTA.reason else 0,
             )
 
     def record_enrollment(self) -> None:
@@ -398,13 +393,15 @@ class ConcurrentCAServer:
         that becomes of an *admitted* request arrives through the
         future, and ``submitted == completed + failed + pending``.
 
-        Refusals: :class:`~repro.net.errors.ServerClosed` once the server
-        is shut down; ``RuntimeError`` from admission control (saturated
-        queue -> ``rejected_busy``, duplicate in-flight client ->
-        ``rejected_duplicate``); :class:`~repro.sched.errors.RequestShed`
-        with a typed reason, counted under ``shed`` — an exhausted tenant
-        budget (``tenant_quota``), an unmeetable deadline, saturated
-        lanes, or a dark directory replica set.
+        Refusals (:class:`~repro.refusals.Refusal`):
+        :class:`~repro.net.errors.ServerClosed` once the server is shut
+        down; :class:`~repro.net.errors.ServerBusy` from admission
+        control (``DOOR_SATURATED`` -> ``rejected_busy``,
+        ``DUPLICATE_IN_FLIGHT`` -> ``rejected_duplicate``);
+        :class:`~repro.refusals.RequestShed` with a typed reason, counted
+        under ``shed`` — an exhausted tenant budget (``tenant_quota``),
+        an unmeetable deadline, saturated lanes, or a dark directory
+        replica set (``DirectoryUnavailable`` is a shed).
 
         Through the future: the reply; a runtime shed (expired deadline,
         shutdown, no healthy device — ``shed`` and ``failed``); and any
@@ -428,11 +425,14 @@ class ConcurrentCAServer:
                 raise ServerClosed("server is closed")
             if self._pending >= self.max_queue:
                 self.metrics.record(rejected_busy=1)
-                raise RuntimeError("server saturated; retry later")
+                raise ServerBusy(
+                    "server saturated; retry later", Refusal.DOOR_SATURATED
+                )
             if in_flight_key in self._in_flight_clients:
                 self.metrics.record(rejected_duplicate=1)
-                raise RuntimeError(
-                    f"client {client_id!r} already has a search in flight"
+                raise ServerBusy(
+                    f"client {client_id!r} already has a search in flight",
+                    Refusal.DUPLICATE_IN_FLIGHT,
                 )
             self._in_flight_clients.add(in_flight_key)
             self._pending += 1
@@ -478,8 +478,6 @@ class ConcurrentCAServer:
             )
         except RequestShed:
             raise
-        except DirectoryUnavailable as exc:
-            raise _directory_shed(exc) from exc
         except Exception as exc:
             # Not a refusal: the request was admitted and cannot be
             # served, so it is settled (and counted failed) like any
@@ -589,11 +587,3 @@ def _raiser(exc: Exception) -> Callable[[], SearchResult]:
         raise exc
 
     return search
-
-
-def _directory_shed(exc: DirectoryUnavailable) -> RequestShed:
-    """Every replica of the client's enrollment record is down: degraded-
-    mode serving sheds with a typed reason, so the caller can tell "the
-    directory is degraded, retry later" apart from "your authentication
-    failed" — never the directory's internal error."""
-    return RequestShed(SHED_DIRECTORY_UNAVAILABLE, str(exc))

@@ -3,10 +3,14 @@
 The fault-injection layer (:mod:`repro.reliability`) produces these; the
 retry machinery in :class:`~repro.net.client.NetworkClient` consumes
 them. Anything that is *not* one of these types is a programming error
-and propagates — only link-level faults are retryable.
+and propagates — only link-level faults are retryable. Three of them are
+also server refusals and carry their :class:`~repro.refusals.Refusal`
+member: ``MessageCorrupted``, ``ServerBusy`` and ``ServerClosed``.
 """
 
 from __future__ import annotations
+
+from repro.refusals import Refusal
 
 __all__ = [
     "TransportError",
@@ -34,6 +38,8 @@ class MessageDropped(TransportError):
 
 class MessageCorrupted(TransportError):
     """A frame arrived but failed integrity or structural validation."""
+
+    refusal = Refusal.CORRUPT
 
 
 class FrameTooLarge(MessageCorrupted):
@@ -64,7 +70,12 @@ class ConnectionLost(TransportError):
 
 
 class ServerBusy(TransportError):
-    """The CA refused admission (saturated queue or duplicate client)."""
+    """The CA's front door refused admission: ``refusal`` says whether
+    its queue was full or the client already had a search in flight."""
+
+    def __init__(self, message: str, refusal: Refusal = Refusal.DOOR_SATURATED):
+        super().__init__(message)
+        self.refusal = refusal
 
 
 class ServerClosed(TransportError):
@@ -73,3 +84,5 @@ class ServerClosed(TransportError):
     Unlike :class:`ServerBusy` this is not worth an immediate retry
     against the same endpoint — the server is gone, not overloaded.
     """
+
+    refusal = Refusal.CLOSED

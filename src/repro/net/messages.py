@@ -554,10 +554,10 @@ class ErrorReply:
 
     The in-process stack raises typed exceptions across a function call;
     a remote server has only bytes, so the refusal rides the wire as its
-    own frame and the client-side stub re-raises the matching type:
-    ``busy`` -> ServerBusy, ``closed`` -> ServerClosed, ``shed`` ->
-    RequestShed(``reason``), ``corrupt`` -> MessageCorrupted (the server
-    could not parse what arrived), ``error`` -> TransportError.
+    own frame: ``kind`` and ``reason`` are its
+    :class:`~repro.refusals.Refusal` member's, and the client-side stub
+    re-raises that member's exception. ``error`` is anything that is no
+    refusal, re-raised as a TransportError.
     """
 
     kind: str

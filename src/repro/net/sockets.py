@@ -65,7 +65,7 @@ from repro.net.messages import (
     encode_frame,
     peek_frame_kind,
 )
-from repro.sched.errors import RequestShed
+from repro.refusals import Refusal, RequestShed
 
 __all__ = [
     "WireShim",
@@ -280,34 +280,27 @@ class SocketTransport:
 
 
 def raise_error_reply(reply: ErrorReply) -> None:
-    """Re-raise a typed refusal frame as the matching exception."""
+    """Re-raise a refusal frame as its :class:`Refusal` member's exception;
+    an ``error`` reply, or one no member goes out as, is a TransportError."""
+    refusal = Refusal.on_wire(reply.kind, reply.reason)
     detail = reply.detail or reply.reason or reply.kind
-    if reply.kind == "busy":
-        raise ServerBusy(detail)
-    if reply.kind == "closed":
+    if refusal is None:
+        raise TransportError(detail)
+    if refusal.kind == "shed":
+        raise RequestShed(refusal, reply.detail)
+    if refusal.kind == "busy":
+        raise ServerBusy(detail, refusal)
+    if refusal.kind == "closed":
         raise ServerClosed(detail)
-    if reply.kind == "shed":
-        raise RequestShed(reply.reason or "shed", reply.detail)
-    if reply.kind == "corrupt":
-        raise MessageCorrupted(f"server rejected frame: {detail}")
-    raise TransportError(detail)
+    raise MessageCorrupted(f"server rejected frame: {detail}")
 
 
 def error_reply_for(exc: BaseException) -> ErrorReply:
-    """The typed refusal frame for one server-side failure."""
-    if isinstance(exc, RequestShed):
-        return ErrorReply(kind="shed", reason=exc.reason, detail=str(exc))
-    if isinstance(exc, ServerClosed):
-        return ErrorReply(kind="closed", detail=str(exc))
-    if isinstance(exc, ServerBusy):
-        return ErrorReply(kind="busy", detail=str(exc))
-    if isinstance(exc, RuntimeError):
-        # ConcurrentCAServer admission control: saturated queue or
-        # duplicate in-flight client. Both are retry-later conditions.
-        return ErrorReply(kind="busy", detail=str(exc))
-    if isinstance(exc, MessageCorrupted):
-        return ErrorReply(kind="corrupt", detail=str(exc))
-    return ErrorReply(kind="error", detail=f"{type(exc).__name__}: {exc}")
+    """The frame for one server-side failure: its refusal, or ``error``."""
+    refusal = Refusal.of(exc)
+    if refusal is None:
+        return ErrorReply(kind="error", detail=f"{type(exc).__name__}: {exc}")
+    return ErrorReply(kind=refusal.kind, reason=refusal.reason, detail=str(exc))
 
 
 class RemoteCAServer:
@@ -408,9 +401,10 @@ class SocketCAServer:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and spawn the accept loop; returns (host, port)."""
+        """Bind, listen, and spawn the accept loop; returns (host, port).
+        A started server only returns its address again."""
         if self._listener is not None:
-            raise RuntimeError("server already started")
+            return self.host, self.port
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))

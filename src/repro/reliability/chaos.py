@@ -36,11 +36,11 @@ from repro.net.errors import ServerBusy
 from repro.net.messages import AuthenticationResult, DigestSubmission
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.puf.image_db import EncryptedImageDatabase
+from repro.refusals import Refusal
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import DeadlineExceeded, RetriesExhausted, RetryPolicy
 from repro.reliability.transport import FaultyTransport
 from repro.reliability.tripwire import VerifyingAuthority
-from repro.sched.errors import RequestShed
 from repro.storm import enrolled_fleet, set_device_alive
 
 __all__ = [
@@ -118,8 +118,9 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
 
 
 class _StormFrontend:
-    """The concurrent server's refusals as the link-level ``ServerBusy``
-    a :class:`NetworkClient` retries on."""
+    """The concurrent server's refusals — anything carrying a
+    :class:`~repro.refusals.Refusal` — as the link-level ``ServerBusy`` a
+    :class:`NetworkClient` retries on."""
 
     def __init__(self, server: ConcurrentCAServer):
         self.handle_handshake = server.handle_handshake
@@ -128,7 +129,9 @@ class _StormFrontend:
     def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
         try:
             return self._server.handle_digest(submission)
-        except (RuntimeError, RequestShed) as exc:
+        except Exception as exc:
+            if Refusal.of(exc) is None:
+                raise
             raise ServerBusy(str(exc)) from exc
 
 

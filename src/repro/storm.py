@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.analysis.metrics import percentile
 from repro.engines.result import SearchResult
-from repro.sched.errors import RequestShed
+from repro.refusals import RequestShed
 
 if TYPE_CHECKING:
     from repro.core.authentication import CertificateAuthority

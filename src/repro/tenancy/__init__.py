@@ -30,11 +30,7 @@ from repro.tenancy.context import (
     tenant_of_key,
     validate_tenant_id,
 )
-from repro.tenancy.errors import (
-    TenancyError,
-    TenantQuotaExceeded,
-    UnknownTenant,
-)
+from repro.tenancy.errors import TenantQuotaExceeded, UnknownTenant
 from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
@@ -46,7 +42,6 @@ __all__ = [
     "TokenBucket",
     "TenantLedger",
     "TenantRegistry",
-    "TenancyError",
     "TenantQuotaExceeded",
     "UnknownTenant",
     "namespaced_key",

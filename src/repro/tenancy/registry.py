@@ -99,7 +99,7 @@ class TenantRegistry:
 
         True when the tenant has no rate quota or its bucket still holds
         a token; False when the budget is exhausted — the caller sheds
-        with ``SHED_TENANT_QUOTA``. Unknown tenants charge the bucket of
+        with ``tenant_quota``. Unknown tenants charge the bucket of
         whatever :meth:`resolve` maps them to.
         """
         context = self.resolve(tenant_id)

@@ -25,7 +25,7 @@ from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
 from repro.hashes.registry import get_hash
 from repro.net.concurrent import ConcurrentCAServer
-from repro.sched.errors import SHED_TENANT_QUOTA
+from repro.refusals import Refusal
 from repro.storm import (
     Request,
     drive,
@@ -237,7 +237,7 @@ def isolation_failures(
         untyped=[
             reason
             for reason, count in record["aggressor_shed_reasons"].items()
-            if reason != SHED_TENANT_QUOTA
+            if reason != Refusal.TENANT_QUOTA.reason
             for _ in range(count)
         ]
         + [kind for stats in served for kind in stats["errors"]],

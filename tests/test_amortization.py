@@ -27,7 +27,7 @@ from repro.runtime.maskplan import (
     global_plan_cache,
 )
 from repro.fleet.workers import default_worker_count
-from repro.sched.errors import SchedulerClosed
+from repro.net.errors import ServerClosed
 
 #: Restricting d=2 to this rank range keeps the scalar iterators fast.
 D2_RANGE = (0, 2048)
@@ -182,7 +182,7 @@ class TestWarmPool:
         assert engine.worker_set.pids() == []
         for pid in pids:  # reaped, not left as zombies
             assert not os.path.exists(f"/proc/{pid}")
-        with pytest.raises(SchedulerClosed):
+        with pytest.raises(ServerClosed):
             engine.search(b"\x00" * 32, hashlib.sha1(b"x").digest(), 1)
         engine.close()  # idempotent
 

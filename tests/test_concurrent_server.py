@@ -17,14 +17,14 @@ from repro.core.salting import HashChainSalt
 from repro.engines import build_engine
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer, ServerMetrics
-from repro.net.errors import ServerClosed, TransportError
+from repro.net.errors import ServerBusy, ServerClosed, TransportError
 from repro.net.messages import AuthenticationResult, DigestSubmission
 from repro.net.sockets import RemoteCAServer, SocketCAServer, SocketTransport
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
-from repro.sched.errors import SHED_NO_DEVICES, RequestShed
+from repro.refusals import Refusal, RequestShed
 
 
 @pytest.fixture
@@ -101,7 +101,7 @@ class TestConcurrentServer:
         with ConcurrentCAServer(authority) as server:
             first = server.submit(clients[1][0], other_digest)
             second = server.submit(client_id, digest)  # in flight beside it
-            with pytest.raises(RuntimeError, match="in flight"):
+            with pytest.raises(ServerBusy, match="in flight"):
                 server.submit(client_id, digest)
             gate.set()
             assert first.result(timeout=60) is not None
@@ -118,7 +118,7 @@ class TestConcurrentServer:
                 digest = _digest_for(authority, client_id, device, mask)
                 try:
                     submitted.append(server.submit(client_id, digest))
-                except RuntimeError:
+                except ServerBusy:
                     rejected += 1
             gate.set()  # unblock the device
             for future in submitted:
@@ -167,7 +167,7 @@ class TestConcurrentServer:
             future = server.submit("c0", b"\x00" * 20)
             with pytest.raises(RequestShed) as shed:
                 future.result(timeout=60)
-        assert shed.value.reason == SHED_NO_DEVICES
+        assert shed.value.refusal is Refusal.NO_HEALTHY_DEVICES
         snapshot = server.metrics.snapshot()
         # The failed search is accounted, not silently dropped:
         # submitted == completed + failed.
@@ -502,9 +502,9 @@ class TestAdmissionControlUnderConcurrency:
                         future = server.submit(client_id, digests[client_id])
                         with record_lock:
                             accepted.append(future)
-                    except RuntimeError as exc:
+                    except ServerBusy as exc:
                         with record_lock:
-                            if "saturated" in str(exc):
+                            if exc.refusal is Refusal.DOOR_SATURATED:
                                 rejected_busy.append(client_id)
                             else:
                                 rejected_dup.append(client_id)

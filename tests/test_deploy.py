@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import signal
 import socket
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +46,10 @@ from repro.deploy.supervisor import (
 from repro.deploy.topology import ENGINE_MODES, TopologySpec
 from repro.deploy.trace import generate_trace
 from repro.deploy.wan import WAN_PROFILES, build_shim
+from repro.devices.flaky import DeviceFailure
+from repro.directory.errors import DirectoryUnavailable
+from repro.durability.errors import CheckpointCorrupt, WalCorrupt
+from repro.fleet.workers import WorkerLost
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.errors import (
@@ -52,6 +58,8 @@ from repro.net.errors import (
     MessageCorrupted,
     MessageDropped,
     ServerBusy,
+    ServerClosed,
+    TransportError,
 )
 from repro.net.messages import (
     FRAME_HEADER_BYTES,
@@ -72,10 +80,13 @@ from repro.net.sockets import (
     SocketCAServer,
     SocketTransport,
     error_reply_for,
+    raise_error_reply,
 )
 from repro.net.transport import InProcessTransport
+from repro.refusals import Refusal, RequestShed
+from repro.reliability.breaker import CircuitOpenError
 from repro.reliability.retry import RetriesExhausted
-from repro.sched.errors import RequestShed
+from repro.tenancy.errors import TenantQuotaExceeded
 
 
 def _child_env() -> dict[str, str]:
@@ -247,7 +258,7 @@ class TestMetricsMessages:
         assert json.loads(tenanted.to_bytes().decode())["include_tenants"] is True
 
     def test_error_reply_round_trip_and_kinds(self):
-        reply = ErrorReply(kind="shed", reason="deadline", detail="too slow")
+        reply = ErrorReply(kind="shed", reason="deadline_expired", detail="too slow")
         assert ErrorReply.from_bytes(reply.to_bytes()) == reply
         with pytest.raises(ValueError):
             ErrorReply(kind="nonsense")
@@ -257,8 +268,8 @@ class TestMetricsMessages:
             raise_error_reply(reply)
 
     def test_error_reply_for_maps_admission_failures(self):
-        assert error_reply_for(RuntimeError("queue full")).kind == "busy"
-        assert error_reply_for(RequestShed("deadline")).kind == "shed"
+        assert error_reply_for(RuntimeError("queue full")).kind == "error"
+        assert error_reply_for(RequestShed(Refusal.DEADLINE_EXPIRED)).kind == "shed"
         assert error_reply_for(MessageCorrupted("bad")).kind == "corrupt"
         assert error_reply_for(ValueError("x")).kind == "error"
 
@@ -268,6 +279,175 @@ class TestMetricsMessages:
             peek_frame_kind(b"\xff\xfe not json")
         with pytest.raises(MessageCorrupted):
             peek_frame_kind(b'{"no_type": 1}')
+
+
+# ---------------------------------------------------------------------------
+# The refusal table on the wire
+
+
+def _refused_at_the_door() -> dict[str, Exception]:
+    """The front door's two busy refusals, as a real ConcurrentCAServer
+    raises them over a dispatcher whose tickets never settle."""
+
+    class Held:
+        scheduler = SimpleNamespace(policy=SimpleNamespace(tenants=None))
+
+        def submit(self, *args, **kwargs):
+            return SimpleNamespace(add_done_callback=lambda callback: None)
+
+        def close(self, drain=True):
+            pass
+
+    authority = SimpleNamespace(
+        search_service=SimpleNamespace(max_distance=1, time_threshold=None),
+        enrolled_seed_with_stats=lambda client_id, **kwargs: (b"\x00" * 32, None),
+    )
+    server = ConcurrentCAServer(authority, max_queue=2, scheduler=Held())
+    refused = {}
+    for name, client_id in (
+        (None, "c0"), ("duplicate", "c0"), (None, "c1"), ("saturated", "c2"),
+    ):
+        try:
+            server.submit(client_id, b"digest")
+        except Exception as exc:
+            refused[name] = exc
+    assert set(refused) == {"duplicate", "saturated"}
+    return refused
+
+
+@pytest.mark.parametrize(
+    ("make", "kind", "reason"),
+    [
+        (lambda: WalCorrupt("/wal", 12, "crc mismatch"), "error", ""),
+        (lambda: CheckpointCorrupt("/ckpt", "crc mismatch"), "error", ""),
+        (lambda: WorkerLost("worker(s) [1] died mid-batch"), "error", ""),
+        (lambda: CircuitOpenError(1.0), "error", ""),
+        (lambda: DeviceFailure("host-1", 3), "error", ""),
+        (lambda: RuntimeError("queue full"), "error", ""),
+        (
+            lambda: DirectoryUnavailable("c0", ("shard-00", "shard-01")),
+            "shed", "directory_unavailable",
+        ),
+        (
+            lambda: TenantQuotaExceeded("gold", "max_enrollments", "2/2 enrolled"),
+            "shed", "tenant_quota",
+        ),
+        (lambda: _refused_at_the_door()["saturated"], "busy", ""),
+        (lambda: _refused_at_the_door()["duplicate"], "busy", ""),
+    ],
+    ids=[
+        "WalCorrupt", "CheckpointCorrupt", "WorkerLost", "CircuitOpenError",
+        "DeviceFailure", "RuntimeError", "DirectoryUnavailable",
+        "TenantQuotaExceeded", "door-saturated", "door-duplicate",
+    ],
+)
+def test_error_reply_for_sends_each_failure_as_its_own_kind(make, kind, reason):
+    """Only a refusal is a refusal: a RuntimeError is no "retry later"."""
+    reply = error_reply_for(make())
+    assert (reply.kind, reply.reason) == (kind, reason)
+    if reason == "tenant_quota":
+        assert "max_enrollments" in reply.detail
+
+
+#: The frame each member goes out as, captured from the wire before the
+#: table existed (the busy ones were then bare ``RuntimeError``s).
+GOLDEN_FRAMES = {
+    Refusal.SATURATED: b'{"crc":"c3e4c7f3","detail":"request shed (saturated): client \'c0\'","kind":"shed","reason":"saturated","type":"error_reply"}',
+    Refusal.DEADLINE_UNMEETABLE: b'{"crc":"a7e8d447","detail":"request shed (deadline_unmeetable): client \'c0\'","kind":"shed","reason":"deadline_unmeetable","type":"error_reply"}',
+    Refusal.DEADLINE_EXPIRED: b'{"crc":"95c67830","detail":"request shed (deadline_expired): client \'c0\'","kind":"shed","reason":"deadline_expired","type":"error_reply"}',
+    Refusal.SHUTDOWN: b'{"crc":"2514a8b1","detail":"request shed (shutdown): client \'c0\'","kind":"shed","reason":"shutdown","type":"error_reply"}',
+    Refusal.NO_HEALTHY_DEVICES: b'{"crc":"5a4c8b7f","detail":"request shed (no_healthy_devices): client \'c0\'","kind":"shed","reason":"no_healthy_devices","type":"error_reply"}',
+    Refusal.DIRECTORY_UNAVAILABLE: b'{"crc":"8f36da81","detail":"request shed (directory_unavailable): no live replica for client \'c0\' (tried shard-00, shard-01)","kind":"shed","reason":"directory_unavailable","type":"error_reply"}',
+    Refusal.TENANT_QUOTA: b'{"crc":"3ae7ebf8","detail":"request shed (tenant_quota): client \'c0\'","kind":"shed","reason":"tenant_quota","type":"error_reply"}',
+    Refusal.DOOR_SATURATED: b'{"crc":"d2031de5","detail":"server saturated; retry later","kind":"busy","type":"error_reply"}',
+    Refusal.DUPLICATE_IN_FLIGHT: b'{"crc":"79a8b645","detail":"client \'c0\' already has a search in flight","kind":"busy","type":"error_reply"}',
+    Refusal.CLOSED: b'{"crc":"ad6ebc55","detail":"server is closed","kind":"closed","type":"error_reply"}',
+    Refusal.CORRUPT: b'{"crc":"67e69723","detail":"unserveable frame type \'x\'","kind":"corrupt","type":"error_reply"}',
+}
+
+#: ``classify_failure`` of each member: the strings the load generator
+#: (and the benchmark ladder) write into every failed operation.
+CLASSIFIED = {
+    Refusal.SATURATED: "shed:saturated",
+    Refusal.DEADLINE_UNMEETABLE: "shed:deadline_unmeetable",
+    Refusal.DEADLINE_EXPIRED: "shed:deadline_expired",
+    Refusal.SHUTDOWN: "shed:shutdown",
+    Refusal.NO_HEALTHY_DEVICES: "shed:no_healthy_devices",
+    Refusal.DIRECTORY_UNAVAILABLE: "shed:directory_unavailable",
+    Refusal.TENANT_QUOTA: "shed:tenant_quota",
+    Refusal.DOOR_SATURATED: "busy",
+    Refusal.DUPLICATE_IN_FLIGHT: "busy",
+    Refusal.CLOSED: "closed",
+    Refusal.CORRUPT: "corrupt",
+}
+
+
+def _raised_as(refusal: Refusal) -> Exception:
+    """One exception carrying ``refusal``, worded as the server words it."""
+    if refusal is Refusal.DIRECTORY_UNAVAILABLE:
+        return DirectoryUnavailable("c0", ("shard-00", "shard-01"))
+    if refusal.kind == "shed":
+        return RequestShed(refusal, "client 'c0'")
+    if refusal is Refusal.DOOR_SATURATED:
+        return _refused_at_the_door()["saturated"]
+    if refusal is Refusal.DUPLICATE_IN_FLIGHT:
+        return _refused_at_the_door()["duplicate"]
+    if refusal is Refusal.CLOSED:
+        return ServerClosed("server is closed")
+    return MessageCorrupted("unserveable frame type 'x'")
+
+
+class TestRefusalTable:
+    @pytest.mark.parametrize("refusal", list(Refusal), ids=lambda r: r.name)
+    def test_every_member_round_trips_the_wire_byte_identically(self, refusal):
+        exc = _raised_as(refusal)
+        assert Refusal.of(exc) is refusal
+        raw = error_reply_for(exc).to_bytes()
+        assert raw == GOLDEN_FRAMES[refusal]
+        with pytest.raises(Exception) as raised:
+            raise_error_reply(ErrorReply.from_bytes(raw))
+        back = Refusal.of(raised.value)
+        assert (back.kind, back.reason) == (refusal.kind, refusal.reason)
+        assert classify_failure(exc) == CLASSIFIED[refusal]
+        assert classify_failure(raised.value) == CLASSIFIED[refusal]
+
+    def test_every_member_has_a_raise_site(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        text = "\n".join(
+            path.read_text() for path in src.rglob("*.py")
+            if path.name != "refusals.py"
+        )
+        unraised = [
+            refusal.name for refusal in Refusal
+            if not re.search(rf"\bRefusal\.{refusal.name}\b", text)
+        ]
+        assert unraised == []
+
+    def test_link_faults_and_untyped_replies(self):
+        assert classify_failure(MessageDropped("x", 0.1)) == "dropped"
+        assert classify_failure(ConnectionLost("gone")) == "connection-lost"
+        assert classify_failure(FrameTooLarge(10, 5)) == "corrupt"
+        assert classify_failure(TransportError("?")) == "transport"
+        # No member goes out as these: the client sees a TransportError.
+        for reply in (
+            ErrorReply(kind="error", detail="KeyError: 'c9'"),
+            ErrorReply(kind="shed", reason="no_such_reason"),
+        ):
+            with pytest.raises(TransportError) as raised:
+                raise_error_reply(reply)
+            assert Refusal.of(raised.value) is None
+
+    def test_one_vocabulary_and_no_sched_package(self):
+        root = Path(__file__).resolve().parents[1]
+        assert not (root / "src" / "repro" / "sched").exists()
+        gone = re.compile(
+            r"repro\.sched|SHED_[A-Z]|Scheduler(?:Closed|Error)|_directory_(?:shed)"
+        )
+        for folder in ("src", "tests", "examples", "benchmarks"):
+            for path in (root / folder).rglob("*.py"):
+                assert not gone.search(path.read_text()), path
+        for name in ("net/sockets.py", "net/concurrent.py", "reliability/chaos.py"):
+            assert "RuntimeError" not in (root / "src" / "repro" / name).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +707,10 @@ class TestTopologyAndTrace:
         assert verifying.false_authentications == 1
 
     def test_classify_failure_buckets(self):
-        assert classify_failure(RequestShed("deadline")) == "shed:deadline"
+        assert (
+            classify_failure(RequestShed(Refusal.DEADLINE_EXPIRED))
+            == "shed:deadline_expired"
+        )
         assert classify_failure(MessageDropped("x", 0.1)) == "dropped"
         assert classify_failure(ServerBusy("q")) == "busy"
         assert classify_failure(

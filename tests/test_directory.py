@@ -361,10 +361,7 @@ class TestDegradedServing:
 
     def test_shed_is_typed_and_served_keys_keep_working(self, rig):
         from repro.net.concurrent import ConcurrentCAServer
-        from repro.sched.errors import (
-            SHED_DIRECTORY_UNAVAILABLE,
-            RequestShed,
-        )
+        from repro.refusals import Refusal, RequestShed
 
         authority, directory, fleet = rig
         victim = next(iter(fleet))
@@ -379,11 +376,11 @@ class TestDegradedServing:
                 if client_id != victim:
                     futures[client_id] = server.submit(client_id, digest)
                     continue
-                # The door reads the image: refused there, typed — never
-                # the directory's own error.
+                # The door reads the image: refused there, as the typed
+                # shed DirectoryUnavailable is.
                 with pytest.raises(RequestShed) as excinfo:
                     server.submit(client_id, digest)
-                assert excinfo.value.reason == SHED_DIRECTORY_UNAVAILABLE
+                assert excinfo.value.refusal is Refusal.DIRECTORY_UNAVAILABLE
             for client_id, future in futures.items():
                 alive_replicas = [
                     name

@@ -36,14 +36,10 @@ from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
 from repro.runtime.partition import partition_ranks
-from repro.sched import (
-    SHED_NO_DEVICES,
-    SHED_SHUTDOWN,
-    RequestShed,
-    SchedulerClosed,
-    decompose_search,
-)
-from repro.sched.batcher import BatchSlice, ContinuousBatcher, UnitCursor
+from repro.fleet.batcher import BatchSlice, ContinuousBatcher, UnitCursor
+from repro.fleet.units import decompose_search
+from repro.net.errors import ServerClosed
+from repro.refusals import Refusal, RequestShed
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
@@ -282,9 +278,11 @@ class TestFleetCore:
                 engine.scheduler.kill_device(device.name)
             with pytest.raises(RequestShed) as excinfo:
                 ticket.result(timeout=30)
-            assert excinfo.value.reason == SHED_NO_DEVICES
+            assert excinfo.value.refusal is Refusal.NO_HEALTHY_DEVICES
             assert (
-                engine.scheduler.snapshot()["shed_reasons"][SHED_NO_DEVICES]
+                engine.scheduler.snapshot()["shed_reasons"][
+                    Refusal.NO_HEALTHY_DEVICES.reason
+                ]
                 >= 1
             )
         finally:
@@ -391,7 +389,7 @@ class TestFleetClose:
         engine = FleetSearchEngine("host", "host", hash_name="sha1")
         engine.close()
         engine.close()
-        with pytest.raises(SchedulerClosed):
+        with pytest.raises(ServerClosed):
             engine.submit(BASE_SEED, b"\x00" * 20, 1)
 
     def test_close_drains_in_flight_requests(self):
@@ -422,7 +420,7 @@ class TestFleetClose:
                 ticket.result(timeout=1.0)
             except RequestShed as exc:
                 reasons.add(exc.reason)
-        assert reasons <= {SHED_SHUTDOWN}
+        assert reasons <= {Refusal.SHUTDOWN.reason}
         assert engine.scheduler.snapshot()["queue_depth"] == 0
 
     @pytest.mark.filterwarnings(
@@ -442,8 +440,8 @@ class TestFleetClose:
         ticket = engine.submit(BASE_SEED, absent, 1, client_id="orphan")
         with pytest.raises(RequestShed) as excinfo:
             ticket.result(timeout=3)
-        assert excinfo.value.reason == SHED_SHUTDOWN
-        with pytest.raises(SchedulerClosed):
+        assert excinfo.value.refusal is Refusal.SHUTDOWN
+        with pytest.raises(ServerClosed):
             engine.submit(BASE_SEED, absent, 1)
         engine.close()  # returns: no thread is left to wait for
         assert engine.scheduler.snapshot()["queue_depth"] == 0

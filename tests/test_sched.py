@@ -1,4 +1,4 @@
-"""The deadline-aware continuous-batching scheduler (repro.sched).
+"""The deadline-aware continuous-batching scheduler (the ``sched:`` engine).
 
 Three layers of coverage: the pure pieces (work-unit decomposition and
 the scheduling policy) as plain unit tests; the dispatcher's invariants
@@ -19,21 +19,16 @@ import pytest
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.combinatorics.binomial import binomial
 from repro.engines import EngineWrapper, build_engine, engine_target
-from repro.sched import (
+from repro.fleet.policy import (
     DEEP_LANE,
     EXPRESS_LANE,
     SHALLOW_LANE,
-    SHED_DEADLINE_UNMEETABLE,
-    SHED_SATURATED,
-    SHED_SHUTDOWN,
     PolicyConfig,
-    RequestShed,
-    SchedulerClosed,
     SchedulingPolicy,
-    WorkUnit,
-    decompose_search,
-    expected_work,
 )
+from repro.fleet.units import WorkUnit, decompose_search, expected_work
+from repro.net.errors import ServerClosed
+from repro.refusals import Refusal, RequestShed
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
@@ -103,7 +98,7 @@ class TestPolicy:
         reason = policy.admission_shed_reason(
             queue_depth=8, max_queue=8, deadline_seconds=None, throughput=None
         )
-        assert reason == SHED_SATURATED
+        assert reason is Refusal.SATURATED
 
     def test_admission_deadline_unmeetable(self):
         policy = SchedulingPolicy()
@@ -111,7 +106,7 @@ class TestPolicy:
         reason = policy.admission_shed_reason(
             queue_depth=0, max_queue=8, deadline_seconds=1.0, throughput=10.0
         )
-        assert reason == SHED_DEADLINE_UNMEETABLE
+        assert reason is Refusal.DEADLINE_UNMEETABLE
 
     def test_admission_is_conservative_without_throughput(self):
         policy = SchedulingPolicy()
@@ -395,9 +390,9 @@ class TestSchedulerCore:
             engine.submit(
                 BASE_SEED, absent, 2, deadline_seconds=1e-7, client_id="hopeless"
             )
-        assert excinfo.value.reason == SHED_DEADLINE_UNMEETABLE
+        assert excinfo.value.refusal is Refusal.DEADLINE_UNMEETABLE
         assert engine.scheduler.snapshot()["shed_reasons"] == {
-            SHED_DEADLINE_UNMEETABLE: 1
+            Refusal.DEADLINE_UNMEETABLE.reason: 1
         }
 
     def test_saturation_shed(self):
@@ -413,7 +408,7 @@ class TestSchedulerCore:
                     # the first request cannot finish instantly (d=2 on
                     # sha1 takes well over the submit-to-submit gap).
                     engine.submit(BASE_SEED, absent, 2, client_id="b")
-                assert excinfo.value.reason == SHED_SATURATED
+                assert excinfo.value.refusal is Refusal.SATURATED
             finally:
                 first.result(timeout=120)
         finally:
@@ -476,7 +471,7 @@ class TestSchedulerClose:
         engine = sched_engine(batch_size=4096)
         engine.close()
         engine.close()
-        with pytest.raises(SchedulerClosed):
+        with pytest.raises(ServerClosed):
             engine.submit(BASE_SEED, b"\x00" * 20, 1)
 
     def test_close_drains_in_flight_requests(self):
@@ -505,7 +500,7 @@ class TestSchedulerClose:
                 reasons.add(exc.reason)
         # At least the queued tail was shed at shutdown (the request
         # holding the device may have completed first).
-        assert reasons <= {SHED_SHUTDOWN}
+        assert reasons <= {Refusal.SHUTDOWN.reason}
         assert engine.scheduler.snapshot()["queue_depth"] == 0
 
 

@@ -29,7 +29,7 @@ from repro.hashes.registry import get_hash
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.messages import AuthenticationResult
 from repro.reliability.tripwire import VerifyingAuthority
-from repro.sched.errors import SHED_TENANT_QUOTA, RequestShed
+from repro.refusals import Refusal, RequestShed
 from repro.storm import (
     Request,
     drive,
@@ -202,7 +202,7 @@ def scripted(shape: str):
         "timed_out": reply(found=False, timed_out=True),
     }
     failures = {
-        "runtime_shed": RequestShed("deadline_expired"),
+        "runtime_shed": RequestShed(Refusal.DEADLINE_EXPIRED),
         "error": ValueError("boom"),
     }
     plays = iter(SCRIPT)
@@ -210,7 +210,7 @@ def scripted(shape: str):
     def submit(request):
         play, _expected = next(plays)
         if play == "door_shed":
-            raise RequestShed("saturated")
+            raise RequestShed(Refusal.SATURATED)
         if shape == "ticket":
             handle = Ticket()
             if play != "lost":
@@ -258,7 +258,7 @@ class TestDrive:
             def search(self, base_seed, digest, max_distance, time_budget=None):
                 time.sleep(0.02)
                 if digest == b"shed":
-                    raise RequestShed("shutdown")
+                    raise RequestShed(Refusal.SHUTDOWN)
                 if digest == b"boom":
                     raise KeyError("boom")
                 assert time_budget == 1.5
@@ -496,7 +496,9 @@ class TestComposedFaults:
         aggressors = summarize(
             [o for o in outcomes if o.request.tenant == AGGRESSOR_TENANT]
         )
-        assert aggressors["shed_reasons"] == {SHED_TENANT_QUOTA: aggressors["shed"]}
+        assert aggressors["shed_reasons"] == {
+            Refusal.TENANT_QUOTA.reason: aggressors["shed"]
+        }
         assert aggressors["shed"] == 7 and aggressors["found"] == 1
         everyone = summarize(outcomes)
         assert invariant_failures(

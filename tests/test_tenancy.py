@@ -23,12 +23,9 @@ from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
-from repro.sched.errors import (
-    SHED_SATURATED,
-    SHED_TENANT_QUOTA,
-    RequestShed,
-)
-from repro.sched.policy import SchedulingPolicy
+from repro.fleet.policy import SchedulingPolicy
+from repro.net.errors import ServerBusy
+from repro.refusals import Refusal, RequestShed
 from repro.tenancy import (
     DEFAULT_TENANT,
     TenantContext,
@@ -250,13 +247,13 @@ class TestPolicyTenancy:
         assert policy.admission_shed_reason(
             queue_depth=8, max_queue=8, deadline_seconds=None,
             throughput=None, tenant_id="gold",
-        ) == SHED_SATURATED
+        ) is Refusal.SATURATED
         assert registry.try_admit("gold")  # ...token still there
         # Bucket is now dry: the typed quota shed.
         assert policy.admission_shed_reason(
             queue_depth=0, max_queue=8, deadline_seconds=None,
             throughput=None, tenant_id="gold",
-        ) == SHED_TENANT_QUOTA
+        ) is Refusal.TENANT_QUOTA
 
     def test_tenantless_policy_admits_everyone(self):
         policy = SchedulingPolicy()
@@ -451,7 +448,7 @@ class TestServerTenancy:
             first = server.submit("c0", digests[0], tenant_id="gold")
             with pytest.raises(RequestShed) as excinfo:
                 server.submit("c1", digests[1], tenant_id="gold")
-            assert excinfo.value.reason == SHED_TENANT_QUOTA
+            assert excinfo.value.refusal is Refusal.TENANT_QUOTA
             clock.advance(1.0)  # budget refills, service resumes
             second = server.submit("c2", digests[2], tenant_id="gold")
             assert first.result(timeout=60).authenticated
@@ -459,7 +456,7 @@ class TestServerTenancy:
         snapshot = server.metrics.snapshot()
         assert snapshot["shed"] == 1
         assert snapshot["shed_tenant_quota"] == 1
-        assert server.metrics.shed_breakdown() == {SHED_TENANT_QUOTA: 1}
+        assert server.metrics.shed_breakdown() == {Refusal.TENANT_QUOTA.reason: 1}
         tenants = server.metrics.tenant_snapshot()
         assert tenants["gold"]["submitted"] == 2
         assert tenants["gold"]["shed"] == 1
@@ -494,7 +491,7 @@ class TestServerTenancy:
             first = server.submit("c0", digests[0], tenant_id="gold")
             with pytest.raises(RequestShed) as excinfo:
                 server.submit("c1", digests[1], tenant_id="gold")
-            assert excinfo.value.reason == SHED_TENANT_QUOTA
+            assert excinfo.value.refusal is Refusal.TENANT_QUOTA
             assert first.result(timeout=60).authenticated
         snapshot = server.metrics.snapshot()
         assert snapshot["shed_tenant_quota"] == 1
@@ -541,11 +538,11 @@ class TestServerTenancy:
         try:
             first = server.submit("c0", absent, tenant_id="gold")
             assert tokens() == 7.0
-            with pytest.raises(RuntimeError, match="already has a search"):
+            with pytest.raises(ServerBusy, match="already has a search"):
                 server.submit("c0", absent, tenant_id="gold")
             second = server.submit("c1", absent, tenant_id="gold")
             assert tokens() == 6.0
-            with pytest.raises(RuntimeError, match="saturated"):
+            with pytest.raises(ServerBusy, match="saturated"):
                 server.submit("c2", absent, tenant_id="gold")
             assert tokens() == 6.0
         finally:
