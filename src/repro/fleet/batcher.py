@@ -37,6 +37,7 @@ import numpy as np
 
 from repro._bitutils import words_to_seed
 from repro.fleet.units import WorkUnit
+from repro.hashes import compiled
 from repro.hashes.registry import HashAlgorithm
 from repro.runtime.maskplan import candidates
 
@@ -162,12 +163,22 @@ def first_matches(
     words, target words)`` slice, the lowest row (from ``lo``) whose
     candidate hashes to the target.
 
-    Every slice's candidates go through one kernel call. The device
-    thread and the worker processes both scan with this, so a rank range
-    answers the same wherever it is hashed.
+    With the compiled kernel (:func:`repro.hashes.compiled.load`) each
+    slice's candidates are one C call that stops at the slice's first
+    match; otherwise every slice's candidates go through one ``hashlib``
+    batch. The device thread and the worker processes both scan with
+    this, so a rank range answers the same wherever it is hashed.
     """
     if not slices:
         return []
+    kernel = compiled.load()
+    if kernel is not None and algo.name in kernel.hashes:
+        return [
+            kernel.first_match(
+                algo.name, candidates(distance, lo, hi, base_words), target_words
+            )
+            for distance, lo, hi, base_words, target_words in slices
+        ]
     words = [
         candidates(distance, lo, hi, base_words)
         for distance, lo, hi, base_words, _t in slices

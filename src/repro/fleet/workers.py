@@ -1,17 +1,20 @@
 """The worker set: one pinned process per core behind the fleet's devices.
 
 A native 32-byte digest holds the interpreter lock (EXPERIMENTS.md,
-E-NATIVE), so the host's other cores can only be reached by processes.
-This module is the one place ``src/repro`` keeps long-lived ones: a
-:class:`WorkerSet` forks ``workers`` processes when the engine is built,
-pins worker *i* to the *i*-th CPU of the process's cpuset (unpinned, the
-kernel's wake-affine placement tends to stack the wakees next to the
-waker, and two workers read 1.2-1.6x where pinned ones read 1.8-1.9x —
-E-CORES), and has each block on its own pipe. What crosses a pipe is
+E-NATIVE), so on the ``hashlib`` fallback the host's other cores can
+only be reached by processes (the compiled kernel releases the lock;
+the fallback does not). This module is the one place ``src/repro``
+keeps long-lived ones: a :class:`WorkerSet` forks ``workers`` processes
+when the engine is built, pins worker *i* to the *i*-th CPU of the
+process's cpuset (unpinned, the kernel's wake-affine placement tends to
+stack the wakees next to the waker, and two workers read 1.2-1.6x where
+pinned ones read 1.8-1.9x — E-CORES), and has each block on its own
+pipe. What crosses a pipe is
 ``(distance, rank lo, rank hi, base words, target words)`` one way and
 ``first matching row | none`` the other: a worker makes its own
 candidates (:func:`repro.runtime.maskplan.candidates`) from the mask
-table the set builds before it forks.
+table the set builds before it forks, and scans them with the compiled
+kernel the set loads before it forks (:mod:`repro.hashes.compiled`).
 
 One fused batch is on the workers at a time: the cores are the resource,
 so a second device's batch queues behind the first. A worker that dies
@@ -35,6 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.fleet.batcher import first_matches
+from repro.hashes import compiled
 from repro.hashes.registry import HashAlgorithm
 from repro.runtime.maskplan import mask_tables
 from repro.runtime.partition import partition_ranks
@@ -42,9 +46,12 @@ from repro.runtime.partition import partition_ranks
 __all__ = ["SPLIT_MIN_ROWS", "WorkerLost", "WorkerSet", "default_worker_count"]
 
 #: Rows a fused batch needs before it is split over the workers.
-#: Scatter, two wake-ups and gather cost ≈ 0.2 ms, which SHA3-256 — the
-#: serving hash — earns back between 512 and 1 024 rows (EXPERIMENTS.md,
-#: E-CORES); a depth-0 probe (one row) or a d=1 shell (256) never pays it.
+#: Scatter, two wake-ups and gather cost ≈ 0.2 ms. On the compiled
+#: kernel, ``fleet:host`` SHA3-256 split over two workers reads 0.86-0.92x
+#: one thread at 512-row batches, 1.06-1.12x at 1 024, 1.33-1.37x at 2 048
+#: (EXPERIMENTS.md, E-CORES); on the ``hashlib`` fallback, splitting
+#: already wins at 512 (1.20x, crossover ≈ 256). A depth-0 probe (one
+#: row) or a d=1 shell (256) never pays it.
 SPLIT_MIN_ROWS = 1024
 
 #: What the set is asked to scan: ``(distance, rank lo, rank hi, base
@@ -148,8 +155,10 @@ class WorkerSet:
         self._slots: list[_Worker | None] = [None] * self.workers
         if self.splits:
             # Before the fork, so that the workers share this process's
-            # pages of the table instead of each building its own.
+            # pages of the table and inherit the loaded kernel instead of
+            # each building its own.
             mask_tables()
+            compiled.load()
             self.revive()
 
     @property

@@ -92,7 +92,10 @@ class Gate:
 
 
 def _host_fingerprint() -> dict[str, Any]:
+    """The host a record was made on, and what its fleet hashed with."""
     import numpy as np
+
+    from repro.hashes import compiled
 
     model = ""
     try:
@@ -106,9 +109,10 @@ def _host_fingerprint() -> dict[str, Any]:
     return {
         "nproc": os.cpu_count(),
         "cpu_model": model,
-        "kernel": platform.release(),
+        "os_release": platform.release(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "kernel": compiled.describe(),
     }
 
 

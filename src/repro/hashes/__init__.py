@@ -19,6 +19,10 @@ package provides:
   on the platform's fastest primitive); the from-spec code above stays
   reachable as ``HashAlgorithm.scalar`` / ``.batch``, the paper artifact
   and the oracle the native digests are tested against.
+* :mod:`repro.hashes.compiled`, the fleet's first-match scan: SHA3-256
+  and SHA-1 hash-and-compare loops in C (``fused.c``), built with the
+  host's compiler on first use and loaded with ``ctypes``; without a
+  compiler the fleet scans with the native digests.
 
 The paper evaluates SHA-1 (insecure; included for the cross-platform
 comparison) and SHA-3. SHA-256 is included as a natural extension point.
