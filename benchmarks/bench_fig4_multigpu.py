@@ -2,7 +2,7 @@
 
 Regenerates the four speedup series (SHA-1/SHA-3 x exhaustive/early-exit)
 and checks the paper's reported endpoints and orderings. A real
-multi-process strong-scaling run on this host cross-checks that the
+multi-thread strong-scaling run on this host cross-checks that the
 data-parallel split + early-exit-flag structure actually scales.
 """
 
@@ -76,14 +76,15 @@ def test_fig4_reproduction(benchmark, report):
 
 
 def test_real_multiprocess_scaling(benchmark, report):
-    """Strong scaling of the real worker processes on this host.
+    """Strong scaling of the real scan threads on this host.
 
     Reduced scale (exhaustive d=2 without a match) so the run stays in
-    seconds; the ``parallel:`` engine's workers are warm, as the paper's
-    GPUs are when its search clock starts.
+    seconds; the ``parallel:`` engines are warm, as the paper's GPUs are
+    when its search clock starts.
     """
     import os
 
+    from repro.hashes import compiled
     from repro.hashes.sha3 import sha3_256
 
     benchmark(lambda: sha3_256(bytes(32)))
@@ -102,11 +103,12 @@ def test_real_multiprocess_scaling(benchmark, report):
             ["workers", "ms / sweep", "speedup"],
             rows,
             title=(
-                "Real multiprocess strong scaling (parallel:sha3-256,bs=16384, "
+                "Real multi-thread strong scaling (parallel:sha3-256,bs=16384, "
                 "exhaustive d=2, this host)"
             ),
         ),
     )
-    if len(worker_counts) > 1:
-        # Pinned workers over shared plans: more of them must help.
+    if len(worker_counts) > 1 and compiled.load() is not None:
+        # Threads on the kernel, which releases the interpreter lock:
+        # more of them must help.
         assert times[worker_counts[-1]] < times[1]

@@ -3,7 +3,7 @@
 Two claims behind :mod:`repro.fleet`, measured on the real kernel:
 
 * **Scaling** — a ``host`` device hashes on every core of the cpuset
-  (pinned worker processes): the cpuset's cores against one, on
+  (one scan thread per core): the cpuset's cores against one, on
   alternating exhaustive sweeps, is the gated reading
   (``worker_scaling_ratio``). The two-device ``scaling_ratio`` on the
   planted workload is recorded but not gated — both devices hash on the

@@ -1,7 +1,7 @@
 """Experiment S4.3 — CPU strong scaling (59x / 63x on 64 cores).
 
 Modeled reproduction of the Section 4.3 speedups plus the Section 5
-future-work cluster extrapolation, and a real multiprocessing scaling
+future-work cluster extrapolation, and a real multi-thread scaling
 measurement on this host's cores.
 """
 
@@ -79,8 +79,9 @@ def test_s5_cluster_future_work(benchmark, report):
 
 def test_real_host_scaling(benchmark, report):
     """Measured strong scaling of the worker set on this machine: one
-    ``host`` device on 1, 2, 3 and 4 pinned processes (more than the
-    cpuset holds is oversubscribed on purpose), exhaustive d=2, SHA3-256."""
+    ``host`` device on 1, 2, 3 and 4 scan threads (more than the cpuset
+    holds is oversubscribed on purpose), exhaustive d=2, SHA3-256."""
+    from repro.hashes import compiled
     from repro.hashes.sha3 import sha3_256
 
     benchmark(lambda: sha3_256(bytes(32)))
@@ -110,5 +111,6 @@ def test_real_host_scaling(benchmark, report):
             ),
         ),
     )
-    if cpus > 1:
+    # On the hashlib fallback the threads share the interpreter lock.
+    if cpus > 1 and compiled.load() is not None:
         assert times[1] / times[cpus] > 1.3

@@ -44,9 +44,9 @@ def quiet_sweep_seconds(
 ) -> dict[int, float]:
     """Per worker count, the quiet-most exhaustive d=2 sweep (absent
     target) of the ``parallel:`` engine — one ``host`` device on that many
-    pinned processes. The engines are warm (the forks are paid
-    before the clock starts, as a server pays them once) and take turns
-    sweep by sweep, so that a slow spell of the host falls on all alike."""
+    scan threads. The engines are warm (built and swept once before the
+    clock starts, as a server is) and take turns sweep by sweep, so that
+    a slow spell of the host falls on all alike."""
     import contextlib
     import time
 

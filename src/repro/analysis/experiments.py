@@ -64,7 +64,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     ),
     Experiment(
         "S4.3", "Section 4.3", "CPU strong scaling (59x/63x on 64 cores)",
-        ("repro.devices.cpu", "repro.fleet.workers"),
+        ("repro.devices.cpu", "repro.fleet.batcher"),
         "benchmarks/bench_s43_cpu_scaling.py",
     ),
     Experiment(

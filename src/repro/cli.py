@@ -17,8 +17,8 @@ Commands:
 
 The serving gates — ``chaos``, ``sched``, ``fleet --storm``,
 ``fleet --bench``, ``directory --storm``, ``directory --bench``,
-``tenants``, ``deploy --storm``, ``deploy --storm --crash`` and
-``amortization`` — are not written here: each is one definition in
+``tenants``, ``deploy --storm`` and ``deploy --storm --crash`` — are
+not written here: each is one definition in
 :mod:`repro.gates`, and :func:`main` hands a matching command line to
 that module's runner (every gate takes ``--seed`` and ``--output``).
 """

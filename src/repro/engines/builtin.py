@@ -76,13 +76,13 @@ register_engine(
 )(_one_host("sched", batch_size=16384))
 register_engine(
     "pool",
-    description="One host device hashing on `workers` pinned processes "
+    description="One host device hashing on `workers` threads "
     "that make their own candidates",
     aliases={"w": "workers"},
 )(_one_host("pool", batch_size=16384, workers=True))
 register_engine(
     "parallel",
-    description="One host device hashing on `workers` pinned processes "
+    description="One host device hashing on `workers` threads "
     "(default: the cpuset); the SALTED-CPU analogue",
     aliases={"w": "workers"},
 )(_one_host("parallel", batch_size=8192, workers=True))

@@ -6,7 +6,7 @@ about one modeled accelerator:
 * its own :class:`~repro.fleet.batcher.ContinuousBatcher` (the kernel
   path — per-device so batch counters and fairness state stay local),
   which splits wide batches over the engine's one
-  :class:`~repro.fleet.workers.WorkerSet` when it was given it;
+  :class:`~repro.fleet.batcher.WorkerSet` when it was given it;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -20,8 +20,7 @@ again after it. The second check is what guarantees re-dispatch of
 in-flight work: a device killed mid-hash discards its results and raises
 :class:`~repro.devices.flaky.DeviceFailure`, so the dispatcher replays
 the batch's chunks on a survivor instead of trusting output from a
-device that died under it. A worker process dying under a batch is the
-same failure, found the same way.
+device that died under it.
 """
 
 from __future__ import annotations
@@ -38,9 +37,12 @@ from repro.devices.flaky import DeviceFailure
 from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 
-from repro.fleet.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
-
-from repro.fleet.workers import WorkerLost, WorkerSet
+from repro.fleet.batcher import (
+    BatchSlice,
+    ContinuousBatcher,
+    SliceOutcome,
+    WorkerSet,
+)
 
 __all__ = ["FleetDevice"]
 
@@ -135,10 +137,7 @@ class FleetDevice:
         (probation -> reinstatement). The fault injector is *not*
         consulted: probes observe health, they do not advance which
         searches fail. The row goes through ``hash_seeds_batch`` on this
-        thread, as a narrow batch does in ``run_batch``; the worker
-        processes that wide batches go to are checked for being alive
-        and a missing one is forked again, which is how a device that
-        lost a worker comes back from quarantine. Either costs
+        thread, as a narrow batch does in ``run_batch``; it costs
         microseconds, which an idle fleet heartbeating continuously can
         afford.
         """
@@ -148,8 +147,6 @@ class FleetDevice:
             ok = bool(self.model.health_probe())
         if ok:
             try:
-                if self.batcher.workers is not None:
-                    self.batcher.workers.revive()
                 self.algo.hash_seeds_batch(_PROBE_WORDS)
             except Exception:
                 ok = False
@@ -165,9 +162,9 @@ class FleetDevice:
         """Run one fused batch, subject to this device's faults.
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
-        when the device is killed, its fault stream schedules a failure,
-        or a worker process died under the batch; a scheduled slowdown
-        stretches real wall time and the reported per-slice seconds.
+        when the device is killed or its fault stream schedules a
+        failure; a scheduled slowdown stretches real wall time and the
+        reported per-slice seconds.
         """
         if self.killed:
             self._fail()
@@ -175,10 +172,7 @@ class FleetDevice:
         if fault == "fail":
             self._fail()
         start = time.perf_counter()
-        try:
-            outcomes = self.batcher.run(list(slices))
-        except WorkerLost:
-            self._fail()
+        outcomes = self.batcher.run(list(slices))
         if fault == "slow":
             self.slowdowns += 1
             factor = self.injector.spec.device_slow_factor

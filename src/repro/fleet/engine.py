@@ -7,15 +7,15 @@ dispatcher like any other engine. A blocking :meth:`~FleetSearchEngine.search`
 submits one request and waits for its ticket; the serving layer uses
 :meth:`~FleetSearchEngine.submit` to keep many requests in flight. The
 ``sched`` spec builds the same engine over a single ``host`` device, and
-``pool`` / ``parallel`` that engine with a chosen number of worker
-processes.
+``pool`` / ``parallel`` that engine with a chosen number of scan
+threads.
 
 The host's cores belong to the engine, not to a device: one
-:class:`~repro.fleet.workers.WorkerSet`, sized to the process's cpuset
-and forked here before any dispatcher thread exists, hashes the wide
-batches of every device (a modeled ``gpu`` or a second ``host`` is still
-this machine). A batch is rank ranges; the candidates are made where
-they are hashed, so the engine keeps no mask plans.
+:class:`~repro.fleet.batcher.WorkerSet`, a thread per CPU of the
+process's cpuset, hashes the wide batches of every device (a modeled
+``gpu`` or a second ``host`` is still this machine). A batch is rank
+ranges; the candidates are made where they are hashed, so the engine
+keeps no mask plans.
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
@@ -44,13 +44,13 @@ from repro.runtime.executor import BatchSearchExecutor
 from repro.tenancy.context import TenantContext
 from repro.tenancy.registry import TenantRegistry
 
+from repro.fleet.batcher import WorkerSet
 from repro.fleet.policy import PolicyConfig, SchedulingPolicy
 from repro.fleet.scheduler import ScheduledSearch
 from repro.fleet.units import DEFAULT_CHUNK_RANKS
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
-from repro.fleet.workers import WorkerSet
 
 __all__ = ["FleetSearchEngine", "DEVICE_WEIGHTS"]
 
@@ -146,10 +146,10 @@ class FleetSearchEngine:
             tenants=tenants,
         )
         # ``workers=None`` is the cpuset; only ``pool`` / ``parallel`` say.
-        #: The processes behind every device.
+        #: The scan threads behind every device.
         self.worker_set = WorkerSet(executor.algo, fixed_padding, workers)
-        # A dropped engine must not leave its processes to interpreter exit.
-        self._reap_workers = weakref.finalize(self, self.worker_set.close)
+        # A dropped engine must not leave its threads to interpreter exit.
+        self._close_pool = weakref.finalize(self, self.worker_set.close)
         try:
             fleet_devices = [
                 _build_device(
@@ -182,7 +182,7 @@ class FleetSearchEngine:
                 spec_string=spec,
             )
         except BaseException:
-            self._reap_workers()
+            self._close_pool()
             raise
 
     # -- engine geometry (what wrappers and engine_target read) ---------
@@ -257,9 +257,9 @@ class FleetSearchEngine:
 
     def close(self, drain: bool = True) -> None:
         """Close the underlying fleet (see ``FleetScheduler.close``), then
-        join the worker processes; safe to call twice."""
+        join the scan threads; safe to call twice."""
         self.scheduler.close(drain=drain)
-        self._reap_workers()
+        self._close_pool()
 
     def __enter__(self) -> "FleetSearchEngine":
         return self

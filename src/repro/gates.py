@@ -507,7 +507,7 @@ _WORKER_SCALING_BATCH = 16384
 _WORKER_SCALING_FLOOR = 1.3
 #: Sweeps per side: this many, and on while the reading is under the
 #: floor — a shared host can hold one CPU at half speed for seconds, which
-#: pinned workers cannot dodge and one floating thread can — up to the cap.
+#: a split batch waits for and one unsplit thread does not — up to the cap.
 _WORKER_SCALING_SWEEPS = 12
 _WORKER_SCALING_MAX_SWEEPS = 60
 
@@ -515,17 +515,26 @@ _WORKER_SCALING_MAX_SWEEPS = 60
 def _worker_scaling(seed: int) -> dict[str, Any]:
     """One ``host`` device on one core vs on the cpuset: alternating
     exhaustive d=2 sweeps (absent target) on two warm engines, each
-    side's quiet-most sweep; ``None`` on a one-CPU cpuset, where there
-    is nothing to compare."""
+    side's quiet-most sweep. The ratio is ``None`` where there is
+    nothing to compare: a one-CPU cpuset, or no compiled kernel for the
+    hash (``hashlib`` holds the interpreter lock, so the scan threads
+    share one core)."""
     import numpy as np
 
     from repro.fleet import FleetSearchEngine
-    from repro.fleet.workers import default_worker_count
+    from repro.fleet.batcher import default_worker_count
+    from repro.hashes import compiled
 
     cores = default_worker_count()
+    kernel = compiled.load()
+    skipped: str | None = None
+    if cores == 1:
+        skipped = "one-CPU cpuset"
+    elif kernel is None or _WORKER_SCALING_HASH not in kernel.hashes:
+        skipped = "no compiled kernel"
     found = 0
     quiet: dict[int, float] = {}
-    if cores > 1:
+    if skipped is None:
         base_seed = np.random.default_rng(seed).bytes(32)
         engines = {
             workers: FleetSearchEngine(
@@ -558,6 +567,7 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
         "cores": cores,
         "hash_name": _WORKER_SCALING_HASH,
         "batch_size": _WORKER_SCALING_BATCH,
+        "skipped": skipped,
         "sweeps": sweep if quiet else 0,
         "one_core_seconds": quiet.get(1),
         "all_cores_seconds": quiet.get(cores),
@@ -669,10 +679,10 @@ def _fleet_render(record: Record) -> str:
     hedged = metrics["hedged"]
     scaling = metrics["worker_scaling"]
     if scaling["ratio"] is None:
-        workers_line = "  worker scaling: n/a (one-CPU cpuset)"
+        workers_line = f"  scan-thread scaling: n/a ({scaling['skipped']})"
     else:
         workers_line = (
-            f"  worker scaling (quiet-most of {scaling['sweeps']} exhaustive "
+            f"  scan-thread scaling (quiet-most of {scaling['sweeps']} exhaustive "
             f"d=2 sweeps, {scaling['hash_name']}, "
             f"bs={scaling['batch_size']}): 1 core "
             f"{scaling['one_core_seconds']:.3f}s -> {scaling['cores']} cores "
@@ -1149,134 +1159,6 @@ def _recovery_render(record: Record) -> str:
     return "\n".join(lines)
 
 
-# -- amortization: cold vs warm pool --------------------------------------
-
-
-def _amortization_arguments(parser: argparse.ArgumentParser) -> None:
-    # Acceptance scale: the paper's SHA-3 engine at d <= 3.
-    parser.add_argument("--hash", default="sha3-256", dest="hash_name")
-    parser.add_argument("--max-distance", type=int, default=3)
-    parser.add_argument("--batch-size", type=int, default=16384)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="default: the process's CPU affinity count")
-    parser.add_argument("--searches", type=int, default=5,
-                        help="number of warm searches to average")
-    parser.add_argument("--no-parallel-baseline", action="store_true",
-                        help="skip the build-search-close reference measurement")
-    parser.add_argument("--min-ratio", type=float, default=1.0,
-                        help="fail if warm/cold throughput falls below this")
-
-
-def _amortization_run(args: argparse.Namespace) -> Outcome:
-    """Cold (worker forks + the first search) vs warm (workers reused) on
-    ``pool:``."""
-    import numpy as np
-
-    from repro._bitutils import flip_bits
-    from repro.engines import build_engine
-    from repro.fleet.workers import default_worker_count
-    from repro.hashes.registry import get_hash
-
-    workers = args.workers if args.workers is not None else default_worker_count()
-    geometry = {
-        "hash_name": args.hash_name,
-        "workers": workers,
-        "batch_size": args.batch_size,
-    }
-    base_seed = np.random.default_rng(args.seed).bytes(32)
-    # Rank 0 of the deepest shell: every search exhausts the shallower
-    # shells and runs one kernel batch at the deepest.
-    client_seed = flip_bits(base_seed, list(range(args.max_distance)))
-    target = get_hash(args.hash_name).hash_seed(client_seed)
-    missed = 0
-
-    def search(engine: Any) -> Any:
-        nonlocal missed
-        result = engine.search(base_seed, target, args.max_distance)
-        missed += not (result.found and result.seed == client_seed)
-        return result
-
-    # Cold is what a first request pays: the forks, then its search.
-    start = time.perf_counter()
-    engine = build_engine("pool", **geometry)
-    try:
-        cold = search(engine)
-        cold_seconds = time.perf_counter() - start
-        forked_cold = engine.worker_set.spawned
-        warm_hashed = 0
-        start = time.perf_counter()
-        for _ in range(args.searches):
-            warm_hashed += search(engine).seeds_hashed
-        warm_seconds = time.perf_counter() - start
-        forked = engine.worker_set.spawned
-    finally:
-        engine.close()
-
-    parallel_hps = None
-    if not args.no_parallel_baseline:
-        # The same engine built, used once and closed: forks inside the clock.
-        start = time.perf_counter()
-        with build_engine("parallel", **geometry) as one_shot:
-            hashed = search(one_shot).seeds_hashed
-        parallel_hps = hashed / (time.perf_counter() - start)
-
-    cold_hps = cold.seeds_hashed / cold_seconds
-    warm_hps = warm_hashed / warm_seconds
-    metrics = {
-        "workers": workers,
-        "cold_seconds": cold_seconds,
-        "cold_hashes_per_second": cold_hps,
-        "warm_seconds_mean": warm_seconds / args.searches,
-        "warm_hashes_per_second": warm_hps,
-        "warm_over_cold": warm_hps / cold_hps,
-        "parallel_hashes_per_second": parallel_hps,
-        "amortized": {
-            # From the worker set's own count: processes forked over the
-            # engine's life, and whether the warm searches forked any.
-            "pool_searches": 1 + args.searches,
-            "pool_reused": forked == forked_cold,
-            "workers_spawned": forked,
-        },
-    }
-    failures = []
-    if missed:
-        failures.append(f"{missed} search(es) missed the planted seed")
-    if metrics["warm_over_cold"] < args.min_ratio:
-        failures.append(
-            f"warm/cold {metrics['warm_over_cold']:.2f}x below the required "
-            f"{args.min_ratio:.2f}x"
-        )
-    return metrics, failures
-
-
-def _amortization_render(record: Record) -> str:
-    config, metrics = record["config"], record["metrics"]
-    stats = metrics["amortized"]
-    lines = [
-        "Amortized pipeline — cold vs. warm search throughput",
-        f"  engine: pool:{config['hash_name']},workers={metrics['workers']},"
-        f"bs={config['batch_size']}  (d <= {config['max_distance']})",
-        "  cold (forks, 1st search): "
-        f"{metrics['cold_hashes_per_second']:>12,.0f} H/s "
-        f"({metrics['cold_seconds']:.3f}s)",
-        f"  warm (steady state, n={config['searches']}): "
-        f"{metrics['warm_hashes_per_second']:>12,.0f} H/s "
-        f"({metrics['warm_seconds_mean']:.3f}s/search)",
-        f"  warm / cold: {metrics['warm_over_cold']:.2f}x",
-    ]
-    if metrics["parallel_hashes_per_second"] is not None:
-        lines.append(
-            "  fork-per-call parallel baseline: "
-            f"{metrics['parallel_hashes_per_second']:>12,.0f} H/s"
-        )
-    lines.append(
-        f"  pool: searches={stats['pool_searches']} "
-        f"reused={stats['pool_reused']} "
-        f"workers_spawned={stats['workers_spawned']}"
-    )
-    return "\n".join(lines)
-
-
 # -- the table ------------------------------------------------------------
 
 GATES: dict[str, Gate] = {
@@ -1303,7 +1185,7 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             "fleet", "fleet", ("--bench",),
-            "two-device and worker-process scaling, hedged vs unhedged "
+            "two-device and scan-thread scaling, hedged vs unhedged "
             "straggler p99 (exit 1 on a lost request, false auth, scaling or "
             "hedging regression)",
             _fleet_arguments, _fleet_run, _fleet_render,
@@ -1341,12 +1223,6 @@ GATES: dict[str, Gate] = {
             "mid-enrollment burst, restart it (exit 1 on acknowledged loss, "
             "nonce reuse, a false auth, or an unclean drain)",
             _recovery_arguments, _recovery_run, _recovery_render,
-        ),
-        Gate(
-            "amortization", "amortization", (),
-            "cold vs warm search throughput on the pooled engine (exit 1 if "
-            "warm/cold falls below --min-ratio)",
-            _amortization_arguments, _amortization_run, _amortization_render,
         ),
     )
 }

@@ -27,12 +27,14 @@ __all__ = ["digest", "digest_batch", "sha3_256"]
 
 #: Registry name -> (constructor, one digest as the words the from-spec
 #: batch kernel returns: SHA-3 squeezes four little-endian lanes, the
-#: Merkle–Damgård hashes emit big-endian state words).
-_NATIVE: dict[str, tuple[Callable[[bytes], Any], str]] = {
-    "sha1": (hashlib.sha1, ">5u4"),
-    "sha256": (hashlib.sha256, ">8u4"),
-    "sha3-256": (hashlib.sha3_256, "<4u8"),
-    "sha512": (hashlib.sha512, ">8u8"),
+#: Merkle–Damgård hashes emit big-endian state words). Built once: NumPy
+#: parses a sub-array dtype string with ``ast``, which CPython 3.11 does
+#: not allow on two threads at once.
+_NATIVE: dict[str, tuple[Callable[[bytes], Any], np.dtype]] = {
+    "sha1": (hashlib.sha1, np.dtype(">5u4")),
+    "sha256": (hashlib.sha256, np.dtype(">8u4")),
+    "sha3-256": (hashlib.sha3_256, np.dtype("<4u8")),
+    "sha512": (hashlib.sha512, np.dtype(">8u8")),
 }
 
 

@@ -556,7 +556,7 @@ class ConcurrentCAServer:
         searches drain to completion; with ``wait=False`` queued work is
         shed with reason ``"shutdown"`` — either way every outstanding
         future settles before this method returns. Closing the
-        dispatcher joins its worker processes.
+        dispatcher joins its scan threads.
         """
         with self._lock:
             if self._closed:

@@ -10,8 +10,9 @@ Where :mod:`repro.devices` *models* the paper's accelerators, this package
 * :mod:`repro.runtime.partition` — seed-space partitioning.
 
 The multi-core search (the analogue of the paper's OpenMP SALTED-CPU)
-is the fleet engine's worker set, :mod:`repro.fleet.workers`: ``pool:``
-and ``parallel:`` specs build it.
+is the fleet engine's worker set, one scan thread per core
+(:class:`repro.fleet.batcher.WorkerSet`): ``pool:`` and ``parallel:``
+specs build it.
 
 Reduced-scale runs of these engines validate the device models' control
 flow in the test suite.

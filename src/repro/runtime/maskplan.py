@@ -6,9 +6,10 @@ combination (Algorithm 515) and walks on from there (Section 3.2,
 Table 4), so nothing but the range crosses a boundary. :func:`candidates`
 is that walk for the dispatcher: ranks ``[lo, hi)`` of one Hamming shell
 become their ``(hi - lo, 4)`` uint64 candidate words, in lexicographic
-rank order, wherever the range is hashed — the device thread or a worker
-process (:mod:`repro.fleet.workers`). It reads one process-wide table of
-the d = 1 and d = 2 masks (256 + 32 640 rows, about 1 MB). A deeper shell
+rank order, wherever the range is hashed — the device thread or a scan
+thread (:class:`repro.fleet.batcher.WorkerSet`). It reads one
+process-wide table of the d = 1 and d = 2 masks (256 + 32 640 rows,
+about 1 MB). A deeper shell
 is a run of (d - 2)-prefix groups, and each group is a contiguous suffix
 of the d = 2 table XOR ``prefix mask ^ base``: one broadcast XOR per
 group instead of one unrank per candidate.
@@ -86,8 +87,7 @@ _PAIRS = binomial(SEED_BITS, 2)
 def mask_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The d = 0, 1 and 2 shells' masks in lexicographic rank order.
 
-    Built once per process, read-only; the worker set builds it before
-    it forks, so that the workers share the parent's pages.
+    Built once per process, read-only, and shared by every thread.
     """
     pairs = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(SEED_BITS), 2)),

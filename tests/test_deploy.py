@@ -49,7 +49,6 @@ from repro.deploy.wan import WAN_PROFILES, build_shim
 from repro.devices.flaky import DeviceFailure
 from repro.directory.errors import DirectoryUnavailable
 from repro.durability.errors import CheckpointCorrupt, WalCorrupt
-from repro.fleet.workers import WorkerLost
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.errors import (
@@ -110,26 +109,14 @@ def _stat_fields(pid: int) -> list[str] | None:
 
 
 def _children_of(pid: int) -> list[int]:
-    """The process's children: a ``fleet`` server's pinned workers."""
+    """The process's children (a ``fleet`` server hashes on threads and
+    has none)."""
     children = []
     for entry in Path("/proc").iterdir():
         fields = _stat_fields(int(entry.name)) if entry.name.isdigit() else None
         if fields is not None and int(fields[1]) == pid:
             children.append(int(entry.name))
     return children
-
-
-def _assert_all_gone(pids: list[int], within_seconds: float = 5.0) -> None:
-    """``fleet/workers.py``: "Workers exit on pipe EOF, so neither a closed
-    engine nor a ``kill -9``'d parent leaves one behind." Gone means out
-    of the process table — these were never our children, so no zombie
-    of ours can stand in for one."""
-    deadline = time.monotonic() + within_seconds
-    left = pids
-    while left and time.monotonic() < deadline:
-        time.sleep(0.02)
-        left = [pid for pid in left if _stat_fields(pid) is not None]
-    assert not left, f"left behind after {within_seconds:g}s: {left}"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +307,6 @@ def _refused_at_the_door() -> dict[str, Exception]:
     [
         (lambda: WalCorrupt("/wal", 12, "crc mismatch"), "error", ""),
         (lambda: CheckpointCorrupt("/ckpt", "crc mismatch"), "error", ""),
-        (lambda: WorkerLost("worker(s) [1] died mid-batch"), "error", ""),
         (lambda: CircuitOpenError(1.0), "error", ""),
         (lambda: DeviceFailure("host-1", 3), "error", ""),
         (lambda: RuntimeError("queue full"), "error", ""),
@@ -336,7 +322,7 @@ def _refused_at_the_door() -> dict[str, Exception]:
         (lambda: _refused_at_the_door()["duplicate"], "busy", ""),
     ],
     ids=[
-        "WalCorrupt", "CheckpointCorrupt", "WorkerLost", "CircuitOpenError",
+        "WalCorrupt", "CheckpointCorrupt", "CircuitOpenError",
         "DeviceFailure", "RuntimeError", "DirectoryUnavailable",
         "TenantQuotaExceeded", "door-saturated", "door-duplicate",
     ],
@@ -834,8 +820,7 @@ class TestDeploymentProcesses:
         )
         seed = 13
         proc, host, port = self._spawn_server(spec, seed)
-        children = _children_of(proc.pid)
-        assert children, "a fleet server forks its worker processes"
+        assert _children_of(proc.pid) == [], "a fleet server forks nothing"
         try:
             # Launch a real search (depth 2 keeps the device busy for a
             # beat), then SIGTERM the server while it is in flight.
@@ -876,8 +861,6 @@ class TestDeploymentProcesses:
             else:
                 assert outcome["result"].client_id == "dep-0000"
             transport.close()
-            # The drain joined the workers: no process outlives the server.
-            _assert_all_gone(children)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -1039,11 +1022,10 @@ class TestCrashRestart:
                     f"dep-{i:04d}": remote.enroll(f"dep-{i:04d}").version
                     for i in range(spec.clients)
                 }
-            children = _children_of(managed.popen.pid)
-            assert children, "a fleet server forks its worker processes"
+            assert _children_of(managed.popen.pid) == [], (
+                "a fleet server forks nothing"
+            )
             assert supervisor.kill("server") == -signal.SIGKILL
-            # Nobody told the workers: they saw their pipes close.
-            _assert_all_gone(children)
 
             managed = supervisor.restart("server")
             assert managed.ready_match is not None

@@ -5,17 +5,16 @@ Five layers of coverage: the replay machinery that re-dispatch rides on
 (kill, quarantine, probation, reinstatement); the dispatcher's
 protocol-level invariants (byte equivalence with the single-device
 engine, re-dispatch after a mid-search kill, grace shedding when the
-whole fleet is dark, hedged stragglers); the worker processes behind the
-devices (the same bytes on any number of them, a lost worker, nothing
-left behind); and the device-loss chaos storm that exercises all of it
-at once.
+whole fleet is dark, hedged stragglers); the scan threads behind the
+devices (the same bytes on any number of them, nothing left behind);
+and the device-loss chaos storm that exercises all of it at once.
 """
 
 import gc
 import os
-import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -31,12 +30,17 @@ from repro.fleet import (
 )
 from repro.fleet.storm import run_device_loss_storm
 from repro.combinatorics.ranking import unrank_lexicographic_exact
-from repro.fleet.workers import SPLIT_MIN_ROWS, WorkerSet
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
 from repro.runtime.partition import partition_ranks
-from repro.fleet.batcher import BatchSlice, ContinuousBatcher, UnitCursor
+from repro.fleet.batcher import (
+    SPLIT_MIN_ROWS,
+    BatchSlice,
+    ContinuousBatcher,
+    UnitCursor,
+    WorkerSet,
+)
 from repro.fleet.units import decompose_search
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
@@ -472,7 +476,7 @@ class TestFleetClose:
             engine.close()
 
 
-# -- the worker processes behind the devices ------------------------------
+# -- the scan threads behind the devices --------------------------------
 
 #: Odd and not a multiple of 3, and so is what it leaves of shell 2
 #: (13 batches, then 1 999 rows): no cut lands on a round number.
@@ -492,39 +496,14 @@ def _fingerprint(result):
     )
 
 
-def _alive(pid):
-    """Whether ``pid`` is still a running process (a zombie is not)."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
-def _children(pid):
-    """Pids whose parent is ``pid``, from /proc/<pid>/stat."""
-    found = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                with open(f"/proc/{entry}/stat") as stat:
-                    if int(stat.read().rsplit(")", 1)[1].split()[1]) == pid:
-                        found.append(int(entry))
-            except OSError:
-                pass  # ended while we looked
-    return found
-
-
-def _gone_within(pids, seconds):
-    deadline = time.monotonic() + seconds
-    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return not any(_alive(pid) for pid in pids)
+def _scan_threads():
+    """The live threads of every worker set in this process."""
+    return {t for t in threading.enumerate() if t.name.startswith("rbc-scan")}
 
 
 class TestWorkerEquivalence:
     """Same found / seed / distance / seeds_hashed / shells on 1, 2 or 3
-    worker processes (3 oversubscribes this host on purpose) as in one."""
+    scan threads (3 oversubscribes this host on purpose) as in one."""
 
     @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -592,6 +571,43 @@ class TestWorkerEquivalence:
         finally:
             workers.close()
 
+    def test_concurrent_scans_each_count_and_answer(self):
+        """Two devices' threads scanning through one set of more threads
+        than cores, switching as often as the interpreter allows: every
+        scan finds its own row and is counted once."""
+        algo = get_hash("sha1")
+        workers = WorkerSet(algo, True, 3)
+        base = seed_to_words(BASE_SEED)
+        rows = (0, 511, 512, 1023, 2047)
+        targets = [
+            algo.digest_to_words(algo.hash_seed(flip_bits(
+                BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, rank)
+            )))
+            for rank in rows
+        ]
+        answers, scans = [], 100
+
+        def scan():
+            for i in range(scans):
+                job = (2, 0, 2048, base, targets[i % len(rows)])
+                answers.append((workers.scan([job]), [rows[i % len(rows)]]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=scan) for _ in range(2)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+            workers.close()
+        assert len(answers) == 2 * scans
+        assert all(found == wanted for found, wanted in answers)
+        assert workers.batches == 2 * scans
+
     @pytest.mark.parametrize("options", [f"bs={SPLIT_MIN_ROWS // 2}"])
     def test_narrow_or_unshared_batches_never_touch_a_pipe(self, options):
         reference = build_engine("batch:sha1,bs=512")
@@ -605,37 +621,9 @@ class TestWorkerEquivalence:
                     expected.found, expected.seed, expected.distance,
                 )
             assert result.seeds_hashed == expected.seeds_hashed
-            assert len(engine.worker_set.pids()) == 2
+            assert engine.workers == 2
             assert engine.worker_set.batches == 0
 
-
-class _KillAWorkerOnce:
-    """Wraps a device's ``batcher.run``: SIGKILLs one of the engine's
-    worker processes as the first shell-2 batch reaches the kernel."""
-
-    def __init__(self, engine, device):
-        self.engine = engine
-        self.run = device.batcher.run
-        self.killed = None
-        device.batcher.run = self
-
-    def __call__(self, slices):
-        if self.killed is None and any(s.distance == 2 for s in slices):
-            self.killed = self.engine.worker_set.pids()[0]
-            os.kill(self.killed, signal.SIGKILL)
-        return self.run(slices)
-
-
-_ORPHAN_SCRIPT = """
-import os, sys
-from repro.engines import build_engine, engine_target
-engine = build_engine("pool:sha3-256,workers=2,bs=16384")
-print(os.getpid(), *engine.worker_set.pids(), flush=True)
-absent = engine_target(engine, bytes(32))
-while True:
-    engine.search(b"\\x01" * 32, absent, 2)
-    print("searched", flush=True)
-"""
 
 _SHM_SCRIPT = """
 import os
@@ -658,32 +646,23 @@ with build_engine("fleet:host,hash=sha3-256,bs=16384,workers=2") as engine:
     assert not engine.search(b"\\x01" * 32, absent, 2).found
     assert engine.search(b"\\x01" * 32, absent, 3, time_budget=0.3).timed_out
     assert engine.worker_set.batches > 0
-    assert children() == set(engine.worker_set.pids()), children()
+    assert children() == set(), children()
+assert children() == set(), children()
 print("ok")
 """
 
 
 _IDLE_SCRIPT = """
-import os, time
+import time
 from repro.engines import build_engine, engine_target
-
-def worker_cpu(pids):
-    ticks = 0
-    for pid in pids:
-        with open(f"/proc/{pid}/stat") as stat:
-            fields = stat.read().rsplit(")", 1)[1].split()
-        ticks += int(fields[11]) + int(fields[12])  # utime + stime
-    return ticks / os.sysconf("SC_CLK_TCK")
 
 with build_engine("pool:sha1,workers=2,bs=2048") as engine:
     assert not engine.search(b"\\x01" * 32, engine_target(engine, bytes(32)), 2).found
-    pids = engine.worker_set.pids()
-    assert len(pids) == 2 and engine.worker_set.batches > 0
+    assert engine.worker_set.batches > 0
     time.sleep(0.2)  # the last request's bookkeeping
-    cpu, wall = time.process_time() + worker_cpu(pids), time.perf_counter()
+    cpu, wall = time.process_time(), time.perf_counter()
     time.sleep(1.0)
-    cpu = time.process_time() + worker_cpu(pids) - cpu
-    print(cpu / (time.perf_counter() - wall))
+    print((time.process_time() - cpu) / (time.perf_counter() - wall))
 """
 
 
@@ -696,71 +675,34 @@ def _spawn(script):
 
 
 class TestWorkerLoss:
-    def test_killed_worker_is_a_device_failure_then_replaced(self):
-        reference = build_engine("batch:sha3-256,bs=2048,cache=yes")
-        engine = FleetSearchEngine(
-            "host", hash_name="sha3-256", batch_size=2048, workers=2,
-        )
-        [device] = engine.scheduler.devices
-        kill = _KillAWorkerOnce(engine, device)
-        try:
-            absent = engine_target(engine, RNG.bytes(32))
-            result = engine.search(BASE_SEED, absent, 2)
-            expected = reference.search(BASE_SEED, absent, 2)
-            assert kill.killed is not None
-            # Every candidate was still hashed, each counted once.
-            assert _fingerprint(result) == _fingerprint(expected)
-            snapshot = engine.scheduler.snapshot()
-            assert snapshot["redispatched_chunks"] >= 1
-            assert snapshot["quarantines"] >= 1
-            # Probation's probe forked the replacement: full strength.
-            pids = engine.worker_set.pids()
-            assert len(pids) == 2 and kill.killed not in pids
-            assert engine.worker_set.spawned == 3
-            assert not _alive(kill.killed)
-        finally:
-            engine.close()
-
-    def test_killing_the_parent_leaves_no_descendant(self):
-        child = _spawn(_ORPHAN_SCRIPT)
-        try:
-            pids = [int(pid) for pid in child.stdout.readline().split()]
-            assert len(pids) == 3 and pids[0] == child.pid, child.stderr.read()
-            assert child.stdout.readline().strip() == "searched"  # mid-loop now
-            descendants = _children(child.pid)
-            assert set(pids[1:]) == set(descendants)
-            assert all(_alive(pid) for pid in descendants)
-            child.kill()
-            child.wait(timeout=10)
-            assert _gone_within(descendants, 1.0)
-        finally:
-            child.kill()
-            child.wait(timeout=10)
-
     def test_close_twice_is_safe_and_leaves_no_child(self):
+        before = _scan_threads()
         engine = build_engine("parallel:sha1,workers=2,bs=2048")
-        pids = engine.worker_set.pids()
-        assert len(pids) == 2
+        assert not engine.search(
+            BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
+        ).found
+        assert engine.worker_set.batches > 0
+        assert _scan_threads() - before
         engine.close()
         engine.close()
-        assert engine.worker_set.pids() == []
-        # Joined, not abandoned: no zombie entry is left either.
-        assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
+        # Joined, not abandoned.
+        assert _scan_threads() <= before
 
     def test_dropped_engine_is_finalized_without_a_zombie(self):
+        before = _scan_threads()
         engine = build_engine("pool:sha1,workers=2,bs=2048")
         assert not engine.search(
             BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
         ).found
-        pids = engine.worker_set.pids()
-        assert len(pids) == 2
+        assert _scan_threads() - before
         del engine
         gc.collect()
-        assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
+        assert _scan_threads() <= before
 
     def test_idle_engine_and_workers_burn_no_cpu(self):
-        """Workers block on their pipes; the dispatcher's idle reading
-        (<= 0.03 CPU-s per wall-second) holds with them counted in."""
+        """Scan threads block on the pool's queue; the dispatcher's idle
+        reading (<= 0.03 CPU-s per wall-second) holds with them in the
+        process."""
         child = _spawn(_IDLE_SCRIPT)
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
@@ -768,8 +710,8 @@ class TestWorkerLoss:
 
     def test_served_path_leaves_no_segment_and_forks_no_tracker(self):
         """An exhaustive d = 2 search and a budgeted d = 3 search on two
-        workers: nothing is left in /dev/shm, and the engine's children
-        are its workers and nothing else."""
+        threads: nothing is left in /dev/shm, and the engine forks no
+        child process from build to close."""
         def segments():
             return sorted(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
 

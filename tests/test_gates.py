@@ -56,12 +56,12 @@ class TestTable:
                 assert tuple(engine.choices) == ENGINE_MODES == ("fleet", "sched")
                 assert engine.default == "fleet"
 
-    def test_the_committed_records_cover_the_seven_benchmarks(self):
+    def test_the_committed_records_cover_the_six_benchmarks(self):
         committed = {path.stem for path in REPO.glob("BENCH_*.json")}
         assert committed == {
             f"BENCH_{name}"
-            for name in ("amortization", "scheduler", "fleet", "directory",
-                         "tenancy", "deployment", "recovery")
+            for name in ("scheduler", "fleet", "directory", "tenancy",
+                         "deployment", "recovery")
         }
 
     @pytest.mark.parametrize(

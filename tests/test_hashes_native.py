@@ -6,6 +6,7 @@ and both must agree with ``hashlib`` called directly.
 """
 
 import dataclasses
+import gc
 import hashlib
 import pathlib
 import re
@@ -199,6 +200,50 @@ def test_concurrent_batches_are_independent():
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+class _Cyclic:
+    """Garbage only the cycle collector frees; its finalizer runs Python
+    code, so a collection can switch threads wherever it starts."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        sum(range(10))
+
+
+def test_concurrent_tiny_batches_survive_collections():
+    """Scan threads hashing on the fallback while collections run.
+    NumPy parses a sub-array dtype string with ``ast``, and CPython 3.11
+    raises ``SystemError`` when two threads do that at once."""
+    words = _words(2)
+    expected = get_hash("sha1").batch(words)
+    failures: list[str] = []
+
+    def worker():
+        try:
+            for _ in range(5000):
+                _Cyclic()
+                if not (native.digest_batch("sha1", words) == expected).all():
+                    failures.append("digests differ")
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(1, 1, 1)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*threshold)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
 

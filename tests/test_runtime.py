@@ -165,7 +165,7 @@ class TestBatchExecutor:
 
 
 class TestParallelExecutor:
-    """``parallel:`` is the one-device fleet on ``workers`` processes."""
+    """``parallel:`` is the one-device fleet on ``workers`` scan threads."""
 
     def test_finds_planted_seed(self, base_seed):
         client_seed = flip_bits(base_seed, [31, 222])
@@ -184,14 +184,14 @@ class TestParallelExecutor:
     def test_enrolled_seed_itself_is_found_at_distance_zero(self, base_seed):
         with build_engine("parallel:sha1,workers=2,bs=2048") as executor:
             result = executor.search(base_seed, sha1(base_seed), 1)
-            assert executor.worker_set.batches == 0  # one row: never a pipe
+            assert executor.worker_set.batches == 0  # one row: never split
         assert result.found and result.distance == 0
 
     def test_single_worker_degenerates_to_serial(self, base_seed):
         client_seed = flip_bits(base_seed, [64])
         with build_engine("parallel:sha1,workers=1,bs=2048") as executor:
             result = executor.search(base_seed, sha1(client_seed), 1)
-            assert executor.worker_set.pids() == []  # the device thread itself
+            assert not executor.worker_set.splits  # the device thread itself
         assert result.found
 
     def test_workers_validation(self):
