@@ -15,10 +15,9 @@ Commands:
 * ``fleet`` / ``directory`` — multi-device dispatch and sharded
                    enrollment directory demos.
 
-The serving gates — ``chaos``, ``sched``, ``fleet --storm``,
-``fleet --bench``, ``directory --storm``, ``directory --bench``,
-``tenants``, ``deploy --storm`` and ``deploy --storm --crash`` — are
-not written here: each is one definition in
+The serving gates — ``chaos``, ``fleet --storm``, ``fleet --bench``,
+``directory --storm``, ``tenants``, ``deploy --storm`` and ``deploy
+--storm --crash`` — are not written here: each is one definition in
 :mod:`repro.gates`, and :func:`main` hands a matching command line to
 that module's runner (every gate takes ``--seed`` and ``--output``).
 """
@@ -448,7 +447,7 @@ def _parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="multi-device dispatch demo; --storm is the device-loss "
-             "storm, --bench the scaling + hedging gate",
+             "storm, --bench the scan-thread scaling + hedging gate",
     )
     fleet.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                        help="comma-separated device tokens, e.g. "
@@ -467,7 +466,7 @@ def _parser() -> argparse.ArgumentParser:
     directory = sub.add_parser(
         "directory",
         help="sharded enrollment directory demo; --storm is the "
-             "shard-loss storm, --bench the cache + availability gate",
+             "shard-loss storm",
     )
     directory.add_argument("--shards", type=int, default=8)
     directory.add_argument("--replication", type=int, default=2)

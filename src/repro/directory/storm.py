@@ -64,7 +64,6 @@ __all__ = [
     "ShardLossStormReport",
     "fleet_reader",
     "run_shard_loss_storm",
-    "shard_loss_schedule",
 ]
 
 WAVE_NAMES = ("healthy", "1-shard-down", "replica-set-down", "recovered")
@@ -197,11 +196,11 @@ def _pick_victims(
     return victim, partner, doomed
 
 
-def shard_loss_schedule(
+def _shard_loss_schedule(
     directory: ShardedEnrollmentDirectory,
     victim: str,
     partner: str,
-    sleep: Callable[[float], None] = time.sleep,
+    sleep: Callable[[float], None],
 ) -> Iterator[str]:
     """Walk the fault schedule after the healthy wave: kill the victim,
     kill its partner, revive both — caches dropped at each step. Yields
@@ -330,7 +329,7 @@ def run_shard_loss_storm(
             )
 
         wave()  # healthy; then the three faulted waves of the module doc
-        for name in shard_loss_schedule(directory, victim, partner, clock.advance):
+        for name in _shard_loss_schedule(directory, victim, partner, clock.advance):
             wave(doomed if name == "replica-set-down" else ())
             if name == "replica-set-down":
                 # While the shards are dark, survivors re-enroll: their

@@ -44,12 +44,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.storm import (
-    SHALLOW_DISTANCE,
     drive,
     false_authentications,
     invariant_failures,
     planted,
-    search_submit,
     summarize,
     ticket_submit,
 )
@@ -214,20 +212,6 @@ def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-def _mixed_workload_arguments(
-    parser: argparse.ArgumentParser,
-    requests: int,
-    depths: tuple[int, ...],
-    batch_size: int,
-) -> None:
-    """The seeded mixed-depth fleet of :func:`repro.storm.planted`."""
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--requests", type=int, default=requests)
-    parser.add_argument("--depths", type=_int_tuple, default=depths,
-                        help="comma-separated search depths, cycled over the fleet")
-    parser.add_argument("--batch-size", type=int, default=batch_size)
-
-
 def _topology_arguments(parser: argparse.ArgumentParser) -> None:
     """:class:`repro.deploy.topology.TopologySpec` flags; dests are its fields."""
     parser.add_argument("--servers", type=int, default=1)
@@ -283,145 +267,16 @@ def _chaos_render(record: Record) -> str:
     return ResilienceReport(**record["metrics"]).render()
 
 
-# -- scheduler vs FIFO ----------------------------------------------------
-
-
-def _scheduler_arguments(parser: argparse.ArgumentParser) -> None:
-    # Acceptance scale: a mixed d=1..4 fleet with a budget short enough
-    # that d=4 cannot finish on one host device — the straggler pressure
-    # the scheduler exists to absorb.
-    _mixed_workload_arguments(
-        parser, requests=16, depths=(1, 2, 3, 4), batch_size=16384
-    )
-    parser.add_argument("--budget", type=float, default=3.0,
-                        help="per-request time budget (protocol T)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        help="client deadline attached to shallow requests")
-
-
-def _scheduler_run(args: argparse.Namespace) -> Outcome:
-    """The same seeded fleet through FIFO, then through the dispatcher."""
-    from repro.engines import build_engine
-    from repro.hashes.registry import get_hash
-
-    workload = planted(
-        get_hash(args.hash_name), args.requests, args.depths, args.seed,
-        deadline_seconds=args.deadline,
-    )
-    fifo_engine = build_engine(
-        "batch", hash_name=args.hash_name, batch_size=args.batch_size, cache=True
-    )
-
-    def by_class(outcomes: list[Any]) -> dict[str, Any]:
-        shallow = [
-            o for o in outcomes if o.request.max_distance <= SHALLOW_DISTANCE
-        ]
-        deep = [o for o in outcomes if o.request.max_distance > SHALLOW_DISTANCE]
-        return {
-            "all": summarize(outcomes),
-            "shallow": summarize(shallow),
-            "deep": summarize(deep),
-        }
-
-    # Every request arrives at t=0; FIFO serves them in submission order
-    # on one device, so each latency includes everything queued ahead.
-    fifo = by_class(
-        drive(
-            search_submit(fifo_engine, args.budget), workload,
-            timeout=_SETTLE_TIMEOUT,
-        )
-    )
-    sched_engine = build_engine(
-        "sched", hash_name=args.hash_name, batch_size=args.batch_size
-    )
-    try:
-        sched = by_class(
-            drive(
-                ticket_submit(sched_engine, args.budget), workload,
-                timeout=_SETTLE_TIMEOUT,
-            )
-        )
-        snapshot = sched_engine.scheduler.snapshot()
-    finally:
-        # Not drained: a lost request must end the gate, not hang it.
-        sched_engine.close(drain=False)
-
-    # A fleet with no shallow request has no tail to compare.
-    fifo_p99 = fifo["shallow"].get("p99_seconds")
-    sched_p99 = sched["shallow"].get("p99_seconds")
-    failures = invariant_failures(
-        untyped=fifo["all"]["errors"] + sched["all"]["errors"],
-        lost=fifo["all"]["lost"] + sched["all"]["lost"],
-    )
-    if fifo_p99 is not None and sched_p99 is not None and sched_p99 > fifo_p99:
-        failures.append(
-            f"scheduled shallow p99 {sched_p99:.3f}s exceeds FIFO {fifo_p99:.3f}s"
-        )
-    metrics = {
-        "fifo": fifo,
-        "scheduled": sched,
-        "shallow_p99_fifo_seconds": fifo_p99,
-        "shallow_p99_scheduled_seconds": sched_p99,
-        "shallow_p99_speedup": fifo_p99 / sched_p99 if sched_p99 else None,
-        "scheduler": {
-            key: snapshot[key]
-            for key in (
-                "batches", "shared_batches", "shed", "preempted",
-                "peak_queue_depth", "batches_by_lane",
-            )
-        },
-    }
-    return metrics, failures
-
-
-def _scheduler_render(record: Record) -> str:
-    config, metrics = record["config"], record["metrics"]
-
-    def row(label: str, stats: dict[str, Any]) -> str:
-        if stats["count"] == 0:
-            return f"    {label:<8} (no requests)"
-        if "p50_seconds" not in stats:
-            return f"    {label:<8} n={stats['count']:<3} (nothing served)"
-        return (
-            f"    {label:<8} n={stats['count']:<3} "
-            f"p50={stats['p50_seconds']:.3f}s "
-            f"p99={stats['p99_seconds']:.3f}s "
-            f"max={stats['max_seconds']:.3f}s "
-            f"found={stats['found']} timed_out={stats['timed_out']} "
-            f"shed={stats['shed']}"
-        )
-
-    sched = metrics["scheduler"]
-    lines = [
-        "Scheduler — shallow tail latency on a mixed-depth fleet",
-        f"  {config['requests']} requests, depths {list(config['depths'])}, "
-        f"T={config['budget']}s, hash={config['hash_name']}, "
-        f"bs={config['batch_size']}",
-        "  FIFO (submission order, one device):",
-        *(row(label, metrics["fifo"][label]) for label in ("shallow", "deep")),
-        "  scheduled (continuous batching, EDF lanes):",
-        *(row(label, metrics["scheduled"][label]) for label in ("shallow", "deep")),
-        f"  scheduler: batches={sched['batches']} "
-        f"shared={sched['shared_batches']} shed={sched['shed']} "
-        f"preempted={sched['preempted']} "
-        f"peak_queue={sched['peak_queue_depth']}",
-    ]
-    if metrics["shallow_p99_speedup"] is not None:
-        lines.append(
-            f"  shallow p99: FIFO {metrics['shallow_p99_fifo_seconds']:.3f}s -> "
-            f"scheduled {metrics['shallow_p99_scheduled_seconds']:.3f}s  "
-            f"({metrics['shallow_p99_speedup']:.1f}x)"
-        )
-    return "\n".join(lines)
-
-
 # -- fleet: device-loss storm ---------------------------------------------
 
 
 def _fleet_storm_arguments(parser: argparse.ArgumentParser) -> None:
-    _mixed_workload_arguments(
-        parser, requests=8, depths=(1, 2, 2, 3), batch_size=4096
-    )
+    # The seeded mixed-depth fleet of :func:`repro.storm.planted`.
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--requests", type=int, default=8)
+    parser.add_argument("--depths", type=_int_tuple, default=(1, 2, 2, 3),
+                        help="comma-separated search depths, cycled over the fleet")
+    parser.add_argument("--batch-size", type=int, default=4096)
     parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                         help="comma-separated device tokens, e.g. "
                              "host,flaky-apu; the last one is killed")
@@ -442,13 +297,12 @@ def _fleet_storm_render(record: Record) -> str:
     return DeviceLossStormReport(**record["metrics"]).render()
 
 
-# -- fleet: scaling + hedged stragglers -----------------------------------
+# -- fleet: scan-thread scaling + hedged stragglers -----------------------
 
 
 def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    _mixed_workload_arguments(
-        parser, requests=12, depths=(1, 2, 2), batch_size=8192
-    )
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--batch-size", type=int, default=8192)
     parser.add_argument("--straggler-requests", type=int, default=4,
                         help="exhaustive d=2 sweeps served on host + slow-host")
     parser.add_argument("--slow-factor", type=float, default=30.0,
@@ -490,7 +344,6 @@ def _serve_on_fleet(
         "false_authentications": false_authentications(algo, outcomes),
         "p50_seconds": stats.get("p50_seconds"),
         "p99_seconds": stats.get("p99_seconds"),
-        "throughput_rps": stats["served"] / wall if wall > 0 else 0.0,
         "hedges_launched": snapshot["hedges_launched"],
         "hedge_wins": snapshot["hedge_wins"],
         "redispatched_chunks": snapshot["redispatched_chunks"],
@@ -498,10 +351,10 @@ def _serve_on_fleet(
 
 
 #: The worker-scaling reading sweeps on the ladder's serving geometry,
-#: whatever the gate's own ``--hash`` / ``--batch-size``: the planted
-#: workload above is dispatcher-bound (SHA-1 at 4 096 rows reads 1.0-1.3x
-#: however many cores hash), so a floor on it would gate the dispatcher,
-#: not the workers.
+#: whatever the gate's own ``--hash`` / ``--batch-size``: a small SHA-1
+#: workload is dispatcher-bound (at 4 096 rows it reads 1.0-1.3x however
+#: many cores hash), so a floor on it would gate the dispatcher, not the
+#: workers.
 _WORKER_SCALING_HASH = "sha3-256"
 _WORKER_SCALING_BATCH = 16384
 _WORKER_SCALING_FLOOR = 1.3
@@ -577,24 +430,10 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
 
 
 def _fleet_run(args: argparse.Namespace) -> Outcome:
-    """One vs two devices on a planted workload, hedging off vs on, then
-    one core vs the cpuset."""
+    """Hedging off vs on for a straggler fleet, then one core vs the cpuset."""
     from repro.hashes.registry import get_hash
 
     algo = get_hash(args.hash_name)
-    workload = planted(algo, args.requests, args.depths, args.seed)
-    # One discarded pass first, so that both timed sections below run
-    # warm instead of the first one paying the process's first-use
-    # costs (which once read as a 1.3-1.6x two-device "speed-up").
-    _serve_on_fleet(("host",), workload, algo, args)
-    single = _serve_on_fleet(("host",), workload, algo, args)
-    dual = _serve_on_fleet(("host", "host"), workload, algo, args)
-    ratio = (
-        dual["throughput_rps"] / single["throughput_rps"]
-        if single["throughput_rps"] > 0
-        else None
-    )
-
     # Absent targets: the full d=2 shell must be swept, so per-request
     # latency is the straggler story, not where the seed was planted.
     absent = algo.hash_seed(b"\xa5" * 32)
@@ -618,11 +457,8 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
     )
 
     worker_scaling = _worker_scaling(args.seed)
-    sections = (single, dual, unhedged, hedged)
+    sections = (unhedged, hedged)
     metrics = {
-        "single_device": single,
-        "dual_device": dual,
-        "scaling_ratio": ratio,
         "unhedged": unhedged,
         "hedged": hedged,
         "worker_scaling": worker_scaling,
@@ -638,9 +474,6 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
         untyped=[kind for s in sections for kind in s["errors"]],
         lost=metrics["lost_requests"],
     )
-    # ``scaling_ratio`` is recorded, not gated: both devices hash on the
-    # one worker set, so warm it reads 1.0x by construction, and over a
-    # 70 ms section run-to-run noise is +-0.15x. Cores are the gate.
     worker_ratio = worker_scaling["ratio"]
     if worker_ratio is not None and worker_ratio < _WORKER_SCALING_FLOOR:
         failures.append(
@@ -675,7 +508,6 @@ def _fleet_render(record: Record) -> str:
             f"hedges={section['hedges_launched']}"
         )
 
-    ratio = metrics["scaling_ratio"]
     hedged = metrics["hedged"]
     scaling = metrics["worker_scaling"]
     if scaling["ratio"] is None:
@@ -689,14 +521,8 @@ def _fleet_render(record: Record) -> str:
             f"{scaling['all_cores_seconds']:.3f}s ({scaling['ratio']:.2f}x)"
         )
     return "\n".join([
-        "Fleet — multi-device scaling and hedged-straggler p99",
-        f"  {config['requests']} requests, depths {list(config['depths'])}, "
-        f"hash={config['hash_name']}, bs={config['batch_size']}",
-        "  scaling (same planted workload):",
-        row("1 device", metrics["single_device"]),
-        row("2 devices", metrics["dual_device"]),
-        "    throughput ratio (2 dev / 1 dev): "
-        + (f"{ratio:.2f}x" if ratio is not None else "n/a"),
+        "Fleet — scan-thread scaling and hedged-straggler p99",
+        f"  hash={config['hash_name']}, bs={config['batch_size']}",
         f"  hedging ({config['straggler_requests']} exhaustive d=2 sweeps "
         f"on host + slow-host, x{config['slow_factor']:g} throttle):",
         row("unhedged", metrics["unhedged"]),
@@ -734,254 +560,6 @@ def _directory_storm_render(record: Record) -> str:
     from repro.directory.storm import ShardLossStormReport
 
     return ShardLossStormReport(**record["metrics"]).render()
-
-
-# -- directory: hot cache + availability ----------------------------------
-
-#: Keys read cold, then hot, for the latency comparison.
-_LATENCY_SAMPLE = 64
-
-
-def _directory_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clients", type=int, default=512)
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--replication", type=int, default=2)
-    parser.add_argument("--cache-capacity", type=int, default=128,
-                        help="hot entries per shard")
-    parser.add_argument("--rounds", type=int, default=10,
-                        help="working-set sweeps; the first warms the caches")
-    parser.add_argument("--churn-per-round", type=int, default=8,
-                        help="clients re-enrolled before each steady-state sweep")
-
-
-def _directory_latency(directory: Any, sample: list[str]) -> dict[str, Any]:
-    """Cold quorum-read latency vs hot-cache hit latency, same keys."""
-    import numpy as np
-
-    from repro.analysis.metrics import percentile
-
-    def sweep(expect_hot: bool) -> list[float]:
-        seconds = []
-        for client_id in sample:
-            start = time.perf_counter()
-            _mask, stats = directory.lookup_with_stats(client_id)
-            seconds.append(time.perf_counter() - start)
-            if bool(stats.hot_hit) != expect_hot:
-                raise RuntimeError(
-                    f"{client_id}: hot_hit={stats.hot_hit} on the "
-                    f"{'hot' if expect_hot else 'cold'} sweep"
-                )
-        return seconds
-
-    directory.drop_hot_caches()
-    cold = sweep(expect_hot=False)
-    hot = sweep(expect_hot=True)
-    return {
-        "sample": len(sample),
-        "cold_mean_us": float(np.mean(cold) * 1e6),
-        "cold_p99_us": float(percentile(cold, 99.0) * 1e6),
-        "hot_mean_us": float(np.mean(hot) * 1e6),
-        "hot_p99_us": float(percentile(hot, 99.0) * 1e6),
-        "speedup": float(np.mean(cold) / np.mean(hot)),
-    }
-
-
-def _directory_steady_state(
-    directory: Any, client_ids: list[str], rounds: int, churn: int, rng: Any
-) -> dict[str, Any]:
-    """Hit rate over repeated working-set rounds with enrollment churn.
-
-    Round 0 warms the caches and is excluded from the steady-state rate;
-    every later round re-enrolls ``churn`` random clients first
-    (invalidating their cached entry — a miss the cache must re-absorb).
-    """
-    directory.drop_hot_caches()
-    hits = lookups = 0
-    for round_index in range(rounds):
-        if round_index > 0 and churn:
-            for client_id in rng.choice(client_ids, size=churn, replace=False):
-                directory.enroll(
-                    str(client_id), directory.lookup(str(client_id))
-                )
-        for client_id in client_ids:
-            _mask, stats = directory.lookup_with_stats(client_id)
-            if round_index > 0:
-                lookups += 1
-                hits += 1 if stats.hot_hit else 0
-    return {
-        "rounds": rounds,
-        "churn_per_round": churn,
-        "steady_lookups": lookups,
-        "steady_hits": hits,
-        "hit_rate": hits / lookups if lookups else 0.0,
-    }
-
-
-def _directory_sweep(directory: Any, client_ids: list[str]) -> dict[str, Any]:
-    """One full lookup sweep: served, typed-unavailable, and unhandled."""
-    from repro.directory import DirectoryUnavailable
-
-    served = unavailable = 0
-    errors: list[str] = []
-    for client_id in client_ids:
-        try:
-            directory.lookup(client_id)
-            served += 1
-        except DirectoryUnavailable:
-            unavailable += 1
-        except Exception as exc:
-            errors.append(type(exc).__name__)
-    return {
-        "served": served,
-        "unavailable": unavailable,
-        "errors": errors,
-        "availability": served / len(client_ids),
-    }
-
-
-def _directory_availability(
-    directory: Any, client_ids: list[str]
-) -> dict[str, Any]:
-    """Kill one shard, then its replica partner, then revive both."""
-    from repro.directory.storm import _pick_victims, shard_loss_schedule
-
-    victim, partner, doomed = _pick_victims(directory, client_ids)
-    sweeps = {}
-    for name in shard_loss_schedule(directory, victim, partner):
-        failovers_before = directory.failovers
-        sweeps[name] = _directory_sweep(directory, client_ids)
-        if name == "1-shard-down":
-            sweeps[name]["failovers"] = directory.failovers - failovers_before
-        elif name == "replica-set-down":
-            repairs_before = directory.read_repairs
-    sweeps["recovered"]["read_repairs"] = directory.read_repairs - repairs_before
-    return {
-        "victim": victim,
-        "partner": partner,
-        "doomed_keys": len(doomed),
-        "one_shard_down": sweeps["1-shard-down"],
-        "replica_set_down": sweeps["replica-set-down"],
-        "recovered": sweeps["recovered"],
-    }
-
-
-def _directory_run(args: argparse.Namespace) -> Outcome:
-    """Cache latency, steady-state hit rate, then the shard-loss sweeps."""
-    import numpy as np
-
-    from repro.directory import ShardedEnrollmentDirectory
-    from repro.puf.ternary import TernaryMask
-
-    rng = np.random.default_rng(args.seed)
-    directory = ShardedEnrollmentDirectory(
-        master_key=b"bench-master-k!!",
-        shards=args.shards,
-        replication=args.replication,
-        cache_capacity=args.cache_capacity,
-    )
-    cells = 512
-    client_ids = [f"client-{index:05d}" for index in range(args.clients)]
-    masks = {
-        client_id: TernaryMask(
-            address=0,
-            usable=rng.random(cells) > 0.03,
-            reference=rng.random(cells) > 0.5,
-            instability=np.zeros(cells),
-        )
-        for client_id in client_ids
-    }
-    for client_id in client_ids:
-        directory.enroll(client_id, masks[client_id])
-
-    start = time.perf_counter()
-    latency = _directory_latency(directory, client_ids[:_LATENCY_SAMPLE])
-    steady = _directory_steady_state(
-        directory, client_ids, args.rounds, args.churn_per_round, rng
-    )
-    availability = _directory_availability(directory, client_ids)
-    metrics = {
-        "latency": latency,
-        "steady_state": steady,
-        "availability": availability,
-        "wall_seconds": time.perf_counter() - start,
-        "directory": {
-            key: value
-            for key, value in directory.snapshot().items()
-            if key != "shards_detail"
-        },
-    }
-
-    one_down = availability["one_shard_down"]
-    two_down = availability["replica_set_down"]
-    recovered = availability["recovered"]
-    failures = invariant_failures(
-        untyped=one_down["errors"] + two_down["errors"] + recovered["errors"]
-    )
-    if steady["hit_rate"] < 0.9:
-        failures.append(
-            f"steady-state hit rate {steady['hit_rate']:.1%} below 90%"
-        )
-    if latency["speedup"] <= 1.0:
-        failures.append(
-            "a hot hit is not cheaper than the cold quorum read "
-            f"({latency['speedup']:.2f}x)"
-        )
-    if one_down["availability"] != 1.0:
-        failures.append(
-            f"one shard down: availability {one_down['availability']:.1%}, "
-            "every key has a live replica"
-        )
-    if not one_down["failovers"]:
-        failures.append("one shard down: no read failed over to a replica")
-    if two_down["unavailable"] != availability["doomed_keys"]:
-        failures.append(
-            f"replica set down: {two_down['unavailable']} typed unavailable, "
-            f"expected exactly the {availability['doomed_keys']} doomed key(s)"
-        )
-    if recovered["availability"] != 1.0:
-        failures.append(
-            f"after revival: availability {recovered['availability']:.1%}"
-        )
-    return metrics, failures
-
-
-def _directory_render(record: Record) -> str:
-    config, metrics = record["config"], record["metrics"]
-    latency = metrics["latency"]
-    steady = metrics["steady_state"]
-    availability = metrics["availability"]
-    one_down = availability["one_shard_down"]
-    two_down = availability["replica_set_down"]
-    recovered = availability["recovered"]
-    return "\n".join([
-        "Directory — hot-cache latency and availability under shard loss",
-        f"  {config['clients']} clients over {config['shards']} shards, "
-        f"r={config['replication']}, cache={config['cache_capacity']}/shard",
-        f"  latency (n={latency['sample']}): "
-        f"cold quorum read {latency['cold_mean_us']:.0f}us "
-        f"(p99 {latency['cold_p99_us']:.0f}us) -> hot hit "
-        f"{latency['hot_mean_us']:.0f}us "
-        f"(p99 {latency['hot_p99_us']:.0f}us), "
-        f"{latency['speedup']:.1f}x",
-        f"  steady state ({steady['rounds']} rounds, "
-        f"{steady['churn_per_round']} re-enrolls/round): "
-        f"hit rate {steady['hit_rate']:.1%} "
-        f"({steady['steady_hits']}/{steady['steady_lookups']})",
-        f"  1-of-N loss ({availability['victim']}): "
-        f"availability {one_down['availability']:.1%}, "
-        f"{one_down['failovers']} failovers, "
-        f"{len(one_down['errors'])} errors",
-        f"  replica-set loss (+{availability['partner']}): "
-        f"availability {two_down['availability']:.1%}, "
-        f"{two_down['unavailable']} typed unavailable "
-        f"(= {availability['doomed_keys']} doomed keys), "
-        f"{len(two_down['errors'])} errors",
-        f"  recovered: availability {recovered['availability']:.1%}, "
-        f"{recovered['read_repairs']} read repairs, "
-        f"{len(recovered['errors'])} errors",
-        f"  wall: {metrics['wall_seconds']:.2f}s  "
-        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
-    ])
 
 
 # -- tenants: noisy neighbor ----------------------------------------------
@@ -1171,12 +749,6 @@ GATES: dict[str, Gate] = {
             _chaos_arguments, _chaos_run, _chaos_render,
         ),
         Gate(
-            "scheduler", "sched", (),
-            "FIFO vs the deadline-aware dispatcher on one mixed-depth fleet "
-            "(exit 1 if the scheduled shallow p99 exceeds FIFO's)",
-            _scheduler_arguments, _scheduler_run, _scheduler_render,
-        ),
-        Gate(
             "fleet_storm", "fleet", ("--storm",),
             "device-loss storm: kill a fleet device mid-run, revive it (exit "
             "1 on a lost request, false auth, byte mismatch vs the "
@@ -1185,9 +757,8 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             "fleet", "fleet", ("--bench",),
-            "two-device and scan-thread scaling, hedged vs unhedged "
-            "straggler p99 (exit 1 on a lost request, false auth, scaling or "
-            "hedging regression)",
+            "scan-thread scaling, hedged vs unhedged straggler p99 (exit 1 "
+            "on a lost request, false auth, scaling or hedging regression)",
             _fleet_arguments, _fleet_run, _fleet_render,
         ),
         Gate(
@@ -1197,12 +768,6 @@ GATES: dict[str, Gate] = {
             "or unexpected shed, or an unhealed replica)",
             _directory_storm_arguments, _directory_storm_run,
             _directory_storm_render,
-        ),
-        Gate(
-            "directory", "directory", ("--bench",),
-            "hot-cache hit rate and latency, and availability under shard "
-            "loss, on synthetic enrollment images",
-            _directory_arguments, _directory_run, _directory_render,
         ),
         Gate(
             "tenancy", "tenants", (),

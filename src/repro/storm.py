@@ -1,8 +1,8 @@
 """The storm kit: what every in-process serving harness decides, once.
 
-A storm *scenario* (device loss, shard loss, noisy neighbor, FIFO vs the
-dispatcher, the demos) owns its fault schedule and its verdicts; the kit
-owns request -> outcome: :class:`Request` and :class:`Outcome`,
+A storm *scenario* (device loss, shard loss, noisy neighbor, the demos)
+owns its fault schedule and its verdicts; the kit owns request ->
+outcome: :class:`Request` and :class:`Outcome`,
 :func:`planted` (the seeded workload), :func:`enrolled_fleet` (a CA with
 a PUF fleet enrolled), :func:`set_device_alive` (a device lost or back,
 and seen to be), :func:`drive` (submit everything, settle
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.puf.ternary import TernaryMask
 
 __all__ = [
-    "SHALLOW_DISTANCE", "Request", "Outcome", "planted", "enrolled_fleet",
+    "Request", "Outcome", "planted", "enrolled_fleet",
     "set_device_alive", "ticket_submit", "server_submit", "search_submit",
     "drive", "summarize", "false_authentications", "invariant_failures",
 ]

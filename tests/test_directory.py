@@ -192,13 +192,38 @@ class TestShardedEnrollmentDirectory:
         assert all(record == held[0] for record in held)
 
     def test_second_lookup_is_a_hot_hit(self):
+        """A hot hit is cheaper than the cold read because it is no read:
+        no quorum walk over the replicas, no decrypt."""
         directory = self._directory()
         directory.enroll("alice", synthetic_mask(5))
         _mask, cold = directory.lookup_with_stats("alice")
+        quorum_reads = directory.quorum_reads
         _mask, hot = directory.lookup_with_stats("alice")
         assert not cold.hot_hit and cold.source == "primary"
         assert hot.hot_hit and hot.source == "hot-cache"
         assert directory.hot_hits == 1
+        assert quorum_reads == 1 and directory.quorum_reads == quorum_reads
+
+    def test_steady_state_hit_rate_under_churn_is_at_least_ninety_percent(self):
+        """128 clients on 8 shards with 64 hot entries each: after one warm
+        sweep, four more sweeps with 3 re-enrollments before each must be
+        served from the hot caches at least 90 % of the time."""
+        directory = self._directory(shards=8, cache_capacity=64)
+        masks = {f"client-{i:05d}": synthetic_mask(i) for i in range(128)}
+        for client_id, mask in masks.items():
+            directory.enroll(client_id, mask)
+        for client_id in masks:  # the warm sweep
+            directory.lookup(client_id)
+        hits, misses = directory.hot_hits, directory.hot_misses
+        rng = np.random.default_rng(0)
+        for _round in range(4):
+            for client_id in rng.choice(sorted(masks), size=3, replace=False):
+                directory.enroll(str(client_id), masks[str(client_id)])
+            for client_id in masks:
+                directory.lookup(client_id)
+        hits, misses = directory.hot_hits - hits, directory.hot_misses - misses
+        assert hits + misses == 4 * 128
+        assert hits / (hits + misses) >= 0.9
 
     def test_re_enroll_invalidates_cache_and_bumps_version(self):
         directory = self._directory()

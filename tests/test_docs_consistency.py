@@ -2,11 +2,14 @@
 
 DESIGN.md's per-experiment index, the README's bench table, and the
 benchmarks directory must agree; every example the README lists must
-exist; EXPERIMENTS.md must mention every bench's experiment.
+exist; EXPERIMENTS.md must mention every bench's experiment; every
+``repro`` command line the documents and CI show must parse.
 """
 
+import itertools
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -79,3 +82,132 @@ class TestExperimentsDoc:
         text = (REPO / "EXPERIMENTS.md").read_text()
         assert f"{exhaustive_seed_count(5):,}" in text
         assert f"{average_seed_count(5):,}" in text
+
+
+#: Documents whose code blocks show ``repro`` command lines.
+COMMAND_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                ".claude/skills/verify/SKILL.md")
+
+
+def code_lines(text):
+    """The lines of ``text``'s code blocks, fenced or indented four spaces,
+    with ``\\``-continuations joined."""
+    inside, pending = False, ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            inside, pending = not inside, ""
+        elif inside or pending or line.startswith("    "):
+            if line.rstrip().endswith("\\"):
+                pending += line.rstrip()[:-1] + " "
+                continue
+            yield pending + line
+            pending = ""
+
+
+def ci_run_lines(text):
+    """The shell lines of the workflow's ``run:`` steps: inline, folded
+    (``>``, lines joined by spaces) or literal (``|``, one per line)."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        match = re.match(r"(\s*)(?:- )?run: ?(.*)$", line)
+        if not match:
+            continue
+        indent, value = len(match.group(1)), match.group(2).strip()
+        if value not in (">", "|"):
+            yield value
+            continue
+        body = []
+        for following in lines[index + 1:]:
+            if following.strip() and (
+                len(following) - len(following.lstrip()) <= indent
+            ):
+                break
+            body.append(following.strip())
+        if value == ">":
+            yield " ".join(body)
+        else:
+            yield from body
+
+
+def repro_argvs(line):
+    """Each ``python -m repro …`` / ``repro …`` command in one shell line,
+    as the argv ``repro`` would get (redirections and pipes cut off)."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    try:
+        tokens = list(lexer)
+    except ValueError:  # unbalanced quotes: a code line, not a command
+        assert "-m repro " not in line, line
+        return
+    command: list[str] = []
+    for token in [*tokens, ";"]:
+        if token and set(token) <= set("();<>|&"):
+            words = list(itertools.dropwhile(re.compile(r"\w+=").match, command))
+            if words[:3] in (["python", "-m", "repro"], ["python3", "-m", "repro"]):
+                yield words[3:]
+            elif words[:1] == ["repro"]:
+                yield words[1:]
+            command = []
+        else:
+            command.append(token)
+
+
+def parses(argv):
+    """Whether the CLI's own parsers accept ``argv`` (nothing is run)."""
+    from repro import cli
+    from repro.gates import gate_parser, select_gate
+
+    gate = select_gate(argv)
+    try:
+        if gate is not None:
+            gate_parser(gate).parse_args([a for a in argv[1:] if a not in gate.flags])
+        else:
+            cli._parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error, or --help's exit 0
+        return exc.code == 0
+    return True
+
+
+def documented_commands():
+    for name in COMMAND_DOCS:
+        for line in code_lines((REPO / name).read_text()):
+            for argv in repro_argvs(line):
+                yield name, argv
+    for line in ci_run_lines((REPO / ".github/workflows/ci.yml").read_text()):
+        for argv in repro_argvs(line):
+            yield "ci.yml", argv
+
+
+class TestCommandLines:
+    def test_every_documented_command_line_parses(self, capsys):
+        commands = list(documented_commands())
+        assert {"README.md", "EXPERIMENTS.md", "ci.yml"} <= {
+            source for source, _argv in commands
+        }
+        refused = [
+            f"{source}: repro {shlex.join(argv)}"
+            for source, argv in commands
+            if not parses(argv)
+        ]
+        assert refused == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "PYTHONPATH=src python -m repro sched --requests 8 --budget 2",
+            "python -m repro directory --bench --clients 128   # the gate",
+            "repro fleet --bench --requests 8 --depths 1,2 > out.txt",
+        ],
+    )
+    def test_a_command_of_a_deleted_gate_is_refused(self, line, capsys):
+        [argv] = repro_argvs(line)
+        assert not parses(argv)
+
+    def test_the_extractors_see_continuations_and_folded_steps(self):
+        doc = "```bash\npython -m repro fleet --storm \\\n  --seed 0\n```\n"
+        assert [list(repro_argvs(line)) for line in code_lines(doc)] == [
+            [["fleet", "--storm", "--seed", "0"]]
+        ]
+        ci = ("      - name: x\n        run: >\n          python -m repro tenants\n"
+              "          --seed 0\n      - name: y\n")
+        assert list(ci_run_lines(ci)) == ["python -m repro tenants --seed 0"]

@@ -56,12 +56,17 @@ class TestTable:
                 assert tuple(engine.choices) == ENGINE_MODES == ("fleet", "sched")
                 assert engine.default == "fleet"
 
-    def test_the_committed_records_cover_the_six_benchmarks(self):
+    def test_the_table_has_the_seven_gates(self):
+        assert sorted(GATES) == [
+            "chaos", "deployment", "directory_storm", "fleet", "fleet_storm",
+            "recovery", "tenancy",
+        ]
+
+    def test_the_committed_records_cover_the_four_benchmarks(self):
         committed = {path.stem for path in REPO.glob("BENCH_*.json")}
         assert committed == {
             f"BENCH_{name}"
-            for name in ("scheduler", "fleet", "directory", "tenancy",
-                         "deployment", "recovery")
+            for name in ("fleet", "tenancy", "deployment", "recovery")
         }
 
     @pytest.mark.parametrize(
@@ -78,8 +83,6 @@ class TestRunner:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sched", "--requests", "4", "--depths", "1,2", "--budget", "2",
-             "--batch-size", "8192"],
             ["fleet", "--storm", "--requests", "6", "--depths", "1,2"],
             ["directory", "--storm", "--clients", "10", "--seed", "0"],
             ["tenants", "--victims", "4", "--aggressors", "6"],
@@ -120,3 +123,14 @@ class TestRunner:
     def test_gate_word_without_its_mode_is_a_usage_error(self, capsys):
         assert cli_main(["deploy"]) == 2
         assert "--storm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sched"], ["directory", "--bench"], ["fleet", "--bench", "--requests", "8"]],
+        ids=" ".join,
+    )
+    def test_a_retired_gate_or_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -529,9 +529,13 @@ class TestFairness:
             for ticket in shallow_tickets:
                 assert ticket.result(timeout=60).found
             shallow_wall = time.perf_counter() - t0
+            # Every shallow ticket settled ahead of the deep one submitted
+            # before them: a FIFO server would have made them wait it out.
+            deep_pending = not deep.done()
             snapshot = engine.scheduler.snapshot()
         finally:
             engine.close(drain=False)
+        assert deep_pending
         # The d=1 searches finished while d=3 still had hours of work
         # queued — generous margin so slow CI cannot flake this.
         assert shallow_wall < 20.0

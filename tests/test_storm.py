@@ -361,10 +361,10 @@ class TestTheThreeDefects:
         assert fast.settled_seconds < 0.1 < slow.settled_seconds
         assert summarize([fast])["p99_seconds"] < 0.1
 
-    def test_sched_gate_reports_a_lost_request_and_exits_one(
-        self, monkeypatch, tmp_path, capsys
+    def test_fleet_storm_reports_a_lost_request_and_exits_one(
+        self, monkeypatch, capsys
     ):
-        from repro import gates
+        from repro.fleet import storm
 
         def losing(engine, time_budget=None):
             submit = ticket_submit(engine, time_budget)
@@ -372,9 +372,9 @@ class TestTheThreeDefects:
                 Ticket() if request.client_id == "wl-0001" else submit(request)
             )
 
-        monkeypatch.setattr(gates, "ticket_submit", losing)
-        monkeypatch.setattr(gates, "_SETTLE_TIMEOUT", 1.0)
-        code = cli_main(["sched", "--requests", "3", "--depths", "1",
+        monkeypatch.setattr(storm, "ticket_submit", losing)
+        monkeypatch.setattr(storm, "_SETTLE_TIMEOUT", 1.0)
+        code = cli_main(["fleet", "--storm", "--requests", "3", "--depths", "1",
                          "--batch-size", "4096"])
         assert code == 1
         assert "GATE: 1 request(s) lost" in capsys.readouterr().err
