@@ -1,68 +1,12 @@
-"""Extensions — distributed cluster engine (§5 future work) and the
-1,200-trial average-case methodology (§4.1).
-"""
+"""Extension — the 1,200-trial average-case methodology (§4.1)."""
 
 import numpy as np
 from conftest import comparison_table, record_report
 
-from repro._bitutils import flip_bits
-from repro.analysis.tables import format_table
 from repro.analysis.trials import run_device_trials, run_search_trials
 from repro.devices import APUModel, CPUModel, GPUModel
 from repro.hashes.sha1 import sha1
 from repro.engines import build_engine
-from repro.runtime.cluster import ClusterSearchExecutor
-
-
-def test_cluster_engine_real_runs(benchmark, report):
-    """The distributed engine really splits and searches (d=2 scale)."""
-    rng = np.random.default_rng(47)
-    base = rng.bytes(32)
-    absent = sha1(rng.bytes(32))
-
-    rows = []
-    for ranks in (1, 2, 4, 8):
-        cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
-        result = cluster.search(base, absent, 2)
-        assert not result.found
-        slowest = max(result.cluster.per_rank_seconds)
-        rows.append(
-            [ranks, f"{slowest:.3f}", f"{result.elapsed_seconds:.3f}",
-             f"{result.seeds_hashed:,}"]
-        )
-    report(
-        "ext_cluster_real",
-        format_table(
-            ["ranks", "slowest rank (s)", "modeled wall (s)", "total seeds"],
-            rows,
-            title="Distributed SALTED search, real rank slices (exhaustive d=2)",
-        )
-        + "\n(per-rank work shrinks ~1/ranks; wall = slowest rank + fabric)",
-    )
-
-    benchmark(
-        lambda: ClusterSearchExecutor(2, "sha1", batch_size=8192).search(
-            base, absent, 1
-        )
-    )
-
-
-def test_cluster_early_exit_propagates(benchmark, report):
-    rng = np.random.default_rng(53)
-    base = rng.bytes(32)
-    client = flip_bits(base, [40, 222])
-    digest = sha1(client)
-
-    cluster = ClusterSearchExecutor(4, "sha1", batch_size=4096)
-    result = benchmark(cluster.search, base, digest, 2)
-    assert result.found and result.seed == client
-    record_report(
-        "ext_cluster_early_exit",
-        f"4-rank cluster, planted d=2 seed: finder rank {result.cluster.finder_rank}, "
-        f"wall {result.elapsed_seconds:.3f} s; non-finders drain one batch + "
-        "flag propagation (the distributed analogue of the paper's "
-        "unified-memory exit flag).",
-    )
 
 
 def test_trials_methodology_paper_scale(benchmark, report):

@@ -2,8 +2,9 @@
 
 Three scaling stories in one run:
 
-1. the *real* distributed cluster engine splitting one search across
-   MPI-style ranks on this host (reduced scale);
+1. exhaustive searches split over a two-device fleet on this host —
+   the dispatcher's placement and rank-range scans, the split that
+   serves;
 2. the modeled multi-node CPU cluster that brings SHA-3 under the T=20 s
    threshold (4 nodes);
 3. the modeled 8x-APU chassis the paper proposes (2U form factor),
@@ -17,51 +18,37 @@ import numpy as np
 from repro.analysis.plots import bar_chart, line_plot
 from repro.analysis.tables import format_table
 from repro.devices import APUModel, CPUModel, GPUModel, speedup_curve
+from repro.engines import build_engine
 from repro.hashes.sha1 import sha1
-from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 
 
-def real_cluster_demo() -> None:
+def fleet_split_demo(searches: int = 4) -> None:
     rng = np.random.default_rng(2026)
-    base = rng.bytes(32)
     absent = sha1(rng.bytes(32))
 
-    print("Real distributed search on this host (SALTED, SHA-1, exhaustive d=2):")
-    rows = []
-    for ranks in (1, 2, 4):
-        cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=4096)
-        result = cluster.search(base, absent, 2)
-        slowest = max(result.cluster.per_rank_seconds)
-        rows.append(
-            [ranks, f"{result.seeds_hashed:,}", f"{slowest:.2f}",
-             f"{result.elapsed_seconds:.2f}"]
-        )
+    print(
+        f"Real split on this host: {searches} exhaustive d=2 searches "
+        "(SALTED, SHA-1) on a two-device fleet"
+    )
+    with build_engine("fleet:host,host,hash=sha1,bs=4096") as engine:
+        tickets = [
+            engine.submit(rng.bytes(32), absent, 2) for _ in range(searches)
+        ]
+        results = [ticket.result() for ticket in tickets]
+        devices = engine.scheduler.snapshot()["devices"]
+        scans = engine.worker_set.batches
     print(format_table(
-        ["ranks", "seeds (all ranks)", "slowest rank (s)", "wall (s)"], rows
+        ["device", "batches", "rows hashed"],
+        [
+            [name, device["batches"], f"{device['rows_hashed']:,}"]
+            for name, device in sorted(devices.items())
+        ],
     ))
-
-    from repro._bitutils import flip_bits
-
-    client = flip_bits(base, [7, 201])
-    cluster = ClusterSearchExecutor(4, "sha1", batch_size=4096)
-    result = cluster.search(base, sha1(client), 2)
     print(
-        f"\nplanted d=2 seed: found by rank {result.cluster.finder_rank} in "
-        f"{result.elapsed_seconds:.2f} s wall; the distributed exit flag "
-        "stopped the other ranks after one in-flight batch."
-    )
-
-    slow_fabric = Interconnect(
-        name="WAN", broadcast_seconds=0.2, allreduce_seconds=0.2,
-        gather_seconds=0.2, exit_propagation_seconds=0.2,
-    )
-    wan = ClusterSearchExecutor(
-        4, "sha1", batch_size=4096, interconnect=slow_fabric
-    ).search(base, sha1(client), 2)
-    print(
-        f"same search over a WAN-grade fabric: {wan.elapsed_seconds:.2f} s "
-        "(fabric costs dominate small searches — why the paper keeps the "
-        "search inside one node until d grows)"
+        f"{sum(r.seeds_hashed for r in results):,} seeds; each search is "
+        f"placed on the least-loaded device, and {scans} batches were cut "
+        "into rank ranges over the scan threads. Early exit and re-dispatch "
+        "of a lost device's chunks are what `repro fleet --storm` gates."
     )
 
 
@@ -98,7 +85,7 @@ def modeled_scaling_stories() -> None:
 
 
 def main() -> None:
-    real_cluster_demo()
+    fleet_split_demo()
     modeled_scaling_stories()
 
 

@@ -6,7 +6,7 @@ Response-Based Cryptography — together with every substrate the paper's
 evaluation depends on: from-scratch scalar and batched SHA-1/SHA-256/SHA-3,
 four combination generators, a statistical PUF with TAPKI masking, AES /
 ChaCha20 / SPECK / toy-LWE key generation, calibrated CPU/GPU/APU device
-simulators, a real multiprocessing search runtime, and the client<->CA
+simulators, a real multi-threaded search runtime, and the client<->CA
 network protocol.
 
 Quickstart::

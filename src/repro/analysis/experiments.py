@@ -89,9 +89,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         extension=True,
     ),
     Experiment(
-        "E-CLST", "extension", "distributed cluster + 1,200-trial methodology",
-        ("repro.runtime.cluster", "repro.analysis.trials"),
-        "benchmarks/bench_ext_cluster_trials.py",
+        "E-TRIALS", "extension", "1,200-trial average-case methodology",
+        ("repro.analysis.trials",),
+        "benchmarks/bench_ext_trials.py",
         extension=True,
     ),
     Experiment(

@@ -178,13 +178,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 f"  d={shell.distance}: {shell.seeds_hashed:,} seeds "
                 f"in {shell.seconds:.4f} s"
             )
-    if result.cluster is not None:
-        stats = result.cluster
-        print(f"finder rank:   {stats.finder_rank}")
-        print(f"per-rank seeds:{list(stats.per_rank_hashed)}")
-        if stats.dead_ranks:
-            print(f"dead ranks:    {list(stats.dead_ranks)} "
-                  f"(recovery {stats.recovery_seconds:.4f} s)")
     if result.found and result.seed != client_seed:
         # A different seed with the same response is possible in
         # principle but at these sizes indicates an engine bug.
@@ -412,7 +405,7 @@ def _parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--engine", default="batch:sha3-256,bs=16384",
         help="engine spec, e.g. fleet:host,host,bs=8192, or a dotted factory "
-             "path: repro.runtime.cluster.ClusterSearchExecutor:4,bs=8192",
+             "path: repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128",
     )
     search.add_argument("--distance", type=int, default=2,
                         help="bit flips to plant between client and CA")

@@ -1,9 +1,10 @@
 """Algorithm 1 as a protocol-facing service.
 
 :class:`RBCSearchService` wraps an execution engine (single-process
-vectorized, multiprocessing, or a simulated device) behind the interface
-the CA uses: *given a digest and an enrolled seed, find the client's seed
-within the time threshold T*. The paper fixes T = 20 s.
+vectorized, the fleet dispatcher's scan threads, or a simulated device)
+behind the interface the CA uses: *given a digest and an enrolled seed,
+find the client's seed within the time threshold T*. The paper fixes
+T = 20 s.
 
 The service also implements the protocol's planning rule: before
 accepting a maximum distance it checks, against the engine's measured or

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.durability.log import RecoveryResult, ShardLog, replay_into
@@ -72,18 +73,33 @@ class DurableImageStore:
     def enroll(self, client_id: str, mask: TernaryMask) -> None:
         """Enroll, then make it durable; only then return (= acknowledge)."""
         with self._lock:
-            self._store.enroll(client_id, mask)
-            blob, version = self._store.export_record(client_id)
+            self._install_locked(
+                client_id, lambda: self._store.enroll(client_id, mask)
+            )
+
+    def _install_locked(self, client_id: str, install: Callable[[], None]) -> None:
+        """Install a record and append it to the log; if the append
+        raises, withdraw the install, so a refused record is never served."""
+        prior = (
+            self._store.export_record(client_id) if client_id in self._store else None
+        )
+        install()
+        blob, version = self._store.export_record(client_id)
+        try:
             self._log.append(client_id, version, blob)
-            self._appends_since_checkpoint += 1
-            if self._appends_since_checkpoint >= self.checkpoint_every:
-                self._checkpoint_locked()
+        except BaseException:
+            self._store.withdraw(client_id, prior, version)
+            raise
+        self._appends_since_checkpoint += 1
+        if self._appends_since_checkpoint >= self.checkpoint_every:
+            self._checkpoint_locked()
 
     def lookup(self, client_id: str) -> TernaryMask:
         # Only the copy of (record, version) is under the lock; the
         # decrypt is not, so readers do not queue behind one another and
         # nothing waits for a decrypt. What is copied is always durable:
-        # enroll holds the lock from install to fsync.
+        # an install holds the lock from install to fsync, and one whose
+        # append fails is withdrawn before the lock is let go.
         blob, version = self.export_record(client_id)
         return self._store.decrypt_record(client_id, blob, version)
 
@@ -114,11 +130,10 @@ class DurableImageStore:
     def import_record(self, client_id: str, blob: bytes, version: int) -> None:
         """Install a replica-transferred record — durably, like enroll."""
         with self._lock:
-            self._store.import_record(client_id, blob, version)
-            self._log.append(client_id, version, blob)
-            self._appends_since_checkpoint += 1
-            if self._appends_since_checkpoint >= self.checkpoint_every:
-                self._checkpoint_locked()
+            self._install_locked(
+                client_id,
+                lambda: self._store.import_record(client_id, blob, version),
+            )
 
     @property
     def nonce_reuse_trips(self) -> int:

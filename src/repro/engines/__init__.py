@@ -1,7 +1,7 @@
 """Unified search-engine stack: registry, wrappers, one result type.
 
 Every way this repo can run Algorithm 1 — single-process vectorized
-batch search, multiprocessing, the in-process MPI-style cluster, the
+batch search, the fleet dispatcher and its scan threads, the
 original-RBC cipher baseline, and the device-model-backed accelerator
 engines — is reachable through one front door::
 
@@ -36,12 +36,10 @@ from repro.engines.registry import (
     register_engine,
 )
 from repro.engines.result import (
-    ClusterStats,
     DirectoryStats,
     SearchEngine,
     SearchResult,
     ShellStats,
-    merge_shells,
 )
 from repro.engines.wrappers import DEFAULT_BATCH_SIZE, EngineWrapper, describe_engine
 
@@ -55,10 +53,8 @@ __all__ = [
     "get_entry",
     "SearchResult",
     "ShellStats",
-    "ClusterStats",
     "DirectoryStats",
     "SearchEngine",
-    "merge_shells",
     "EngineWrapper",
     "DEFAULT_BATCH_SIZE",
     "describe_engine",

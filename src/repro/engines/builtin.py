@@ -7,10 +7,10 @@ code does not construct engine classes; it goes through
 The dispatcher has four rows and one parameter list: ``fleet`` is
 :class:`~repro.fleet.engine.FleetSearchEngine` itself, and ``sched`` /
 ``pool`` / ``parallel`` are that class over one ``host`` device, each
-under its own default batch size and ``describe()`` name. Engines with a
-single caller (the modeled-interconnect cluster, the original-RBC
-baseline) are not rows; name them by dotted spec,
-``repro.runtime.cluster.ClusterSearchExecutor:4,bs=8192``.
+under its own default batch size and ``describe()`` name. An engine with
+a single caller (the original-RBC baseline) is not a row; name it by
+dotted spec,
+``repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=8192``.
 """
 
 from __future__ import annotations

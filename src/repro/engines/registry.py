@@ -23,10 +23,10 @@ Spec grammar::
 Dotted specs bypass the registry and name a factory directly — how the
 engines with a single caller are built::
 
-    "repro.runtime.cluster.ClusterSearchExecutor:4,hash=sha1,bs=4096"
+    "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=4096"
 
 Values are coerced to the type of the factory parameter's default
-(int / float / bool / str); parameters without a usable default fall
+(int / float / bool / str); a ``None`` default (``workers=``) falls
 back to literal guessing (int, then float, then str).
 
 Built-in engines live in :mod:`repro.engines.builtin`; the module is
@@ -219,9 +219,7 @@ def _coerce(value: str, default: Any) -> Any:
         return int(value)
     if isinstance(default, float):
         return float(value)
-    if default is None or default is inspect.Parameter.empty:
-        # No usable default (a required parameter, as a dotted spec's
-        # ``ClusterSearchExecutor:4`` has): guess the literal.
+    if default is None:
         for caster in (int, float):
             try:
                 return caster(value)

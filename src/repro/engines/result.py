@@ -2,12 +2,10 @@
 
 A search is reported as the paper reports it (Table 5, §4): seeds hashed
 and seconds, in total and per Hamming shell (``shells``, populated by
-every engine). Two extensions ride along where the search itself
-produced them: the cluster engine's per-rank :class:`ClusterStats`
-(``result.cluster.<field>``) and the enrollment directory's
-:class:`DirectoryStats`. What a dispatcher or a mask-plan cache did
-around a search is not copied onto the result: those are counted once,
-where they happen (``FleetScheduler.snapshot()``,
+every engine). One extension rides along where the search itself
+produced it: the enrollment directory's :class:`DirectoryStats`. What
+a dispatcher or a mask-plan cache did around a search is not copied
+onto the result: those are counted once, where they happen (``FleetScheduler.snapshot()``,
 ``MaskPlanCache.stats()``).
 
 Nothing in this module imports from the rest of :mod:`repro` — it is the
@@ -22,8 +20,6 @@ from typing import Protocol, runtime_checkable
 
 __all__ = [
     "ShellStats",
-    "merge_shells",
-    "ClusterStats",
     "DirectoryStats",
     "SearchResult",
     "SearchEngine",
@@ -42,28 +38,6 @@ class ShellStats:
     def throughput(self) -> float:
         """Seeds hashed per second within this shell."""
         return self.seeds_hashed / self.seconds if self.seconds > 0 else 0.0
-
-
-def merge_shells(
-    shell_groups: "list[tuple[ShellStats, ...]]",
-) -> tuple[ShellStats, ...]:
-    """Merge concurrent per-worker shell stats into one per-distance view.
-
-    Seed counts add across workers; seconds take the slowest worker
-    (the shells ran concurrently, so the maximum is the wall time).
-    """
-    hashed: dict[int, int] = {}
-    seconds: dict[int, float] = {}
-    for shells in shell_groups:
-        for shell in shells:
-            hashed[shell.distance] = hashed.get(shell.distance, 0) + shell.seeds_hashed
-            seconds[shell.distance] = max(
-                seconds.get(shell.distance, 0.0), shell.seconds
-            )
-    return tuple(
-        ShellStats(distance, hashed[distance], seconds[distance])
-        for distance in sorted(hashed)
-    )
 
 
 @dataclass(frozen=True)
@@ -95,31 +69,12 @@ class DirectoryStats:
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    """Distributed-search extension: per-rank accounting and recovery."""
-
-    finder_rank: int | None = None
-    per_rank_seconds: tuple[float, ...] = ()
-    per_rank_hashed: tuple[int, ...] = ()
-    #: Ranks that died before the search and whose slices were recovered.
-    dead_ranks: tuple[int, ...] = ()
-    #: Ranks that ran at a slowdown factor (reflected in wall time).
-    straggler_ranks: tuple[int, ...] = ()
-    #: Wall time of the recovery pass alone (0.0 when no rank died or a
-    #: survivor found the seed before recovery was needed).
-    recovery_seconds: float = 0.0
-    #: Actual serial execution time of the simulation (for reference).
-    simulation_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of one RBC search — the one shape every engine returns.
 
     ``elapsed_seconds`` is always the answer-latency the protocol
-    compares against T: real wall time for host engines, modeled
-    concurrent wall time for the cluster engine, modeled device time for
-    the device-model-backed engines.
+    compares against T: real wall time for host engines, modeled device
+    time for the device-model-backed engines.
     """
 
     found: bool
@@ -132,8 +87,6 @@ class SearchResult:
     shells: tuple[ShellStats, ...] = ()
     #: Which engine produced this result (its ``describe()`` string).
     engine: str | None = None
-    #: Distributed extension; ``None`` for single-node engines.
-    cluster: ClusterStats | None = field(default=None)
     #: Enrollment-directory extension (hot-cache/quorum/failover lookup
     #: telemetry); ``None`` when the enrolled image came from a plain
     #: in-memory database.

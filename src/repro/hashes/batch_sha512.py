@@ -2,7 +2,7 @@
 
 Completes the batched family: 64-bit lanes, one 1024-bit block per
 32-byte seed. Registered in the hash registry so every engine (batch
-executor, parallel, cluster) can sweep it alongside the paper's two.
+executor, fleet, modeled devices) can sweep it alongside the paper's two.
 """
 
 from __future__ import annotations

@@ -178,8 +178,8 @@ class SessionManager:
         """Algorithm 1, hashing ``candidate ‖ nonce`` per candidate.
 
         Runs through the authority's search service with a nonce-binding
-        adapter around its engine, so any engine (vectorized, parallel,
-        cluster) gains replay protection unchanged.
+        adapter around its engine, so any engine (vectorized, fleet,
+        modeled) gains replay protection unchanged.
         """
         service = self.authority.search_service
         engine = _NonceBindingEngine(

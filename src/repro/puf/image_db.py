@@ -166,6 +166,9 @@ class EncryptedImageDatabase:
         #: client — the nonce-reuse tripwire's floor. Fed by enrollments,
         #: imports, restores, and (crucially) WAL recovery.
         self._nonce_floor: dict[str, int] = {}
+        #: Highest version withdrawn after it was installed, per client:
+        #: its keystream is spent, so the next enrollment skips past it.
+        self._withdrawn: dict[str, int] = {}
         #: How many times the tripwire fired (it also raises).
         self.nonce_reuse_trips = 0
 
@@ -223,7 +226,9 @@ class EncryptedImageDatabase:
         already known to exist for — the failure a crash-restart that
         rolled back the version counters would otherwise cause silently.
         """
-        version = self._versions.get(client_id, -1) + 1
+        version = max(
+            self._versions.get(client_id, -1), self._withdrawn.get(client_id, -1)
+        ) + 1
         floor = self._nonce_floor.get(client_id, -1)
         if version <= floor:
             self.nonce_reuse_trips += 1
@@ -346,6 +351,23 @@ class EncryptedImageDatabase:
         self._records[client_id] = blob
         self._versions[client_id] = version
         self.register_used_version(client_id, version)
+
+    def withdraw(
+        self, client_id: str, prior: tuple[bytes, int] | None, version: int
+    ) -> None:
+        """Undo an install at ``version``: put back ``prior`` — the
+        :meth:`export_record` from before it, ``None`` for a new client.
+
+        The withdrawn keystream was minted, so the nonce floor keeps
+        ``version`` and the client's next enrollment encrypts above it.
+        """
+        if prior is None:
+            del self._records[client_id], self._versions[client_id]
+        else:
+            self._records[client_id], self._versions[client_id] = prior
+        self._withdrawn[client_id] = max(
+            version, self._withdrawn.get(client_id, -1)
+        )
 
     def register_used_version(self, client_id: str, version: int) -> None:
         """Raise the nonce-reuse floor: a ciphertext exists at ``version``.

@@ -4,7 +4,7 @@ Two halves, by design:
 
 * **producing failure** — :class:`FaultSpec` / :class:`FaultPlan` derive
   every stochastic fault choice (message drops, corrupted frames, device
-  failure episodes, dead cluster ranks) from one root seed;
+  failure episodes, shard timeouts) from one root seed;
   :class:`FaultyTransport` applies the message stream to a link.
 * **consuming failure** — :class:`RetryPolicy` bounds the client's
   restart behaviour and :class:`CircuitBreaker` is the per-device (and
@@ -24,7 +24,6 @@ from repro.reliability.faults import (
     MessageFaultInjector,
     ScriptedFaultInjector,
     DeviceFaultInjector,
-    ClusterFaultInjector,
     ShardFaultInjector,
     VirtualClock,
     MESSAGE_FAULTS,
@@ -44,7 +43,6 @@ __all__ = [
     "MessageFaultInjector",
     "ScriptedFaultInjector",
     "DeviceFaultInjector",
-    "ClusterFaultInjector",
     "ShardFaultInjector",
     "VirtualClock",
     "MESSAGE_FAULTS",

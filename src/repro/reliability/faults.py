@@ -2,9 +2,9 @@
 
 One :class:`FaultPlan` is the single source of randomness for an entire
 chaos run: every stochastic choice — which message drops, which byte of
-which frame flips, when the simulated device fails, which cluster rank
-dies — is drawn from a stream derived from the plan's one root seed via
-``numpy.random.SeedSequence``. Two plans built from the same
+which frame flips, when the simulated device fails, which shard
+operation times out — is drawn from a stream derived from the plan's
+one root seed via ``numpy.random.SeedSequence``. Two plans built from the same
 :class:`FaultSpec` and seed therefore produce *identical* fault
 schedules, which is what makes a chaos run a regression test instead of
 a dice roll.
@@ -27,7 +27,6 @@ __all__ = [
     "MessageFaultInjector",
     "ScriptedFaultInjector",
     "DeviceFaultInjector",
-    "ClusterFaultInjector",
     "ShardFaultInjector",
     "VirtualClock",
     "MESSAGE_FAULTS",
@@ -36,11 +35,11 @@ __all__ = [
 #: Message-level fault kinds, in the order the cumulative draw checks them.
 MESSAGE_FAULTS = ("drop", "corrupt", "duplicate", "reorder", "latency-spike")
 
-# Stream keys mixed into the root SeedSequence (never reuse a value).
+# Stream keys mixed into the root SeedSequence (never reuse a value; 4
+# is retired, and renumbering one would redraw its seed-pinned storms).
 _STREAM_TRANSPORT = 1
 _STREAM_CLIENT = 2
 _STREAM_DEVICE = 3
-_STREAM_CLUSTER = 4
 _STREAM_SHARD = 5
 
 
@@ -67,10 +66,6 @@ class FaultSpec:
     device_failure_length: int = 6
     device_slow_rate: float = 0.0
     device_slow_factor: float = 4.0
-    # -- cluster faults (per distributed search) ------------------------
-    dead_rank_count: int = 0
-    straggler_rate: float = 0.0
-    straggler_factor: float = 3.0
     # -- directory-shard faults (per shard read/write) ------------------
     #: Probability a shard operation times out (transient; the directory
     #: retries with backoff before failing over to a replica).
@@ -88,8 +83,6 @@ class FaultSpec:
             raise ValueError("message fault rates must sum to at most 1")
         if self.device_failure_length < 1:
             raise ValueError("device_failure_length must be positive")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
 
     @property
     def message_fault_rate(self) -> float:
@@ -273,34 +266,6 @@ class ShardFaultInjector:
             return None
 
 
-class ClusterFaultInjector:
-    """Rank-level faults for one distributed search: deaths and stragglers."""
-
-    def __init__(self, spec: FaultSpec, rng: np.random.Generator, ranks: int):
-        if ranks < 1:
-            raise ValueError("ranks must be positive")
-        # Never kill the whole cluster — recovery needs a survivor.
-        dead_count = min(spec.dead_rank_count, ranks - 1)
-        dead = rng.choice(ranks, size=dead_count, replace=False) if dead_count else []
-        self.dead_ranks: frozenset[int] = frozenset(int(r) for r in dead)
-        self._factors = {
-            rank: float(spec.straggler_factor)
-            for rank in range(ranks)
-            if rank not in self.dead_ranks
-            and spec.straggler_rate
-            and rng.random() < spec.straggler_rate
-        }
-
-    @property
-    def straggler_ranks(self) -> tuple[int, ...]:
-        """Ranks that run but at a slowdown factor."""
-        return tuple(sorted(self._factors))
-
-    def straggle_factor(self, rank: int) -> float:
-        """Wall-time multiplier for one rank (1.0 if healthy)."""
-        return self._factors.get(rank, 1.0)
-
-
 class FaultPlan:
     """All fault streams for one chaos run, derived from one root seed."""
 
@@ -326,10 +291,6 @@ class FaultPlan:
     def device_injector(self, horizon: int = 200) -> DeviceFaultInjector:
         """The device-fault stream for the primary search backend."""
         return DeviceFaultInjector(self.spec, self._rng(_STREAM_DEVICE), horizon)
-
-    def cluster_injector(self, ranks: int) -> ClusterFaultInjector:
-        """Rank death/straggler assignment for a ``ranks``-node search."""
-        return ClusterFaultInjector(self.spec, self._rng(_STREAM_CLUSTER), ranks)
 
     def shard_injector(self, index: int) -> ShardFaultInjector:
         """The operation-fault stream for enrollment-directory shard ``index``."""

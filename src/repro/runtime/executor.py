@@ -209,20 +209,15 @@ class BatchSearchExecutor:
         target_digest: bytes,
         max_distance: int,
         time_budget: float | None = None,
-        rank_range_by_distance: dict[int, tuple[int, int]] | None = None,
     ) -> SearchResult:
         """Run Algorithm 1: search Hamming distances 0..max_distance.
 
-        ``rank_range_by_distance`` restricts each shell to a rank
-        sub-range ``[lo, hi)`` — how a multi-worker harness splits the
-        space; an empty range skips the shell. ``time_budget`` enforces
-        the protocol's T threshold; on expiry the result has
-        ``timed_out=True``.
+        ``time_budget`` enforces the protocol's T threshold; on expiry
+        the result has ``timed_out=True``.
         """
         start_time = time.perf_counter()
         target_words = self.algo.digest_to_words(target_digest)
         base_words = seed_to_words(base_seed)
-        rank_ranges = rank_range_by_distance or {}
         shells: list[ShellStats] = []
 
         def shell_done(distance: int, hashed: int, since: float) -> None:
@@ -253,12 +248,11 @@ class BatchSearchExecutor:
             return result(base_seed, 0)
 
         for distance in range(1, max_distance + 1):
-            lo, hi = rank_ranges.get(distance, (0, binomial(SEED_BITS, distance)))
-            if lo >= hi:
-                continue
             shell_start = time.perf_counter()
             shell_hashed = 0
-            for masks in self.mask_batches(distance, lo, hi):
+            for masks in self.mask_batches(
+                distance, 0, binomial(SEED_BITS, distance)
+            ):
                 candidate_words = base_words[None, :] ^ masks
                 digests = self.algo.hash_seeds_batch(
                     candidate_words, fixed_padding=self.fixed_padding

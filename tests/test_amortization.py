@@ -64,16 +64,13 @@ class TestCachedSearchEquivalence:
     def test_cached_and_uncached_results_identical(self, base_seed, iterator):
         """Same search, with and without the plan cache, across iterators."""
         target = hashlib.sha1(b"no such seed").digest()
-        ranges = {2: D2_RANGE}
         plain = BatchSearchExecutor("sha1", batch_size=512, iterator=iterator)
         cached = BatchSearchExecutor(
             "sha1", batch_size=512, iterator=iterator,
             cache=True, plan_cache=MaskPlanCache(max_bytes=1 << 22),
         )
         def search(engine):
-            return lambda: engine.search(
-                base_seed, target, 2, rank_range_by_distance=ranges
-            )
+            return lambda: engine.search(base_seed, target, 2)
 
         reference = search(plain)()
         plans = cached.plan_cache
@@ -83,7 +80,7 @@ class TestCachedSearchEquivalence:
         assert _result_fingerprint(second) == _result_fingerprint(reference)
         # First search built the plans; the second one reused every slice.
         assert first_misses > 0
-        assert lookups == (len(ranges) + 1, 0)  # d=1 and d=2, all hits
+        assert lookups == (2, 0)  # d=1 and d=2, all hits
         assert plain.plan_cache is None
 
     @pytest.mark.parametrize("iterator", ITERATOR_CHOICES)

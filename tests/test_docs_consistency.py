@@ -3,9 +3,13 @@
 DESIGN.md's per-experiment index, the README's bench table, and the
 benchmarks directory must agree; every example the README lists must
 exist; EXPERIMENTS.md must mention every bench's experiment; every
-``repro`` command line the documents and CI show must parse.
+``repro`` command line the documents and CI show must parse, every
+``repro.`` dotted name they show must resolve, and every engine spec
+they show must name a factory that takes its options.
 """
 
+import importlib
+import inspect
 import itertools
 import pathlib
 import re
@@ -211,3 +215,125 @@ class TestCommandLines:
         ci = ("      - name: x\n        run: >\n          python -m repro tenants\n"
               "          --seed 0\n      - name: y\n")
         assert list(ci_run_lines(ci)) == ["python -m repro tenants --seed 0"]
+
+
+#: A ``repro.`` dotted name (not part of a path, a URL or a longer word).
+DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+#: Where a document shows an engine spec, besides its engine table.
+SPEC_SITES = (
+    re.compile(r"build_engine\(\s*[\"']([^\"']+)[\"']"),
+    re.compile(r"--engine[ =]([\w.:,=-]+)"),
+)
+
+
+def doc_lines():
+    """``(file:line, text)`` for every line of the documents."""
+    for name in COMMAND_DOCS:
+        text = (REPO / name).read_text()
+        for number, line in enumerate(text.splitlines(), 1):
+            yield f"{pathlib.Path(name).name}:{number}", line
+
+
+def resolve(dotted):
+    """The object ``dotted`` names: its longest importable module prefix,
+    then attributes (raises ``ImportError`` / ``AttributeError``)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            target = getattr(target, attribute)
+        return target
+    raise ImportError(dotted)
+
+
+def documented_specs():
+    """``(file:line, spec)`` for each ``build_engine("…")``, ``--engine …``
+    and first cell of a ``| spec | engine |`` table."""
+    in_table = False
+    for where, line in doc_lines():
+        for site in SPEC_SITES:
+            for spec in site.findall(line):
+                yield where, spec
+        if line.replace(" ", "") == "|spec|engine|":
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and (cell := re.match(r"\| `([^`]+)` \|", line)):
+            yield where, cell.group(1)
+
+
+def spec_refusal(spec):
+    """Why ``spec`` would not build, or ``None``; nothing is built."""
+    from repro.engines import EngineConfig, get_entry
+    from repro.engines.registry import _COMMON_ALIASES
+
+    try:
+        config = EngineConfig.parse(spec)
+        if "." in config.name:
+            aliases = dict(_COMMON_ALIASES)
+            parameters = [
+                p.name
+                for p in inspect.signature(resolve(config.name)).parameters.values()
+                if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            ]
+        else:
+            entry = get_entry(config.name)
+            aliases = entry.alias_map()
+            parameters = [name for name, _default, _type in entry.schema]
+    except (ValueError, KeyError, ImportError, AttributeError) as exc:
+        return repr(exc)
+    unknown = [k for k, _ in config.options if aliases.get(k, k) not in parameters]
+    return f"no option {unknown}" if unknown else None
+
+
+class TestNamesAndSpecs:
+    def test_every_dotted_name_resolves(self):
+        unresolved = []
+        for where, line in doc_lines():
+            for dotted in DOTTED_NAME.findall(line):
+                try:
+                    resolve(dotted)
+                except (ImportError, AttributeError):
+                    unresolved.append(f"{where}: {dotted}")
+        assert unresolved == []
+
+    def test_every_engine_spec_names_a_factory_that_takes_its_options(self):
+        specs = list(documented_specs())
+        assert {where.split(":")[0] for where, _spec in specs} >= {
+            "README.md", "DESIGN.md", "SKILL.md"
+        }
+        refused = [
+            f"{where}: {spec} ({why})"
+            for where, spec in specs
+            if (why := spec_refusal(spec)) is not None
+        ]
+        assert refused == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "repro.runtime.no_such_module.Engine:4,bs=8192",
+            "repro.runtime.executor.NoSuchEngine:sha1",
+            "nosuch:sha1",
+            "sched:sha1,cache=yes",
+            "batch:bs=4096,sha1",
+        ],
+    )
+    def test_a_spec_that_would_not_build_is_refused(self, spec):
+        assert spec_refusal(spec) is not None
+
+    def test_the_extractors_see_names_specs_and_the_table(self):
+        line = "see repro.fleet.batcher.WorkerSet, src/repro/x.py, github.com/a/repro.git"
+        assert DOTTED_NAME.findall(line) == ["repro.fleet.batcher.WorkerSet"]
+        assert resolve("repro.fleet.batcher.WorkerSet").__name__ == "WorkerSet"
+        assert spec_refusal("pool:sha1,w=2,bs=4096") is None
+        assert spec_refusal(
+            "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=8192"
+        ) is None
+        # Shown only in the README's engine table.
+        assert ("README.md", "gpu-model:sha3-256") in {
+            (where.split(":")[0], spec) for where, spec in documented_specs()
+        }

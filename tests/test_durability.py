@@ -11,6 +11,7 @@ and the sharded directory's durable construction + anti-entropy healing.
 
 from __future__ import annotations
 
+import errno
 import json
 import zlib
 
@@ -258,6 +259,47 @@ class TestDurableImageStore:
             got = recovered.lookup(client_id)
             np.testing.assert_array_equal(got.reference, mask.reference)
         recovered.close()
+
+    def test_a_failed_append_withdraws_the_install(self, tmp_path, monkeypatch):
+        """A record whose log append raises is never served: the prior
+        image and version are, a new client stays absent, and the next
+        enrollment encrypts above the burnt version."""
+        store = DurableImageStore(tmp_path / "db", KEY, fsync="always")
+        store.enroll("a", synthetic_mask(1))
+        version = store.version_of("a")
+        peer = EncryptedImageDatabase(KEY)
+        for seed in range(6):
+            peer.enroll("a", synthetic_mask(seed))
+        peer_blob, peer_version = peer.export_record("a")
+
+        def disk_full(*_args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store._log, "append", disk_full)
+            for refused in (
+                lambda: store.enroll("a", synthetic_mask(2)),
+                lambda: store.enroll("b", synthetic_mask(3)),
+                lambda: store.import_record("a", peer_blob, peer_version),
+                lambda: store.import_record("c", peer_blob, peer_version),
+            ):
+                with pytest.raises(OSError):
+                    refused()
+                served = store.lookup("a")
+                np.testing.assert_array_equal(
+                    served.reference, synthetic_mask(1).reference
+                )
+                assert store.version_of("a") == version
+                assert "b" not in store and "c" not in store
+                assert len(store) == 1
+
+        store.enroll("a", synthetic_mask(4))
+        assert store.version_of("a") == peer_version + 1
+        assert store.nonce_reuse_trips == 0
+        np.testing.assert_array_equal(
+            store.lookup("a").reference, synthetic_mask(4).reference
+        )
+        store.close()
 
     def test_torn_tail_loses_only_the_unacknowledged_append(self, tmp_path):
         store = DurableImageStore(tmp_path / "db", KEY, fsync="none")

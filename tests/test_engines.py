@@ -15,14 +15,11 @@ from repro.engines import (
     DEFAULT_BATCH_SIZE,
     EngineConfig,
     EngineWrapper,
-    SearchResult,
-    ShellStats,
     build_engine,
     describe_engine,
     engine_entries,
     engine_names,
     engine_target,
-    merge_shells,
     register_engine,
 )
 from repro.engines.registry import get_entry
@@ -30,9 +27,8 @@ from repro.engines.registry import get_entry
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
 
-#: The two engines with a single caller each are not registry rows; a
-#: dotted spec names their classes (the matrix ids keep their short names).
-CLUSTER_SPEC = "repro.runtime.cluster.ClusterSearchExecutor:2,hash=sha1,bs=4096"
+#: The engine with a single caller is not a registry row; a dotted spec
+#: names its class (the matrix id keeps its short name).
 ORIGINAL_SPEC = "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=4096"
 
 #: One spec per engine family — every row must behave identically on
@@ -44,7 +40,8 @@ HASH_ENGINE_SPECS = [
     "parallel:sha1,w=2,bs=4096",
     "pool:sha1,w=2,bs=4096",
     "sched:sha1,bs=4096",
-    pytest.param(CLUSTER_SPEC, id="cluster:2,hash=sha1,bs=4096"),
+    # The multi-member row: two devices behind one dispatcher, as served.
+    "fleet:host,host,hash=sha1,bs=4096",
     "gpu-model:sha1,bs=4096",
 ]
 ALL_ENGINE_SPECS = HASH_ENGINE_SPECS + [
@@ -69,11 +66,11 @@ class TestSpecGrammar:
             "batch", "parallel", "pool", "sched", "fleet",
             "gpu-model", "apu-model", "cpu-model",
         }
-        # Single-caller engines are named by dotted spec, not registered.
-        assert not {"cluster", "original"} & set(engine_names())
+        # The single-caller engine is named by dotted spec, not registered.
+        assert "original" not in engine_names()
 
     def test_parse_round_trip(self):
-        spec = "cluster:2,hash=sha1,bs=4096"
+        spec = "fleet:host,host,hash=sha1,bs=4096"
         assert EngineConfig.parse(spec).spec_string() == spec
 
     def test_positional_and_aliased_options(self):
@@ -101,11 +98,6 @@ class TestSpecGrammar:
         )
         assert engine.batch_size == 512
         assert engine.hash_name == "sha1"
-
-    def test_dotted_spec_guesses_a_required_parameters_type(self):
-        """``ranks`` has no default to coerce by: the literal is guessed."""
-        engine = build_engine("repro.runtime.cluster.ClusterSearchExecutor:3")
-        assert engine.ranks == 3
 
     def test_dispatcher_rows_declare_no_parameter_of_their_own(self):
         """``fleet`` is the class; ``sched`` / ``pool`` / ``parallel`` read
@@ -220,32 +212,6 @@ class TestEquivalenceMatrix:
         assert sum(s.seeds_hashed for s in result.shells) == result.seeds_hashed
 
 
-class TestUnifiedClusterResult:
-    def test_cluster_extension_carries_per_rank_stats(self):
-        engine = build_engine(CLUSTER_SPEC)
-        client_seed = flip_bits(BASE_SEED, [3, 77])
-        result = engine.search(
-            BASE_SEED, engine_target(engine, client_seed), 2
-        )
-        assert isinstance(result, SearchResult)
-        stats = result.cluster
-        assert stats is not None
-        assert stats.finder_rank in (0, 1)
-        assert len(stats.per_rank_seconds) == 2
-        assert len(stats.per_rank_hashed) == 2
-        assert sum(stats.per_rank_hashed) == result.seeds_hashed
-        assert stats.dead_ranks == ()
-        assert stats.recovery_seconds == 0.0
-        assert stats.simulation_seconds > 0.0
-
-    def test_single_process_result_has_no_cluster_stats(self):
-        engine = build_engine("batch:sha1,bs=4096")
-        result = engine.search(
-            BASE_SEED, engine_target(engine, BASE_SEED), 0
-        )
-        assert result.cluster is None
-
-
 class TestWrapperGeometry:
     def test_modeled_engine_forwards_geometry(self):
         modeled = build_engine("gpu-model:sha1,bs=1234")
@@ -306,21 +272,6 @@ class TestWrapperGeometry:
         result = bound.search(BASE_SEED, target, 1)
         assert result.found and result.seed == client_seed
         assert result.engine is not None and "nonce-bound" in result.engine
-
-
-class TestMergeShells:
-    def test_counts_add_seconds_take_max(self):
-        merged = merge_shells([
-            (ShellStats(1, 10, 0.5),),
-            (ShellStats(1, 20, 0.7), ShellStats(2, 5, 0.1)),
-        ])
-        assert [s.distance for s in merged] == [1, 2]
-        assert merged[0].seeds_hashed == 30
-        assert merged[0].seconds == 0.7
-        assert merged[1].seeds_hashed == 5
-
-    def test_empty_merge(self):
-        assert merge_shells([]) == ()
 
 
 class TestSummarizeSearchResults:

@@ -110,19 +110,3 @@ class TestChase382Properties:
         assert len(seq) == len(set(seq))
         for a, b in zip(seq, seq[1:]):
             assert len(set(a) ^ set(b)) == 2
-
-
-class TestClusterProperties:
-    @given(st.integers(1, 6), st.integers(0, 255))
-    @settings(max_examples=10, deadline=None)
-    def test_some_rank_always_finds_d1_seed(self, ranks, position):
-        from repro._bitutils import flip_bits
-        from repro.hashes.sha1 import sha1
-        from repro.runtime.cluster import ClusterSearchExecutor
-
-        rng = np.random.default_rng(position)
-        base = rng.bytes(32)
-        client = flip_bits(base, [position])
-        cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=512)
-        result = cluster.search(base, sha1(client), 1)
-        assert result.found and result.seed == client

@@ -33,7 +33,6 @@ from repro.reliability.retry import (
     RetryPolicy,
 )
 from repro.reliability.transport import FaultyTransport
-from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 
 
 LOSSY = FaultSpec(
@@ -93,13 +92,6 @@ class TestFaultPlanDeterminism:
             assert hi - lo == 5
         faults = [one.next() for _ in range(100)]
         assert faults.count("fail") >= 5  # episodes may overlap
-
-    def test_cluster_injector_never_kills_everyone(self):
-        spec = FaultSpec(dead_rank_count=10)
-        injector = FaultPlan(spec, seed=0).cluster_injector(ranks=4)
-        assert len(injector.dead_ranks) == 3
-        survivors = set(range(4)) - injector.dead_ranks
-        assert all(injector.straggle_factor(r) == 1.0 for r in survivors)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -395,86 +387,6 @@ class TestNetworkClientRetries:
         )
         assert network_client.retry_policy.max_attempts == 2
         assert network_client.retry_policy.base_backoff_seconds == 0.0
-
-
-class TestClusterFaults:
-    def _cheap_cluster(self, ranks, injector=None):
-        return ClusterSearchExecutor(
-            ranks, "sha1", batch_size=2048,
-            interconnect=Interconnect(),
-            fault_injector=injector,
-        )
-
-    def _target(self, distance=1):
-        base = b"\x33" * 32
-        if distance == 0:
-            return base, sha1(base)
-        flipped = bytearray(base)
-        flipped[0] ^= 0x01
-        return base, sha1(bytes(flipped))
-
-    class _Faults:
-        def __init__(self, dead=(), stragglers=None):
-            self.dead_ranks = frozenset(dead)
-            self._stragglers = dict(stragglers or {})
-
-        @property
-        def straggler_ranks(self):
-            return tuple(sorted(self._stragglers))
-
-        def straggle_factor(self, rank):
-            return self._stragglers.get(rank, 1.0)
-
-    def test_dead_rank_slices_recovered(self):
-        base, digest = self._target(distance=1)
-        healthy = self._cheap_cluster(3).search(base, digest, 1)
-        assert healthy.found
-        owner = healthy.cluster.finder_rank
-        # Kill the rank that found it: survivors must recover the slice.
-        result = self._cheap_cluster(
-            3, self._Faults(dead=[owner])
-        ).search(base, digest, 1)
-        assert result.found
-        assert result.seed == healthy.seed
-        assert result.cluster.finder_rank != owner
-        assert result.cluster.dead_ranks == (owner,)
-        assert result.cluster.recovery_seconds > 0.0
-        assert result.elapsed_seconds > healthy.elapsed_seconds
-
-    def test_dead_rank_zero_transfers_distance_zero(self):
-        base, digest = self._target(distance=0)
-        result = self._cheap_cluster(
-            3, self._Faults(dead=[0])
-        ).search(base, digest, 1)
-        assert result.found and result.distance == 0
-        assert result.cluster.finder_rank != 0
-
-    def test_straggler_slows_wall_time(self):
-        base, digest = self._target(distance=1)
-        healthy = self._cheap_cluster(2).search(base, digest, 1)
-        finder = healthy.cluster.finder_rank
-        slowed = self._cheap_cluster(
-            2, self._Faults(stragglers={finder: 50.0})
-        ).search(base, digest, 1)
-        assert slowed.found
-        assert slowed.cluster.straggler_ranks == (finder,)
-        # Wall time includes the straggled finder's stretched elapsed time.
-        assert slowed.elapsed_seconds >= slowed.cluster.per_rank_seconds[finder]
-        assert slowed.cluster.per_rank_seconds[finder] > 0.0
-
-    def test_whole_cluster_dead_raises(self):
-        with pytest.raises(RuntimeError, match="surviving"):
-            self._cheap_cluster(
-                2, self._Faults(dead=[0, 1])
-            ).search(b"\x00" * 32, sha1(b"\x00" * 32), 1)
-
-    def test_per_rank_accounting_marks_dead_ranks(self):
-        base, digest = self._target(distance=1)
-        result = self._cheap_cluster(
-            3, self._Faults(dead=[1])
-        ).search(base, digest, 1)
-        assert result.cluster.per_rank_hashed[1] == 0
-        assert result.cluster.per_rank_seconds[1] == 0.0
 
 
 class TestSessionNoncePreservedOnBackendFailure:

@@ -118,22 +118,6 @@ class TestBatchExecutor:
         result = executor.search(base_seed, sha3_256(rng.bytes(32)), 2, time_budget=0.0)
         assert result.timed_out
 
-    def test_rank_range_restriction(self, base_seed):
-        # Plant at the last d=1 position; a worker owning only the first
-        # half of the shell must miss it.
-        client_seed = flip_bits(base_seed, [255])
-        digest = sha1(client_seed)
-        executor = BatchSearchExecutor("sha1")
-        half = binomial(SEED_BITS, 1) // 2
-        miss = executor.search(
-            base_seed, digest, 1, rank_range_by_distance={1: (0, half)}
-        )
-        assert not miss.found
-        hit = executor.search(
-            base_seed, digest, 1, rank_range_by_distance={1: (half, 256)}
-        )
-        assert hit.found
-
     @pytest.mark.parametrize("iterator", ITERATOR_CHOICES)
     def test_all_iterators_find_same_seed(self, base_seed, iterator):
         client_seed = flip_bits(base_seed, [99])

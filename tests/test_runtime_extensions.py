@@ -1,5 +1,5 @@
-"""Batch original-RBC engine, the distributed cluster executor, and the
-adapters (original-RBC, nonce-bound) over the one Algorithm 1 body."""
+"""Batch original-RBC engine and the adapters (original-RBC, nonce-bound)
+over the one Algorithm 1 body."""
 
 import re
 from pathlib import Path
@@ -12,10 +12,8 @@ from repro.combinatorics.ranking import rank_lexicographic
 from repro.core.original_rbc import OriginalRBCSearch
 from repro.engines import build_engine
 from repro.hashes.registry import get_hash
-from repro.hashes.sha1 import sha1
 from repro.keygen.interface import get_keygen
 from repro.net.session import _NonceBindingEngine
-from repro.runtime.cluster import ClusterSearchExecutor, Interconnect
 from repro.runtime.original_batch import BATCH_KEYGEN_CHOICES, BatchOriginalRBCSearch
 
 
@@ -73,73 +71,6 @@ class TestBatchOriginalRBC:
 
     def test_throughput_probe(self):
         assert BatchOriginalRBCSearch("speck-128").throughput_probe(2000) > 0
-
-
-class TestClusterExecutor:
-    def test_finds_planted_seed(self, base_seed):
-        client = flip_bits(base_seed, [100, 101])
-        cluster = ClusterSearchExecutor(3, "sha1", batch_size=2048)
-        result = cluster.search(base_seed, sha1(client), 2)
-        assert result.found and result.seed == client and result.distance == 2
-        assert result.cluster.finder_rank is not None
-
-    def test_distance_zero_found_by_rank_zero(self, base_seed):
-        cluster = ClusterSearchExecutor(3, "sha1", batch_size=2048)
-        result = cluster.search(base_seed, sha1(base_seed), 1)
-        assert result.found and result.distance == 0 and result.cluster.finder_rank == 0
-
-    def test_exhaustion_covers_whole_space(self, base_seed, rng):
-        cluster = ClusterSearchExecutor(4, "sha1", batch_size=1024)
-        result = cluster.search(base_seed, sha1(rng.bytes(32)), 1)
-        assert not result.found
-        # Every rank also hashes S_init (the d=0 probe), so the joint
-        # count is the shell plus one probe per rank.
-        assert result.seeds_hashed == 256 + 4
-
-    def test_ranks_partition_disjointly(self, base_seed):
-        # Plant at a known lexicographic rank and verify exactly one
-        # rank finds it regardless of cluster size.
-        client = flip_bits(base_seed, [255])  # last d=1 candidate
-        digest = sha1(client)
-        for ranks in (1, 2, 5):
-            cluster = ClusterSearchExecutor(ranks, "sha1", batch_size=512)
-            result = cluster.search(base_seed, digest, 1)
-            assert result.found
-            assert result.cluster.finder_rank == ranks - 1  # owner of the tail slice
-
-    def test_wall_time_accounting(self, base_seed, rng):
-        quiet = Interconnect(
-            name="zero", broadcast_seconds=0, allreduce_seconds=0,
-            gather_seconds=0, exit_propagation_seconds=0,
-        )
-        slow = Interconnect(
-            name="slow", broadcast_seconds=1.0, allreduce_seconds=1.0,
-            gather_seconds=1.0, exit_propagation_seconds=0,
-        )
-        digest = sha1(rng.bytes(32))
-        fast_result = ClusterSearchExecutor(2, "sha1", 1024, quiet).search(
-            base_seed, digest, 1
-        )
-        slow_result = ClusterSearchExecutor(2, "sha1", 1024, slow).search(
-            base_seed, digest, 1
-        )
-        assert slow_result.elapsed_seconds > fast_result.elapsed_seconds + 2.9
-
-    def test_single_rank_has_no_fabric_cost(self, base_seed, rng):
-        cluster = ClusterSearchExecutor(1, "sha1", 1024)
-        result = cluster.search(base_seed, sha1(rng.bytes(32)), 1)
-        assert result.elapsed_seconds == pytest.approx(
-            max(result.cluster.per_rank_seconds), rel=0.01
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterSearchExecutor(0)
-
-    def test_result_truthiness(self, base_seed):
-        cluster = ClusterSearchExecutor(2, "sha1", 1024)
-        found = cluster.search(base_seed, sha1(base_seed), 1)
-        assert bool(found) is True
 
 
 # -- the two adapters over the one Algorithm 1 body ------------------------
