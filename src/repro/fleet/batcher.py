@@ -34,7 +34,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +65,14 @@ Ranks = tuple[int, int, int]
 Job = tuple[int, int, int, np.ndarray, np.ndarray]
 
 #: Rows a fused batch needs before it is split over the worker set's
-#: threads. On the compiled kernel, ``fleet:host`` SHA3-256 split over
-#: two threads reads 0.62-0.88x one thread at 512-row batches, 1.09-1.14x
-#: at 1 024 and 1.06-1.33x at 2 048 (EXPERIMENTS.md, E-CORES). A depth-0
-#: probe (one row) or a d=1 shell (256) never pays the hand-off.
+#: threads. On the eight-lane kernel, ``fleet:host`` SHA3-256 split over
+#: two threads reads 0.45-0.58x one thread at 1 024-row batches,
+#: 0.63-0.74x at 2 048, 0.80-1.07x at 4 096 and 0.90-1.24x at 8 192
+#: (EXPERIMENTS.md, E-CORES): the crossover is 4 096. The constant stays
+#: at 1 024 because ``TestWorkerEquivalence`` checks its cuts on batches
+#: of 2 357 and 1 999 rows, which must split, and no ladder workload
+#: makes a batch of 1 024-4 095 rows (none of 11 180 counted, E-CORES). A
+#: depth-0 probe (one row) or a d=1 shell (256) never pays the hand-off.
 SPLIT_MIN_ROWS = 1024
 
 
@@ -254,8 +258,11 @@ class WorkerSet:
     the lock, and a split batch hashes at about one core's rate).
     ``workers=None`` sizes the set to the cpuset; ``workers=1`` (or a
     one-CPU cpuset) starts no thread — the device thread is the one
-    core, and :attr:`splits` is false. The pool's queue is the one
-    place a second device's batch waits for the cores.
+    core, and :attr:`splits` is false. A split batch is cut into
+    ``workers`` pieces: the device thread scans the first and the pool
+    the rest. The pool holds ``workers`` threads, not ``workers - 1``,
+    so that when two devices split at once neither's piece queues
+    behind the other's; the OS shares the cores among whoever hashes.
     """
 
     def __init__(
@@ -293,28 +300,32 @@ class WorkerSet:
 
     def scan(self, jobs: Sequence[Job]) -> list[int | None]:
         """First matching row (from its ``lo``) of each job, the batch cut
-        over the threads.
+        over the cores.
 
         The jobs' ranks, laid end to end, are cut into one contiguous
-        range per thread; a job's answer is its lowest matching row in
+        range per core; the calling thread scans the first while the
+        pool scans the rest. A job's answer is its lowest matching row in
         the lowest range — the row one in-order scan would have found.
         """
         assert self._pool is not None, "a set of one never splits"
         shares = _cut([hi - lo for _d, lo, hi, _b, _t in jobs], self.workers)
+        pieces = [
+            [_piece(jobs[job], lo, hi) for job, lo, hi in share] for share in shares
+        ]
         futures = [
-            self._pool.submit(
-                first_matches,
-                self.algo,
-                self.fixed_padding,
-                [_piece(jobs[job], lo, hi) for job, lo, hi in share],
-            )
-            for share in shares
+            self._pool.submit(first_matches, self.algo, self.fixed_padding, piece)
+            for piece in pieces[1:]
         ]
         with self._counting:
             self.batches += 1
+        try:
+            head = first_matches(self.algo, self.fixed_padding, pieces[0])
+        finally:
+            wait(futures)  # no piece outlives its batch, even on a raise
+        answers = [head, *(future.result() for future in futures)]
         found: list[int | None] = [None] * len(jobs)
-        for share, future in zip(shares, futures, strict=True):
-            for (job, lo, _hi), row in zip(share, future.result(), strict=True):
+        for share, rows in zip(shares, answers, strict=True):
+            for (job, lo, _hi), row in zip(share, rows, strict=True):
                 if row is not None and found[job] is None:
                     found[job] = lo + row
         return found

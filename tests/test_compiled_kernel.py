@@ -125,6 +125,50 @@ class TestScansAgreeWithTheOracles:
             kernel.first_match("sha1", words, short)
 
 
+class TestEightRowGroups:
+    """SHA3-256 hashes eight rows per permutation, one per vector lane;
+    these pin every lane and a short last group's spare lanes."""
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_every_lane_of_every_group_size(self, kernel, n):
+        words = _rows(n, seed=100 + n)
+        for row, target in enumerate(native.digest_batch("sha3-256", words)):
+            assert kernel.first_match("sha3-256", words, target) == row
+
+    @pytest.mark.parametrize("pair", [(0, 7), (2, 3), (9, 14)])
+    def test_two_equal_rows_in_one_group_return_the_lower(self, kernel, pair):
+        words = _rows(16, seed=9)
+        words[pair[1]] = words[pair[0]]
+        target = native.digest_batch("sha3-256", words[pair[0] : pair[0] + 1])[0]
+        assert kernel.first_match("sha3-256", words, target) == pair[0]
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 11, 15])
+    def test_rows_past_the_end_never_match(self, kernel, n):
+        """Row ``n`` is where the spare lanes would read past a short
+        group; a scan of ``n`` rows must not find it, and it repeats row
+        ``n - 1`` rather than read it."""
+        words = _rows(n + 1, seed=10 + n)
+        beyond = native.digest_batch("sha3-256", words[n : n + 1])[0]
+        assert kernel.first_match("sha3-256", words[:n], beyond) is None
+        assert kernel.first_match("sha3-256", words, beyond) == n
+
+    def test_the_load_time_self_test_reaches_a_short_last_group(
+        self, kernel, monkeypatch
+    ):
+        """A kernel that answers only within the first eight rows fails
+        the check ``load()`` runs before serving."""
+        real = kernel.first_match
+
+        def first_group_only(name, words, target):
+            row = real(name, words, target)
+            return row if row is not None and row < 8 else None
+
+        monkeypatch.setattr(kernel, "first_match", first_group_only)
+        assert not compiled._agrees_with_native(kernel)
+        monkeypatch.undo()
+        assert compiled._agrees_with_native(kernel)
+
+
 def _slices(name: str):
     """One fused batch of three requests: a hit in shell 1, one in shell
     3, none in shell 2."""
@@ -187,6 +231,17 @@ class TestRecordsNameTheKernel:
         assert kernel.description.startswith(
             " ".join([*compiled._command(), "-O3", "-march=native", "("])
         )
+
+    def test_the_vector_isa_the_cpu_offers(self, kernel):
+        """Whether the eight SHA3-256 lanes ran in one register or two:
+        ``-march=native`` builds for the widest ISA the CPU reports."""
+        isa = kernel.description.rsplit(", ", 1)[1].rstrip(")")
+        flags = compiled._cpu_flags().split()
+        expected = next(
+            (name for name in ("avx512f", "avx2") if name.encode() in flags),
+            "generic",
+        )
+        assert isa == expected
 
     def test_the_fallback(self, monkeypatch, empty_cache):
         monkeypatch.setenv("CC", "/bin/false")

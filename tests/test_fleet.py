@@ -41,6 +41,7 @@ from repro.fleet.batcher import (
     UnitCursor,
     WorkerSet,
 )
+from repro.fleet import batcher
 from repro.fleet.units import decompose_search
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
@@ -644,7 +645,7 @@ def children():
 with build_engine("fleet:host,hash=sha3-256,bs=16384,workers=2") as engine:
     absent = engine_target(engine, bytes(32))
     assert not engine.search(b"\\x01" * 32, absent, 2).found
-    assert engine.search(b"\\x01" * 32, absent, 3, time_budget=0.3).timed_out
+    assert engine.search(b"\\x01" * 32, absent, 4, time_budget=0.3).timed_out
     assert engine.worker_set.batches > 0
     assert children() == set(), children()
 assert children() == set(), children()
@@ -699,6 +700,29 @@ class TestWorkerLoss:
         gc.collect()
         assert _scan_threads() <= before
 
+    def test_a_raising_first_piece_waits_for_the_pool(self, monkeypatch):
+        """The device thread's own piece raises: the scan raises only after
+        the pool's piece is done with the batch."""
+        caller = threading.current_thread()
+        pool_done = threading.Event()
+
+        def scan(algo, fixed_padding, pieces):
+            if threading.current_thread() is caller:
+                raise MemoryError("the device thread's piece")
+            time.sleep(0.2)
+            pool_done.set()
+            return [None] * len(pieces)
+
+        workers = WorkerSet(get_hash("sha1"), True, 2)
+        try:
+            monkeypatch.setattr(batcher, "first_matches", scan)
+            base = seed_to_words(BASE_SEED)
+            with pytest.raises(MemoryError):
+                workers.scan([(2, 0, 4096, base, base)])
+            assert pool_done.is_set()
+        finally:
+            workers.close()
+
     def test_idle_engine_and_workers_burn_no_cpu(self):
         """Scan threads block on the pool's queue; the dispatcher's idle
         reading (<= 0.03 CPU-s per wall-second) holds with them in the
@@ -709,7 +733,7 @@ class TestWorkerLoss:
         assert float(out) <= 0.03, out
 
     def test_served_path_leaves_no_segment_and_forks_no_tracker(self):
-        """An exhaustive d = 2 search and a budgeted d = 3 search on two
+        """An exhaustive d = 2 search and a budgeted d = 4 search on two
         threads: nothing is left in /dev/shm, and the engine forks no
         child process from build to close."""
         def segments():
