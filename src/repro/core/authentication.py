@@ -8,7 +8,6 @@ stored anywhere in this flow — the defining property of RBC.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -17,7 +16,6 @@ import numpy as np
 from repro._bitutils import SEED_BITS
 from repro.core.salting import SaltScheme
 from repro.core.search import RBCSearchService
-from repro.engines.result import DirectoryStats
 from repro.hashes.registry import HashAlgorithm, get_hash
 from repro.keygen.interface import KeyGenerator
 from repro.puf.ternary import TernaryMask
@@ -39,10 +37,7 @@ class EnrollmentStore(Protocol):
     Satisfied by the plain in-memory
     :class:`~repro.puf.image_db.EncryptedImageDatabase` and by the
     sharded, replicated
-    :class:`~repro.directory.sharded.ShardedEnrollmentDirectory`. Stores
-    may additionally offer ``lookup_with_stats`` (per-lookup
-    :class:`~repro.engines.result.DirectoryStats` telemetry); the CA
-    uses it when present.
+    :class:`~repro.directory.sharded.ShardedEnrollmentDirectory`.
     """
 
     def enroll(self, client_id: str, mask: TernaryMask) -> None: ...
@@ -147,23 +142,9 @@ class CertificateAuthority:
         self, client_id: str, tenant_id: str | None = None
     ) -> bytes:
         """S_init — the seed from the enrolled (noise-free) PUF image."""
-        seed, _stats = self.enrolled_seed_with_stats(client_id, tenant_id)
-        return seed
-
-    def enrolled_seed_with_stats(
-        self, client_id: str, tenant_id: str | None = None
-    ) -> tuple[bytes, DirectoryStats | None]:
-        """S_init plus the directory's lookup telemetry (None for a
-        plain in-memory store)."""
-        key = namespaced_key(tenant_id, client_id)
-        lookup_with_stats = getattr(self.image_db, "lookup_with_stats", None)
-        stats: DirectoryStats | None = None
-        if lookup_with_stats is not None:
-            mask, stats = lookup_with_stats(key)
-        else:
-            mask = self.image_db.lookup(key)
+        mask = self.image_db.lookup(namespaced_key(tenant_id, client_id))
         bits = mask.reference_seed_bits(self.seed_bits)
-        return np.packbits(bits).tobytes(), stats
+        return np.packbits(bits).tobytes()
 
     def run_search(
         self,
@@ -172,23 +153,12 @@ class CertificateAuthority:
         deadline_seconds: float | None = None,
         tenant_id: str | None = None,
     ) -> SearchResult:
-        """Figure 1 steps 1-6: the RBC search proper.
-
-        When the image store is a sharded directory, the lookup's
-        telemetry rides along on ``result.directory`` — a search served
-        after a replica failover is distinguishable from one whose image
-        came from the hot cache.
-        """
-        seed, directory_stats = self.enrolled_seed_with_stats(
-            client_id, tenant_id
-        )
+        """Figure 1 steps 1-6: the RBC search proper."""
         result = self.search_service.find_seed(
-            seed,
+            self.enrolled_seed(client_id, tenant_id),
             client_digest,
             deadline_seconds=deadline_seconds,
         )
-        if directory_stats is not None:
-            result = dataclasses.replace(result, directory=directory_stats)
         self._last_result = result
         return result
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -486,6 +487,12 @@ def run_crash_storm(
     )
     scratch = Path(scratch_dir) if scratch_dir else Path(".deploy-scratch")
     scratch.mkdir(parents=True, exist_ok=True)
+    # Every run starts from empty stores: a data directory left by an
+    # earlier run would be recovered as if this run had enrolled it.
+    data_dirs = [scratch / f"crash-server-{i}" for i in range(base.servers)]
+    lossy_dir = scratch / "crash-lossy-0"
+    for data_dir in (*data_dirs, lossy_dir):
+        shutil.rmtree(data_dir, ignore_errors=True)
     spec_json = spec_to_json(base)
     env = _child_env()
     report = CrashStormReport(
@@ -500,9 +507,9 @@ def run_crash_storm(
         addresses = [
             _spawn_server(
                 supervisor, f"server-{i}", spec_json, seed, env,
-                data_dir=scratch / f"crash-server-{i}",
+                data_dir=data_dir,
             )
-            for i in range(base.servers)
+            for i, data_dir in enumerate(data_dirs)
         ]
         say(f"[crash] {base.servers} durable server(s) ready "
             f"(fsync={base.durability})")
@@ -612,7 +619,7 @@ def run_crash_storm(
         lossy_spec = replace(base, servers=1, durability="none")
         lossy_host, lossy_port = _spawn_server(
             supervisor, "lossy-0", spec_to_json(lossy_spec), seed, env,
-            data_dir=scratch / "crash-lossy-0",
+            data_dir=lossy_dir,
         )
         with SocketTransport(lossy_host, lossy_port) as lossy_transport:
             report.lossy_enroll_rps = _timed_enroll_rate(

@@ -5,9 +5,11 @@ boundary (the images are decrypted only here, same as any lookup). An
 insert follows a lookup that just paid a quorum read and may evict the
 least-recently-used entry — the requester proved the key is hot.
 
-Entries carry the record's re-enrollment version; a write-through
-invalidation counts the entry as ``stale`` so the telemetry separates
-"cache too small" (miss) from "cache outdated by a write" (stale).
+Entries carry the record's re-enrollment version. A look-up names the
+version it wants: an entry at any other version is a miss and is dropped
+as ``stale``, as a write-through invalidation is, so the telemetry
+separates "cache too small" (miss) from "cache outdated by a write"
+(stale), and a hit is counted once, here.
 """
 
 from __future__ import annotations
@@ -39,21 +41,20 @@ class HotCache(Generic[V]):
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str) -> tuple[V, int] | None:
-        """The cached ``(value, version)``, refreshing recency; None on miss."""
+    def get(self, key: str, version: int) -> V | None:
+        """The value cached at ``version``, refreshing recency; None on a
+        miss. An entry at another version is a miss, dropped as stale."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry[1] != version:
                 self.misses += 1
+                if entry is not None:
+                    del self._entries[key]
+                    self.stale_invalidations += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
-
-    def peek(self, key: str) -> tuple[V, int] | None:
-        """Like :meth:`get` but without touching recency or telemetry."""
-        with self._lock:
-            return self._entries.get(key)
+            return entry[0]
 
     def put(self, key: str, value: V, version: int) -> None:
         """Insert after a quorum read: may evict the LRU entry to make room."""

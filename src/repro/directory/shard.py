@@ -27,7 +27,6 @@ import time
 from typing import Callable, TypeVar
 
 from repro.directory.errors import ShardDown, ShardTimeout
-from repro.durability.log import RecoveryResult, ShardLog, replay_into
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.faults import ShardFaultInjector
@@ -38,13 +37,7 @@ T = TypeVar("T")
 
 
 class ShardStore:
-    """One breaker-guarded, fault-injectable enrollment shard.
-
-    With a :class:`~repro.durability.log.ShardLog` attached the shard is
-    *durable*: construction recovers checkpoint + WAL into the store,
-    and every install/repair is appended to the log before the call
-    returns (= before the directory acknowledges the write).
-    """
+    """One breaker-guarded, fault-injectable enrollment shard."""
 
     def __init__(
         self,
@@ -53,7 +46,6 @@ class ShardStore:
         breaker: CircuitBreaker | None = None,
         injector: ShardFaultInjector | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        log: ShardLog | None = None,
     ):
         self.name = name
         self.store = EncryptedImageDatabase(master_key)
@@ -69,23 +61,6 @@ class ShardStore:
         self.repairs_received = 0
         self.timeouts_injected = 0
         self.kills = 0
-        #: Durable log (None = the pre-durability in-memory shard).
-        self.log = log
-        self.recovery: RecoveryResult | None = None
-        if log is not None:
-            self.recovery = self._recover(log)
-
-    def _recover(self, log: ShardLog) -> RecoveryResult:
-        """Checkpoint + WAL replay into the store, tripwire floor included."""
-        started = time.perf_counter()
-        result = log.recover()
-        if result.checkpoint is not None:
-            self.store.restore(result.checkpoint)
-        result.applied = replay_into(self.store, result.records)
-        for record in result.records:
-            self.store.register_used_version(record.client_id, record.version)
-        result.recovery_seconds = time.perf_counter() - started
-        return result
 
     # -- availability ----------------------------------------------------
 
@@ -156,9 +131,7 @@ class ShardStore:
         def op() -> None:
             with self._lock:
                 self.writes += 1
-            self.store.import_record(client_id, blob, version)
-            if self.log is not None:
-                self.log.append(client_id, version, blob)
+                self._import_newer(client_id, blob, version)
 
         self._call("write", op)
 
@@ -168,11 +141,15 @@ class ShardStore:
         def op() -> None:
             with self._lock:
                 self.repairs_received += 1
-            self.store.import_record(client_id, blob, version)
-            if self.log is not None:
-                self.log.append(client_id, version, blob)
+                self._import_newer(client_id, blob, version)
 
         self._call("repair", op)
+
+    def _import_newer(self, client_id: str, blob: bytes, version: int) -> None:
+        """Store the record unless one as new is held: a replica's version
+        of a key only rises, whatever order two racing installs land in."""
+        if client_id not in self.store or self.store.version_of(client_id) < version:
+            self.store.import_record(client_id, blob, version)
 
     def version_of(self, client_id: str) -> int | None:
         """The held record version without decrypting (None if absent)."""
@@ -184,28 +161,6 @@ class ShardStore:
 
         return self._call("version", op)
 
-    # -- cloning (records stay encrypted) --------------------------------
-
-    def clone_snapshot(self) -> bytes:
-        """The shard's whole store as a still-encrypted snapshot blob."""
-        return self.store.snapshot()
-
-    def restore_snapshot(self, snapshot: bytes) -> None:
-        """Replace the shard's store from a peer's snapshot blob."""
-        self.store.restore(snapshot)
-
-    # -- durability ------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Compact this shard's WAL into a fresh encrypted checkpoint."""
-        if self.log is not None:
-            self.log.checkpoint(self.store.snapshot())
-
-    def close(self) -> None:
-        """Release the durable log's file handle (no-op when in-memory)."""
-        if self.log is not None:
-            self.log.close()
-
     # -- introspection ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -214,7 +169,7 @@ class ShardStore:
     def snapshot(self) -> dict[str, object]:
         """Operational counters for the directory-wide snapshot."""
         with self._lock:
-            counters: dict[str, object] = {
+            return {
                 "alive": self._alive,
                 "records": len(self.store),
                 "reads": self.reads,
@@ -224,8 +179,3 @@ class ShardStore:
                 "kills": self.kills,
                 "breaker_state": self.breaker.state,
             }
-        if self.log is not None:
-            counters["durability"] = self.log.counters()
-            if self.recovery is not None:
-                counters["recovered_records"] = self.recovery.recovered_records
-        return counters

@@ -18,7 +18,8 @@ its failure model explicit instead of assuming the image is at hand:
   in place — this is how a shard that rejoined after downtime catches up
   on the writes it missed;
 * each shard's working set has a **per-shard LRU hot cache** with
-  hit/miss/stale telemetry;
+  hit/miss/stale telemetry; the directory's ``hot_hits`` /
+  ``hot_misses`` are the caches' own counts, summed;
 * when a key's entire replica set is down, the lookup raises the typed
   :class:`~repro.directory.errors.DirectoryUnavailable` — the serving
   layer counts it as the ``directory_unavailable`` shed it is, so the
@@ -45,9 +46,6 @@ from repro.directory.errors import (
 )
 from repro.directory.hashring import ConsistentHashRing
 from repro.directory.shard import ShardStore
-from repro.durability.log import ShardLog
-from repro.durability.wal import FsyncPolicy
-from repro.engines.result import DirectoryStats
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.ternary import TernaryMask
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
@@ -78,8 +76,6 @@ class ShardedEnrollmentDirectory:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         tenants: TenantRegistry | None = None,
-        data_dir: str | None = None,
-        fsync: FsyncPolicy | str | None = None,
     ):
         if shards < 1:
             raise ValueError("shards must be positive")
@@ -98,10 +94,6 @@ class ShardedEnrollmentDirectory:
         self._sleep = sleep
         #: Stateless record codec (encrypt-once, install-everywhere).
         self._codec = EncryptedImageDatabase(master_key)
-        if isinstance(fsync, str):
-            fsync = FsyncPolicy.parse(fsync)
-        #: Root of the per-shard durable logs (None = in-memory shards).
-        self.data_dir = data_dir
         names = [f"shard-{index:02d}" for index in range(shards)]
         self.ring = ConsistentHashRing(names, vnodes=vnodes)
         self._shards: dict[str, ShardStore] = {
@@ -119,11 +111,6 @@ class ShardedEnrollmentDirectory:
                     else None
                 ),
                 sleep=sleep,
-                log=(
-                    ShardLog(f"{data_dir}/{name}", fsync=fsync)
-                    if data_dir is not None
-                    else None
-                ),
             )
             for index, name in enumerate(names)
         }
@@ -134,6 +121,13 @@ class ShardedEnrollmentDirectory:
         #: is metadata (no plaintext, no ciphertext); it is what lets a
         #: quorum read reject a stale replica outright.
         self._known: dict[str, int] = {}
+        #: The last version minted per key, acknowledged or not: a
+        #: version is reserved before its record is encrypted and is
+        #: never minted twice, even when every replica refused it.
+        self._minted: dict[str, int] = {}
+        #: Enrollments in flight per key; a key holds its tenant's quota
+        #: slot while it is known or has one in flight.
+        self._enrolling: dict[str, int] = {}
         #: Optional tenant registry: when present, enrollments of *new*
         #: keys are checked against the owning tenant's enrollment cap.
         self.tenants = tenants
@@ -144,38 +138,21 @@ class ShardedEnrollmentDirectory:
         self._tenant_lookups: dict[str, int] = {}
         self._lock = threading.Lock()
         # -- directory-level counters ------------------------------------
-        self.hot_hits = 0
-        self.hot_misses = 0
         self.quorum_reads = 0
         self.failovers = 0
         self.read_repairs = 0
         self.retries = 0
         self.unavailable_lookups = 0
-        self.anti_entropy_sweeps = 0
-        self.anti_entropy_repairs = 0
-        if data_dir is not None:
-            self._rebuild_from_recovery()
 
-    def _rebuild_from_recovery(self) -> None:
-        """Re-derive the authority map from what the shards recovered.
+    @property
+    def hot_hits(self) -> int:
+        """Look-ups the hot caches answered (their hits, summed)."""
+        return sum(cache.hits for cache in self._caches.values())
 
-        Each shard recovered its own durable slice; the directory's
-        version authority for a key is the max version any replica
-        holds. Tenant record counts are re-derived from the same map, so
-        quota accounting survives the restart too. Reads go straight to
-        the recovered stores (construction time: all shards alive, no
-        faults injected yet), bypassing the breaker.
-        """
-        for shard in self._shards.values():
-            for client_id in shard.store.client_ids():
-                version = shard.store.version_of(client_id)
-                if version > self._known.get(client_id, -1):
-                    self._known[client_id] = version
-        for client_id in self._known:
-            tenant = tenant_of_key(client_id)
-            self._tenant_counts[tenant] = (
-                self._tenant_counts.get(tenant, 0) + 1
-            )
+    @property
+    def hot_misses(self) -> int:
+        """Look-ups that went to the shards (the caches' misses, summed)."""
+        return sum(cache.misses for cache in self._caches.values())
 
     # -- topology --------------------------------------------------------
 
@@ -241,38 +218,61 @@ class ShardedEnrollmentDirectory:
         Tolerates partial replica outage: the write succeeds if at least
         one replica accepts it (survivors re-seed the others through
         read-repair once they rejoin). Raises
-        :class:`DirectoryUnavailable` only when *every* replica refuses.
+        :class:`DirectoryUnavailable` only when *every* replica refuses;
+        the new key's quota slot is then given back, its version is not.
         """
         tenant = tenant_of_key(client_id)
         replicas = self.replicas_for(client_id)
         with self._lock:
-            is_new = client_id not in self._known
-            if is_new and self.tenants is not None:
-                cap = self.tenants.enrollment_cap(tenant)
+            # Version and quota slot are reserved in one hold of the
+            # lock, so two concurrent enrollments can neither mint one
+            # version twice (two masks under one CTR keystream) nor both
+            # take a tenant's last slot.
+            if client_id not in self._known and client_id not in self._enrolling:
                 held = self._tenant_counts.get(tenant, 0)
+                cap = (
+                    self.tenants.enrollment_cap(tenant)
+                    if self.tenants is not None
+                    else None
+                )
                 if cap is not None and held >= cap:
                     raise TenantQuotaExceeded(
                         tenant,
                         "max_enrollments",
                         f"{held}/{cap} records already enrolled",
                     )
-            version = self._known.get(client_id, -1) + 1
-        blob = self._codec.encrypt_record(client_id, mask, version)
+                self._tenant_counts[tenant] = held + 1
+            self._enrolling[client_id] = self._enrolling.get(client_id, 0) + 1
+            version = self._minted.get(client_id, -1) + 1
+            self._minted[client_id] = version
         accepted = 0
-        for name in replicas:
-            try:
-                self._install_replica(name, client_id, blob, version)
-                accepted += 1
-            except (ShardDown, ShardTimeout, CircuitOpenError):
-                continue
+        try:
+            blob = self._codec.encrypt_record(client_id, mask, version)
+            for name in replicas:
+                try:
+                    self._install_replica(name, client_id, blob, version)
+                    accepted += 1
+                except (ShardDown, ShardTimeout, CircuitOpenError):
+                    continue
+        finally:
+            with self._lock:
+                self._enrolling[client_id] -= 1
+                if not self._enrolling[client_id]:
+                    del self._enrolling[client_id]
+                if accepted:
+                    self._known[client_id] = max(
+                        version, self._known.get(client_id, -1)
+                    )
+                elif (
+                    client_id not in self._known
+                    and client_id not in self._enrolling
+                ):
+                    # Refused everywhere: the slot goes back; the version
+                    # stays burnt (a skipped version is safe, a reused
+                    # one is not).
+                    self._tenant_counts[tenant] -= 1
         if accepted == 0:
             raise DirectoryUnavailable(client_id, replicas)
-        with self._lock:
-            if client_id not in self._known:
-                self._tenant_counts[tenant] = (
-                    self._tenant_counts.get(tenant, 0) + 1
-                )
-            self._known[client_id] = version
         # A write makes any cached copy stale — count it as such.
         self._caches[replicas[0]].invalidate(client_id)
 
@@ -302,14 +302,6 @@ class ShardedEnrollmentDirectory:
 
     def lookup(self, client_id: str) -> TernaryMask:
         """Decrypt and return the enrollment image for ``client_id``."""
-        mask, _stats = self.lookup_with_stats(client_id)
-        return mask
-
-    def lookup_with_stats(
-        self, client_id: str
-    ) -> tuple[TernaryMask, DirectoryStats]:
-        """Lookup plus the per-lookup telemetry the serving layer records."""
-        start = time.perf_counter()
         tenant = tenant_of_key(client_id)
         with self._lock:
             if client_id not in self._known:
@@ -319,29 +311,13 @@ class ShardedEnrollmentDirectory:
                 self._tenant_lookups.get(tenant, 0) + 1
             )
         replicas = self.replicas_for(client_id)
-        primary = replicas[0]
-        cache = self._caches[primary]
-        entry = cache.get(client_id)
-        if entry is not None and entry[1] == current_version:
-            with self._lock:
-                self.hot_hits += 1
-            return entry[0], DirectoryStats(
-                source="hot-cache",
-                tenant=tenant,
-                hot_hit=True,
-                lookup_seconds=time.perf_counter() - start,
-            )
-        if entry is not None:
-            # Version raced ahead of the cache (write-through invalidation
-            # lost the race with this read) — treat as stale, not hit.
-            cache.invalidate(client_id)
-        with self._lock:
-            self.hot_misses += 1
-        mask, stats = self._quorum_read(
-            client_id, replicas, current_version, start
-        )
+        cache = self._caches[replicas[0]]
+        mask = cache.get(client_id, current_version)
+        if mask is not None:
+            return mask
+        mask = self._quorum_read(client_id, replicas, current_version)
         cache.put(client_id, mask, current_version)
-        return mask, stats
+        return mask
 
     # -- quorum read ------------------------------------------------------
 
@@ -372,14 +348,12 @@ class ShardedEnrollmentDirectory:
         client_id: str,
         replicas: tuple[str, ...],
         current_version: int,
-        start: float,
-    ) -> tuple[TernaryMask, DirectoryStats]:
+    ) -> TernaryMask:
         """Walk the replica set until the current record version is found."""
         with self._lock:
             self.quorum_reads += 1
         responses: dict[str, tuple[bytes, int] | None] = {}
         winner: tuple[str, bytes] | None = None
-        retries_before = self.retries
         for name in replicas:
             try:
                 response = self._read_replica(name, client_id)
@@ -418,25 +392,11 @@ class ShardedEnrollmentDirectory:
                 observed[name] = self._shards[name].version_of(client_id)
             except (ShardDown, ShardTimeout, CircuitOpenError):
                 continue
-        repairs = self._read_repair(
-            client_id, blob, current_version, observed, winner_shard
-        )
+        self._read_repair(client_id, blob, current_version, observed, winner_shard)
         if winner_shard != replicas[0]:
             with self._lock:
                 self.failovers += 1
-        mask = self._codec.decrypt_record(client_id, blob, current_version)
-        with self._lock:
-            retries = self.retries - retries_before
-        return mask, DirectoryStats(
-            source="primary" if winner_shard == replicas[0] else "replica",
-            tenant=tenant_of_key(client_id),
-            shard=winner_shard,
-            replicas_read=len(responses),
-            retries=retries,
-            read_repairs=repairs,
-            hot_hit=False,
-            lookup_seconds=time.perf_counter() - start,
-        )
+        return self._codec.decrypt_record(client_id, blob, current_version)
 
     def _read_repair(
         self,
@@ -445,7 +405,7 @@ class ShardedEnrollmentDirectory:
         version: int,
         observed: dict[str, int | None],
         winner_shard: str,
-    ) -> int:
+    ) -> None:
         """Install the winning record on observed stale/missing replicas."""
         repaired = 0
         for name, replica_version in observed.items():
@@ -461,99 +421,30 @@ class ShardedEnrollmentDirectory:
         if repaired:
             with self._lock:
                 self.read_repairs += repaired
-        return repaired
-
-    # -- durability / anti-entropy -----------------------------------------
-
-    def checkpoint_all(self) -> None:
-        """Compact every durable shard's WAL into a fresh checkpoint."""
-        for shard in self._shards.values():
-            shard.checkpoint()
-
-    def close(self) -> None:
-        """Release every durable shard's log handle (no-op in-memory)."""
-        for shard in self._shards.values():
-            shard.close()
-
-    def anti_entropy(self) -> dict[str, int]:
-        """One catch-up sweep: heal replicas that missed durable writes.
-
-        A replica that recovered from an older checkpoint — or lost its
-        data directory entirely — holds stale versions of keys the rest
-        of the replica set acknowledged. The sweep walks the authority
-        map, probes each key's replica versions, and pushes the winning
-        still-encrypted record through the existing version-authoritative
-        read-repair path. Best-effort by design: unreachable replica
-        sets are counted, never raised, and a later sweep (or a demand
-        read) finishes the job.
-        """
-        report = {"keys_checked": 0, "repaired": 0, "unreachable": 0}
-        with self._lock:
-            self.anti_entropy_sweeps += 1
-            known = dict(self._known)
-        for client_id, version in known.items():
-            report["keys_checked"] += 1
-            replicas = self.replicas_for(client_id)
-            observed: dict[str, int | None] = {}
-            for name in replicas:
-                try:
-                    observed[name] = self._shards[name].version_of(client_id)
-                except (ShardDown, ShardTimeout, CircuitOpenError):
-                    continue
-            stale = [
-                name
-                for name, seen in observed.items()
-                if seen is None or seen < version
-            ]
-            if not stale:
-                continue
-            winner: tuple[str, bytes] | None = None
-            for name in replicas:
-                if observed.get(name) != version:
-                    continue
-                try:
-                    response = self._read_replica(name, client_id)
-                except (ShardDown, ShardTimeout, CircuitOpenError):
-                    continue
-                if response is not None and response[1] == version:
-                    winner = (name, response[0])
-                    break
-            if winner is None:
-                report["unreachable"] += 1
-                continue
-            winner_shard, blob = winner
-            report["repaired"] += self._read_repair(
-                client_id, blob, version, observed, winner_shard
-            )
-        if report["repaired"]:
-            with self._lock:
-                self.anti_entropy_repairs += report["repaired"]
-        return report
 
     # -- introspection ----------------------------------------------------
 
-    def cache_snapshot(self) -> dict[str, dict[str, int]]:
-        """Per-shard hot-cache telemetry."""
-        return {name: cache.snapshot() for name, cache in self._caches.items()}
-
     def snapshot(self) -> dict[str, object]:
         """One consistent read of the directory's operational counters."""
+        cache_totals = {"hits": 0, "misses": 0, "stale_invalidations": 0,
+                        "evictions": 0}
+        for cache in self._caches.values():
+            snap = cache.snapshot()
+            for key in cache_totals:
+                cache_totals[key] += snap[key]
         with self._lock:
             counters = {
                 "clients": len(self._known),
                 "shards": len(self._shards),
                 "replication": self.replication,
                 "read_quorum": self.read_quorum,
-                "hot_hits": self.hot_hits,
-                "hot_misses": self.hot_misses,
+                "hot_hits": cache_totals["hits"],
+                "hot_misses": cache_totals["misses"],
                 "quorum_reads": self.quorum_reads,
                 "failovers": self.failovers,
                 "read_repairs": self.read_repairs,
                 "retries": self.retries,
                 "unavailable_lookups": self.unavailable_lookups,
-                "anti_entropy_sweeps": self.anti_entropy_sweeps,
-                "anti_entropy_repairs": self.anti_entropy_repairs,
-                "durable": self.data_dir is not None,
             }
             tenant_ids = sorted(
                 set(self._tenant_counts) | set(self._tenant_lookups)
@@ -570,12 +461,6 @@ class ShardedEnrollmentDirectory:
                     )
                 tenants[tenant_id] = entry
             counters["tenants"] = tenants
-        cache_totals = {"hits": 0, "misses": 0, "stale_invalidations": 0,
-                        "evictions": 0}
-        for cache in self._caches.values():
-            snap = cache.snapshot()
-            for key in cache_totals:
-                cache_totals[key] += snap[key]
         counters["cache"] = cache_totals
         counters["shards_detail"] = {
             name: shard.snapshot() for name, shard in self._shards.items()

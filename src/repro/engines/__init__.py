@@ -36,7 +36,6 @@ from repro.engines.registry import (
     register_engine,
 )
 from repro.engines.result import (
-    DirectoryStats,
     SearchEngine,
     SearchResult,
     ShellStats,
@@ -53,7 +52,6 @@ __all__ = [
     "get_entry",
     "SearchResult",
     "ShellStats",
-    "DirectoryStats",
     "SearchEngine",
     "EngineWrapper",
     "DEFAULT_BATCH_SIZE",

@@ -2,11 +2,10 @@
 
 A search is reported as the paper reports it (Table 5, §4): seeds hashed
 and seconds, in total and per Hamming shell (``shells``, populated by
-every engine). One extension rides along where the search itself
-produced it: the enrollment directory's :class:`DirectoryStats`. What
-a dispatcher or a mask-plan cache did around a search is not copied
-onto the result: those are counted once, where they happen (``FleetScheduler.snapshot()``,
-``MaskPlanCache.stats()``).
+every engine). What a dispatcher, a mask-plan cache or the enrollment
+directory did around a search is not copied onto the result: those are
+counted once, where they happen (``FleetScheduler.snapshot()``,
+``MaskPlanCache.stats()``, ``ShardedEnrollmentDirectory.snapshot()``).
 
 Nothing in this module imports from the rest of :mod:`repro` — it is the
 bottom of the engine-stack dependency graph, safe to import from any
@@ -15,12 +14,11 @@ layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 __all__ = [
     "ShellStats",
-    "DirectoryStats",
     "SearchResult",
     "SearchEngine",
 ]
@@ -38,34 +36,6 @@ class ShellStats:
     def throughput(self) -> float:
         """Seeds hashed per second within this shell."""
         return self.seeds_hashed / self.seconds if self.seconds > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class DirectoryStats:
-    """Enrollment-directory extension: how this search's image was fetched.
-
-    Populated when the CA's image database is a sharded enrollment
-    directory (:mod:`repro.directory`). Records where the enrolled PUF
-    image came from — the per-shard hot cache, the key's primary shard,
-    or a replica after failover — and what the quorum read cost.
-    """
-
-    #: ``"hot-cache"``, ``"primary"``, or ``"replica"`` (failover read).
-    source: str = ""
-    #: Tenant namespace the looked-up key lived in ("" before tenancy).
-    tenant: str = ""
-    #: Shard that served the read ("" for a pure cache hit).
-    shard: str = ""
-    #: Replicas consulted by the quorum read (0 for a cache hit).
-    replicas_read: int = 0
-    #: Transient shard timeouts retried during the read.
-    retries: int = 0
-    #: Stale or missing replica copies repaired by this read.
-    read_repairs: int = 0
-    #: Whether the per-shard hot cache answered without a shard read.
-    hot_hit: bool = False
-    #: Wall time of the directory lookup itself.
-    lookup_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,10 +57,6 @@ class SearchResult:
     shells: tuple[ShellStats, ...] = ()
     #: Which engine produced this result (its ``describe()`` string).
     engine: str | None = None
-    #: Enrollment-directory extension (hot-cache/quorum/failover lookup
-    #: telemetry); ``None`` when the enrolled image came from a plain
-    #: in-memory database.
-    directory: DirectoryStats | None = field(default=None)
 
     def __bool__(self) -> bool:
         return self.found

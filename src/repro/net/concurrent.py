@@ -15,15 +15,14 @@ honored with EDF lanes and shedding), and one settle function that does
 the typed-refusal accounting, issues the key, counts the
 :class:`~repro.engines.result.SearchResult`'s seeds and shells and
 builds the :class:`~repro.net.messages.AuthenticationResult`. What the
-dispatcher did is not re-summed from results: :class:`ServerMetrics`
-reads its own counters.
+dispatcher and the enrollment directory did is not re-summed per
+request: :class:`ServerMetrics` reads their own counters.
 :meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
 same path behind the Figure 1 message surface.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from collections.abc import Callable
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.authentication import CertificateAuthority
-from repro.engines.result import DirectoryStats, SearchResult
+from repro.engines.result import SearchResult
 from repro.net.errors import ServerBusy, ServerClosed
 from repro.net.messages import (
     AuthenticationResult,
@@ -46,6 +45,7 @@ from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
+    from repro.directory.sharded import ShardedEnrollmentDirectory
     from repro.fleet.engine import FleetSearchEngine
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
@@ -76,10 +76,11 @@ _COUNTERS = (
     "redispatched",
     "hedged",
     # Enrollment-directory telemetry (zero unless the authority's image
-    # store is a sharded directory): hot-cache hits/misses on the
-    # serving path, reads served by a replica after the primary shard
-    # was lost, stale/missing replica copies repaired in passing, and
-    # requests shed because a key's whole replica set was down.
+    # store is a sharded directory): hot-cache hits/misses of every
+    # look-up since the server was built, the handshake's included,
+    # reads served by a replica after the primary shard was lost,
+    # stale/missing replica copies repaired in passing, and requests
+    # shed because a key's whole replica set was down.
     "directory_hot_hits",
     "directory_hot_misses",
     "directory_failovers",
@@ -98,13 +99,20 @@ _COUNTERS = (
 )
 
 #: Counters the door does not keep: read off the served dispatcher's
-#: ``snapshot()`` under these keys.
+#: ``snapshot()`` under these keys ...
 _DISPATCHER_KEYS = {
     "preempted": "preempted",
     "redispatched": "redispatched_chunks",
     "hedged": "hedges_launched",
 }
-_READ = frozenset(_DISPATCHER_KEYS)
+#: ... and off the sharded directory's attributes of these names.
+_DIRECTORY_KEYS = {
+    "directory_hot_hits": "hot_hits",
+    "directory_hot_misses": "hot_misses",
+    "directory_failovers": "failovers",
+    "directory_read_repairs": "read_repairs",
+}
+_READ = frozenset(_DISPATCHER_KEYS) | frozenset(_DIRECTORY_KEYS)
 
 #: Counters :meth:`ServerMetrics.record` may increment by name. The rest
 #: are read (``_READ``) or have their own write path (``search_seconds``
@@ -129,12 +137,18 @@ class ServerMetrics:
     (per-reason shed counts, written only by :meth:`record_shed`, which
     also increments ``shed`` — the two can never drift apart) and
     ``tenants`` (the per-tenant ledger fed by the same ``record`` /
-    ``record_shed`` calls). The other three names are read at snapshot
-    time from where their events happen, ``dispatcher``'s own
-    ``snapshot()``; without a dispatcher they read zero.
+    ``record_shed`` calls). The other seven names are read at snapshot
+    time from where their events happen: ``dispatcher``'s own
+    ``snapshot()``, and ``directory``'s counters as they have moved
+    since this object was built. Without a dispatcher or a directory
+    they read zero.
     """
 
-    def __init__(self, dispatcher: FleetSearchEngine | None = None) -> None:
+    def __init__(
+        self,
+        dispatcher: FleetSearchEngine | None = None,
+        directory: ShardedEnrollmentDirectory | None = None,
+    ) -> None:
         for name in _COUNTERS:
             if name not in _READ:
                 setattr(self, name, 0.0 if name.endswith("_seconds") else 0)
@@ -142,13 +156,31 @@ class ServerMetrics:
         self.tenants = TenantLedger()
         self._lock = threading.Lock()
         self._dispatcher = dispatcher
+        self._directory = directory
+        self._directory_base = self._read_directory()
+
+    def _read_directory(self) -> dict[str, int]:
+        if self._directory is None:
+            return dict.fromkeys(_DIRECTORY_KEYS, 0)
+        return {
+            name: getattr(self._directory, key)
+            for name, key in _DIRECTORY_KEYS.items()
+        }
 
     def _read(self) -> dict[str, int]:
         """The counters the door does not keep, as of now."""
-        if self._dispatcher is None:
-            return dict.fromkeys(_READ, 0)
-        fleet = self._dispatcher.scheduler.snapshot()
-        return {name: fleet[key] for name, key in _DISPATCHER_KEYS.items()}
+        read = {
+            name: count - self._directory_base[name]
+            for name, count in self._read_directory().items()
+        }
+        fleet = (
+            self._dispatcher.scheduler.snapshot()
+            if self._dispatcher is not None
+            else {}
+        )
+        for name, key in _DISPATCHER_KEYS.items():
+            read[name] = fleet.get(key, 0)
+        return read
 
     def record(
         self,
@@ -192,8 +224,6 @@ class ServerMetrics:
                 authenticated=count("authenticated", 0),
                 failed=count("failed", 0),
                 search_seconds=search_seconds,
-                directory_lookups=count("directory_hot_hits", 0)
-                + count("directory_hot_misses", 0),
                 latency_seconds=(
                     search_seconds if count("completed", 0) else None
                 ),
@@ -263,18 +293,6 @@ class ServerMetrics:
         return self.tenants.snapshot()
 
 
-def _directory_record_kwargs(stats: DirectoryStats | None) -> dict[str, int]:
-    """ServerMetrics increments for one lookup's directory telemetry."""
-    if stats is None:
-        return {}
-    return {
-        "directory_hot_hits": 1 if stats.hot_hit else 0,
-        "directory_hot_misses": 0 if stats.hot_hit else 1,
-        "directory_failovers": 1 if stats.source == "replica" else 0,
-        "directory_read_repairs": stats.read_repairs,
-    }
-
-
 def _tenant_kwargs(tenant: str) -> dict[str, str]:
     """``tenant_id=`` for authority calls, omitted for the default tenant
     so authority doubles (tests, adapters) predating tenancy keep working."""
@@ -290,8 +308,6 @@ class _Request:
     deadline_seconds: float | None
     tenant: str
     admitted_at: float
-    #: Directory telemetry of the S_init lookup done at the door.
-    directory: DirectoryStats | None = None
 
     def elapsed(self) -> float:
         """Seconds since admission (what ``search_seconds`` reports)."""
@@ -346,7 +362,15 @@ class ConcurrentCAServer:
         self._lock = threading.RLock()
         self._in_flight_clients: set[str] = set()
         self._pending = 0
-        self.metrics = ServerMetrics(scheduler)
+        # Imported here: the directory's shards import the breaker's
+        # package, which imports this module.
+        from repro.directory.sharded import ShardedEnrollmentDirectory
+
+        store = getattr(authority, "image_db", None)
+        self.metrics = ServerMetrics(
+            scheduler,
+            store if isinstance(store, ShardedEnrollmentDirectory) else None,
+        )
         self._closed = False
 
     # -- the message surface (Figure 1) -------------------------------------
@@ -464,7 +488,7 @@ class ConcurrentCAServer:
         future.set_running_or_notify_cancel()
         service = self.authority.search_service
         try:
-            seed, directory = self.authority.enrolled_seed_with_stats(
+            seed = self.authority.enrolled_seed(
                 request.client_id, **_tenant_kwargs(request.tenant)
             )
             ticket = self.scheduler.submit(
@@ -484,7 +508,6 @@ class ConcurrentCAServer:
             # other search that raised.
             _transfer(future, self._settle, request, _raiser(exc))
             return future
-        request = dataclasses.replace(request, directory=directory)
         ticket.add_done_callback(
             lambda done: _transfer(future, self._settle, request, done.result)
         )
@@ -529,7 +552,6 @@ class ConcurrentCAServer:
             seeds_hashed=result.seeds_hashed,
             shells_completed=len(result.shells),
             tenant_id=tenant,
-            **_directory_record_kwargs(request.directory),
         )
         return AuthenticationResult(
             client_id=request.client_id,

@@ -28,7 +28,6 @@ class _TenantCounters:
         "failed",
         "shed",
         "quota_hits",
-        "directory_lookups",
         "search_seconds",
         "latencies",
     )
@@ -41,8 +40,6 @@ class _TenantCounters:
         self.shed = 0
         #: Sheds caused specifically by this tenant's own quota.
         self.quota_hits = 0
-        #: Enrollment-directory lookups attributed to this tenant.
-        self.directory_lookups = 0
         self.search_seconds = 0.0
         self.latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
@@ -64,7 +61,6 @@ class TenantLedger:
         failed: int = 0,
         shed: int = 0,
         quota_hits: int = 0,
-        directory_lookups: int = 0,
         search_seconds: float = 0.0,
         latency_seconds: float | None = None,
     ) -> None:
@@ -79,7 +75,6 @@ class TenantLedger:
             counters.failed += failed
             counters.shed += shed
             counters.quota_hits += quota_hits
-            counters.directory_lookups += directory_lookups
             counters.search_seconds += search_seconds
             if latency_seconds is not None:
                 counters.latencies.append(latency_seconds)
@@ -101,7 +96,6 @@ class TenantLedger:
                     "failed": counters.failed,
                     "shed": counters.shed,
                     "quota_hits": counters.quota_hits,
-                    "directory_lookups": counters.directory_lookups,
                     "search_seconds": counters.search_seconds,
                 }
                 if counters.latencies:

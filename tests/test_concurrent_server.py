@@ -312,8 +312,9 @@ class TestServerMetricsRecord:
         # What the dispatcher did is read off it, never recorded here.
         with pytest.raises(TypeError, match="hedged"):
             metrics.record(hedged=2)
-        metrics.record(directory_hot_hits=4, directory_hot_misses=2,
-                       directory_failovers=1, directory_read_repairs=2)
+        # Nor what the enrollment directory did.
+        with pytest.raises(TypeError, match="directory_hot_hits"):
+            metrics.record(directory_hot_hits=4)
         metrics.record_shed("deadline_expired")
         metrics.record_shed("deadline_expired")
         metrics.record_shed("directory_unavailable")
@@ -337,10 +338,10 @@ class TestServerMetricsRecord:
             "queue_depth_peak": 5,
             "redispatched": 0,
             "hedged": 0,
-            "directory_hot_hits": 4,
-            "directory_hot_misses": 2,
-            "directory_failovers": 1,
-            "directory_read_repairs": 2,
+            "directory_hot_hits": 0,
+            "directory_hot_misses": 0,
+            "directory_failovers": 0,
+            "directory_read_repairs": 0,
             "shed_directory": 1,
             "shed_tenant_quota": 1,
             "enrollments": 2,

@@ -287,7 +287,7 @@ def _refused_at_the_door() -> dict[str, Exception]:
 
     authority = SimpleNamespace(
         search_service=SimpleNamespace(max_distance=1, time_threshold=None),
-        enrolled_seed_with_stats=lambda client_id, **kwargs: (b"\x00" * 32, None),
+        enrolled_seed=lambda client_id, **kwargs: b"\x00" * 32,
     )
     server = ConcurrentCAServer(authority, max_queue=2, scheduler=Held())
     refused = {}

@@ -85,16 +85,25 @@ class TestConsistentHashRing:
 class TestHotCache:
     def test_hit_miss_and_recency(self):
         cache = HotCache(2)
-        assert cache.get("a") is None
+        assert cache.get("a", 0) is None
         cache.put("a", "va", 0)
         cache.put("b", "vb", 0)
-        assert cache.get("a") == ("va", 0)  # refreshes recency
-        cache.put("c", "vc", 0)             # evicts b, the LRU
-        assert cache.get("b") is None
-        assert cache.get("a") == ("va", 0)
+        assert cache.get("a", 0) == "va"  # refreshes recency
+        cache.put("c", "vc", 0)           # evicts b, the LRU
+        assert cache.get("b", 0) is None
+        assert cache.get("a", 0) == "va"
         snap = cache.snapshot()
         assert snap["evictions"] == 1
         assert snap["hits"] == 2 and snap["misses"] == 2
+
+    def test_an_entry_at_another_version_is_a_stale_miss(self):
+        cache = HotCache(2)
+        cache.put("a", "va", 0)
+        assert cache.get("a", 1) is None
+        assert cache.get("a", 0) is None  # dropped, not kept for later
+        snap = cache.snapshot()
+        assert (snap["hits"], snap["misses"]) == (0, 2)
+        assert snap["stale_invalidations"] == 1 and snap["entries"] == 0
 
     def test_invalidate_counts_stale(self):
         cache = HotCache(2)
@@ -102,14 +111,6 @@ class TestHotCache:
         assert cache.invalidate("a")
         assert not cache.invalidate("a")
         assert cache.snapshot()["stale_invalidations"] == 1
-
-    def test_peek_touches_nothing(self):
-        cache = HotCache(2)
-        cache.put("a", "va", 0)
-        assert cache.peek("a") == ("va", 0)
-        assert cache.peek("zzz") is None
-        snap = cache.snapshot()
-        assert snap["hits"] == 0 and snap["misses"] == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -149,15 +150,6 @@ class TestShardStore:
             assert shard.read("ghost") is None
         assert shard.breaker.state == "closed"
 
-    def test_clone_snapshot_transfers_ciphertext(self):
-        source = ShardStore("s0", KEY)
-        mask = synthetic_mask(2)
-        blob = source.store.encrypt_record("alice", mask, 4)
-        source.install("alice", blob, 4)
-        replica = ShardStore("s1", KEY)
-        replica.restore_snapshot(source.clone_snapshot())
-        assert replica.read("alice") == (blob, 4)
-
 
 class TestShardedEnrollmentDirectory:
     def _directory(self, **kwargs) -> ShardedEnrollmentDirectory:
@@ -196,12 +188,12 @@ class TestShardedEnrollmentDirectory:
         no quorum walk over the replicas, no decrypt."""
         directory = self._directory()
         directory.enroll("alice", synthetic_mask(5))
-        _mask, cold = directory.lookup_with_stats("alice")
+        directory.lookup("alice")
+        assert (directory.hot_hits, directory.hot_misses) == (0, 1)
+        assert directory.failovers == 0  # the primary answered
         quorum_reads = directory.quorum_reads
-        _mask, hot = directory.lookup_with_stats("alice")
-        assert not cold.hot_hit and cold.source == "primary"
-        assert hot.hot_hit and hot.source == "hot-cache"
-        assert directory.hot_hits == 1
+        directory.lookup("alice")
+        assert (directory.hot_hits, directory.hot_misses) == (1, 1)
         assert quorum_reads == 1 and directory.quorum_reads == quorum_reads
 
     def test_steady_state_hit_rate_under_churn_is_at_least_ninety_percent(self):
@@ -232,8 +224,26 @@ class TestShardedEnrollmentDirectory:
         directory.lookup("alice")  # warm the cache at version 0
         directory.enroll("alice", mask)
         assert directory.version_of("alice") == 1
-        _mask, stats = directory.lookup_with_stats("alice")
-        assert not stats.hot_hit  # the stale entry was not served
+        hits = directory.hot_hits
+        directory.lookup("alice")
+        assert directory.hot_hits == hits  # the stale entry was not served
+
+    def test_a_stale_hot_entry_is_counted_once_as_a_miss(self):
+        """A look-up that read version 0 and lost the race with a write
+        leaves a stale entry behind; reading it is a miss in the cache's
+        counts and in the directory's, never a hit in one of them."""
+        directory = self._directory()
+        mask = synthetic_mask(6)
+        directory.enroll("alice", mask)
+        stale = directory.lookup("alice")
+        directory.enroll("alice", mask)
+        primary = directory.replicas_for("alice")[0]
+        directory._caches[primary].put("alice", stale, 0)
+        directory.lookup("alice")
+        snap = directory.snapshot()
+        assert snap["cache"]["hits"] == snap["hot_hits"] == 0
+        assert snap["cache"]["misses"] == snap["hot_misses"] == 2
+        assert snap["quorum_reads"] == 2
 
     def test_failover_with_exactly_r_minus_1_live_replicas(self):
         directory = self._directory()
@@ -241,9 +251,9 @@ class TestShardedEnrollmentDirectory:
         primary, backup = directory.replicas_for("alice")
         directory.kill_shard(primary)
         directory.drop_hot_caches()
-        _mask, stats = directory.lookup_with_stats("alice")
-        assert stats.source == "replica"
-        assert stats.shard == backup
+        reads = directory.shard(backup).reads
+        directory.lookup("alice")
+        assert directory.shard(backup).reads == reads + 1
         assert directory.failovers == 1
 
     def test_whole_replica_set_down_is_typed_unavailable(self):
@@ -262,8 +272,9 @@ class TestShardedEnrollmentDirectory:
         directory.lookup("alice")  # cache it
         for name in directory.replicas_for("alice"):
             directory.kill_shard(name)
-        _mask, stats = directory.lookup_with_stats("alice")
-        assert stats.hot_hit  # the cache outlives the shard loss
+        hits = directory.hot_hits
+        directory.lookup("alice")
+        assert directory.hot_hits == hits + 1  # the cache outlives the shard loss
 
     def test_read_repair_after_shard_rejoin(self):
         directory = self._directory()
@@ -274,13 +285,13 @@ class TestShardedEnrollmentDirectory:
         directory.enroll("alice", mask)  # version 1 misses the dead backup
         directory.revive_shard(backup)
         directory.drop_hot_caches()
-        _mask, stats = directory.lookup_with_stats("alice")
-        assert stats.read_repairs == 1
+        directory.lookup("alice")
+        assert directory.read_repairs == 1
         assert directory.shard(backup).version_of("alice") == 1
         # Healed: the next read repairs nothing.
         directory.drop_hot_caches()
-        _mask, stats = directory.lookup_with_stats("alice")
-        assert stats.read_repairs == 0
+        directory.lookup("alice")
+        assert directory.read_repairs == 1
 
     def test_stale_replica_is_never_served(self):
         directory = self._directory()
@@ -329,6 +340,98 @@ class TestShardedEnrollmentDirectory:
             directory.kill_shard(name)
         with pytest.raises(DirectoryUnavailable):
             directory.enroll("alice", synthetic_mask(13))
+
+    @staticmethod
+    def _meet_inside_encrypt(directory, enrollments):
+        """Run ``enrollments`` (key, mask) on threads that meet at a barrier
+        inside the record encryption, after the directory has picked each
+        one's version; what each enroll raised, in order."""
+        barrier = threading.Barrier(len(enrollments), timeout=10.0)
+        encrypt = directory._codec.encrypt_record
+        minted = []
+
+        def held(client_id, mask, version):
+            minted.append(version)
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # another enrollment was refused before it got here
+            return encrypt(client_id, mask, version)
+
+        directory._codec.encrypt_record = held
+        raised = [None] * len(enrollments)
+
+        def enroll(index, client_id, mask):
+            try:
+                directory.enroll(client_id, mask)
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                raised[index] = exc
+                barrier.abort()  # nobody else is coming
+
+        threads = [
+            threading.Thread(target=enroll, args=(i, *enrollment))
+            for i, enrollment in enumerate(enrollments)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        return minted, raised
+
+    def test_concurrent_enrollments_of_one_key_mint_distinct_versions(self):
+        directory = self._directory()
+        mask = synthetic_mask(16)
+        minted, raised = self._meet_inside_encrypt(
+            directory, [("alice", mask), ("alice", mask)]
+        )
+        assert raised == [None, None]
+        assert sorted(minted) == [0, 1]  # never one keystream twice
+        assert directory.version_of("alice") == 1
+        for name in directory.replicas_for("alice"):  # whatever landed last
+            assert directory.shard(name).version_of("alice") == 1
+        assert (directory.lookup("alice").reference == mask.reference).all()
+
+    def test_concurrent_new_keys_cannot_overshoot_the_tenant_cap(self):
+        from repro.tenancy.context import TenantContext, TenantQuota
+        from repro.tenancy.errors import TenantQuotaExceeded
+        from repro.tenancy.registry import TenantRegistry
+
+        registry = TenantRegistry(
+            tenants=(TenantContext("gold", quota=TenantQuota(max_enrollments=1)),)
+        )
+        directory = self._directory(tenants=registry)
+        _minted, raised = self._meet_inside_encrypt(
+            directory,
+            [("gold::a", synthetic_mask(17)), ("gold::b", synthetic_mask(18))],
+        )
+        assert sum(isinstance(exc, TenantQuotaExceeded) for exc in raised) == 1
+        assert directory.tenant_record_count("gold") == len(directory) == 1
+
+    def test_a_refused_enrollment_gives_its_slot_back_and_burns_its_version(self):
+        from repro.tenancy.context import TenantContext, TenantQuota
+        from repro.tenancy.registry import TenantRegistry
+
+        registry = TenantRegistry(
+            tenants=(TenantContext("gold", quota=TenantQuota(max_enrollments=2)),)
+        )
+        directory = self._directory(tenants=registry)
+        directory.enroll("gold::a", synthetic_mask(19))
+        for name in directory.shard_names:
+            directory.kill_shard(name)
+        for client_id in ("gold::a", "gold::b"):
+            with pytest.raises(DirectoryUnavailable):
+                directory.enroll(client_id, synthetic_mask(20))
+        assert directory.tenant_record_count("gold") == 1
+        assert "gold::b" not in directory and len(directory) == 1
+        for name in directory.shard_names:
+            directory.revive_shard(name)
+        time.sleep(directory.shard("shard-00").breaker.recovery_seconds + 0.02)
+        for client_id in ("gold::a", "gold::b"):
+            directory.enroll(client_id, synthetic_mask(20))
+        # The refused versions stay burnt: a skipped version is safe.
+        assert directory.version_of("gold::a") == 2
+        assert directory.version_of("gold::b") == 1
+        assert directory.tenant_record_count("gold") == 2
 
     def test_snapshot_shape(self):
         directory = self._directory()
@@ -418,7 +521,7 @@ class TestDegradedServing:
         assert metrics["shed_directory"] >= 1
         assert metrics["shed"] >= 1
 
-    def test_directory_stats_ride_on_search_result(self, rig):
+    def test_run_search_reads_the_image_through_the_directory(self, rig):
         authority, directory, fleet = rig
         for name in directory.shard_names:
             directory.revive_shard(name)
@@ -426,9 +529,48 @@ class TestDegradedServing:
         # Let the breakers' recovery window pass for revived shards.
         time.sleep(0.08)
         digest = device.respond(challenge, reference_mask=mask)
-        result = authority.run_search(client_id, digest)
-        assert result.directory is not None
-        assert result.directory.source in ("hot-cache", "primary", "replica")
+        looked_up = directory.hot_hits + directory.hot_misses
+        assert authority.run_search(client_id, digest).found
+        assert directory.hot_hits + directory.hot_misses == looked_up + 1
+
+    def test_the_door_reads_the_directorys_counters(self, rig):
+        """The four ``directory_*`` counters are the directory's own, as
+        they moved since the server was built, through a verifying
+        authority too; every look-up counts, the handshake's included."""
+        from repro.net.concurrent import ConcurrentCAServer
+        from repro.net.messages import HandshakeRequest
+        from repro.reliability.tripwire import VerifyingAuthority
+
+        authority, directory, fleet = rig
+        for name in directory.shard_names:
+            directory.revive_shard(name)
+        time.sleep(0.08)
+        directory.lookup(next(iter(fleet)))  # before the server: not counted
+        client_id, (device, challenge, mask) = next(iter(fleet.items()))
+        digest = device.respond(challenge, reference_mask=mask)
+        engine = build_engine("sched", hash_name=authority.hash_name)
+        tripwire = VerifyingAuthority(authority)
+        with ConcurrentCAServer(tripwire, scheduler=engine) as server:
+            before = directory.snapshot()
+            server.handle_handshake(HandshakeRequest(client_id=client_id))
+            directory.kill_shard(directory.replicas_for(client_id)[0])
+            directory.drop_hot_caches()
+            assert server.submit(client_id, digest).result(60).authenticated
+            directory.revive_shard(directory.replicas_for(client_id)[0])
+            after = directory.snapshot()
+            metrics = server.metrics.snapshot()
+        assert {
+            name: metrics[f"directory_{name}"]
+            for name in ("hot_hits", "hot_misses", "failovers", "read_repairs")
+        } == {
+            "hot_hits": after["hot_hits"] - before["hot_hits"],
+            "hot_misses": after["hot_misses"] - before["hot_misses"],
+            "failovers": after["failovers"] - before["failovers"],
+            "read_repairs": after["read_repairs"] - before["read_repairs"],
+        }
+        assert metrics["directory_hot_hits"] == 1  # the handshake's read
+        assert metrics["directory_hot_misses"] == 1
+        assert metrics["directory_failovers"] == 1
 
 
 class TestShardLossStorm:

@@ -6,19 +6,24 @@ truncates and bit-flips the log at arbitrary byte offsets), atomic
 checkpoints with version-monotonic replay, the CTR nonce-reuse tripwire
 in the encrypted store, the :class:`DurableImageStore` kill-9 contract
 (acknowledged enrollments survive a reopen at their version or higher),
-and the sharded directory's durable construction + anti-entropy healing.
+and a rule-based state machine that drives that store through
+enrollments, refused appends, crashes and checkpoints against a model.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import shutil
+import tempfile
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.directory import ShardedEnrollmentDirectory
 from repro.durability import (
     DurableImageStore,
     EnrollRecord,
@@ -401,53 +406,95 @@ class TestDurableImageStore:
         assert not parked.is_alive()
 
 
-class TestDurableDirectory:
-    def _directory(self, tmp_path, **kwargs):
-        return ShardedEnrollmentDirectory(
-            master_key=KEY,
-            shards=4,
-            replication=2,
-            data_dir=str(tmp_path / "dir"),
-            fsync="none",
-            **kwargs,
+#: The clients the state machine enrolls.
+MACHINE_CLIENTS = ("c0", "c1", "c2")
+
+
+class DurableStoreMachine(RuleBasedStateMachine):
+    """:class:`DurableImageStore` against a dict of what it acknowledged.
+
+    The model holds, per client, the version and mask of its last
+    acknowledged enrollment. Whatever the rules did before — enrollments,
+    re-enrollments, appends refused before they wrote, crashes (the
+    store dropped unclosed and reopened from its directory), checkpoints
+    — the store serves exactly the model: no refused install, every
+    acknowledged one at its version, versions rising per client, and the
+    nonce-reuse tripwire never fires.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.data_dir = tempfile.mkdtemp(prefix="durable-machine-")
+        self.store = self._open()
+        #: client -> (acknowledged version, seed of its mask).
+        self.acked: dict[str, tuple[int, int]] = {}
+        self.masks_made = 0
+
+    def _open(self) -> DurableImageStore:
+        return DurableImageStore(
+            self.data_dir, KEY, fsync="none", checkpoint_every=4
         )
 
-    def test_restart_preserves_enrollments_and_versions(self, tmp_path):
-        directory = self._directory(tmp_path)
-        clients = {f"client-{i}": synthetic_mask(i) for i in range(10)}
-        for client_id, mask in clients.items():
-            directory.enroll(client_id, mask)
-            directory.enroll(client_id, mask)  # bump to version 1
-        versions = {c: directory.version_of(c) for c in clients}
-        directory.checkpoint_all()
-        directory.close()
+    def _enroll(self, client_id: str) -> None:
+        self.masks_made += 1
+        self.store.enroll(client_id, synthetic_mask(self.masks_made))
+        version = self.store.version_of(client_id)
+        if client_id in self.acked:
+            assert version > self.acked[client_id][0]
+        self.acked[client_id] = (version, self.masks_made)
 
-        restarted = self._directory(tmp_path)
-        for client_id, mask in clients.items():
-            assert restarted.version_of(client_id) >= versions[client_id]
-            got = restarted.lookup(client_id)
-            np.testing.assert_array_equal(got.reference, mask.reference)
-        assert restarted.snapshot()["durable"] is True
-        restarted.close()
+    @precondition(lambda self: len(self.acked) < len(MACHINE_CLIENTS))
+    @rule(data=st.data())
+    def enroll(self, data):
+        new = [c for c in MACHINE_CLIENTS if c not in self.acked]
+        self._enroll(data.draw(st.sampled_from(new)))
 
-    def test_anti_entropy_heals_a_wiped_shard(self, tmp_path):
-        import shutil
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data())
+    def re_enroll(self, data):
+        self._enroll(data.draw(st.sampled_from(sorted(self.acked))))
 
-        directory = self._directory(tmp_path)
-        for i in range(12):
-            directory.enroll(f"client-{i}", synthetic_mask(i))
-        directory.checkpoint_all()
-        directory.close()
-        shutil.rmtree(tmp_path / "dir" / "shard-01")
+    @rule(client_id=st.sampled_from(MACHINE_CLIENTS))
+    def refused_append(self, client_id):
+        self.masks_made += 1
+        failure = OSError(errno.ENOSPC, "No space left on device")
+        with mock.patch.object(self.store._log, "append", side_effect=failure):
+            with pytest.raises(OSError):
+                self.store.enroll(client_id, synthetic_mask(self.masks_made))
 
-        healed = self._directory(tmp_path)
-        report = healed.anti_entropy()
-        assert report["keys_checked"] == 12
-        assert report["unreachable"] == 0
-        # Every client is still readable at its authoritative version.
-        for i in range(12):
-            assert healed.version_of(f"client-{i}") >= 0
-            healed.lookup(f"client-{i}")
-        # A second sweep finds nothing left to repair.
-        assert healed.anti_entropy()["repaired"] == 0
-        healed.close()
+    @rule()
+    def crash(self):
+        self.store = self._open()
+
+    @rule()
+    def checkpoint(self):
+        self.store.checkpoint()
+
+    @invariant()
+    def serves_exactly_what_was_acknowledged(self):
+        assert len(self.store) == len(self.acked)
+        for client_id in MACHINE_CLIENTS:
+            if client_id not in self.acked:
+                assert client_id not in self.store
+                continue
+            version, mask_seed = self.acked[client_id]
+            assert self.store.version_of(client_id) == version
+            np.testing.assert_array_equal(
+                self.store.lookup(client_id).reference,
+                synthetic_mask(mask_seed).reference,
+            )
+        assert self.store.nonce_reuse_trips == 0
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+
+
+DurableStoreMachine.TestCase.settings = settings(
+    max_examples=40,
+    stateful_step_count=25,
+    derandomize=True,
+    database=None,
+    deadline=None,
+)
+TestDurableStoreMachine = DurableStoreMachine.TestCase
