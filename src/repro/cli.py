@@ -12,14 +12,13 @@ Commands:
                    (``--engine batch:sha3-256,bs=16384``).
 * ``attack``     — run the opponent simulation against a fresh digest.
 * ``complexity`` — print Table 1 and the tractability planner.
-* ``fleet`` / ``directory`` — multi-device dispatch and sharded
-                   enrollment directory demos.
+* ``fleet``      — the multi-device dispatch demo.
 
 The serving gates — ``chaos``, ``fleet --storm``, ``fleet --bench``,
-``directory --storm``, ``tenants``, ``deploy --storm`` and ``deploy
---storm --crash`` — are not written here: each is one definition in
-:mod:`repro.gates`, and :func:`main` hands a matching command line to
-that module's runner (every gate takes ``--seed`` and ``--output``).
+``tenants``, ``deploy --storm`` and ``deploy --storm --crash`` — are not
+written here: each is one definition in :mod:`repro.gates`, and
+:func:`main` hands a matching command line to that module's runner
+(every gate takes ``--seed`` and ``--output``).
 """
 
 from __future__ import annotations
@@ -30,12 +29,9 @@ from typing import Any
 
 from repro.gates import GATES, _int_tuple, _str_tuple, run_gate, select_gate
 from repro.storm import (
-    Outcome,
     drive,
-    enrolled_fleet,
     invariant_failures,
     planted,
-    server_submit,
     summarize,
     ticket_submit,
 )
@@ -308,77 +304,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return _report_lost(stats)
 
 
-def _cmd_directory(args: argparse.Namespace) -> int:
-    """Cold, warm and one-shard-down passes over a sharded directory."""
-    from repro.core.search import RBCSearchService
-    from repro.directory import ShardedEnrollmentDirectory
-    from repro.directory.storm import fleet_reader
-    from repro.engines import build_engine
-    from repro.net.concurrent import ConcurrentCAServer
-
-    hash_name, max_distance = "sha3-256", 2
-    directory = ShardedEnrollmentDirectory(
-        master_key=b"demo-master-key!",
-        shards=args.shards,
-        replication=args.replication,
-    )
-    authority, fleet = enrolled_fleet(
-        args.seed,
-        args.clients,
-        directory,
-        RBCSearchService(
-            build_engine("sched", hash_name=hash_name, batch_size=16384),
-            max_distance=max_distance,
-        ),
-        hash_name=hash_name,
-        noise_target_distance=1,
-        identity="client-{:02d}".format,
-    )
-    read = fleet_reader(authority, fleet, max_distance)
-    print(f"directory: {args.shards} shards, replication {args.replication}")
-    client_ids = [client_id for client_id, _device, _mask in fleet]
-    for client_id in client_ids:
-        replicas = ", ".join(directory.replicas_for(client_id))
-        print(f"  enrolled {client_id} -> [{replicas}]")
-
-    outcomes: list[Outcome] = []
-
-    def authenticate_all(server: ConcurrentCAServer) -> None:
-        # One at a time, so each line shows what that request did to
-        # the directory's counters.
-        for request in read():
-            outcomes.extend(drive(server_submit(server), [request], timeout=60.0))
-            stats = directory.snapshot()
-            print(f"  {request.client_id}: "
-                  f"authenticated={outcomes[-1].status == 'found'} "
-                  f"hot_hits={stats['hot_hits']} "
-                  f"failovers={stats['failovers']}")
-
-    with ConcurrentCAServer(authority) as server:
-        print("healthy pass (cold caches -> quorum reads):")
-        authenticate_all(server)
-        print("warm pass (hot-cache hits):")
-        authenticate_all(server)
-        primaries = [directory.replicas_for(c)[0] for c in client_ids]
-        victim = max(set(primaries), key=primaries.count)
-        print(f"killing {victim}; replicas must carry its keys:")
-        directory.kill_shard(victim)
-        directory.drop_hot_caches()
-        authenticate_all(server)
-        metrics = server.metrics.snapshot()
-    snapshot = directory.snapshot()
-    print(f"directory: quorum_reads={snapshot['quorum_reads']} "
-          f"hot_hits={snapshot['hot_hits']} "
-          f"failovers={snapshot['failovers']} "
-          f"read_repairs={snapshot['read_repairs']} "
-          f"retries={snapshot['retries']}")
-    print(f"server: completed={metrics['completed']:.0f} "
-          f"directory_hot_hits={metrics['directory_hot_hits']:.0f} "
-          f"directory_failovers={metrics['directory_failovers']:.0f} "
-          f"shed_directory={metrics['shed_directory']:.0f}")
-    return _report_lost(summarize(outcomes))
-
-
 def _parser() -> argparse.ArgumentParser:
     """Every command that is not a gate; gate words are listed for --help."""
     parser = argparse.ArgumentParser(
@@ -455,17 +380,6 @@ def _parser() -> argparse.ArgumentParser:
                        dest="batch_size")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.set_defaults(fn=_cmd_fleet)
-
-    directory = sub.add_parser(
-        "directory",
-        help="sharded enrollment directory demo; --storm is the "
-             "shard-loss storm",
-    )
-    directory.add_argument("--shards", type=int, default=8)
-    directory.add_argument("--replication", type=int, default=2)
-    directory.add_argument("--clients", type=int, default=8)
-    directory.add_argument("--seed", type=int, default=0)
-    directory.set_defaults(fn=_cmd_directory)
 
     # Gate words without a plain command of their own, so `repro --help`
     # lists them; a gate word given without one of its modes lands here.

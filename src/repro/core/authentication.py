@@ -35,9 +35,9 @@ class EnrollmentStore(Protocol):
     """Anything the CA can keep enrolled PUF images in.
 
     Satisfied by the plain in-memory
-    :class:`~repro.puf.image_db.EncryptedImageDatabase` and by the
-    sharded, replicated
-    :class:`~repro.directory.sharded.ShardedEnrollmentDirectory`.
+    :class:`~repro.puf.image_db.EncryptedImageDatabase` and by its
+    WAL-backed wrapper
+    :class:`~repro.durability.store.DurableImageStore`.
     """
 
     def enroll(self, client_id: str, mask: TernaryMask) -> None: ...

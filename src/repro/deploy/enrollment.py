@@ -2,7 +2,7 @@
 
 A real deployment splits the protocol across OS processes, but both
 sides still need to agree on the enrolled PUF images: the server enrolls
-the fleet into its directory at startup, and each load-generator process
+the fleet into its image store at startup, and each load-generator process
 reconstructs the *same* PUF (same seed, same masking reads) to produce
 digests the server can actually search for. The functions here are that
 shared contract — every parameter that feeds the PUF's RNG lives in one

@@ -2,10 +2,9 @@
 
 A search is reported as the paper reports it (Table 5, §4): seeds hashed
 and seconds, in total and per Hamming shell (``shells``, populated by
-every engine). What a dispatcher, a mask-plan cache or the enrollment
-directory did around a search is not copied onto the result: those are
-counted once, where they happen (``FleetScheduler.snapshot()``,
-``MaskPlanCache.stats()``, ``ShardedEnrollmentDirectory.snapshot()``).
+every engine). What a dispatcher or a mask-plan cache did around a
+search is not copied onto the result: those are counted once, where they
+happen (``FleetScheduler.snapshot()``, ``MaskPlanCache.stats()``).
 
 Nothing in this module imports from the rest of :mod:`repro` — it is the
 bottom of the engine-stack dependency graph, safe to import from any

@@ -11,8 +11,7 @@ about one modeled accelerator:
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
   turns consecutive failures into quarantine (open), probation
-  (half-open), and reinstatement (closed) — the same machine the
-  enrollment directory keeps per shard;
+  (half-open), and reinstatement (closed);
 * a ``kill()`` / ``revive()`` switch the chaos harness flips mid-run.
 
 The kill switch is checked *twice* per batch — before the kernel and

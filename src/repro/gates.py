@@ -114,8 +114,28 @@ def _host_fingerprint() -> dict[str, Any]:
     }
 
 
+def _tree_digest(root: Path = Path(__file__).parent) -> str:
+    """SHA-256 over the sorted ``(relative path, bytes)`` of every file
+    under ``root`` (the ``repro`` package), bytecode caches left out."""
+    from repro.hashes import native
+
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    )
+    # Each field length-prefixed, so no two trees share a byte stream.
+    stream = b"".join(
+        len(field).to_bytes(8, "big") + field
+        for name, path in files
+        for field in (name.encode(), path.read_bytes())
+    )
+    return native.digest("sha256", stream).hex()
+
+
 def _git_state() -> dict[str, Any]:
-    """SHA and dirty flag of this checkout, or nulls outside a repository."""
+    """SHA and dirty flag of this checkout (nulls outside a repository),
+    and the digest of the package tree that ran."""
 
     def git(*args: str) -> str | None:
         try:
@@ -132,7 +152,11 @@ def _git_state() -> dict[str, Any]:
 
     sha = git("rev-parse", "HEAD")
     status = git("status", "--porcelain") if sha else None
-    return {"sha": sha, "dirty": bool(status) if status is not None else None}
+    return {
+        "sha": sha,
+        "dirty": bool(status) if status is not None else None,
+        "tree": _tree_digest(),
+    }
 
 
 def gate_parser(gate: Gate) -> argparse.ArgumentParser:
@@ -537,31 +561,6 @@ def _fleet_render(record: Record) -> str:
     ])
 
 
-# -- directory: shard-loss storm ------------------------------------------
-
-
-def _directory_storm_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clients", type=int, default=24)
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--replication", type=int, default=2)
-    parser.add_argument("--shed-ceiling", type=float, default=0.5,
-                        help="max tolerated overall shed rate across the "
-                             "storm's four waves")
-
-
-def _directory_storm_run(args: argparse.Namespace) -> Outcome:
-    from repro.directory.storm import run_shard_loss_storm
-
-    report = run_shard_loss_storm(**_config(args))
-    return dataclasses.asdict(report), report.failures
-
-
-def _directory_storm_render(record: Record) -> str:
-    from repro.directory.storm import ShardLossStormReport
-
-    return ShardLossStormReport(**record["metrics"]).render()
-
-
 # -- tenants: noisy neighbor ----------------------------------------------
 
 
@@ -760,14 +759,6 @@ GATES: dict[str, Gate] = {
             "scan-thread scaling, hedged vs unhedged straggler p99 (exit 1 "
             "on a lost request, false auth, scaling or hedging regression)",
             _fleet_arguments, _fleet_run, _fleet_render,
-        ),
-        Gate(
-            "directory_storm", "directory", ("--storm",),
-            "shard-loss storm: kill one enrollment shard, then its replica "
-            "partner, then revive both (exit 1 on a false auth, an untyped "
-            "or unexpected shed, or an unhealed replica)",
-            _directory_storm_arguments, _directory_storm_run,
-            _directory_storm_render,
         ),
         Gate(
             "tenancy", "tenants", (),

@@ -15,8 +15,8 @@ honored with EDF lanes and shedding), and one settle function that does
 the typed-refusal accounting, issues the key, counts the
 :class:`~repro.engines.result.SearchResult`'s seeds and shells and
 builds the :class:`~repro.net.messages.AuthenticationResult`. What the
-dispatcher and the enrollment directory did is not re-summed per
-request: :class:`ServerMetrics` reads their own counters.
+dispatcher did is not re-summed per request: :class:`ServerMetrics`
+reads its own counters.
 :meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
 same path behind the Figure 1 message surface.
 """
@@ -45,7 +45,6 @@ from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
-    from repro.directory.sharded import ShardedEnrollmentDirectory
     from repro.fleet.engine import FleetSearchEngine
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
@@ -75,19 +74,8 @@ _COUNTERS = (
     "queue_depth_peak",
     "redispatched",
     "hedged",
-    # Enrollment-directory telemetry (zero unless the authority's image
-    # store is a sharded directory): hot-cache hits/misses of every
-    # look-up since the server was built, the handshake's included,
-    # reads served by a replica after the primary shard was lost,
-    # stale/missing replica copies repaired in passing, and requests
-    # shed because a key's whole replica set was down.
-    "directory_hot_hits",
-    "directory_hot_misses",
-    "directory_failovers",
-    "directory_read_repairs",
-    "shed_directory",
     # Requests refused because their tenant's admission budget (token
-    # bucket) or enrollment quota was exhausted.
+    # bucket) was exhausted.
     "shed_tenant_quota",
     # Durability telemetry (zero unless the enrollment store is a
     # WAL-backed :class:`~repro.durability.store.DurableImageStore`):
@@ -99,20 +87,13 @@ _COUNTERS = (
 )
 
 #: Counters the door does not keep: read off the served dispatcher's
-#: ``snapshot()`` under these keys ...
+#: ``snapshot()`` under these keys.
 _DISPATCHER_KEYS = {
     "preempted": "preempted",
     "redispatched": "redispatched_chunks",
     "hedged": "hedges_launched",
 }
-#: ... and off the sharded directory's attributes of these names.
-_DIRECTORY_KEYS = {
-    "directory_hot_hits": "hot_hits",
-    "directory_hot_misses": "hot_misses",
-    "directory_failovers": "failovers",
-    "directory_read_repairs": "read_repairs",
-}
-_READ = frozenset(_DISPATCHER_KEYS) | frozenset(_DIRECTORY_KEYS)
+_READ = frozenset(_DISPATCHER_KEYS)
 
 #: Counters :meth:`ServerMetrics.record` may increment by name. The rest
 #: are read (``_READ``) or have their own write path (``search_seconds``
@@ -122,7 +103,6 @@ _RECORDABLE = frozenset(_COUNTERS) - _READ - {
     "total_search_seconds",
     "shed",
     "queue_depth_peak",
-    "shed_directory",
     "shed_tenant_quota",
     "enrollments",
     "recovered_records",
@@ -137,18 +117,12 @@ class ServerMetrics:
     (per-reason shed counts, written only by :meth:`record_shed`, which
     also increments ``shed`` — the two can never drift apart) and
     ``tenants`` (the per-tenant ledger fed by the same ``record`` /
-    ``record_shed`` calls). The other seven names are read at snapshot
-    time from where their events happen: ``dispatcher``'s own
-    ``snapshot()``, and ``directory``'s counters as they have moved
-    since this object was built. Without a dispatcher or a directory
-    they read zero.
+    ``record_shed`` calls). The other three names are read at snapshot
+    time from where their events happen, ``dispatcher``'s own
+    ``snapshot()``; without a dispatcher they read zero.
     """
 
-    def __init__(
-        self,
-        dispatcher: FleetSearchEngine | None = None,
-        directory: ShardedEnrollmentDirectory | None = None,
-    ) -> None:
+    def __init__(self, dispatcher: FleetSearchEngine | None = None) -> None:
         for name in _COUNTERS:
             if name not in _READ:
                 setattr(self, name, 0.0 if name.endswith("_seconds") else 0)
@@ -156,31 +130,15 @@ class ServerMetrics:
         self.tenants = TenantLedger()
         self._lock = threading.Lock()
         self._dispatcher = dispatcher
-        self._directory = directory
-        self._directory_base = self._read_directory()
-
-    def _read_directory(self) -> dict[str, int]:
-        if self._directory is None:
-            return dict.fromkeys(_DIRECTORY_KEYS, 0)
-        return {
-            name: getattr(self._directory, key)
-            for name, key in _DIRECTORY_KEYS.items()
-        }
 
     def _read(self) -> dict[str, int]:
         """The counters the door does not keep, as of now."""
-        read = {
-            name: count - self._directory_base[name]
-            for name, count in self._read_directory().items()
-        }
         fleet = (
             self._dispatcher.scheduler.snapshot()
             if self._dispatcher is not None
             else {}
         )
-        for name, key in _DISPATCHER_KEYS.items():
-            read[name] = fleet.get(key, 0)
-        return read
+        return {name: fleet.get(key, 0) for name, key in _DISPATCHER_KEYS.items()}
 
     def record(
         self,
@@ -241,16 +199,14 @@ class ServerMetrics:
 
         Every shed increments ``shed`` and ``shed_reasons[reason]`` in
         the same critical section, so ``sum(shed_reasons.values()) ==
-        shed`` holds at every instant. Reason-specific convenience
-        counters (``shed_directory``, ``shed_tenant_quota``) are derived
-        here too, never written directly by callers.
+        shed`` holds at every instant. The reason-specific convenience
+        counter ``shed_tenant_quota`` is derived here too, never written
+        directly by callers.
         """
         with self._lock:
             self.shed += 1
             self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-            if reason == Refusal.DIRECTORY_UNAVAILABLE.reason:
-                self.shed_directory += 1
-            elif reason == Refusal.TENANT_QUOTA.reason:
+            if reason == Refusal.TENANT_QUOTA.reason:
                 self.shed_tenant_quota += 1
             self.failed += failed
             self.total_search_seconds += search_seconds
@@ -362,15 +318,7 @@ class ConcurrentCAServer:
         self._lock = threading.RLock()
         self._in_flight_clients: set[str] = set()
         self._pending = 0
-        # Imported here: the directory's shards import the breaker's
-        # package, which imports this module.
-        from repro.directory.sharded import ShardedEnrollmentDirectory
-
-        store = getattr(authority, "image_db", None)
-        self.metrics = ServerMetrics(
-            scheduler,
-            store if isinstance(store, ShardedEnrollmentDirectory) else None,
-        )
+        self.metrics = ServerMetrics(scheduler)
         self._closed = False
 
     # -- the message surface (Figure 1) -------------------------------------
@@ -424,8 +372,7 @@ class ConcurrentCAServer:
         ``DUPLICATE_IN_FLIGHT`` -> ``rejected_duplicate``);
         :class:`~repro.refusals.RequestShed` with a typed reason, counted
         under ``shed`` — an exhausted tenant budget (``tenant_quota``),
-        an unmeetable deadline, saturated lanes, or a dark directory
-        replica set (``DirectoryUnavailable`` is a shed).
+        an unmeetable deadline, or saturated lanes.
 
         Through the future: the reply; a runtime shed (expired deadline,
         shutdown, no healthy device — ``shed`` and ``failed``); and any
@@ -438,7 +385,7 @@ class ConcurrentCAServer:
         deadline shedding.
 
         ``tenant_id`` attributes the request to a registered tenant
-        (``None`` rides the default tenant): it selects the directory
+        (``None`` rides the default tenant): it selects the store
         namespace the enrollment record is resolved in, charges the
         tenant's admission budget, and keys the per-tenant telemetry.
         """

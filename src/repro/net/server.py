@@ -33,7 +33,7 @@ class CAServer:
     def handle_handshake(self, request: HandshakeRequest) -> HandshakeResponse:
         """Figure 1 handshake: return the PUF address information.
 
-        The wire tenant selects the directory namespace the client's
+        The wire tenant selects the store namespace the client's
         enrollment record is looked up in; responses carry the bare
         client id, exactly as before tenancy.
         """

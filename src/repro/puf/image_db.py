@@ -272,9 +272,8 @@ class EncryptedImageDatabase:
     ) -> bytes:
         """Ciphertext for ``(client_id, mask, version)`` — pure function.
 
-        Does not touch this store's contents. A replicated directory uses
-        it to encrypt once and install the identical ciphertext on every
-        replica under a directory-assigned version.
+        Does not touch this store's contents; :meth:`decrypt_record` is
+        its inverse.
         """
         if version < 0:
             raise ValueError("record version must be non-negative")
@@ -384,9 +383,9 @@ class EncryptedImageDatabase:
     def snapshot(self) -> bytes:
         """The whole store as one still-encrypted byte blob.
 
-        Shard replicas and the chaos storm clone stores from this — the
-        master key is *not* part of the snapshot and no record is
-        decrypted to produce it.
+        The chaos storm clones stores from this — the master key is
+        *not* part of the snapshot and no record is decrypted to produce
+        it.
         """
         payload = {
             "format": _FORMAT_V2,

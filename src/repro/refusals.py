@@ -6,7 +6,7 @@ reason. A :class:`Refusal` member is one such reason: the ``kind`` an
 :class:`~repro.net.messages.ErrorReply` puts on the wire and, for a
 shed, the ``reason`` the wire and ``ServerMetrics.shed_reasons`` count.
 Its exception follows from its kind: ``shed`` -> :class:`RequestShed`
-(``DirectoryUnavailable`` and ``TenantQuotaExceeded`` are two),
+with the member as its ``refusal``,
 ``busy`` / ``closed`` / ``corrupt`` -> ``ServerBusy`` / ``ServerClosed``
 / ``MessageCorrupted`` (:mod:`repro.net.errors`). Every exception that
 *is* a refusal carries its member as ``.refusal``, and the wire and the
@@ -17,8 +17,8 @@ There is no "retryable" column, because nothing would read it: a
 ``TransportError`` — ``busy``, ``closed`` and ``corrupt`` refusals and
 the link's own faults — and never a shed.
 
-This module imports nothing from the package, so the wire, the storms
-and the directory can name a refusal without loading the dispatcher.
+This module imports nothing from the package, so the wire and the
+storms can name a refusal without loading the dispatcher.
 """
 
 from __future__ import annotations
@@ -45,13 +45,8 @@ class Refusal(Enum):
     SHUTDOWN = ("shed", "shutdown")
     #: Every device in the fleet stayed quarantined past the grace window.
     NO_HEALTHY_DEVICES = ("shed", "no_healthy_devices")
-    #: Every replica of the client's enrollment record is unreachable:
-    #: the directory's failure, not the client's, and it clears when a
-    #: replica rejoins.
-    DIRECTORY_UNAVAILABLE = ("shed", "directory_unavailable")
-    #: The tenant exhausted a budget — its lookup-rate token bucket at
-    #: admission, or its enrollment cap. Within-quota tenants keep being
-    #: served.
+    #: The tenant exhausted its lookup-rate token bucket at admission.
+    #: Within-quota tenants keep being served.
     TENANT_QUOTA = ("shed", "tenant_quota")
     #: The front door's queue is full.
     DOOR_SATURATED = ("busy", "")

@@ -4,11 +4,11 @@ Two halves, by design:
 
 * **producing failure** — :class:`FaultSpec` / :class:`FaultPlan` derive
   every stochastic fault choice (message drops, corrupted frames, device
-  failure episodes, shard timeouts) from one root seed;
+  failure episodes) from one root seed;
   :class:`FaultyTransport` applies the message stream to a link.
 * **consuming failure** — :class:`RetryPolicy` bounds the client's
-  restart behaviour and :class:`CircuitBreaker` is the per-device (and
-  per-shard) health state machine. What survives a device going away is
+  restart behaviour and :class:`CircuitBreaker` is the per-device
+  health state machine. What survives a device going away is
   the fleet dispatcher (:mod:`repro.fleet.dispatcher`): a device whose
   breaker opens is quarantined, its work re-dispatched to the
   survivors, and a passing probe reinstates it.
@@ -24,7 +24,6 @@ from repro.reliability.faults import (
     MessageFaultInjector,
     ScriptedFaultInjector,
     DeviceFaultInjector,
-    ShardFaultInjector,
     VirtualClock,
     MESSAGE_FAULTS,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "MessageFaultInjector",
     "ScriptedFaultInjector",
     "DeviceFaultInjector",
-    "ShardFaultInjector",
     "VirtualClock",
     "MESSAGE_FAULTS",
     "RetryPolicy",

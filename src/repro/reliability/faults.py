@@ -2,9 +2,8 @@
 
 One :class:`FaultPlan` is the single source of randomness for an entire
 chaos run: every stochastic choice — which message drops, which byte of
-which frame flips, when the simulated device fails, which shard
-operation times out — is drawn from a stream derived from the plan's
-one root seed via ``numpy.random.SeedSequence``. Two plans built from the same
+which frame flips, when the simulated device fails — is drawn from a
+stream derived from the plan's one root seed via ``numpy.random.SeedSequence``. Two plans built from the same
 :class:`FaultSpec` and seed therefore produce *identical* fault
 schedules, which is what makes a chaos run a regression test instead of
 a dice roll.
@@ -17,7 +16,7 @@ Streams are keyed, not spawned, so derivation is order-independent:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "MessageFaultInjector",
     "ScriptedFaultInjector",
     "DeviceFaultInjector",
-    "ShardFaultInjector",
     "VirtualClock",
     "MESSAGE_FAULTS",
 ]
@@ -36,11 +34,11 @@ __all__ = [
 MESSAGE_FAULTS = ("drop", "corrupt", "duplicate", "reorder", "latency-spike")
 
 # Stream keys mixed into the root SeedSequence (never reuse a value; 4
-# is retired, and renumbering one would redraw its seed-pinned storms).
+# and 5 are retired, and renumbering one would redraw its seed-pinned
+# storms).
 _STREAM_TRANSPORT = 1
 _STREAM_CLIENT = 2
 _STREAM_DEVICE = 3
-_STREAM_SHARD = 5
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,6 @@ class FaultSpec:
     device_failure_length: int = 6
     device_slow_rate: float = 0.0
     device_slow_factor: float = 4.0
-    # -- directory-shard faults (per shard read/write) ------------------
-    #: Probability a shard operation times out (transient; the directory
-    #: retries with backoff before failing over to a replica).
-    shard_timeout_rate: float = 0.0
-    #: Probability a shard operation is slow-but-successful.
-    shard_slow_rate: float = 0.0
-    shard_slow_seconds: float = 0.05
 
     def __post_init__(self):
         for f in fields(self):
@@ -231,41 +222,6 @@ class DeviceFaultInjector:
             return None
 
 
-class ShardFaultInjector:
-    """Per-operation fault stream for one enrollment-directory shard.
-
-    Each read/write against the shard draws once: ``"timeout"`` (the
-    operation fails with a retryable timeout), ``"slow"`` (it succeeds
-    after a modeled delay), or ``None`` (clean). Keyed per shard index,
-    so shard 3's schedule is independent of whether shard 1 was ever
-    consulted.
-    """
-
-    def __init__(self, spec: FaultSpec, rng: np.random.Generator):
-        self.spec = spec
-        self._rng = rng
-        self._lock = threading.Lock()
-        self.operations_seen = 0
-        #: (operation_index, fault_kind) for every faulted operation.
-        self.schedule: list[tuple[int, str]] = []
-
-    def next(self) -> str | None:
-        """The fault (if any) to apply to the next shard operation."""
-        with self._lock:
-            index = self.operations_seen
-            self.operations_seen += 1
-            draw = self._rng.random()
-            threshold = self.spec.shard_timeout_rate
-            if draw < threshold:
-                self.schedule.append((index, "timeout"))
-                return "timeout"
-            threshold += self.spec.shard_slow_rate
-            if draw < threshold:
-                self.schedule.append((index, "slow"))
-                return "slow"
-            return None
-
-
 class FaultPlan:
     """All fault streams for one chaos run, derived from one root seed."""
 
@@ -291,7 +247,3 @@ class FaultPlan:
     def device_injector(self, horizon: int = 200) -> DeviceFaultInjector:
         """The device-fault stream for the primary search backend."""
         return DeviceFaultInjector(self.spec, self._rng(_STREAM_DEVICE), horizon)
-
-    def shard_injector(self, index: int) -> ShardFaultInjector:
-        """The operation-fault stream for enrollment-directory shard ``index``."""
-        return ShardFaultInjector(self.spec, self._rng(_STREAM_SHARD, index))

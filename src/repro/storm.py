@@ -1,6 +1,6 @@
 """The storm kit: what every in-process serving harness decides, once.
 
-A storm *scenario* (device loss, shard loss, noisy neighbor, the demos)
+A storm *scenario* (device loss, noisy neighbor, the ``fleet`` demo)
 owns its fault schedule and its verdicts; the kit owns request ->
 outcome: :class:`Request` and :class:`Outcome`,
 :func:`planted` (the seeded workload), :func:`enrolled_fleet` (a CA with
@@ -57,8 +57,8 @@ class Request:
     #: How deep the search may go, and how deep the answer actually lies.
     max_distance: int
     planted_distance: int
-    #: Where the search starts; ``None`` when only the server's enrollment
-    #: directory knows.
+    #: Where the search starts; ``None`` when only the server's image
+    #: store knows.
     base_seed: bytes | None = None
     tenant: str | None = None
     deadline_seconds: float | None = None

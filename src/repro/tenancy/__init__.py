@@ -4,15 +4,14 @@ One tenant model threads through every serving layer:
 
 * :mod:`repro.tenancy.context` — :class:`TenantContext` (id, fair-share
   weight, :class:`TenantQuota`) plus the ``tenant::client_id`` key
-  namespacing the enrollment directory stores records under. The
-  ``default`` tenant maps to bare client ids, so pre-tenancy
-  enrollments and legacy clients keep working byte-identically.
+  namespacing the image store keeps records under. The ``default``
+  tenant maps to bare client ids, so pre-tenancy enrollments and legacy
+  clients keep working byte-identically.
 * :mod:`repro.tenancy.bucket` — the token bucket behind per-tenant
   lookup-rate budgets.
 * :mod:`repro.tenancy.registry` — :class:`TenantRegistry`, the one
   shared object every layer consults: the wire front door resolves
-  tenant ids, admission charges buckets, lanes read weights, and the
-  directory checks enrollment caps.
+  tenant ids, admission charges buckets, and lanes read weights.
 * :mod:`repro.tenancy.ledger` — :class:`TenantLedger`, per-tenant
   serving counters (submitted/shed/quota hits/latency percentiles).
 * :mod:`repro.tenancy.workload` — the noisy-neighbor storm used by the
@@ -26,11 +25,9 @@ from repro.tenancy.context import (
     TenantContext,
     TenantQuota,
     namespaced_key,
-    split_key,
-    tenant_of_key,
     validate_tenant_id,
 )
-from repro.tenancy.errors import TenantQuotaExceeded, UnknownTenant
+from repro.tenancy.errors import UnknownTenant
 from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
@@ -42,10 +39,7 @@ __all__ = [
     "TokenBucket",
     "TenantLedger",
     "TenantRegistry",
-    "TenantQuotaExceeded",
     "UnknownTenant",
     "namespaced_key",
-    "split_key",
-    "tenant_of_key",
     "validate_tenant_id",
 ]

@@ -9,15 +9,15 @@ tenant-shaped starts from the two values defined here:
   of the device it deserves (weight), and what it is allowed to consume
   (:class:`TenantQuota`).
 * the **namespaced key** — where a tenant's records live. Client ids are
-  namespaced per tenant on the existing directory hash ring by prefixing
-  them (``gold::device-7``); the reserved :data:`DEFAULT_TENANT` maps to
+  namespaced per tenant in the one image store by prefixing them
+  (``gold::device-7``); the reserved :data:`DEFAULT_TENANT` maps to
   the *bare* client id so every record enrolled before tenancy existed,
   and every legacy client that never sends a tenant, keeps resolving to
   exactly the same key as before.
 
 Nothing in this module imports from the rest of :mod:`repro` — tenant
 identity sits at the bottom of the dependency graph so the net, sched,
-directory, and serving layers can all import it freely.
+and serving layers can all import it freely.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "TenantQuota",
     "TenantContext",
     "namespaced_key",
-    "split_key",
-    "tenant_of_key",
 ]
 
 #: The tenant legacy (untenanted) traffic rides: no prefix, no quotas
@@ -40,11 +38,11 @@ __all__ = [
 DEFAULT_TENANT = "default"
 
 #: Separator between the tenant prefix and the client id in a namespaced
-#: directory key. Forbidden inside tenant ids, so splitting is exact.
+#: store key. Forbidden inside tenant ids, so splitting is exact.
 TENANT_SEPARATOR = "::"
 
 #: Tenant ids are operator-chosen labels that travel on the wire and
-#: inside directory keys; keep them to a safe, unambiguous charset.
+#: inside store keys; keep them to a safe, unambiguous charset.
 _TENANT_ID_RE = re.compile(r"^[a-z0-9][a-z0-9._-]{0,63}$")
 
 
@@ -65,21 +63,16 @@ class TenantQuota:
     ``lookup_rate`` is the tenant's sustained admission budget in
     authentication lookups per second, enforced as a token bucket at
     admission (``burst`` tokens of headroom, default one second's worth).
-    ``max_enrollments`` caps how many distinct client records the tenant
-    may install in the enrollment directory.
     """
 
     lookup_rate: float | None = None
     burst: float | None = None
-    max_enrollments: int | None = None
 
     def __post_init__(self) -> None:
         if self.lookup_rate is not None and self.lookup_rate <= 0:
             raise ValueError("lookup_rate must be positive (or None)")
         if self.burst is not None and self.burst < 1:
             raise ValueError("burst must be at least 1 (or None)")
-        if self.max_enrollments is not None and self.max_enrollments < 0:
-            raise ValueError("max_enrollments must be non-negative (or None)")
 
     @property
     def bucket_capacity(self) -> float | None:
@@ -113,13 +106,12 @@ class TenantContext:
 
 
 def namespaced_key(tenant_id: str | None, client_id: str) -> str:
-    """The directory key a tenant's client record lives under.
+    """The store key a tenant's client record lives under.
 
     The default tenant (``None`` or ``""`` included) maps to the bare
     client id — byte-for-byte what the pre-tenancy stack used — so
     legacy enrollments and untenanted clients keep resolving unchanged.
-    Any other tenant gets an exact, splittable prefix on the same hash
-    ring.
+    Any other tenant gets an exact, splittable prefix in the same store.
     """
     if TENANT_SEPARATOR in client_id:
         raise ValueError(
@@ -129,16 +121,3 @@ def namespaced_key(tenant_id: str | None, client_id: str) -> str:
         return client_id
     validate_tenant_id(tenant_id)
     return f"{tenant_id}{TENANT_SEPARATOR}{client_id}"
-
-
-def split_key(key: str) -> tuple[str, str]:
-    """``(tenant_id, client_id)`` for a directory key (bare = default)."""
-    if TENANT_SEPARATOR in key:
-        tenant_id, client_id = key.split(TENANT_SEPARATOR, 1)
-        return tenant_id, client_id
-    return DEFAULT_TENANT, key
-
-
-def tenant_of_key(key: str) -> str:
-    """Which tenant owns a directory key."""
-    return split_key(key)[0]

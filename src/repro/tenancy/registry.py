@@ -3,10 +3,9 @@
 One registry instance is shared by every layer that makes a
 tenant-shaped decision — the serving front door resolves wire tenant ids
 through it, the scheduler's admission policy charges its token buckets,
-the lanes read its weights, and the enrollment directory checks its
-enrollment caps. Sharing one object is what keeps those decisions
-consistent: there is exactly one bucket per tenant no matter how many
-layers consult it.
+and the lanes read its weights. Sharing one object is what keeps those
+decisions consistent: there is exactly one bucket per tenant no matter
+how many layers consult it.
 """
 
 from __future__ import annotations
@@ -113,10 +112,6 @@ class TenantRegistry:
         """The tenant's fair-share weight (default tenant's if unknown)."""
         return self.resolve(tenant_id).weight
 
-    def enrollment_cap(self, tenant_id: str | None) -> int | None:
-        """Max directory records the tenant may install, or None."""
-        return self.resolve(tenant_id).quota.max_enrollments
-
     # -- introspection --------------------------------------------------
 
     def snapshot(self) -> dict[str, dict[str, object]]:
@@ -131,7 +126,6 @@ class TenantRegistry:
                 "weight": context.weight,
                 "lookup_rate": quota.lookup_rate,
                 "burst": quota.bucket_capacity,
-                "max_enrollments": quota.max_enrollments,
             }
             bucket = buckets.get(tenant_id)
             if bucket is not None:

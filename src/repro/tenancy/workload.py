@@ -21,10 +21,10 @@ Three phases, same planted requests throughout:
 from __future__ import annotations
 
 from repro.core.search import RBCSearchService
-from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
 from repro.hashes.registry import get_hash
 from repro.net.concurrent import ConcurrentCAServer
+from repro.puf.image_db import EncryptedImageDatabase
 from repro.refusals import Refusal
 from repro.storm import (
     Request,
@@ -71,10 +71,9 @@ def tenant_storm(
     """The enrolled two-tenant CA, the victim fleet's planted requests, and
     the storm: every victim arriving amid the aggressor's burst.
 
-    Records live under their tenant's namespace in a sharded directory,
-    so the storm exercises the namespaced-key path production traffic
-    uses — and planting the requests touches every record, which keeps
-    the per-request image decrypt off the serving path. Deterministic in
+    Records live under their tenant's namespace in the plain image store
+    ``repro deploy`` serves from, so the storm exercises the
+    namespaced-key path production traffic uses. Deterministic in
     ``seed``.
     """
     if victims < 1 or aggressors < 1:
@@ -88,7 +87,7 @@ def tenant_storm(
     authority, _fleet = enrolled_fleet(
         seed,
         victims + aggressors,
-        ShardedEnrollmentDirectory(b"tenancy-storm-mk", shards=4, replication=2),
+        EncryptedImageDatabase(b"tenancy-storm-mk"),
         search_service,
         hash_name=hash_name,
         tenant_of=lambda index: slot(index)[0],

@@ -181,16 +181,9 @@ class TestUnenrolledClient:
     not hold is an admitted request that failed — counted, through the
     future — not an exception out of ``submit()`` with no counter moved."""
 
-    @pytest.fixture(params=["plain store", "sharded directory"])
-    def authority(self, request, fleet_authority):
-        authority, _clients = fleet_authority
-        if request.param == "sharded directory":
-            from repro.directory import ShardedEnrollmentDirectory
-
-            authority.image_db = ShardedEnrollmentDirectory(
-                master_key=b"concurrent-mastr", shards=2, replication=1
-            )
-        return authority
+    @pytest.fixture(params=["plain store"])
+    def authority(self, fleet_authority):
+        return fleet_authority[0]
 
     def test_counted_and_failed_through_the_future(self, authority):
         from repro.tenancy.context import DEFAULT_TENANT
@@ -273,10 +266,7 @@ PARENT_POOL_COUNTERS = {
     "rejected_busy": 0, "rejected_duplicate": 0,
     "seeds_hashed": 257, "shells_completed": 2,
     "shed": 0, "preempted": 0, "queue_depth_peak": 1,
-    "redispatched": 0, "hedged": 0,
-    "directory_hot_hits": 0, "directory_hot_misses": 0,
-    "directory_failovers": 0, "directory_read_repairs": 0,
-    "shed_directory": 0, "shed_tenant_quota": 0,
+    "redispatched": 0, "hedged": 0, "shed_tenant_quota": 0,
     "enrollments": 0, "recovered_records": 0, "recovery_seconds": 0.0,
 }
 
@@ -312,12 +302,8 @@ class TestServerMetricsRecord:
         # What the dispatcher did is read off it, never recorded here.
         with pytest.raises(TypeError, match="hedged"):
             metrics.record(hedged=2)
-        # Nor what the enrollment directory did.
-        with pytest.raises(TypeError, match="directory_hot_hits"):
-            metrics.record(directory_hot_hits=4)
         metrics.record_shed("deadline_expired")
         metrics.record_shed("deadline_expired")
-        metrics.record_shed("directory_unavailable")
         metrics.record_shed("tenant_quota")
         metrics.record_enrollment()
         metrics.record_enrollment()
@@ -333,16 +319,11 @@ class TestServerMetricsRecord:
             "total_search_seconds": 0.5,
             "seeds_hashed": 257,
             "shells_completed": 2,
-            "shed": 4,
+            "shed": 3,
             "preempted": 0,
             "queue_depth_peak": 5,
             "redispatched": 0,
             "hedged": 0,
-            "directory_hot_hits": 0,
-            "directory_hot_misses": 0,
-            "directory_failovers": 0,
-            "directory_read_repairs": 0,
-            "shed_directory": 1,
             "shed_tenant_quota": 1,
             "enrollments": 2,
             "recovered_records": 7,
@@ -356,19 +337,17 @@ class TestServerMetricsRecord:
         with pytest.raises(TypeError):
             metrics.record(shed=1)
         for reason in ("saturated", "deadline_expired", "saturated",
-                       "tenant_quota", "directory_unavailable"):
+                       "tenant_quota"):
             metrics.record_shed(reason)
         snapshot = metrics.snapshot()
         breakdown = metrics.shed_breakdown()
-        assert sum(breakdown.values()) == snapshot["shed"] == 5
+        assert sum(breakdown.values()) == snapshot["shed"] == 4
         assert breakdown == {
             "saturated": 2,
             "deadline_expired": 1,
             "tenant_quota": 1,
-            "directory_unavailable": 1,
         }
-        # Derived convenience counters follow the typed reasons exactly.
-        assert snapshot["shed_directory"] == 1
+        # The derived convenience counter follows the typed reason exactly.
         assert snapshot["shed_tenant_quota"] == 1
 
     def test_record_is_thread_safe(self):
@@ -442,10 +421,8 @@ PARENT_COUNTER_NAMES = (
     "submitted", "completed", "authenticated", "failed", "rejected_busy",
     "rejected_duplicate", "total_search_seconds", "seeds_hashed",
     "shells_completed", "shed", "preempted",
-    "queue_depth_peak", "redispatched", "hedged", "directory_hot_hits",
-    "directory_hot_misses", "directory_failovers", "directory_read_repairs",
-    "shed_directory", "shed_tenant_quota", "enrollments",
-    "recovered_records", "recovery_seconds",
+    "queue_depth_peak", "redispatched", "hedged", "shed_tenant_quota",
+    "enrollments", "recovered_records", "recovery_seconds",
 )
 
 

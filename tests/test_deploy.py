@@ -47,7 +47,6 @@ from repro.deploy.topology import ENGINE_MODES, TopologySpec
 from repro.deploy.trace import generate_trace
 from repro.deploy.wan import WAN_PROFILES, build_shim
 from repro.devices.flaky import DeviceFailure
-from repro.directory.errors import DirectoryUnavailable
 from repro.durability.errors import CheckpointCorrupt, WalCorrupt
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
@@ -85,7 +84,6 @@ from repro.net.transport import InProcessTransport
 from repro.refusals import Refusal, RequestShed
 from repro.reliability.breaker import CircuitOpenError
 from repro.reliability.retry import RetriesExhausted
-from repro.tenancy.errors import TenantQuotaExceeded
 
 
 def _child_env() -> dict[str, str]:
@@ -311,11 +309,7 @@ def _refused_at_the_door() -> dict[str, Exception]:
         (lambda: DeviceFailure("host-1", 3), "error", ""),
         (lambda: RuntimeError("queue full"), "error", ""),
         (
-            lambda: DirectoryUnavailable("c0", ("shard-00", "shard-01")),
-            "shed", "directory_unavailable",
-        ),
-        (
-            lambda: TenantQuotaExceeded("gold", "max_enrollments", "2/2 enrolled"),
+            lambda: RequestShed(Refusal.TENANT_QUOTA, "tenant 'gold' out of tokens"),
             "shed", "tenant_quota",
         ),
         (lambda: _refused_at_the_door()["saturated"], "busy", ""),
@@ -323,8 +317,8 @@ def _refused_at_the_door() -> dict[str, Exception]:
     ],
     ids=[
         "WalCorrupt", "CheckpointCorrupt", "CircuitOpenError",
-        "DeviceFailure", "RuntimeError", "DirectoryUnavailable",
-        "TenantQuotaExceeded", "door-saturated", "door-duplicate",
+        "DeviceFailure", "RuntimeError", "RequestShed", "door-saturated",
+        "door-duplicate",
     ],
 )
 def test_error_reply_for_sends_each_failure_as_its_own_kind(make, kind, reason):
@@ -332,7 +326,7 @@ def test_error_reply_for_sends_each_failure_as_its_own_kind(make, kind, reason):
     reply = error_reply_for(make())
     assert (reply.kind, reply.reason) == (kind, reason)
     if reason == "tenant_quota":
-        assert "max_enrollments" in reply.detail
+        assert "'gold'" in reply.detail
 
 
 #: The frame each member goes out as, captured from the wire before the
@@ -343,7 +337,6 @@ GOLDEN_FRAMES = {
     Refusal.DEADLINE_EXPIRED: b'{"crc":"95c67830","detail":"request shed (deadline_expired): client \'c0\'","kind":"shed","reason":"deadline_expired","type":"error_reply"}',
     Refusal.SHUTDOWN: b'{"crc":"2514a8b1","detail":"request shed (shutdown): client \'c0\'","kind":"shed","reason":"shutdown","type":"error_reply"}',
     Refusal.NO_HEALTHY_DEVICES: b'{"crc":"5a4c8b7f","detail":"request shed (no_healthy_devices): client \'c0\'","kind":"shed","reason":"no_healthy_devices","type":"error_reply"}',
-    Refusal.DIRECTORY_UNAVAILABLE: b'{"crc":"8f36da81","detail":"request shed (directory_unavailable): no live replica for client \'c0\' (tried shard-00, shard-01)","kind":"shed","reason":"directory_unavailable","type":"error_reply"}',
     Refusal.TENANT_QUOTA: b'{"crc":"3ae7ebf8","detail":"request shed (tenant_quota): client \'c0\'","kind":"shed","reason":"tenant_quota","type":"error_reply"}',
     Refusal.DOOR_SATURATED: b'{"crc":"d2031de5","detail":"server saturated; retry later","kind":"busy","type":"error_reply"}',
     Refusal.DUPLICATE_IN_FLIGHT: b'{"crc":"79a8b645","detail":"client \'c0\' already has a search in flight","kind":"busy","type":"error_reply"}',
@@ -359,7 +352,6 @@ CLASSIFIED = {
     Refusal.DEADLINE_EXPIRED: "shed:deadline_expired",
     Refusal.SHUTDOWN: "shed:shutdown",
     Refusal.NO_HEALTHY_DEVICES: "shed:no_healthy_devices",
-    Refusal.DIRECTORY_UNAVAILABLE: "shed:directory_unavailable",
     Refusal.TENANT_QUOTA: "shed:tenant_quota",
     Refusal.DOOR_SATURATED: "busy",
     Refusal.DUPLICATE_IN_FLIGHT: "busy",
@@ -370,8 +362,6 @@ CLASSIFIED = {
 
 def _raised_as(refusal: Refusal) -> Exception:
     """One exception carrying ``refusal``, worded as the server words it."""
-    if refusal is Refusal.DIRECTORY_UNAVAILABLE:
-        return DirectoryUnavailable("c0", ("shard-00", "shard-01"))
     if refusal.kind == "shed":
         return RequestShed(refusal, "client 'c0'")
     if refusal is Refusal.DOOR_SATURATED:

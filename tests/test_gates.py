@@ -7,13 +7,22 @@ one schema with ``pass`` tied to ``gates`` and to the exit code, and that
 the committed ``BENCH_*.json`` records are in that schema.
 """
 
+import dataclasses
 import json
 import pathlib
+import shutil
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.gates import GATES, SCHEMA, gate_parser, select_gate
+from repro.gates import (
+    GATES,
+    SCHEMA,
+    _git_state,
+    _tree_digest,
+    gate_parser,
+    select_gate,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,10 +65,9 @@ class TestTable:
                 assert tuple(engine.choices) == ENGINE_MODES == ("fleet", "sched")
                 assert engine.default == "fleet"
 
-    def test_the_table_has_the_seven_gates(self):
+    def test_the_table_has_the_six_gates(self):
         assert sorted(GATES) == [
-            "chaos", "deployment", "directory_storm", "fleet", "fleet_storm",
-            "recovery", "tenancy",
+            "chaos", "deployment", "fleet", "fleet_storm", "recovery", "tenancy",
         ]
 
     def test_the_committed_records_cover_the_four_benchmarks(self):
@@ -84,7 +92,6 @@ class TestRunner:
         "argv",
         [
             ["fleet", "--storm", "--requests", "6", "--depths", "1,2"],
-            ["directory", "--storm", "--clients", "10", "--seed", "0"],
             ["tenants", "--victims", "4", "--aggressors", "6"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
@@ -103,15 +110,20 @@ class TestRunner:
         ]
         assert gate_lines == [f"GATE: {failure}" for failure in record["gates"]]
 
-    def test_broken_invariant_is_named_and_exits_one(self, tmp_path, capsys):
-        code, record = run_cli(
-            tmp_path, "directory", "--storm", "--clients", "10", "--seed", "0",
-            "--shed-ceiling", "0.0",
+    def test_broken_invariant_is_named_and_exits_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        broken = dataclasses.replace(
+            GATES["chaos"],
+            run=lambda args: ({}, ["stub invariant broke"]),
+            render=lambda record: "stub",
         )
+        monkeypatch.setitem(GATES, "chaos", broken)
+        code, record = run_cli(tmp_path, "chaos", "--seed", "0")
         assert code == 1
         assert_is_a_record(record)
-        assert any("shed rate" in failure for failure in record["gates"])
-        assert "GATE: shed rate" in capsys.readouterr().err
+        assert record["gates"] == ["stub invariant broke"]
+        assert "GATE: stub invariant broke" in capsys.readouterr().err
 
     def test_refused_value_is_still_a_usage_error(self, tmp_path, capsys):
         output = tmp_path / "record.json"
@@ -126,7 +138,13 @@ class TestRunner:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sched"], ["directory", "--bench"], ["fleet", "--bench", "--requests", "8"]],
+        [
+            ["sched"],
+            ["directory"],
+            ["directory", "--storm"],
+            ["directory", "--bench"],
+            ["fleet", "--bench", "--requests", "8"],
+        ],
         ids=" ".join,
     )
     def test_a_retired_gate_or_option_is_a_usage_error(self, argv, capsys):
@@ -134,3 +152,20 @@ class TestRunner:
             cli_main(argv)
         assert exited.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestGitStamp:
+    def test_the_tree_digest_names_the_bytes_that_ran(self, tmp_path):
+        assert _git_state()["tree"] == _tree_digest() == _tree_digest()
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            REPO / "src" / "repro", tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        copied = _tree_digest(tree)
+        assert copied == _tree_digest()
+        target = tree / "refusals.py"
+        data = bytearray(target.read_bytes())
+        data[0] ^= 1
+        target.write_bytes(bytes(data))
+        assert _tree_digest(tree) != copied

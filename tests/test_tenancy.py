@@ -13,7 +13,6 @@ from repro.core import (
     RegistrationAuthority,
 )
 from repro.core.salting import HashChainSalt
-from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines import build_engine
 from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
@@ -34,11 +33,9 @@ from repro.tenancy import (
     TenantRegistry,
     TokenBucket,
     namespaced_key,
-    split_key,
-    tenant_of_key,
     validate_tenant_id,
 )
-from repro.tenancy.errors import TenantQuotaExceeded, UnknownTenant
+from repro.tenancy.errors import UnknownTenant
 
 
 class ManualClock:
@@ -61,10 +58,6 @@ class TestTenantIdentity:
 
     def test_named_tenant_prefixes_the_key(self):
         assert namespaced_key("gold", "alice") == "gold::alice"
-        assert split_key("gold::alice") == ("gold", "alice")
-        assert split_key("alice") == (DEFAULT_TENANT, "alice")
-        assert tenant_of_key("gold::alice") == "gold"
-        assert tenant_of_key("alice") == DEFAULT_TENANT
 
     def test_separator_forbidden_inside_client_ids(self):
         with pytest.raises(ValueError, match="may not contain"):
@@ -87,8 +80,6 @@ class TestTenantIdentity:
             TenantQuota(lookup_rate=0.0)
         with pytest.raises(ValueError):
             TenantQuota(burst=0.5)
-        with pytest.raises(ValueError):
-            TenantQuota(max_enrollments=-1)
         with pytest.raises(ValueError):
             TenantContext("gold", weight=0.0)
 
@@ -180,15 +171,16 @@ class TestTenantRegistry:
                 TenantContext(
                     "gold",
                     weight=3.0,
-                    quota=TenantQuota(lookup_rate=5.0, max_enrollments=7),
+                    quota=TenantQuota(lookup_rate=5.0),
                 ),
             )
         )
         assert registry.weight_of("gold") == 3.0
         assert registry.weight_of("ghost") == 1.0
-        assert registry.enrollment_cap("gold") == 7
-        assert registry.enrollment_cap(None) is None
         snapshot = registry.snapshot()
+        assert set(snapshot["gold"]) == {
+            "weight", "lookup_rate", "burst", "tokens_available",
+        }
         assert snapshot["gold"]["lookup_rate"] == 5.0
         assert snapshot["gold"]["tokens_available"] == pytest.approx(5.0)
         assert "tokens_available" not in snapshot[DEFAULT_TENANT]
@@ -319,57 +311,23 @@ def _mask_for(seed: int):
     )
 
 
-class TestDirectoryTenancy:
+class TestStoreTenancy:
     def test_namespaced_records_do_not_collide(self):
-        directory = ShardedEnrollmentDirectory(b"tenancy-unittest", shards=2)
+        store = EncryptedImageDatabase(b"tenancy-unittest")
         gold, brass = _mask_for(1), _mask_for(2)
-        directory.enroll("gold::dev", gold)
-        directory.enroll("brass::dev", brass)
-        directory.enroll("dev", _mask_for(3))
-        assert len(directory) == 3
+        store.enroll("gold::dev", gold)
+        store.enroll("brass::dev", brass)
+        store.enroll("dev", _mask_for(3))
+        assert len(store) == 3
         assert (
-            directory.lookup("gold::dev").reference_seed_bits(128)
+            store.lookup("gold::dev").reference_seed_bits(128)
             == gold.reference_seed_bits(128)
         ).all()
         assert (
-            directory.lookup("brass::dev").reference_seed_bits(128)
+            store.lookup("brass::dev").reference_seed_bits(128)
             == brass.reference_seed_bits(128)
         ).all()
-        assert directory.tenant_record_count("gold") == 1
-        assert directory.tenant_record_count(DEFAULT_TENANT) == 1
-
-    def test_enrollment_cap_enforced_at_install(self):
-        registry = TenantRegistry(
-            tenants=(
-                TenantContext(
-                    "gold", quota=TenantQuota(max_enrollments=2)
-                ),
-            )
-        )
-        directory = ShardedEnrollmentDirectory(
-            b"tenancy-unittest", shards=2, tenants=registry
-        )
-        directory.enroll("gold::a", _mask_for(1))
-        directory.enroll("gold::b", _mask_for(2))
-        with pytest.raises(TenantQuotaExceeded) as excinfo:
-            directory.enroll("gold::c", _mask_for(3))
-        assert excinfo.value.tenant_id == "gold"
-        assert excinfo.value.kind == "max_enrollments"
-        # Re-enrolling a known record replaces, never consumes quota.
-        directory.enroll("gold::a", _mask_for(4))
-        assert directory.tenant_record_count("gold") == 2
-        # Uncapped tenants are untouched by the cap machinery.
-        directory.enroll("brass::a", _mask_for(5))
-
-    def test_lookup_stats_carry_the_tenant(self):
-        directory = ShardedEnrollmentDirectory(b"tenancy-unittest", shards=2)
-        directory.enroll("gold::dev", _mask_for(1))
-        directory.lookup("gold::dev")
-        directory.lookup("gold::dev")
-        assert (directory.hot_hits, directory.hot_misses) == (1, 1)
-        snapshot = directory.snapshot()
-        assert snapshot["tenants"]["gold"]["lookups"] == 2
-        assert snapshot["tenants"]["gold"]["enrollments"] == 1
+        assert store.client_ids() == ("brass::dev", "dev", "gold::dev")
 
 
 def _build_authority(max_distance=1):
