@@ -365,7 +365,7 @@ def _parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="multi-device dispatch demo; --storm is the device-loss "
-             "storm, --bench the scan-thread scaling + hedging gate",
+             "storm, --bench the host-device scaling + hedging gate",
     )
     fleet.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                        help="comma-separated device tokens, e.g. "

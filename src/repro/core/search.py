@@ -1,7 +1,7 @@
 """Algorithm 1 as a protocol-facing service.
 
 :class:`RBCSearchService` wraps an execution engine (single-process
-vectorized, the fleet dispatcher's scan threads, or a simulated device)
+vectorized, the fleet dispatcher's per-core devices, or a simulated device)
 behind the interface the CA uses: *given a digest and an enrolled seed,
 find the client's seed within the time threshold T*. The paper fixes
 T = 20 s.

@@ -170,7 +170,7 @@ def build_serving_stack(
     """(verifying_authority, dispatcher_engine) for one server.
 
     One engine per server: ``fleet`` mode builds the dispatcher over the
-    topology's device tokens, ``sched`` the one-device dispatcher, and
+    topology's device tokens, ``sched`` the one-host dispatcher, and
     the authority's search service holds that same engine — so
     ``max_distance`` / ``time_threshold`` and the engine live in one
     object — while the second element slots into the

@@ -6,7 +6,7 @@ survive ``kill -9``:
 
 * :mod:`repro.durability.wal` — CRC-framed append-only write-ahead log
   with configurable fsync policy and torn-tail-aware scanning;
-* :mod:`repro.durability.log` — per-shard :class:`ShardLog`: WAL plus
+* :mod:`repro.durability.log` — the store's :class:`StoreLog`: WAL plus
   atomic encrypted checkpoints, and the recovery pass that loads the
   latest checkpoint, replays the log version-monotonically, truncates a
   torn tail, and refuses mid-log damage with a typed
@@ -28,7 +28,7 @@ from repro.durability.errors import (
 from repro.durability.log import (
     EnrollRecord,
     RecoveryResult,
-    ShardLog,
+    StoreLog,
     replay_into,
 )
 from repro.durability.store import DurableImageStore
@@ -47,7 +47,7 @@ __all__ = [
     "WriteAheadLog",
     "WalScan",
     "scan_wal",
-    "ShardLog",
+    "StoreLog",
     "EnrollRecord",
     "RecoveryResult",
     "replay_into",

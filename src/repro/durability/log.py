@@ -1,6 +1,6 @@
-"""Per-shard durable log: WAL + periodic checkpoint, and recovery.
+"""The image store's durable log: WAL + periodic checkpoint, and recovery.
 
-A :class:`ShardLog` owns one directory on disk::
+A :class:`StoreLog` owns one directory on disk::
 
     <dir>/wal.log          append-only enrollment records
     <dir>/checkpoint.snap  latest compaction (still-encrypted snapshot)
@@ -37,7 +37,7 @@ from repro.durability.wal import (
     scan_wal,
 )
 
-__all__ = ["ShardLog", "RecoveryResult", "EnrollRecord", "replay_into"]
+__all__ = ["StoreLog", "RecoveryResult", "EnrollRecord", "replay_into"]
 
 _WAL_NAME = "wal.log"
 _CHECKPOINT_NAME = "checkpoint.snap"
@@ -111,8 +111,8 @@ def replay_into(store, records: list[EnrollRecord]) -> int:
     return applied
 
 
-class ShardLog:
-    """One shard's durability: append records, checkpoint, recover."""
+class StoreLog:
+    """The store's durability: append records, checkpoint, recover."""
 
     def __init__(
         self,
@@ -248,7 +248,7 @@ class ShardLog:
             self._wal.close()
             self._wal = None
 
-    def __enter__(self) -> "ShardLog":
+    def __enter__(self) -> "StoreLog":
         return self
 
     def __exit__(self, *_exc) -> None:

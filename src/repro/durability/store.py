@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.durability.log import RecoveryResult, ShardLog, replay_into
+from repro.durability.log import RecoveryResult, StoreLog, replay_into
 from repro.durability.wal import FsyncPolicy
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.ternary import TernaryMask
@@ -48,7 +48,7 @@ class DurableImageStore:
             fsync = FsyncPolicy.parse(fsync)
         self.checkpoint_every = checkpoint_every
         self._store = EncryptedImageDatabase(master_key)
-        self._log = ShardLog(data_dir, fsync=fsync)
+        self._log = StoreLog(data_dir, fsync=fsync)
         self._lock = threading.Lock()
         self._appends_since_checkpoint = 0
         self.recovery: RecoveryResult = self._recover()

@@ -1,7 +1,7 @@
 """Unified search-engine stack: registry, wrappers, one result type.
 
 Every way this repo can run Algorithm 1 — single-process vectorized
-batch search, the fleet dispatcher and its scan threads, the
+batch search, the fleet dispatcher and its per-core devices, the
 original-RBC cipher baseline, and the device-model-backed accelerator
 engines — is reachable through one front door::
 

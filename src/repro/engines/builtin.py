@@ -72,17 +72,17 @@ def _one_host(
 
 register_engine(
     "sched",
-    description="Deadline-aware continuous-batching scheduler: the one-device fleet",
+    description="Deadline-aware continuous-batching scheduler: the one-host fleet",
 )(_one_host("sched", batch_size=16384))
 register_engine(
     "pool",
-    description="One host device hashing on `workers` threads "
-    "that make their own candidates",
+    description="One host as `workers` devices, one per core, "
+    "each pulling its own rank ranges",
     aliases={"w": "workers"},
 )(_one_host("pool", batch_size=16384, workers=True))
 register_engine(
     "parallel",
-    description="One host device hashing on `workers` threads "
+    description="One host as `workers` devices, one per core "
     "(default: the cpuset); the SALTED-CPU analogue",
     aliases={"w": "workers"},
 )(_one_host("parallel", batch_size=8192, workers=True))

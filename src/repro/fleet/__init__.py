@@ -3,13 +3,14 @@
 A search becomes shell chunks (:mod:`~repro.fleet.units`) and one ticket
 (:mod:`~repro.fleet.scheduler`), admitted and ordered by deadline-aware
 lanes (:mod:`~repro.fleet.policy`) and fused with other clients' chunks
-into each device batch (:mod:`~repro.fleet.batcher`). The dispatcher
-places those chunks on one or several modeled device backends,
-health-checks them with heartbeat probes and per-device circuit
+into each device batch (:mod:`~repro.fleet.batcher`). Every device —
+each core of a ``host``, each modeled backend — pulls its own chunks
+from that stream, so one search runs on all of them at once and settles
+in rank order. The dispatcher health-checks them with heartbeat probes and per-device circuit
 breakers, re-dispatches chunks orphaned by a device failure onto
 survivors (preserving the byte-equivalence contract), and hedges
 straggler batches onto idle devices with first-result-wins settlement.
-``sched:`` specs build the one-device case.
+``sched:`` specs build the one-host case.
 
 Quick start::
 
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
-from repro.fleet.engine import DEVICE_WEIGHTS, FleetSearchEngine
+from repro.fleet.engine import DEVICE_NAMES, FleetSearchEngine
 
 __all__ = [
     "FleetDevice",
     "FleetScheduler",
     "FleetSearchEngine",
-    "DEVICE_WEIGHTS",
+    "DEVICE_NAMES",
 ]

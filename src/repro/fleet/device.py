@@ -4,9 +4,8 @@ A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
 * its own :class:`~repro.fleet.batcher.ContinuousBatcher` (the kernel
-  path — per-device so batch counters and fairness state stay local),
-  which splits wide batches over the engine's one
-  :class:`~repro.fleet.batcher.WorkerSet` when it was given it;
+  path, run on the device's own thread — per-device so batch counters
+  and fairness state stay local);
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -36,12 +35,7 @@ from repro.devices.flaky import DeviceFailure
 from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 
-from repro.fleet.batcher import (
-    BatchSlice,
-    ContinuousBatcher,
-    SliceOutcome,
-    WorkerSet,
-)
+from repro.fleet.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
 
 __all__ = ["FleetDevice"]
 
@@ -57,7 +51,7 @@ _MAX_THROTTLE_SLEEP = 1.0
 
 
 class FleetDevice:
-    """A health-checked device slot the fleet dispatcher places work on."""
+    """A health-checked device slot that pulls work from the fleet's stream."""
 
     def __init__(
         self,
@@ -66,20 +60,15 @@ class FleetDevice:
         *,
         fixed_padding: bool = True,
         model: DeviceModel | None = None,
-        weight: float = 1.0,
         fairness_window: int = 64,
         breaker: CircuitBreaker | None = None,
-        workers: WorkerSet | None = None,
     ):
-        if weight <= 0:
-            raise ValueError("weight must be positive")
         self.name = name
         self.algo = algo
-        self.batcher = ContinuousBatcher(algo, fixed_padding, workers)
+        self.batcher = ContinuousBatcher(algo, fixed_padding)
         self.model = model
         #: Fault stream discovered on the model (FlakyDeviceModel), if any.
         self.injector = getattr(model, "injector", None)
-        self.weight = weight
         self.breaker = (
             breaker
             if breaker is not None
@@ -125,7 +114,7 @@ class FleetDevice:
 
     @property
     def placeable(self) -> bool:
-        """Whether the dispatcher may assign new work to this device."""
+        """Whether this device may pull new work."""
         return self.breaker.state == BreakerState.CLOSED
 
     def probe(self) -> bool:
@@ -135,10 +124,9 @@ class FleetDevice:
         an idle dead device and successful probes close a half-open one
         (probation -> reinstatement). The fault injector is *not*
         consulted: probes observe health, they do not advance which
-        searches fail. The row goes through ``hash_seeds_batch`` on this
-        thread, as a narrow batch does in ``run_batch``; it costs
-        microseconds, which an idle fleet heartbeating continuously can
-        afford.
+        searches fail. The row goes through ``hash_seeds_batch`` on the
+        calling (monitor) thread; it costs microseconds, which an idle
+        fleet heartbeating continuously can afford.
         """
         self.probes += 1
         ok = not self.killed
@@ -215,7 +203,6 @@ class FleetDevice:
         return {
             "health": self.health,
             "killed": self.killed,
-            "weight": self.weight,
             "batches": self.batches,
             "rows_hashed": self.rows_hashed,
             "failures": self.failures,

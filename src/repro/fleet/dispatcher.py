@@ -11,28 +11,37 @@ remaining chunks are simply dropped — the per-request early exit), when
 its shells are exhausted, when its protocol time budget expires (a
 ``timed_out`` result, exactly like the unscheduled engines), or when
 its client deadline passes (a typed
-:class:`~repro.refusals.RequestShed`). One device is the ``sched:``
-engine; several modeled accelerators serve the same stream concurrently.
+:class:`~repro.refusals.RequestShed`). Each core of a ``host`` is one
+device, and modeled accelerators are devices too; all of them serve the
+same stream concurrently, one search included.
 
 Placement and recovery rules:
 
-* **Affinity** — each admitted request is assigned to the least-loaded
-  placeable device and stays there; all of a request's batches run on
-  its device, so the within-request candidate order is the single-engine
-  order and results stay byte-identical.
-* **At most one in-flight batch per request** — assembly skips requests
-  whose previous batch has not settled, so outcomes commit in protocol
-  order even when a hedge is racing the primary.
+* **Pull** — a device that finishes a batch assembles its next one from
+  every active request's cursor: no request is pinned to a device, so
+  one search's rank ranges run on every device at once and no device
+  waits for another's batch (the paper's OpenMP threads, §4.3, and its
+  chunks across GPUs, §4.8).
+* **At most one in-flight range per request per device** — assembly on
+  a device skips requests that already have a range running there.
+* **Rank-ordered settle** — a hashed range commits only once every lower
+  range of its request has committed, so a request settles on the match
+  at the lowest rank, the single-engine candidate order, and results
+  stay byte-identical. A match drops every range above it, hashed or
+  running: the paper's exit flag (§4.4). A result counts committed
+  ranges only; the rows hashed past a match show in the devices'
+  ``rows_hashed`` and nowhere else.
 * **Re-dispatch** — a device that fails mid-batch (fault injection or
-  the chaos kill switch) discards its results; the batch's chunk slices
-  are pushed back onto each request's cursor *front*, so a survivor
-  replays exactly the orphaned candidates before advancing.
+  the chaos kill switch) discards its results; the batch's ranges are
+  pushed back onto each request's cursor ahead of everything unserved,
+  so a survivor replays exactly the orphaned candidates.
 * **Quarantine / probation** — each device's circuit breaker turns
-  consecutive failures into quarantine; the monitor probes half-open
-  devices and reinstates them on a successful heartbeat, re-placing any
-  parked requests.
-* **Hedging** — an idle device duplicates another device's unsettled
-  batch once it is past the straggler latency threshold; the first
+  consecutive failures into quarantine, and a quarantined device pulls
+  nothing; the monitor probes half-open devices and reinstates them on
+  a successful heartbeat.
+* **Hedging** — a device with nothing left to pull duplicates another
+  device's unsettled batch once it is past the straggler latency
+  threshold; the first
   result wins (a settle flag CASed under the fleet lock), the loser's
   output is discarded.
 * **Grace shedding** — when every device has been quarantined for
@@ -49,6 +58,7 @@ own seeds hashed and seconds per shell.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from collections import deque
@@ -95,6 +105,7 @@ class _InflightBatch:
     def __init__(
         self, device: FleetDevice, slices: tuple[BatchSlice, ...], started: float
     ):
+        #: The device that pulled the batch (its primary).
         self.device = device
         self.slices = slices
         self.started = started
@@ -106,10 +117,6 @@ class _InflightBatch:
         #: The primary died while a hedge was live; the hedge resolves
         #: the batch (commit on success, push-back on its own failure).
         self.primary_failed = False
-
-    @property
-    def requests(self) -> list[ScheduledSearch]:
-        return [piece.key for piece in self.slices]  # type: ignore[misc]
 
 
 class FleetScheduler:
@@ -150,7 +157,7 @@ class FleetScheduler:
         self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
         #: What :meth:`describe` answers when set; the ``sched`` factory
-        #: names its one-device fleet ``sched:...`` through it.
+        #: names its one-host fleet ``sched:...`` through it.
         self.spec_string = spec_string
         self._wake = threading.Condition()
         self._active: list[ScheduledSearch] = []
@@ -176,7 +183,6 @@ class FleetScheduler:
         self._peak_depth = 0
         self._batches_by_lane: dict[str, int] = {}
         self._redispatched = 0
-        self._reassigned = 0
         self._hedges_launched = 0
         self._hedge_wins = 0
         self._hedges_cancelled = 0
@@ -252,7 +258,7 @@ class FleetScheduler:
         client_id: str = "",
         tenant: TenantContext | str | None = None,
     ) -> ScheduledSearch:
-        """Admit one search and place it on the least-loaded device.
+        """Admit one search into the stream every device pulls from.
 
         ``time_budget`` is the protocol threshold T — on expiry the
         request completes with a ``timed_out`` result, exactly like the
@@ -264,9 +270,9 @@ class FleetScheduler:
         Raises :class:`~repro.net.errors.ServerClosed` after :meth:`close`, and
         :class:`RequestShed` on admission rejection (full queue /
         hopeless deadline / exhausted tenant budget). When no device is
-        placeable the request is *parked* and either placed on the next
-        reinstatement or shed (``no_healthy_devices``) once the whole
-        fleet stays dark past the grace window.
+        placeable the request waits for the next reinstatement, or is
+        shed (``no_healthy_devices``) once the whole fleet stays dark
+        past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -311,7 +317,6 @@ class FleetScheduler:
                 cursor=UnitCursor(units, self.batch_size),
                 tenant_id=tenant_id,
             )
-            request.device = self._place_locked()
             self._admitted += 1
             self._tenant_admitted[tenant_id] = (
                 self._tenant_admitted.get(tenant_id, 0) + 1
@@ -321,18 +326,6 @@ class FleetScheduler:
             self._ensure_threads_locked()
             self._wake.notify_all()
         return request
-
-    def _place_locked(self) -> FleetDevice | None:
-        placeable = [d for d in self.devices if d.placeable]
-        if not placeable:
-            return None
-        return min(placeable, key=self._load_locked)
-
-    def _load_locked(self, device: FleetDevice) -> float:
-        load = sum(
-            r.remaining_work for r in self._active if r.device is device
-        )
-        return load / device.weight
 
     def _ensure_threads_locked(self) -> None:
         if self._threads:
@@ -366,10 +359,9 @@ class FleetScheduler:
         An unexpected exception (a kernel that raised something other
         than a device failure, an allocation failure while assembling a
         batch) closes the dispatcher, sheds every active request as
-        ``shutdown`` and re-raises on this thread.
-        Batches still running on other devices are marked settled, so
-        their runners discard the results instead of committing to
-        requests that were just shed.
+        ``shutdown`` and re-raises on this thread. Batches still running
+        on other devices discard their results for the retired requests
+        instead of committing to requests that were just shed.
         """
         try:
             loop(*args)
@@ -378,10 +370,8 @@ class FleetScheduler:
                 self._closed = True
                 self._drain = False
                 orphans = list(self._active)
-                self._active.clear()
                 for request in orphans:
-                    if request.inflight_batch is not None:
-                        request.inflight_batch.settled = True
+                    self._retire_locked(request)
                 self._wake.notify_all()
             for request in orphans:
                 self._finalize_shed(request, Refusal.SHUTDOWN)
@@ -390,7 +380,6 @@ class FleetScheduler:
     def _device_loop(self, device: FleetDevice) -> None:
         while True:
             expired: list[tuple[ScheduledSearch, str]] = []
-            drained: list[ScheduledSearch] = []
             kind: str | None = None
             inflight: _InflightBatch | None = None
             with self._wake:
@@ -399,8 +388,8 @@ class FleetScheduler:
                 now = time.perf_counter()
                 expired = self._expire_locked(now)
                 if not expired:
-                    kind, inflight, drained = self._assemble_locked(device, now)
-                    if kind is None and not drained:
+                    kind, inflight = self._assemble_locked(device, now)
+                    if kind is None:
                         # Expiry and hedge thresholds are clock-driven,
                         # so poll while requests are active; an idle
                         # fleet blocks until submit / kill / revive /
@@ -415,8 +404,6 @@ class FleetScheduler:
                     self._finalize_shed(request, Refusal.DEADLINE_EXPIRED)
                 else:
                     self._finalize_result(request, timed_out=True)
-            for request in drained:
-                self._finalize_result(request, timed_out=False)
             if kind == "batch":
                 assert inflight is not None
                 self._run_primary(device, inflight)
@@ -427,11 +414,10 @@ class FleetScheduler:
     def _expire_locked(
         self, now: float
     ) -> list[tuple[ScheduledSearch, str]]:
-        """Deadline/budget expiry for settled requests (lock held)."""
+        """Deadline/budget expiry (lock held); ranges still running for
+        an expired request are discarded when they return."""
         expired: list[tuple[ScheduledSearch, str]] = []
         for request in self._active:
-            if request.inflight_batch is not None:
-                continue
             if request.deadline is not None and now > request.deadline:
                 expired.append((request, "deadline"))
             elif (
@@ -444,25 +430,25 @@ class FleetScheduler:
             ):
                 expired.append((request, "budget"))
         for request, _ in expired:
-            self._active.remove(request)
+            self._retire_locked(request)
         return expired
 
     def _assemble_locked(
         self, device: FleetDevice, now: float
-    ) -> tuple[str | None, _InflightBatch | None, list[ScheduledSearch]]:
-        """Build this device's next batch, or find a hedge (lock held)."""
+    ) -> tuple[str | None, _InflightBatch | None]:
+        """Pull this device's next batch, or find a hedge (lock held)."""
         if not device.placeable:
-            return None, None, []
+            return None, None
         runnable = [
             r
             for r in self._active
-            if r.device is device and r.inflight_batch is None
+            if device not in r.running and not r.cursor.exhausted
         ]
         if not runnable:
             hedge = self._find_hedge_locked(device, now)
             if hedge is not None:
-                return "hedge", hedge, []
-            return None, None, []
+                return "hedge", hedge
+            return None, None
         self._aged_promotions += self.policy.apply_aging(runnable, now)
         primary = self.policy.pick(
             runnable, device.recent_lanes, self._recent_tenant_rows
@@ -478,7 +464,6 @@ class FleetScheduler:
         device.last_primary = primary
 
         slices: list[BatchSlice] = []
-        drained: list[ScheduledSearch] = []
         room = self.batch_size
         for request in self.policy.fill_order(
             runnable, primary, self._recent_tenant_rows
@@ -486,10 +471,9 @@ class FleetScheduler:
             if room <= 0:
                 break
             taken = request.cursor.take(room)
-            if taken is None:
-                drained.append(request)
-                continue
+            assert taken is not None, "runnable requests have ranks left"
             distance, lo, hi = taken
+            request.running[device] = taken
             slices.append(
                 BatchSlice(
                     key=request,
@@ -501,19 +485,13 @@ class FleetScheduler:
                 )
             )
             room -= hi - lo
-        for request in drained:
-            self._active.remove(request)
-        if not slices:
-            return None, None, drained
         inflight = _InflightBatch(device, tuple(slices), now)
-        for request in inflight.requests:
-            request.inflight_batch = inflight
         device.inflight = inflight
         device.recent_lanes.append(primary.lane)
         self._batches_by_lane[primary.lane] = (
             self._batches_by_lane.get(primary.lane, 0) + 1
         )
-        return "batch", inflight, drained
+        return "batch", inflight
 
     def _find_hedge_locked(
         self, device: FleetDevice, now: float
@@ -580,8 +558,9 @@ class FleetScheduler:
         outcomes: list[SliceOutcome],
         winner: FleetDevice,
     ) -> None:
-        """First-result-wins settlement plus per-request accounting."""
-        found: list[tuple[ScheduledSearch, SliceOutcome]] = []
+        """First-result-wins settlement of a batch, then each of its
+        requests' rank-ordered commits."""
+        retired: list[tuple[ScheduledSearch, SliceOutcome | None]] = []
         with self._wake:
             if inflight.settled:
                 # Lost the race: the other runner already committed.
@@ -590,8 +569,7 @@ class FleetScheduler:
             inflight.settled = True
             if inflight.device.inflight is inflight:
                 inflight.device.inflight = None
-            hedge_won = winner is not inflight.device
-            if hedge_won:
+            if winner is not inflight.device:
                 self._hedge_wins += 1
             total_rows = sum(outcome.rows for outcome in outcomes)
             total_seconds = max(
@@ -606,41 +584,67 @@ class FleetScheduler:
             )
             for outcome in outcomes:
                 request: ScheduledSearch = outcome.key  # type: ignore[assignment]
-                request.inflight_batch = None
-                if request.device is not winner and (
-                    hedge_won or request.device is None
-                ):
-                    # The winner proved responsive — move affinity there.
-                    if request.device is not None:
-                        self._reassigned += 1
-                    request.device = winner
-                request.remaining_work = max(
-                    0, request.remaining_work - outcome.rows
+                if request.retired:
+                    continue  # past its match, its budget or its deadline
+                ranks = request.running.pop(inflight.device)
+                bisect.insort(
+                    request.hashed, (ranks, outcome), key=lambda entry: entry[0]
                 )
-                request.shell_hashed[outcome.distance] = (
-                    request.shell_hashed.get(outcome.distance, 0) + outcome.rows
-                )
-                request.shell_seconds[outcome.distance] = (
-                    request.shell_seconds.get(outcome.distance, 0.0)
-                    + outcome.seconds
-                )
-                self._recent_tenant_rows.append(
-                    (request.tenant_id, outcome.rows)
-                )
-                self._tenant_rows[request.tenant_id] = (
-                    self._tenant_rows.get(request.tenant_id, 0) + outcome.rows
-                )
-                if outcome.seed is not None:
-                    self._active.remove(request)
-                    found.append((request, outcome))
+                done, match = self._settle_locked(request)
+                if done:
+                    retired.append((request, match))
             self._wake.notify_all()
-        for request, outcome in found:
+        for request, match in retired:
             self._finalize_result(
                 request,
                 timed_out=False,
-                seed=outcome.seed,
-                distance=outcome.distance,
+                seed=None if match is None else match.seed,
+                distance=None if match is None else match.distance,
             )
+
+    def _settle_locked(
+        self, request: ScheduledSearch
+    ) -> tuple[bool, SliceOutcome | None]:
+        """Commit, lowest rank first, the request's hashed ranges that no
+        lower range waits for (lock held). Whether that retired it, and
+        on what: a committed match, or every range committed without one
+        (``None``)."""
+        waiting = [ranks[:2] for ranks in request.running.values()]
+        if request.cursor.floor is not None:
+            waiting.append(request.cursor.floor)
+        lowest = min(waiting, default=None)
+        while request.hashed and (
+            lowest is None or request.hashed[0][0][:2] < lowest
+        ):
+            _ranks, outcome = request.hashed.pop(0)
+            request.remaining_work = max(
+                0, request.remaining_work - outcome.rows
+            )
+            request.shell_hashed[outcome.distance] = (
+                request.shell_hashed.get(outcome.distance, 0) + outcome.rows
+            )
+            request.shell_seconds[outcome.distance] = (
+                request.shell_seconds.get(outcome.distance, 0.0)
+                + outcome.seconds
+            )
+            self._recent_tenant_rows.append((request.tenant_id, outcome.rows))
+            self._tenant_rows[request.tenant_id] = (
+                self._tenant_rows.get(request.tenant_id, 0) + outcome.rows
+            )
+            if outcome.seed is not None:
+                self._retire_locked(request)
+                return True, outcome
+        if lowest is None and not request.hashed:
+            self._retire_locked(request)
+            return True, None
+        return False, None
+
+    def _retire_locked(self, request: ScheduledSearch) -> None:
+        """Take a request out of the stream; whatever of it is still
+        running is discarded when it returns."""
+        self._active.remove(request)
+        request.retired = True
+        request.hashed.clear()
 
     def _on_device_failure(
         self, device: FleetDevice, inflight: _InflightBatch
@@ -667,38 +671,21 @@ class FleetScheduler:
             self._wake.notify_all()
 
     def _push_back_locked(self, inflight: _InflightBatch) -> None:
-        """Replay the batch's chunk slices at each cursor's front."""
+        """Replay the batch's ranges ahead of each cursor's unserved ones."""
         inflight.settled = True
-        for piece in reversed(inflight.slices):
+        for piece in inflight.slices:
             request: ScheduledSearch = piece.key  # type: ignore[assignment]
+            if request.retired:
+                continue
+            del request.running[inflight.device]
             request.cursor.push_back(piece.distance, piece.lo, piece.hi)
             self._redispatched += 1
-        for request in inflight.requests:
-            request.inflight_batch = None
 
     def _note_quarantine_locked(self, device: FleetDevice) -> None:
-        if device.breaker.state == "closed":
-            return
-        if not device.was_quarantined:
+        """Count a quarantine episode once, when the breaker first opens."""
+        if device.breaker.state != "closed" and not device.was_quarantined:
             device.was_quarantined = True
             self._quarantines += 1
-        self._reassign_away_locked(device)
-
-    def _reassign_away_locked(self, device: FleetDevice) -> None:
-        """Move a quarantined device's queued requests to survivors."""
-        survivors = [
-            d for d in self.devices if d is not device and d.placeable
-        ]
-        for request in self._active:
-            if request.device is not device or request.inflight_batch is not None:
-                continue
-            if survivors:
-                target = min(survivors, key=self._load_locked)
-                request.device = target
-                self._reassigned += 1
-                self._redispatched += request.cursor.pending_chunks
-            else:
-                request.device = None
 
     # -- monitor --------------------------------------------------------
 
@@ -726,9 +713,7 @@ class FleetScheduler:
                     if state == "half_open":
                         if device.breaker.allow_request():
                             to_probe.append(device)
-                    elif state == "closed" and device.inflight is None and not any(
-                        r.device is device for r in self._active
-                    ):
+                    elif state == "closed" and device.inflight is None:
                         # Idle healthy devices heartbeat too, so a dead
                         # device without work is still detected.
                         to_probe.append(device)
@@ -743,26 +728,15 @@ class FleetScheduler:
                         self._reinstatements += 1
                     elif state != "closed":
                         self._note_quarantine_locked(device)
-                placeable = [d for d in self.devices if d.placeable]
                 now = time.perf_counter()
-                if placeable:
+                if any(d.placeable for d in self.devices):
                     self._no_healthy_since = None
-                    for request in self._active:
-                        if request.device is None:
-                            request.device = min(
-                                placeable, key=self._load_locked
-                            )
-                else:
-                    if self._no_healthy_since is None:
-                        self._no_healthy_since = now
-                    elif now - self._no_healthy_since > self._no_device_grace:
-                        shed = [
-                            r
-                            for r in self._active
-                            if r.inflight_batch is None
-                        ]
-                        for request in shed:
-                            self._active.remove(request)
+                elif self._no_healthy_since is None:
+                    self._no_healthy_since = now
+                elif now - self._no_healthy_since > self._no_device_grace:
+                    shed = [r for r in self._active if not r.running]
+                    for request in shed:
+                        self._retire_locked(request)
                 self._wake.notify_all()
             for request in shed:
                 self._finalize_shed(request, Refusal.NO_HEALTHY_DEVICES)
@@ -853,7 +827,6 @@ class FleetScheduler:
                 "batches_by_lane": dict(self._batches_by_lane),
                 "throughput": self._throughput,
                 "redispatched_chunks": self._redispatched,
-                "reassigned_requests": self._reassigned,
                 "hedges_launched": self._hedges_launched,
                 "hedge_wins": self._hedge_wins,
                 "hedges_cancelled": self._hedges_cancelled,
@@ -884,11 +857,10 @@ class FleetScheduler:
             self._wake.notify_all()
         for thread in threads:
             thread.join()
-        leftovers: list[ScheduledSearch] = []
         with self._wake:
-            if self._active:
-                leftovers = list(self._active)
-                self._active.clear()
+            leftovers = list(self._active)
+            for request in leftovers:
+                self._retire_locked(request)
         for request in leftovers:
             self._finalize_shed(request, Refusal.SHUTDOWN)
 

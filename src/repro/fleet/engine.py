@@ -6,27 +6,26 @@ wrappers, the serving layer, and the equivalence tests treat the
 dispatcher like any other engine. A blocking :meth:`~FleetSearchEngine.search`
 submits one request and waits for its ticket; the serving layer uses
 :meth:`~FleetSearchEngine.submit` to keep many requests in flight. The
-``sched`` spec builds the same engine over a single ``host`` device, and
-``pool`` / ``parallel`` that engine with a chosen number of scan
-threads.
+``sched`` spec builds the same engine over one ``host``, and ``pool`` /
+``parallel`` that engine with a chosen number of cores.
 
-The host's cores belong to the engine, not to a device: one
-:class:`~repro.fleet.batcher.WorkerSet`, a thread per CPU of the
-process's cpuset, hashes the wide batches of every device (a modeled
-``gpu`` or a second ``host`` is still this machine). A batch is rank
-ranges; the candidates are made where they are hashed, so the engine
-keeps no mask plans.
+Each core of a ``host`` is a device: the token builds ``workers``
+devices (default: one per CPU of the process's cpuset), each hashing on
+its own thread and pulling its own rank ranges from the shared stream,
+so one search runs on every core at once. A batch is rank ranges; the
+candidates are made where they are hashed, so the engine keeps no mask
+plans.
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
-    fleet:host,host                    # two identical host devices
+    fleet:host                         # one device per core of the cpuset
     fleet:gpu,flaky-apu,hash=sha1      # healthy GPU + fault-injected APU
     fleet:host,slow-host,hedge=6       # a straggler to exercise hedging
 
 Token grammar (resolved per device, left to right):
 
-* ``host`` / ``gpu`` / ``apu`` / ``cpu`` — a healthy device; the name
-  picks the placement weight (host/gpu 1.0, apu 0.6, cpu 0.3);
+* ``host`` — ``workers`` healthy devices, one per core;
+* ``gpu`` / ``apu`` / ``cpu`` — one healthy device;
 * ``flaky-<name>`` — the same device wrapped in
   :meth:`~repro.devices.flaky.FlakyDeviceModel.from_token`, scheduling
   deterministic failure episodes from ``fault_seed``;
@@ -36,15 +35,17 @@ Token grammar (resolved per device, left to right):
 
 from __future__ import annotations
 
+import os
 import weakref
 
 from repro.devices.flaky import FlakyDeviceModel
 from repro.engines.result import SearchResult
+from repro.hashes import compiled
 from repro.runtime.executor import BatchSearchExecutor
+from repro.runtime.maskplan import mask_tables
 from repro.tenancy.context import TenantContext
 from repro.tenancy.registry import TenantRegistry
 
-from repro.fleet.batcher import WorkerSet
 from repro.fleet.policy import PolicyConfig, SchedulingPolicy
 from repro.fleet.scheduler import ScheduledSearch
 from repro.fleet.units import DEFAULT_CHUNK_RANKS
@@ -52,10 +53,22 @@ from repro.fleet.units import DEFAULT_CHUNK_RANKS
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
 
-__all__ = ["FleetSearchEngine", "DEVICE_WEIGHTS"]
+__all__ = ["FleetSearchEngine", "DEVICE_NAMES", "default_worker_count"]
 
-#: Placement weight per base device name (relative modeled throughput).
-DEVICE_WEIGHTS = {"host": 1.0, "gpu": 1.0, "apu": 0.6, "cpu": 0.3}
+#: The base device names a token may carry.
+DEVICE_NAMES = frozenset({"host", "gpu", "apu", "cpu"})
+
+
+def default_worker_count() -> int:
+    """Worker count respecting the process's cpuset, not the machine.
+
+    ``os.cpu_count()`` reports every core in the box; in containers and
+    CI with restricted cpusets that over-subscribes by the cgroup ratio.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _base_name(token: str) -> str:
@@ -76,16 +89,9 @@ def _build_device(
     slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
-    workers: WorkerSet,
 ) -> FleetDevice:
-    base = _base_name(token)
-    if base not in DEVICE_WEIGHTS:
-        raise ValueError(
-            f"unknown device token {token!r}; base must be one of: "
-            f"{', '.join(sorted(DEVICE_WEIGHTS))}"
-        )
     model = None
-    if token != base:
+    if token != _base_name(token):
         model = FlakyDeviceModel.from_token(
             token, seed=fault_seed + index, slow_factor=slow_factor
         )
@@ -96,13 +102,11 @@ def _build_device(
         algo,
         fixed_padding=fixed_padding,
         model=model,
-        weight=DEVICE_WEIGHTS[base],
         fairness_window=fairness_window,
         breaker=CircuitBreaker(
             failure_threshold=failure_threshold,
             recovery_seconds=recovery_seconds,
         ),
-        workers=workers,
     )
 
 
@@ -132,6 +136,17 @@ class FleetSearchEngine:
         workers: int | None = None,
     ):
         tokens = tuple(devices) if devices else ("host", "host")
+        for token in tokens:
+            if _base_name(token) not in DEVICE_NAMES:
+                raise ValueError(
+                    f"unknown device token {token!r}; base must be one of: "
+                    f"{', '.join(sorted(DEVICE_NAMES))}"
+                )
+        #: Cores a ``host`` token hashes on, one device each (``None``:
+        #: the cpuset).
+        self.workers = workers if workers is not None else default_worker_count()
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
         executor = BatchSearchExecutor(
             hash_name=hash_name,
             batch_size=batch_size,
@@ -145,45 +160,43 @@ class FleetSearchEngine:
             ),
             tenants=tenants,
         )
-        # ``workers=None`` is the cpuset; only ``pool`` / ``parallel`` say.
-        #: The scan threads behind every device.
-        self.worker_set = WorkerSet(executor.algo, fixed_padding, workers)
+        # Built here, before any device thread races NumPy into them.
+        mask_tables()
+        compiled.load()
+        device_tokens = [
+            token
+            for token in tokens
+            for _ in range(self.workers if token == "host" else 1)
+        ]
+        fleet_devices = [
+            _build_device(
+                token,
+                index,
+                executor.algo,
+                fixed_padding=fixed_padding,
+                fairness_window=policy.config.fairness_window,
+                fault_seed=fault_seed,
+                slow_factor=slow_factor,
+                failure_threshold=failure_threshold,
+                recovery_seconds=recovery_seconds,
+            )
+            for index, token in enumerate(device_tokens)
+        ]
+        spec = f"fleet:{','.join(tokens)},hash={executor.hash_name},bs={batch_size}"
+        self.scheduler = FleetScheduler(
+            fleet_devices,
+            executor,
+            chunk_ranks=max(chunk_ranks, batch_size),
+            max_queue=max_queue,
+            policy=policy,
+            heartbeat_seconds=heartbeat_seconds,
+            hedge_factor=hedge_factor if hedge_factor > 0 else None,
+            hedge_min_seconds=hedge_min_seconds,
+            no_device_grace=no_device_grace,
+            spec_string=spec,
+        )
         # A dropped engine must not leave its threads to interpreter exit.
-        self._close_pool = weakref.finalize(self, self.worker_set.close)
-        try:
-            fleet_devices = [
-                _build_device(
-                    token,
-                    index,
-                    executor.algo,
-                    fixed_padding=fixed_padding,
-                    fairness_window=policy.config.fairness_window,
-                    fault_seed=fault_seed,
-                    slow_factor=slow_factor,
-                    failure_threshold=failure_threshold,
-                    recovery_seconds=recovery_seconds,
-                    workers=self.worker_set,
-                )
-                for index, token in enumerate(tokens)
-            ]
-            spec = (
-                f"fleet:{','.join(tokens)},hash={executor.hash_name},bs={batch_size}"
-            )
-            self.scheduler = FleetScheduler(
-                fleet_devices,
-                executor,
-                chunk_ranks=max(chunk_ranks, batch_size),
-                max_queue=max_queue,
-                policy=policy,
-                heartbeat_seconds=heartbeat_seconds,
-                hedge_factor=hedge_factor if hedge_factor > 0 else None,
-                hedge_min_seconds=hedge_min_seconds,
-                no_device_grace=no_device_grace,
-                spec_string=spec,
-            )
-        except BaseException:
-            self._close_pool()
-            raise
+        self._close_fleet = weakref.finalize(self, self.scheduler.close)
 
     # -- engine geometry (what wrappers and engine_target read) ---------
 
@@ -199,11 +212,6 @@ class FleetSearchEngine:
     @property
     def batch_size(self) -> int:
         return self.scheduler.batch_size
-
-    @property
-    def workers(self) -> int:
-        """Cores a wide batch is hashed on (1: the device thread itself)."""
-        return self.worker_set.workers
 
     def describe(self) -> str:
         """Canonical spec string for this engine's configuration."""
@@ -256,10 +264,10 @@ class FleetSearchEngine:
     # -- lifecycle ------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
-        """Close the underlying fleet (see ``FleetScheduler.close``), then
-        join the scan threads; safe to call twice."""
+        """Close the underlying fleet and join its device threads (see
+        ``FleetScheduler.close``); safe to call twice."""
         self.scheduler.close(drain=drain)
-        self._close_pool()
+        self._close_fleet.detach()
 
     def __enter__(self) -> "FleetSearchEngine":
         return self

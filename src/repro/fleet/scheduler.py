@@ -5,19 +5,19 @@
 dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`,
 :meth:`~ScheduledSearch.done`, :meth:`~ScheduledSearch.add_done_callback`)
 plus the per-request state the policy orders by (``lane`` / ``deadline`` /
-``remaining_work`` / ``seq``), the chunk cursor, the device placement and
-the rows and seconds per shell that become the result. What the
-dispatcher did around a request — preemptions, re-dispatched chunks,
+``remaining_work`` / ``seq``), the chunk cursor, the ranges running on
+devices or waiting to commit, and the rows and seconds per shell that
+become the result. What the dispatcher did around a request — preemptions, re-dispatched chunks,
 hedges — is counted once, on the dispatcher (``FleetScheduler.snapshot()``),
 not on the ticket. There is one ticket class for every fleet size — a
-``sched:`` engine is the one-device fleet.
+``sched:`` engine is the one-host fleet.
 
-Equivalence contract the dispatcher keeps per ticket: a request visits
+Equivalence contract the dispatcher keeps per ticket: a request commits
 candidates in the same order as
 :class:`~repro.runtime.executor.BatchSearchExecutor` — distance-0 probe
 first, then ascending shells in ascending rank order — so scheduled
-searches return byte-identical seeds to unscheduled ones. Concurrency
-interleaves *between* requests, never reorders within one.
+searches return byte-identical seeds to unscheduled ones. Devices hash a
+request's ranges concurrently; its commits never reorder.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engines.result import SearchResult
-from repro.fleet.batcher import UnitCursor
+from repro.fleet.batcher import Ranks, SliceOutcome, UnitCursor
 from repro.fleet.units import expected_work
 from repro.refusals import RequestShed
 from repro.tenancy.context import DEFAULT_TENANT
@@ -86,11 +86,13 @@ class ScheduledSearch:
         # -- rows and seconds per shell committed so far --
         self.shell_hashed: dict[int, int] = {}
         self.shell_seconds: dict[int, float] = {}
-        # -- placement, guarded by the dispatcher's lock --
-        #: Current device affinity, or None while parked.
-        self.device: FleetDevice | None = None
-        #: The unsettled batch carrying this request's chunks, if any.
-        self.inflight_batch = None
+        # -- the stream, guarded by the dispatcher's lock --
+        #: The range each device is hashing for this request (one each).
+        self.running: dict[FleetDevice, Ranks] = {}
+        #: Hashed ranges waiting for a lower one to commit, in rank order.
+        self.hashed: list[tuple[Ranks, SliceOutcome]] = []
+        #: Out of the stream: matched, exhausted, expired or shed.
+        self.retired = False
         # -- completion --
         self._done = threading.Event()
         self._result: SearchResult | None = None

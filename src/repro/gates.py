@@ -321,7 +321,7 @@ def _fleet_storm_render(record: Record) -> str:
     return DeviceLossStormReport(**record["metrics"]).render()
 
 
-# -- fleet: scan-thread scaling + hedged stragglers -----------------------
+# -- fleet: host-device scaling + hedged stragglers ----------------------
 
 
 def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
@@ -329,7 +329,11 @@ def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=8192)
     parser.add_argument("--straggler-requests", type=int, default=4,
                         help="exhaustive d=2 sweeps served on host + slow-host")
-    parser.add_argument("--slow-factor", type=float, default=30.0,
+    # Devices pull ranges, so the straggler holds one batch at a time:
+    # x240 makes that batch straggle about as long as x30 on each of the
+    # ~8 batches of a d=2 sweep pinned to it did, well past the 20 ms
+    # hedge floor below.
+    parser.add_argument("--slow-factor", type=float, default=240.0,
                         help="throttle of the straggler device")
 
 
@@ -378,28 +382,27 @@ def _serve_on_fleet(
 #: whatever the gate's own ``--hash`` / ``--batch-size``: a small SHA-1
 #: workload is dispatcher-bound (at 4 096 rows it reads 1.0-1.3x however
 #: many cores hash), so a floor on it would gate the dispatcher, not the
-#: workers.
+#: host devices.
 _WORKER_SCALING_HASH = "sha3-256"
 _WORKER_SCALING_BATCH = 16384
 _WORKER_SCALING_FLOOR = 1.3
 #: Sweeps per side: this many, and on while the reading is under the
-#: floor — a shared host can hold one CPU at half speed for seconds, which
-#: a split batch waits for and one unsplit thread does not — up to the cap.
+#: floor — a shared host can hold one CPU at half speed for seconds — up to
+#: the cap.
 _WORKER_SCALING_SWEEPS = 12
 _WORKER_SCALING_MAX_SWEEPS = 60
 
 
 def _worker_scaling(seed: int) -> dict[str, Any]:
-    """One ``host`` device on one core vs on the cpuset: alternating
-    exhaustive d=2 sweeps (absent target) on two warm engines, each
-    side's quiet-most sweep. The ratio is ``None`` where there is
-    nothing to compare: a one-CPU cpuset, or no compiled kernel for the
-    hash (``hashlib`` holds the interpreter lock, so the scan threads
-    share one core)."""
+    """A ``host`` on one core vs on the cpuset (one device per core):
+    alternating exhaustive d=2 sweeps (absent target) on two warm
+    engines, each side's quiet-most sweep. The ratio is ``None`` where
+    there is nothing to compare: a one-CPU cpuset, or no compiled kernel
+    for the hash (``hashlib`` holds the interpreter lock, so the host
+    devices share one core)."""
     import numpy as np
 
-    from repro.fleet import FleetSearchEngine
-    from repro.fleet.batcher import default_worker_count
+    from repro.fleet.engine import FleetSearchEngine, default_worker_count
     from repro.hashes import compiled
 
     cores = default_worker_count()
@@ -535,17 +538,17 @@ def _fleet_render(record: Record) -> str:
     hedged = metrics["hedged"]
     scaling = metrics["worker_scaling"]
     if scaling["ratio"] is None:
-        workers_line = f"  scan-thread scaling: n/a ({scaling['skipped']})"
+        workers_line = f"  host-device scaling: n/a ({scaling['skipped']})"
     else:
         workers_line = (
-            f"  scan-thread scaling (quiet-most of {scaling['sweeps']} exhaustive "
+            f"  host-device scaling (quiet-most of {scaling['sweeps']} exhaustive "
             f"d=2 sweeps, {scaling['hash_name']}, "
             f"bs={scaling['batch_size']}): 1 core "
             f"{scaling['one_core_seconds']:.3f}s -> {scaling['cores']} cores "
             f"{scaling['all_cores_seconds']:.3f}s ({scaling['ratio']:.2f}x)"
         )
     return "\n".join([
-        "Fleet — scan-thread scaling and hedged-straggler p99",
+        "Fleet — host-device scaling and hedged-straggler p99",
         f"  hash={config['hash_name']}, bs={config['batch_size']}",
         f"  hedging ({config['straggler_requests']} exhaustive d=2 sweeps "
         f"on host + slow-host, x{config['slow_factor']:g} throttle):",
@@ -756,7 +759,7 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             "fleet", "fleet", ("--bench",),
-            "scan-thread scaling, hedged vs unhedged straggler p99 (exit 1 "
+            "host-device scaling, hedged vs unhedged straggler p99 (exit 1 "
             "on a lost request, false auth, scaling or hedging regression)",
             _fleet_arguments, _fleet_run, _fleet_render,
         ),

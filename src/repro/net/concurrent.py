@@ -525,7 +525,7 @@ class ConcurrentCAServer:
         searches drain to completion; with ``wait=False`` queued work is
         shed with reason ``"shutdown"`` — either way every outstanding
         future settles before this method returns. Closing the
-        dispatcher joins its scan threads.
+        dispatcher joins its device threads.
         """
         with self._lock:
             if self._closed:

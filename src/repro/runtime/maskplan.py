@@ -6,8 +6,7 @@ combination (Algorithm 515) and walks on from there (Section 3.2,
 Table 4), so nothing but the range crosses a boundary. :func:`candidates`
 is that walk for the dispatcher: ranks ``[lo, hi)`` of one Hamming shell
 become their ``(hi - lo, 4)`` uint64 candidate words, in lexicographic
-rank order, wherever the range is hashed — the device thread or a scan
-thread (:class:`repro.fleet.batcher.WorkerSet`). It reads one
+rank order, on whichever device thread hashes the range. It reads one
 process-wide table of the d = 1 and d = 2 masks (256 + 32 640 rows,
 about 1 MB). A deeper shell
 is a run of (d - 2)-prefix groups, and each group is a contiguous suffix

@@ -26,7 +26,7 @@ from repro.runtime.maskplan import (
     combination_batches,
     global_plan_cache,
 )
-from repro.fleet.batcher import default_worker_count
+from repro.fleet.engine import default_worker_count
 from repro.net.errors import ServerClosed
 
 #: Restricting d=2 to this rank range keeps the scalar iterators fast.
@@ -142,16 +142,13 @@ class TestMaskPlanCache:
 
 class TestWarmPool:
     def test_pool_survives_100_searches_without_leaks(self, base_seed):
-        """One worker set, 100 searches, a stable descriptor count."""
+        """Two host devices, 100 searches, a stable descriptor count."""
         hit_seed = flip_bits(base_seed, [7])
         hit_target = hashlib.sha1(hit_seed).digest()
         miss_target = hashlib.sha1(b"no such seed").digest()
-        # 128-row batches would stay on the device thread; d=2 makes
-        # batches the workers take.
         engine = build_engine("pool:sha1,workers=2,bs=2048")
         try:
             assert not engine.search(base_seed, miss_target, 2).found  # cold
-            workers = engine.worker_set
             fd_baseline = len(os.listdir("/proc/self/fd"))
             for i in range(99):
                 distance = 2 if i % 10 == 0 else 1
@@ -162,7 +159,7 @@ class TestWarmPool:
                 else:
                     assert not result.found
                     assert result.seeds_hashed >= 1 + 256
-            assert workers.batches > 0
+            assert all(d.rows_hashed for d in engine.scheduler.devices)
             assert len(os.listdir("/proc/self/fd")) <= fd_baseline + 2
         finally:
             engine.close()
@@ -175,7 +172,7 @@ class TestWarmPool:
         engine.close()  # idempotent
 
     def test_concurrent_searches_share_one_pool(self, base_seed):
-        """Two threads, one worker set: a hit does not stop the miss."""
+        """Two threads, one pair of devices: a hit does not stop the miss."""
         import threading
 
         hit_seed = flip_bits(base_seed, [3, 40])
@@ -222,9 +219,8 @@ class TestServerReusesPool:
                 result = server.submit(client.client_id, digest).result(timeout=60)
                 assert result.authenticated
             snapshot = server.metrics.snapshot()
-        # One worker set served all three requests, and hashed their
-        # d = 2 batches.
-        assert engine.worker_set.batches > 0
+        # Both host devices served the three requests' ranges.
+        assert all(d.rows_hashed for d in engine.scheduler.devices)
         assert snapshot["completed"] == 3
         # Exiting the context called server.close(), which closed the
         # dispatcher it was handed.
@@ -239,7 +235,7 @@ class TestAffinityDefaults:
         for spec in ("parallel:sha1", "pool:sha1"):
             with build_engine(spec) as engine:
                 assert engine.workers == expected
-                assert engine.worker_set.splits is (expected > 1)
+                assert len(engine.scheduler.devices) == expected
 
 
 class TestSatellites:

@@ -29,7 +29,7 @@ from repro.refusals import Refusal, RequestShed
 
 @pytest.fixture
 def fleet_authority():
-    """An enrolled CA on its own one-device dispatcher — what a server
+    """An enrolled CA on its own one-host dispatcher — what a server
     given no ``scheduler`` serves on (and closes)."""
     # A dark fleet sheds after 0.2 s instead of 2 s: the failed-device
     # tests below wait that long.
@@ -57,17 +57,16 @@ def fleet_authority():
 
 
 def _hold_device(authority) -> threading.Event:
-    """Hold the authority's one device at its next batch until the
+    """Hold each of the authority's devices at its next batch until the
     returned gate is set — searches stay in flight meanwhile."""
     gate = threading.Event()
-    [device] = authority.search_service.engine.scheduler.devices
-    run_batch = device.run_batch
+    for device in authority.search_service.engine.scheduler.devices:
 
-    def held(slices):
-        gate.wait(timeout=30)
-        return run_batch(slices)
+        def held(slices, run_batch=device.run_batch):
+            gate.wait(timeout=30)
+            return run_batch(slices)
 
-    device.run_batch = held
+        device.run_batch = held
     return gate
 
 
@@ -162,7 +161,8 @@ class TestConcurrentServer:
     def test_backend_exception_recorded_as_failed(self, fleet_authority):
         authority, clients = fleet_authority
         fleet = authority.search_service.engine.scheduler
-        fleet.kill_device(fleet.devices[0].name)  # every batch fails
+        for device in fleet.devices:
+            fleet.kill_device(device.name)  # every batch fails
         with ConcurrentCAServer(authority) as server:
             future = server.submit("c0", b"\x00" * 20)
             with pytest.raises(RequestShed) as shed:
@@ -585,14 +585,14 @@ class TestFleetBackedServer:
 
         authority, clients = fleet_authority
         fleet = FleetSearchEngine(
-            "host", "slow-host", hash_name="sha1", batch_size=4096,
+            "host", "slow-host", workers=1, hash_name="sha1", batch_size=4096,
             chunk_ranks=8192, slow_factor=30.0, hedge_factor=1.0,
             hedge_min_seconds=0.02,
         )
         dispatcher = fleet.scheduler
         authority.search_service = RBCSearchService(fleet, max_distance=2)
-        # One search starts the monitor; then host-0 goes dark, so both
-        # requests below are placed on the straggler.
+        # One search starts the monitor; then host-0 goes dark, so the
+        # straggler pulls both requests below into one batch.
         assert fleet.search(b"\x01" * 32, fleet.algo.hash_seed(b"\x01" * 32), 0)
         assert set_device_alive(dispatcher, "host-0", False)
         straggler = dispatcher.device("slow-host-1")

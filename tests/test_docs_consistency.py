@@ -326,9 +326,9 @@ class TestNamesAndSpecs:
         assert spec_refusal(spec) is not None
 
     def test_the_extractors_see_names_specs_and_the_table(self):
-        line = "see repro.fleet.batcher.WorkerSet, src/repro/x.py, github.com/a/repro.git"
-        assert DOTTED_NAME.findall(line) == ["repro.fleet.batcher.WorkerSet"]
-        assert resolve("repro.fleet.batcher.WorkerSet").__name__ == "WorkerSet"
+        line = "see repro.fleet.batcher.UnitCursor, src/repro/x.py, github.com/a/repro.git"
+        assert DOTTED_NAME.findall(line) == ["repro.fleet.batcher.UnitCursor"]
+        assert resolve("repro.fleet.batcher.UnitCursor").__name__ == "UnitCursor"
         assert spec_refusal("pool:sha1,w=2,bs=4096") is None
         assert spec_refusal(
             "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=8192"

@@ -28,7 +28,7 @@ from repro.durability import (
     DurableImageStore,
     EnrollRecord,
     FsyncPolicy,
-    ShardLog,
+    StoreLog,
     WalCorrupt,
     WriteAheadLog,
     replay_into,
@@ -172,7 +172,7 @@ class TestWalScan:
 
 class TestCheckpointAndReplay:
     def test_checkpoint_absorbs_and_resets_wal(self, tmp_path):
-        log = ShardLog(tmp_path / "shard", fsync=FsyncPolicy(mode="none"))
+        log = StoreLog(tmp_path / "store", fsync=FsyncPolicy(mode="none"))
         store = EncryptedImageDatabase(KEY)
         store.enroll("alice", synthetic_mask(1))
         blob, version = store.export_record("alice")

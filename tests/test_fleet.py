@@ -5,9 +5,10 @@ Five layers of coverage: the replay machinery that re-dispatch rides on
 (kill, quarantine, probation, reinstatement); the dispatcher's
 protocol-level invariants (byte equivalence with the single-device
 engine, re-dispatch after a mid-search kill, grace shedding when the
-whole fleet is dark, hedged stragglers); the scan threads behind the
-devices (the same bytes on any number of them, nothing left behind);
-and the device-loss chaos storm that exercises all of it at once.
+whole fleet is dark, hedged stragglers); a host's cores as devices
+(the same bytes on any number of them, rank-ordered settle, nothing
+left behind); and the device-loss chaos storm that exercises all of it
+at once.
 """
 
 import gc
@@ -23,24 +24,14 @@ import pytest
 from repro._bitutils import SEED_BITS, flip_bits, seed_to_words
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import build_engine, engine_target
-from repro.fleet import (
-    DEVICE_WEIGHTS,
-    FleetDevice,
-    FleetSearchEngine,
-)
+from repro.fleet import FleetDevice, FleetSearchEngine
+from repro.fleet.engine import default_worker_count
 from repro.fleet.storm import run_device_loss_storm
 from repro.combinatorics.ranking import unrank_lexicographic_exact
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
-from repro.runtime.partition import partition_ranks
-from repro.fleet.batcher import (
-    SPLIT_MIN_ROWS,
-    BatchSlice,
-    ContinuousBatcher,
-    UnitCursor,
-    WorkerSet,
-)
+from repro.fleet.batcher import BatchSlice, ContinuousBatcher, UnitCursor
 from repro.fleet import batcher
 from repro.fleet.units import decompose_search
 from repro.net.errors import ServerClosed
@@ -75,12 +66,13 @@ class TestCursorReplay:
         assert cursor.take(64) == taken
 
     def test_reverse_push_back_restores_original_order(self):
-        """The dispatcher pushes a failed batch's slices back in reverse."""
+        """Two devices fail in either order: the replay is in rank order."""
         cursor = self._cursor()
         first = cursor.take(32)
         second = cursor.take(32)
         for ranks in reversed([first, second]):
             cursor.push_back(*ranks)
+        assert cursor.floor == first[:2]
         assert cursor.take(32) == first
         assert cursor.take(32) == second
 
@@ -143,8 +135,6 @@ class TestFlakyFromToken:
             assert [d.name for d in devices] == ["gpu-0", "flaky-apu-1"]
             assert devices[0].model is None
             assert devices[1].injector is not None
-            assert devices[0].weight == DEVICE_WEIGHTS["gpu"]
-            assert devices[1].weight == DEVICE_WEIGHTS["apu"]
         finally:
             engine.close()
 
@@ -192,10 +182,6 @@ class TestFleetDevice:
             device.run_batch(())
         assert device.failures == 1
         assert device.batches == 0
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            self._device(weight=0.0)
 
 
 # -- dispatcher invariants ----------------------------------------------
@@ -255,8 +241,8 @@ class TestFleetCore:
         """The tentpole invariant: orphaned chunks replay, result intact."""
         absent = engine_target(engine, RNG.bytes(32))
         ticket = engine.submit(BASE_SEED, absent, 3, client_id="victim-req")
-        victim = ticket.device.name
-        time.sleep(0.05)  # let the device take some batches first
+        victim = engine.scheduler.devices[-1].name
+        time.sleep(0.05)  # let the devices take some batches first
         engine.scheduler.kill_device(victim)
         result = ticket.result(timeout=120)
         # The exhaustive search still covered every candidate: a clean
@@ -361,9 +347,9 @@ class TestHedging:
         try:
             filler_target = engine_target(engine, RNG.bytes(32))
             straggler_target = engine_target(engine, RNG.bytes(32))
-            # Placement is least-loaded: the filler takes host-0, which
-            # forces the straggler onto the throttled device. The filler
-            # finishes quickly, idling host-0 next to a straggling batch.
+            # Every device pulls from both requests; once the cursors run
+            # dry, a host idles next to the throttled device's straggling
+            # batch and hedges it.
             filler = engine.submit(
                 BASE_SEED, filler_target, 2, client_id="filler"
             )
@@ -374,7 +360,6 @@ class TestHedging:
                 time_budget=20.0,
                 client_id="straggler",
             )
-            assert straggler.device.name == "slow-host-1"
             assert filler.result(timeout=60).found is False
             result = straggler.result(timeout=120)
             assert result.found is False
@@ -460,27 +445,30 @@ class TestFleetClose:
             rebuilt = build_engine(engine.describe())
             try:
                 assert rebuilt.batch_size == engine.batch_size
-                assert len(rebuilt.scheduler.devices) == 2
+                assert len(rebuilt.scheduler.devices) == len(
+                    engine.scheduler.devices
+                )
             finally:
                 rebuilt.close()
         finally:
             engine.close()
 
     def test_default_fleet_is_two_hosts(self):
+        """Two ``host`` tokens, each a device per core of the cpuset."""
         engine = FleetSearchEngine(hash_name="sha1")
         try:
+            assert engine.describe().startswith("fleet:host,host,")
             assert [d.name for d in engine.scheduler.devices] == [
-                "host-0",
-                "host-1",
+                f"host-{index}" for index in range(2 * default_worker_count())
             ]
         finally:
             engine.close()
 
 
-# -- the scan threads behind the devices --------------------------------
+# -- a host's cores as devices -----------------------------------------
 
 #: Odd and not a multiple of 3, and so is what it leaves of shell 2
-#: (13 batches, then 1 999 rows): no cut lands on a round number.
+#: (13 batches, then 1 999 rows): no range ends on a round number.
 RAGGED_BATCH = 2357
 SHELL_2 = SEED_BITS * (SEED_BITS - 1) // 2
 
@@ -497,33 +485,46 @@ def _fingerprint(result):
     )
 
 
-def _scan_threads():
-    """The live threads of every worker set in this process."""
-    return {t for t in threading.enumerate() if t.name.startswith("rbc-scan")}
+def _device_threads():
+    """The live device threads of every fleet in this process."""
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith("rbc-fleet-") and t.name != "rbc-fleet-monitor"
+    }
+
+
+def _rows(engine):
+    """Rows each device of the engine has hashed so far."""
+    return {d.name: d.rows_hashed for d in engine.scheduler.devices}
 
 
 class TestWorkerEquivalence:
     """Same found / seed / distance / seeds_hashed / shells on 1, 2 or 3
-    scan threads (3 oversubscribes this host on purpose) as in one."""
+    host devices (3 oversubscribes this host on purpose) as in ``batch:``.
+
+    ``seeds_hashed`` counts committed ranges only: those up to and
+    including the one holding the match. Rows another device hashed past
+    the match are dropped, and show in the devices' ``rows_hashed`` and
+    nowhere else."""
 
     @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bytes_wherever_the_seed_lies(self, hash_name, workers):
-        assert RAGGED_BATCH >= SPLIT_MIN_ROWS and SHELL_2 % RAGGED_BATCH % 6 in (1, 5)
-        cut = partition_ranks(RAGGED_BATCH, max(workers, 2))
+        assert SHELL_2 % RAGGED_BATCH % 6 in (1, 5)
         last_batch = SHELL_2 - SHELL_2 % RAGGED_BATCH
-        ragged_cut = partition_ranks(SHELL_2 - last_batch, max(workers, 2))
         ranks = {
             "first row of a batch": 3 * RAGGED_BATCH,
-            "last row of worker 0's piece": 3 * RAGGED_BATCH + cut[0][1] - 1,
-            "first row of worker 1's piece": 3 * RAGGED_BATCH + cut[1][0],
+            "mid-batch row": 3 * RAGGED_BATCH + RAGGED_BATCH // 2,
             "last row of a batch": 4 * RAGGED_BATCH - 1,
-            "ragged final batch, a cut": last_batch + ragged_cut[1][0],
+            "first row of the next batch": 4 * RAGGED_BATCH,
+            "ragged final batch, first row": last_batch,
             "ragged final batch, last row": SHELL_2 - 1,
         }
         reference = build_engine(f"batch:{hash_name},bs={RAGGED_BATCH},cache=yes")
         spec = f"pool:{hash_name},workers={workers},bs={RAGGED_BATCH}"
+        spread = 0
         with build_engine(spec) as engine:
+            assert len(engine.scheduler.devices) == workers
             targets = {
                 where: engine_target(
                     engine,
@@ -535,95 +536,132 @@ class TestWorkerEquivalence:
             }
             targets["absent"] = engine_target(engine, RNG.bytes(32))
             for where, target in targets.items():
+                before = _rows(engine)
                 result = engine.search(BASE_SEED, target, 2)
                 expected = reference.search(BASE_SEED, target, 2)
                 assert result.found is (where != "absent"), where
                 assert _fingerprint(result) == _fingerprint(expected), where
-            assert (engine.worker_set.batches > 0) is (workers > 1)
+                after = _rows(engine)
+                spread += sum(after[n] > before[n] for n in after) >= 2
+        # One search's ranges ran on several devices at once.
+        assert (spread > 0) is (workers > 1)
 
-    def test_two_matches_in_one_fused_batch(self):
-        """Two requests' slices in one batch, cut mid-slice: each settles
-        on its own seed."""
-        algo = get_hash("sha1")
-        workers = WorkerSet(algo, True, 2)
-        try:
-            rng = np.random.default_rng(5)
-            bases = [rng.bytes(32) for _ in range(2)]
-            # 1 000 + 2 000 ranks cut at 1 500: worker 0 ends 500 ranks into
-            # the second slice, whose match is worker 1's first row.
-            slices, wanted = [], []
-            for key, base, lo, hi, rank in (
-                ("a", bases[0], 0, 1000, 999),
-                ("b", bases[1], 1000, 3000, 1500),
-            ):
-                seed = flip_bits(base, unrank_lexicographic_exact(SEED_BITS, 2, rank))
-                wanted.append(seed)
-                slices.append(
-                    BatchSlice(
-                        key, 2, lo, hi, seed_to_words(base),
-                        algo.digest_to_words(algo.hash_seed(seed)),
-                    )
-                )
-            outcomes = ContinuousBatcher(algo, True, workers).run(slices)
-            assert [o.key for o in outcomes] == ["a", "b"]
-            assert [o.seed for o in outcomes] == wanted
-            assert [o.rows for o in outcomes] == [1000, 2000]
-            assert workers.batches == 1
-        finally:
-            workers.close()
+    def test_a_lower_match_on_a_slow_device_wins(self, monkeypatch):
+        """The range holding rank 5 of shell 2 is still hashing on one
+        device when the next range, holding a (forced) match at its row
+        7, has finished on the other: the request waits and settles on
+        the lower rank, the one an in-order scan finds."""
+        real = batcher.first_matches
+        lower, higher = (2, 0), (2, 1024)
+        tickets = []
+
+        def scan(algo, fixed_padding, jobs):
+            found = real(algo, fixed_padding, jobs)
+            for index, (distance, lo, _hi, _b, _t) in enumerate(jobs):
+                if (distance, lo) == higher:
+                    found[index] = 7
+                elif (distance, lo) == lower:
+                    # Slowed until the higher match is hashed and waits.
+                    deadline = time.perf_counter() + 30
+                    while not (tickets and tickets[0].hashed):
+                        assert time.perf_counter() < deadline
+                        time.sleep(0.001)
+                    assert not tickets[0].done()
+                    found[index] = 5
+            return found
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        with FleetSearchEngine(
+            "host", workers=2, hash_name="sha1", batch_size=1024
+        ) as engine:
+            tickets.append(
+                engine.submit(BASE_SEED, engine_target(engine, RNG.bytes(32)), 2)
+            )
+            result = tickets[0].result(timeout=60)
+            rows = sum(_rows(engine).values())
+        assert result.found and result.distance == 2
+        assert result.seed == flip_bits(
+            BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 5)
+        )
+        assert result.seeds_hashed == 1 + 256 + 1024
+        assert rows >= result.seeds_hashed + 1024  # the dropped higher range
 
     def test_concurrent_scans_each_count_and_answer(self):
-        """Two devices' threads scanning through one set of more threads
-        than cores, switching as often as the interpreter allows: every
-        scan finds its own row and is counted once."""
-        algo = get_hash("sha1")
-        workers = WorkerSet(algo, True, 3)
-        base = seed_to_words(BASE_SEED)
+        """Two caller threads' searches on more devices than cores, the
+        interpreter switching as often as it allows: every search settles
+        on its own row, and each committed row is counted once."""
         rows = (0, 511, 512, 1023, 2047)
-        targets = [
-            algo.digest_to_words(algo.hash_seed(flip_bits(
-                BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, rank)
-            )))
-            for rank in rows
-        ]
-        answers, scans = [], 100
-
-        def scan():
-            for i in range(scans):
-                job = (2, 0, 2048, base, targets[i % len(rows)])
-                answers.append((workers.scan([job]), [rows[i % len(rows)]]))
-
+        reference = build_engine("batch:sha1,bs=512")
+        answers, searches = [], 20
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=scan) for _ in range(2)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-            assert not any(caller.is_alive() for caller in callers)
+            with build_engine("pool:sha1,workers=3,bs=512") as engine:
+                targets = [
+                    engine_target(engine, flip_bits(
+                        BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, rank)
+                    ))
+                    for rank in rows
+                ]
+
+                def search():
+                    for index in range(searches):
+                        target = targets[index % len(rows)]
+                        answers.append(
+                            (engine.search(BASE_SEED, target, 2), target)
+                        )
+
+                callers = [threading.Thread(target=search) for _ in range(2)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                assert not any(caller.is_alive() for caller in callers)
+                snapshot = engine.scheduler.snapshot()
         finally:
             sys.setswitchinterval(interval)
-            workers.close()
-        assert len(answers) == 2 * scans
-        assert all(found == wanted for found, wanted in answers)
-        assert workers.batches == 2 * scans
+        assert len(answers) == snapshot["completed"] == 2 * searches
+        expected = {
+            target: _fingerprint(reference.search(BASE_SEED, target, 2))
+            for target in targets
+        }
+        assert all(_fingerprint(r) == expected[t] for r, t in answers)
+        committed = sum(tenant["rows"] for tenant in snapshot["tenants"].values())
+        assert committed == sum(result.seeds_hashed for result, _t in answers)
 
-    @pytest.mark.parametrize("options", [f"bs={SPLIT_MIN_ROWS // 2}"])
-    def test_narrow_or_unshared_batches_never_touch_a_pipe(self, options):
-        reference = build_engine("batch:sha1,bs=512")
-        client_seed = _planted(2, np.random.default_rng(17))
-        with build_engine(f"pool:sha1,workers=2,{options}") as engine:
-            for seed in (client_seed, RNG.bytes(32)):
-                target = engine_target(engine, seed)
-                result = engine.search(BASE_SEED, target, 2)
-                expected = reference.search(BASE_SEED, target, 2)
-                assert (result.found, result.seed, result.distance) == (
-                    expected.found, expected.seed, expected.distance,
+    def test_two_matches_in_one_fused_batch(self, monkeypatch):
+        """Two requests' slices in one batch: each settles on its own seed,
+        scanned on the calling thread."""
+        algo = get_hash("sha1")
+        real, threads = batcher.first_matches, []
+
+        def scan(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        rng = np.random.default_rng(5)
+        bases = [rng.bytes(32) for _ in range(2)]
+        slices, wanted = [], []
+        for key, base, lo, hi, rank in (
+            ("a", bases[0], 0, 1000, 999),
+            ("b", bases[1], 1000, 3000, 1500),
+        ):
+            seed = flip_bits(base, unrank_lexicographic_exact(SEED_BITS, 2, rank))
+            wanted.append(seed)
+            slices.append(
+                BatchSlice(
+                    key, 2, lo, hi, seed_to_words(base),
+                    algo.digest_to_words(algo.hash_seed(seed)),
                 )
-            assert result.seeds_hashed == expected.seeds_hashed
-            assert engine.workers == 2
-            assert engine.worker_set.batches == 0
+            )
+        batcher_ = ContinuousBatcher(algo, True)
+        outcomes = batcher_.run(slices)
+        assert [o.key for o in outcomes] == ["a", "b"]
+        assert [o.seed for o in outcomes] == wanted
+        assert [o.rows for o in outcomes] == [1000, 2000]
+        assert batcher_.batches == batcher_.shared_batches == 1
+        assert threads == [threading.current_thread()]
 
 
 _SHM_SCRIPT = """
@@ -646,7 +684,7 @@ with build_engine("fleet:host,hash=sha3-256,bs=16384,workers=2") as engine:
     absent = engine_target(engine, bytes(32))
     assert not engine.search(b"\\x01" * 32, absent, 2).found
     assert engine.search(b"\\x01" * 32, absent, 4, time_budget=0.3).timed_out
-    assert engine.worker_set.batches > 0
+    assert all(d.rows_hashed for d in engine.scheduler.devices)
     assert children() == set(), children()
 assert children() == set(), children()
 print("ok")
@@ -659,7 +697,7 @@ from repro.engines import build_engine, engine_target
 
 with build_engine("pool:sha1,workers=2,bs=2048") as engine:
     assert not engine.search(b"\\x01" * 32, engine_target(engine, bytes(32)), 2).found
-    assert engine.worker_set.batches > 0
+    assert all(d.rows_hashed for d in engine.scheduler.devices)
     time.sleep(0.2)  # the last request's bookkeeping
     cpu, wall = time.process_time(), time.perf_counter()
     time.sleep(1.0)
@@ -677,56 +715,33 @@ def _spawn(script):
 
 class TestWorkerLoss:
     def test_close_twice_is_safe_and_leaves_no_child(self):
-        before = _scan_threads()
+        before = _device_threads()
         engine = build_engine("parallel:sha1,workers=2,bs=2048")
         assert not engine.search(
             BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
         ).found
-        assert engine.worker_set.batches > 0
-        assert _scan_threads() - before
+        assert all(d.rows_hashed for d in engine.scheduler.devices)
+        assert len(_device_threads() - before) == 2
         engine.close()
         engine.close()
         # Joined, not abandoned.
-        assert _scan_threads() <= before
+        assert _device_threads() <= before
 
     def test_dropped_engine_is_finalized_without_a_zombie(self):
-        before = _scan_threads()
+        before = _device_threads()
         engine = build_engine("pool:sha1,workers=2,bs=2048")
         assert not engine.search(
             BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
         ).found
-        assert _scan_threads() - before
+        assert _device_threads() - before
         del engine
         gc.collect()
-        assert _scan_threads() <= before
-
-    def test_a_raising_first_piece_waits_for_the_pool(self, monkeypatch):
-        """The device thread's own piece raises: the scan raises only after
-        the pool's piece is done with the batch."""
-        caller = threading.current_thread()
-        pool_done = threading.Event()
-
-        def scan(algo, fixed_padding, pieces):
-            if threading.current_thread() is caller:
-                raise MemoryError("the device thread's piece")
-            time.sleep(0.2)
-            pool_done.set()
-            return [None] * len(pieces)
-
-        workers = WorkerSet(get_hash("sha1"), True, 2)
-        try:
-            monkeypatch.setattr(batcher, "first_matches", scan)
-            base = seed_to_words(BASE_SEED)
-            with pytest.raises(MemoryError):
-                workers.scan([(2, 0, 4096, base, base)])
-            assert pool_done.is_set()
-        finally:
-            workers.close()
+        assert _device_threads() <= before
 
     def test_idle_engine_and_workers_burn_no_cpu(self):
-        """Scan threads block on the pool's queue; the dispatcher's idle
-        reading (<= 0.03 CPU-s per wall-second) holds with them in the
-        process."""
+        """Device loops block on the dispatcher's condition when no
+        request is active; the idle reading (<= 0.03 CPU-s per
+        wall-second) holds with one loop per core."""
         child = _spawn(_IDLE_SCRIPT)
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
@@ -734,7 +749,7 @@ class TestWorkerLoss:
 
     def test_served_path_leaves_no_segment_and_forks_no_tracker(self):
         """An exhaustive d = 2 search and a budgeted d = 4 search on two
-        threads: nothing is left in /dev/shm, and the engine forks no
+        host devices: nothing is left in /dev/shm, and the engine forks no
         child process from build to close."""
         def segments():
             return sorted(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))

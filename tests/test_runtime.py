@@ -149,7 +149,7 @@ class TestBatchExecutor:
 
 
 class TestParallelExecutor:
-    """``parallel:`` is the one-device fleet on ``workers`` scan threads."""
+    """``parallel:`` is one host as ``workers`` devices, one per core."""
 
     def test_finds_planted_seed(self, base_seed):
         client_seed = flip_bits(base_seed, [31, 222])
@@ -160,22 +160,25 @@ class TestParallelExecutor:
     def test_not_found_aggregates_counts(self, base_seed, rng):
         with build_engine("parallel:sha1,workers=3,bs=2048") as executor:
             result = executor.search(base_seed, sha1(rng.bytes(32)), 2)
-            assert executor.worker_set.batches > 0
+            assert all(d.rows_hashed for d in executor.scheduler.devices)
         assert not result.found
-        # The workers jointly covered every shell, each row once.
+        # The devices jointly covered every shell, each row once.
         assert result.seeds_hashed == 1 + 256 + binomial(SEED_BITS, 2)
 
     def test_enrolled_seed_itself_is_found_at_distance_zero(self, base_seed):
         with build_engine("parallel:sha1,workers=2,bs=2048") as executor:
             result = executor.search(base_seed, sha1(base_seed), 1)
-            assert executor.worker_set.batches == 0  # one row: never split
+            hashed = sum(d.rows_hashed for d in executor.scheduler.devices)
         assert result.found and result.distance == 0
+        # The probe's one row commits; a d = 1 range hashed beside it
+        # is dropped, so it shows on a device and not in the result.
+        assert result.seeds_hashed == 1 <= hashed
 
     def test_single_worker_degenerates_to_serial(self, base_seed):
         client_seed = flip_bits(base_seed, [64])
         with build_engine("parallel:sha1,workers=1,bs=2048") as executor:
             result = executor.search(base_seed, sha1(client_seed), 1)
-            assert not executor.worker_set.splits  # the device thread itself
+            assert len(executor.scheduler.devices) == 1
         assert result.found
 
     def test_workers_validation(self):

@@ -2,7 +2,7 @@
 
 Three layers of coverage: the pure pieces (work-unit decomposition and
 the scheduling policy) as plain unit tests; the dispatcher's invariants
-on the ``sched`` spec — a one-device fleet — (everything admitted is
+on the ``sched`` spec — a one-host fleet — (everything admitted is
 completed or shed with a reason, byte-identical equivalence with the
 unscheduled engine, deadline shedding, deterministic close, a dying
 dispatcher thread never hangs callers); and the serving integration
@@ -35,7 +35,7 @@ BASE_SEED = RNG.bytes(32)
 
 
 def sched_engine(**options):
-    """A ``sched`` engine: the dispatcher over exactly one host device."""
+    """A ``sched`` engine: the dispatcher over one host."""
     return build_engine("sched", hash_name="sha1", **options)
 
 
@@ -448,20 +448,25 @@ class TestSchedulerCore:
         finally:
             rebuilt.close()
 
-    def test_sched_spec_is_the_one_device_fleet(self):
+    def test_sched_spec_is_the_one_host_fleet(self):
+        """One ``host`` token: a device per core of the cpuset."""
         from repro.fleet import FleetSearchEngine
+        from repro.fleet.engine import default_worker_count
 
         engine = build_engine("sched:sha1,bs=4096")
         try:
             assert isinstance(engine, FleetSearchEngine)
-            assert [d.name for d in engine.scheduler.devices] == ["host-0"]
+            assert [d.name for d in engine.scheduler.devices] == [
+                f"host-{index}" for index in range(default_worker_count())
+            ]
             client_seed = _planted(1, np.random.default_rng(17))
             result = engine.search(
                 BASE_SEED, engine_target(engine, client_seed), 1
             )
             assert result.engine == "sched:sha1,bs=4096"
             assert result.found
-            assert engine.scheduler.snapshot()["devices"]["host-0"]["batches"] >= 1
+            devices = engine.scheduler.snapshot()["devices"].values()
+            assert sum(device["batches"] for device in devices) >= 1
         finally:
             engine.close()
 

@@ -408,8 +408,7 @@ class TestStormsAreSeedPinned:
         from repro.fleet.storm import run_device_loss_storm
 
         timing = {"wall_seconds", "snapshot", "redispatched_chunks",
-                  "reassigned_requests", "hedges_launched", "quarantines",
-                  "reinstatements"}
+                  "hedges_launched", "quarantines", "reinstatements"}
         first, second = (
             {k: v for k, v in dataclasses.asdict(run_device_loss_storm(seed=0)).items()
              if k not in timing}
