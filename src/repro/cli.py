@@ -15,7 +15,7 @@ Commands:
 * ``fleet``      — the multi-device dispatch demo.
 
 The serving gates — ``chaos``, ``fleet --storm``, ``fleet --bench``,
-``tenants``, ``deploy --storm`` and ``deploy --storm --crash`` — are not
+``tenants`` and ``deploy --storm`` — are not
 written here: each is one definition in :mod:`repro.gates`, and
 :func:`main` hands a matching command line to that module's runner
 (every gate takes ``--seed`` and ``--output``).

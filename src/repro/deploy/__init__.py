@@ -10,13 +10,12 @@ the protocol's end-to-end latency and failure typing can be measured
 under conditions the in-process harness cannot produce: real sockets,
 real process crashes, real signal-driven shutdown.
 
-Entry points: ``repro deploy --storm`` (CLI) or
-:func:`~repro.deploy.storm.run_deployment_storm` (library) for the
-WAN-profile sweep; ``repro deploy --storm --crash`` or
-:func:`~repro.deploy.storm.run_crash_storm` for the kill-9
-crash-restart storm against WAL-backed durable servers. The storms are
-imported explicitly (``repro.deploy.storm``): a server process imports
-this package and has no use for its own test harness.
+Entry point: ``repro deploy --storm`` (CLI) or
+:func:`~repro.deploy.storm.run_deployment_storm` (library), one storm
+per WAN profile: kill-9 rounds against WAL-backed servers, then the
+load trace on the recovered servers. The storm is imported explicitly
+(``repro.deploy.storm``): a server process imports this package and has
+no use for its own test harness.
 """
 
 from repro.deploy.wan import WAN_PROFILES, WanProfile, WanShim, build_shim

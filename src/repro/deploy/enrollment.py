@@ -169,9 +169,9 @@ def build_serving_stack(
 ):
     """(verifying_authority, dispatcher_engine) for one server.
 
-    One engine per server: ``fleet`` mode builds the dispatcher over the
-    topology's device tokens, ``sched`` the one-host dispatcher, and
-    the authority's search service holds that same engine — so
+    One engine per server: the fleet dispatcher over the topology's
+    device tokens, and the authority's search service holds that same
+    engine — so
     ``max_distance`` / ``time_threshold`` and the engine live in one
     object — while the second element slots into the
     ConcurrentCAServer's ``scheduler`` seat.
@@ -192,9 +192,7 @@ def build_serving_stack(
             data_dir, b"deploy-master-k!", fsync=topology.durability
         )
     engine = build_engine(
-        "sched"
-        if topology.engine == "sched"
-        else "fleet:" + ",".join(topology.devices),
+        "fleet:" + ",".join(topology.devices),
         hash_name=topology.hash_name,
         batch_size=topology.batch_size,
         max_queue=topology.max_queue,

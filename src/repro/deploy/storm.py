@@ -1,25 +1,40 @@
-"""One-command deployment storms.
+"""One-command deployment storm.
 
-:func:`run_deployment_storm` is the whole pipeline: for each WAN profile
-it stands a topology up as real OS processes (N servers announcing
-their ephemeral ports, M load generators replaying their trace slices
-over real TCP), waits for the load to drain, scrapes every server's
-:class:`~repro.net.concurrent.ServerMetrics` over the admin metrics
-frame, SIGTERMs the deployment, and verifies the teardown was *clean* —
-every server exits 0 having printed ``DEPLOY-DRAINED``.
+:func:`run_deployment_storm` is the whole pipeline. For each WAN profile
+it stands a topology up as real OS processes and runs five phases in
+order, on the same servers:
 
-The acceptance gates are deliberately blunt:
+1. spawn N WAL-backed servers on fresh data directories, each announcing
+   its ephemeral port;
+2. a timed enrollment burst over TCP: the durable enrollment rate, and
+   the acknowledged baseline every later phase is held to;
+3. ``crashes`` kill-9 rounds: SIGKILL a server halfway through a
+   re-enrollment burst, restart it under the supervisor's backoff/budget
+   policy, probe every acknowledged version, re-enroll;
+4. M load generators replay their trace slices over real TCP, through
+   the profile's emulated link, against the recovered servers;
+5. scrape every server's :class:`~repro.net.concurrent.ServerMetrics`
+   over the admin metrics frame, SIGTERM the deployment, and check that
+   every server the storm spawned exited 0 having printed
+   ``DEPLOY-DRAINED``.
 
-* zero false authentications on every profile (the server-side tripwire
-  re-hashes each found seed against the submitted digest);
-* zero untyped failures — every client-observed error must map to a
-  typed bucket (``shed:*``, ``dropped``, ``corrupt``, ``busy``, ...);
-* every server drains and exits 0 under SIGTERM;
-* the ``lan`` profile authenticates 100% of requests.
+The first profile also times the same burst against one server whose WAL
+is never fsynced (``lossy-0``): the price of durability.
 
-``repro deploy --storm [--crash]`` (:mod:`repro.gates`) turns a report
-into the one benchmark record: per-profile end-to-end p50/p99,
-throughput, and shed/redispatch/failover counters.
+The gates (:func:`profile_failures`) are deliberately blunt, per profile:
+
+* zero false authentications (the server-side tripwire re-hashes each
+  found seed against the submitted digest);
+* zero untyped failures — every client-observed error maps to a typed
+  bucket (``shed:*``, ``dropped``, ``corrupt``, ``busy``, ...) — and no
+  request of the trace lost;
+* no acknowledged enrollment lost across a kill-9, the nonce-reuse
+  tripwire never fires, and a restarted server takes enrollments again;
+* the ``lan`` profile authenticates 100% of the trace;
+* every server drains and exits 0 under SIGTERM.
+
+``repro deploy --storm`` (:mod:`repro.gates`) turns a report into the
+one benchmark record.
 """
 
 from __future__ import annotations
@@ -32,17 +47,17 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any
 
 from repro.analysis.metrics import percentile
-from repro.deploy.enrollment import client_identity, tenant_for
-from repro.deploy.loadgen import _run_entry, spec_to_json
+from repro.deploy.enrollment import client_identity
+from repro.deploy.loadgen import spec_to_json
 from repro.deploy.supervisor import (
     ProcessDied,
     ProcessSupervisor,
     RestartPolicy,
 )
 from repro.deploy.topology import TopologySpec
-from repro.deploy.trace import TraceEntry
 from repro.net.errors import TransportError
 from repro.net.sockets import RemoteCAServer, SocketTransport
 from repro.storm import invariant_failures
@@ -50,10 +65,8 @@ from repro.storm import invariant_failures
 __all__ = [
     "ProfileReport",
     "DeploymentReport",
-    "CrashRound",
-    "CrashStormReport",
+    "profile_failures",
     "run_deployment_storm",
-    "run_crash_storm",
     "DEFAULT_PROFILES",
 ]
 
@@ -72,11 +85,25 @@ class ProfileReport:
     latency_p50_ms: float
     latency_p99_ms: float
     throughput_rps: float
+    #: The trace phase: load generators spawned to load drained.
     wall_seconds: float
     server_counters: dict[str, float]
     shed_reasons: dict[str, int]
     false_authentications: int
     untyped: list[dict] = field(default_factory=list)
+    #: One entry per kill-9 round: victim, acks before the kill, refusals
+    #: during the outage, records recovered and how long recovery took,
+    #: acknowledged versions lost, re-enrollments and refusals after.
+    rounds: list[dict[str, Any]] = field(default_factory=list)
+    acknowledged_total: int = 0
+    lost_acknowledged: int = 0
+    nonce_reuse_trips: int = 0
+    restarts: int = 0
+    backoff_seconds: float = 0.0
+    durable_enroll_rps: float = 0.0
+    #: The no-fsync baseline; measured on the storm's first profile only.
+    lossy_enroll_rps: float | None = None
+    durability_overhead_pct: float | None = None
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
     #: Gate invariants this profile broke, by name; empty is PASS.
@@ -114,18 +141,20 @@ def _child_env() -> dict[str, str]:
 def _spawn_server(
     supervisor: ProcessSupervisor,
     name: str,
-    spec_json: str,
+    spec: TopologySpec,
     seed: int,
     env: dict[str, str],
-    data_dir: Path | None = None,
+    data_dir: Path,
 ) -> tuple[str, int]:
     """Start one ``repro.deploy.server`` child; its announced address."""
     argv = [
         sys.executable, "-m", "repro.deploy.server",
-        "--spec", spec_json, "--seed", str(seed), "--port", "0",
+        "--spec", spec_to_json(spec), "--seed", str(seed), "--port", "0",
+        "--data-dir", str(data_dir),
     ]
-    if data_dir is not None:
-        argv += ["--data-dir", str(data_dir)]
+    # Every run starts from an empty store: a data directory left by an
+    # earlier run would be recovered as if this run had enrolled it.
+    shutil.rmtree(data_dir, ignore_errors=True)
     managed = supervisor.spawn(name, argv, env=env, ready_regex=_READY_REGEX)
     return _ready_address(managed)
 
@@ -136,17 +165,12 @@ def _ready_address(managed) -> tuple[str, int]:
     return match.group(1), int(match.group(2))
 
 
-def _drained(
-    supervisor: ProcessSupervisor, exits: dict[str, int | None], servers: int
-) -> bool:
-    """Every server exited 0 having printed ``DEPLOY-DRAINED``."""
+def _drained(supervisor: ProcessSupervisor, exits: dict[str, int | None]) -> bool:
+    """Every process in ``exits`` exited 0 having printed ``DEPLOY-DRAINED``."""
     return all(
-        exits.get(f"server-{i}") == 0
-        and any(
-            "DEPLOY-DRAINED" in line
-            for line in supervisor.output_of(f"server-{i}")
-        )
-        for i in range(servers)
+        code == 0
+        and any("DEPLOY-DRAINED" in line for line in supervisor.output_of(name))
+        for name, code in exits.items()
     )
 
 
@@ -166,222 +190,6 @@ def _merge_counters(snapshots) -> dict[str, float]:
         for key, value in snapshot.items():
             merged[key] = merged.get(key, 0) + value
     return merged
-
-
-def run_profile(
-    topology: TopologySpec,
-    seed: int,
-    requests: int,
-    duration_seconds: float,
-    num_loadgens: int,
-    time_scale: float,
-    scratch_dir: Path,
-    log=None,
-) -> ProfileReport:
-    """Stand up, drive, scrape, and tear down one profile's deployment."""
-    say = log if log is not None else (lambda _msg: None)
-    spec_json = spec_to_json(topology)
-    profile = topology.wan_profile
-    scratch_dir.mkdir(parents=True, exist_ok=True)
-    env = _child_env()
-    started = time.monotonic()
-
-    with ProcessSupervisor(grace_seconds=30.0) as supervisor:
-        addresses = [
-            _spawn_server(supervisor, f"server-{index}", spec_json, seed, env)
-            for index in range(topology.servers)
-        ]
-        say(
-            f"[{profile}] {topology.servers} server(s) ready at "
-            + ", ".join(f"{h}:{p}" for h, p in addresses)
-        )
-
-        output_paths: list[Path] = []
-        for index in range(num_loadgens):
-            output = scratch_dir / f"loadgen-{profile}-{index}.json"
-            output_paths.append(output)
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.deploy.loadgen",
-                "--spec",
-                spec_json,
-                "--seed",
-                str(seed),
-                "--requests",
-                str(requests),
-                "--duration",
-                str(duration_seconds),
-                "--loadgen-index",
-                str(index),
-                "--num-loadgens",
-                str(num_loadgens),
-                "--time-scale",
-                str(time_scale),
-                "--output",
-                str(output),
-            ]
-            for host, port in addresses:
-                argv.extend(["--server", f"{host}:{port}"])
-            supervisor.spawn(f"loadgen-{index}", argv, env=env)
-
-        # Health-check the servers while the load drains; a dead server
-        # is a storm failure, not a mystery of missing replies.
-        loadgen_deadline = time.monotonic() + max(
-            120.0, duration_seconds * time_scale * 4 + 120.0
-        )
-        for index in range(num_loadgens):
-            supervisor.ensure_alive(
-                *(f"server-{i}" for i in range(topology.servers))
-            )
-            remaining = max(1.0, loadgen_deadline - time.monotonic())
-            code = supervisor.wait(f"loadgen-{index}", timeout=remaining)
-            if code != 0:
-                raise ProcessDied(
-                    f"loadgen-{index}",
-                    code,
-                    supervisor.output_of(f"loadgen-{index}"),
-                )
-        say(f"[{profile}] load drained; scraping server metrics")
-
-        snapshots = [
-            _scrape_metrics(host, port, bool(topology.tenants))
-            for host, port in addresses
-        ]
-        server_exits = supervisor.teardown()
-        drained = _drained(supervisor, server_exits, topology.servers)
-
-    wall = time.monotonic() - started
-    records: list[dict] = []
-    for path in output_paths:
-        with open(path, encoding="utf-8") as handle:
-            records.extend(json.load(handle)["records"])
-    outcomes: dict[str, int] = {}
-    for record in records:
-        outcomes[record["outcome"]] = outcomes.get(record["outcome"], 0) + 1
-    untyped = [
-        r for r in records if r["outcome"].startswith(("untyped:", "retries-exhausted:untyped:"))
-    ]
-    completed = [
-        r["latency_seconds"]
-        for r in records
-        if r["outcome"] == "authenticated"
-    ]
-    counters = _merge_counters(s.counters for s in snapshots)
-    shed_reasons = _merge_counters(s.shed_reasons for s in snapshots)
-    false_auths = sum(s.false_authentications for s in snapshots)
-
-    report = ProfileReport(
-        profile=profile,
-        requests=len(records),
-        outcomes=dict(sorted(outcomes.items())),
-        latency_p50_ms=percentile(completed, 50) * 1000.0 if completed else 0.0,
-        latency_p99_ms=percentile(completed, 99) * 1000.0 if completed else 0.0,
-        throughput_rps=(len(completed) / wall) if wall > 0 else 0.0,
-        wall_seconds=wall,
-        server_counters=counters,
-        shed_reasons={k: int(v) for k, v in shed_reasons.items()},
-        false_authentications=false_auths,
-        untyped=untyped,
-        server_exits=server_exits,
-        drained=drained,
-    )
-    _apply_gates(report, requests)
-    return report
-
-
-def _apply_gates(report: ProfileReport, requests: int) -> None:
-    report.failures += invariant_failures(
-        false_authentications=report.false_authentications,
-        untyped=[r["outcome"] for r in report.untyped],
-        lost=abs(requests - report.requests),
-    )
-    if not report.drained:
-        report.failures.append(
-            f"unclean server shutdown: exits {report.server_exits}"
-        )
-    if report.profile == "lan":
-        authed = report.outcomes.get("authenticated", 0)
-        if authed != report.requests:
-            report.failures.append(
-                f"lan must authenticate everything: "
-                f"{authed}/{report.requests}"
-            )
-
-
-def run_deployment_storm(
-    topology: TopologySpec | None = None,
-    profiles: tuple[str, ...] = DEFAULT_PROFILES,
-    seed: int = 0,
-    requests: int = 36,
-    duration_seconds: float = 6.0,
-    num_loadgens: int = 2,
-    time_scale: float = 1.0,
-    scratch_dir: str | Path | None = None,
-    log=None,
-) -> DeploymentReport:
-    """Run one topology under each profile.
-
-    ``scratch_dir`` holds the per-loadgen result JSONs (defaults to
-    ``.deploy-scratch`` under the current directory).
-    """
-    base = topology if topology is not None else TopologySpec()
-    scratch = Path(scratch_dir) if scratch_dir else Path(".deploy-scratch")
-    reports = [
-        run_profile(
-            base.with_profile(name),
-            seed=seed,
-            requests=requests,
-            duration_seconds=duration_seconds,
-            num_loadgens=num_loadgens,
-            time_scale=time_scale,
-            scratch_dir=scratch,
-            log=log,
-        )
-        for name in profiles
-    ]
-    return DeploymentReport(topology=base.describe(), profiles=reports)
-
-
-# -- kill-9 crash-restart storm -------------------------------------------
-
-
-@dataclass
-class CrashRound:
-    """One kill-9 / restart cycle against one victim server."""
-
-    round_index: int
-    victim: str
-    acked_before_kill: int
-    refused_during_outage: int
-    recovered_records: int
-    recovery_seconds: float
-    lost_acknowledged: int
-    reenrolled: int
-
-
-@dataclass
-class CrashStormReport:
-    """Everything the crash-restart storm measured and gated on."""
-
-    topology: str
-    clients: int
-    fsync: str
-    rounds: list[CrashRound] = field(default_factory=list)
-    acknowledged_total: int = 0
-    lost_acknowledged: int = 0
-    nonce_reuse_trips: int = 0
-    false_authentications: int = 0
-    auth_outcomes: dict[str, int] = field(default_factory=dict)
-    restarts: int = 0
-    backoff_seconds: float = 0.0
-    durable_enroll_rps: float = 0.0
-    lossy_enroll_rps: float = 0.0
-    durability_overhead_pct: float = 0.0
-    server_exits: dict[str, int | None] = field(default_factory=dict)
-    drained: bool = False
-    #: Gate invariants the storm broke, by name; empty is PASS.
-    failures: list[str] = field(default_factory=list)
 
 
 def _last_recovery_line(lines: list[str]) -> tuple[int, float]:
@@ -433,244 +241,318 @@ def _timed_enroll_rate(remote: RemoteCAServer, client_ids: list[str]) -> float:
     return len(client_ids) / wall if wall > 0 else 0.0
 
 
-def _auth_round(
-    spec: TopologySpec, seed: int, addresses: list[tuple[str, int]], count: int
-) -> dict[str, int]:
-    """A few real authentications after recovery — the false-auth probe:
-    one load-generator round per fleet slot, planted at depth 1 with a
-    patient deadline, over an unimpaired link."""
-    lan = spec.with_profile("lan")
-    outcomes: dict[str, int] = {}
-    for index in range(min(count, spec.clients)):
-        entry = TraceEntry(
-            index=index,
-            client_index=index,
-            offset_seconds=0.0,
-            shell_depth=1,
-            deadline_seconds=4.0 * spec.time_budget,
-            tenant=tenant_for(index, spec.tenants),
-        )
-        key = _run_entry(entry, lan, seed, addresses)["outcome"]
-        outcomes[key] = outcomes.get(key, 0) + 1
-    return outcomes
+def _enroll_and_crash(
+    supervisor: ProcessSupervisor,
+    topology: TopologySpec,
+    addresses: list[tuple[str, int]],
+    crashes: int,
+    report: ProfileReport,
+    say,
+) -> None:
+    """Phases 2 and 3: the timed baseline burst, then the kill-9 rounds.
 
-
-def run_crash_storm(
-    topology: TopologySpec | None = None,
-    seed: int = 0,
-    crashes: int = 3,
-    auth_requests: int = 4,
-    restart_policy: RestartPolicy | None = None,
-    scratch_dir: str | Path | None = None,
-    log=None,
-) -> CrashStormReport:
-    """Kill -9 servers mid-enrollment-burst; gate on zero durable loss.
-
-    The storm enrolls the deterministic fleet over real TCP against
-    WAL-backed servers, SIGKILLs a victim server halfway through each
-    round's re-enrollment burst, restarts it under the supervisor's
-    backoff/budget policy, and then holds the recovered server to three
-    invariants: every *acknowledged* enrollment survives at its version
-    or higher, the nonce-reuse tripwire never fires, and post-recovery
-    authentications produce zero false auths. The report also prices
-    durability: acknowledged-enrollment throughput under the topology's
-    fsync policy versus a no-fsync lossy baseline.
+    A restarted server announces a new port, which replaces its entry in
+    ``addresses``, so the load generators find the recovered servers.
     """
-    say = log if log is not None else (lambda _msg: None)
-    base = topology if topology is not None else TopologySpec(
-        servers=1, wan_profile="lan", clients=8
-    )
-    if not base.durability:
-        base = replace(base, durability="always")
-    policy = restart_policy if restart_policy is not None else RestartPolicy(
-        max_restarts=max(4, 2 * crashes), seed=seed
-    )
-    scratch = Path(scratch_dir) if scratch_dir else Path(".deploy-scratch")
-    scratch.mkdir(parents=True, exist_ok=True)
-    # Every run starts from empty stores: a data directory left by an
-    # earlier run would be recovered as if this run had enrolled it.
-    data_dirs = [scratch / f"crash-server-{i}" for i in range(base.servers)]
-    lossy_dir = scratch / "crash-lossy-0"
-    for data_dir in (*data_dirs, lossy_dir):
-        shutil.rmtree(data_dir, ignore_errors=True)
-    spec_json = spec_to_json(base)
-    env = _child_env()
-    report = CrashStormReport(
-        topology=base.describe(),
-        clients=base.clients,
-        fsync=base.durability,
-    )
+    profile = topology.wan_profile
+    remotes = [RemoteCAServer(SocketTransport(h, p)) for h, p in addresses]
+    #: client_id -> last acknowledged version, per server index.
+    acked: list[dict[str, int]] = [{} for _ in addresses]
 
-    with ProcessSupervisor(
-        grace_seconds=30.0, restart_policy=policy
-    ) as supervisor:
-        addresses = [
-            _spawn_server(
-                supervisor, f"server-{i}", spec_json, seed, env,
-                data_dir=data_dir,
-            )
-            for i, data_dir in enumerate(data_dirs)
+    def slots_of(server_index: int) -> list[str]:
+        return [
+            client_identity(i)
+            for i in range(topology.clients)
+            if i % topology.servers == server_index
         ]
-        say(f"[crash] {base.servers} durable server(s) ready "
-            f"(fsync={base.durability})")
 
-        transports = [SocketTransport(h, p) for h, p in addresses]
-        remotes = [RemoteCAServer(t) for t in transports]
-        #: client_id -> last acknowledged version, per server index.
-        acked: list[dict[str, int]] = [{} for _ in range(base.servers)]
-
-        def slots_of(server_index: int) -> list[str]:
-            return [
-                client_identity(i)
-                for i in range(base.clients)
-                if i % base.servers == server_index
-            ]
-
-        # Phase 1: a clean timed burst — the durable throughput figure
-        # and the acknowledged baseline every later gate measures against.
+    try:
         started = time.monotonic()
-        for index in range(base.servers):
-            count, refused = _enroll_burst(
-                remotes[index], slots_of(index), acked[index]
-            )
+        for index, remote in enumerate(remotes):
+            _count, refused = _enroll_burst(remote, slots_of(index), acked[index])
             if refused:
                 raise ProcessDied(
-                    f"server-{index}",
-                    None,
-                    supervisor.output_of(f"server-{index}"),
+                    f"server-{index}", None, supervisor.output_of(f"server-{index}")
                 )
         wall = time.monotonic() - started
-        report.durable_enroll_rps = base.clients / wall if wall > 0 else 0.0
-        say(f"[crash] baseline burst: {base.clients} acked in {wall:.2f}s "
-            f"({report.durable_enroll_rps:.1f}/s)")
+        report.durable_enroll_rps = topology.clients / wall if wall > 0 else 0.0
+        say(f"[{profile}] baseline burst: {topology.clients} acked in "
+            f"{wall:.2f}s ({report.durable_enroll_rps:.1f}/s)")
 
-        # Phase 2: kill -9 a victim mid-burst, restart, verify, repeat.
         for round_index in range(crashes):
-            victim_index = round_index % base.servers
+            victim_index = round_index % topology.servers
             victim = f"server-{victim_index}"
             burst = slots_of(victim_index)
-            kill_at = max(1, len(burst) // 2)
             acked_now, refused = _enroll_burst(
                 remotes[victim_index],
                 burst,
                 acked[victim_index],
-                kill_at=kill_at,
+                kill_at=max(1, len(burst) // 2),
                 on_kill=lambda: supervisor.kill(victim),
             )
             addresses[victim_index] = _ready_address(supervisor.restart(victim))
-            transports[victim_index].close()
-            transports[victim_index] = SocketTransport(
-                *addresses[victim_index]
+            remotes[victim_index].transport.close()
+            remotes[victim_index] = RemoteCAServer(
+                SocketTransport(*addresses[victim_index])
             )
-            remotes[victim_index] = RemoteCAServer(transports[victim_index])
             recovered, recovery_seconds = _last_recovery_line(
                 supervisor.output_of(victim)
             )
-
-            lost = 0
-            for client_id, version in sorted(acked[victim_index].items()):
-                reply = remotes[victim_index].enroll(client_id, probe=True)
-                if reply.version < version:
-                    lost += 1
+            lost = sum(
+                remotes[victim_index].enroll(client_id, probe=True).version
+                < version
+                for client_id, version in sorted(acked[victim_index].items())
+            )
             reenrolled, refused_after = _enroll_burst(
                 remotes[victim_index], burst, acked[victim_index]
             )
-            if refused_after:
-                report.failures.append(
-                    f"round {round_index}: {refused_after} enrollments "
-                    f"refused after restart"
-                )
-            report.rounds.append(
-                CrashRound(
-                    round_index=round_index,
-                    victim=victim,
-                    acked_before_kill=acked_now,
-                    refused_during_outage=refused,
-                    recovered_records=recovered,
-                    recovery_seconds=recovery_seconds,
-                    lost_acknowledged=lost,
-                    reenrolled=reenrolled,
-                )
-            )
+            report.rounds.append({
+                "round_index": round_index,
+                "victim": victim,
+                "acked_before_kill": acked_now,
+                "refused_during_outage": refused,
+                "recovered_records": recovered,
+                "recovery_seconds": recovery_seconds,
+                "lost_acknowledged": lost,
+                "reenrolled": reenrolled,
+                "refused_after_restart": refused_after,
+            })
             report.lost_acknowledged += lost
-            say(f"[crash] round {round_index}: killed {victim} after "
+            say(f"[{profile}] round {round_index}: killed {victim} after "
                 f"{acked_now} acks, recovered {recovered} records in "
                 f"{recovery_seconds * 1000:.1f}ms, lost {lost}")
+    finally:
+        for remote in remotes:
+            remote.transport.close()
+    report.acknowledged_total = sum(len(a) for a in acked)
+    report.restarts = supervisor.restarts_total
+    report.backoff_seconds = supervisor.backoff_seconds_total
 
-        report.acknowledged_total = sum(len(a) for a in acked)
-        report.restarts = supervisor.restarts_total
-        report.backoff_seconds = supervisor.backoff_seconds_total
 
-        # Phase 3: the recovered deployment must still authenticate
-        # honestly — this is what feeds the false-auth tripwire.
-        report.auth_outcomes = _auth_round(
-            base, seed, addresses, auth_requests
+def _lossy_baseline(
+    supervisor: ProcessSupervisor,
+    topology: TopologySpec,
+    seed: int,
+    env: dict[str, str],
+    scratch_dir: Path,
+    report: ProfileReport,
+    say,
+) -> None:
+    """The same burst against one server whose WAL is never fsynced."""
+    lossy = replace(topology, servers=1, durability="none")
+    host, port = _spawn_server(
+        supervisor, "lossy-0", lossy, seed, env, scratch_dir / "lossy-0"
+    )
+    with SocketTransport(host, port) as transport:
+        report.lossy_enroll_rps = _timed_enroll_rate(
+            RemoteCAServer(transport),
+            [client_identity(i) for i in range(topology.clients)],
         )
-        say(f"[crash] post-recovery auth: {report.auth_outcomes}")
+    if report.lossy_enroll_rps > 0:
+        report.durability_overhead_pct = 100.0 * (
+            1.0 - report.durable_enroll_rps / report.lossy_enroll_rps
+        )
+    say(f"[{topology.wan_profile}] durable {report.durable_enroll_rps:.1f}/s "
+        f"vs lossy {report.lossy_enroll_rps:.1f}/s")
+
+
+def run_profile(
+    topology: TopologySpec,
+    seed: int,
+    requests: int,
+    duration_seconds: float,
+    num_loadgens: int,
+    time_scale: float,
+    scratch_dir: Path,
+    crashes: int = 0,
+    lossy_baseline: bool = False,
+    log=None,
+) -> ProfileReport:
+    """Stand up, enroll, crash, drive, scrape, and tear down one profile's
+    deployment (the five phases of the module docstring)."""
+    if crashes < 0:
+        raise ValueError("crashes must be non-negative")
+    if not topology.durability:
+        raise ValueError("the storm's servers are WAL-backed: give an fsync policy")
+    say = log if log is not None else (lambda _msg: None)
+    spec_json = spec_to_json(topology)
+    profile = topology.wan_profile
+    scratch_dir.mkdir(parents=True, exist_ok=True)
+    env = _child_env()
+    report = ProfileReport(
+        profile=profile, requests=0, outcomes={}, latency_p50_ms=0.0,
+        latency_p99_ms=0.0, throughput_rps=0.0, wall_seconds=0.0,
+        server_counters={}, shed_reasons={}, false_authentications=0,
+    )
+    policy = RestartPolicy(max_restarts=max(4, 2 * crashes), seed=seed)
+
+    with ProcessSupervisor(grace_seconds=30.0, restart_policy=policy) as supervisor:
+        servers = [f"server-{index}" for index in range(topology.servers)]
+        addresses = [
+            _spawn_server(
+                supervisor, name, topology, seed, env,
+                scratch_dir / f"{profile}-{name}",
+            )
+            for name in servers
+        ]
+        say(
+            f"[{profile}] {topology.servers} server(s) ready at "
+            + ", ".join(f"{h}:{p}" for h, p in addresses)
+        )
+        _enroll_and_crash(supervisor, topology, addresses, crashes, report, say)
+
+        started = time.monotonic()
+        output_paths: list[Path] = []
+        loadgens = [f"loadgen-{index}" for index in range(num_loadgens)]
+        for index, name in enumerate(loadgens):
+            output = scratch_dir / f"loadgen-{profile}-{index}.json"
+            output_paths.append(output)
+            argv = [
+                sys.executable, "-m", "repro.deploy.loadgen",
+                "--spec", spec_json,
+                "--seed", str(seed),
+                "--requests", str(requests),
+                "--duration", str(duration_seconds),
+                "--loadgen-index", str(index),
+                "--num-loadgens", str(num_loadgens),
+                "--time-scale", str(time_scale),
+                "--output", str(output),
+            ]
+            for host, port in addresses:
+                argv.extend(["--server", f"{host}:{port}"])
+            supervisor.spawn(name, argv, env=env)
+
+        # Health-check the servers while the load drains; a dead server
+        # is a storm failure, not a mystery of missing replies.
+        loadgen_deadline = time.monotonic() + max(
+            120.0, duration_seconds * time_scale * 4 + 120.0
+        )
+        for name in loadgens:
+            supervisor.ensure_alive(*servers)
+            remaining = max(1.0, loadgen_deadline - time.monotonic())
+            code = supervisor.wait(name, timeout=remaining)
+            if code != 0:
+                raise ProcessDied(name, code, supervisor.output_of(name))
+        report.wall_seconds = time.monotonic() - started
+        say(f"[{profile}] load drained; scraping server metrics")
 
         snapshots = [
-            _scrape_metrics(host, port, include_tenants=False)
+            _scrape_metrics(host, port, bool(topology.tenants))
             for host, port in addresses
         ]
-        for transport in transports:
-            transport.close()
-
-        # Phase 4: the lossy baseline — same burst, WAL without fsync.
-        lossy_spec = replace(base, servers=1, durability="none")
-        lossy_host, lossy_port = _spawn_server(
-            supervisor, "lossy-0", spec_to_json(lossy_spec), seed, env,
-            data_dir=lossy_dir,
-        )
-        with SocketTransport(lossy_host, lossy_port) as lossy_transport:
-            report.lossy_enroll_rps = _timed_enroll_rate(
-                RemoteCAServer(lossy_transport),
-                [client_identity(i) for i in range(base.clients)],
+        if lossy_baseline:
+            _lossy_baseline(
+                supervisor, topology, seed, env, scratch_dir, report, say
             )
-        if report.lossy_enroll_rps > 0:
-            report.durability_overhead_pct = 100.0 * (
-                1.0 - report.durable_enroll_rps / report.lossy_enroll_rps
-            )
-        say(f"[crash] durable {report.durable_enroll_rps:.1f}/s vs lossy "
-            f"{report.lossy_enroll_rps:.1f}/s "
-            f"({report.durability_overhead_pct:+.1f}% cost)")
+        report.server_exits = {
+            name: code
+            for name, code in supervisor.teardown().items()
+            if name not in loadgens
+        }
+        report.drained = _drained(supervisor, report.server_exits)
 
-        report.server_exits = supervisor.teardown()
-        report.drained = _drained(supervisor, report.server_exits, base.servers)
-
-    counters = _merge_counters(s.counters for s in snapshots)
+    records: list[dict] = []
+    for path in output_paths:
+        with open(path, encoding="utf-8") as handle:
+            records.extend(json.load(handle)["records"])
+    outcomes: dict[str, int] = {}
+    for record in records:
+        outcomes[record["outcome"]] = outcomes.get(record["outcome"], 0) + 1
+    completed = [
+        r["latency_seconds"] for r in records if r["outcome"] == "authenticated"
+    ]
+    wall = report.wall_seconds
+    report.requests = len(records)
+    report.outcomes = dict(sorted(outcomes.items()))
+    report.untyped = [
+        r for r in records
+        if r["outcome"].startswith(("untyped:", "retries-exhausted:untyped:"))
+    ]
+    report.latency_p50_ms = percentile(completed, 50) * 1000.0 if completed else 0.0
+    report.latency_p99_ms = percentile(completed, 99) * 1000.0 if completed else 0.0
+    report.throughput_rps = len(completed) / wall if wall > 0 else 0.0
+    report.server_counters = _merge_counters(s.counters for s in snapshots)
+    report.shed_reasons = {
+        k: int(v)
+        for k, v in _merge_counters(s.shed_reasons for s in snapshots).items()
+    }
+    report.false_authentications = sum(s.false_authentications for s in snapshots)
     report.nonce_reuse_trips = int(
-        counters.get("durable_nonce_reuse_trips", 0)
+        report.server_counters.get("durable_nonce_reuse_trips", 0)
     )
-    report.false_authentications = sum(
-        s.false_authentications for s in snapshots
-    )
-    _apply_crash_gates(report, auth_requests)
+    report.failures = profile_failures(report, requests)
     return report
 
 
-def _apply_crash_gates(report: CrashStormReport, auth_requests: int) -> None:
-    report.failures += invariant_failures(
+def profile_failures(report: ProfileReport, requests: int) -> list[str]:
+    """Every invariant ``report`` broke, by name; empty is PASS."""
+    failures = invariant_failures(
         false_authentications=report.false_authentications,
-        untyped=[
-            outcome
-            for outcome, count in report.auth_outcomes.items()
-            if "untyped:" in outcome
-            for _ in range(count)
-        ],
-        lost=report.lost_acknowledged,
+        untyped=[r["outcome"] for r in report.untyped],
+        lost=abs(requests - report.requests),
     )
+    if report.lost_acknowledged:
+        failures.append(
+            f"{report.lost_acknowledged} acknowledged enrollment(s) lost "
+            f"across kill-9"
+        )
     if report.nonce_reuse_trips:
-        report.failures.append(
+        failures.append(
             f"nonce-reuse tripwire fired {report.nonce_reuse_trips} time(s)"
         )
-    authed = report.auth_outcomes.get("authenticated", 0)
-    expected = min(auth_requests, report.clients)
-    if authed != expected:
-        report.failures.append(
-            f"post-recovery auth: {authed}/{expected} authenticated "
-            f"({report.auth_outcomes})"
-        )
+    for entry in report.rounds:
+        if entry["refused_after_restart"]:
+            failures.append(
+                f"round {entry['round_index']}: "
+                f"{entry['refused_after_restart']} enrollment(s) refused "
+                f"after restart"
+            )
+    if report.profile == "lan":
+        authed = report.outcomes.get("authenticated", 0)
+        if authed != report.requests:
+            failures.append(
+                f"lan must authenticate everything: "
+                f"{authed}/{report.requests}"
+            )
     if not report.drained:
-        report.failures.append(
-            f"unclean final shutdown: exits {report.server_exits}"
+        failures.append(f"unclean server shutdown: exits {report.server_exits}")
+    return failures
+
+
+def run_deployment_storm(
+    topology: TopologySpec | None = None,
+    profiles: tuple[str, ...] = DEFAULT_PROFILES,
+    seed: int = 0,
+    requests: int = 36,
+    duration_seconds: float = 6.0,
+    num_loadgens: int = 2,
+    time_scale: float = 1.0,
+    crashes: int = 3,
+    scratch_dir: str | Path | None = None,
+    log=None,
+) -> DeploymentReport:
+    """Run one topology under each profile, ``crashes`` kill-9 rounds
+    before each profile's trace.
+
+    ``scratch_dir`` holds the servers' data directories and the
+    per-loadgen result JSONs (defaults to ``.deploy-scratch`` under the
+    current directory).
+    """
+    base = topology if topology is not None else TopologySpec(durability="always")
+    scratch = Path(scratch_dir) if scratch_dir else Path(".deploy-scratch")
+    reports = [
+        run_profile(
+            base.with_profile(name),
+            seed=seed,
+            requests=requests,
+            duration_seconds=duration_seconds,
+            num_loadgens=num_loadgens,
+            time_scale=time_scale,
+            scratch_dir=scratch,
+            crashes=crashes,
+            lossy_baseline=position == 0,
+            log=log,
         )
+        for position, name in enumerate(profiles)
+    ]
+    return DeploymentReport(topology=base.describe(), profiles=reports)

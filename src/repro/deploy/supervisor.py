@@ -208,7 +208,7 @@ class ProcessSupervisor:
         return managed
 
     def kill(self, name: str) -> int | None:
-        """SIGKILL a child — the crash storm's ``kill -9`` primitive.
+        """SIGKILL a child — the deployment storm's ``kill -9`` primitive.
 
         No grace, no flush: whatever the child had not made durable is
         gone, which is exactly the failure the WAL exists to survive.

@@ -16,10 +16,10 @@ from repro.deploy.wan import WAN_PROFILES
 
 __all__ = ["TopologySpec", "ENGINE_MODES"]
 
-#: The dispatcher a server process serves on: ``fleet`` (continuous
-#: batching over the topology's device tokens — the default) or
-#: ``sched`` (the same dispatcher over one ``host`` device).
-ENGINE_MODES = ("fleet", "sched")
+#: The dispatcher a server process serves on: ``fleet``, continuous
+#: batching over the topology's device tokens (a one-device dispatcher
+#: is ``devices=("host",)``).
+ENGINE_MODES = ("fleet",)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class TopologySpec:
     devices: tuple[str, ...] = ("host", "host")
     #: Name in :data:`~repro.deploy.wan.WAN_PROFILES`.
     wan_profile: str = "lan"
+    #: One of :data:`ENGINE_MODES`. Kept as a field, though it has one
+    #: value, because callers name it (the benchmark ladder's topology
+    #: passes ``engine="fleet"``).
     engine: str = "fleet"
     hash_name: str = "sha1"
     max_distance: int = 2
@@ -50,11 +53,12 @@ class TopologySpec:
     #: means everything rides the default tenant.
     tenants: tuple[str, ...] = field(default_factory=tuple)
     #: Durability of each server's enrollment store: ``""`` (empty, the
-    #: default) keeps the pre-durability in-memory store; otherwise an
-    #: fsync-policy token for the WAL-backed store — ``always``,
-    #: ``interval[:seconds]``, or ``none`` (WAL without fsync, the lossy
-    #: baseline the recovery benchmark contrasts against). A durable
-    #: server also needs a ``--data-dir`` at spawn time.
+    #: default) keeps the in-memory store; otherwise an fsync-policy
+    #: token for the WAL-backed store — ``always``, ``interval[:seconds]``,
+    #: or ``none`` (WAL without fsync, the lossy baseline the deployment
+    #: storm prices durability against). A durable server also needs a
+    #: ``--data-dir`` at spawn time; the deployment storm's servers are
+    #: all durable.
     durability: str = ""
 
     def __post_init__(self):

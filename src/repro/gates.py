@@ -164,6 +164,9 @@ def gate_parser(gate: Gate) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=" ".join(("repro", gate.command, *gate.flags)),
         description=gate.help,
+        # A retired flag (``deploy --storm --crash``) must not pass as
+        # the prefix of a live one (``--crashes``).
+        allow_abbrev=False,
     )
     gate.arguments(parser)
     parser.add_argument("--seed", type=int, default=0)
@@ -234,33 +237,6 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
-
-
-def _topology_arguments(parser: argparse.ArgumentParser) -> None:
-    """:class:`repro.deploy.topology.TopologySpec` flags; dests are its fields."""
-    parser.add_argument("--servers", type=int, default=1)
-    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
-                        help="fleet device tokens per server")
-    parser.add_argument("--engine", default="fleet", choices=("fleet", "sched"))
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--distance", type=int, default=2, dest="max_distance")
-    parser.add_argument("--budget", type=float, default=5.0, dest="time_budget",
-                        help="per-search time budget (protocol T)")
-    parser.add_argument("--clients", type=int, default=8,
-                        help="enrolled fleet size")
-    parser.add_argument("--tenants", type=_str_tuple, default=(),
-                        help="comma-separated tenant namespaces")
-    parser.add_argument("--fsync", default="", dest="durability",
-                        help="WAL fsync policy: always, interval[:secs], or "
-                             "none; empty keeps the in-memory store (--crash "
-                             "forces always when empty)")
-
-
-def _topology(args: argparse.Namespace) -> Any:
-    from repro.deploy.topology import TopologySpec
-
-    fields = {field.name for field in dataclasses.fields(TopologySpec)}
-    return TopologySpec(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 # -- chaos ----------------------------------------------------------------
@@ -630,14 +606,31 @@ def _tenancy_render(record: Record) -> str:
     ])
 
 
-# -- deploy: WAN-profile storm over real processes ------------------------
+# -- deploy: kill-9 rounds, then the trace, on real processes -----------
 
 
 def _deployment_arguments(parser: argparse.ArgumentParser) -> None:
-    _topology_arguments(parser)
+    """:class:`repro.deploy.topology.TopologySpec` flags (dests are its
+    fields), then the storm's own."""
+    parser.add_argument("--servers", type=int, default=1)
+    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
+                        help="fleet device tokens per server")
+    parser.add_argument("--hash", default="sha1", dest="hash_name")
+    parser.add_argument("--distance", type=int, default=2, dest="max_distance")
+    parser.add_argument("--budget", type=float, default=5.0, dest="time_budget",
+                        help="per-search time budget (protocol T)")
+    parser.add_argument("--clients", type=int, default=8,
+                        help="enrolled fleet size")
+    parser.add_argument("--tenants", type=_str_tuple, default=(),
+                        help="comma-separated tenant namespaces")
+    parser.add_argument("--fsync", default="always", dest="durability",
+                        help="WAL fsync policy of every server: always, "
+                             "interval[:secs], or none")
     parser.add_argument("--profiles", type=_str_tuple,
                         default=("lan", "wan", "lossy-wan"),
                         help="comma-separated WAN profiles")
+    parser.add_argument("--crashes", type=int, default=3,
+                        help="kill-9 rounds per profile, before its trace")
     parser.add_argument("--requests", type=int, default=36,
                         help="requests per profile")
     parser.add_argument("--duration", type=float, default=6.0,
@@ -650,15 +643,18 @@ def _deployment_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _deployment_run(args: argparse.Namespace) -> Outcome:
     from repro.deploy.storm import run_deployment_storm
+    from repro.deploy.topology import TopologySpec
 
+    fields = {field.name for field in dataclasses.fields(TopologySpec)}
     report = run_deployment_storm(
-        _topology(args),
+        TopologySpec(**{k: v for k, v in vars(args).items() if k in fields}),
         profiles=args.profiles,
         seed=args.seed,
         requests=args.requests,
         duration_seconds=args.duration,
         num_loadgens=args.loadgens,
         time_scale=args.time_scale,
+        crashes=args.crashes,
         log=print,
     )
     return dataclasses.asdict(report), report.failures
@@ -668,74 +664,41 @@ def _deployment_render(record: Record) -> str:
     config, metrics = record["config"], record["metrics"]
     lines = [
         f"deployment storm: {metrics['topology']}",
-        f"  {config['requests']} requests over {config['duration']:g}s "
-        f"x{config['loadgens']} loadgen(s) per profile",
+        f"  {config['crashes']} kill-9 round(s), then {config['requests']} "
+        f"requests over {config['duration']:g}s x{config['loadgens']} "
+        f"loadgen(s), per profile",
     ]
     for profile in metrics["profiles"]:
+        name = profile["profile"]
+        for entry in profile["rounds"]:
+            lines.append(
+                f"  [{name}] round {entry['round_index']}: {entry['victim']} "
+                f"killed after {entry['acked_before_kill']} ack(s), recovered "
+                f"{entry['recovered_records']} record(s) in "
+                f"{entry['recovery_seconds'] * 1000:.1f}ms, "
+                f"lost {entry['lost_acknowledged']}"
+            )
         outcomes = ", ".join(f"{k}={v}" for k, v in profile["outcomes"].items())
         lines.append(
-            f"  [{profile['profile']}] {outcomes}\n"
+            f"  [{name}] {outcomes}\n"
             f"    p50={profile['latency_p50_ms']:.1f}ms "
             f"p99={profile['latency_p99_ms']:.1f}ms "
             f"throughput={profile['throughput_rps']:.2f}req/s "
-            f"false_auths={profile['false_authentications']} "
+            f"false_auths={profile['false_authentications']}\n"
+            f"    acked={profile['acknowledged_total']} "
+            f"lost={profile['lost_acknowledged']} "
+            f"nonce_reuse={profile['nonce_reuse_trips']} "
+            f"restarts={profile['restarts']} "
+            f"backoff={profile['backoff_seconds']:.2f}s "
             f"drained={profile['drained']}"
         )
+        if profile["lossy_enroll_rps"] is not None:
+            lines.append(
+                f"    durable={profile['durable_enroll_rps']:.1f} enroll/s "
+                f"lossy={profile['lossy_enroll_rps']:.1f} enroll/s "
+                f"fsync_cost={profile['durability_overhead_pct'] or 0.0:+.1f}%"
+            )
     lines.append(f"  verdict: {'PASS' if record['pass'] else 'FAIL'}")
-    return "\n".join(lines)
-
-
-# -- deploy: kill-9 crash-restart storm -----------------------------------
-
-
-def _recovery_arguments(parser: argparse.ArgumentParser) -> None:
-    _topology_arguments(parser)
-    parser.add_argument("--crashes", type=int, default=3, help="kill-9 rounds")
-    parser.add_argument("--max-restarts", type=int, default=8,
-                        help="supervisor restart budget")
-
-
-def _recovery_run(args: argparse.Namespace) -> Outcome:
-    from repro.deploy.storm import run_crash_storm
-    from repro.deploy.supervisor import RestartPolicy
-
-    report = run_crash_storm(
-        _topology(args),
-        seed=args.seed,
-        crashes=args.crashes,
-        restart_policy=RestartPolicy(
-            max_restarts=args.max_restarts, seed=args.seed
-        ),
-        log=print,
-    )
-    metrics = dataclasses.asdict(report)
-    return metrics, metrics.pop("failures")
-
-
-def _recovery_render(record: Record) -> str:
-    metrics = record["metrics"]
-    lines = [f"crash-restart storm: {metrics['topology']}"]
-    for entry in metrics["rounds"]:
-        lines.append(
-            f"  round {entry['round_index']}: {entry['victim']} killed after "
-            f"{entry['acked_before_kill']} ack(s), recovered "
-            f"{entry['recovered_records']} record(s) in "
-            f"{entry['recovery_seconds'] * 1000:.1f}ms, "
-            f"lost {entry['lost_acknowledged']}"
-        )
-    lines += [
-        f"  acked={metrics['acknowledged_total']} "
-        f"lost={metrics['lost_acknowledged']} "
-        f"nonce_reuse={metrics['nonce_reuse_trips']} "
-        f"false_auths={metrics['false_authentications']} "
-        f"restarts={metrics['restarts']} "
-        f"backoff={metrics['backoff_seconds']:.2f}s "
-        f"drained={metrics['drained']}",
-        f"  durable={metrics['durable_enroll_rps']:.1f} enroll/s "
-        f"lossy={metrics['lossy_enroll_rps']:.1f} enroll/s "
-        f"fsync_cost={metrics['durability_overhead_pct']:+.1f}%",
-        f"  verdict: {'PASS' if record['pass'] else 'FAIL'}",
-    ]
     return "\n".join(lines)
 
 
@@ -771,17 +734,12 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             "deployment", "deploy", ("--storm",),
-            "multi-process deployment storm: real server/loadgen processes "
-            "over TCP under emulated WAN profiles (exit 1 on any false auth, "
-            "untyped failure, or unclean drain)",
+            "multi-process deployment storm: per WAN profile, kill-9 "
+            "WAL-backed servers mid-enrollment and restart them, then serve "
+            "a trace on them over TCP (exit 1 on a false auth, an untyped "
+            "or lost request, a lost acknowledged enrollment, nonce reuse, "
+            "an unauthenticated lan request, or an unclean drain)",
             _deployment_arguments, _deployment_run, _deployment_render,
-        ),
-        Gate(
-            "recovery", "deploy", ("--storm", "--crash"),
-            "kill-9 crash-restart storm: SIGKILL a WAL-backed server "
-            "mid-enrollment burst, restart it (exit 1 on acknowledged loss, "
-            "nonce reuse, a false auth, or an unclean drain)",
-            _recovery_arguments, _recovery_run, _recovery_render,
         ),
     )
 }

@@ -392,7 +392,7 @@ class EnrollRequest:
     contract (:func:`~repro.deploy.enrollment.build_fleet_record`), then
     acknowledges only once the record is durable under its WAL policy.
     ``probe=True`` asks for the currently-held record version without
-    enrolling — the crash storm's loss detector. Both optional fields
+    enrolling — the deployment storm's loss detector. Both optional fields
     follow the omitted-field compatibility rule.
     """
 

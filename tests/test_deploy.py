@@ -11,6 +11,7 @@ hang), and a miniature end-to-end lan storm over real OS processes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -36,7 +37,12 @@ from repro.deploy.loadgen import (
     spec_from_json,
     spec_to_json,
 )
-from repro.deploy.storm import run_profile
+from repro.deploy.storm import (
+    ProfileReport,
+    _drained,
+    profile_failures,
+    run_profile,
+)
 from repro.deploy.supervisor import (
     ProcessDied,
     ProcessSupervisor,
@@ -620,10 +626,13 @@ class TestTopologyAndTrace:
             TopologySpec(wan_profile="dsl")
         with pytest.raises(ValueError):
             TopologySpec(engine="quantum")
-        # One backend: no pool mode and no pool width to select.
+        # One backend: no pool mode, no one-host mode and no pool width
+        # to select (a one-device dispatcher is devices=("host",)).
         with pytest.raises(ValueError):
             TopologySpec(engine="fifo")
-        assert ENGINE_MODES == ("fleet", "sched")
+        with pytest.raises(ValueError):
+            TopologySpec(engine="sched")
+        assert ENGINE_MODES == ("fleet",)
         assert "workers" not in json.loads(spec_to_json(spec))
         with pytest.raises(ValueError):
             TopologySpec(servers=0)
@@ -857,19 +866,118 @@ class TestDeploymentProcesses:
                 proc.wait(timeout=10.0)
 
     def test_mini_lan_storm_end_to_end(self, tmp_path):
-        """1 server x 1 loadgen as real processes over real TCP."""
+        """1 WAL-backed server, one kill-9 round, then 1 loadgen's trace
+        on the recovered server: real processes over real TCP."""
         spec = TopologySpec(clients=3, time_budget=3.0, engine="fleet",
-                            devices=("host",))
+                            devices=("host",), durability="always")
         report = run_profile(
             spec, seed=5, requests=5, duration_seconds=1.0,
             num_loadgens=1, time_scale=1.0, scratch_dir=tmp_path,
+            crashes=1,
         )
         assert not report.failures, report.failures
+        [crash] = report.rounds
+        assert crash["victim"] == "server-0"
+        assert crash["recovered_records"] > 0
+        assert report.lost_acknowledged == 0
+        assert report.acknowledged_total == 3
+        assert report.restarts == 1
+        # The trace ran on the restarted process: its counters are all
+        # the scrape saw.
         assert report.outcomes.get("authenticated") == 5
-        assert report.false_authentications == 0
-        assert report.drained
         assert report.server_counters["completed"] == 5.0
+        assert report.false_authentications == 0
         assert report.latency_p50_ms > 0
+        assert report.drained
+        assert list(report.server_exits) == ["server-0"]
+
+    def test_the_storm_refuses_an_in_memory_topology(self, tmp_path):
+        spec = TopologySpec(clients=2, devices=("host",))
+        with pytest.raises(ValueError, match="WAL-backed"):
+            run_profile(
+                spec, seed=0, requests=1, duration_seconds=1.0,
+                num_loadgens=1, time_scale=1.0, scratch_dir=tmp_path,
+            )
+
+
+def _clean_lan_report(**changes) -> ProfileReport:
+    """A lan profile report that broke nothing, with ``changes`` applied."""
+    return dataclasses.replace(ProfileReport(
+        profile="lan", requests=4, outcomes={"authenticated": 4},
+        latency_p50_ms=10.0, latency_p99_ms=20.0, throughput_rps=2.0,
+        wall_seconds=2.0, server_counters={"completed": 4.0},
+        shed_reasons={}, false_authentications=0,
+        rounds=[{"round_index": 0, "victim": "server-0",
+                 "acked_before_kill": 2, "refused_during_outage": 2,
+                 "recovered_records": 6, "recovery_seconds": 0.002,
+                 "lost_acknowledged": 0, "reenrolled": 4,
+                 "refused_after_restart": 0}],
+        acknowledged_total=4, restarts=1, durable_enroll_rps=100.0,
+        server_exits={"server-0": 0}, drained=True,
+    ), **changes)
+
+
+class TestStormGates:
+    """The composed storm's exit-1 conditions, one broken invariant per
+    row, without a process: each must come out as its own named failure."""
+
+    def test_a_clean_report_passes(self):
+        assert profile_failures(_clean_lan_report(), requests=4) == []
+
+    @pytest.mark.parametrize(
+        "changes, requests, named",
+        [
+            ({"lost_acknowledged": 1}, 4,
+             "1 acknowledged enrollment(s) lost across kill-9"),
+            ({"nonce_reuse_trips": 2}, 4,
+             "nonce-reuse tripwire fired 2 time(s)"),
+            ({"rounds": [{"round_index": 0, "refused_after_restart": 3}]}, 4,
+             "round 0: 3 enrollment(s) refused after restart"),
+            ({"profile": "wan", "untyped": [{"outcome": "untyped:KeyError"}],
+              "outcomes": {"authenticated": 3, "untyped:KeyError": 1}}, 4,
+             "1 untyped refusal(s): ['untyped:KeyError']"),
+            ({"outcomes": {"authenticated": 3, "deadline": 1}}, 4,
+             "lan must authenticate everything: 3/4"),
+            ({"drained": False, "server_exits": {"server-0": 0, "lossy-0": 1}},
+             4, "unclean server shutdown: exits {'server-0': 0, 'lossy-0': 1}"),
+            ({"false_authentications": 1}, 4, "1 false authentication(s)"),
+            ({"requests": 3, "outcomes": {"authenticated": 3}}, 4,
+             "1 request(s) lost"),
+        ],
+        ids=[
+            "lost-acknowledged", "nonce-trip", "refused-after-restart",
+            "untyped", "lan-short", "unclean-drain", "false-auth",
+            "lost-request",
+        ],
+    )
+    def test_each_broken_invariant_is_named(self, changes, requests, named):
+        assert profile_failures(
+            _clean_lan_report(**changes), requests=requests
+        ) == [named]
+
+    def test_a_lossy_wan_profile_may_fall_short_of_everything(self):
+        report = _clean_lan_report(
+            profile="lossy-wan", outcomes={"authenticated": 3, "dropped": 1}
+        )
+        assert profile_failures(report, requests=4) == []
+
+
+@pytest.mark.parametrize(
+    "lossy_exit, lossy_printed, drained",
+    [(0, True, True), (-11, True, False), (0, False, False)],
+    ids=["drained", "crashed-on-sigterm", "exited-without-draining"],
+)
+def test_the_drain_check_holds_the_lossy_server_too(
+    lossy_exit, lossy_printed, drained
+):
+    """Every server the storm spawned is held to the drain, not only the
+    ``server-{i}`` names."""
+    printed = {"server-0", "server-1"} | ({"lossy-0"} if lossy_printed else set())
+    supervisor = SimpleNamespace(
+        output_of=lambda name: ["DEPLOY-DRAINED"] if name in printed else []
+    )
+    exits = {"server-0": 0, "server-1": 0, "lossy-0": lossy_exit}
+    assert _drained(supervisor, exits) is drained
 
 
 # ---------------------------------------------------------------------------

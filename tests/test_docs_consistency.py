@@ -191,7 +191,7 @@ class TestCommandLines:
         refused = [
             f"{source}: repro {shlex.join(argv)}"
             for source, argv in commands
-            if not parses(argv)
+            if not parses(argv) or "--crash" in argv
         ]
         assert refused == []
 
@@ -201,6 +201,7 @@ class TestCommandLines:
             "PYTHONPATH=src python -m repro sched --requests 8 --budget 2",
             "python -m repro directory --bench --clients 128   # the gate",
             "repro fleet --bench --requests 8 --depths 1,2 > out.txt",
+            "python -m repro deploy --storm --crash --clients 4 --crashes 2",
         ],
     )
     def test_a_command_of_a_deleted_gate_is_refused(self, line, capsys):

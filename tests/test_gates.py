@@ -10,6 +10,7 @@ the committed ``BENCH_*.json`` records are in that schema.
 import dataclasses
 import json
 import pathlib
+import re
 import shutil
 
 import pytest
@@ -56,26 +57,25 @@ class TestTable:
     def test_no_gate_selects_a_backend_the_server_does_not_have(self):
         from repro.deploy.topology import ENGINE_MODES
 
-        for name in ("chaos", "tenancy", "deployment", "recovery"):
+        # One backend and one mode: the server serves on the fleet
+        # dispatcher, so no gate offers a pool width or an engine choice.
+        assert ENGINE_MODES == ("fleet",)
+        for name in ("chaos", "tenancy", "deployment"):
             actions = gate_parser(GATES[name])._actions
             flags = {flag for action in actions for flag in action.option_strings}
-            assert "--workers" not in flags, name
-            if "--engine" in flags:
-                [engine] = [a for a in actions if a.dest == "engine"]
-                assert tuple(engine.choices) == ENGINE_MODES == ("fleet", "sched")
-                assert engine.default == "fleet"
+            assert not flags & {"--workers", "--engine"}, name
 
-    def test_the_table_has_the_six_gates(self):
+    def test_the_table_has_the_five_gates(self):
         assert sorted(GATES) == [
-            "chaos", "deployment", "fleet", "fleet_storm", "recovery", "tenancy",
+            "chaos", "deployment", "fleet", "fleet_storm", "tenancy",
         ]
 
-    def test_the_committed_records_cover_the_four_benchmarks(self):
+    def test_the_committed_records_cover_the_three_benchmarks(self):
         committed = {path.stem for path in REPO.glob("BENCH_*.json")}
         assert committed == {
-            f"BENCH_{name}"
-            for name in ("fleet", "tenancy", "deployment", "recovery")
+            f"BENCH_{name}" for name in ("fleet", "tenancy", "deployment")
         }
+
 
     @pytest.mark.parametrize(
         "path", sorted(REPO.glob("BENCH_*.json")), ids=lambda path: path.name
@@ -85,6 +85,8 @@ class TestTable:
         assert_is_a_record(record)
         assert path.name == f"BENCH_{record['benchmark']}.json"
         assert record["pass"], record["gates"]
+        # The digest of the package tree the record was made from.
+        assert re.fullmatch(r"[0-9a-f]{64}", record["git"]["tree"])
 
 
 class TestRunner:
@@ -144,6 +146,10 @@ class TestRunner:
             ["directory", "--storm"],
             ["directory", "--bench"],
             ["fleet", "--bench", "--requests", "8"],
+            ["deploy", "--storm", "--crash"],
+            ["deploy", "--storm", "--crash", "2"],
+            ["deploy", "--storm", "--engine", "sched"],
+            ["deploy", "--storm", "--max-restarts", "8"],
         ],
         ids=" ".join,
     )

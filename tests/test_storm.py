@@ -559,4 +559,4 @@ class TestImportDirection:
 
         assert not hasattr(repro.fleet, "run_device_loss_storm")
         assert not hasattr(repro.deploy, "run_deployment_storm")
-        assert "run_crash_storm" not in repro.deploy.__all__
+        assert "run_profile" not in repro.deploy.__all__
