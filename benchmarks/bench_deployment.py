@@ -11,8 +11,8 @@ servers. Reported per profile: records replayed and recovery time per
 kill-9 round, acknowledged-enrollment audit, restarts and backoff,
 end-to-end p50/p99 (client-observed wall clock, including WAN emulation
 and retries), completed-request throughput, and the server-side
-shed/redispatch counters scraped over the admin metrics frame; on the
-first profile, durable vs no-fsync enrollment throughput.
+shed/redispatch counters scraped over the admin metrics frame, and the
+durable enrollment rate of the timed burst.
 
 Gates (exit 1 on any):
 

@@ -48,8 +48,8 @@ def fleet_split_demo(searches: int = 4) -> None:
         f"{sum(r.seeds_hashed for r in results):,} seeds committed; every "
         "search's rank ranges were pulled by whichever device was free, "
         f"and {spread} of {len(devices)} devices hashed rows. Early exit "
-        "and re-dispatch of a lost device's chunks are what "
-        "`repro fleet --storm` gates."
+        "and re-dispatch of a lost device's chunks are what the device-loss "
+        "storm (tests/test_fleet.py::TestDeviceLossStorm) holds."
     )
 
 

@@ -180,7 +180,8 @@ class ResilienceReport:
     engine_shells_completed: int = 0
     #: Batches that failed on the killed device and chunks replayed on
     #: the survivor: 0 while the monitor sees every outage edge before
-    #: the next client (in-flight re-dispatch is ``fleet --storm``'s).
+    #: the next client (in-flight re-dispatch is the device-loss storm's,
+    #: ``tests/test_fleet.py::TestDeviceLossStorm``).
     victim_batch_failures: int = field(default=0, compare=False)
     redispatched_chunks: int = field(default=0, compare=False)
 

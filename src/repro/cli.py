@@ -14,9 +14,8 @@ Commands:
 * ``complexity`` — print Table 1 and the tractability planner.
 * ``fleet``      — the multi-device dispatch demo.
 
-The serving gates — ``chaos``, ``fleet --storm``, ``fleet --bench``,
-``tenants`` and ``deploy --storm`` — are not
-written here: each is one definition in :mod:`repro.gates`, and
+The serving gates — ``chaos``, ``fleet --bench`` and ``deploy --storm``
+— are not written here: each is one definition in :mod:`repro.gates`, and
 :func:`main` hands a matching command line to that module's runner
 (every gate takes ``--seed`` and ``--output``).
 """
@@ -364,8 +363,8 @@ def _parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="multi-device dispatch demo; --storm is the device-loss "
-             "storm, --bench the host-device scaling + hedging gate",
+        help="multi-device dispatch demo; --bench is the host-device "
+             "scaling + hedging gate",
     )
     fleet.add_argument("--devices", type=_str_tuple, default=("host", "host"),
                        help="comma-separated device tokens, e.g. "
@@ -406,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(args.fn(args))
     except ValueError as exc:
         # A value argparse accepted but the command refused (--clients 0,
-        # --seed -1, a one-device storm): a usage error, not a traceback.
+        # --seed -1): a usage error, not a traceback.
         print(f"repro {argv[0]}: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -18,9 +18,6 @@ order, on the same servers:
    every server the storm spawned exited 0 having printed
    ``DEPLOY-DRAINED``.
 
-The first profile also times the same burst against one server whose WAL
-is never fsynced (``lossy-0``): the price of durability.
-
 The gates (:func:`profile_failures`) are deliberately blunt, per profile:
 
 * zero false authentications (the server-side tripwire re-hashes each
@@ -45,7 +42,7 @@ import re
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -101,9 +98,6 @@ class ProfileReport:
     restarts: int = 0
     backoff_seconds: float = 0.0
     durable_enroll_rps: float = 0.0
-    #: The no-fsync baseline; measured on the storm's first profile only.
-    lossy_enroll_rps: float | None = None
-    durability_overhead_pct: float | None = None
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
     #: Gate invariants this profile broke, by name; empty is PASS.
@@ -232,15 +226,6 @@ def _enroll_burst(
     return acked_count, refused
 
 
-def _timed_enroll_rate(remote: RemoteCAServer, client_ids: list[str]) -> float:
-    """Acknowledged enrollments per second over one sequential burst."""
-    started = time.monotonic()
-    for client_id in client_ids:
-        remote.enroll(client_id)
-    wall = time.monotonic() - started
-    return len(client_ids) / wall if wall > 0 else 0.0
-
-
 def _enroll_and_crash(
     supervisor: ProcessSupervisor,
     topology: TopologySpec,
@@ -329,33 +314,6 @@ def _enroll_and_crash(
     report.backoff_seconds = supervisor.backoff_seconds_total
 
 
-def _lossy_baseline(
-    supervisor: ProcessSupervisor,
-    topology: TopologySpec,
-    seed: int,
-    env: dict[str, str],
-    scratch_dir: Path,
-    report: ProfileReport,
-    say,
-) -> None:
-    """The same burst against one server whose WAL is never fsynced."""
-    lossy = replace(topology, servers=1, durability="none")
-    host, port = _spawn_server(
-        supervisor, "lossy-0", lossy, seed, env, scratch_dir / "lossy-0"
-    )
-    with SocketTransport(host, port) as transport:
-        report.lossy_enroll_rps = _timed_enroll_rate(
-            RemoteCAServer(transport),
-            [client_identity(i) for i in range(topology.clients)],
-        )
-    if report.lossy_enroll_rps > 0:
-        report.durability_overhead_pct = 100.0 * (
-            1.0 - report.durable_enroll_rps / report.lossy_enroll_rps
-        )
-    say(f"[{topology.wan_profile}] durable {report.durable_enroll_rps:.1f}/s "
-        f"vs lossy {report.lossy_enroll_rps:.1f}/s")
-
-
 def run_profile(
     topology: TopologySpec,
     seed: int,
@@ -365,7 +323,6 @@ def run_profile(
     time_scale: float,
     scratch_dir: Path,
     crashes: int = 0,
-    lossy_baseline: bool = False,
     log=None,
 ) -> ProfileReport:
     """Stand up, enroll, crash, drive, scrape, and tear down one profile's
@@ -440,10 +397,6 @@ def run_profile(
             _scrape_metrics(host, port, bool(topology.tenants))
             for host, port in addresses
         ]
-        if lossy_baseline:
-            _lossy_baseline(
-                supervisor, topology, seed, env, scratch_dir, report, say
-            )
         report.server_exits = {
             name: code
             for name, code in supervisor.teardown().items()
@@ -550,9 +503,8 @@ def run_deployment_storm(
             time_scale=time_scale,
             scratch_dir=scratch,
             crashes=crashes,
-            lossy_baseline=position == 0,
             log=log,
         )
-        for position, name in enumerate(profiles)
+        for name in profiles
     ]
     return DeploymentReport(topology=base.describe(), profiles=reports)

@@ -55,8 +55,7 @@ class TopologySpec:
     #: Durability of each server's enrollment store: ``""`` (empty, the
     #: default) keeps the in-memory store; otherwise an fsync-policy
     #: token for the WAL-backed store — ``always``, ``interval[:seconds]``,
-    #: or ``none`` (WAL without fsync, the lossy baseline the deployment
-    #: storm prices durability against). A durable server also needs a
+    #: or ``none`` (WAL without fsync). A durable server also needs a
     #: ``--data-dir`` at spawn time; the deployment storm's servers are
     #: all durable.
     durability: str = ""

@@ -21,13 +21,10 @@ Quick start::
     result = ticket.result()
     print(result.seeds_hashed, engine.scheduler.snapshot()["devices"])
 
-The device-loss chaos harness lives in :mod:`repro.fleet.storm`
-(imported explicitly — a serving process has no use for it)::
-
-    from repro.fleet.storm import run_device_loss_storm
-
-    report = run_device_loss_storm(seed=0)
-    assert not report.failures, report.render()
+A device is lost and brought back with ``engine.scheduler.kill_device``
+/ ``revive_device``; the device-loss storm that kills one mid-run is a
+tier-1 scenario on the storm kit (``tests/test_fleet.py``), not a
+module of this package.
 """
 
 from __future__ import annotations

@@ -100,6 +100,24 @@ class UnitCursor:
             return self._units[0].distance, self._units[0].lo
         return None
 
+    @property
+    def next_rows(self) -> int:
+        """Rows of the range ``take(batch_size)`` would serve next: the
+        rest of the unit's current batch, or of a replayed range (0 when
+        exhausted)."""
+        if self._replay:
+            _distance, lo, hi = self._replay[0]
+            return min(hi - lo, self._batch_size)
+        if self._unit is not None:
+            unit, lo = self._unit, self._next
+        elif self._units:
+            unit = self._units[0]
+            lo = unit.lo
+        else:
+            return 0
+        boundary = lo - (lo - unit.lo) % self._batch_size + self._batch_size
+        return min(unit.hi, boundary) - lo
+
     def push_back(self, distance: int, lo: int, hi: int) -> None:
         """Return an unconsumed range to the cursor, ahead of everything
         not yet served.

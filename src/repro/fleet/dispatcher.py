@@ -24,6 +24,11 @@ Placement and recovery rules:
   chunks across GPUs, §4.8).
 * **At most one in-flight range per request per device** — assembly on
   a device skips requests that already have a range running there.
+* **Whole ranges** — a range is one whole ``batch_size`` batch of its
+  work unit (or a replay of one); a request whose next range does not
+  fit in the room a batch has left waits for the next batch instead of
+  riding a cut one, so ``seeds_hashed`` never depends on who shared
+  the batch.
 * **Rank-ordered settle** — a hashed range commits only once every lower
   range of its request has committed, so a request settles on the match
   at the lowest rank, the single-engine candidate order, and results
@@ -470,6 +475,11 @@ class FleetScheduler:
         ):
             if room <= 0:
                 break
+            if request.cursor.next_rows > room:
+                # Whole or not at all: a match in a range cut to the
+                # room left would count fewer seeds hashed than the
+                # single engine's batch. It leads or rides the next one.
+                continue
             taken = request.cursor.take(room)
             assert taken is not None, "runnable requests have ranks left"
             distance, lo, hi = taken

@@ -267,36 +267,6 @@ def _chaos_render(record: Record) -> str:
     return ResilienceReport(**record["metrics"]).render()
 
 
-# -- fleet: device-loss storm ---------------------------------------------
-
-
-def _fleet_storm_arguments(parser: argparse.ArgumentParser) -> None:
-    # The seeded mixed-depth fleet of :func:`repro.storm.planted`.
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--requests", type=int, default=8)
-    parser.add_argument("--depths", type=_int_tuple, default=(1, 2, 2, 3),
-                        help="comma-separated search depths, cycled over the fleet")
-    parser.add_argument("--batch-size", type=int, default=4096)
-    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
-                        help="comma-separated device tokens, e.g. "
-                             "host,flaky-apu; the last one is killed")
-    parser.add_argument("--kill-fraction", type=float, default=0.25)
-    parser.add_argument("--revive-fraction", type=float, default=0.75)
-
-
-def _fleet_storm_run(args: argparse.Namespace) -> Outcome:
-    from repro.fleet.storm import run_device_loss_storm
-
-    report = run_device_loss_storm(**_config(args))
-    return dataclasses.asdict(report), report.failures
-
-
-def _fleet_storm_render(record: Record) -> str:
-    from repro.fleet.storm import DeviceLossStormReport
-
-    return DeviceLossStormReport(**record["metrics"]).render()
-
-
 # -- fleet: host-device scaling + hedged stragglers ----------------------
 
 
@@ -540,72 +510,6 @@ def _fleet_render(record: Record) -> str:
     ])
 
 
-# -- tenants: noisy neighbor ----------------------------------------------
-
-
-def _tenancy_arguments(parser: argparse.ArgumentParser) -> None:
-    # Acceptance scale: an 8-client victim fleet against a 20-request
-    # aggressor burst on a 1-token/s bucket.
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--victims", type=int, default=8,
-                        help="victim fleet size (requests)")
-    parser.add_argument("--aggressors", type=int, default=20,
-                        help="aggressor burst size (requests)")
-    parser.add_argument("--aggressor-rate", type=float, default=1.0,
-                        help="aggressor token-bucket refill (lookups/second)")
-    parser.add_argument("--aggressor-burst", type=float, default=1.0,
-                        help="aggressor token-bucket capacity")
-    parser.add_argument("--ratio-limit", type=float, default=1.25,
-                        help="allowed victim p99 degradation under the storm")
-
-
-def _tenancy_run(args: argparse.Namespace) -> Outcome:
-    from repro.tenancy.workload import isolation_failures, run_noisy_neighbor
-
-    config = _config(args)
-    ratio_limit = config.pop("ratio_limit")
-    metrics = run_noisy_neighbor(**config)
-    return metrics, isolation_failures(metrics, ratio_limit=ratio_limit)
-
-
-def _tenancy_render(record: Record) -> str:
-    from repro.tenancy.workload import AGGRESSOR_TENANT, VICTIM_TENANT
-
-    config, metrics = record["config"], record["metrics"]
-
-    def row(phase: str, tenant: str) -> str:
-        stats = metrics[phase].get(tenant)
-        if stats is None:
-            return f"    {phase:<12} {tenant:<10} (absent)"
-        tail = (
-            f"p50={stats['p50_seconds']:.3f}s p99={stats['p99_seconds']:.3f}s"
-            if stats["served"]
-            else "(nothing served)"
-        )
-        return (
-            f"    {phase:<12} {tenant:<10} n={stats['count']:<3} "
-            f"served={stats['served']:<3} shed={stats['shed']:<3} {tail}"
-        )
-
-    ratio = metrics["victim_p99_ratio"]
-    return "\n".join([
-        "Tenancy — noisy-neighbor isolation under per-tenant quotas",
-        f"  {config['victims']} victim + {config['aggressors']} aggressor "
-        f"requests, aggressor bucket {config['aggressor_rate']}/s "
-        f"burst={config['aggressor_burst']}, hash={config['hash_name']}",
-        row("baseline", VICTIM_TENANT),
-        row("storm", VICTIM_TENANT),
-        row("storm", AGGRESSOR_TENANT),
-        row("unprotected", VICTIM_TENANT),
-        f"  aggressor: {metrics['aggressor_admitted']} admitted, "
-        f"{metrics['aggressor_shed']} shed {metrics['aggressor_shed_reasons']}",
-        f"  victim p99: baseline {metrics['victim_p99_baseline_seconds']:.3f}s"
-        f" -> storm {metrics['victim_p99_storm_seconds']:.3f}s"
-        + (f"  ({ratio:.2f}x)" if ratio is not None else "")
-        + f"; unprotected {metrics['victim_p99_unprotected_seconds']:.3f}s",
-    ])
-
-
 # -- deploy: kill-9 rounds, then the trace, on real processes -----------
 
 
@@ -690,14 +594,9 @@ def _deployment_render(record: Record) -> str:
             f"nonce_reuse={profile['nonce_reuse_trips']} "
             f"restarts={profile['restarts']} "
             f"backoff={profile['backoff_seconds']:.2f}s "
+            f"durable={profile['durable_enroll_rps']:.1f}enroll/s "
             f"drained={profile['drained']}"
         )
-        if profile["lossy_enroll_rps"] is not None:
-            lines.append(
-                f"    durable={profile['durable_enroll_rps']:.1f} enroll/s "
-                f"lossy={profile['lossy_enroll_rps']:.1f} enroll/s "
-                f"fsync_cost={profile['durability_overhead_pct'] or 0.0:+.1f}%"
-            )
     lines.append(f"  verdict: {'PASS' if record['pass'] else 'FAIL'}")
     return "\n".join(lines)
 
@@ -714,23 +613,10 @@ GATES: dict[str, Gate] = {
             _chaos_arguments, _chaos_run, _chaos_render,
         ),
         Gate(
-            "fleet_storm", "fleet", ("--storm",),
-            "device-loss storm: kill a fleet device mid-run, revive it (exit "
-            "1 on a lost request, false auth, byte mismatch vs the "
-            "single-device run, or missing re-dispatch)",
-            _fleet_storm_arguments, _fleet_storm_run, _fleet_storm_render,
-        ),
-        Gate(
             "fleet", "fleet", ("--bench",),
             "host-device scaling, hedged vs unhedged straggler p99 (exit 1 "
             "on a lost request, false auth, scaling or hedging regression)",
             _fleet_arguments, _fleet_run, _fleet_render,
-        ),
-        Gate(
-            "tenancy", "tenants", (),
-            "noisy-neighbor storm: per-tenant quotas vs an aggressor burst "
-            "(exit 1 if the victim's tail degrades or a shed is mistyped)",
-            _tenancy_arguments, _tenancy_run, _tenancy_render,
         ),
         Gate(
             "deployment", "deploy", ("--storm",),

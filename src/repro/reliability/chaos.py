@@ -10,8 +10,8 @@ fleet dispatcher — and report what happened as a
 
 Clients run back to back, and a plan's device-failure episodes are
 outages of the fleet's last device: it is killed before the client a
-seeded window opens at and revived before the client it closes at (the
-switch ``repro fleet --storm`` flips), and the storm holds each edge
+seeded window opens at and revived before the client it closes at
+(the dispatcher's ``kill_device`` / ``revive_device``), and the storm holds each edge
 until the dispatcher's health monitor has quarantined / reinstated the
 device. That is what makes the compared part of the report — outcomes,
 link faults, virtual latencies, quarantines and reinstatements — a pure

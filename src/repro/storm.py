@@ -1,15 +1,16 @@
 """The storm kit: what every in-process serving harness decides, once.
 
-A storm *scenario* (device loss, noisy neighbor, the ``fleet`` demo)
-owns its fault schedule and its verdicts; the kit owns request ->
-outcome: :class:`Request` and :class:`Outcome`,
-:func:`planted` (the seeded workload), :func:`enrolled_fleet` (a CA with
-a PUF fleet enrolled), :func:`set_device_alive` (a device lost or back,
-and seen to be), :func:`drive` (submit everything, settle
-everything, lose nothing silently — over the three submit shapes
-:func:`ticket_submit`, :func:`server_submit`, :func:`search_submit`),
-:func:`summarize`, and the invariants every serving gate asserts
-(:func:`false_authentications`, :func:`invariant_failures`).
+A storm *scenario* (the chaos plans, ``fleet --bench``, the ``fleet``
+demo, and the device-loss and two-tenant storms of the tests) owns its
+fault schedule and its verdicts; the kit owns request -> outcome:
+:class:`Request` and :class:`Outcome`, :func:`planted` (the seeded
+workload), :func:`enrolled_fleet` (a CA with a PUF fleet enrolled),
+:func:`set_device_alive` (a device lost or back, and seen to be),
+:func:`drive` (submit everything, settle everything, lose nothing
+silently — over any ``submit`` whose handle has ``add_done_callback``
+and ``result(timeout)``; :func:`ticket_submit` makes one of a
+dispatcher engine), :func:`summarize`, and the invariants every serving
+gate asserts (:func:`false_authentications`, :func:`invariant_failures`).
 
 No module that serves requests imports this one.
 """
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Request", "Outcome", "planted", "enrolled_fleet",
-    "set_device_alive", "ticket_submit", "server_submit", "search_submit",
+    "set_device_alive", "ticket_submit",
     "drive", "summarize", "false_authentications", "invariant_failures",
 ]
 
@@ -201,36 +202,6 @@ def ticket_submit(engine: Any, time_budget: float | None = None) -> Submit:
         time_budget=time_budget, deadline_seconds=request.deadline_seconds,
         client_id=request.client_id,
     )
-
-
-def server_submit(server: Any, tripwire: Any = None) -> Submit:
-    """Requests as futures of a ``ConcurrentCAServer``; each digest is first
-    recorded with the false-authentication ``tripwire``, if there is one."""
-
-    def submit(request: Request) -> Any:
-        if tripwire is not None:
-            tripwire.record_digest(request.client_id, request.digest, request.tenant)
-        return server.submit(
-            request.client_id, request.digest,
-            deadline_seconds=request.deadline_seconds, tenant_id=request.tenant,
-        )
-
-    return submit
-
-
-def search_submit(engine: Any, time_budget: float | None = None) -> Submit:
-    """Requests served one after another by a blocking ``engine.search`` —
-    the FIFO reference: every submit returns an already-settled future."""
-
-    def submit(request: Request) -> Any:
-        future: concurrent.futures.Future[Any] = concurrent.futures.Future()
-        future.set_result(engine.search(
-            request.base_seed, request.digest, request.max_distance,
-            time_budget=time_budget,
-        ))
-        return future
-
-    return submit
 
 
 def _outcome(

@@ -14,8 +14,10 @@ One tenant model threads through every serving layer:
   tenant ids, admission charges buckets, and lanes read weights.
 * :mod:`repro.tenancy.ledger` — :class:`TenantLedger`, per-tenant
   serving counters (submitted/shed/quota hits/latency percentiles).
-* :mod:`repro.tenancy.workload` — the noisy-neighbor storm used by the
-  tenancy benchmark and the smoke gate.
+
+An aggressor tenant bursting past its quota at the front door, with and
+without the quota, is a tier-1 scenario (``tests/test_storm.py``
+``TestComposedFaults``).
 """
 
 from repro.tenancy.bucket import TokenBucket

@@ -3,8 +3,8 @@
 One ledger rides inside :class:`~repro.net.concurrent.ServerMetrics`;
 every admission, completion, and shed is attributed to the tenant it
 belonged to. Latencies keep a bounded reservoir of the most recent
-observations per tenant, enough for the p50/p99 the noisy-neighbor
-bench and the ``repro tenants`` CLI report.
+observations per tenant, enough for the p50/p99 the per-tenant
+metrics frame reports.
 """
 
 from __future__ import annotations

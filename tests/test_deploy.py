@@ -938,8 +938,8 @@ class TestStormGates:
              "1 untyped refusal(s): ['untyped:KeyError']"),
             ({"outcomes": {"authenticated": 3, "deadline": 1}}, 4,
              "lan must authenticate everything: 3/4"),
-            ({"drained": False, "server_exits": {"server-0": 0, "lossy-0": 1}},
-             4, "unclean server shutdown: exits {'server-0': 0, 'lossy-0': 1}"),
+            ({"drained": False, "server_exits": {"server-0": 0, "server-1": 1}},
+             4, "unclean server shutdown: exits {'server-0': 0, 'server-1': 1}"),
             ({"false_authentications": 1}, 4, "1 false authentication(s)"),
             ({"requests": 3, "outcomes": {"authenticated": 3}}, 4,
              "1 request(s) lost"),
@@ -963,20 +963,18 @@ class TestStormGates:
 
 
 @pytest.mark.parametrize(
-    "lossy_exit, lossy_printed, drained",
+    "last_exit, last_printed, drained",
     [(0, True, True), (-11, True, False), (0, False, False)],
     ids=["drained", "crashed-on-sigterm", "exited-without-draining"],
 )
-def test_the_drain_check_holds_the_lossy_server_too(
-    lossy_exit, lossy_printed, drained
-):
-    """Every server the storm spawned is held to the drain, not only the
-    ``server-{i}`` names."""
-    printed = {"server-0", "server-1"} | ({"lossy-0"} if lossy_printed else set())
+def test_the_drain_check_holds_every_server(last_exit, last_printed, drained):
+    """Every server in the exits map is held to the drain: exit 0 and
+    ``DEPLOY-DRAINED`` printed, whichever of the two it broke."""
+    printed = {"server-0"} | ({"server-1"} if last_printed else set())
     supervisor = SimpleNamespace(
         output_of=lambda name: ["DEPLOY-DRAINED"] if name in printed else []
     )
-    exits = {"server-0": 0, "server-1": 0, "lossy-0": lossy_exit}
+    exits = {"server-0": 0, "server-1": last_exit}
     assert _drained(supervisor, exits) is drained
 
 

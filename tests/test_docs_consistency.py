@@ -202,6 +202,8 @@ class TestCommandLines:
             "python -m repro directory --bench --clients 128   # the gate",
             "repro fleet --bench --requests 8 --depths 1,2 > out.txt",
             "python -m repro deploy --storm --crash --clients 4 --crashes 2",
+            "python -m repro fleet --storm --requests 8 --seed 0",
+            "PYTHONPATH=src python -m repro tenants --victims 10 --aggressors 12",
         ],
     )
     def test_a_command_of_a_deleted_gate_is_refused(self, line, capsys):
@@ -209,13 +211,13 @@ class TestCommandLines:
         assert not parses(argv)
 
     def test_the_extractors_see_continuations_and_folded_steps(self):
-        doc = "```bash\npython -m repro fleet --storm \\\n  --seed 0\n```\n"
+        doc = "```bash\npython -m repro fleet --bench \\\n  --seed 0\n```\n"
         assert [list(repro_argvs(line)) for line in code_lines(doc)] == [
-            [["fleet", "--storm", "--seed", "0"]]
+            [["fleet", "--bench", "--seed", "0"]]
         ]
-        ci = ("      - name: x\n        run: >\n          python -m repro tenants\n"
+        ci = ("      - name: x\n        run: >\n          python -m repro chaos\n"
               "          --seed 0\n      - name: y\n")
-        assert list(ci_run_lines(ci)) == ["python -m repro tenants --seed 0"]
+        assert list(ci_run_lines(ci)) == ["python -m repro chaos --seed 0"]
 
 
 #: A ``repro.`` dotted name (not part of a path, a URL or a longer word).

@@ -7,8 +7,8 @@ protocol-level invariants (byte equivalence with the single-device
 engine, re-dispatch after a mid-search kill, grace shedding when the
 whole fleet is dark, hedged stragglers); a host's cores as devices
 (the same bytes on any number of them, rank-ordered settle, nothing
-left behind); and the device-loss chaos storm that exercises all of it
-at once.
+left behind); and the device-loss storm, on the storm kit
+(``conftest.run_device_loss_storm``), that exercises all of it at once.
 """
 
 import gc
@@ -26,7 +26,6 @@ from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import build_engine, engine_target
 from repro.fleet import FleetDevice, FleetSearchEngine
 from repro.fleet.engine import default_worker_count
-from repro.fleet.storm import run_device_loss_storm
 from repro.combinatorics.ranking import unrank_lexicographic_exact
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
@@ -586,6 +585,42 @@ class TestWorkerEquivalence:
         assert result.seeds_hashed == 1 + 256 + 1024
         assert rows >= result.seeds_hashed + 1024  # the dropped higher range
 
+    def test_a_range_that_does_not_fit_waits_for_the_next_batch(
+        self, monkeypatch
+    ):
+        """Two equal d <= 1 searches reach shell 1 together on one
+        device, so a 384-row batch holds one's 256-row shell and has
+        128 rows left for the other's. That shell waits for the next
+        batch whole instead of riding the 128 rows cut off its front:
+        a match in the cut part would settle with 1 + 128 seeds hashed,
+        where ``batch:`` hashes the shell in one batch and says 257."""
+        real = batcher.first_matches
+        entered, queued = threading.Event(), threading.Event()
+
+        def scan(algo, fixed_padding, jobs):
+            # The first batch, the blocker's one rank, is held until
+            # both searches are queued behind it.
+            entered.set()
+            assert queued.wait(30)
+            return real(algo, fixed_padding, jobs)
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 1, 5))
+        reference = build_engine("batch:sha1,bs=384")
+        with FleetSearchEngine(
+            "host", workers=1, hash_name="sha1", batch_size=384
+        ) as engine:
+            target = engine_target(engine, seed)
+            blocker = engine.submit(BASE_SEED, target, 0)
+            assert entered.wait(30)
+            tickets = [engine.submit(BASE_SEED, target, 1) for _ in range(2)]
+            queued.set()
+            results = [ticket.result(timeout=60) for ticket in tickets]
+            assert not blocker.result(timeout=60).found
+        expected = _fingerprint(reference.search(BASE_SEED, target, 1))
+        assert expected[3] == 1 + 256
+        assert [_fingerprint(result) for result in results] == [expected] * 2
+
     def test_concurrent_scans_each_count_and_answer(self):
         """Two caller threads' searches on more devices than cores, the
         interpreter switching as often as it allows: every search settles
@@ -762,24 +797,30 @@ class TestWorkerLoss:
         assert segments() == before
 
 
-# -- the chaos storm (satellite: device killed at 25%, revived at 75%) --
+# -- the device-loss storm: a device killed at 25%, revived at 75% ------
 
 
 class TestDeviceLossStorm:
-    def test_storm_passes_all_hard_invariants(self):
-        report = run_device_loss_storm(seed=0, requests=8)
-        assert not report.failures, report.render()
-        assert report.lost_requests == 0
-        assert report.false_authentications == 0
-        assert report.byte_mismatches == 0
-        assert report.redispatched_chunks > 0
-        assert report.quarantines >= 1
-        assert report.victim_reinstated
-        # Shed rate bounded: the storm's fleet keeps one healthy device
-        # throughout, so nothing should be shed at all.
-        assert report.shed == 0
-        assert report.resolved == report.requests
+    def test_storm_passes_all_hard_invariants(self, device_loss_storm):
+        storm = device_loss_storm(seed=0, requests=8)
+        assert storm["lost"] == 0
+        assert storm["false_authentications"] == 0
+        # Byte-equal to batch:, and nothing shed: one device stays
+        # healthy throughout.
+        assert storm["mismatches"] == 0
+        assert storm["statuses"] == ["found"] * 8
+        assert storm["counters"]["redispatched_chunks"] > 0
+        assert storm["counters"]["quarantines"] >= 1
+        assert storm["victim_reinstated"]
 
-    def test_storm_requires_a_survivor(self):
-        with pytest.raises(ValueError):
-            run_device_loss_storm(devices=("host",))
+    def test_storm_requires_a_survivor(self, device_loss_storm):
+        """Kill the only device: what the dark fleet cannot serve is shed
+        with the typed reason once the grace window passes, never lost
+        and never falsely served."""
+        storm = device_loss_storm(devices=("host",), no_device_grace=0.2)
+        assert storm["lost"] == storm["false_authentications"] == 0
+        assert set(storm["statuses"]) == {"found", "shed"}
+        assert storm["shed_reasons"] == {
+            Refusal.NO_HEALTHY_DEVICES.reason: storm["statuses"].count("shed")
+        }
+        assert storm["victim_reinstated"]

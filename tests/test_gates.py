@@ -60,22 +60,19 @@ class TestTable:
         # One backend and one mode: the server serves on the fleet
         # dispatcher, so no gate offers a pool width or an engine choice.
         assert ENGINE_MODES == ("fleet",)
-        for name in ("chaos", "tenancy", "deployment"):
+        for name in ("chaos", "deployment"):
             actions = gate_parser(GATES[name])._actions
             flags = {flag for action in actions for flag in action.option_strings}
             assert not flags & {"--workers", "--engine"}, name
 
-    def test_the_table_has_the_five_gates(self):
-        assert sorted(GATES) == [
-            "chaos", "deployment", "fleet", "fleet_storm", "tenancy",
-        ]
+    def test_the_table_has_the_three_gates(self):
+        assert sorted(GATES) == ["chaos", "deployment", "fleet"]
 
-    def test_the_committed_records_cover_the_three_benchmarks(self):
+    def test_the_committed_records_cover_the_two_benchmarks(self):
         committed = {path.stem for path in REPO.glob("BENCH_*.json")}
         assert committed == {
-            f"BENCH_{name}" for name in ("fleet", "tenancy", "deployment")
+            f"BENCH_{name}" for name in ("fleet", "deployment")
         }
-
 
     @pytest.mark.parametrize(
         "path", sorted(REPO.glob("BENCH_*.json")), ids=lambda path: path.name
@@ -92,10 +89,7 @@ class TestTable:
 class TestRunner:
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["fleet", "--storm", "--requests", "6", "--depths", "1,2"],
-            ["tenants", "--victims", "4", "--aggressors", "6"],
-        ],
+        [["chaos", "--plan", "smoke", "--seed", "1", "--clients", "6"]],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_smoke_scale_record_has_the_schema_and_the_exit_code(
@@ -129,9 +123,9 @@ class TestRunner:
 
     def test_refused_value_is_still_a_usage_error(self, tmp_path, capsys):
         output = tmp_path / "record.json"
-        argv = ["fleet", "--storm", "--devices", "host", "--output", str(output)]
+        argv = ["chaos", "--clients", "0", "--output", str(output)]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("repro fleet: error: ")
+        assert capsys.readouterr().err.startswith("repro chaos: error: ")
         assert not output.exists()
 
     def test_gate_word_without_its_mode_is_a_usage_error(self, capsys):
@@ -150,6 +144,8 @@ class TestRunner:
             ["deploy", "--storm", "--crash", "2"],
             ["deploy", "--storm", "--engine", "sched"],
             ["deploy", "--storm", "--max-restarts", "8"],
+            ["fleet", "--storm"],
+            ["tenants"],
         ],
         ids=" ".join,
     )

@@ -5,9 +5,10 @@ Pins the kit's own behaviour (classification, order, the two clocks),
 that the seeded workloads are the parent's byte for byte (fixtures
 captured at commit ``fd7058f``), the three defects the kit closes (the
 settle-stamp race, ``lost`` as an outcome under both timeout classes,
-out-of-order settlement), one composed-fault run, and the import
-direction: no subsystem imports the runner, and a serving process
-imports none of the harness.
+out-of-order settlement), the device-loss storm repeating field for
+field, one composed-fault run with and without the aggressor tenant's
+quota, and the import direction: no subsystem imports the runner, and a
+serving process imports none of the harness.
 """
 
 import concurrent.futures
@@ -29,28 +30,100 @@ from repro.engines.result import SearchResult
 from repro.hashes.registry import get_hash
 from repro.net.concurrent import ConcurrentCAServer
 from repro.net.messages import AuthenticationResult
+from repro.puf.image_db import EncryptedImageDatabase
 from repro.reliability.tripwire import VerifyingAuthority
 from repro.refusals import Refusal, RequestShed
 from repro.storm import (
     Request,
     drive,
+    enrolled_fleet,
     false_authentications,
     invariant_failures,
     planted,
-    search_submit,
-    server_submit,
     summarize,
     ticket_submit,
 )
-from repro.tenancy.context import TenantQuota
-from repro.tenancy.workload import (
-    AGGRESSOR_TENANT,
-    VICTIM_TENANT,
-    tenant_registry,
-    tenant_storm,
-)
+from repro.tenancy.context import TenantContext, TenantQuota
+from repro.tenancy.registry import TenantRegistry
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# -- two tenants at one front door -----------------------------------------
+
+#: The in-quota tenant, and the neighbor that bursts past its budget.
+VICTIM_TENANT, AGGRESSOR_TENANT = "victim", "aggressor"
+
+
+def tenant_storm(victims: int, aggressors: int, search_service, seed: int = 0):
+    """A CA with both tenants' fleets enrolled under their namespaces, the
+    victims' requests (planted at d = 2), and the storm: every victim
+    arriving amid the aggressor's burst of cheap d = 1 requests."""
+
+    def slot(index: int) -> tuple[str, int]:
+        if index < victims:
+            return VICTIM_TENANT, index
+        return AGGRESSOR_TENANT, index - victims
+
+    authority, _fleet = enrolled_fleet(
+        seed, victims + aggressors, EncryptedImageDatabase(b"tenancy-storm-mk"),
+        search_service, tenant_of=lambda index: slot(index)[0], reads=8,
+        instability_threshold=0.05,
+        identity=lambda index: "{}-{:04d}".format(*slot(index)),
+    )
+    algo = get_hash("sha1")
+    victim_requests = planted(
+        algo, victims, (2,), seed + 1, authority=authority, tenant=VICTIM_TENANT
+    )
+    aggressor_requests = planted(
+        algo, aggressors, (1,), seed + 2, authority=authority,
+        tenant=AGGRESSOR_TENANT,
+    )
+    per_victim = max(1, aggressors // victims)
+    storm: list[Request] = []
+    for index, victim in enumerate(victim_requests):
+        storm += aggressor_requests[index * per_victim : (index + 1) * per_victim]
+        storm.append(victim)
+    storm += aggressor_requests[victims * per_victim :]
+    return authority, victim_requests, storm
+
+
+def tenant_registry(aggressor_quota: TenantQuota) -> TenantRegistry:
+    """The victim without a quota and with the larger fair share; the
+    aggressor under ``aggressor_quota`` (``TenantQuota()`` is none)."""
+    return TenantRegistry(tenants=(
+        TenantContext(VICTIM_TENANT, weight=4.0),
+        TenantContext(AGGRESSOR_TENANT, weight=1.0, quota=aggressor_quota),
+    ))
+
+
+def server_submit(server: ConcurrentCAServer, tripwire: VerifyingAuthority):
+    """Requests as futures of the front door, each digest first recorded
+    with the false-authentication tripwire."""
+
+    def submit(request: Request):
+        tripwire.record_digest(request.client_id, request.digest, request.tenant)
+        return server.submit(
+            request.client_id, request.digest,
+            deadline_seconds=request.deadline_seconds, tenant_id=request.tenant,
+        )
+
+    return submit
+
+
+def blocking_submit(engine, time_budget=None):
+    """Requests served one after another by a blocking ``engine.search``:
+    every submit returns an already-settled future, or raises."""
+
+    def submit(request: Request):
+        future = concurrent.futures.Future()
+        future.set_result(engine.search(
+            request.base_seed, request.digest, request.max_distance,
+            time_budget=time_budget,
+        ))
+        return future
+
+    return submit
+
 
 # -- fixtures captured from the parent commit ------------------------------
 
@@ -255,6 +328,8 @@ class TestDrive:
         ]
 
     def test_blocking_search_submit_serves_in_order_since_the_start(self):
+        """Futures settled before ``drive`` sees them, and refusals raised
+        by ``submit`` itself."""
         class Engine:
             def search(self, base_seed, digest, max_distance, time_budget=None):
                 time.sleep(0.02)
@@ -270,7 +345,7 @@ class TestDrive:
                 requests(5), (b"here", b"gone", b"slow", b"shed", b"boom"), strict=True
             )
         ]
-        outcomes = drive(search_submit(Engine(), 1.5), fleet, timeout=1.0)
+        outcomes = drive(blocking_submit(Engine(), 1.5), fleet, timeout=1.0)
         assert [(o.status, o.detail) for o in outcomes] == [
             ("found", ""), ("not_found", ""), ("timed_out", ""),
             ("shed", "shutdown"), ("error", "KeyError"),
@@ -289,7 +364,7 @@ class TestDrive:
         with build_engine("sched:sha1,bs=4096") as engine:
             tickets = drive(ticket_submit(engine, 5.0), [here, gone], timeout=30.0)
         blocking = drive(
-            search_submit(build_engine("batch:sha1,bs=4096")), [here, gone],
+            blocking_submit(build_engine("batch:sha1,bs=4096")), [here, gone],
             timeout=30.0,
         )
         for outcomes in (tickets, blocking):
@@ -362,24 +437,6 @@ class TestTheThreeDefects:
         assert fast.settled_seconds < 0.1 < slow.settled_seconds
         assert summarize([fast])["p99_seconds"] < 0.1
 
-    def test_fleet_storm_reports_a_lost_request_and_exits_one(
-        self, monkeypatch, capsys
-    ):
-        from repro.fleet import storm
-
-        def losing(engine, time_budget=None):
-            submit = ticket_submit(engine, time_budget)
-            return lambda request: (
-                Ticket() if request.client_id == "wl-0001" else submit(request)
-            )
-
-        monkeypatch.setattr(storm, "ticket_submit", losing)
-        monkeypatch.setattr(storm, "_SETTLE_TIMEOUT", 1.0)
-        code = cli_main(["fleet", "--storm", "--requests", "3", "--depths", "1",
-                         "--batch-size", "4096"])
-        assert code == 1
-        assert "GATE: 1 request(s) lost" in capsys.readouterr().err
-
     def test_fleet_demo_reports_a_lost_request_and_exits_one(
         self, monkeypatch, capsys
     ):
@@ -401,26 +458,20 @@ class TestTheThreeDefects:
 
 
 class TestStormsAreSeedPinned:
-    def test_device_loss_storm_twice(self):
-        """Equal field for field, apart from the wall clock and the
-        dispatcher's own counters: real threads, no virtual clock, so how
-        many chunks were in flight when the device died varies."""
-        from repro.fleet.storm import run_device_loss_storm
-
-        timing = {"wall_seconds", "snapshot", "redispatched_chunks",
-                  "hedges_launched", "quarantines", "reinstatements"}
+    def test_device_loss_storm_twice(self, device_loss_storm):
+        """Equal field for field, apart from the dispatcher's own
+        counters: real threads, no virtual clock, so how many ranges
+        were in flight when the device died varies."""
         first, second = (
-            {k: v for k, v in dataclasses.asdict(run_device_loss_storm(seed=0)).items()
-             if k not in timing}
+            {k: v for k, v in device_loss_storm(seed=0).items() if k != "counters"}
             for _ in range(2)
         )
         assert first == second
         # The parent's schedule and verdicts at seed 0.
         assert first == {
-            "seed": 0, "requests": 10, "devices": ("host", "host"),
             "victim": "host-1", "killed_after": 3, "revived_after": 8,
-            "resolved": 10, "found": 10, "shed": 0, "lost_requests": 0,
-            "false_authentications": 0, "byte_mismatches": 0,
+            "statuses": ["found"] * 10, "shed_reasons": {}, "lost": 0,
+            "false_authentications": 0, "mismatches": 0,
             "victim_reinstated": True,
         }
 
@@ -429,10 +480,12 @@ class TestStormsAreSeedPinned:
 
 
 class TestComposedFaults:
-    def test_device_loss_while_an_aggressor_tenant_bursts(self):
-        """What no single gate exercises: a fleet device dies at a quarter
-        of the settlements and returns at three quarters, while a quota'd
-        aggressor tenant bursts at the same front door."""
+    """What no single fault exercises: a fleet device dies at a quarter
+    of the settlements and returns at three quarters, while an aggressor
+    tenant bursts at the same front door."""
+
+    @staticmethod
+    def storm(quota: TenantQuota):
         engine = build_engine("fleet:host,host,hash=sha1,bs=4096")
         fleet = engine.scheduler
         authority, _victims, storm = tenant_storm(
@@ -447,7 +500,6 @@ class TestComposedFaults:
             elif settled == 3 * len(storm) // 4:
                 fleet.revive_device("host-1")
 
-        quota = TenantQuota(lookup_rate=1.0, burst=1.0)
         with ConcurrentCAServer(
             tripwire, scheduler=engine, tenants=tenant_registry(quota)
         ) as server:
@@ -464,13 +516,6 @@ class TestComposedFaults:
         assert tripwire.false_authentications == 0
         victims = [o for o in outcomes if o.request.tenant == VICTIM_TENANT]
         assert [o.status for o in victims] == ["found"] * 8
-        aggressors = summarize(
-            [o for o in outcomes if o.request.tenant == AGGRESSOR_TENANT]
-        )
-        assert aggressors["shed_reasons"] == {
-            Refusal.TENANT_QUOTA.reason: aggressors["shed"]
-        }
-        assert aggressors["shed"] == 7 and aggressors["found"] == 1
         everyone = summarize(outcomes)
         assert invariant_failures(
             untyped=everyone["errors"], lost=everyone["lost"]
@@ -478,6 +523,24 @@ class TestComposedFaults:
         assert served["redispatched"] >= 1 or (
             snapshot["quarantines"] >= 1 and reinstated
         )
+        return summarize(
+            [o for o in outcomes if o.request.tenant == AGGRESSOR_TENANT]
+        )
+
+    def test_device_loss_while_an_aggressor_tenant_bursts(self):
+        """The quota holds the aggressor to its one token; every other
+        request of its burst is refused with the typed quota shed."""
+        aggressors = self.storm(TenantQuota(lookup_rate=1.0, burst=1.0))
+        assert aggressors["shed_reasons"] == {
+            Refusal.TENANT_QUOTA.reason: aggressors["shed"]
+        }
+        assert aggressors["shed"] == 7 and aggressors["found"] == 1
+
+    def test_without_the_quota_every_aggressor_is_admitted(self):
+        """The counterfactual: the same storm with the quota removed
+        admits the whole burst, so the shed above is the quota's doing."""
+        aggressors = self.storm(TenantQuota())
+        assert aggressors["shed"] == 0 and aggressors["found"] == 8
 
 
 # -- import direction -------------------------------------------------------
@@ -518,7 +581,7 @@ class TestImportDirection:
         harness = [
             name for name in loaded
             if name in ("repro.gates", "repro.storm", "repro.cli",
-                        "repro.reliability.chaos", "repro.tenancy.workload")
+                        "repro.reliability.chaos")
             or name.endswith(".storm")
         ]
         assert "repro.deploy.server" in loaded and harness == []
@@ -557,6 +620,9 @@ class TestImportDirection:
         import repro.deploy
         import repro.fleet
 
-        assert not hasattr(repro.fleet, "run_device_loss_storm")
+        # The device-loss storm is a tier-1 scenario on the kit, not a module.
+        assert "storm" not in {
+            module.name for module in pkgutil.iter_modules(repro.fleet.__path__)
+        }
         assert not hasattr(repro.deploy, "run_deployment_storm")
         assert "run_profile" not in repro.deploy.__all__

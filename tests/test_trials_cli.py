@@ -81,7 +81,7 @@ class TestCLI:
         [
             ["chaos", "--plan", "smoke", "--clients", "0"],
             ["chaos", "--plan", "smoke", "--seed", "-1"],
-            ["fleet", "--storm", "--devices", "host"],
+            ["fleet", "--requests", "0"],
         ],
     )
     def test_refused_values_are_usage_errors_not_tracebacks(self, argv, capsys):
