@@ -1,13 +1,14 @@
 """The dispatcher: continuous batching over one or more health-checked devices.
 
-A search becomes shell chunks (:mod:`~repro.fleet.units`) and one ticket
-(:mod:`~repro.fleet.scheduler`), admitted and ordered by deadline-aware
-lanes (:mod:`~repro.fleet.policy`) and fused with other clients' chunks
-into each device batch (:mod:`~repro.fleet.batcher`). Every device —
-each core of a ``host``, each modeled backend — pulls its own chunks
-from that stream, so one search runs on all of them at once and settles
-in rank order. The dispatcher health-checks them with heartbeat probes and per-device circuit
-breakers, re-dispatches chunks orphaned by a device failure onto
+A search becomes one ticket (:mod:`~repro.fleet.scheduler`), admitted
+and ordered by deadline-aware lanes (:mod:`~repro.fleet.policy`), whose
+cursor walks its shells in ``batch_size`` ranges cut as ``batch:`` cuts
+them, fused with other clients' ranges into each device batch
+(:mod:`~repro.fleet.batcher`). Every device — each core of a ``host``,
+each modeled backend — pulls its own ranges from that stream, so one
+search runs on all of them at once and settles in rank order. The
+dispatcher health-checks them with heartbeat probes and per-device circuit
+breakers, re-dispatches ranges orphaned by a device failure onto
 survivors (preserving the byte-equivalence contract), and hedges
 straggler batches onto idle devices with first-result-wins settlement.
 ``sched:`` specs build the one-host case.

@@ -3,23 +3,23 @@
 The throughput devices the paper evaluates only pay off when their
 batches are full. A lone d<=1 request offers 257 candidates — a few
 percent of one device batch — so serving requests one at a time leaves
-the device idle. This module fuses chunks from *different* requests into
-one full-width batch: each request contributes a rank range of one of
-its shells, the whole batch's candidates are hashed with a single kernel
-call, and each slice is compared against its own client's digest.
+the device idle. The dispatcher fuses rank ranges from *different*
+requests into one full-width batch: each request contributes a rank
+range of one of its shells, the whole batch's candidates are hashed on
+the device's own thread (:meth:`FleetDevice.run_batch
+<repro.fleet.device.FleetDevice.run_batch>`), and each slice is compared
+against its own client's digest.
 
-Two pieces:
+Two pieces live here:
 
-* :class:`UnitCursor` — walks one request's remaining
-  :class:`~repro.fleet.units.WorkUnit` chunks and serves ``(distance,
-  lo, hi)`` rank ranges of any requested width, never mixing Hamming
-  distances within a range and never crossing a ``batch_size`` boundary
-  of its chunk;
-* :class:`ContinuousBatcher` — takes the slices the dispatcher
-  assembled, runs the fused XOR + hash + compare (:func:`first_matches`)
-  on the calling device thread, and reports per-slice outcomes (first
-  matching rank wins within a slice, preserving the single-engine
-  candidate order).
+* :class:`ShellCursor` — walks one request's shells in ascending
+  distance and rank, serving ``(distance, lo, hi)`` rank ranges cut at
+  multiples of ``batch_size`` from rank 0 of each shell — the batches
+  the ``batch:`` engine walks
+  (:func:`~repro.runtime.maskplan.combination_batches`);
+* :func:`first_matches` — the fused XOR + hash + compare every device
+  scans with (first matching rank wins within a slice, preserving the
+  single-engine candidate order).
 
 A slice is only ever ranks: its candidates are made, by
 :func:`~repro.runtime.maskplan.candidates`, where they are hashed.
@@ -28,25 +28,22 @@ A slice is only ever ranks: its candidates are made, by
 from __future__ import annotations
 
 import bisect
-import time
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro._bitutils import words_to_seed
-from repro.fleet.units import WorkUnit
+from repro._bitutils import SEED_BITS
+from repro.combinatorics.binomial import binomial
 from repro.hashes import compiled
 from repro.hashes.registry import HashAlgorithm
 from repro.runtime.maskplan import candidates
 
 __all__ = [
-    "UnitCursor",
+    "ShellCursor",
     "BatchSlice",
     "SliceOutcome",
     "first_matches",
-    "ContinuousBatcher",
 ]
 
 #: ``(distance, lo, hi)``: ranks ``[lo, hi)`` of one shell.
@@ -57,19 +54,20 @@ Ranks = tuple[int, int, int]
 Job = tuple[int, int, int, np.ndarray, np.ndarray]
 
 
-class UnitCursor:
-    """Serves rank ranges across one request's work units, in order.
+class ShellCursor:
+    """Serves one request's rank ranges, shell by shell, in order.
 
-    Within a unit, ranges are cut at multiples of ``batch_size`` from the
-    unit's first rank — the batches the ``batch:`` engine walks — so a
-    request's kernel calls line up with the single-engine search.
+    Distance 0 is the one rank of the enrolled seed itself, ``(0, 0,
+    1)``; every shell after it is cut at multiples of ``batch_size``
+    from its rank 0, so a request's kernel calls line up with the
+    single-engine search at every depth.
     """
 
-    def __init__(self, units: list[WorkUnit], batch_size: int):
-        self._units: deque[WorkUnit] = deque(units)
+    def __init__(self, max_distance: int, batch_size: int):
+        self._max_distance = max_distance
         self._batch_size = batch_size
-        #: The unit being served and the first rank not yet served.
-        self._unit: WorkUnit | None = None
+        #: The shell being served and its first rank not yet served.
+        self._distance = 0
         self._next = 0
         #: Ranges returned to the cursor after a device failed mid-batch,
         #: in rank order; served before anything else so candidate order
@@ -78,14 +76,8 @@ class UnitCursor:
 
     @property
     def exhausted(self) -> bool:
-        """True when every unit has been fully served."""
-        return not self._replay and self._unit is None and not self._units
-
-    @property
-    def pending_chunks(self) -> int:
-        """Chunks not yet fully served (replayed ranges + current + units)."""
-        current = 1 if self._unit is not None else 0
-        return len(self._replay) + current + len(self._units)
+        """True when every shell has been fully served."""
+        return not self._replay and self._distance > self._max_distance
 
     @property
     def floor(self) -> tuple[int, int] | None:
@@ -94,29 +86,27 @@ class UnitCursor:
         before it may commit."""
         if self._replay:
             return self._replay[0][:2]
-        if self._unit is not None:
-            return self._unit.distance, self._next
-        if self._units:
-            return self._units[0].distance, self._units[0].lo
-        return None
+        if self._distance > self._max_distance:
+            return None
+        return self._distance, self._next
 
     @property
     def next_rows(self) -> int:
         """Rows of the range ``take(batch_size)`` would serve next: the
-        rest of the unit's current batch, or of a replayed range (0 when
+        rest of the shell's current batch, or of a replayed range (0 when
         exhausted)."""
         if self._replay:
             _distance, lo, hi = self._replay[0]
             return min(hi - lo, self._batch_size)
-        if self._unit is not None:
-            unit, lo = self._unit, self._next
-        elif self._units:
-            unit = self._units[0]
-            lo = unit.lo
-        else:
+        if self._distance > self._max_distance:
             return 0
-        boundary = lo - (lo - unit.lo) % self._batch_size + self._batch_size
-        return min(unit.hi, boundary) - lo
+        return self._batch_end() - self._next
+
+    def _batch_end(self) -> int:
+        """End of the ``batch_size`` batch holding the next rank."""
+        lo = self._next
+        boundary = lo - lo % self._batch_size + self._batch_size
+        return min(binomial(SEED_BITS, self._distance), boundary)
 
     def push_back(self, distance: int, lo: int, hi: int) -> None:
         """Return an unconsumed range to the cursor, ahead of everything
@@ -130,10 +120,9 @@ class UnitCursor:
         bisect.insort(self._replay, (distance, lo, hi))
 
     def take(self, max_rows: int) -> Ranks | None:
-        """Up to ``max_rows`` ranks of the current shell.
+        """Up to ``max_rows`` ranks of the current shell's current batch.
 
-        Returns ``(distance, lo, hi)`` or ``None`` when exhausted. The
-        distance-0 unit is the one rank of the enrolled seed itself.
+        Returns ``(distance, lo, hi)`` or ``None`` when exhausted.
         """
         if max_rows < 1:
             raise ValueError("max_rows must be positive")
@@ -143,18 +132,15 @@ class UnitCursor:
                 self._replay[0] = (distance, lo + max_rows, hi)
                 return distance, lo, lo + max_rows
             return self._replay.pop(0)
-        if self._unit is None:
-            if not self._units:
-                return None
-            self._unit = self._units.popleft()
-            self._next = self._unit.lo
-        unit, lo = self._unit, self._next
-        batch = (lo - unit.lo) // self._batch_size + 1
-        hi = min(unit.hi, unit.lo + batch * self._batch_size, lo + max_rows)
-        if hi == unit.hi:
-            self._unit = None
-        self._next = hi
-        return unit.distance, lo, hi
+        if self._distance > self._max_distance:
+            return None
+        distance, lo = self._distance, self._next
+        hi = min(self._batch_end(), lo + max_rows)
+        if hi == binomial(SEED_BITS, distance):
+            self._distance, self._next = distance + 1, 0
+        else:
+            self._next = hi
+        return distance, lo, hi
 
 
 @dataclass(frozen=True)
@@ -227,52 +213,3 @@ def first_matches(
         offset += hi - lo
         found.append(int(matches[0]) if matches.size else None)
     return found
-
-
-class ContinuousBatcher:
-    """Fused XOR + hash + compare over slices from many requests, on the
-    calling device thread."""
-
-    def __init__(self, algo: HashAlgorithm, fixed_padding: bool = True):
-        self.algo = algo
-        self.fixed_padding = fixed_padding
-        #: Fused batches run / batches carrying more than one request.
-        self.batches = 0
-        self.shared_batches = 0
-
-    def run(self, slices: list[BatchSlice]) -> list[SliceOutcome]:
-        """Scan every slice's candidates as one fused batch."""
-        if not slices:
-            return []
-        start = time.perf_counter()
-        scans = [
-            (piece.distance, piece.lo, piece.hi, piece.base_words, piece.target_words)
-            for piece in slices
-        ]
-        total_rows = sum(piece.rows for piece in slices)
-        hits = first_matches(self.algo, self.fixed_padding, scans)
-        elapsed = time.perf_counter() - start
-        self.batches += 1
-        if len(slices) > 1:
-            self.shared_batches += 1
-        return [
-            SliceOutcome(
-                key=piece.key,
-                distance=piece.distance,
-                rows=piece.rows,
-                seed=(
-                    None
-                    if row is None
-                    else words_to_seed(
-                        candidates(
-                            piece.distance,
-                            piece.lo + row,
-                            piece.lo + row + 1,
-                            piece.base_words,
-                        )[0]
-                    )
-                ),
-                seconds=elapsed * (piece.rows / total_rows),
-            )
-            for piece, row in zip(slices, hits)
-        ]

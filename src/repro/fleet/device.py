@@ -3,9 +3,9 @@
 A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
-* its own :class:`~repro.fleet.batcher.ContinuousBatcher` (the kernel
-  path, run on the device's own thread — per-device so batch counters
-  and fairness state stay local);
+* the kernel path, :meth:`FleetDevice.run_batch`: one fused batch of
+  many requests' rank ranges, scanned on the device's own thread with
+  :func:`~repro.fleet.batcher.first_matches`;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -17,25 +17,26 @@ The kill switch is checked *twice* per batch — before the kernel and
 again after it. The second check is what guarantees re-dispatch of
 in-flight work: a device killed mid-hash discards its results and raises
 :class:`~repro.devices.flaky.DeviceFailure`, so the dispatcher replays
-the batch's chunks on a survivor instead of trusting output from a
+the batch's ranges on a survivor instead of trusting output from a
 device that died under it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import deque
 from typing import NoReturn
 
 import numpy as np
 
+from repro._bitutils import words_to_seed
 from repro.devices.base import DeviceModel
 from repro.devices.flaky import DeviceFailure
+from repro.fleet import batcher
+from repro.fleet.batcher import BatchSlice, SliceOutcome
 from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
-
-from repro.fleet.batcher import BatchSlice, ContinuousBatcher, SliceOutcome
+from repro.runtime.maskplan import candidates
 
 __all__ = ["FleetDevice"]
 
@@ -65,7 +66,7 @@ class FleetDevice:
     ):
         self.name = name
         self.algo = algo
-        self.batcher = ContinuousBatcher(algo, fixed_padding)
+        self.fixed_padding = fixed_padding
         self.model = model
         #: Fault stream discovered on the model (FlakyDeviceModel), if any.
         self.injector = getattr(model, "injector", None)
@@ -82,7 +83,10 @@ class FleetDevice:
         self.recent_lanes: deque[str] = deque(maxlen=fairness_window)
         self.last_primary = None
         # -- accounting --
+        #: Batches whose results this device returned / of those, the
+        #: ones carrying more than one request.
         self.batches = 0
+        self.shared_batches = 0
         self.rows_hashed = 0
         self.failures = 0
         self.slowdowns = 0
@@ -146,12 +150,15 @@ class FleetDevice:
     # -- the kernel path -------------------------------------------------
 
     def run_batch(self, slices: tuple[BatchSlice, ...]) -> list[SliceOutcome]:
-        """Run one fused batch, subject to this device's faults.
+        """Scan every slice's candidates as one fused batch, subject to
+        this device's faults.
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
         when the device is killed or its fault stream schedules a
         failure; a scheduled slowdown stretches real wall time and the
-        reported per-slice seconds.
+        reported per-slice seconds. Each outcome carries the seed at the
+        slice's lowest matching rank, if any, and the slice's share of
+        the batch's seconds.
         """
         if self.killed:
             self._fail()
@@ -159,24 +166,26 @@ class FleetDevice:
         if fault == "fail":
             self._fail()
         start = time.perf_counter()
-        outcomes = self.batcher.run(list(slices))
+        hits = batcher.first_matches(
+            self.algo,
+            self.fixed_padding,
+            [(s.distance, s.lo, s.hi, s.base_words, s.target_words) for s in slices],
+        )
+        elapsed = time.perf_counter() - start
         if fault == "slow":
             self.slowdowns += 1
             factor = self.injector.spec.device_slow_factor
-            elapsed = time.perf_counter() - start
             time.sleep(min(elapsed * (factor - 1.0), _MAX_THROTTLE_SLEEP))
-            outcomes = [
-                dataclasses.replace(o, seconds=o.seconds * factor)
-                for o in outcomes
-            ]
+            elapsed *= factor
         if self.killed:
             # Killed mid-hash: the results are from a dead device — drop
-            # them and let the dispatcher re-dispatch the chunks.
+            # them and let the dispatcher re-dispatch the ranges.
             self._fail()
         self.breaker.record_success()
         wall = time.perf_counter() - start
-        rows = sum(o.rows for o in outcomes)
+        rows = sum(piece.rows for piece in slices)
         self.batches += 1
+        self.shared_batches += len(slices) > 1
         self.rows_hashed += rows
         rate = rows / max(wall, 1e-9)
         self.ewma_batch_seconds = (
@@ -189,7 +198,27 @@ class FleetDevice:
             if self.ewma_rate is None
             else (1 - _EWMA_ALPHA) * self.ewma_rate + _EWMA_ALPHA * rate
         )
-        return outcomes
+        return [
+            SliceOutcome(
+                key=piece.key,
+                distance=piece.distance,
+                rows=piece.rows,
+                seed=(
+                    None
+                    if row is None
+                    else words_to_seed(
+                        candidates(
+                            piece.distance,
+                            piece.lo + row,
+                            piece.lo + row + 1,
+                            piece.base_words,
+                        )[0]
+                    )
+                ),
+                seconds=elapsed * (piece.rows / rows),
+            )
+            for piece, row in zip(slices, hits)
+        ]
 
     def _fail(self) -> NoReturn:
         self.failures += 1

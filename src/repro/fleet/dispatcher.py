@@ -1,16 +1,15 @@
 """The dispatcher: deadline-aware continuous batching over N >= 1 devices.
 
 :class:`FleetScheduler` turns concurrent authentication requests into a
-shared, continuously-batched work stream. Each submission is decomposed
-into shell chunks (:mod:`repro.fleet.units`), admitted or shed by the
-policy (:mod:`repro.fleet.policy`), and served rank range by rank range
-through each device's fused batcher
-(:mod:`repro.fleet.batcher`) — one dispatcher thread *per device* plus
-a monitor thread. A request retires the moment its seed is found (its
-remaining chunks are simply dropped — the per-request early exit), when
-its shells are exhausted, when its protocol time budget expires (a
-``timed_out`` result, exactly like the unscheduled engines), or when
-its client deadline passes (a typed
+shared, continuously-batched work stream. Each submission is admitted
+or shed by the policy (:mod:`repro.fleet.policy`) and walked shell by
+shell by its cursor (:mod:`repro.fleet.batcher`), one ``batch_size``
+range at a time, through each device's fused batches — one dispatcher
+thread *per device* plus a monitor thread. A request retires the moment
+its seed is found (its remaining ranges are simply dropped — the
+per-request early exit), when its shells are exhausted, when its
+protocol time budget expires (a ``timed_out`` result, exactly like the
+unscheduled engines), or when its client deadline passes (a typed
 :class:`~repro.refusals.RequestShed`). Each core of a ``host`` is one
 device, and modeled accelerators are devices too; all of them serve the
 same stream concurrently, one search included.
@@ -25,10 +24,10 @@ Placement and recovery rules:
 * **At most one in-flight range per request per device** — assembly on
   a device skips requests that already have a range running there.
 * **Whole ranges** — a range is one whole ``batch_size`` batch of its
-  work unit (or a replay of one); a request whose next range does not
-  fit in the room a batch has left waits for the next batch instead of
-  riding a cut one, so ``seeds_hashed`` never depends on who shared
-  the batch.
+  shell, cut from rank 0 as ``batch:`` cuts it (or a replay of one); a
+  request whose next range does not fit in the room a batch has left
+  waits for the next batch instead of riding a cut one, so
+  ``seeds_hashed`` never depends on who shared the batch.
 * **Rank-ordered settle** — a hashed range commits only once every lower
   range of its request has committed, so a request settles on the match
   at the lowest rank, the single-engine candidate order, and results
@@ -72,11 +71,10 @@ from typing import Sequence
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
 from repro.engines.result import SearchResult, ShellStats
-from repro.fleet.batcher import BatchSlice, SliceOutcome, UnitCursor
+from repro.fleet.batcher import BatchSlice, ShellCursor, SliceOutcome
 from repro.fleet.device import FleetDevice
 from repro.fleet.policy import SchedulingPolicy
 from repro.fleet.scheduler import ScheduledSearch
-from repro.fleet.units import DEFAULT_CHUNK_RANKS, decompose_search
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
 from repro.runtime.executor import BatchSearchExecutor
@@ -132,7 +130,6 @@ class FleetScheduler:
         devices: Sequence[FleetDevice],
         executor: BatchSearchExecutor,
         *,
-        chunk_ranks: int = DEFAULT_CHUNK_RANKS,
         max_queue: int = 256,
         policy: SchedulingPolicy | None = None,
         heartbeat_seconds: float = 0.02,
@@ -145,14 +142,11 @@ class FleetScheduler:
             raise ValueError("a fleet needs at least one device")
         if len({d.name for d in devices}) != len(devices):
             raise ValueError("device names must be unique")
-        if chunk_ranks < executor.batch_size:
-            raise ValueError("chunk_ranks must be at least batch_size")
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
         self.devices: tuple[FleetDevice, ...] = tuple(devices)
         #: The hash and batch width every device's cursor is cut to.
         self._executor = executor
-        self.chunk_ranks = chunk_ranks
         self.max_queue = max_queue
         self.policy = policy if policy is not None else SchedulingPolicy()
         self._heartbeat = heartbeat_seconds
@@ -288,7 +282,6 @@ class FleetScheduler:
         else:
             tenant_id = tenant or DEFAULT_TENANT
         now = time.perf_counter()
-        units = decompose_search(max_distance, self.chunk_ranks)
         with self._wake:
             if self._closed:
                 raise ServerClosed("fleet scheduler is closed")
@@ -319,7 +312,7 @@ class FleetScheduler:
                 deadline=(
                     None if deadline_seconds is None else now + deadline_seconds
                 ),
-                cursor=UnitCursor(units, self.batch_size),
+                cursor=ShellCursor(max_distance, self.batch_size),
                 tenant_id=tenant_id,
             )
             self._admitted += 1
@@ -668,14 +661,14 @@ class FleetScheduler:
                 if is_primary:
                     if inflight.hedge_device is not None:
                         # A hedge is racing: it commits on success or
-                        # pushes the chunks back on its own failure.
+                        # pushes the ranges back on its own failure.
                         inflight.primary_failed = True
                     else:
                         self._push_back_locked(inflight)
                 else:
                     inflight.hedge_device = None
                     if inflight.primary_failed:
-                        # Both runners died: the chunks are orphaned.
+                        # Both runners died: the ranges are orphaned.
                         self._push_back_locked(inflight)
             self._note_quarantine_locked(device)
             self._wake.notify_all()
@@ -830,10 +823,8 @@ class FleetScheduler:
                 "aged_promotions": self._aged_promotions,
                 "queue_depth": len(self._active),
                 "peak_queue_depth": self._peak_depth,
-                "batches": sum(d.batcher.batches for d in self.devices),
-                "shared_batches": sum(
-                    d.batcher.shared_batches for d in self.devices
-                ),
+                "batches": sum(d.batches for d in self.devices),
+                "shared_batches": sum(d.shared_batches for d in self.devices),
                 "batches_by_lane": dict(self._batches_by_lane),
                 "throughput": self._throughput,
                 "redispatched_chunks": self._redispatched,

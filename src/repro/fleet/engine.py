@@ -28,7 +28,7 @@ Token grammar (resolved per device, left to right):
 * ``gpu`` / ``apu`` / ``cpu`` — one healthy device;
 * ``flaky-<name>`` — the same device wrapped in
   :meth:`~repro.devices.flaky.FlakyDeviceModel.from_token`, scheduling
-  deterministic failure episodes from ``fault_seed``;
+  deterministic failure episodes seeded by the device's index;
 * ``slow-<name>`` — permanently throttled (every batch slowed by
   ``slow_factor``), never failing — the canonical hedging straggler.
 """
@@ -48,7 +48,6 @@ from repro.tenancy.registry import TenantRegistry
 
 from repro.fleet.policy import PolicyConfig, SchedulingPolicy
 from repro.fleet.scheduler import ScheduledSearch
-from repro.fleet.units import DEFAULT_CHUNK_RANKS
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.dispatcher import FleetScheduler
@@ -85,7 +84,6 @@ def _build_device(
     *,
     fixed_padding: bool,
     fairness_window: int,
-    fault_seed: int,
     slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
@@ -93,7 +91,7 @@ def _build_device(
     model = None
     if token != _base_name(token):
         model = FlakyDeviceModel.from_token(
-            token, seed=fault_seed + index, slow_factor=slow_factor
+            token, seed=index, slow_factor=slow_factor
         )
     from repro.reliability.breaker import CircuitBreaker
 
@@ -119,9 +117,7 @@ class FleetSearchEngine:
         hash_name: str = "sha3-256",
         batch_size: int = 8192,
         fixed_padding: bool = True,
-        chunk_ranks: int = DEFAULT_CHUNK_RANKS,
         max_queue: int = 256,
-        deep_distance: int = 3,
         fairness_cap: float = 0.75,
         aging_seconds: float = 30.0,
         heartbeat_seconds: float = 0.02,
@@ -130,7 +126,6 @@ class FleetSearchEngine:
         no_device_grace: float = 2.0,
         failure_threshold: int = 2,
         recovery_seconds: float = 0.25,
-        fault_seed: int = 0,
         slow_factor: float = 8.0,
         tenants: TenantRegistry | None = None,
         workers: int | None = None,
@@ -154,7 +149,6 @@ class FleetSearchEngine:
         )
         policy = SchedulingPolicy(
             PolicyConfig(
-                deep_distance=deep_distance,
                 fairness_cap=fairness_cap,
                 aging_seconds=aging_seconds if aging_seconds > 0 else None,
             ),
@@ -175,7 +169,6 @@ class FleetSearchEngine:
                 executor.algo,
                 fixed_padding=fixed_padding,
                 fairness_window=policy.config.fairness_window,
-                fault_seed=fault_seed,
                 slow_factor=slow_factor,
                 failure_threshold=failure_threshold,
                 recovery_seconds=recovery_seconds,
@@ -186,7 +179,6 @@ class FleetSearchEngine:
         self.scheduler = FleetScheduler(
             fleet_devices,
             executor,
-            chunk_ranks=max(chunk_ranks, batch_size),
             max_queue=max_queue,
             policy=policy,
             heartbeat_seconds=heartbeat_seconds,

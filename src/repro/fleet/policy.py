@@ -279,7 +279,7 @@ class SchedulingPolicy:
         recent_lanes: Iterable[str],
         recent_tenant_rows: Iterable[tuple[str, int]] = (),
     ) -> "ScheduledSearch":
-        """The request whose chunk the next device batch starts with.
+        """The request whose range the next device batch starts with.
 
         Tenant fair share filters first (an over-share tenant cannot
         lead a batch while under-share tenants wait), then the lane
@@ -312,7 +312,7 @@ class SchedulingPolicy:
         continuous-batching path that lets many small shells ride one
         device batch. Requests of over-share tenants top up last: they
         still ride spare capacity (work conservation), but never ahead
-        of an under-share tenant's chunks.
+        of an under-share tenant's ranges.
         """
         over = self.over_share_tenants(runnable, recent_tenant_rows)
         rest = [r for r in runnable if r is not primary]

@@ -5,9 +5,9 @@
 dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`,
 :meth:`~ScheduledSearch.done`, :meth:`~ScheduledSearch.add_done_callback`)
 plus the per-request state the policy orders by (``lane`` / ``deadline`` /
-``remaining_work`` / ``seq``), the chunk cursor, the ranges running on
+``remaining_work`` / ``seq``), the shell cursor, the ranges running on
 devices or waiting to commit, and the rows and seconds per shell that
-become the result. What the dispatcher did around a request — preemptions, re-dispatched chunks,
+become the result. What the dispatcher did around a request — preemptions, re-dispatched ranges,
 hedges — is counted once, on the dispatcher (``FleetScheduler.snapshot()``),
 not on the ticket. There is one ticket class for every fleet size — a
 ``sched:`` engine is the one-host fleet.
@@ -15,8 +15,9 @@ not on the ticket. There is one ticket class for every fleet size — a
 Equivalence contract the dispatcher keeps per ticket: a request commits
 candidates in the same order as
 :class:`~repro.runtime.executor.BatchSearchExecutor` — distance-0 probe
-first, then ascending shells in ascending rank order — so scheduled
-searches return byte-identical seeds to unscheduled ones. Devices hash a
+first, then ascending shells in ascending rank order, cut into the same
+``batch_size`` batches — so scheduled searches return byte-identical
+results to unscheduled ones, ``seeds_hashed`` included. Devices hash a
 request's ranges concurrently; its commits never reorder.
 """
 
@@ -28,9 +29,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.combinatorics.binomial import exhaustive_seed_count
 from repro.engines.result import SearchResult
-from repro.fleet.batcher import Ranks, SliceOutcome, UnitCursor
-from repro.fleet.units import expected_work
+from repro.fleet.batcher import Ranks, ShellCursor, SliceOutcome
 from repro.refusals import RequestShed
 from repro.tenancy.context import DEFAULT_TENANT
 
@@ -62,7 +63,7 @@ class ScheduledSearch:
         time_budget: float | None,
         expiry: float | None,
         deadline: float | None,
-        cursor: UnitCursor,
+        cursor: ShellCursor,
         tenant_id: str = DEFAULT_TENANT,
     ):
         self.seq = seq
@@ -80,7 +81,7 @@ class ScheduledSearch:
         #: Absolute client deadline (shed past this), or None.
         self.deadline = deadline
         self.cursor = cursor
-        self.remaining_work = expected_work(max_distance)
+        self.remaining_work = exhaustive_seed_count(max_distance)
         #: Promoted into the express lane by starvation-free aging.
         self.aged = False
         # -- rows and seconds per shell committed so far --

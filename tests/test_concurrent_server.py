@@ -586,8 +586,7 @@ class TestFleetBackedServer:
         authority, clients = fleet_authority
         fleet = FleetSearchEngine(
             "host", "slow-host", workers=1, hash_name="sha1", batch_size=4096,
-            chunk_ranks=8192, slow_factor=30.0, hedge_factor=1.0,
-            hedge_min_seconds=0.02,
+            slow_factor=30.0, hedge_factor=1.0, hedge_min_seconds=0.02,
         )
         dispatcher = fleet.scheduler
         authority.search_service = RBCSearchService(fleet, max_distance=2)

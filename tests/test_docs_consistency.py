@@ -229,9 +229,9 @@ SPEC_SITES = (
 )
 
 
-def doc_lines():
+def doc_lines(names=COMMAND_DOCS):
     """``(file:line, text)`` for every line of the documents."""
-    for name in COMMAND_DOCS:
+    for name in names:
         text = (REPO / name).read_text()
         for number, line in enumerate(text.splitlines(), 1):
             yield f"{pathlib.Path(name).name}:{number}", line
@@ -295,7 +295,7 @@ def spec_refusal(spec):
 class TestNamesAndSpecs:
     def test_every_dotted_name_resolves(self):
         unresolved = []
-        for where, line in doc_lines():
+        for where, line in doc_lines(COMMAND_DOCS + ("PAPER.md",)):
             for dotted in DOTTED_NAME.findall(line):
                 try:
                     resolve(dotted)
@@ -329,9 +329,9 @@ class TestNamesAndSpecs:
         assert spec_refusal(spec) is not None
 
     def test_the_extractors_see_names_specs_and_the_table(self):
-        line = "see repro.fleet.batcher.UnitCursor, src/repro/x.py, github.com/a/repro.git"
-        assert DOTTED_NAME.findall(line) == ["repro.fleet.batcher.UnitCursor"]
-        assert resolve("repro.fleet.batcher.UnitCursor").__name__ == "UnitCursor"
+        line = "see repro.fleet.batcher.ShellCursor, src/repro/x.py, github.com/a/repro.git"
+        assert DOTTED_NAME.findall(line) == ["repro.fleet.batcher.ShellCursor"]
+        assert resolve("repro.fleet.batcher.ShellCursor").__name__ == "ShellCursor"
         assert spec_refusal("pool:sha1,w=2,bs=4096") is None
         assert spec_refusal(
             "repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128,bs=8192"

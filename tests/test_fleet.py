@@ -26,13 +26,13 @@ from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import build_engine, engine_target
 from repro.fleet import FleetDevice, FleetSearchEngine
 from repro.fleet.engine import default_worker_count
+from repro.combinatorics.binomial import binomial
 from repro.combinatorics.ranking import unrank_lexicographic_exact
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
-from repro.fleet.batcher import BatchSlice, ContinuousBatcher, UnitCursor
+from repro.fleet.batcher import BatchSlice, ShellCursor
 from repro.fleet import batcher
-from repro.fleet.units import decompose_search
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
 
@@ -53,9 +53,36 @@ def _planted(distance, rng):
 class TestCursorReplay:
     def _cursor(self):
         """A cursor positioned past the single-rank distance-0 probe."""
-        cursor = UnitCursor(decompose_search(1, chunk_ranks=2048), 2048)
+        cursor = ShellCursor(1, 2048)
+        assert cursor.floor == (0, 0) and cursor.next_rows == 1
         assert cursor.take(64) == (0, 0, 1)
         return cursor
+
+    def test_shells_are_cut_as_batch_cuts_them(self):
+        """Drained at a ragged width, a d = 3 cursor serves each shell
+        whole, in ascending rank, in ranges cut at multiples of the
+        width from rank 0 (``combination_batches``' cuts), then
+        nothing."""
+        cursor = ShellCursor(3, RAGGED_BATCH)
+        served = []
+        while not cursor.exhausted:
+            rows = cursor.next_rows
+            distance, lo, hi = cursor.take(RAGGED_BATCH)
+            assert hi - lo == rows
+            served.append((distance, lo, hi))
+        assert cursor.take(RAGGED_BATCH) is None
+        assert cursor.floor is None and cursor.next_rows == 0
+        assert served[0] == (0, 0, 1)
+        for distance in (1, 2, 3):
+            size = binomial(SEED_BITS, distance)
+            shell = [(lo, hi) for d, lo, hi in served if d == distance]
+            assert shell == [
+                (lo, min(lo + RAGGED_BATCH, size))
+                for lo in range(0, size, RAGGED_BATCH)
+            ]
+        assert [d for d, _lo, _hi in served] == sorted(
+            d for d, _lo, _hi in served
+        )
 
     def test_pushed_back_slice_is_served_first_and_byte_identical(self):
         cursor = self._cursor()
@@ -63,6 +90,7 @@ class TestCursorReplay:
         assert taken == (1, 0, 64)
         cursor.push_back(*taken)
         assert cursor.take(64) == taken
+        assert cursor.floor == (1, 64)
 
     def test_reverse_push_back_restores_original_order(self):
         """Two devices fail in either order: the replay is in rank order."""
@@ -84,16 +112,14 @@ class TestCursorReplay:
         tail = cursor.take(90)
         assert tail == (distance, lo + 30, hi) and hi - lo == 90
 
-    def test_pending_chunks_counts_replay(self):
+    def test_a_replay_keeps_a_drained_cursor_open(self):
         cursor = self._cursor()
-        before = cursor.pending_chunks
-        ranks = cursor.take(16)
+        ranks = cursor.take(2048)
+        assert ranks == (1, 0, 256) and cursor.exhausted
         cursor.push_back(*ranks)
-        cursor.push_back(*ranks)
-        # The partially-served unit still counts once; each pushed-back
-        # slice adds one replay chunk in front of it.
-        assert cursor.pending_chunks == before + 2
         assert not cursor.exhausted
+        assert cursor.floor == (1, 0) and cursor.next_rows == 256
+        assert cursor.take(2048) == ranks and cursor.exhausted
 
 
 # -- flaky-device composability (satellite: from_token) -----------------
@@ -188,9 +214,7 @@ class TestFleetDevice:
 
 @pytest.fixture
 def engine():
-    engine = FleetSearchEngine(
-        "host", "host", hash_name="sha1", batch_size=4096, chunk_ranks=8192
-    )
+    engine = FleetSearchEngine("host", "host", hash_name="sha1", batch_size=4096)
     yield engine
     engine.close()
 
@@ -207,6 +231,7 @@ class TestFleetCore:
             assert fleet_result.found and single.found
             assert fleet_result.seed == single.seed == client_seed
             assert fleet_result.distance == single.distance == distance
+            assert _fingerprint(fleet_result) == _fingerprint(single)
 
     def test_concurrent_results_stay_byte_identical(self, engine):
         rng = np.random.default_rng(11)
@@ -338,7 +363,6 @@ class TestHedging:
             "slow-host",
             hash_name="sha1",
             batch_size=4096,
-            chunk_ranks=8192,
             slow_factor=30.0,
             hedge_factor=1.0,
             hedge_min_seconds=0.02,
@@ -418,13 +442,14 @@ class TestFleetClose:
     @pytest.mark.parametrize(
         "spec", ["fleet:host,hash=sha1,bs=4096", "sched:sha1,bs=4096"]
     )
-    def test_dying_dispatcher_thread_sheds_instead_of_hanging(self, spec):
-        def exploding_kernel(slices):
+    def test_dying_dispatcher_thread_sheds_instead_of_hanging(
+        self, spec, monkeypatch
+    ):
+        def exploding_scan(*args):
             raise RuntimeError("kernel blew up")  # not a DeviceFailure
 
+        monkeypatch.setattr(batcher, "first_matches", exploding_scan)
         engine = build_engine(spec)
-        for device in engine.scheduler.devices:
-            device.batcher.run = exploding_kernel
         absent = engine_target(engine, RNG.bytes(32))
         ticket = engine.submit(BASE_SEED, absent, 1, client_id="orphan")
         with pytest.raises(RequestShed) as excinfo:
@@ -545,6 +570,24 @@ class TestWorkerEquivalence:
         # One search's ranges ran on several devices at once.
         assert (spread > 0) is (workers > 1)
 
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bytes_deep_in_shell_3(self, hash_name, workers):
+        """Shell 3 (2 763 520 ranks) is cut into batches from its rank 0
+        too, so a match deep in it counts the seeds ``batch:`` counts."""
+        reference = build_engine(f"batch:{hash_name},bs={RAGGED_BATCH}")
+        spec = f"pool:{hash_name},workers={workers},bs={RAGGED_BATCH}"
+        with build_engine(spec) as engine:
+            for rank in (125_615, 200_000):
+                seed = flip_bits(
+                    BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 3, rank)
+                )
+                target = engine_target(engine, seed)
+                result = engine.search(BASE_SEED, target, 3)
+                expected = reference.search(BASE_SEED, target, 3)
+                assert result.seed == seed, rank
+                assert _fingerprint(result) == _fingerprint(expected), rank
+
     def test_a_lower_match_on_a_slow_device_wins(self, monkeypatch):
         """The range holding rank 5 of shell 2 is still hashing on one
         device when the next range, holding a (forced) match at its row
@@ -560,9 +603,13 @@ class TestWorkerEquivalence:
                 if (distance, lo) == higher:
                     found[index] = 7
                 elif (distance, lo) == lower:
-                    # Slowed until the higher match is hashed and waits.
+                    # Slowed until the higher match is hashed and waits
+                    # (not shell 1, which may wait on the d = 0 probe).
                     deadline = time.perf_counter() + 30
-                    while not (tickets and tickets[0].hashed):
+                    while not (
+                        tickets
+                        and any(r[:2] == higher for r, _o in tickets[0].hashed)
+                    ):
                         assert time.perf_counter() < deadline
                         time.sleep(0.001)
                     assert not tickets[0].done()
@@ -665,8 +712,8 @@ class TestWorkerEquivalence:
         assert committed == sum(result.seeds_hashed for result, _t in answers)
 
     def test_two_matches_in_one_fused_batch(self, monkeypatch):
-        """Two requests' slices in one batch: each settles on its own seed,
-        scanned on the calling thread."""
+        """Two requests' slices in one device batch: each settles on its
+        own seed, scanned on the calling thread."""
         algo = get_hash("sha1")
         real, threads = batcher.first_matches, []
 
@@ -690,12 +737,13 @@ class TestWorkerEquivalence:
                     algo.digest_to_words(algo.hash_seed(seed)),
                 )
             )
-        batcher_ = ContinuousBatcher(algo, True)
-        outcomes = batcher_.run(slices)
+        device = FleetDevice("host-0", algo)
+        outcomes = device.run_batch(tuple(slices))
         assert [o.key for o in outcomes] == ["a", "b"]
         assert [o.seed for o in outcomes] == wanted
         assert [o.rows for o in outcomes] == [1000, 2000]
-        assert batcher_.batches == batcher_.shared_batches == 1
+        assert device.batches == device.shared_batches == 1
+        assert device.rows_hashed == 3000
         assert threads == [threading.current_thread()]
 
 

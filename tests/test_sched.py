@@ -1,12 +1,12 @@
 """The deadline-aware continuous-batching scheduler (the ``sched:`` engine).
 
-Three layers of coverage: the pure pieces (work-unit decomposition and
-the scheduling policy) as plain unit tests; the dispatcher's invariants
-on the ``sched`` spec — a one-host fleet — (everything admitted is
-completed or shed with a reason, byte-identical equivalence with the
-unscheduled engine, deadline shedding, deterministic close, a dying
-dispatcher thread never hangs callers); and the serving integration
-(scheduler-backed ``ConcurrentCAServer`` with shed/preemption counters).
+Three layers of coverage: the pure pieces (the shell cursor's work
+order and the scheduling policy) as plain unit tests; the dispatcher's invariants on the ``sched`` spec — a
+one-host fleet — (everything admitted is completed or shed with a
+reason, byte-identical equivalence with the unscheduled engine, deadline
+shedding, deterministic close, a dying dispatcher thread never hangs
+callers); and the serving integration (scheduler-backed
+``ConcurrentCAServer`` with shed/preemption counters).
 """
 
 import threading
@@ -19,6 +19,7 @@ import pytest
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.combinatorics.binomial import binomial
 from repro.engines import EngineWrapper, build_engine, engine_target
+from repro.fleet.batcher import ShellCursor
 from repro.fleet.policy import (
     DEEP_LANE,
     EXPRESS_LANE,
@@ -26,7 +27,6 @@ from repro.fleet.policy import (
     PolicyConfig,
     SchedulingPolicy,
 )
-from repro.fleet.units import WorkUnit, decompose_search, expected_work
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
 
@@ -39,44 +39,30 @@ def sched_engine(**options):
     return build_engine("sched", hash_name="sha1", **options)
 
 
-class TestWorkUnits:
-    def test_distance_zero_is_single_probe(self):
-        assert decompose_search(0) == [WorkUnit(0, 0, 1)]
+def _drain(cursor, width):
+    served = []
+    while not cursor.exhausted:
+        served.append(cursor.take(width))
+    return served
 
+
+class TestWorkUnits:
     def test_chunks_cover_every_shell_exactly(self):
         for max_distance in (1, 2, 3):
-            units = decompose_search(max_distance, chunk_ranks=1 << 12)
+            served = _drain(ShellCursor(max_distance, 1 << 12), 1 << 12)
             for distance in range(1, max_distance + 1):
-                shell = [u for u in units if u.distance == distance]
+                shell = [(lo, hi) for d, lo, hi in served if d == distance]
                 # Contiguous, non-overlapping, complete cover.
-                assert shell[0].lo == 0
-                assert shell[-1].hi == binomial(SEED_BITS, distance)
+                assert shell[0][0] == 0
+                assert shell[-1][1] == binomial(SEED_BITS, distance)
                 for prev, cur in zip(shell, shell[1:]):
-                    assert prev.hi == cur.lo
-                assert all(u.cost > 0 for u in shell)
+                    assert prev[1] == cur[0]
+                assert all(hi > lo for lo, hi in shell)
 
     def test_execution_order_is_protocol_order(self):
-        units = decompose_search(2, chunk_ranks=1 << 10)
-        keys = [(u.distance, u.lo) for u in units]
+        served = _drain(ShellCursor(2, 1 << 10), 1 << 10)
+        keys = [(d, lo) for d, lo, _hi in served]
         assert keys == sorted(keys)
-
-    def test_chunk_geometry_is_client_independent(self):
-        # Identical chunks for any two requests at the same depth — the
-        # property that makes mask plans shared across clients.
-        assert decompose_search(2) == decompose_search(2)
-
-    def test_expected_work_matches_table1(self):
-        assert expected_work(0) == 1
-        assert expected_work(1) == 1 + 256
-        assert expected_work(2) == 1 + 256 + binomial(256, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            decompose_search(-1)
-        with pytest.raises(ValueError):
-            decompose_search(1, chunk_ranks=0)
-        with pytest.raises(ValueError):
-            expected_work(-1)
 
 
 def _req(seq, lane, deadline=None, remaining=1000):
@@ -245,7 +231,6 @@ class TestAging:
         pressure — and it must get service within a bounded wait."""
         engine = sched_engine(
             batch_size=4096,
-            chunk_ranks=8192,
             fairness_cap=1.0,
             aging_seconds=0.3,
         )
@@ -289,7 +274,7 @@ class TestAging:
 
 @pytest.fixture
 def engine():
-    engine = sched_engine(batch_size=4096, chunk_ranks=8192)
+    engine = sched_engine(batch_size=4096)
     yield engine
     engine.close()
 
@@ -313,6 +298,10 @@ class TestSchedulerCore:
             assert scheduled.found and unscheduled.found
             assert scheduled.seed == unscheduled.seed == client_seed
             assert scheduled.distance == unscheduled.distance == distance
+            assert scheduled.seeds_hashed == unscheduled.seeds_hashed
+            assert [(s.distance, s.seeds_hashed) for s in scheduled.shells] == [
+                (s.distance, s.seeds_hashed) for s in unscheduled.shells
+            ]
 
     def test_concurrent_results_stay_byte_identical(self, engine):
         rng = np.random.default_rng(11)
@@ -376,6 +365,11 @@ class TestSchedulerCore:
         )
         assert snapshot["queue_depth"] == 0
 
+    def test_negative_distance_is_refused(self, engine):
+        with pytest.raises(ValueError):
+            engine.submit(BASE_SEED, b"\x00" * 20, max_distance=-1)
+        assert engine.scheduler.snapshot()["admitted"] == 0
+
     def test_zero_budget_times_out_uniformly(self, engine):
         absent = engine_target(engine, RNG.bytes(32))
         result = engine.search(BASE_SEED, absent, 2, time_budget=0)
@@ -396,9 +390,7 @@ class TestSchedulerCore:
         }
 
     def test_saturation_shed(self):
-        engine = sched_engine(
-            batch_size=4096, chunk_ranks=8192, max_queue=1
-        )
+        engine = sched_engine(batch_size=4096, max_queue=1)
         try:
             absent = engine_target(engine, RNG.bytes(32))
             first = engine.submit(BASE_SEED, absent, 2, client_id="a")
@@ -428,7 +420,7 @@ class TestSchedulerCore:
         assert snapshot["batches"] >= 1 and snapshot["completed"] == 1
 
     def test_on_schedule_hook_fires(self):
-        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096)
         try:
             client_seed = _planted(1, np.random.default_rng(5))
             target = engine_target(engine, client_seed)
@@ -480,7 +472,7 @@ class TestSchedulerClose:
             engine.submit(BASE_SEED, b"\x00" * 20, 1)
 
     def test_close_drains_in_flight_requests(self):
-        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096)
         client_seed = _planted(1, np.random.default_rng(9))
         target = engine_target(engine, client_seed)
         ticket = engine.submit(BASE_SEED, target, 2, client_id="drain")
@@ -489,7 +481,7 @@ class TestSchedulerClose:
         assert result.found and result.seed == client_seed
 
     def test_close_without_drain_sheds_with_shutdown_reason(self):
-        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096)
         absent = engine_target(engine, RNG.bytes(32))
         tickets = [
             engine.submit(BASE_SEED, absent, 2, client_id=f"s{i}")
@@ -512,7 +504,7 @@ class TestSchedulerClose:
 class TestFairness:
     def test_deep_search_cannot_monopolize_the_device(self):
         """With a deep straggler in flight, shallow work still lands."""
-        engine = sched_engine(batch_size=4096, chunk_ranks=8192)
+        engine = sched_engine(batch_size=4096)
         try:
             absent = engine_target(engine, RNG.bytes(32))
             deep = engine.submit(
