@@ -12,11 +12,12 @@ against its own client's digest.
 
 Two pieces live here:
 
-* :class:`ShellCursor` — walks one request's shells in ascending
+* :class:`ShellCursor` — walks one request's shells 1..d in ascending
   distance and rank, serving ``(distance, lo, hi)`` rank ranges cut at
   multiples of ``batch_size`` from rank 0 of each shell — the batches
   the ``batch:`` engine walks
-  (:func:`~repro.runtime.maskplan.combination_batches`);
+  (:func:`~repro.runtime.maskplan.combination_batches`); shell 0, the
+  enrolled seed itself, is hashed at admission and never reaches it;
 * :func:`first_matches` — the fused XOR + hash + compare every device
   scans with (first matching rank wins within a slice, preserving the
   single-engine candidate order).
@@ -57,8 +58,10 @@ Job = tuple[int, int, int, np.ndarray, np.ndarray]
 class ShellCursor:
     """Serves one request's rank ranges, shell by shell, in order.
 
-    Distance 0 is the one rank of the enrolled seed itself, ``(0, 0,
-    1)``; every shell after it is cut at multiples of ``batch_size``
+    It starts at shell 1: shell 0, the one rank of the enrolled seed
+    itself, is hashed by :meth:`FleetScheduler.submit
+    <repro.fleet.dispatcher.FleetScheduler.submit>` before a request
+    enters the stream. Each shell is cut at multiples of ``batch_size``
     from its rank 0, so a request's kernel calls line up with the
     single-engine search at every depth.
     """
@@ -67,7 +70,7 @@ class ShellCursor:
         self._max_distance = max_distance
         self._batch_size = batch_size
         #: The shell being served and its first rank not yet served.
-        self._distance = 0
+        self._distance = 1
         self._next = 0
         #: Ranges returned to the cursor after a device failed mid-batch,
         #: in rank order; served before anything else so candidate order

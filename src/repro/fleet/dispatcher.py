@@ -2,10 +2,12 @@
 
 :class:`FleetScheduler` turns concurrent authentication requests into a
 shared, continuously-batched work stream. Each submission is admitted
-or shed by the policy (:mod:`repro.fleet.policy`) and walked shell by
-shell by its cursor (:mod:`repro.fleet.batcher`), one ``batch_size``
-range at a time, through each device's fused batches — one dispatcher
-thread *per device* plus a monitor thread. A request retires the moment
+or shed by the policy (:mod:`repro.fleet.policy`), has its shell 0 —
+the enrolled seed itself, one hash — answered on the submitting thread,
+and is then walked shell by shell from shell 1 by its cursor
+(:mod:`repro.fleet.batcher`), one ``batch_size`` range at a time,
+through each device's fused batches — one dispatcher thread *per
+device* plus a monitor thread. A request retires the moment
 its seed is found (its remaining ranges are simply dropped — the
 per-request early exit), when its shells are exhausted, when its
 protocol time budget expires (a ``timed_out`` result, exactly like the
@@ -16,6 +18,12 @@ same stream concurrently, one search included.
 
 Placement and recovery rules:
 
+* **Shell 0 at the door** — :meth:`FleetScheduler.submit` hashes the
+  enrolled seed with the scan every device uses and commits that one
+  row before the request reaches the stream. A match, or a
+  ``max_distance`` of 0, settles the ticket before ``submit`` returns:
+  no device is woken and none needs to be healthy. A miss enters the
+  stream with shell 0 committed, so devices only ever see shells 1..d.
 * **Pull** — a device that finishes a batch assembles its next one from
   every active request's cursor: no request is pinned to a device, so
   one search's rank ranges run on every device at once and no device
@@ -42,7 +50,9 @@ Placement and recovery rules:
 * **Quarantine / probation** — each device's circuit breaker turns
   consecutive failures into quarantine, and a quarantined device pulls
   nothing; the monitor probes half-open devices and reinstates them on
-  a successful heartbeat.
+  a successful heartbeat. The monitor keeps its own heartbeat: only a
+  kill, a revive, a close or a dying thread cuts its wait short, never
+  a submission or a commit.
 * **Hedging** — a device with nothing left to pull duplicates another
   device's unsettled batch once it is past the straggler latency
   threshold; the first
@@ -50,7 +60,8 @@ Placement and recovery rules:
   output is discarded.
 * **Grace shedding** — when every device has been quarantined for
   longer than the grace window, queued requests are shed with the typed
-  reason ``no_healthy_devices`` instead of hanging their callers.
+  reason ``no_healthy_devices`` instead of hanging their callers (a
+  request that shell 0 settles at the door is answered all the same).
 * **Never hang callers** — a device or monitor thread that dies of an
   unexpected exception closes the dispatcher and sheds every active
   request with the typed reason ``shutdown`` before re-raising.
@@ -71,6 +82,7 @@ from typing import Sequence
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
 from repro.engines.result import SearchResult, ShellStats
+from repro.fleet import batcher
 from repro.fleet.batcher import BatchSlice, ShellCursor, SliceOutcome
 from repro.fleet.device import FleetDevice
 from repro.fleet.policy import SchedulingPolicy
@@ -82,7 +94,8 @@ from repro.tenancy.context import DEFAULT_TENANT, TenantContext
 
 __all__ = ["FleetScheduler"]
 
-#: EWMA weight of the newest batch in the fleet throughput estimate.
+#: EWMA weight of the newest full batch in the fleet throughput
+#: estimate; a batch of fewer rows weighs its share of ``batch_size``.
 _THROUGHPUT_ALPHA = 0.3
 
 #: How many heartbeats an idle, all-healthy fleet lets pass between probes.
@@ -158,7 +171,12 @@ class FleetScheduler:
         #: What :meth:`describe` answers when set; the ``sched`` factory
         #: names its one-host fleet ``sched:...`` through it.
         self.spec_string = spec_string
-        self._wake = threading.Condition()
+        lock = threading.RLock()
+        #: Wakes the device loops (work, health or lifecycle changed).
+        self._wake = threading.Condition(lock)
+        #: Wakes the monitor before its heartbeat: kill / revive / close
+        #: / a dying thread only, so serving traffic never triggers probes.
+        self._monitor_wake = threading.Condition(lock)
         self._active: list[ScheduledSearch] = []
         #: Fleet-wide (tenant_id, rows) outcome window: fair share is
         #: enforced over the whole fleet's capacity, not per device.
@@ -228,14 +246,18 @@ class FleetScheduler:
     def kill_device(self, name: str) -> None:
         """Chaos switch: abruptly lose one device (in-flight work too)."""
         self.device(name).kill()
-        with self._wake:
-            self._wake.notify_all()
+        self._notify_everyone()
 
     def revive_device(self, name: str) -> None:
         """Bring a killed device back; probes reinstate it via probation."""
         self.device(name).revive()
+        self._notify_everyone()
+
+    def _notify_everyone(self) -> None:
+        """Wake the device loops and the monitor."""
         with self._wake:
             self._wake.notify_all()
+            self._monitor_wake.notify_all()
 
     def prime_throughput(self, hashes_per_second: float) -> None:
         """Seed the admission controller's fleet-throughput estimate."""
@@ -268,10 +290,14 @@ class FleetScheduler:
         it runs under the default tenant exactly as before tenancy.
         Raises :class:`~repro.net.errors.ServerClosed` after :meth:`close`, and
         :class:`RequestShed` on admission rejection (full queue /
-        hopeless deadline / exhausted tenant budget). When no device is
-        placeable the request waits for the next reinstatement, or is
-        shed (``no_healthy_devices``) once the whole fleet stays dark
-        past the grace window.
+        hopeless deadline / exhausted tenant budget).
+
+        An admitted request's shell 0 is hashed here, on the calling
+        thread: a match, or ``max_distance == 0``, returns a ticket that
+        is already done. Otherwise the ticket enters the stream at
+        shell 1; when no device is placeable it waits for the next
+        reinstatement, or is shed (``no_healthy_devices``) once the
+        whole fleet stays dark past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -315,14 +341,34 @@ class FleetScheduler:
                 cursor=ShellCursor(max_distance, self.batch_size),
                 tenant_id=tenant_id,
             )
+            start = time.perf_counter()
+            (row,) = batcher.first_matches(
+                self._executor.algo,
+                self._executor.fixed_padding,
+                [(0, 0, 1, request.base_words, request.target_words)],
+            )
+            seconds = time.perf_counter() - start
             self._admitted += 1
             self._tenant_admitted[tenant_id] = (
                 self._tenant_admitted.get(tenant_id, 0) + 1
             )
-            self._active.append(request)
-            self._peak_depth = max(self._peak_depth, len(self._active))
             self._ensure_threads_locked()
-            self._wake.notify_all()
+            self._count_locked(request, 0, 1, seconds)
+            settled = row is not None or max_distance == 0
+            if settled:
+                request.retired = True
+            else:
+                self._active.append(request)
+                self._peak_depth = max(self._peak_depth, len(self._active))
+                self._wake.notify_all()
+        if settled:
+            found = row is not None
+            self._finalize_result(
+                request,
+                timed_out=False,
+                seed=base_seed if found else None,
+                distance=0 if found else None,
+            )
         return request
 
     def _ensure_threads_locked(self) -> None:
@@ -371,6 +417,7 @@ class FleetScheduler:
                 for request in orphans:
                     self._retire_locked(request)
                 self._wake.notify_all()
+                self._monitor_wake.notify_all()
             for request in orphans:
                 self._finalize_shed(request, Refusal.SHUTDOWN)
             raise
@@ -418,14 +465,7 @@ class FleetScheduler:
         for request in self._active:
             if request.deadline is not None and now > request.deadline:
                 expired.append((request, "deadline"))
-            elif (
-                request.expiry is not None
-                and now > request.expiry
-                and (
-                    request.shell_hashed
-                    or now > request.expiry + (request.time_budget or 0.0)
-                )
-            ):
+            elif request.expiry is not None and now > request.expiry:
                 expired.append((request, "budget"))
         for request, _ in expired:
             self._retire_locked(request)
@@ -579,11 +619,13 @@ class FleetScheduler:
                 sum(outcome.seconds for outcome in outcomes), 1e-9
             )
             rate = total_rows / total_seconds
+            # Weighted by rows: a few-row batch is mostly fixed cost, and
+            # counting it as a full batch would drag the estimate down.
+            weight = _THROUGHPUT_ALPHA * total_rows / self.batch_size
             self._throughput = (
                 rate
                 if self._throughput is None
-                else (1 - _THROUGHPUT_ALPHA) * self._throughput
-                + _THROUGHPUT_ALPHA * rate
+                else self._throughput + weight * (rate - self._throughput)
             )
             for outcome in outcomes:
                 request: ScheduledSearch = outcome.key  # type: ignore[assignment]
@@ -620,19 +662,8 @@ class FleetScheduler:
             lowest is None or request.hashed[0][0][:2] < lowest
         ):
             _ranks, outcome = request.hashed.pop(0)
-            request.remaining_work = max(
-                0, request.remaining_work - outcome.rows
-            )
-            request.shell_hashed[outcome.distance] = (
-                request.shell_hashed.get(outcome.distance, 0) + outcome.rows
-            )
-            request.shell_seconds[outcome.distance] = (
-                request.shell_seconds.get(outcome.distance, 0.0)
-                + outcome.seconds
-            )
-            self._recent_tenant_rows.append((request.tenant_id, outcome.rows))
-            self._tenant_rows[request.tenant_id] = (
-                self._tenant_rows.get(request.tenant_id, 0) + outcome.rows
+            self._count_locked(
+                request, outcome.distance, outcome.rows, outcome.seconds
             )
             if outcome.seed is not None:
                 self._retire_locked(request)
@@ -642,12 +673,33 @@ class FleetScheduler:
             return True, None
         return False, None
 
+    def _count_locked(
+        self, request: ScheduledSearch, distance: int, rows: int, seconds: float
+    ) -> None:
+        """Commit ``rows`` hashed rows of shell ``distance`` to the
+        request and its tenant (lock held)."""
+        request.remaining_work = max(0, request.remaining_work - rows)
+        request.shell_hashed[distance] = (
+            request.shell_hashed.get(distance, 0) + rows
+        )
+        request.shell_seconds[distance] = (
+            request.shell_seconds.get(distance, 0.0) + seconds
+        )
+        self._recent_tenant_rows.append((request.tenant_id, rows))
+        self._tenant_rows[request.tenant_id] = (
+            self._tenant_rows.get(request.tenant_id, 0) + rows
+        )
+
     def _retire_locked(self, request: ScheduledSearch) -> None:
         """Take a request out of the stream; whatever of it is still
         running is discarded when it returns."""
         self._active.remove(request)
         request.retired = True
         request.hashed.clear()
+        if self._closed and not self._active:
+            # A draining close waits for the stream to empty; the
+            # monitor must not sleep out a heartbeat before it exits.
+            self._monitor_wake.notify_all()
 
     def _on_device_failure(
         self, device: FleetDevice, inflight: _InflightBatch
@@ -700,12 +752,12 @@ class FleetScheduler:
                     return
                 # With no request active and every breaker closed, the
                 # heartbeat only has to notice a device dying without
-                # work, so it runs at a fraction of the rate; submit /
-                # kill / revive still wake the monitor at once.
+                # work, so it runs at a fraction of the rate; kill /
+                # revive / close still wake the monitor at once.
                 idle = not self._active and all(
                     d.placeable for d in self.devices
                 )
-                self._wake.wait(
+                self._monitor_wake.wait(
                     timeout=self._heartbeat
                     * (_IDLE_HEARTBEAT_STRETCH if idle else 1)
                 )
@@ -856,6 +908,7 @@ class FleetScheduler:
                 self._drain = drain
             threads = list(self._threads)
             self._wake.notify_all()
+            self._monitor_wake.notify_all()
         for thread in threads:
             thread.join()
         with self._wake:

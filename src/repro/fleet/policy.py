@@ -104,7 +104,7 @@ class SchedulingPolicy:
         #: and picking reads its fair-share weights. ``None`` keeps the
         #: policy exactly as tenant-blind as it was before tenancy.
         self.tenants = tenants
-        #: Cheapest useful search: the d=0 probe plus the d=1 shell.
+        #: Cheapest useful search: shell 0 plus shell 1.
         self._min_cover_ranks = 1 + shell_size(1, SEED_BITS)
 
     # -- lanes ----------------------------------------------------------

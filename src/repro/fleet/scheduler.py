@@ -14,11 +14,13 @@ not on the ticket. There is one ticket class for every fleet size — a
 
 Equivalence contract the dispatcher keeps per ticket: a request commits
 candidates in the same order as
-:class:`~repro.runtime.executor.BatchSearchExecutor` — distance-0 probe
-first, then ascending shells in ascending rank order, cut into the same
-``batch_size`` batches — so scheduled searches return byte-identical
-results to unscheduled ones, ``seeds_hashed`` included. Devices hash a
-request's ranges concurrently; its commits never reorder.
+:class:`~repro.runtime.executor.BatchSearchExecutor` — shell 0, the
+enrolled seed itself, hashed and committed at admission, then ascending
+shells in ascending rank order, cut into the same ``batch_size``
+batches — so scheduled searches return byte-identical results to
+unscheduled ones, ``seeds_hashed`` included. Devices hash a request's
+ranges concurrently; its commits never reorder. A request settled by
+shell 0 never enters the stream.
 """
 
 from __future__ import annotations

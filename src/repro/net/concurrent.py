@@ -7,14 +7,18 @@ make no sense — the second would race the RA update), admission control,
 and service metrics the operator can read off.
 
 Every request takes the one path: admission at the front door, S_init
-read from the image store on the submitting thread, one ticket in the
-dispatcher's continuous-batching work stream (a
-:class:`~repro.fleet.engine.FleetSearchEngine` — a ``fleet:`` or
-``sched:`` engine: many requests share the devices, client deadlines are
-honored with EDF lanes and shedding), and one settle function that does
+read from the image store on the submitting thread, one dispatcher
+ticket (a :class:`~repro.fleet.engine.FleetSearchEngine` — a ``fleet:``
+or ``sched:`` engine), and one settle function that does
 the typed-refusal accounting, issues the key, counts the
 :class:`~repro.engines.result.SearchResult`'s seeds and shells and
-builds the :class:`~repro.net.messages.AuthenticationResult`. What the
+builds the :class:`~repro.net.messages.AuthenticationResult`. The
+dispatcher hashes shell 0 — S_init itself — as it admits the ticket, so
+a request answered there (the common depth-0 authentication) settles on
+the submitting thread before :meth:`ConcurrentCAServer.submit` returns;
+any other ticket joins the continuous-batching work stream, where many
+requests share the devices and client deadlines are honored with EDF
+lanes and shedding. What the
 dispatcher did is not re-summed per request: :class:`ServerMetrics`
 reads its own counters.
 :meth:`ConcurrentCAServer.handle_handshake` / ``handle_digest`` are the
@@ -46,6 +50,7 @@ from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
     from repro.fleet.engine import FleetSearchEngine
+    from repro.fleet.scheduler import ScheduledSearch
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
 
@@ -412,7 +417,7 @@ class ConcurrentCAServer:
             client_id, digest, deadline_seconds, tenant, time.perf_counter()
         )
         try:
-            future = self._start(request)
+            ticket = self._ticket(request)
         except RequestShed as exc:
             # Refused at the door: observable as a typed shed, not a
             # failed search.
@@ -422,23 +427,35 @@ class ConcurrentCAServer:
         except BaseException:
             self._release(in_flight_key)
             raise
+        # Counted before the settle is attached: a ticket may already be
+        # done, and its settlement must never be counted ahead of it.
         self.metrics.record(
             submitted=1, queue_depth=queue_depth, tenant_id=tenant
         )
-        future.add_done_callback(lambda _f: self._release(in_flight_key))
-        return future
-
-    def _start(self, request: _Request) -> Future:
-        """Read S_init at the door and make the request a dispatcher
-        ticket; the future settles on the thread that retires it."""
         future: Future = Future()
         future.set_running_or_notify_cancel()
+        future.add_done_callback(lambda _f: self._release(in_flight_key))
+        if isinstance(ticket, Exception):
+            # Not a refusal: the request was admitted and cannot be
+            # served, so it is settled (and counted failed) like any
+            # other search that raised.
+            _transfer(future, self._settle, request, _raiser(ticket))
+        else:
+            ticket.add_done_callback(
+                lambda done: _transfer(future, self._settle, request, done.result)
+            )
+        return future
+
+    def _ticket(self, request: _Request) -> ScheduledSearch | Exception:
+        """Read S_init at the door and make the request a dispatcher
+        ticket, or return what kept it from becoming one. A refusal
+        raises."""
         service = self.authority.search_service
         try:
             seed = self.authority.enrolled_seed(
                 request.client_id, **_tenant_kwargs(request.tenant)
             )
-            ticket = self.scheduler.submit(
+            return self.scheduler.submit(
                 seed,
                 request.digest,
                 service.max_distance,
@@ -450,15 +467,7 @@ class ConcurrentCAServer:
         except RequestShed:
             raise
         except Exception as exc:
-            # Not a refusal: the request was admitted and cannot be
-            # served, so it is settled (and counted failed) like any
-            # other search that raised.
-            _transfer(future, self._settle, request, _raiser(exc))
-            return future
-        ticket.add_done_callback(
-            lambda done: _transfer(future, self._settle, request, done.result)
-        )
-        return future
+            return exc
 
     def _settle(
         self, request: _Request, search: Callable[[], SearchResult]

@@ -216,6 +216,57 @@ class TestUnenrolledClient:
         assert server.error_replies == 1
 
 
+class TestSubmittedComesFirst:
+    """A request can settle inside ``submit()`` — a client the store does
+    not hold, a depth-0 hit that the dispatcher answers at admission —
+    and the door counts it ``submitted`` before its settlement, so no
+    counter or ledger ever reads more settled than submitted."""
+
+    @pytest.mark.parametrize("who", ["unknown client", "d0 hit"])
+    def test_never_more_settled_than_submitted(self, fleet_authority, who):
+        from repro.engines import engine_target
+        from repro.tenancy.context import DEFAULT_TENANT
+
+        authority, clients = fleet_authority
+        if who == "unknown client":
+            client_id, digest = "ghost", b"\x00" * 20
+        else:
+            client_id = clients[0][0]
+            digest = engine_target(
+                authority.search_service.engine,
+                authority.enrolled_seed(client_id),
+            )
+        with ConcurrentCAServer(authority) as server:
+            metrics, record = server.metrics, server.metrics.record
+            readings = []
+
+            def checked(**increments):
+                record(**increments)
+                counters = metrics.snapshot()
+                ledger = metrics.tenant_snapshot()[DEFAULT_TENANT]
+                readings.append(
+                    (
+                        counters["submitted"],
+                        counters["completed"] + counters["failed"],
+                        ledger["submitted"],
+                        ledger["completed"] + ledger["failed"],
+                    )
+                )
+
+            metrics.record = checked
+            future = server.submit(client_id, digest)
+            assert future.done()  # settled before submit() returned
+            if who == "d0 hit":
+                reply = future.result()
+                assert reply.authenticated and reply.distance == 0
+        assert len(readings) == 2
+        assert all(
+            submitted >= settled and tenant_submitted >= tenant_settled
+            for submitted, settled, tenant_submitted, tenant_settled in readings
+        ), readings
+        assert readings[-1] == (1, 1, 1, 1)
+
+
 class TestMessageSurface:
     """``handle_handshake`` / ``handle_digest``: the server is shaped like
     the serial ``CAServer``, so a client (or the socket front end) drives
@@ -596,22 +647,33 @@ class TestFleetBackedServer:
         assert set_device_alive(dispatcher, "host-0", False)
         straggler = dispatcher.device("slow-host-1")
         run_batch = straggler.run_batch
+        busy, queued = threading.Event(), threading.Event()
         shared, release = threading.Event(), threading.Event()
 
         def held(slices):
-            # The straggler's first batch carrying both requests stays in
-            # flight until host-0 is back and has hedged it.
             if len(slices) >= 2:
+                # The straggler's first batch carrying both requests
+                # stays in flight until host-0 is back and has hedged it.
                 shared.set()
                 release.wait(timeout=30)
+            elif not queued.is_set():
+                # A blocker's shell 1 keeps the straggler from pulling
+                # until both requests are queued, so their shells 1 ride
+                # one batch.
+                busy.set()
+                queued.wait(timeout=30)
             return run_batch(slices)
 
         straggler.run_batch = held
+        blocker = fleet.submit(b"\x02" * 32, b"\x00" * 20, 1)
+        assert busy.wait(timeout=30)
         with ConcurrentCAServer(authority, scheduler=fleet) as server:
             futures = [
                 server.submit(client_id, b"\x00" * 20)
                 for client_id, _device, _mask in clients[:2]
             ]
+            queued.set()
+            assert not blocker.result(timeout=30).found
             assert shared.wait(timeout=30)
             assert set_device_alive(dispatcher, "host-0", True)
             deadline = time.monotonic() + 30

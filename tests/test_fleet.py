@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from repro.combinatorics.ranking import unrank_lexicographic_exact
 from repro.hashes.registry import get_hash
 from repro.reliability.breaker import CircuitBreaker
 from repro.runtime.executor import BatchSearchExecutor
-from repro.fleet.batcher import BatchSlice, ShellCursor
+from repro.fleet.batcher import BatchSlice, ShellCursor, SliceOutcome
 from repro.fleet import batcher
+from repro.fleet.dispatcher import FleetScheduler, _InflightBatch
+from repro.hashes import compiled
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
 
@@ -52,15 +55,15 @@ def _planted(distance, rng):
 
 class TestCursorReplay:
     def _cursor(self):
-        """A cursor positioned past the single-rank distance-0 probe."""
+        """A fresh d <= 1 cursor: it starts at shell 1, because shell 0
+        is hashed at admission and never served."""
         cursor = ShellCursor(1, 2048)
-        assert cursor.floor == (0, 0) and cursor.next_rows == 1
-        assert cursor.take(64) == (0, 0, 1)
+        assert cursor.floor == (1, 0) and cursor.next_rows == 256
         return cursor
 
     def test_shells_are_cut_as_batch_cuts_them(self):
-        """Drained at a ragged width, a d = 3 cursor serves each shell
-        whole, in ascending rank, in ranges cut at multiples of the
+        """Drained at a ragged width, a d = 3 cursor serves shells 1 to
+        3 whole, in ascending rank, in ranges cut at multiples of the
         width from rank 0 (``combination_batches``' cuts), then
         nothing."""
         cursor = ShellCursor(3, RAGGED_BATCH)
@@ -72,7 +75,7 @@ class TestCursorReplay:
             served.append((distance, lo, hi))
         assert cursor.take(RAGGED_BATCH) is None
         assert cursor.floor is None and cursor.next_rows == 0
-        assert served[0] == (0, 0, 1)
+        assert served[0] == (1, 0, SEED_BITS)
         for distance in (1, 2, 3):
             size = binomial(SEED_BITS, distance)
             shell = [(lo, hi) for d, lo, hi in served if d == distance]
@@ -445,8 +448,12 @@ class TestFleetClose:
     def test_dying_dispatcher_thread_sheds_instead_of_hanging(
         self, spec, monkeypatch
     ):
-        def exploding_scan(*args):
-            raise RuntimeError("kernel blew up")  # not a DeviceFailure
+        real = batcher.first_matches
+
+        def exploding_scan(algo, fixed_padding, jobs):
+            if threading.current_thread().name.startswith("rbc-fleet-"):
+                raise RuntimeError("kernel blew up")  # not a DeviceFailure
+            return real(algo, fixed_padding, jobs)  # shell 0, at the door
 
         monkeypatch.setattr(batcher, "first_matches", exploding_scan)
         engine = build_engine(spec)
@@ -487,6 +494,148 @@ class TestFleetClose:
             ]
         finally:
             engine.close()
+
+
+# -- shell 0 at the door -------------------------------------------------
+
+
+def _device_work(snapshot):
+    """Rows hashed and batches run, per device."""
+    return {
+        name: (device["rows_hashed"], device["batches"])
+        for name, device in snapshot["devices"].items()
+    }
+
+
+class TestShellZeroAtTheDoor:
+    """``submit`` hashes shell 0, the enrolled seed itself, on the
+    calling thread: a depth-0 answer is settled before ``submit``
+    returns, by the scan every device uses, and touches no device."""
+
+    def test_a_d0_hit_and_an_md0_miss_touch_no_device(self, engine):
+        warm = engine_target(engine, _planted(1, np.random.default_rng(4)))
+        assert engine.search(BASE_SEED, warm, 1).found  # threads started
+        before = engine.scheduler.snapshot()
+        hit = engine.submit(BASE_SEED, engine_target(engine, BASE_SEED), 2)
+        miss = engine.submit(BASE_SEED, warm, 0)
+        assert hit.done() and miss.done()
+        after = engine.scheduler.snapshot()
+        assert _device_work(after) == _device_work(before)
+        found, absent = hit.result(), miss.result()
+        assert (found.found, found.seed, found.distance) == (True, BASE_SEED, 0)
+        assert (absent.found, absent.timed_out) == (False, False)
+        for result in (found, absent):
+            assert result.seeds_hashed == 1
+            assert [(s.distance, s.seeds_hashed) for s in result.shells] == [
+                (0, 1)
+            ]
+        moved = {
+            key: after[key] - before[key]
+            for key in ("admitted", "completed", "found", "shed")
+        }
+        assert moved == {"admitted": 2, "completed": 2, "found": 1, "shed": 0}
+        assert after["queue_depth"] == 0
+        assert after["peak_queue_depth"] == before["peak_queue_depth"]
+        tenant_rows = [s["tenants"]["default"]["rows"] for s in (before, after)]
+        assert tenant_rows[1] - tenant_rows[0] == 2
+
+    @pytest.mark.parametrize("kernel", ["compiled", "hashlib"])
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
+    def test_same_bytes_as_batch(self, hash_name, kernel, monkeypatch):
+        """A d = 0 hit, a d <= 0 miss, a d <= 1 miss and hits at d = 1
+        and 2 answer as ``batch:`` does, on either scan."""
+        if kernel == "hashlib":
+            monkeypatch.setattr(compiled, "load", lambda: None)
+        reference = build_engine(f"batch:{hash_name},bs={RAGGED_BATCH}")
+        spec = f"fleet:host,hash={hash_name},bs={RAGGED_BATCH}"
+        with build_engine(spec) as engine:
+            cases = {
+                "d0 hit": (BASE_SEED, 2),
+                "md0 miss": (RNG.bytes(32), 0),
+                "md1 miss": (RNG.bytes(32), 1),
+                "d1 hit": (flip_bits(BASE_SEED, [200]), 1),
+                "d2 hit": (
+                    flip_bits(
+                        BASE_SEED,
+                        unrank_lexicographic_exact(SEED_BITS, 2, 3 * RAGGED_BATCH),
+                    ),
+                    2,
+                ),
+            }
+            for where, (seed, max_distance) in cases.items():
+                target = engine_target(engine, seed)
+                result = engine.search(BASE_SEED, target, max_distance)
+                expected = reference.search(BASE_SEED, target, max_distance)
+                assert result.found is where.endswith("hit"), where
+                assert _fingerprint(result) == _fingerprint(expected), where
+
+    def test_a_dark_fleet_answers_a_d0_hit_and_sheds_the_rest(self):
+        """With every device killed, shell 0 is still answered; a request
+        that needs shell 1 waits out the grace window and is shed."""
+        engine = FleetSearchEngine(
+            "host", workers=2, hash_name="sha1", batch_size=4096,
+            heartbeat_seconds=0.01, no_device_grace=0.2,
+        )
+        try:
+            for device in engine.scheduler.devices:
+                engine.scheduler.kill_device(device.name)
+            hit = engine.submit(BASE_SEED, engine_target(engine, BASE_SEED), 2)
+            assert hit.done() and hit.result().distance == 0
+            deeper = engine_target(engine, flip_bits(BASE_SEED, [3]))
+            ticket = engine.submit(BASE_SEED, deeper, 2)
+            with pytest.raises(RequestShed) as excinfo:
+                ticket.result(timeout=30)
+            assert excinfo.value.refusal is Refusal.NO_HEALTHY_DEVICES
+            assert sum(_rows(engine).values()) == 0
+        finally:
+            engine.close(drain=False)
+
+    def test_serving_traffic_never_wakes_the_monitor(self):
+        """Submissions and commits do not cut the heartbeat short, so
+        they cost no probe; only the heartbeat, a kill, a revive or a
+        close runs the monitor."""
+        with FleetSearchEngine(
+            "host", workers=2, hash_name="sha1", batch_size=4096,
+            heartbeat_seconds=3600,
+        ) as engine:
+            rng = np.random.default_rng(31)
+            targets = [
+                engine_target(engine, _planted(index % 3, rng))
+                for index in range(50)
+            ]
+            assert engine.search(BASE_SEED, targets[1], 2).found
+            probes = engine.scheduler.snapshot()["probes"]
+            for target in targets:
+                assert engine.search(BASE_SEED, target, 2).found
+            assert engine.scheduler.snapshot()["probes"] == probes
+
+    def test_a_few_row_batch_barely_moves_the_throughput_estimate(self):
+        """The admission estimate weighs each committed batch by its rows:
+        20 one-row batches after one full one leave it near the full
+        batch's rate, and a second full batch still moves it by 0.3 of
+        the gap."""
+        scheduler = FleetScheduler(
+            [FleetDevice("dev", get_hash("sha1"))],
+            BatchSearchExecutor(hash_name="sha1", batch_size=16384),
+        )
+        device = scheduler.devices[0]
+        settled = SimpleNamespace(retired=True)
+
+        def commit(rows, seconds):
+            outcome = SliceOutcome(
+                key=settled, distance=1, rows=rows, seed=None, seconds=seconds
+            )
+            scheduler._commit(_InflightBatch(device, (), 0.0), [outcome], device)
+            return scheduler.snapshot()["throughput"]
+
+        full = commit(16384, 16384 / 4e6)
+        assert full == pytest.approx(4e6)
+        for _ in range(20):
+            late = commit(1, 1e-4)
+        assert late >= 0.9 * full
+        assert commit(16384, 16384 / 2e6) == pytest.approx(
+            late + 0.3 * (2e6 - late)
+        )
 
 
 # -- a host's cores as devices -----------------------------------------
@@ -604,7 +753,7 @@ class TestWorkerEquivalence:
                     found[index] = 7
                 elif (distance, lo) == lower:
                     # Slowed until the higher match is hashed and waits
-                    # (not shell 1, which may wait on the d = 0 probe).
+                    # (not shell 1, which may wait on shell 2's first range).
                     deadline = time.perf_counter() + 30
                     while not (
                         tickets
@@ -630,7 +779,8 @@ class TestWorkerEquivalence:
             BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 5)
         )
         assert result.seeds_hashed == 1 + 256 + 1024
-        assert rows >= result.seeds_hashed + 1024  # the dropped higher range
+        # Shell 0 was hashed at the door; the higher range was dropped.
+        assert rows >= 256 + 1024 + 1024
 
     def test_a_range_that_does_not_fit_waits_for_the_next_batch(
         self, monkeypatch
@@ -645,10 +795,12 @@ class TestWorkerEquivalence:
         entered, queued = threading.Event(), threading.Event()
 
         def scan(algo, fixed_padding, jobs):
-            # The first batch, the blocker's one rank, is held until
-            # both searches are queued behind it.
-            entered.set()
-            assert queued.wait(30)
+            # The first device batch, the blocker's shell 1, is held
+            # until both searches are queued behind it. Shell 0 is
+            # scanned at the door, on the submitting thread.
+            if threading.current_thread().name.startswith("rbc-fleet-"):
+                entered.set()
+                assert queued.wait(30)
             return real(algo, fixed_padding, jobs)
 
         monkeypatch.setattr(batcher, "first_matches", scan)
@@ -658,7 +810,9 @@ class TestWorkerEquivalence:
             "host", workers=1, hash_name="sha1", batch_size=384
         ) as engine:
             target = engine_target(engine, seed)
-            blocker = engine.submit(BASE_SEED, target, 0)
+            blocker = engine.submit(
+                BASE_SEED, engine_target(engine, RNG.bytes(32)), 1
+            )
             assert entered.wait(30)
             tickets = [engine.submit(BASE_SEED, target, 1) for _ in range(2)]
             queued.set()

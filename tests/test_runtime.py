@@ -170,9 +170,10 @@ class TestParallelExecutor:
             result = executor.search(base_seed, sha1(base_seed), 1)
             hashed = sum(d.rows_hashed for d in executor.scheduler.devices)
         assert result.found and result.distance == 0
-        # The probe's one row commits; a d = 1 range hashed beside it
-        # is dropped, so it shows on a device and not in the result.
-        assert result.seeds_hashed == 1 <= hashed
+        assert result.seed == base_seed
+        # Shell 0's one row is hashed and committed at admission: the
+        # search settles there and no device hashes anything.
+        assert result.seeds_hashed == 1 and hashed == 0
 
     def test_single_worker_degenerates_to_serial(self, base_seed):
         client_seed = flip_bits(base_seed, [64])
