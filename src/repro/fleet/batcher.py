@@ -1,40 +1,46 @@
-"""Continuous batcher: many requests' candidates in one kernel call.
+"""Continuous batcher: many requests' rank ranges in one device batch.
 
 The throughput devices the paper evaluates only pay off when their
-batches are full. A lone d<=1 request offers 257 candidates — a few
-percent of one device batch — so serving requests one at a time leaves
-the device idle. The dispatcher fuses rank ranges from *different*
-requests into one full-width batch: each request contributes a rank
-range of one of its shells, the whole batch's candidates are hashed on
-the device's own thread (:meth:`FleetDevice.run_batch
+batches are full. Past the door a lone d<=2 request offers one shell of
+32 640 candidates — a small part of a full accelerator batch — so
+serving requests one at a time leaves the device idle. The dispatcher
+fuses rank ranges from *different* requests into one full-width batch:
+each request contributes a rank range of one of its shells, the batch is
+scanned on the device's own thread (:meth:`FleetDevice.run_batch
 <repro.fleet.device.FleetDevice.run_batch>`), and each slice is compared
 against its own client's digest.
 
 Two pieces live here:
 
-* :class:`ShellCursor` — walks one request's shells 1..d in ascending
-  distance and rank, serving ``(distance, lo, hi)`` rank ranges cut at
-  multiples of ``batch_size`` from rank 0 of each shell — the batches
-  the ``batch:`` engine walks
-  (:func:`~repro.runtime.maskplan.combination_batches`); shell 0, the
-  enrolled seed itself, is hashed at admission and never reaches it;
-* :func:`first_matches` — the fused XOR + hash + compare every device
-  scans with (first matching rank wins within a slice, preserving the
-  single-engine candidate order).
+* :class:`ShellCursor` — walks one request's shells from shell 2 in
+  ascending distance and rank, serving ``(distance, lo, hi)`` rank ranges
+  cut at multiples of ``batch_size`` from rank 0 of each shell — the
+  batches the ``batch:`` engine walks
+  (:func:`~repro.runtime.maskplan.combination_batches`); shells 0 and 1,
+  the enrolled seed and its 256 neighbours, are hashed at admission and
+  never reach it;
+* :func:`first_matches` — the walk + hash + compare every device scans
+  with (first matching rank wins within a slice, preserving the
+  single-engine candidate order), one C call per slice
+  (:meth:`repro.hashes.compiled.Kernel.scan`).
 
-A slice is only ever ranks: its candidates are made, by
-:func:`~repro.runtime.maskplan.candidates`, where they are hashed.
+A slice is only ever ranks: its candidates are walked, in C, where they
+are hashed. Each request owns one stop byte, set when it retires; the
+scan reads it once per eight rows, so the request's ranges still running
+on other devices stop within eight rows (the paper's exit flag, §4.4).
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro._bitutils import SEED_BITS
+from repro._bitutils import SEED_BITS, flip_bits, seed_to_words
+from repro.combinatorics.algorithm515 import unrank_lexicographic
 from repro.combinatorics.binomial import binomial
 from repro.hashes import compiled
 from repro.hashes.registry import HashAlgorithm
@@ -45,21 +51,28 @@ __all__ = [
     "BatchSlice",
     "SliceOutcome",
     "first_matches",
+    "seed_at",
 ]
 
 #: ``(distance, lo, hi)``: ranks ``[lo, hi)`` of one shell.
 Ranks = tuple[int, int, int]
 
-#: What a scan is asked for: ``(distance, rank lo, rank hi, base words,
-#: target words)``.
-Job = tuple[int, int, int, np.ndarray, np.ndarray]
+
+def seed_at(seed: bytes, distance: int, rank: int) -> bytes:
+    """The candidate at ``rank`` (lexicographic, Algorithm 515) of the
+    ``distance`` shell around ``seed``: what a scan's matching row is.
+    A shell-1 rank is its bit position, which spares the door's commonest
+    hit the ≈ 60 µs Python descent."""
+    if distance == 1:
+        return flip_bits(seed, (rank,))
+    return flip_bits(seed, unrank_lexicographic(SEED_BITS, distance, rank))
 
 
 class ShellCursor:
     """Serves one request's rank ranges, shell by shell, in order.
 
-    It starts at shell 1: shell 0, the one rank of the enrolled seed
-    itself, is hashed by :meth:`FleetScheduler.submit
+    It starts at shell 2: shells 0 and 1, the enrolled seed itself and
+    its 256 neighbours, are hashed by :meth:`FleetScheduler.submit
     <repro.fleet.dispatcher.FleetScheduler.submit>` before a request
     enters the stream. Each shell is cut at multiples of ``batch_size``
     from its rank 0, so a request's kernel calls line up with the
@@ -70,7 +83,7 @@ class ShellCursor:
         self._max_distance = max_distance
         self._batch_size = batch_size
         #: The shell being served and its first rank not yet served.
-        self._distance = 1
+        self._distance = 2
         self._next = 0
         #: Ranges returned to the cursor after a device failed mid-batch,
         #: in rank order; served before anything else so candidate order
@@ -155,8 +168,9 @@ class BatchSlice:
     distance: int
     lo: int
     hi: int
-    base_words: np.ndarray  # (4,) uint64 enrolled seed
-    target_words: np.ndarray  # digest words this slice compares against
+    seed: bytes  # the enrolled seed, 32 bytes
+    digest: bytes  # the client digest this slice compares against
+    stop: ctypes.c_uint8  # the request's stop byte, set when it retires
 
     @property
     def rows(self) -> int:
@@ -169,6 +183,8 @@ class SliceOutcome:
 
     key: object
     distance: int
+    #: Rows the slice counts: all of its range, unless the request's
+    #: stop byte cut the scan short (then the rows scanned).
     rows: int
     #: Matching seed (bytes) at the lowest rank within the slice, if any.
     seed: bytes | None
@@ -179,40 +195,60 @@ class SliceOutcome:
 def first_matches(
     algo: HashAlgorithm,
     fixed_padding: bool,
-    slices: Sequence[Job],
-) -> list[int | None]:
-    """Fused candidates + hash + compare: per ``(distance, lo, hi, base
-    words, target words)`` slice, the lowest row (from ``lo``) whose
-    candidate hashes to the target.
+    slices: Sequence[BatchSlice],
+) -> list[tuple[int | None, int]]:
+    """Walk + hash + compare: per slice, the lowest row (from ``lo``)
+    whose candidate hashes to the slice's digest, or ``None``, and the
+    rows the slice counts — all of its range unless its stop byte was
+    set before the scan got through it.
 
     With the compiled kernel (:func:`repro.hashes.compiled.load`) each
-    slice's candidates are one C call that stops at the slice's first
-    match; otherwise every slice's candidates go through one ``hashlib``
-    batch. Every device thread scans with this, so a rank range answers
-    the same wherever it is hashed.
+    slice is one C call that walks its ranks and stops at the slice's
+    first match or within eight rows of its stop byte. Otherwise every
+    slice not yet stopped has its candidates made by
+    :func:`~repro.runtime.maskplan.candidates` and hashed in one
+    ``hashlib`` batch. Every device thread scans with this, so a rank
+    range answers the same wherever it is hashed.
     """
     if not slices:
         return []
     kernel = compiled.load()
     if kernel is not None and algo.name in kernel.hashes:
-        return [
-            kernel.first_match(
-                algo.name, candidates(distance, lo, hi, base_words), target_words
+        scanned: list[tuple[int | None, int]] = []
+        for piece in slices:
+            row, rows = kernel.scan(
+                algo.name,
+                piece.distance,
+                piece.lo,
+                piece.hi,
+                piece.seed,
+                piece.digest,
+                piece.stop,
             )
-            for distance, lo, hi, base_words, target_words in slices
-        ]
+            scanned.append((row, rows if row is None else piece.rows))
+        return scanned
+    found: list[tuple[int | None, int]] = [(None, 0)] * len(slices)
+    live = [index for index, piece in enumerate(slices) if not piece.stop.value]
+    if not live:
+        return found
     words = [
-        candidates(distance, lo, hi, base_words)
-        for distance, lo, hi, base_words, _t in slices
+        candidates(
+            slices[index].distance,
+            slices[index].lo,
+            slices[index].hi,
+            seed_to_words(slices[index].seed),
+        )
+        for index in live
     ]
     combined = words[0] if len(words) == 1 else np.concatenate(words)
     digests = algo.hash_seeds_batch(combined, fixed_padding=fixed_padding)
-    found: list[int | None] = []
     offset = 0
-    for _d, lo, hi, _b, target_words in slices:
+    for index in live:
+        piece = slices[index]
+        target = algo.digest_to_words(piece.digest)
         matches = np.flatnonzero(
-            (digests[offset : offset + hi - lo] == target_words).all(axis=1)
+            (digests[offset : offset + piece.rows] == target).all(axis=1)
         )
-        offset += hi - lo
-        found.append(int(matches[0]) if matches.size else None)
+        offset += piece.rows
+        found[index] = (int(matches[0]) if matches.size else None, piece.rows)
     return found

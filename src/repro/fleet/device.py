@@ -5,7 +5,8 @@ about one modeled accelerator:
 
 * the kernel path, :meth:`FleetDevice.run_batch`: one fused batch of
   many requests' rank ranges, scanned on the device's own thread with
-  :func:`~repro.fleet.batcher.first_matches`;
+  :func:`~repro.fleet.batcher.first_matches`, each range walked in C
+  and cut short by its request's stop byte;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -29,14 +30,12 @@ from typing import NoReturn
 
 import numpy as np
 
-from repro._bitutils import words_to_seed
 from repro.devices.base import DeviceModel
 from repro.devices.flaky import DeviceFailure
 from repro.fleet import batcher
 from repro.fleet.batcher import BatchSlice, SliceOutcome
 from repro.hashes.registry import HashAlgorithm
 from repro.reliability.breaker import BreakerState, CircuitBreaker
-from repro.runtime.maskplan import candidates
 
 __all__ = ["FleetDevice"]
 
@@ -150,15 +149,18 @@ class FleetDevice:
     # -- the kernel path -------------------------------------------------
 
     def run_batch(self, slices: tuple[BatchSlice, ...]) -> list[SliceOutcome]:
-        """Scan every slice's candidates as one fused batch, subject to
-        this device's faults.
+        """Scan every slice's ranks as one fused batch, subject to this
+        device's faults.
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
         when the device is killed or its fault stream schedules a
         failure; a scheduled slowdown stretches real wall time and the
         reported per-slice seconds. Each outcome carries the seed at the
-        slice's lowest matching rank, if any, and the slice's share of
-        the batch's seconds.
+        slice's lowest matching rank, if any, the rows the slice counts
+        (those scanned, if its request's stop byte cut it short) and its
+        share of the batch's seconds. The rows counted are what
+        ``rows_hashed`` and the rate estimates see; a batch that scanned
+        nothing leaves the estimates alone.
         """
         if self.killed:
             self._fail()
@@ -166,11 +168,7 @@ class FleetDevice:
         if fault == "fail":
             self._fail()
         start = time.perf_counter()
-        hits = batcher.first_matches(
-            self.algo,
-            self.fixed_padding,
-            [(s.distance, s.lo, s.hi, s.base_words, s.target_words) for s in slices],
-        )
+        hits = batcher.first_matches(self.algo, self.fixed_padding, slices)
         elapsed = time.perf_counter() - start
         if fault == "slow":
             self.slowdowns += 1
@@ -183,41 +181,35 @@ class FleetDevice:
             self._fail()
         self.breaker.record_success()
         wall = time.perf_counter() - start
-        rows = sum(piece.rows for piece in slices)
+        rows = sum(counted for _row, counted in hits)
         self.batches += 1
         self.shared_batches += len(slices) > 1
         self.rows_hashed += rows
-        rate = rows / max(wall, 1e-9)
-        self.ewma_batch_seconds = (
-            wall
-            if self.ewma_batch_seconds is None
-            else (1 - _EWMA_ALPHA) * self.ewma_batch_seconds + _EWMA_ALPHA * wall
-        )
-        self.ewma_rate = (
-            rate
-            if self.ewma_rate is None
-            else (1 - _EWMA_ALPHA) * self.ewma_rate + _EWMA_ALPHA * rate
-        )
+        if rows:
+            rate = rows / max(wall, 1e-9)
+            self.ewma_batch_seconds = (
+                wall
+                if self.ewma_batch_seconds is None
+                else (1 - _EWMA_ALPHA) * self.ewma_batch_seconds + _EWMA_ALPHA * wall
+            )
+            self.ewma_rate = (
+                rate
+                if self.ewma_rate is None
+                else (1 - _EWMA_ALPHA) * self.ewma_rate + _EWMA_ALPHA * rate
+            )
         return [
             SliceOutcome(
                 key=piece.key,
                 distance=piece.distance,
-                rows=piece.rows,
+                rows=counted,
                 seed=(
                     None
                     if row is None
-                    else words_to_seed(
-                        candidates(
-                            piece.distance,
-                            piece.lo + row,
-                            piece.lo + row + 1,
-                            piece.base_words,
-                        )[0]
-                    )
+                    else batcher.seed_at(piece.seed, piece.distance, piece.lo + row)
                 ),
-                seconds=elapsed * (piece.rows / rows),
+                seconds=elapsed * counted / max(rows, 1),
             )
-            for piece, row in zip(slices, hits)
+            for piece, (row, counted) in zip(slices, hits)
         ]
 
     def _fail(self) -> NoReturn:

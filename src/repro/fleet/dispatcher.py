@@ -2,10 +2,11 @@
 
 :class:`FleetScheduler` turns concurrent authentication requests into a
 shared, continuously-batched work stream. Each submission is admitted
-or shed by the policy (:mod:`repro.fleet.policy`), has its shell 0 —
-the enrolled seed itself, one hash — answered on the submitting thread,
-and is then walked shell by shell from shell 1 by its cursor
-(:mod:`repro.fleet.batcher`), one ``batch_size`` range at a time,
+or shed by the policy (:mod:`repro.fleet.policy`), has its shells 0
+and 1 — the enrolled seed itself and its 256 neighbours — answered on
+the submitting thread, and is then walked shell by shell from shell 2 by
+its cursor (:mod:`repro.fleet.batcher`), one ``batch_size`` range at a
+time,
 through each device's fused batches — one dispatcher thread *per
 device* plus a monitor thread. A request retires the moment
 its seed is found (its remaining ranges are simply dropped — the
@@ -18,12 +19,14 @@ same stream concurrently, one search included.
 
 Placement and recovery rules:
 
-* **Shell 0 at the door** — :meth:`FleetScheduler.submit` hashes the
-  enrolled seed with the scan every device uses and commits that one
-  row before the request reaches the stream. A match, or a
-  ``max_distance`` of 0, settles the ticket before ``submit`` returns:
-  no device is woken and none needs to be healthy. A miss enters the
-  stream with shell 0 committed, so devices only ever see shells 1..d.
+* **Shells 0 and 1 at the door** — :meth:`FleetScheduler.submit`
+  hashes the enrolled seed, then its 256 neighbours, with the scan every
+  device uses, and commits them as ``batch:`` counts them (shell 1 cut
+  into ``batch_size`` batches) before the request reaches the stream. A
+  match, or a ``max_distance`` of 0 or 1, settles the ticket before
+  ``submit`` returns: no device is woken and none needs to be healthy.
+  A miss enters the stream with shells 0 and 1 committed, so devices
+  only ever see shells 2..d.
 * **Pull** — a device that finishes a batch assembles its next one from
   every active request's cursor: no request is pinned to a device, so
   one search's rank ranges run on every device at once and no device
@@ -40,9 +43,11 @@ Placement and recovery rules:
   range of its request has committed, so a request settles on the match
   at the lowest rank, the single-engine candidate order, and results
   stay byte-identical. A match drops every range above it, hashed or
-  running: the paper's exit flag (§4.4). A result counts committed
-  ranges only; the rows hashed past a match show in the devices'
-  ``rows_hashed`` and nowhere else.
+  running, and sets the request's stop byte, which a running range's
+  scan reads once per eight rows: the paper's exit flag (§4.4). Any
+  retirement sets it — a match, a budget expiry, a deadline shed, a
+  close. A result counts committed ranges only; the rows hashed past a
+  match show in the devices' ``rows_hashed`` and nowhere else.
 * **Re-dispatch** — a device that fails mid-batch (fault injection or
   the chaos kill switch) discards its results; the batch's ranges are
   pushed back onto each request's cursor ahead of everything unserved,
@@ -57,11 +62,13 @@ Placement and recovery rules:
   device's unsettled batch once it is past the straggler latency
   threshold; the first
   result wins (a settle flag CASed under the fleet lock), the loser's
-  output is discarded.
+  output is discarded. The stop byte belongs to the request, not the
+  batch, so a losing runner scans on unless its requests retire.
 * **Grace shedding** — when every device has been quarantined for
   longer than the grace window, queued requests are shed with the typed
   reason ``no_healthy_devices`` instead of hanging their callers (a
-  request that shell 0 settles at the door is answered all the same).
+  request that shell 0 or 1 settles at the door is answered all the
+  same).
 * **Never hang callers** — a device or monitor thread that dies of an
   unexpected exception closes the dispatcher and sheds every active
   request with the typed reason ``shutdown`` before re-raising.
@@ -79,7 +86,8 @@ import time
 from collections import deque
 from typing import Sequence
 
-from repro._bitutils import seed_to_words
+from repro._bitutils import SEED_BITS, SEED_BYTES
+from repro.combinatorics.binomial import binomial
 from repro.devices.flaky import DeviceFailure
 from repro.engines.result import SearchResult, ShellStats
 from repro.fleet import batcher
@@ -292,15 +300,25 @@ class FleetScheduler:
         :class:`RequestShed` on admission rejection (full queue /
         hopeless deadline / exhausted tenant budget).
 
-        An admitted request's shell 0 is hashed here, on the calling
-        thread: a match, or ``max_distance == 0``, returns a ticket that
+        An admitted request's shells 0 and 1 are hashed here, on the
+        calling thread (one C call each, ≈ 20 µs for shell 1's 256
+        ranks): a match, or ``max_distance <= 1``, returns a ticket that
         is already done. Otherwise the ticket enters the stream at
-        shell 1; when no device is placeable it waits for the next
+        shell 2; when no device is placeable it waits for the next
         reinstatement, or is shed (``no_healthy_devices``) once the
         whole fleet stays dark past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
+        if len(base_seed) != SEED_BYTES:
+            raise ValueError(
+                f"seed must be {SEED_BYTES} bytes, got {len(base_seed)}"
+            )
+        if len(target_digest) != self._executor.algo.digest_size:
+            raise ValueError(
+                f"{self.hash_name} digests are "
+                f"{self._executor.algo.digest_size} bytes"
+            )
         if deadline_seconds is not None and deadline_seconds < 0:
             raise ValueError("deadline_seconds must be non-negative")
         if isinstance(tenant, TenantContext):
@@ -328,8 +346,8 @@ class FleetScheduler:
             request = ScheduledSearch(
                 seq=self._seq,
                 client_id=client_id,
-                base_words=seed_to_words(base_seed),
-                target_words=self._executor.algo.digest_to_words(target_digest),
+                seed=bytes(base_seed),
+                digest=bytes(target_digest),
                 max_distance=max_distance,
                 lane=self.policy.lane_of(max_distance, deadline_seconds),
                 submitted_at=now,
@@ -341,20 +359,13 @@ class FleetScheduler:
                 cursor=ShellCursor(max_distance, self.batch_size),
                 tenant_id=tenant_id,
             )
-            start = time.perf_counter()
-            (row,) = batcher.first_matches(
-                self._executor.algo,
-                self._executor.fixed_padding,
-                [(0, 0, 1, request.base_words, request.target_words)],
-            )
-            seconds = time.perf_counter() - start
             self._admitted += 1
             self._tenant_admitted[tenant_id] = (
                 self._tenant_admitted.get(tenant_id, 0) + 1
             )
             self._ensure_threads_locked()
-            self._count_locked(request, 0, 1, seconds)
-            settled = row is not None or max_distance == 0
+            match = self._hash_at_the_door_locked(request)
+            settled = match is not None or max_distance <= 1
             if settled:
                 request.retired = True
             else:
@@ -362,14 +373,48 @@ class FleetScheduler:
                 self._peak_depth = max(self._peak_depth, len(self._active))
                 self._wake.notify_all()
         if settled:
-            found = row is not None
             self._finalize_result(
                 request,
                 timed_out=False,
-                seed=base_seed if found else None,
-                distance=0 if found else None,
+                seed=None if match is None else match.seed,
+                distance=None if match is None else match.distance,
             )
         return request
+
+    def _hash_at_the_door_locked(
+        self, request: ScheduledSearch
+    ) -> SliceOutcome | None:
+        """Scan shells 0 and 1 (up to ``max_distance``) on the calling
+        thread and commit each as ``batch:`` counts it: shell 1 in
+        ``batch_size`` batches, up to the one holding a match (lock
+        held). The match, if one of them holds it."""
+        for distance in range(min(request.max_distance, 1) + 1):
+            size = binomial(SEED_BITS, distance)
+            start = time.perf_counter()
+            ((row, _rows),) = batcher.first_matches(
+                self._executor.algo,
+                self._executor.fixed_padding,
+                [
+                    BatchSlice(
+                        request, distance, 0, size,
+                        request.seed, request.digest, request.stop,
+                    )
+                ],
+            )
+            seconds = time.perf_counter() - start
+            if row is None:
+                self._count_locked(request, distance, size, seconds)
+                continue
+            counted = min(size, (row // self.batch_size + 1) * self.batch_size)
+            self._count_locked(request, distance, counted, seconds)
+            return SliceOutcome(
+                key=request,
+                distance=distance,
+                rows=counted,
+                seed=batcher.seed_at(request.seed, distance, row),
+                seconds=seconds,
+            )
+        return None
 
     def _ensure_threads_locked(self) -> None:
         if self._threads:
@@ -523,8 +568,9 @@ class FleetScheduler:
                     distance=distance,
                     lo=lo,
                     hi=hi,
-                    base_words=request.base_words,
-                    target_words=request.target_words,
+                    seed=request.seed,
+                    digest=request.digest,
+                    stop=request.stop,
                 )
             )
             room -= hi - lo
@@ -615,18 +661,20 @@ class FleetScheduler:
             if winner is not inflight.device:
                 self._hedge_wins += 1
             total_rows = sum(outcome.rows for outcome in outcomes)
-            total_seconds = max(
-                sum(outcome.seconds for outcome in outcomes), 1e-9
-            )
-            rate = total_rows / total_seconds
-            # Weighted by rows: a few-row batch is mostly fixed cost, and
-            # counting it as a full batch would drag the estimate down.
-            weight = _THROUGHPUT_ALPHA * total_rows / self.batch_size
-            self._throughput = (
-                rate
-                if self._throughput is None
-                else self._throughput + weight * (rate - self._throughput)
-            )
+            if total_rows:
+                total_seconds = max(
+                    sum(outcome.seconds for outcome in outcomes), 1e-9
+                )
+                rate = total_rows / total_seconds
+                # Weighted by rows: a few-row batch is mostly fixed cost,
+                # and counting it as a full batch would drag the estimate
+                # down; a batch its stop bytes emptied moves nothing.
+                weight = _THROUGHPUT_ALPHA * total_rows / self.batch_size
+                self._throughput = (
+                    rate
+                    if self._throughput is None
+                    else self._throughput + weight * (rate - self._throughput)
+                )
             for outcome in outcomes:
                 request: ScheduledSearch = outcome.key  # type: ignore[assignment]
                 if request.retired:
@@ -691,10 +739,12 @@ class FleetScheduler:
         )
 
     def _retire_locked(self, request: ScheduledSearch) -> None:
-        """Take a request out of the stream; whatever of it is still
-        running is discarded when it returns."""
+        """Take a request out of the stream and set its stop byte:
+        whatever of it is still running stops within eight rows and is
+        discarded when it returns."""
         self._active.remove(request)
         request.retired = True
+        request.stop.value = 1
         request.hashed.clear()
         if self._closed and not self._active:
             # A draining close waits for the stream to empty; the

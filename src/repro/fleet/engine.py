@@ -13,8 +13,8 @@ Each core of a ``host`` is a device: the token builds ``workers``
 devices (default: one per CPU of the process's cpuset), each hashing on
 its own thread and pulling its own rank ranges from the shared stream,
 so one search runs on every core at once. A batch is rank ranges; the
-candidates are made where they are hashed, so the engine keeps no mask
-plans.
+candidates are walked where they are hashed, so the engine keeps no mask
+plans (and, with the compiled kernel, no mask tables either).
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
@@ -154,9 +154,11 @@ class FleetSearchEngine:
             ),
             tenants=tenants,
         )
-        # Built here, before any device thread races NumPy into them.
-        mask_tables()
-        compiled.load()
+        # Loaded here, before any device thread races to build it; the
+        # NumPy mask tables serve only a hash the kernel does not scan.
+        kernel = compiled.load()
+        if kernel is None or executor.algo.name not in kernel.hashes:
+            mask_tables()
         device_tokens = [
             token
             for token in tokens

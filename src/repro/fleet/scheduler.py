@@ -5,9 +5,9 @@
 dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`,
 :meth:`~ScheduledSearch.done`, :meth:`~ScheduledSearch.add_done_callback`)
 plus the per-request state the policy orders by (``lane`` / ``deadline`` /
-``remaining_work`` / ``seq``), the shell cursor, the ranges running on
-devices or waiting to commit, and the rows and seconds per shell that
-become the result. What the dispatcher did around a request — preemptions, re-dispatched ranges,
+``remaining_work`` / ``seq``), the shell cursor, the stop byte its
+running ranges read, the ranges running on devices or waiting to
+commit, and the rows and seconds per shell that become the result. What the dispatcher did around a request — preemptions, re-dispatched ranges,
 hedges — is counted once, on the dispatcher (``FleetScheduler.snapshot()``),
 not on the ticket. There is one ticket class for every fleet size — a
 ``sched:`` engine is the one-host fleet.
@@ -15,21 +15,21 @@ not on the ticket. There is one ticket class for every fleet size — a
 Equivalence contract the dispatcher keeps per ticket: a request commits
 candidates in the same order as
 :class:`~repro.runtime.executor.BatchSearchExecutor` — shell 0, the
-enrolled seed itself, hashed and committed at admission, then ascending
+enrolled seed itself, and shell 1 hashed and committed at admission
+(shell 1 counted as ``batch_size`` batches cut it), then ascending
 shells in ascending rank order, cut into the same ``batch_size``
 batches — so scheduled searches return byte-identical results to
 unscheduled ones, ``seeds_hashed`` included. Devices hash a request's
 ranges concurrently; its commits never reorder. A request settled by
-shell 0 never enters the stream.
+shell 0 or 1 never enters the stream.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from collections.abc import Callable
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.combinatorics.binomial import exhaustive_seed_count
 from repro.engines.result import SearchResult
@@ -57,8 +57,8 @@ class ScheduledSearch:
         *,
         seq: int,
         client_id: str,
-        base_words: np.ndarray,
-        target_words: np.ndarray,
+        seed: bytes,
+        digest: bytes,
         max_distance: int,
         lane: str,
         submitted_at: float,
@@ -72,8 +72,12 @@ class ScheduledSearch:
         self.client_id = client_id
         #: Which tenant this request belongs to (fair-share + telemetry).
         self.tenant_id = tenant_id
-        self.base_words = base_words
-        self.target_words = target_words
+        #: The enrolled seed and the client's digest, as the scan takes them.
+        self.seed = seed
+        self.digest = digest
+        #: Set once, when the request retires: its ranges still running
+        #: on devices stop within eight rows.
+        self.stop = ctypes.c_uint8(0)
         self.max_distance = max_distance
         self.lane = lane
         self.submitted_at = submitted_at

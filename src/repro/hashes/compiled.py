@@ -1,10 +1,11 @@
-"""The fleet's compiled first-match kernel: ``fused.c``, built once per host
-and opened with :mod:`ctypes`.
+"""The fleet's compiled range scan: ``fused.c``, built once per host and
+opened with :mod:`ctypes`.
 
-The paper's CPU row is a C loop — iterate, XOR, hash, compare. Around a
-native digest the serving path pays one Python call, one ``bytes`` object
-and one list append per candidate; :func:`load` moves the hash and the
-compare of a whole rank range into one call (EXPERIMENTS.md, E-NATIVE).
+The paper's CPU row is a C loop — unrank, iterate, XOR, hash, compare,
+check the exit flag. Around a native digest the serving path pays one
+Python call, one ``bytes`` object and one list append per candidate;
+:func:`load` moves the walk, the hash and the compare of a whole rank
+range into one call (EXPERIMENTS.md, E-NATIVE and E-WALK).
 Only the fleet's scan (:func:`repro.fleet.batcher.first_matches`) uses
 it: the ``batch:`` reference engine and
 :meth:`~repro.hashes.registry.HashAlgorithm.hash_seeds_batch` stay on
@@ -27,7 +28,11 @@ the caller hashes with ``hashlib``.
 resident set, and the first build ≈ 0.19 s in the compiler's own
 process; importing ``_cffi_backend`` alone raises the peak by 3.4 MB and
 an in-process ``cffi`` build by 13 MB. ``ctypes`` releases the
-interpreter lock for the call.
+interpreter lock for the call. A scan's arguments are ints, two
+``bytes`` (the seed and the digest, passed as pointers to their own
+buffers) and the request's ``c_uint8`` stop byte (passed by reference):
+no NumPy array crosses, since taking an array's address costs ≈ 3 µs
+and the whole call ≈ 2.3 µs.
 """
 
 from __future__ import annotations
@@ -43,9 +48,11 @@ import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
-import numpy as np
-
+from repro._bitutils import SEED_BITS, SEED_BYTES, flip_bits
+from repro.combinatorics.algorithm515 import unrank_lexicographic
+from repro.combinatorics.binomial import binomial
 from repro.hashes import native
+from repro.hashes.registry import get_hash
 
 __all__ = ["Kernel", "describe", "library_path", "load"]
 
@@ -56,58 +63,84 @@ SOURCE = Path(__file__).with_name("fused.c")
 OPTIMIZE = ("-O3", "-march=native")
 FLAGS = (*OPTIMIZE, "-shared", "-fPIC")
 
-#: Registry name -> (C function, dtype and width of the target digest words).
-_SCANS: dict[str, tuple[str, type[np.generic], int]] = {
-    "sha1": ("sha1_first_match", np.uint32, 5),
-    "sha3-256": ("sha3_first_match", np.uint64, 4),
-}
+#: Registry name -> C function; its digest is ``digest_size`` bytes.
+_SCANS = {"sha1": "sha1_scan", "sha3-256": "sha3_scan"}
 
 _TRAILER = 32  # bytes of SHA3-256 after the library image
 
 
 class Kernel:
-    """The loaded library's first-match scans, one per compiled hash."""
+    """The loaded library's range scans, one per compiled hash."""
 
     def __init__(self, library: ctypes.CDLL, command: list[str]):
-        rows = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
         self._scans: dict[str, Callable[..., int]] = {}
-        for name, (symbol, dtype, width) in _SCANS.items():
+        for name, symbol in _SCANS.items():
             scan = getattr(library, symbol)
-            target = np.ctypeslib.ndpointer(dtype, shape=(width,), flags="C_CONTIGUOUS")
-            scan.argtypes = [rows, ctypes.c_size_t, target]
+            scan.argtypes = [
+                ctypes.c_int,
+                ctypes.c_uint64,
+                ctypes.c_uint64,
+                ctypes.c_char_p,
+                ctypes.c_char_p,
+                ctypes.POINTER(ctypes.c_uint8),
+            ]
             scan.restype = ctypes.c_int64
             self._scans[name] = scan
+        self._digest_sizes = {name: get_hash(name).digest_size for name in _SCANS}
         library.fused_compiler.restype = ctypes.c_char_p
         built_by = library.fused_compiler().decode()
         #: Hashes the kernel scans; any other hash stays on ``hashlib``.
         self.hashes = frozenset(self._scans)
+        #: The deepest shell a scan walks (C(256, d) must fit an int64).
+        self.max_distance: int = library.fused_max_distance()
         #: For records, e.g. ``cc -O3 -march=native (gcc 12.2.0)``.
         self.description = " ".join([*command, *OPTIMIZE]) + f" ({built_by})"
         self._library = library  # the scans' functions live in it
 
-    def first_match(
-        self, name: str, words: np.ndarray, target: np.ndarray
-    ) -> int | None:
-        """Lowest row of the ``(N, 4)`` uint64 seed words whose ``name``
-        digest equals ``target`` (the registry's digest-word form); the C
-        scan's ``-1`` for no match is ``None``."""
-        if words.shape[1:] != (4,):
-            raise ValueError("expected (N, 4) seed words")
-        row = self._scans[name](words, words.shape[0], target)
-        return None if row < 0 else int(row)
+    def scan(
+        self,
+        name: str,
+        distance: int,
+        lo: int,
+        hi: int,
+        seed: bytes,
+        digest: bytes,
+        stop: ctypes.c_uint8,
+    ) -> tuple[int | None, int]:
+        """Ranks ``[lo, hi)`` of the ``distance`` shell around ``seed``,
+        walked in lexicographic order: the row (from ``lo``) of the first
+        candidate whose ``name`` digest is ``digest``, or ``None``, and
+        the rows scanned — through the match, else ``hi - lo`` unless
+        ``stop`` was set, which the scan reads once per eight rows.
+        Arguments are checked here, so nothing out of range reaches C."""
+        if not 0 <= distance <= self.max_distance:
+            raise ValueError(f"distance {distance} outside 0..{self.max_distance}")
+        if not 0 <= lo <= hi <= binomial(SEED_BITS, distance):
+            raise ValueError(f"ranks [{lo}, {hi}) outside shell {distance}")
+        if type(seed) is not bytes or len(seed) != SEED_BYTES:
+            raise ValueError(f"seed must be {SEED_BYTES} bytes")
+        if type(digest) is not bytes or len(digest) != self._digest_sizes[name]:
+            raise ValueError(f"{name} digests are {self._digest_sizes[name]} bytes")
+        if type(stop) is not ctypes.c_uint8:
+            raise ValueError("stop must be a ctypes.c_uint8")
+        row = self._scans[name](distance, lo, hi - lo, seed, digest, stop)
+        return (row, row + 1) if row >= 0 else (None, ~row)
 
 
 def _agrees_with_native(kernel: Kernel) -> bool:
-    """Whether every scan finds what ``hashlib`` says is there: a row of
-    the first eight-row group, and one of a short last group."""
-    words = np.arange(44, dtype=np.uint64).reshape(11, 4)
-    return all(
-        kernel.first_match(name, words, target) == row
-        for name in kernel.hashes
-        for row, target in zip(
-            (1, 9), native.digest_batch(name, words[[1, 9]]), strict=True
-        )
-    )
+    """Whether every scan finds what ``hashlib`` says is there: a walk
+    across a prefix of shell 3, in a lane of its first eight-row group
+    and in its short last group."""
+    seed = bytes(range(SEED_BYTES))
+    lo, hi = 253, 264  # rank 253 is (0, 1, 255), rank 254 is (0, 2, 3)
+    never = ctypes.c_uint8(0)
+    for name in kernel.hashes:
+        for row in (1, 9):
+            candidate = flip_bits(seed, unrank_lexicographic(SEED_BITS, 3, lo + row))
+            digest = native.digest(name, candidate)
+            if kernel.scan(name, 3, lo, hi, seed, digest, never) != (row, row + 1):
+                return False
+    return True
 
 
 def _cpu_flags() -> bytes:

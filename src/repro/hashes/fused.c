@@ -1,17 +1,24 @@
-/* First-match scans for the fleet: hash each row's 32-byte seed, compare
- * the digest with one target, stop at the first row that matches.
+/* First-match range scans for the fleet: walk ranks [lo, lo + n) of one
+ * Hamming shell around an enrolled seed, hash each candidate, compare the
+ * digest with one target, stop at the first row that matches.
  *
- * The paper's SALTED-CPU loop (Section 4.4) minus the candidate walk:
- * rows are the canonical (n, 4) uint64 seed words (word 0 holds bits
- * 0..63; the seed's bytes are big-endian, word 3 first) that
- * repro.runtime.maskplan.candidates makes. SHA3-256 hashes eight rows
- * per Keccak-f[1600] call, one row per vector lane (the lane-parallel
- * layout of "Gotta Hash 'Em All"); SHA-1, which no served workload runs,
- * hashes one row at a time. repro.hashes.compiled builds and loads this
- * file; the from-spec NumPy kernels are its oracle.
+ * The paper's SALTED-CPU loop (Sections 3.2 and 4.4): the scan unranks
+ * its first combination (lexicographic order, Algorithm 515, from a
+ * binomial table), then steps lexicographic successors, so no candidate
+ * array is ever made; and it reads a shared stop byte once per eight
+ * rows, so a search that settled elsewhere stops its other ranges.
+ * SHA3-256 hashes eight candidates per Keccak-f[1600] call, one per
+ * vector lane (the lane-parallel layout of "Gotta Hash 'Em All"); SHA-1
+ * hashes one at a time. Seeds and digests cross the boundary as their
+ * bytes: the seed's 32 bytes are big-endian, bit p of the seed is bit
+ * p % 64 of word p / 64, and word 3 comes first. repro.hashes.compiled
+ * builds and loads this file and checks every argument before a call;
+ * repro.runtime.maskplan.candidates and the native digests are its
+ * oracle.
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__clang__)
 #define FUSED_COMPILER "clang " __clang_version__
@@ -48,6 +55,98 @@ typedef uint64_t lanes __attribute__((vector_size(64)));
 static inline uint32_t rotl32(uint32_t x, unsigned s) {
     return (x << s) | (x >> (32 - s));
 }
+
+/* -- the walk: ranks of one shell, in lexicographic order ------------- */
+
+#define SEED_BITS 256
+/* The deepest shell whose size, C(256, 11) = 6.2e18, fits an int64. */
+#define MAX_DISTANCE 11
+
+int fused_max_distance(void) { return MAX_DISTANCE; }
+
+/* BINOMIAL[m][k] = C(m, k) for m <= 256, k <= MAX_DISTANCE. */
+static uint64_t BINOMIAL[SEED_BITS + 1][MAX_DISTANCE + 1];
+
+__attribute__((constructor)) static void fill_binomials(void) {
+    for (int m = 0; m <= SEED_BITS; m++) {
+        BINOMIAL[m][0] = 1;
+        for (int k = 1; k <= MAX_DISTANCE; k++)
+            BINOMIAL[m][k] = m == 0 ? 0 : BINOMIAL[m - 1][k - 1] + BINOMIAL[m - 1][k];
+    }
+}
+
+/* One candidate: the shell's positions, ascending, and the seed's four
+ * words with those bits flipped. */
+struct walk {
+    int distance;
+    int position[MAX_DISTANCE];
+    uint64_t word[4];
+};
+
+static inline void flip(struct walk *w, int p) {
+    w->word[p >> 6] ^= 1ULL << (p & 63);
+}
+
+/* The seed's word k is its bytes 8 (3 - k) .. 8 (3 - k) + 7, big-endian. */
+static void load_seed(struct walk *w, const uint8_t *seed) {
+    for (int k = 0; k < 4; k++) {
+        uint64_t word = 0;
+        for (int b = 0; b < 8; b++)
+            word = word << 8 | seed[8 * (3 - k) + b];
+        w->word[k] = word;
+    }
+}
+
+/* Rank ``rank`` of the ``distance`` shell around ``seed``: at each slot,
+ * the smallest position whose block of C(255 - c, left) ranks holds the
+ * rank (Algorithm 515's descent). */
+static void walk_seek(struct walk *w, int distance, uint64_t rank,
+                      const uint8_t *seed) {
+    w->distance = distance;
+    load_seed(w, seed);
+    int c = 0;
+    for (int i = 0; i < distance; i++) {
+        int left = distance - 1 - i;
+        while (rank >= BINOMIAL[SEED_BITS - 1 - c][left]) {
+            rank -= BINOMIAL[SEED_BITS - 1 - c][left];
+            c++;
+        }
+        w->position[i] = c;
+        flip(w, c);
+        c++;
+    }
+}
+
+/* The lexicographic successor; the caller never steps past the last rank
+ * of the shell. Mostly the last position moves up by one: two flips. */
+static inline void walk_next(struct walk *w) {
+    int d = w->distance;
+    int last = w->position[d - 1];
+    if (last < SEED_BITS - 1) {
+        flip(w, last);
+        flip(w, last + 1);
+        w->position[d - 1] = last + 1;
+        return;
+    }
+    int i = d - 2;
+    while (w->position[i] == SEED_BITS - d + i)
+        i--;
+    for (int j = i; j < d; j++)
+        flip(w, w->position[j]);
+    w->position[i]++;
+    for (int j = i + 1; j < d; j++)
+        w->position[j] = w->position[j - 1] + 1;
+    for (int j = i; j < d; j++)
+        flip(w, w->position[j]);
+}
+
+static inline int stopped(const uint8_t *stop) {
+    return __atomic_load_n(stop, __ATOMIC_RELAXED) != 0;
+}
+
+/* Every scan answers one int64: the first matching row (0 .. n - 1), or
+ * ~rows when none matched, ``rows`` being n for a whole range and the
+ * rows scanned before the stop byte was seen otherwise. */
 
 /* -- SHA3-256 (FIPS 202): one 136-byte block, lanes indexed x + 5y -- */
 
@@ -102,18 +201,37 @@ static void keccak_f1600(lanes a[25]) {
     }
 }
 
-/* Lowest row whose SHA3-256 digest, as four little-endian lanes, is
- * target[0..3]; -1 if none. Rows go eight to a permutation, row + l in
- * lane l; a short last group repeats row n - 1 in its spare lanes, which
- * the row + l < n check keeps from ever answering. */
-int64_t sha3_first_match(const uint64_t *words, size_t n, const uint64_t *target) {
-    for (size_t row = 0; row < n; row += LANES) {
-        lanes a[25] = {0};
+/* Rows lo .. lo + n - 1 of the ``distance`` shell around ``seed``: the
+ * first whose SHA3-256 digest is ``digest`` (32 bytes). Rows go eight to
+ * a permutation, row + l in lane l; a short last group repeats its last
+ * row in the spare lanes, which the row + l < n check keeps from ever
+ * answering. Message lane j is the little-endian load of the candidate's
+ * bytes 8j .. 8j + 7, the byte-swapped word 3 - j. */
+int64_t sha3_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
+                  const uint8_t *digest, const uint8_t *stop) {
+    uint64_t target[4];
+    for (int j = 0; j < 4; j++) {
+        target[j] = 0;
+        for (int b = 7; b >= 0; b--)
+            target[j] = target[j] << 8 | digest[8 * j + b];
+    }
+    struct walk w;
+    walk_seek(&w, distance, lo, seed);
+    for (uint64_t row = 0; row < n; row += LANES) {
+        if (stopped(stop))
+            return ~(int64_t)row;
+        /* Staged in memory, then loaded a word at a time: filled lane
+         * by lane, the vectors cost the scan up to 9 % more. */
+        uint64_t m[4][LANES];
         for (int l = 0; l < LANES; l++) {
-            const uint64_t *w = words + 4 * (row + l < n ? row + l : n - 1);
             for (int j = 0; j < 4; j++)
-                a[j][l] = __builtin_bswap64(w[3 - j]);
+                m[j][l] = __builtin_bswap64(w.word[3 - j]);
+            if (row + l + 1 < n)
+                walk_next(&w);
         }
+        lanes a[25] = {0};
+        for (int j = 0; j < 4; j++)
+            memcpy(&a[j], m[j], sizeof a[j]);
         a[4] ^= 0x06;                  /* SHA-3 domain bits after byte 31 */
         a[16] ^= 0x8000000000000000ULL; /* final pad bit, byte 135 */
         keccak_f1600(a);
@@ -123,7 +241,7 @@ int64_t sha3_first_match(const uint64_t *words, size_t n, const uint64_t *target
             if (hit[l] && row + l < n)
                 return (int64_t)(row + l);
     }
-    return -1;
+    return ~(int64_t)n;
 }
 
 /* -- SHA-1 (FIPS 180-4): one 64-byte block for a 32-byte message ------ */
@@ -132,15 +250,23 @@ static const uint32_t SHA1_H[5] = {
     0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u,
 };
 
-/* Lowest row whose SHA-1 digest, as five big-endian words, is
- * target[0..4]; -1 if none. */
-int64_t sha1_first_match(const uint64_t *words, size_t n, const uint32_t *target) {
-    for (size_t row = 0; row < n; row++) {
-        const uint64_t *seed = words + 4 * row;
+/* Rows lo .. lo + n - 1 of the ``distance`` shell around ``seed``: the
+ * first whose SHA-1 digest is ``digest`` (20 bytes). */
+int64_t sha1_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
+                  const uint8_t *digest, const uint8_t *stop) {
+    uint32_t target[5];
+    for (int i = 0; i < 5; i++)
+        target[i] = (uint32_t)digest[4 * i] << 24 | (uint32_t)digest[4 * i + 1] << 16 |
+                    (uint32_t)digest[4 * i + 2] << 8 | digest[4 * i + 3];
+    struct walk walk;
+    walk_seek(&walk, distance, lo, seed);
+    for (uint64_t row = 0; row < n; row++) {
+        if (row % LANES == 0 && stopped(stop))
+            return ~(int64_t)row;
         uint32_t w[16] = {0};
         for (int i = 0; i < 4; i++) {
-            w[2 * i] = (uint32_t)(seed[3 - i] >> 32);
-            w[2 * i + 1] = (uint32_t)seed[3 - i];
+            w[2 * i] = (uint32_t)(walk.word[3 - i] >> 32);
+            w[2 * i + 1] = (uint32_t)walk.word[3 - i];
         }
         w[8] = 0x80000000u; /* pad marker after byte 31 */
         w[15] = 256;        /* message length in bits */
@@ -170,6 +296,8 @@ int64_t sha1_first_match(const uint64_t *words, size_t n, const uint32_t *target
             c + SHA1_H[2] == target[2] && d + SHA1_H[3] == target[3] &&
             e + SHA1_H[4] == target[4])
             return (int64_t)row;
+        if (row + 1 < n)
+            walk_next(&walk);
     }
-    return -1;
+    return ~(int64_t)n;
 }

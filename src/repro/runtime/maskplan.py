@@ -1,17 +1,19 @@
-"""Where candidates come from: the served path's rank-range generator and
-the ``batch:`` reference's mask-plan cache.
+"""Where candidates come from: the served path's fallback rank-range
+generator and the ``batch:`` reference's mask-plan cache.
 
 The paper hands each thread a *rank range*: the thread unranks its first
 combination (Algorithm 515) and walks on from there (Section 3.2,
-Table 4), so nothing but the range crosses a boundary. :func:`candidates`
-is that walk for the dispatcher: ranks ``[lo, hi)`` of one Hamming shell
-become their ``(hi - lo, 4)`` uint64 candidate words, in lexicographic
-rank order, on whichever device thread hashes the range. It reads one
-process-wide table of the d = 1 and d = 2 masks (256 + 32 640 rows,
-about 1 MB). A deeper shell
-is a run of (d - 2)-prefix groups, and each group is a contiguous suffix
-of the d = 2 table XOR ``prefix mask ^ base``: one broadcast XOR per
-group instead of one unrank per candidate.
+Table 4), so nothing but the range crosses a boundary. The dispatcher's
+compiled scan (``hashes/fused.c``) does exactly that in C and makes no
+candidate array. :func:`candidates` is the same walk in NumPy, for a
+fleet that hashes with ``hashlib`` (no compiler, or a hash the kernel
+does not scan) and as the C walk's oracle: ranks ``[lo, hi)`` of one
+Hamming shell become their ``(hi - lo, 4)`` uint64 candidate words, in
+lexicographic rank order. It reads one process-wide table of the d = 1
+and d = 2 masks (256 + 32 640 rows, about 1 MB). A deeper shell is a run
+of (d - 2)-prefix groups, and each group is a contiguous suffix of the
+d = 2 table XOR ``prefix mask ^ base``: one broadcast XOR per group
+instead of one unrank per candidate.
 
 The ``batch:`` engine (:class:`~repro.runtime.executor.BatchSearchExecutor`)
 keeps its own source on purpose, so that it stays an independent
@@ -124,7 +126,9 @@ def candidates(
     """``(hi - lo, 4)`` uint64 words: ``base_words`` with the bits of each
     lexicographic rank in ``[lo, hi)`` of the ``distance`` shell flipped.
 
-    Distance 0 is the one-rank shell of ``base_words`` itself.
+    Distance 0 is the one-rank shell of ``base_words`` itself. The
+    served path calls this only when it hashes with ``hashlib``; the
+    compiled scan walks the same ranks in C.
     """
     if not 0 <= lo <= hi <= binomial(SEED_BITS, distance):
         raise IndexError(f"ranks [{lo}, {hi}) outside shell {distance}")

@@ -1,28 +1,35 @@
-"""The compiled first-match kernel (``hashes/fused.c``) against its oracles.
+"""The compiled range scan (``hashes/fused.c``) against its oracles.
 
-Every scan must name the row the native digests and the from-spec batch
-kernels say matches — the lowest one when several do — and the fleet
-must give the same answers when no compiler is there to build it.
+A scan walks ranks ``[lo, hi)`` of one Hamming shell in C. Every scan
+must name the row that Algorithm 515, the vectorized unranking, the
+NumPy candidates and the native digests say matches, stop within eight
+rows of its stop byte, and refuse out-of-range arguments in Python; the
+fleet must give the same answers when no compiler is there to build it.
 """
 
 import ctypes
 import os
+import random
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import gates
-from repro._bitutils import SEED_BITS
+from repro._bitutils import SEED_BITS, flip_bits, seed_to_words, words_to_seeds
+from repro.combinatorics.algorithm515 import unrank_lexicographic
 from repro.combinatorics.binomial import binomial
-from repro.fleet.batcher import first_matches
+from repro.combinatorics.ranking import unrank_lexicographic_batch
+from repro.fleet.batcher import BatchSlice, first_matches
 from repro.hashes import compiled, native
 from repro.hashes.registry import get_hash
 from repro.runtime.maskplan import candidates
 
 HASHES = ("sha1", "sha3-256")
+SEED = bytes(range(100, 132))
 
 
 def _compiler_runs() -> bool:
@@ -34,14 +41,24 @@ def _compiler_runs() -> bool:
     return probe.returncode == 0
 
 
-def _rows(count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << 64, size=(count, 4), dtype=np.uint64)
-
-
 def _sealed(path) -> bool:
     image = path.read_bytes()
     return native.sha3_256(image[:-32]) == image[-32:]
+
+
+def _digests(name, distance, lo, hi, seed=SEED):
+    """The native digest of every candidate of ranks ``[lo, hi)``, made
+    by the NumPy walk the compiled one replaces."""
+    words = candidates(distance, lo, hi, seed_to_words(seed))
+    return [native.digest(name, s) for s in words_to_seeds(words)] if hi > lo else []
+
+
+def _never():
+    return ctypes.c_uint8(0)
+
+
+def _absent(name):
+    return native.digest(name, b"\xff" * 32)
 
 
 @pytest.fixture(scope="module")
@@ -69,60 +86,144 @@ def test_a_host_with_a_compiler_builds_the_kernel():
 class TestScansAgreeWithTheOracles:
     def test_compiled_hashes(self, kernel):
         assert kernel.hashes == frozenset(HASHES)
+        # C(256, 11) is the largest shell size an int64 holds.
+        assert kernel.max_distance == 11
 
     @pytest.mark.parametrize("name", HASHES)
     def test_every_row_is_found_where_it_is(self, kernel, name):
-        words = np.concatenate(
-            [
-                _rows(200, seed=1),
-                np.zeros((1, 4), dtype=np.uint64),
-                np.full((1, 4), np.iinfo(np.uint64).max, dtype=np.uint64),
-            ]
-        )
-        from_spec = get_hash(name).batch(words)
-        assert (native.digest_batch(name, words) == from_spec).all()
-        for row, target in enumerate(from_spec):
-            assert kernel.first_match(name, words, target) == row
+        """Every rank of shell 1, and the first 200 of shell 2, in one
+        range each; the from-spec kernels agree with the native digests."""
+        for distance, hi in ((1, 256), (2, 200)):
+            words = candidates(distance, 0, hi, seed_to_words(SEED))
+            from_spec = get_hash(name).batch(words)
+            assert (native.digest_batch(name, words) == from_spec).all()
+            for row, digest in enumerate(_digests(name, distance, 0, hi)):
+                assert kernel.scan(name, distance, 0, hi, SEED, digest, _never()) == (
+                    row,
+                    row + 1,
+                )
 
     @pytest.mark.parametrize("name", HASHES)
     @pytest.mark.parametrize("distance", [0, 1, 2, 3])
     def test_rank_ranges_of_a_shell(self, kernel, name, distance):
-        base = _rows(1, seed=2)[0]
         size = binomial(SEED_BITS, distance)
         for lo, hi in {(0, min(size, 97)), (size // 2, size // 2 + 1), (max(size - 77, 0), size)}:
-            words = candidates(distance, lo, hi, base)
-            from_spec = get_hash(name).batch(words)
-            assert (native.digest_batch(name, words) == from_spec).all()
+            digests = _digests(name, distance, lo, hi)
             for row in {0, (hi - lo) // 2, hi - lo - 1}:
-                assert kernel.first_match(name, words, from_spec[row]) == row
+                assert kernel.scan(
+                    name, distance, lo, hi, SEED, digests[row], _never()
+                ) == (row, row + 1)
 
     @pytest.mark.parametrize("name", HASHES)
-    def test_the_lowest_of_two_matches_wins(self, kernel, name):
-        words = _rows(64, seed=3)
-        words[50] = words[17]
-        target = native.digest_batch(name, words[17:18])[0]
-        assert kernel.first_match(name, words, target) == 17
-        assert kernel.first_match(name, words[18:], target) == 50 - 18
+    def test_a_scan_stops_at_its_match(self, kernel, name):
+        """The rows scanned run through the match; a range that starts
+        just past it finds nothing in the rest of the shell's ranks."""
+        digest = _digests(name, 2, 17, 18)[0]
+        assert kernel.scan(name, 2, 0, 64, SEED, digest, _never()) == (17, 18)
+        assert kernel.scan(name, 2, 18, 64, SEED, digest, _never()) == (None, 46)
 
     @pytest.mark.parametrize("name", HASHES)
     def test_a_miss_and_an_empty_batch(self, kernel, name):
-        words = _rows(32, seed=4)
-        absent = native.digest_batch(name, _rows(1, seed=5))[0]
-        assert kernel.first_match(name, words, absent) is None
-        assert kernel.first_match(name, words[:0], absent) is None
+        assert kernel.scan(name, 2, 0, 32, SEED, _absent(name), _never()) == (None, 32)
+        assert kernel.scan(name, 2, 5, 5, SEED, _absent(name), _never()) == (None, 0)
 
     def test_malformed_arguments_never_reach_c(self, kernel):
-        words = _rows(4, seed=6)
-        target = native.digest_batch("sha3-256", words)[0]
+        """Every argument the C walk trusts is checked in Python first."""
+        sha3 = _absent("sha3-256")
+        good = ("sha3-256", 2, 0, 8, SEED, sha3, _never())
+        assert kernel.scan(*good) == (None, 8)
+        top = binomial(SEED_BITS, 3)
+        for bad in (
+            {1: -1},  # distance
+            {1: 12},
+            {2: 9, 3: 8},  # lo > hi
+            {2: -1},
+            {1: 3, 2: top - 1, 3: top + 1},  # past the shell
+            {4: SEED[:31]},  # seed shape
+            {4: bytearray(SEED)},
+            {5: sha3[:20]},  # a SHA-1-sized digest for SHA3-256
+            {6: 0},  # a stop that is not a byte the scan can read
+            {6: ctypes.c_int(0)},
+        ):
+            arguments = list(good)
+            for index, value in bad.items():
+                arguments[index] = value
+            with pytest.raises(ValueError):
+                kernel.scan(*arguments)
         with pytest.raises(ValueError):
-            kernel.first_match("sha3-256", words[:, :3].copy(), target)
-        for bad in (words[::2], words.astype(np.int64)):
-            with pytest.raises(ctypes.ArgumentError):
-                kernel.first_match("sha3-256", bad, target)
-        # Four SHA-1 words: the scan would read a fifth past the end.
-        short = native.digest_batch("sha1", words)[0][:4].copy()
-        with pytest.raises(ctypes.ArgumentError, match="shape"):
-            kernel.first_match("sha1", words, short)
+            kernel.scan("sha1", 1, 0, 8, SEED, sha3, _never())
+
+
+class TestTheWalk:
+    """The C walk's candidate order against Algorithm 515, the vectorized
+    unranking and the NumPy candidates, for seeded random ranges."""
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_seeded_random_ranges(self, kernel, name):
+        rng = random.Random(f"walk-{name}")
+        for _ in range(40):
+            distance = rng.randint(0, 5)
+            size = binomial(SEED_BITS, distance)
+            lo = rng.randrange(size)
+            hi = min(size, lo + rng.randint(0, 50))
+            seed = rng.randbytes(32)
+            ranks = np.arange(lo, hi, dtype=np.uint64)
+            positions = unrank_lexicographic_batch(SEED_BITS, distance, ranks)
+            seeds = [flip_bits(seed, row) for row in positions.tolist()]
+            assert [
+                flip_bits(seed, unrank_lexicographic(SEED_BITS, distance, rank))
+                for rank in range(lo, hi)
+            ] == seeds
+            digests = _digests(name, distance, lo, hi, seed)
+            assert digests == [native.digest(name, s) for s in seeds]
+            for row, digest in enumerate(digests):
+                assert kernel.scan(name, distance, lo, hi, seed, digest, _never()) == (
+                    row,
+                    row + 1,
+                )
+            assert kernel.scan(
+                name, distance, lo, hi, seed, _absent(name), _never()
+            ) == (None, hi - lo)
+
+    @pytest.mark.parametrize("name", HASHES)
+    @pytest.mark.parametrize("distance", [3, 4, 5])
+    def test_ranges_that_carry_across_a_prefix(self, kernel, name, distance):
+        """Where the first position moves on (every lower position's
+        block exhausted) and where a middle one does: the boundaries of
+        the NumPy walk's d = 2 suffix groups (``_pairs_from``)."""
+        size = binomial(SEED_BITS, distance)
+        first = [size - binomial(SEED_BITS - p, distance) for p in (1, 2, 97, 200)]
+        middle = binomial(SEED_BITS - 2, distance - 2)  # (0, 1, ..., 255) -> (0, 2, ...)
+        for boundary in (*first, middle):
+            lo, hi = boundary - 5, boundary + 6
+            for row, digest in enumerate(_digests(name, distance, lo, hi)):
+                assert kernel.scan(name, distance, lo, hi, SEED, digest, _never()) == (
+                    row,
+                    row + 1,
+                )
+
+    @pytest.mark.parametrize("name", HASHES)
+    @pytest.mark.parametrize("distance", [1, 2, 3, 4, 5])
+    def test_ranges_that_end_at_the_shell_size(self, kernel, name, distance):
+        hi = binomial(SEED_BITS, distance)
+        lo = hi - 13
+        digests = _digests(name, distance, lo, hi)
+        for row in (0, 7, 8, 12):
+            assert kernel.scan(
+                name, distance, lo, hi, SEED, digests[row], _never()
+            ) == (row, row + 1)
+        assert kernel.scan(name, distance, lo, hi, SEED, _absent(name), _never()) == (
+            None,
+            13,
+        )
+
+    @pytest.mark.parametrize("name", HASHES)
+    @pytest.mark.parametrize("row", range(11))
+    def test_a_first_match_in_every_lane_and_a_short_tail(self, kernel, name, row):
+        """Rows 0-7 are the eight lanes of one SHA3-256 permutation, rows
+        8-10 a short last group."""
+        digest = _digests(name, 3, 250, 261)[row]
+        assert kernel.scan(name, 3, 250, 261, SEED, digest, _never()) == (row, row + 1)
 
 
 class TestEightRowGroups:
@@ -131,56 +232,95 @@ class TestEightRowGroups:
 
     @pytest.mark.parametrize("n", range(1, 18))
     def test_every_lane_of_every_group_size(self, kernel, n):
-        words = _rows(n, seed=100 + n)
-        for row, target in enumerate(native.digest_batch("sha3-256", words)):
-            assert kernel.first_match("sha3-256", words, target) == row
+        lo = 250 + n  # d = 3: the prefix moves on at rank 254
+        for row, digest in enumerate(_digests("sha3-256", 3, lo, lo + n)):
+            assert kernel.scan("sha3-256", 3, lo, lo + n, SEED, digest, _never()) == (
+                row,
+                row + 1,
+            )
 
     @pytest.mark.parametrize("pair", [(0, 7), (2, 3), (9, 14)])
     def test_two_equal_rows_in_one_group_return_the_lower(self, kernel, pair):
-        words = _rows(16, seed=9)
-        words[pair[1]] = words[pair[0]]
-        target = native.digest_batch("sha3-256", words[pair[0] : pair[0] + 1])[0]
-        assert kernel.first_match("sha3-256", words, target) == pair[0]
+        """A short last group repeats its last row in its spare lanes: a
+        scan of ``pair[0] + 1`` rows holds that row again in lane
+        ``pair[1] % 8`` and answers the real, lower one."""
+        last, spare = pair
+        assert last < spare < (last // 8 + 1) * 8  # a spare lane of its group
+        digest = _digests("sha3-256", 2, 40 + last, 41 + last)[0]
+        assert kernel.scan("sha3-256", 2, 40, 41 + last, SEED, digest, _never()) == (
+            last,
+            last + 1,
+        )
 
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 11, 15])
     def test_rows_past_the_end_never_match(self, kernel, n):
-        """Row ``n`` is where the spare lanes would read past a short
-        group; a scan of ``n`` rows must not find it, and it repeats row
-        ``n - 1`` rather than read it."""
-        words = _rows(n + 1, seed=10 + n)
-        beyond = native.digest_batch("sha3-256", words[n : n + 1])[0]
-        assert kernel.first_match("sha3-256", words[:n], beyond) is None
-        assert kernel.first_match("sha3-256", words, beyond) == n
+        """Rank ``lo + n`` is where the spare lanes would walk past a
+        short group; a scan of ``n`` rows must not find it."""
+        beyond = _digests("sha3-256", 3, 300 + n, 301 + n)[0]
+        assert kernel.scan("sha3-256", 3, 300, 300 + n, SEED, beyond, _never()) == (
+            None,
+            n,
+        )
+        assert kernel.scan(
+            "sha3-256", 3, 300, 301 + n, SEED, beyond, _never()
+        ) == (n, n + 1)
 
     def test_the_load_time_self_test_reaches_a_short_last_group(
         self, kernel, monkeypatch
     ):
         """A kernel that answers only within the first eight rows fails
         the check ``load()`` runs before serving."""
-        real = kernel.first_match
+        real = kernel.scan
 
-        def first_group_only(name, words, target):
-            row = real(name, words, target)
-            return row if row is not None and row < 8 else None
+        def first_group_only(*arguments):
+            row, rows = real(*arguments)
+            return (row, rows) if row is not None and row < 8 else (None, rows)
 
-        monkeypatch.setattr(kernel, "first_match", first_group_only)
+        monkeypatch.setattr(kernel, "scan", first_group_only)
         assert not compiled._agrees_with_native(kernel)
         monkeypatch.undo()
         assert compiled._agrees_with_native(kernel)
 
 
+class TestTheStopByte:
+    """§4.4's exit flag: the scan reads its stop byte once per eight rows
+    and reports the rows it scanned before it stopped."""
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_set_before_the_call(self, kernel, name):
+        stop = ctypes.c_uint8(1)
+        first = _digests(name, 2, 0, 1)[0]
+        assert kernel.scan(name, 2, 0, 4096, SEED, first, stop) == (None, 0)
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_set_from_another_thread_during_a_long_range(self, kernel, name):
+        """A whole d = 3 shell (2 763 520 rows, a fifth of a second) stops
+        short once another thread sets the byte; the interpreter lock is
+        released for the call, so that thread runs meanwhile."""
+        size, stop, answers = binomial(SEED_BITS, 3), ctypes.c_uint8(0), []
+        scanning = threading.Thread(
+            target=lambda: answers.append(
+                kernel.scan(name, 3, 0, size, SEED, _absent(name), stop)
+            )
+        )
+        scanning.start()
+        stop.value = 1
+        scanning.join(timeout=60)
+        ((row, rows),) = answers
+        assert row is None and rows < size and rows % 8 == 0
+
+
 def _slices(name: str):
     """One fused batch of three requests: a hit in shell 1, one in shell
     3, none in shell 2."""
-    base = _rows(1, seed=7)[0]
     slices = []
     for distance, lo, hi, hit in ((1, 0, 256, 131), (3, 5000, 7000, 1999), (2, 0, 900, None)):
-        planted = (
-            _rows(1, seed=8)
+        digest = (
+            _absent(name)
             if hit is None
-            else candidates(distance, lo + hit, lo + hit + 1, base)
+            else _digests(name, distance, lo + hit, lo + hit + 1)[0]
         )
-        slices.append((distance, lo, hi, base, native.digest_batch(name, planted)[0]))
+        slices.append(BatchSlice(distance, distance, lo, hi, SEED, digest, _never()))
     return slices
 
 
@@ -197,7 +337,18 @@ class TestForcedFallback:
         try:
             assert compiled.load() is None
             assert compiled.describe() == "hashlib"
-            assert first_matches(algo, True, slices) == as_served == [131, 1999, None]
+            assert first_matches(algo, True, slices) == as_served == [
+                (131, 256),
+                (1999, 2000),
+                (None, 900),
+            ]
+            # A stopped slice is skipped whole; the others still answer.
+            slices[1].stop.value = 1
+            assert first_matches(algo, True, slices) == [
+                (131, 256),
+                (None, 0),
+                (None, 900),
+            ]
         finally:
             compiled.load.cache_clear()
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []

@@ -70,6 +70,15 @@ def _hold_device(authority) -> threading.Event:
     return gate
 
 
+def _two_deep(authority, clients):
+    """Serve d <= 2 and have each client answer at distance 2, so its
+    search passes the door (shells 0 and 1) and reaches a device."""
+    engine = authority.search_service.engine
+    authority.search_service = RBCSearchService(engine, max_distance=2)
+    for _client_id, device, _mask in clients:
+        device.noise_target_distance = 2
+
+
 def _digest_for(authority, client_id, device, mask):
     challenge = authority.issue_challenge(client_id)
     return device.respond(challenge, reference_mask=mask)
@@ -91,6 +100,7 @@ class TestConcurrentServer:
 
     def test_duplicate_in_flight_rejected(self, fleet_authority):
         authority, clients = fleet_authority
+        _two_deep(authority, clients[:2])
         client_id, device, mask = clients[0]
         digest = _digest_for(authority, client_id, device, mask)
         other_digest = _digest_for(
@@ -109,6 +119,7 @@ class TestConcurrentServer:
 
     def test_saturation_rejects(self, fleet_authority):
         authority, clients = fleet_authority
+        _two_deep(authority, clients[:4])
         gate = _hold_device(authority)
         with ConcurrentCAServer(authority, max_queue=2) as server:
             submitted = []
@@ -160,6 +171,7 @@ class TestConcurrentServer:
 
     def test_backend_exception_recorded_as_failed(self, fleet_authority):
         authority, clients = fleet_authority
+        _two_deep(authority, [])  # a miss at the door needs shell 2
         fleet = authority.search_service.engine.scheduler
         for device in fleet.devices:
             fleet.kill_device(device.name)  # every batch fails
@@ -635,8 +647,10 @@ class TestFleetBackedServer:
         from repro.storm import set_device_alive
 
         authority, clients = fleet_authority
+        # Shell 2 (32 640 rows) is one range at this width, so two
+        # requests' shells 2 ride one batch.
         fleet = FleetSearchEngine(
-            "host", "slow-host", workers=1, hash_name="sha1", batch_size=4096,
+            "host", "slow-host", workers=1, hash_name="sha1", batch_size=65536,
             slow_factor=30.0, hedge_factor=1.0, hedge_min_seconds=0.02,
         )
         dispatcher = fleet.scheduler
@@ -657,15 +671,15 @@ class TestFleetBackedServer:
                 shared.set()
                 release.wait(timeout=30)
             elif not queued.is_set():
-                # A blocker's shell 1 keeps the straggler from pulling
-                # until both requests are queued, so their shells 1 ride
+                # A blocker's shell 2 keeps the straggler from pulling
+                # until both requests are queued, so their shells 2 ride
                 # one batch.
                 busy.set()
                 queued.wait(timeout=30)
             return run_batch(slices)
 
         straggler.run_batch = held
-        blocker = fleet.submit(b"\x02" * 32, b"\x00" * 20, 1)
+        blocker = fleet.submit(b"\x02" * 32, b"\x00" * 20, 2)
         assert busy.wait(timeout=30)
         with ConcurrentCAServer(authority, scheduler=fleet) as server:
             futures = [

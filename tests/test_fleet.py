@@ -11,6 +11,7 @@ left behind); and the device-loss storm, on the storm kit
 (``conftest.run_device_loss_storm``), that exercises all of it at once.
 """
 
+import ctypes
 import gc
 import os
 import subprocess
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro._bitutils import SEED_BITS, flip_bits, seed_to_words
+from repro._bitutils import SEED_BITS, flip_bits
 from repro.devices.flaky import DeviceFailure, FlakyDeviceModel
 from repro.engines import build_engine, engine_target
 from repro.fleet import FleetDevice, FleetSearchEngine
@@ -55,14 +56,15 @@ def _planted(distance, rng):
 
 class TestCursorReplay:
     def _cursor(self):
-        """A fresh d <= 1 cursor: it starts at shell 1, because shell 0
-        is hashed at admission and never served."""
-        cursor = ShellCursor(1, 2048)
-        assert cursor.floor == (1, 0) and cursor.next_rows == 256
+        """A fresh d <= 2 cursor wide enough for shell 2 in one range: it
+        starts at shell 2, because shells 0 and 1 are hashed at
+        admission and never served."""
+        cursor = ShellCursor(2, 1 << 15)
+        assert cursor.floor == (2, 0) and cursor.next_rows == SHELL_2
         return cursor
 
     def test_shells_are_cut_as_batch_cuts_them(self):
-        """Drained at a ragged width, a d = 3 cursor serves shells 1 to
+        """Drained at a ragged width, a d = 3 cursor serves shells 2 and
         3 whole, in ascending rank, in ranges cut at multiples of the
         width from rank 0 (``combination_batches``' cuts), then
         nothing."""
@@ -75,8 +77,8 @@ class TestCursorReplay:
             served.append((distance, lo, hi))
         assert cursor.take(RAGGED_BATCH) is None
         assert cursor.floor is None and cursor.next_rows == 0
-        assert served[0] == (1, 0, SEED_BITS)
-        for distance in (1, 2, 3):
+        assert served[0] == (2, 0, RAGGED_BATCH)
+        for distance in (2, 3):
             size = binomial(SEED_BITS, distance)
             shell = [(lo, hi) for d, lo, hi in served if d == distance]
             assert shell == [
@@ -90,10 +92,10 @@ class TestCursorReplay:
     def test_pushed_back_slice_is_served_first_and_byte_identical(self):
         cursor = self._cursor()
         taken = cursor.take(64)
-        assert taken == (1, 0, 64)
+        assert taken == (2, 0, 64)
         cursor.push_back(*taken)
         assert cursor.take(64) == taken
-        assert cursor.floor == (1, 64)
+        assert cursor.floor == (2, 64)
 
     def test_reverse_push_back_restores_original_order(self):
         """Two devices fail in either order: the replay is in rank order."""
@@ -117,12 +119,12 @@ class TestCursorReplay:
 
     def test_a_replay_keeps_a_drained_cursor_open(self):
         cursor = self._cursor()
-        ranks = cursor.take(2048)
-        assert ranks == (1, 0, 256) and cursor.exhausted
+        ranks = cursor.take(1 << 15)
+        assert ranks == (2, 0, SHELL_2) and cursor.exhausted
         cursor.push_back(*ranks)
         assert not cursor.exhausted
-        assert cursor.floor == (1, 0) and cursor.next_rows == 256
-        assert cursor.take(2048) == ranks and cursor.exhausted
+        assert cursor.floor == (2, 0) and cursor.next_rows == SHELL_2
+        assert cursor.take(1 << 15) == ranks and cursor.exhausted
 
 
 # -- flaky-device composability (satellite: from_token) -----------------
@@ -255,7 +257,8 @@ class TestFleetCore:
             assert result.distance == distance
 
     def test_fleet_stats_attached_to_results(self, engine):
-        client_seed = _planted(1, np.random.default_rng(3))
+        # Shell 2: shells 0 and 1 are hashed at the door.
+        client_seed = _planted(2, np.random.default_rng(3))
         target = engine_target(engine, client_seed)
         assert engine.search(BASE_SEED, target, 2).found
         snapshot = engine.scheduler.snapshot()
@@ -360,13 +363,17 @@ class TestFleetCore:
 
 class TestHedging:
     def test_idle_device_hedges_a_straggler_batch(self):
-        """A throttled device's old batch gets duplicated onto the idle one."""
+        """A throttled device's old batch gets duplicated onto the idle one.
+
+        The throttle is x240, as in ``fleet --bench``: a 4 096-row SHA-1
+        range scans in ≈ 0.4 ms, and the straggler's batch must outlast
+        the 20 ms hedge floor (at x30 it takes ≈ 12 ms)."""
         engine = FleetSearchEngine(
             "host",
             "slow-host",
             hash_name="sha1",
             batch_size=4096,
-            slow_factor=30.0,
+            slow_factor=240.0,
             hedge_factor=1.0,
             hedge_min_seconds=0.02,
         )
@@ -450,15 +457,15 @@ class TestFleetClose:
     ):
         real = batcher.first_matches
 
-        def exploding_scan(algo, fixed_padding, jobs):
+        def exploding_scan(algo, fixed_padding, slices):
             if threading.current_thread().name.startswith("rbc-fleet-"):
                 raise RuntimeError("kernel blew up")  # not a DeviceFailure
-            return real(algo, fixed_padding, jobs)  # shell 0, at the door
+            return real(algo, fixed_padding, slices)  # shells 0, 1: the door
 
         monkeypatch.setattr(batcher, "first_matches", exploding_scan)
         engine = build_engine(spec)
         absent = engine_target(engine, RNG.bytes(32))
-        ticket = engine.submit(BASE_SEED, absent, 1, client_id="orphan")
+        ticket = engine.submit(BASE_SEED, absent, 2, client_id="orphan")
         with pytest.raises(RequestShed) as excinfo:
             ticket.result(timeout=3)
         assert excinfo.value.refusal is Refusal.SHUTDOWN
@@ -569,9 +576,35 @@ class TestShellZeroAtTheDoor:
                 assert result.found is where.endswith("hit"), where
                 assert _fingerprint(result) == _fingerprint(expected), where
 
+    @pytest.mark.parametrize("kernel", ["compiled", "hashlib"])
+    @pytest.mark.parametrize("batch_size", [100, 256])
+    def test_shell_1_counts_as_batch_cuts_it(self, batch_size, kernel, monkeypatch):
+        """Shell 1 is one scan at the door but is counted in ``batch_size``
+        batches: a hit at rank r counts ``min(256, (r // bs + 1) * bs)``
+        seeds of it, as ``batch:`` does, and touches no device."""
+        if kernel == "hashlib":
+            monkeypatch.setattr(compiled, "load", lambda: None)
+        reference = build_engine(f"batch:sha1,bs={batch_size}")
+        with build_engine(f"fleet:host,hash=sha1,bs={batch_size}") as engine:
+            for rank in (0, 99, 100, 199, 200, 255, None):
+                seed = RNG.bytes(32) if rank is None else flip_bits(BASE_SEED, [rank])
+                target = engine_target(engine, seed)
+                ticket = engine.submit(BASE_SEED, target, 2 if rank is not None else 1)
+                assert ticket.done(), rank
+                result = ticket.result()
+                expected = reference.search(
+                    BASE_SEED, target, 2 if rank is not None else 1
+                )
+                assert _fingerprint(result) == _fingerprint(expected), rank
+                if rank is not None:
+                    counted = min(256, (rank // batch_size + 1) * batch_size)
+                    assert result.seeds_hashed == 1 + counted
+            assert sum(_rows(engine).values()) == 0
+
     def test_a_dark_fleet_answers_a_d0_hit_and_sheds_the_rest(self):
-        """With every device killed, shell 0 is still answered; a request
-        that needs shell 1 waits out the grace window and is shed."""
+        """With every device killed, shells 0 and 1 are still answered;
+        a request that needs shell 2 waits out the grace window and is
+        shed."""
         engine = FleetSearchEngine(
             "host", workers=2, hash_name="sha1", batch_size=4096,
             heartbeat_seconds=0.01, no_device_grace=0.2,
@@ -581,7 +614,11 @@ class TestShellZeroAtTheDoor:
                 engine.scheduler.kill_device(device.name)
             hit = engine.submit(BASE_SEED, engine_target(engine, BASE_SEED), 2)
             assert hit.done() and hit.result().distance == 0
-            deeper = engine_target(engine, flip_bits(BASE_SEED, [3]))
+            near = flip_bits(BASE_SEED, [3])
+            hit = engine.submit(BASE_SEED, engine_target(engine, near), 2)
+            assert hit.done()
+            assert (hit.result().seed, hit.result().distance) == (near, 1)
+            deeper = engine_target(engine, flip_bits(BASE_SEED, [3, 4]))
             ticket = engine.submit(BASE_SEED, deeper, 2)
             with pytest.raises(RequestShed) as excinfo:
                 ticket.result(timeout=30)
@@ -746,14 +783,13 @@ class TestWorkerEquivalence:
         lower, higher = (2, 0), (2, 1024)
         tickets = []
 
-        def scan(algo, fixed_padding, jobs):
-            found = real(algo, fixed_padding, jobs)
-            for index, (distance, lo, _hi, _b, _t) in enumerate(jobs):
-                if (distance, lo) == higher:
-                    found[index] = 7
-                elif (distance, lo) == lower:
-                    # Slowed until the higher match is hashed and waits
-                    # (not shell 1, which may wait on shell 2's first range).
+        def scan(algo, fixed_padding, slices):
+            found = real(algo, fixed_padding, slices)
+            for index, piece in enumerate(slices):
+                if (piece.distance, piece.lo) == higher:
+                    found[index] = (7, piece.rows)
+                elif (piece.distance, piece.lo) == lower:
+                    # Slowed until the higher match is hashed and waits.
                     deadline = time.perf_counter() + 30
                     while not (
                         tickets
@@ -762,7 +798,7 @@ class TestWorkerEquivalence:
                         assert time.perf_counter() < deadline
                         time.sleep(0.001)
                     assert not tickets[0].done()
-                    found[index] = 5
+                    found[index] = (5, piece.rows)
             return found
 
         monkeypatch.setattr(batcher, "first_matches", scan)
@@ -779,47 +815,49 @@ class TestWorkerEquivalence:
             BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 5)
         )
         assert result.seeds_hashed == 1 + 256 + 1024
-        # Shell 0 was hashed at the door; the higher range was dropped.
-        assert rows >= 256 + 1024 + 1024
+        # Shells 0 and 1 were hashed at the door; the higher range was
+        # dropped.
+        assert rows >= 1024 + 1024
 
     def test_a_range_that_does_not_fit_waits_for_the_next_batch(
         self, monkeypatch
     ):
-        """Two equal d <= 1 searches reach shell 1 together on one
-        device, so a 384-row batch holds one's 256-row shell and has
-        128 rows left for the other's. That shell waits for the next
-        batch whole instead of riding the 128 rows cut off its front:
-        a match in the cut part would settle with 1 + 128 seeds hashed,
-        where ``batch:`` hashes the shell in one batch and says 257."""
+        """Two equal d <= 2 searches reach shell 2 together on one
+        device, so a 40 000-row batch holds one's 32 640-row shell and
+        has 7 360 rows left for the other's. That shell waits for the
+        next batch whole instead of riding the 7 360 rows cut off its
+        front: a match in the cut part would settle with 1 + 256 + 7 360
+        seeds hashed, where ``batch:`` hashes the shell in one batch and
+        says 1 + 256 + 32 640."""
         real = batcher.first_matches
         entered, queued = threading.Event(), threading.Event()
 
-        def scan(algo, fixed_padding, jobs):
-            # The first device batch, the blocker's shell 1, is held
-            # until both searches are queued behind it. Shell 0 is
-            # scanned at the door, on the submitting thread.
+        def scan(algo, fixed_padding, slices):
+            # The first device batch, the blocker's shell 2, is held
+            # until both searches are queued behind it. Shells 0 and 1
+            # are scanned at the door, on the submitting thread.
             if threading.current_thread().name.startswith("rbc-fleet-"):
                 entered.set()
                 assert queued.wait(30)
-            return real(algo, fixed_padding, jobs)
+            return real(algo, fixed_padding, slices)
 
         monkeypatch.setattr(batcher, "first_matches", scan)
-        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 1, 5))
-        reference = build_engine("batch:sha1,bs=384")
+        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 5))
+        reference = build_engine("batch:sha1,bs=40000")
         with FleetSearchEngine(
-            "host", workers=1, hash_name="sha1", batch_size=384
+            "host", workers=1, hash_name="sha1", batch_size=40000
         ) as engine:
             target = engine_target(engine, seed)
             blocker = engine.submit(
-                BASE_SEED, engine_target(engine, RNG.bytes(32)), 1
+                BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
             )
             assert entered.wait(30)
-            tickets = [engine.submit(BASE_SEED, target, 1) for _ in range(2)]
+            tickets = [engine.submit(BASE_SEED, target, 2) for _ in range(2)]
             queued.set()
             results = [ticket.result(timeout=60) for ticket in tickets]
             assert not blocker.result(timeout=60).found
-        expected = _fingerprint(reference.search(BASE_SEED, target, 1))
-        assert expected[3] == 1 + 256
+        expected = _fingerprint(reference.search(BASE_SEED, target, 2))
+        assert expected[3] == 1 + 256 + SHELL_2
         assert [_fingerprint(result) for result in results] == [expected] * 2
 
     def test_concurrent_scans_each_count_and_answer(self):
@@ -887,8 +925,7 @@ class TestWorkerEquivalence:
             wanted.append(seed)
             slices.append(
                 BatchSlice(
-                    key, 2, lo, hi, seed_to_words(base),
-                    algo.digest_to_words(algo.hash_seed(seed)),
+                    key, 2, lo, hi, base, algo.hash_seed(seed), ctypes.c_uint8(0)
                 )
             )
         device = FleetDevice("host-0", algo)
@@ -899,6 +936,102 @@ class TestWorkerEquivalence:
         assert device.batches == device.shared_batches == 1
         assert device.rows_hashed == 3000
         assert threads == [threading.current_thread()]
+
+
+class TestTheStopByte:
+    """A retired request's range still running on a device stops at its
+    next eight-row group (the stop byte ``_retire_locked`` sets, §4.4):
+    it counts the rows it scanned, here none, so neither ``rows_hashed``
+    nor the fleet's or the device's rate estimate moves. No sleeps: the
+    held scan waits on an Event set after its request retired.
+
+    Shell 2 (32 640 ranks) and shell 3 (2 763 520) are one range each at
+    this width, so on two devices one scans shell 2 while the other holds
+    shell 3; hedging is off, so the idle one never duplicates it."""
+
+    def _serve(self, monkeypatch, engine, shell_2_waits):
+        real = batcher.first_matches
+        entered, release, committed = (threading.Event() for _ in range(3))
+        held = []
+
+        def scan(algo, fixed_padding, slices):
+            if any(piece.distance == 3 for piece in slices):
+                held.append(engine.scheduler.device(
+                    threading.current_thread().name.removeprefix("rbc-fleet-")
+                ))
+                entered.set()
+                assert release.wait(30)
+            elif any(piece.distance == 2 for piece in slices) and shell_2_waits:
+                assert entered.wait(30)
+            return real(algo, fixed_padding, slices)
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        real_commit, outcomes = engine.scheduler._commit, []
+
+        def commit(inflight, batch, winner):
+            real_commit(inflight, batch, winner)
+            if any(outcome.distance == 3 for outcome in batch):
+                outcomes.extend(batch)
+                committed.set()
+
+        monkeypatch.setattr(engine.scheduler, "_commit", commit)
+        return held, entered, release, committed, outcomes
+
+    def _assert_nothing_counted(self, engine, held, release, committed, outcomes):
+        (device,) = held
+        before = engine.scheduler.snapshot()
+        release.set()
+        assert committed.wait(30)
+        after = engine.scheduler.snapshot()
+        ((outcome),) = outcomes
+        assert (outcome.distance, outcome.rows, outcome.seed) == (3, 0, None)
+        assert after["throughput"] == before["throughput"]
+        moved, still = after["devices"][device.name], before["devices"][device.name]
+        assert moved["batches"] == still["batches"] + 1
+        for key in ("rows_hashed", "ewma_rate", "ewma_batch_seconds"):
+            assert moved[key] == still[key], key
+
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
+    def test_a_match_stops_the_range_running_elsewhere(self, monkeypatch, hash_name):
+        with FleetSearchEngine(
+            "host", workers=2, hash_name=hash_name, batch_size=1 << 22,
+            hedge_factor=0,
+        ) as engine:
+            held, entered, release, committed, outcomes = self._serve(
+                monkeypatch, engine, shell_2_waits=True
+            )
+            try:
+                seed = flip_bits(
+                    BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 5)
+                )
+                ticket = engine.submit(BASE_SEED, engine_target(engine, seed), 3)
+                result = ticket.result(timeout=60)
+                assert (result.seed, result.seeds_hashed) == (seed, 1 + 256 + SHELL_2)
+                self._assert_nothing_counted(
+                    engine, held, release, committed, outcomes
+                )
+            finally:
+                release.set()
+
+    def test_a_budget_expiry_stops_the_range_running(self, monkeypatch):
+        with FleetSearchEngine(
+            "host", workers=2, hash_name="sha1", batch_size=1 << 22,
+            hedge_factor=0,
+        ) as engine:
+            held, entered, release, committed, outcomes = self._serve(
+                monkeypatch, engine, shell_2_waits=False
+            )
+            try:
+                absent = engine_target(engine, RNG.bytes(32))
+                ticket = engine.submit(BASE_SEED, absent, 3, time_budget=0.5)
+                assert entered.wait(30)
+                result = ticket.result(timeout=60)
+                assert result.timed_out and not result.found
+                self._assert_nothing_counted(
+                    engine, held, release, committed, outcomes
+                )
+            finally:
+                release.set()
 
 
 _SHM_SCRIPT = """

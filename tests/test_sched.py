@@ -48,9 +48,11 @@ def _drain(cursor, width):
 
 class TestWorkUnits:
     def test_chunks_cover_every_shell_exactly(self):
-        for max_distance in (1, 2, 3):
+        # Shells 0 and 1 are hashed at admission; a cursor starts at 2.
+        assert _drain(ShellCursor(1, 1 << 12), 1 << 12) == []
+        for max_distance in (2, 3):
             served = _drain(ShellCursor(max_distance, 1 << 12), 1 << 12)
-            for distance in range(1, max_distance + 1):
+            for distance in range(2, max_distance + 1):
                 shell = [(lo, hi) for d, lo, hi in served if d == distance]
                 # Contiguous, non-overlapping, complete cover.
                 assert shell[0][0] == 0
@@ -60,7 +62,7 @@ class TestWorkUnits:
                 assert all(hi > lo for lo, hi in shell)
 
     def test_execution_order_is_protocol_order(self):
-        served = _drain(ShellCursor(2, 1 << 10), 1 << 10)
+        served = _drain(ShellCursor(3, 1 << 14), 1 << 14)
         keys = [(d, lo) for d, lo, _hi in served]
         assert keys == sorted(keys)
 
@@ -407,7 +409,8 @@ class TestSchedulerCore:
             engine.close()
 
     def test_scheduling_stats_attached(self, engine):
-        client_seed = _planted(1, np.random.default_rng(3))
+        # Shell 2: shells 0 and 1 are hashed at the door, on no device.
+        client_seed = _planted(2, np.random.default_rng(3))
         target = engine_target(engine, client_seed)
         ticket = engine.submit(
             BASE_SEED, target, 2, deadline_seconds=60.0, client_id="stats"
@@ -422,9 +425,9 @@ class TestSchedulerCore:
     def test_on_schedule_hook_fires(self):
         engine = sched_engine(batch_size=4096)
         try:
-            client_seed = _planted(1, np.random.default_rng(5))
+            client_seed = _planted(2, np.random.default_rng(5))
             target = engine_target(engine, client_seed)
-            result = engine.search(BASE_SEED, target, 1)
+            result = engine.search(BASE_SEED, target, 2)
             snapshot = engine.scheduler.snapshot()
         finally:
             engine.close()
@@ -451,9 +454,9 @@ class TestSchedulerCore:
             assert [d.name for d in engine.scheduler.devices] == [
                 f"host-{index}" for index in range(default_worker_count())
             ]
-            client_seed = _planted(1, np.random.default_rng(17))
+            client_seed = _planted(2, np.random.default_rng(17))
             result = engine.search(
-                BASE_SEED, engine_target(engine, client_seed), 1
+                BASE_SEED, engine_target(engine, client_seed), 2
             )
             assert result.engine == "sched:sha1,bs=4096"
             assert result.found
@@ -514,11 +517,12 @@ class TestFairness:
             time.sleep(0.2)
             rng = np.random.default_rng(13)
             t0 = time.perf_counter()
+            # d <= 2 is the shallow lane, and its shell 2 needs the device.
             shallow_tickets = [
                 engine.submit(
                     BASE_SEED,
-                    engine_target(engine, _planted(1, rng)),
-                    1,
+                    engine_target(engine, _planted(2, rng)),
+                    2,
                     client_id=f"shallow-{i}",
                 )
                 for i in range(3)
@@ -533,7 +537,7 @@ class TestFairness:
         finally:
             engine.close(drain=False)
         assert deep_pending
-        # The d=1 searches finished while d=3 still had hours of work
+        # The d=2 searches finished while d=3 still had hours of work
         # queued — generous margin so slow CI cannot flake this.
         assert shallow_wall < 20.0
         assert snapshot["batches_by_lane"].get("shallow", 0) >= 1
