@@ -3,8 +3,8 @@
 Two claims behind :mod:`repro.fleet`, measured on the real kernel:
 
 * **Scaling** — a ``host`` hashes on every core of the cpuset (one
-  device per core, each pulling its own ranges): the cpuset's cores
-  against one, on alternating exhaustive sweeps, is the gated reading
+  device whose ranges the kernel's pool spreads over the cores): the
+  cpuset's cores against one, on alternating exhaustive sweeps, is the gated reading
   (``worker_scaling_ratio``). The hard gates are the protocol ones:
   zero lost requests and zero false authentications, re-verified by
   re-hashing every found seed.

@@ -28,7 +28,7 @@ def fleet_split_demo(searches: int = 4) -> None:
 
     print(
         f"Real split on this host: {searches} exhaustive d=2 searches "
-        "(SALTED, SHA-1) on a two-host fleet, one device per core"
+        "(SALTED, SHA-1) on a two-host fleet, each host on every core"
     )
     with build_engine("fleet:host,host,hash=sha1,bs=4096") as engine:
         tickets = [

@@ -76,14 +76,14 @@ register_engine(
 )(_one_host("sched", batch_size=16384))
 register_engine(
     "pool",
-    description="One host as `workers` devices, one per core, "
-    "each pulling its own rank ranges",
+    description="One host device hashing each rank range on `workers` cores "
+    "in one C call",
     aliases={"w": "workers"},
 )(_one_host("pool", batch_size=16384, workers=True))
 register_engine(
     "parallel",
-    description="One host as `workers` devices, one per core "
-    "(default: the cpuset); the SALTED-CPU analogue",
+    description="One host device on `workers` cores (default: the cpuset), "
+    "claiming chunks of each range; the SALTED-CPU analogue",
     aliases={"w": "workers"},
 )(_one_host("parallel", batch_size=8192, workers=True))
 

@@ -2,11 +2,12 @@
 
 A search becomes one ticket (:mod:`~repro.fleet.scheduler`), admitted
 and ordered by deadline-aware lanes (:mod:`~repro.fleet.policy`), whose
-cursor walks its shells in ``batch_size`` ranges cut as ``batch:`` cuts
-them, fused with other clients' ranges into each device batch
-(:mod:`~repro.fleet.batcher`). Every device — each core of a ``host``,
-each modeled backend — pulls its own ranges from that stream, so one
-search runs on all of them at once and settles in rank order. The
+cursor walks its shells in ranges of whatever room a device batch has
+(``batch_size`` rows per core), fused with other clients' ranges into
+each device batch (:mod:`~repro.fleet.batcher`), and counted as
+``batch:`` counts its batches. Every device — a ``host`` hashing on all
+its cores, each modeled backend — pulls its own ranges from that stream,
+so one search runs on all of them at once and settles in rank order. The
 dispatcher health-checks them with heartbeat probes and per-device circuit
 breakers, re-dispatches ranges orphaned by a device failure onto
 survivors (preserving the byte-equivalence contract), and hedges

@@ -14,15 +14,17 @@ Two pieces live here:
 
 * :class:`ShellCursor` — walks one request's shells from shell 2 in
   ascending distance and rank, serving ``(distance, lo, hi)`` rank ranges
-  cut at multiples of ``batch_size`` from rank 0 of each shell — the
-  batches the ``batch:`` engine walks
-  (:func:`~repro.runtime.maskplan.combination_batches`); shells 0 and 1,
-  the enrolled seed and its 256 neighbours, are hashed at admission and
+  of whatever size the device's batch has room for; shells 0 and 1, the
+  enrolled seed and its 256 neighbours, are hashed at admission and
   never reach it;
 * :func:`first_matches` — the walk + hash + compare every device scans
   with (first matching rank wins within a slice, preserving the
   single-engine candidate order), one C call per slice
-  (:meth:`repro.hashes.compiled.Kernel.scan`).
+  (:meth:`repro.hashes.compiled.Kernel.scan`) on all the host's cores;
+* :func:`batch_end` — the one count rule: a committed range counts all
+  its rows, or, holding a match, its rows up to the end of the
+  ``batch_size`` batch (cut from rank 0 of the shell) that holds it, so
+  ``seeds_hashed`` equals ``batch:``'s however the ranges were cut.
 
 A slice is only ever ranks: its candidates are walked, in C, where they
 are hashed. Each request owns one stop byte, set when it retires; the
@@ -50,6 +52,7 @@ __all__ = [
     "ShellCursor",
     "BatchSlice",
     "SliceOutcome",
+    "batch_end",
     "first_matches",
     "seed_at",
 ]
@@ -61,10 +64,15 @@ Ranks = tuple[int, int, int]
 def seed_at(seed: bytes, distance: int, rank: int) -> bytes:
     """The candidate at ``rank`` (lexicographic, Algorithm 515) of the
     ``distance`` shell around ``seed``: what a scan's matching row is.
-    A shell-1 rank is its bit position, which spares the door's commonest
-    hit the ≈ 60 µs Python descent."""
-    if distance == 1:
-        return flip_bits(seed, (rank,))
+    The door's hits cost least in Python: shell 0 is the seed and a
+    shell-1 rank its bit position (≈ 1 µs). Deeper ranks are unranked
+    in C by the compiled kernel (≈ 4 µs a call, against 48–75 µs for
+    the Python descent, which serves without it)."""
+    if distance <= 1:
+        return flip_bits(seed, (rank,)[:distance])
+    kernel = compiled.load()
+    if kernel is not None and distance <= kernel.max_distance:
+        return kernel.unrank(seed, distance, rank)
     return flip_bits(seed, unrank_lexicographic(SEED_BITS, distance, rank))
 
 
@@ -74,14 +82,14 @@ class ShellCursor:
     It starts at shell 2: shells 0 and 1, the enrolled seed itself and
     its 256 neighbours, are hashed by :meth:`FleetScheduler.submit
     <repro.fleet.dispatcher.FleetScheduler.submit>` before a request
-    enters the stream. Each shell is cut at multiples of ``batch_size``
-    from its rank 0, so a request's kernel calls line up with the
-    single-engine search at every depth.
+    enters the stream. A range is as many ranks as the caller has room
+    for, up to the end of the shell: where the ranges are cut changes no
+    result, since a match counts up to the end of its ``batch_size``
+    batch (:func:`batch_end`).
     """
 
-    def __init__(self, max_distance: int, batch_size: int):
+    def __init__(self, max_distance: int):
         self._max_distance = max_distance
-        self._batch_size = batch_size
         #: The shell being served and its first rank not yet served.
         self._distance = 2
         self._next = 0
@@ -106,24 +114,6 @@ class ShellCursor:
             return None
         return self._distance, self._next
 
-    @property
-    def next_rows(self) -> int:
-        """Rows of the range ``take(batch_size)`` would serve next: the
-        rest of the shell's current batch, or of a replayed range (0 when
-        exhausted)."""
-        if self._replay:
-            _distance, lo, hi = self._replay[0]
-            return min(hi - lo, self._batch_size)
-        if self._distance > self._max_distance:
-            return 0
-        return self._batch_end() - self._next
-
-    def _batch_end(self) -> int:
-        """End of the ``batch_size`` batch holding the next rank."""
-        lo = self._next
-        boundary = lo - lo % self._batch_size + self._batch_size
-        return min(binomial(SEED_BITS, self._distance), boundary)
-
     def push_back(self, distance: int, lo: int, hi: int) -> None:
         """Return an unconsumed range to the cursor, ahead of everything
         not yet served.
@@ -136,7 +126,8 @@ class ShellCursor:
         bisect.insort(self._replay, (distance, lo, hi))
 
     def take(self, max_rows: int) -> Ranks | None:
-        """Up to ``max_rows`` ranks of the current shell's current batch.
+        """Up to ``max_rows`` ranks of the current shell (or of the
+        lowest replayed range).
 
         Returns ``(distance, lo, hi)`` or ``None`` when exhausted.
         """
@@ -151,7 +142,7 @@ class ShellCursor:
         if self._distance > self._max_distance:
             return None
         distance, lo = self._distance, self._next
-        hi = min(self._batch_end(), lo + max_rows)
+        hi = min(binomial(SEED_BITS, distance), lo + max_rows)
         if hi == binomial(SEED_BITS, distance):
             self._distance, self._next = distance + 1, 0
         else:
@@ -183,19 +174,30 @@ class SliceOutcome:
 
     key: object
     distance: int
-    #: Rows the slice counts: all of its range, unless the request's
-    #: stop byte cut the scan short (then the rows scanned).
+    #: Rows the device counts for the slice: all of its range, unless the
+    #: request's stop byte cut the scan short (then the rows scanned).
+    #: A match commits the rows :func:`batch_end` names instead.
     rows: int
     #: Matching seed (bytes) at the lowest rank within the slice, if any.
     seed: bytes | None
     #: Wall-clock share of the fused batch attributed to this slice.
     seconds: float
+    #: The rank of ``seed`` in its shell, when there is one.
+    rank: int | None = None
+
+
+def batch_end(distance: int, rank: int, batch_size: int) -> int:
+    """The end of the ``batch_size`` batch holding ``rank``, batches cut
+    from rank 0 of the ``distance`` shell as ``batch:`` cuts them: a
+    match at ``rank`` commits its shell's ranks below this."""
+    return min(binomial(SEED_BITS, distance), rank - rank % batch_size + batch_size)
 
 
 def first_matches(
     algo: HashAlgorithm,
     fixed_padding: bool,
     slices: Sequence[BatchSlice],
+    workers: int = 1,
 ) -> list[tuple[int | None, int]]:
     """Walk + hash + compare: per slice, the lowest row (from ``lo``)
     whose candidate hashes to the slice's digest, or ``None``, and the
@@ -203,10 +205,10 @@ def first_matches(
     set before the scan got through it.
 
     With the compiled kernel (:func:`repro.hashes.compiled.load`) each
-    slice is one C call that walks its ranks and stops at the slice's
-    first match or within eight rows of its stop byte. Otherwise every
-    slice not yet stopped has its candidates made by
-    :func:`~repro.runtime.maskplan.candidates` and hashed in one
+    slice is one C call that walks its ranks on up to ``workers`` cores
+    and stops at the slice's first match or within eight rows of its
+    stop byte. Otherwise every slice not yet stopped has its candidates
+    made by :func:`~repro.runtime.maskplan.candidates` and hashed in one
     ``hashlib`` batch. Every device thread scans with this, so a rank
     range answers the same wherever it is hashed.
     """
@@ -224,6 +226,7 @@ def first_matches(
                 piece.seed,
                 piece.digest,
                 piece.stop,
+                workers,
             )
             scanned.append((row, rows if row is None else piece.rows))
         return scanned

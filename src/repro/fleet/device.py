@@ -4,9 +4,10 @@ A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
 * the kernel path, :meth:`FleetDevice.run_batch`: one fused batch of
-  many requests' rank ranges, scanned on the device's own thread with
-  :func:`~repro.fleet.batcher.first_matches`, each range walked in C
-  and cut short by its request's stop byte;
+  many requests' rank ranges, scanned from the device's own thread with
+  :func:`~repro.fleet.batcher.first_matches`, each range walked in C on
+  the device's ``workers`` cores and cut short by its request's stop
+  byte;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
   injector (if any) schedules failures and slowdowns per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
@@ -62,9 +63,14 @@ class FleetDevice:
         model: DeviceModel | None = None,
         fairness_window: int = 64,
         breaker: CircuitBreaker | None = None,
+        workers: int = 1,
     ):
         self.name = name
         self.algo = algo
+        #: Cores a range is hashed on: the device thread and up to
+        #: ``workers - 1`` of the kernel's pool helpers. A batch has room
+        #: for ``workers`` times the dispatcher's ``batch_size`` rows.
+        self.workers = workers
         self.fixed_padding = fixed_padding
         self.model = model
         #: Fault stream discovered on the model (FlakyDeviceModel), if any.
@@ -149,8 +155,8 @@ class FleetDevice:
     # -- the kernel path -------------------------------------------------
 
     def run_batch(self, slices: tuple[BatchSlice, ...]) -> list[SliceOutcome]:
-        """Scan every slice's ranks as one fused batch, subject to this
-        device's faults.
+        """Scan every slice's ranks as one fused batch on this device's
+        ``workers`` cores, subject to its faults.
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
         when the device is killed or its fault stream schedules a
@@ -168,7 +174,9 @@ class FleetDevice:
         if fault == "fail":
             self._fail()
         start = time.perf_counter()
-        hits = batcher.first_matches(self.algo, self.fixed_padding, slices)
+        hits = batcher.first_matches(
+            self.algo, self.fixed_padding, slices, self.workers
+        )
         elapsed = time.perf_counter() - start
         if fault == "slow":
             self.slowdowns += 1
@@ -208,6 +216,7 @@ class FleetDevice:
                     else batcher.seed_at(piece.seed, piece.distance, piece.lo + row)
                 ),
                 seconds=elapsed * counted / max(rows, 1),
+                rank=None if row is None else piece.lo + row,
             )
             for piece, (row, counted) in zip(slices, hits)
         ]

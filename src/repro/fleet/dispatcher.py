@@ -5,16 +5,16 @@ shared, continuously-batched work stream. Each submission is admitted
 or shed by the policy (:mod:`repro.fleet.policy`), has its shells 0
 and 1 — the enrolled seed itself and its 256 neighbours — answered on
 the submitting thread, and is then walked shell by shell from shell 2 by
-its cursor (:mod:`repro.fleet.batcher`), one ``batch_size`` range at a
-time,
+its cursor (:mod:`repro.fleet.batcher`), one range at a time,
 through each device's fused batches — one dispatcher thread *per
 device* plus a monitor thread. A request retires the moment
 its seed is found (its remaining ranges are simply dropped — the
 per-request early exit), when its shells are exhausted, when its
 protocol time budget expires (a ``timed_out`` result, exactly like the
 unscheduled engines), or when its client deadline passes (a typed
-:class:`~repro.refusals.RequestShed`). Each core of a ``host`` is one
-device, and modeled accelerators are devices too; all of them serve the
+:class:`~repro.refusals.RequestShed`). A ``host`` is one device that
+hashes each range on all its cores in one C call (the kernel's thread
+pool), and modeled accelerators are devices too; all of them serve the
 same stream concurrently, one search included.
 
 Placement and recovery rules:
@@ -26,7 +26,8 @@ Placement and recovery rules:
   match, or a ``max_distance`` of 0 or 1, settles the ticket before
   ``submit`` returns: no device is woken and none needs to be healthy.
   A miss enters the stream with shells 0 and 1 committed, so devices
-  only ever see shells 2..d.
+  only ever see shells 2..d, and wakes the kernel's pool, so its
+  helpers are spinning when the first range reaches them.
 * **Pull** — a device that finishes a batch assembles its next one from
   every active request's cursor: no request is pinned to a device, so
   one search's rank ranges run on every device at once and no device
@@ -34,11 +35,12 @@ Placement and recovery rules:
   chunks across GPUs, §4.8).
 * **At most one in-flight range per request per device** — assembly on
   a device skips requests that already have a range running there.
-* **Whole ranges** — a range is one whole ``batch_size`` batch of its
-  shell, cut from rank 0 as ``batch:`` cuts it (or a replay of one); a
-  request whose next range does not fit in the room a batch has left
-  waits for the next batch instead of riding a cut one, so
-  ``seeds_hashed`` never depends on who shared the batch.
+* **Ranges cut anywhere** — a device's batch has room for
+  ``batch_size`` rows per core it hashes on, and each request's cursor
+  serves whatever room is left. A range that holds a match commits its
+  rows up to the end of the ``batch_size`` batch holding it
+  (:func:`~repro.fleet.batcher.batch_end`), the door's shell-1 rule, so
+  ``seeds_hashed`` equals ``batch:``'s whoever shared the batch.
 * **Rank-ordered settle** — a hashed range commits only once every lower
   range of its request has committed, so a request settles on the match
   at the lowest rank, the single-engine candidate order, and results
@@ -95,6 +97,7 @@ from repro.fleet.batcher import BatchSlice, ShellCursor, SliceOutcome
 from repro.fleet.device import FleetDevice
 from repro.fleet.policy import SchedulingPolicy
 from repro.fleet.scheduler import ScheduledSearch
+from repro.hashes import compiled
 from repro.net.errors import ServerClosed
 from repro.refusals import Refusal, RequestShed
 from repro.runtime.executor import BatchSearchExecutor
@@ -103,7 +106,7 @@ from repro.tenancy.context import DEFAULT_TENANT, TenantContext
 __all__ = ["FleetScheduler"]
 
 #: EWMA weight of the newest full batch in the fleet throughput
-#: estimate; a batch of fewer rows weighs its share of ``batch_size``.
+#: estimate; a batch of fewer rows weighs its share of the device's room.
 _THROUGHPUT_ALPHA = 0.3
 
 #: How many heartbeats an idle, all-healthy fleet lets pass between probes.
@@ -176,6 +179,11 @@ class FleetScheduler:
         )
         self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
+        #: The kernel whose pool a request entering the stream wakes, when
+        #: a device hashes on more than one core.
+        self._pool = (
+            compiled.load() if any(d.workers > 1 for d in self.devices) else None
+        )
         #: What :meth:`describe` answers when set; the ``sched`` factory
         #: names its one-host fleet ``sched:...`` through it.
         self.spec_string = spec_string
@@ -356,7 +364,7 @@ class FleetScheduler:
                 deadline=(
                     None if deadline_seconds is None else now + deadline_seconds
                 ),
-                cursor=ShellCursor(max_distance, self.batch_size),
+                cursor=ShellCursor(max_distance),
                 tenant_id=tenant_id,
             )
             self._admitted += 1
@@ -372,6 +380,8 @@ class FleetScheduler:
                 self._active.append(request)
                 self._peak_depth = max(self._peak_depth, len(self._active))
                 self._wake.notify_all()
+        if not settled and self._pool is not None:
+            self._pool.wake()
         if settled:
             self._finalize_result(
                 request,
@@ -405,7 +415,7 @@ class FleetScheduler:
             if row is None:
                 self._count_locked(request, distance, size, seconds)
                 continue
-            counted = min(size, (row // self.batch_size + 1) * self.batch_size)
+            counted = batcher.batch_end(distance, row, self.batch_size)
             self._count_locked(request, distance, counted, seconds)
             return SliceOutcome(
                 key=request,
@@ -413,6 +423,7 @@ class FleetScheduler:
                 rows=counted,
                 seed=batcher.seed_at(request.seed, distance, row),
                 seconds=seconds,
+                rank=row,
             )
         return None
 
@@ -547,17 +558,12 @@ class FleetScheduler:
         device.last_primary = primary
 
         slices: list[BatchSlice] = []
-        room = self.batch_size
+        room = self.batch_size * device.workers
         for request in self.policy.fill_order(
             runnable, primary, self._recent_tenant_rows
         ):
             if room <= 0:
                 break
-            if request.cursor.next_rows > room:
-                # Whole or not at all: a match in a range cut to the
-                # room left would count fewer seeds hashed than the
-                # single engine's batch. It leads or rides the next one.
-                continue
             taken = request.cursor.take(room)
             assert taken is not None, "runnable requests have ranks left"
             distance, lo, hi = taken
@@ -669,7 +675,8 @@ class FleetScheduler:
                 # Weighted by rows: a few-row batch is mostly fixed cost,
                 # and counting it as a full batch would drag the estimate
                 # down; a batch its stop bytes emptied moves nothing.
-                weight = _THROUGHPUT_ALPHA * total_rows / self.batch_size
+                room = self.batch_size * inflight.device.workers
+                weight = _THROUGHPUT_ALPHA * total_rows / room
                 self._throughput = (
                     rate
                     if self._throughput is None
@@ -709,10 +716,11 @@ class FleetScheduler:
         while request.hashed and (
             lowest is None or request.hashed[0][0][:2] < lowest
         ):
-            _ranks, outcome = request.hashed.pop(0)
-            self._count_locked(
-                request, outcome.distance, outcome.rows, outcome.seconds
-            )
+            (distance, lo, _hi), outcome = request.hashed.pop(0)
+            rows = outcome.rows
+            if outcome.rank is not None:
+                rows = batcher.batch_end(distance, outcome.rank, self.batch_size) - lo
+            self._count_locked(request, distance, rows, outcome.seconds)
             if outcome.seed is not None:
                 self._retire_locked(request)
                 return True, outcome

@@ -9,26 +9,29 @@ submits one request and waits for its ticket; the serving layer uses
 ``sched`` spec builds the same engine over one ``host``, and ``pool`` /
 ``parallel`` that engine with a chosen number of cores.
 
-Each core of a ``host`` is a device: the token builds ``workers``
-devices (default: one per CPU of the process's cpuset), each hashing on
-its own thread and pulling its own rank ranges from the shared stream,
-so one search runs on every core at once. A batch is rank ranges; the
-candidates are walked where they are hashed, so the engine keeps no mask
-plans (and, with the compiled kernel, no mask tables either).
+A ``host`` is one device that hashes on ``workers`` cores (default:
+every CPU of the process's cpuset): its thread pulls rank ranges with
+room for ``batch_size`` rows per core, and each range is one C call in
+which that thread and the kernel's pool of helper threads claim chunks
+of it, so one search runs on every core at once and no core waits on
+the interpreter lock between ranges. Without the compiled kernel a
+``host`` hashes on one core. A batch is rank ranges; the candidates are
+walked where they are hashed, so the engine keeps no mask plans (and,
+with the compiled kernel, no mask tables either).
 
 Device tokens compose in the spec string, so a mixed fleet is one line::
 
-    fleet:host                         # one device per core of the cpuset
+    fleet:host                         # one device on every core of the cpuset
     fleet:gpu,flaky-apu,hash=sha1      # healthy GPU + fault-injected APU
     fleet:host,slow-host,hedge=6       # a straggler to exercise hedging
 
 Token grammar (resolved per device, left to right):
 
-* ``host`` — ``workers`` healthy devices, one per core;
+* ``host`` — one healthy device hashing on ``workers`` cores;
 * ``gpu`` / ``apu`` / ``cpu`` — one healthy device;
-* ``flaky-<name>`` — the same device wrapped in
-  :meth:`~repro.devices.flaky.FlakyDeviceModel.from_token`, scheduling
-  deterministic failure episodes seeded by the device's index;
+* ``flaky-<name>`` — the same device (a ``host`` keeps its cores)
+  wrapped in :meth:`~repro.devices.flaky.FlakyDeviceModel.from_token`,
+  scheduling deterministic failure episodes seeded by the device's index;
 * ``slow-<name>`` — permanently throttled (every batch slowed by
   ``slow_factor``), never failing — the canonical hedging straggler.
 """
@@ -87,6 +90,7 @@ def _build_device(
     slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
+    workers: int,
 ) -> FleetDevice:
     model = None
     if token != _base_name(token):
@@ -105,6 +109,7 @@ def _build_device(
             failure_threshold=failure_threshold,
             recovery_seconds=recovery_seconds,
         ),
+        workers=workers if _base_name(token) == "host" else 1,
     )
 
 
@@ -137,8 +142,7 @@ class FleetSearchEngine:
                     f"unknown device token {token!r}; base must be one of: "
                     f"{', '.join(sorted(DEVICE_NAMES))}"
                 )
-        #: Cores a ``host`` token hashes on, one device each (``None``:
-        #: the cpuset).
+        #: Cores each ``host`` device hashes on (``None``: the cpuset).
         self.workers = workers if workers is not None else default_worker_count()
         if self.workers < 1:
             raise ValueError("workers must be positive")
@@ -155,15 +159,12 @@ class FleetSearchEngine:
             tenants=tenants,
         )
         # Loaded here, before any device thread races to build it; the
-        # NumPy mask tables serve only a hash the kernel does not scan.
+        # NumPy mask tables serve only a hash the kernel does not scan,
+        # and on hashlib a host hashes on one core.
         kernel = compiled.load()
-        if kernel is None or executor.algo.name not in kernel.hashes:
+        pooled = kernel is not None and executor.algo.name in kernel.hashes
+        if not pooled:
             mask_tables()
-        device_tokens = [
-            token
-            for token in tokens
-            for _ in range(self.workers if token == "host" else 1)
-        ]
         fleet_devices = [
             _build_device(
                 token,
@@ -174,8 +175,9 @@ class FleetSearchEngine:
                 slow_factor=slow_factor,
                 failure_threshold=failure_threshold,
                 recovery_seconds=recovery_seconds,
+                workers=self.workers if pooled else 1,
             )
-            for index, token in enumerate(device_tokens)
+            for index, token in enumerate(tokens)
         ]
         spec = f"fleet:{','.join(tokens)},hash={executor.hash_name},bs={batch_size}"
         self.scheduler = FleetScheduler(

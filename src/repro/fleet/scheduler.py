@@ -17,9 +17,10 @@ candidates in the same order as
 :class:`~repro.runtime.executor.BatchSearchExecutor` — shell 0, the
 enrolled seed itself, and shell 1 hashed and committed at admission
 (shell 1 counted as ``batch_size`` batches cut it), then ascending
-shells in ascending rank order, cut into the same ``batch_size``
-batches — so scheduled searches return byte-identical results to
-unscheduled ones, ``seeds_hashed`` included. Devices hash a request's
+shells in ascending rank order, a match counting its shell up to the
+end of its ``batch_size`` batch however the ranges were cut — so
+scheduled searches return byte-identical results to unscheduled ones,
+``seeds_hashed`` included. Devices hash a request's
 ranges concurrently; its commits never reorder. A request settled by
 shell 0 or 1 never enters the stream.
 """

@@ -340,12 +340,12 @@ _WORKER_SCALING_MAX_SWEEPS = 60
 
 
 def _worker_scaling(seed: int) -> dict[str, Any]:
-    """A ``host`` on one core vs on the cpuset (one device per core):
+    """A ``host`` on one core vs on the cpuset (one device, its ranges
+    hashed on every core by the kernel's pool):
     alternating exhaustive d=2 sweeps (absent target) on two warm
     engines, each side's quiet-most sweep. The ratio is ``None`` where
     there is nothing to compare: a one-CPU cpuset, or no compiled kernel
-    for the hash (``hashlib`` holds the interpreter lock, so the host
-    devices share one core)."""
+    for the hash (on ``hashlib`` a host hashes on one core)."""
     import numpy as np
 
     from repro.fleet.engine import FleetSearchEngine, default_worker_count

@@ -2,10 +2,14 @@
 opened with :mod:`ctypes`.
 
 The paper's CPU row is a C loop — unrank, iterate, XOR, hash, compare,
-check the exit flag. Around a native digest the serving path pays one
-Python call, one ``bytes`` object and one list append per candidate;
-:func:`load` moves the walk, the hash and the compare of a whole rank
-range into one call (EXPERIMENTS.md, E-NATIVE and E-WALK).
+check the exit flag — run by every core at once (§4.3). Around a native
+digest the serving path pays one Python call, one ``bytes`` object and
+one list append per candidate; :func:`load` moves the walk, the hash and
+the compare of a whole rank range into one call (EXPERIMENTS.md,
+E-NATIVE and E-WALK), and that call spreads the range over the host's
+cores: the calling thread and a process-wide pool of C helper threads
+claim 512-row chunks of it, so no core waits on the interpreter lock
+between ranges (E-POOL).
 Only the fleet's scan (:func:`repro.fleet.batcher.first_matches`) uses
 it: the ``batch:`` reference engine and
 :meth:`~repro.hashes.registry.HashAlgorithm.hash_seeds_batch` stay on
@@ -45,7 +49,6 @@ import platform
 import shlex
 import subprocess
 import tempfile
-from collections.abc import Callable
 from pathlib import Path
 
 from repro._bitutils import SEED_BITS, SEED_BYTES, flip_bits
@@ -61,10 +64,11 @@ SOURCE = Path(__file__).with_name("fused.c")
 #: ``-march=native`` (an eight-lane word is one register), 3.5-3.9e6 built
 #: for AVX2 (two), 1.8e6 at plain ``-O3`` (SSE2, four).
 OPTIMIZE = ("-O3", "-march=native")
-FLAGS = (*OPTIMIZE, "-shared", "-fPIC")
+FLAGS = (*OPTIMIZE, "-shared", "-fPIC", "-pthread")
 
-#: Registry name -> C function; its digest is ``digest_size`` bytes.
-_SCANS = {"sha1": "sha1_scan", "sha3-256": "sha3_scan"}
+#: Registry name -> ``fused_scan``'s hash number (``HASH_SHA1``,
+#: ``HASH_SHA3_256``); its digest is ``digest_size`` bytes.
+_SCANS = {"sha1": 0, "sha3-256": 1}
 
 _TRAILER = 32  # bytes of SHA3-256 after the library image
 
@@ -73,29 +77,46 @@ class Kernel:
     """The loaded library's range scans, one per compiled hash."""
 
     def __init__(self, library: ctypes.CDLL, command: list[str]):
-        self._scans: dict[str, Callable[..., int]] = {}
-        for name, symbol in _SCANS.items():
-            scan = getattr(library, symbol)
-            scan.argtypes = [
-                ctypes.c_int,
-                ctypes.c_uint64,
-                ctypes.c_uint64,
-                ctypes.c_char_p,
-                ctypes.c_char_p,
-                ctypes.POINTER(ctypes.c_uint8),
-            ]
-            scan.restype = ctypes.c_int64
-            self._scans[name] = scan
+        library.fused_scan.argtypes = [
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_uint64,
+            ctypes.c_uint64,
+            ctypes.c_char_p,
+            ctypes.c_char_p,
+            ctypes.POINTER(ctypes.c_uint8),
+            ctypes.c_int,
+        ]
+        library.fused_scan.restype = ctypes.c_int64
+        library.fused_unrank.argtypes = [
+            ctypes.c_int,
+            ctypes.c_uint64,
+            ctypes.c_char_p,
+            ctypes.c_char_p,
+        ]
+        library.fused_unrank.restype = None
+        library.fused_pool_wake.restype = None
+        self._scan = library.fused_scan
+        self._unrank = library.fused_unrank
         self._digest_sizes = {name: get_hash(name).digest_size for name in _SCANS}
         library.fused_compiler.restype = ctypes.c_char_p
         built_by = library.fused_compiler().decode()
         #: Hashes the kernel scans; any other hash stays on ``hashlib``.
-        self.hashes = frozenset(self._scans)
+        self.hashes = frozenset(_SCANS)
         #: The deepest shell a scan walks (C(256, d) must fit an int64).
         self.max_distance: int = library.fused_max_distance()
         #: For records, e.g. ``cc -O3 -march=native (gcc 12.2.0)``.
         self.description = " ".join([*command, *OPTIMIZE]) + f" ({built_by})"
         self._library = library  # the scans' functions live in it
+
+    def _check_shell(self, distance: int, lo: int, hi: int, seed: bytes) -> None:
+        """Refuse a shell, a rank range or a seed the C walk would trust."""
+        if not 0 <= distance <= self.max_distance:
+            raise ValueError(f"distance {distance} outside 0..{self.max_distance}")
+        if not 0 <= lo <= hi <= binomial(SEED_BITS, distance):
+            raise ValueError(f"ranks [{lo}, {hi}) outside shell {distance}")
+        if type(seed) is not bytes or len(seed) != SEED_BYTES:
+            raise ValueError(f"seed must be {SEED_BYTES} bytes")
 
     def scan(
         self,
@@ -106,37 +127,66 @@ class Kernel:
         seed: bytes,
         digest: bytes,
         stop: ctypes.c_uint8,
+        workers: int = 1,
     ) -> tuple[int | None, int]:
         """Ranks ``[lo, hi)`` of the ``distance`` shell around ``seed``,
         walked in lexicographic order: the row (from ``lo``) of the first
         candidate whose ``name`` digest is ``digest``, or ``None``, and
         the rows scanned — through the match, else ``hi - lo`` unless
-        ``stop`` was set, which the scan reads once per eight rows.
-        Arguments are checked here, so nothing out of range reaches C."""
-        if not 0 <= distance <= self.max_distance:
-            raise ValueError(f"distance {distance} outside 0..{self.max_distance}")
-        if not 0 <= lo <= hi <= binomial(SEED_BITS, distance):
-            raise ValueError(f"ranks [{lo}, {hi}) outside shell {distance}")
-        if type(seed) is not bytes or len(seed) != SEED_BYTES:
-            raise ValueError(f"seed must be {SEED_BYTES} bytes")
+        ``stop`` was set, which every scanning thread reads once per
+        eight rows (then the rows they scanned in all).
+
+        The calling thread scans with up to ``workers - 1`` of the pool's
+        helpers, each claiming 512-row chunks; the lowest match wins. A
+        range of one chunk, ``workers=1``, or a pool another call is
+        using: the caller scans alone. Arguments are checked here, so
+        nothing out of range reaches C."""
+        self._check_shell(distance, lo, hi, seed)
         if type(digest) is not bytes or len(digest) != self._digest_sizes[name]:
             raise ValueError(f"{name} digests are {self._digest_sizes[name]} bytes")
         if type(stop) is not ctypes.c_uint8:
             raise ValueError("stop must be a ctypes.c_uint8")
-        row = self._scans[name](distance, lo, hi - lo, seed, digest, stop)
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        row = self._scan(
+            _SCANS[name], distance, lo, hi - lo, seed, digest, stop, workers
+        )
         return (row, row + 1) if row >= 0 else (None, ~row)
+
+    def unrank(self, seed: bytes, distance: int, rank: int) -> bytes:
+        """The candidate at ``rank`` (lexicographic) of the ``distance``
+        shell around ``seed``: what a scan's matching row is."""
+        self._check_shell(distance, rank, rank + 1, seed)
+        out = ctypes.create_string_buffer(SEED_BYTES)
+        self._unrank(distance, rank, seed, out)
+        return out.raw
+
+    def wake(self) -> None:
+        """Have the pool's idle helpers spin for the next scan (≈ 2 ms)
+        instead of sleeping through its start."""
+        self._library.fused_pool_wake()
+
+    def helpers(self) -> int:
+        """The pool's helper threads: one fewer than the cpuset's CPUs."""
+        return int(self._library.fused_pool_helpers())
+
+    def busy(self) -> bool:
+        """Whether a pooled scan holds the pool right now."""
+        return bool(self._library.fused_pool_busy())
 
 
 def _agrees_with_native(kernel: Kernel) -> bool:
-    """Whether every scan finds what ``hashlib`` says is there: a walk
-    across a prefix of shell 3, in a lane of its first eight-row group
-    and in its short last group."""
+    """Whether every scan finds what ``hashlib`` says is there, and the
+    unrank names it: a walk across a prefix of shell 3, in a lane of its
+    first eight-row group and in its short last group."""
     seed = bytes(range(SEED_BYTES))
     lo, hi = 253, 264  # rank 253 is (0, 1, 255), rank 254 is (0, 2, 3)
     never = ctypes.c_uint8(0)
     for name in kernel.hashes:
         for row in (1, 9):
             candidate = flip_bits(seed, unrank_lexicographic(SEED_BITS, 3, lo + row))
+            if kernel.unrank(seed, 3, lo + row) != candidate:
+                return False
             digest = native.digest(name, candidate)
             if kernel.scan(name, 3, lo, hi, seed, digest, never) != (row, row + 1):
                 return False

@@ -2,23 +2,31 @@
  * Hamming shell around an enrolled seed, hash each candidate, compare the
  * digest with one target, stop at the first row that matches.
  *
- * The paper's SALTED-CPU loop (Sections 3.2 and 4.4): the scan unranks
- * its first combination (lexicographic order, Algorithm 515, from a
- * binomial table), then steps lexicographic successors, so no candidate
+ * The paper's SALTED-CPU loop (Sections 3.2, 4.3 and 4.4): the scan
+ * unranks its first combination (lexicographic order, Algorithm 515, from
+ * a binomial table), then steps lexicographic successors, so no candidate
  * array is ever made; and it reads a shared stop byte once per eight
  * rows, so a search that settled elsewhere stops its other ranges.
  * SHA3-256 hashes eight candidates per Keccak-f[1600] call, one per
  * vector lane (the lane-parallel layout of "Gotta Hash 'Em All"); SHA-1
- * hashes one at a time. Seeds and digests cross the boundary as their
- * bytes: the seed's 32 bytes are big-endian, bit p of the seed is bit
- * p % 64 of word p / 64, and word 3 comes first. repro.hashes.compiled
- * builds and loads this file and checks every argument before a call;
- * repro.runtime.maskplan.candidates and the native digests are its
- * oracle.
+ * hashes one at a time. fused_scan spreads one range over the host's
+ * cores, the paper's OpenMP loop: the calling thread and a process-wide
+ * pool of helper threads claim CHUNK-row chunks from one counter, and
+ * an atomic minimum keeps the lowest match. Seeds and digests cross the
+ * boundary as their bytes: the seed's 32 bytes are big-endian, bit p of
+ * the seed is bit p % 64 of word p / 64, and word 3 comes first.
+ * repro.hashes.compiled builds and loads this file and checks every
+ * argument before a call; repro.runtime.maskplan.candidates and the
+ * native digests are its oracle.
  */
+#define _GNU_SOURCE /* sched_getaffinity */
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 #if defined(__clang__)
 #define FUSED_COMPILER "clang " __clang_version__
@@ -117,6 +125,16 @@ static void walk_seek(struct walk *w, int distance, uint64_t rank,
     }
 }
 
+/* The candidate at ``rank`` of the ``distance`` shell around ``seed``,
+ * as 32 bytes in the seed's own layout: what a scan's matching row is. */
+void fused_unrank(int distance, uint64_t rank, const uint8_t *seed, uint8_t *out) {
+    struct walk w;
+    walk_seek(&w, distance, rank, seed);
+    for (int k = 0; k < 4; k++)
+        for (int b = 0; b < 8; b++)
+            out[8 * (3 - k) + b] = (uint8_t)(w.word[k] >> (56 - 8 * b));
+}
+
 /* The lexicographic successor; the caller never steps past the last rank
  * of the shell. Mostly the last position moves up by one: two flips. */
 static inline void walk_next(struct walk *w) {
@@ -207,7 +225,7 @@ static void keccak_f1600(lanes a[25]) {
  * row in the spare lanes, which the row + l < n check keeps from ever
  * answering. Message lane j is the little-endian load of the candidate's
  * bytes 8j .. 8j + 7, the byte-swapped word 3 - j. */
-int64_t sha3_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
+static int64_t sha3_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
                   const uint8_t *digest, const uint8_t *stop) {
     uint64_t target[4];
     for (int j = 0; j < 4; j++) {
@@ -252,7 +270,7 @@ static const uint32_t SHA1_H[5] = {
 
 /* Rows lo .. lo + n - 1 of the ``distance`` shell around ``seed``: the
  * first whose SHA-1 digest is ``digest`` (20 bytes). */
-int64_t sha1_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
+static int64_t sha1_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
                   const uint8_t *digest, const uint8_t *stop) {
     uint32_t target[5];
     for (int i = 0; i < 5; i++)
@@ -300,4 +318,238 @@ int64_t sha1_scan(int distance, uint64_t lo, uint64_t n, const uint8_t *seed,
             walk_next(&walk);
     }
     return ~(int64_t)n;
+}
+
+/* -- the pool: one range on every core (the paper's OpenMP loop) ----- */
+
+/* Rows a worker claims at a time: 512 SHA3-256 rows take ~35 us on one
+ * core, long against a claim (one atomic add and one unrank) and short
+ * against a range. A multiple of eight, so a chunk reads its stop byte
+ * where a whole-range scan would. */
+#define CHUNK 512
+/* How long an idle helper spins for the next job before it sleeps: after
+ * a job, about one dispatcher round trip, the gap between two ranges;
+ * after a wake, long enough for the woken device thread to pull its
+ * first range. */
+#define SPIN_AFTER_JOB_NS 200000
+#define SPIN_AFTER_WAKE_NS 2000000
+
+enum { HASH_SHA1, HASH_SHA3_256 };
+
+typedef int64_t (*scan_fn)(int, uint64_t, uint64_t, const uint8_t *,
+                           const uint8_t *, const uint8_t *);
+
+/* One range being scanned. It lives on its caller's stack, and the
+ * caller returns only after every helper that joined it has left. */
+struct job {
+    scan_fn scan;
+    int distance;
+    uint64_t lo, n;
+    const uint8_t *seed, *digest, *stop;
+    uint64_t next;    /* first row of the next unclaimed chunk */
+    uint64_t best;    /* lowest matching row; n while there is none */
+    uint64_t cut;     /* lowest row a stop byte cut a chunk at; n if none */
+    uint64_t scanned; /* rows hashed, over every worker */
+};
+
+static inline void lower_to(uint64_t *slot, uint64_t value) {
+    uint64_t seen = __atomic_load_n(slot, __ATOMIC_RELAXED);
+    while (value < seen && !__atomic_compare_exchange_n(slot, &seen, value, 1,
+                                                        __ATOMIC_RELAXED,
+                                                        __ATOMIC_RELAXED))
+        ;
+}
+
+/* Claim and scan chunks until none is left below the lowest match or
+ * cut. Claims only rise, so every chunk below the answer was claimed
+ * before it was found, and is scanned by whoever claimed it. */
+static void work(struct job *job) {
+    for (;;) {
+        uint64_t start = __atomic_fetch_add(&job->next, CHUNK, __ATOMIC_RELAXED);
+        if (start >= __atomic_load_n(&job->best, __ATOMIC_RELAXED) ||
+            start >= __atomic_load_n(&job->cut, __ATOMIC_RELAXED))
+            return;
+        uint64_t rows = job->n - start < CHUNK ? job->n - start : CHUNK;
+        int64_t row = job->scan(job->distance, job->lo + start, rows, job->seed,
+                                job->digest, job->stop);
+        uint64_t done = row >= 0 ? (uint64_t)row + 1 : (uint64_t)~row;
+        __atomic_fetch_add(&job->scanned, done, __ATOMIC_RELAXED);
+        if (row >= 0) {
+            lower_to(&job->best, start + (uint64_t)row);
+            return;
+        }
+        if (done < rows) {
+            lower_to(&job->cut, start + done);
+            return;
+        }
+    }
+}
+
+/* The helpers, one fewer than the CPUs of the process's cpuset, and the
+ * one job they take seats in. ``generation`` and ``spin_until`` are read
+ * without the lock by spinning helpers, so they are written atomically. */
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t work; /* helpers sleep here */
+    pthread_cond_t left; /* a caller waits here for its helpers to leave */
+    int helpers;         /* helper threads started; -1 before the first */
+    uint64_t generation; /* bumped per job */
+    struct job *job;     /* the open job, if any */
+    int seats;           /* helpers the open job still takes */
+    int inside;          /* helpers working on the open job */
+    int64_t spin_until;  /* idle helpers spin, not sleep, until then (ns) */
+} pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
+          PTHREAD_COND_INITIALIZER, -1, 0, NULL, 0, 0, 0};
+
+/* The job slot: a caller that finds it taken scans alone. */
+static int slot;
+
+static int64_t now_ns(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+static inline void spin_pause(void) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/* Keep idle helpers spinning for at least ``ns`` more (lock held). */
+static void spin_for(int64_t ns) {
+    int64_t until = now_ns() + ns;
+    if (until > __atomic_load_n(&pool.spin_until, __ATOMIC_RELAXED))
+        __atomic_store_n(&pool.spin_until, until, __ATOMIC_RELAXED);
+}
+
+static void *helper(void *unused) {
+    (void)unused;
+    uint64_t seen = 0;
+    pthread_mutex_lock(&pool.lock);
+    for (;;) {
+        uint64_t generation = __atomic_load_n(&pool.generation, __ATOMIC_RELAXED);
+        if (generation != seen) {
+            seen = generation;
+            if (pool.job != NULL && pool.seats > 0) {
+                struct job *job = pool.job;
+                pool.seats--;
+                pool.inside++;
+                pthread_mutex_unlock(&pool.lock);
+                work(job);
+                pthread_mutex_lock(&pool.lock);
+                if (--pool.inside == 0)
+                    pthread_cond_signal(&pool.left);
+                spin_for(SPIN_AFTER_JOB_NS);
+            }
+            continue;
+        }
+        if (now_ns() < __atomic_load_n(&pool.spin_until, __ATOMIC_RELAXED)) {
+            pthread_mutex_unlock(&pool.lock);
+            while (__atomic_load_n(&pool.generation, __ATOMIC_RELAXED) == seen &&
+                   now_ns() < __atomic_load_n(&pool.spin_until, __ATOMIC_RELAXED))
+                spin_pause();
+            pthread_mutex_lock(&pool.lock);
+            continue;
+        }
+        pthread_cond_wait(&pool.work, &pool.lock);
+    }
+    return NULL;
+}
+
+/* Start the helpers on first use (lock held). */
+static void start_locked(void) {
+    if (pool.helpers >= 0)
+        return;
+    pool.helpers = 0;
+    cpu_set_t cpus;
+    int count = sched_getaffinity(0, sizeof cpus, &cpus) == 0
+                    ? CPU_COUNT(&cpus)
+                    : (int)sysconf(_SC_NPROCESSORS_ONLN);
+    pthread_attr_t attributes;
+    pthread_attr_init(&attributes);
+    pthread_attr_setdetachstate(&attributes, PTHREAD_CREATE_DETACHED);
+    for (int i = 1; i < count; i++) {
+        pthread_t thread;
+        if (pthread_create(&thread, &attributes, helper, NULL) != 0)
+            break;
+        pool.helpers++;
+    }
+    pthread_attr_destroy(&attributes);
+}
+
+/* A forked child has none of its parent's helpers: it starts its own. */
+static void forget_pool(void) {
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_cond_init(&pool.work, NULL);
+    pthread_cond_init(&pool.left, NULL);
+    pool.helpers = -1;
+    pool.job = NULL;
+    pool.seats = pool.inside = 0;
+    slot = 0;
+}
+
+__attribute__((constructor)) static void watch_forks(void) {
+    pthread_atfork(NULL, NULL, forget_pool);
+}
+
+/* Helper threads in the pool, starting it if it is not yet. */
+int fused_pool_helpers(void) {
+    pthread_mutex_lock(&pool.lock);
+    start_locked();
+    int helpers = pool.helpers;
+    pthread_mutex_unlock(&pool.lock);
+    return helpers;
+}
+
+/* Whether a scan holds the job slot now. */
+int fused_pool_busy(void) { return __atomic_load_n(&slot, __ATOMIC_RELAXED); }
+
+/* Have the helpers spin for a while: a range is about to be scanned. */
+void fused_pool_wake(void) {
+    pthread_mutex_lock(&pool.lock);
+    start_locked();
+    spin_for(SPIN_AFTER_WAKE_NS);
+    pthread_cond_broadcast(&pool.work);
+    pthread_mutex_unlock(&pool.lock);
+}
+
+/* Rows lo .. lo + n - 1 of the ``distance`` shell around ``seed``,
+ * scanned with ``scan`` on the calling thread and up to ``workers - 1``
+ * helpers; answered like one scan of the whole range: the first matching
+ * row, or ~rows, where ``rows`` is what every worker scanned in all. A
+ * range of one chunk, a single worker, or a slot another caller holds:
+ * the caller scans alone. */
+static int64_t pool_scan(scan_fn scan, int distance, uint64_t lo, uint64_t n,
+                         const uint8_t *seed, const uint8_t *digest,
+                         const uint8_t *stop, int workers) {
+    if (workers < 2 || n <= CHUNK || __atomic_exchange_n(&slot, 1, __ATOMIC_ACQUIRE))
+        return scan(distance, lo, n, seed, digest, stop);
+    struct job job = {scan, distance, lo, n, seed, digest, stop, 0, n, n, 0};
+    pthread_mutex_lock(&pool.lock);
+    start_locked();
+    pool.job = &job;
+    pool.seats = workers - 1 < pool.helpers ? workers - 1 : pool.helpers;
+    __atomic_store_n(&pool.generation, pool.generation + 1, __ATOMIC_RELAXED);
+    pthread_cond_broadcast(&pool.work);
+    pthread_mutex_unlock(&pool.lock);
+    work(&job);
+    pthread_mutex_lock(&pool.lock);
+    pool.job = NULL;
+    while (pool.inside > 0)
+        pthread_cond_wait(&pool.left, &pool.lock);
+    pthread_mutex_unlock(&pool.lock);
+    __atomic_store_n(&slot, 0, __ATOMIC_RELEASE);
+    if (job.best < job.cut)
+        return (int64_t)job.best;
+    return ~(int64_t)job.scanned;
+}
+
+/* The pooled scan with ``hash`` (HASH_SHA1 or HASH_SHA3_256), whose
+ * digest is 20 or 32 bytes. */
+int64_t fused_scan(int hash, int distance, uint64_t lo, uint64_t n,
+                   const uint8_t *seed, const uint8_t *digest,
+                   const uint8_t *stop, int workers) {
+    return pool_scan(hash == HASH_SHA3_256 ? sha3_scan : sha1_scan, distance, lo,
+                     n, seed, digest, stop, workers);
 }

@@ -10,9 +10,10 @@ Where :mod:`repro.devices` *models* the paper's accelerators, this package
 * :mod:`repro.runtime.partition` — seed-space partitioning.
 
 The multi-core search (the analogue of the paper's OpenMP SALTED-CPU)
-is the fleet engine's ``host``: one device thread per core, each pulling
-its own rank ranges (:class:`repro.fleet.engine.FleetSearchEngine`);
-``pool:`` and ``parallel:`` specs build it.
+is the fleet engine's ``host``: one device whose every rank range is
+one C call on all the cpuset's cores
+(:class:`repro.fleet.engine.FleetSearchEngine`); ``pool:`` and
+``parallel:`` specs build it.
 
 Reduced-scale runs of these engines validate the device models' control
 flow in the test suite.

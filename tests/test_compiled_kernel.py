@@ -1,10 +1,13 @@
 """The compiled range scan (``hashes/fused.c``) against its oracles.
 
-A scan walks ranks ``[lo, hi)`` of one Hamming shell in C. Every scan
-must name the row that Algorithm 515, the vectorized unranking, the
-NumPy candidates and the native digests say matches, stop within eight
-rows of its stop byte, and refuse out-of-range arguments in Python; the
-fleet must give the same answers when no compiler is there to build it.
+A scan walks ranks ``[lo, hi)`` of one Hamming shell in C, on the
+calling thread and the pool's helpers. Every scan must name the row that
+Algorithm 515, the vectorized unranking, the NumPy candidates and the
+native digests say matches, whichever worker's chunk holds it; stop
+within eight rows of its stop byte on every worker; and refuse
+out-of-range arguments in Python. The C unrank must name Algorithm 515's
+candidate, and the fleet must give the same answers when no compiler is
+there to build it.
 """
 
 import ctypes
@@ -14,6 +17,8 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +28,18 @@ from repro._bitutils import SEED_BITS, flip_bits, seed_to_words, words_to_seeds
 from repro.combinatorics.algorithm515 import unrank_lexicographic
 from repro.combinatorics.binomial import binomial
 from repro.combinatorics.ranking import unrank_lexicographic_batch
+from repro.fleet import batcher
 from repro.fleet.batcher import BatchSlice, first_matches
+from repro.fleet.engine import default_worker_count
 from repro.hashes import compiled, native
 from repro.hashes.registry import get_hash
 from repro.runtime.maskplan import candidates
 
 HASHES = ("sha1", "sha3-256")
 SEED = bytes(range(100, 132))
+#: Rows a pool worker claims at a time (``CHUNK`` in fused.c).
+CHUNK = 512
+DRIVER = Path(__file__).with_name("fused_pool_driver.c")
 
 
 def _compiler_runs() -> bool:
@@ -152,6 +162,8 @@ class TestScansAgreeWithTheOracles:
                 kernel.scan(*arguments)
         with pytest.raises(ValueError):
             kernel.scan("sha1", 1, 0, 8, SEED, sha3, _never())
+        with pytest.raises(ValueError):
+            kernel.scan(*good, 0)  # no worker to scan on
 
 
 class TestTheWalk:
@@ -308,6 +320,149 @@ class TestTheStopByte:
         scanning.join(timeout=60)
         ((row, rows),) = answers
         assert row is None and rows < size and rows % 8 == 0
+
+
+class TestThePool:
+    """One range on several cores: the caller and the pool's helpers
+    claim ``CHUNK``-row chunks, the lowest match wins, and the answer is
+    the one a single-thread scan gives."""
+
+    def test_one_helper_fewer_than_the_cpuset(self, kernel):
+        assert kernel.helpers() == default_worker_count() - 1
+
+    @pytest.mark.parametrize("name", HASHES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_match_on_the_first_and_last_row_of_a_chunk(self, kernel, name, workers):
+        lo, n = 400, 5 * CHUNK + 37
+        for row in (0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 3 * CHUNK, n - 1):
+            digest = _digests(name, 3, lo + row, lo + row + 1)[0]
+            assert kernel.scan(
+                name, 3, lo, lo + n, SEED, digest, _never(), workers
+            ) == (row, row + 1), row
+        assert kernel.scan(
+            name, 3, lo, lo + n, SEED, _absent(name), _never(), workers
+        ) == (None, n)
+
+    @pytest.mark.parametrize("name", HASHES)
+    @pytest.mark.parametrize("n", [0, 1, 100, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_a_range_of_at_most_one_chunk_and_an_empty_one(self, kernel, name, n):
+        if n:
+            digest = _digests(name, 2, 90 + n - 1, 90 + n)[0]
+            assert kernel.scan(name, 2, 90, 90 + n, SEED, digest, _never(), 2) == (
+                n - 1,
+                n,
+            )
+        assert kernel.scan(name, 2, 90, 90 + n, SEED, _absent(name), _never(), 2) == (
+            None,
+            n,
+        )
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_the_stop_byte_set_before_the_call(self, kernel, name):
+        first = _digests(name, 2, 0, 1)[0]
+        assert kernel.scan(name, 2, 0, 8 * CHUNK, SEED, first, ctypes.c_uint8(1), 2) == (
+            None,
+            0,
+        )
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_the_stop_byte_set_mid_range_stops_every_worker(self, kernel, name):
+        """Shell 3 whole, stopped once the pool is in use: the call
+        returns short with the rows every worker scanned (none, if the
+        byte was set before any worker's first eight-row group), and
+        only once each of them has left the pool."""
+        size, stop, answers = binomial(SEED_BITS, 3), ctypes.c_uint8(0), []
+        scanning = threading.Thread(
+            target=lambda: answers.append(
+                kernel.scan(name, 3, 0, size, SEED, _absent(name), stop, 2)
+            )
+        )
+        scanning.start()
+        deadline = time.perf_counter() + 10
+        while not kernel.busy() and scanning.is_alive():
+            assert time.perf_counter() < deadline
+        stop.value = 1
+        scanning.join(timeout=60)
+        ((row, rows),) = answers
+        assert row is None and rows < size and rows % 8 == 0
+        assert not kernel.busy()
+
+    def test_one_worker_scans_on_the_caller_alone(self, kernel):
+        size, stop, answers = binomial(SEED_BITS, 3), ctypes.c_uint8(0), []
+        scanning = threading.Thread(
+            target=lambda: answers.append(
+                kernel.scan("sha3-256", 3, 0, size, SEED, _absent("sha3-256"), stop, 1)
+            )
+        )
+        scanning.start()
+        watched = time.perf_counter() + 0.02
+        while time.perf_counter() < watched and scanning.is_alive():
+            assert not kernel.busy()
+        stop.value = 1
+        scanning.join(timeout=60)
+        ((row, rows),) = answers
+        assert row is None and rows < size and rows % 8 == 0
+
+    @pytest.mark.parametrize("name", HASHES)
+    def test_a_second_caller_finds_the_pool_taken_and_scans_alone(self, kernel, name):
+        """Two Python threads at once: while one holds the pool, the
+        other's pooled scan runs on its own thread; both answer right."""
+        size, answers = binomial(SEED_BITS, 3), []
+        late = size - 1000
+        digest = _digests(name, 3, late, late + 1)[0]
+        first = threading.Thread(
+            target=lambda: answers.append(
+                kernel.scan(name, 3, 0, size, SEED, digest, _never(), 2)
+            )
+        )
+        first.start()
+        deadline = time.perf_counter() + 10
+        while not kernel.busy():
+            assert time.perf_counter() < deadline and first.is_alive()
+        lo, n = 70_000, 3 * CHUNK
+        near = _digests(name, 3, lo + n - 2, lo + n - 1)[0]
+        assert kernel.scan(name, 3, lo, lo + n, SEED, near, _never(), 2) == (n - 2, n - 1)
+        held = first.is_alive()
+        first.join(timeout=60)
+        assert answers == [(late, late + 1)]
+        assert held, "the first scan ended before the second could find it"
+
+    def test_the_c_driver(self, kernel, tmp_path):
+        """The lower of two matches in different chunks (a scan that
+        finds the higher one first), planted SHA3-256 and SHA-1 matches,
+        a stop byte from another thread and two callers at once, driven
+        from C: CI runs the same driver under ThreadSanitizer."""
+        binary = tmp_path / "driver"
+        subprocess.run(
+            [*compiled._command(), "-O2", "-march=native", "-pthread",
+             "-o", str(binary), str(DRIVER)],
+            check=True, capture_output=True, timeout=120,
+        )
+        done = subprocess.run([str(binary)], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [f"{kernel.helpers()}", "helper(s);", "ok"]
+
+
+class TestTheUnrank:
+    """``fused_unrank``, the seed a matching row names, against
+    Algorithm 515 (``combinatorics/algorithm515.py``)."""
+
+    @pytest.mark.parametrize("distance", range(0, 12))
+    def test_against_algorithm_515(self, kernel, distance):
+        rng = random.Random(f"unrank-{distance}")
+        size = binomial(SEED_BITS, distance)
+        for rank in {0, size - 1, *(rng.randrange(size) for _ in range(20))}:
+            seed = rng.randbytes(32)
+            expected = flip_bits(seed, unrank_lexicographic(SEED_BITS, distance, rank))
+            assert kernel.unrank(seed, distance, rank) == expected, rank
+            assert batcher.seed_at(seed, distance, rank) == expected, rank
+
+    def test_ranks_outside_the_shell_never_reach_c(self, kernel):
+        for distance, rank in ((2, -1), (2, binomial(SEED_BITS, 2)), (12, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                kernel.unrank(SEED, distance, rank)
+        with pytest.raises(ValueError):
+            kernel.unrank(SEED[:31], 2, 0)
 
 
 def _slices(name: str):

@@ -49,9 +49,9 @@ def _drain(cursor, width):
 class TestWorkUnits:
     def test_chunks_cover_every_shell_exactly(self):
         # Shells 0 and 1 are hashed at admission; a cursor starts at 2.
-        assert _drain(ShellCursor(1, 1 << 12), 1 << 12) == []
+        assert _drain(ShellCursor(1), 1 << 12) == []
         for max_distance in (2, 3):
-            served = _drain(ShellCursor(max_distance, 1 << 12), 1 << 12)
+            served = _drain(ShellCursor(max_distance), 1 << 12)
             for distance in range(2, max_distance + 1):
                 shell = [(lo, hi) for d, lo, hi in served if d == distance]
                 # Contiguous, non-overlapping, complete cover.
@@ -62,7 +62,7 @@ class TestWorkUnits:
                 assert all(hi > lo for lo, hi in shell)
 
     def test_execution_order_is_protocol_order(self):
-        served = _drain(ShellCursor(3, 1 << 14), 1 << 14)
+        served = _drain(ShellCursor(3), 1 << 14)
         keys = [(d, lo) for d, lo, _hi in served]
         assert keys == sorted(keys)
 
@@ -395,12 +395,13 @@ class TestSchedulerCore:
         engine = sched_engine(batch_size=4096, max_queue=1)
         try:
             absent = engine_target(engine, RNG.bytes(32))
-            first = engine.submit(BASE_SEED, absent, 2, client_id="a")
+            first = engine.submit(BASE_SEED, absent, 3, client_id="a")
             try:
                 with pytest.raises(RequestShed) as excinfo:
                     # Race-free: admission is checked under the lock, and
-                    # the first request cannot finish instantly (d=2 on
-                    # sha1 takes well over the submit-to-submit gap).
+                    # the first request cannot finish instantly (d<=3 on
+                    # sha1, 2.8 M rows, takes well over the submit-to-
+                    # submit gap even while its scan holds every core).
                     engine.submit(BASE_SEED, absent, 2, client_id="b")
                 assert excinfo.value.refusal is Refusal.SATURATED
             finally:
@@ -444,16 +445,20 @@ class TestSchedulerCore:
             rebuilt.close()
 
     def test_sched_spec_is_the_one_host_fleet(self):
-        """One ``host`` token: a device per core of the cpuset."""
+        """One ``host`` token: one device, hashing on every core of the
+        cpuset (on one without the compiled kernel)."""
         from repro.fleet import FleetSearchEngine
         from repro.fleet.engine import default_worker_count
+        from repro.hashes import compiled
 
         engine = build_engine("sched:sha1,bs=4096")
         try:
             assert isinstance(engine, FleetSearchEngine)
-            assert [d.name for d in engine.scheduler.devices] == [
-                f"host-{index}" for index in range(default_worker_count())
-            ]
+            (device,) = engine.scheduler.devices
+            assert device.name == "host-0"
+            assert device.workers == (
+                default_worker_count() if compiled.load() else 1
+            )
             client_seed = _planted(2, np.random.default_rng(17))
             result = engine.search(
                 BASE_SEED, engine_target(engine, client_seed), 2
@@ -506,12 +511,16 @@ class TestSchedulerClose:
 
 class TestFairness:
     def test_deep_search_cannot_monopolize_the_device(self):
-        """With a deep straggler in flight, shallow work still lands."""
+        """With a deep straggler in flight, shallow work still lands.
+
+        The straggler is an exhaustive d <= 4 search (177 M rows, seconds
+        on every core): an exhaustive d <= 3 one (2.8 M rows) can end
+        within the first 0.2 s on a host device hashing on two cores."""
         engine = sched_engine(batch_size=4096)
         try:
             absent = engine_target(engine, RNG.bytes(32))
             deep = engine.submit(
-                BASE_SEED, absent, 3, time_budget=30.0, client_id="deep"
+                BASE_SEED, absent, 4, time_budget=30.0, client_id="deep"
             )
             # Let the deep search take the device first.
             time.sleep(0.2)
@@ -537,7 +546,7 @@ class TestFairness:
         finally:
             engine.close(drain=False)
         assert deep_pending
-        # The d=2 searches finished while d=3 still had hours of work
+        # The d=2 searches finished while d=4 still had seconds of work
         # queued — generous margin so slow CI cannot flake this.
         assert shallow_wall < 20.0
         assert snapshot["batches_by_lane"].get("shallow", 0) >= 1
