@@ -262,7 +262,7 @@ def _report_lost(stats: dict[str, Any]) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Serve a mixed workload on a multi-device fleet and show who ran what."""
+    """Serve a mixed workload on a fleet and show which device ran what."""
     from repro.fleet.engine import FleetSearchEngine
     from repro.hashes.registry import get_hash
 
@@ -328,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run one search on any engine")
     search.add_argument(
         "--engine", default="batch:sha3-256,bs=16384",
-        help="engine spec, e.g. fleet:host,host,bs=8192, or a dotted factory "
+        help="engine spec, e.g. fleet:host,bs=8192, or a dotted factory "
              "path: repro.runtime.original_batch.BatchOriginalRBCSearch:aes-128",
     )
     search.add_argument("--distance", type=int, default=2,
@@ -363,10 +363,10 @@ def _parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="multi-device dispatch demo; --bench is the host-device "
-             "scaling + hedging gate",
+        help="dispatch demo (one host device unless --devices names "
+             "more); --bench is the host-device scaling + hedging gate",
     )
-    fleet.add_argument("--devices", type=_str_tuple, default=("host", "host"),
+    fleet.add_argument("--devices", type=_str_tuple, default=("host",),
                        help="comma-separated device tokens, e.g. "
                             "host,flaky-apu or gpu,slow-host")
     fleet.add_argument("--hash", default="sha1")

@@ -29,8 +29,9 @@ class TopologySpec:
     #: Number of ConcurrentCAServer OS processes.
     servers: int = 1
     #: Fleet device tokens per server (``fleet`` mode); e.g.
-    #: ``("host", "host")`` or ``("host", "flaky-apu")``.
-    devices: tuple[str, ...] = ("host", "host")
+    #: ``("host",)``, one device on every core of the cpuset, or
+    #: ``("host", "flaky-apu")``.
+    devices: tuple[str, ...] = ("host",)
     #: Name in :data:`~repro.deploy.wan.WAN_PROFILES`.
     wan_profile: str = "lan"
     #: One of :data:`ENGINE_MODES`. Kept as a field, though it has one

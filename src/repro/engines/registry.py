@@ -15,10 +15,10 @@ Spec grammar::
 
     name[:arg,...][,key=value,...]
 
-    "batch"                        -> BatchSearchExecutor, defaults
-    "batch:sha3-256,bs=16384"      -> positional hash, aliased option
-    "parallel:sha1,workers=4"      -> full option names work too
-    "fleet:host,host,hash=sha1"    -> device tokens first, like the constructor
+    "batch"                          -> BatchSearchExecutor, defaults
+    "batch:sha3-256,bs=16384"        -> positional hash, aliased option
+    "parallel:sha1,workers=4"        -> full option names work too
+    "fleet:host,flaky-apu,hash=sha1" -> device tokens first, like the constructor
 
 Dotted specs bypass the registry and name a factory directly — how the
 engines with a single caller are built::

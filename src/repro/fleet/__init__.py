@@ -18,7 +18,7 @@ Quick start::
 
     from repro.engines import build_engine
 
-    engine = build_engine("fleet:host,host,hash=sha1,bs=8192")
+    engine = build_engine("fleet:host,hash=sha1,bs=8192")
     ticket = engine.submit(seed, digest, 3)
     result = ticket.result()
     print(result.seeds_hashed, engine.scheduler.snapshot()["devices"])

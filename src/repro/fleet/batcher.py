@@ -6,7 +6,7 @@ batches are full. Past the door a lone d<=2 request offers one shell of
 serving requests one at a time leaves the device idle. The dispatcher
 fuses rank ranges from *different* requests into one full-width batch:
 each request contributes a rank range of one of its shells, the batch is
-scanned on the device's own thread (:meth:`FleetDevice.run_batch
+scanned on the thread running the device (:meth:`FleetDevice.run_batch
 <repro.fleet.device.FleetDevice.run_batch>`), and each slice is compared
 against its own client's digest.
 

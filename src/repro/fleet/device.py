@@ -4,7 +4,8 @@ A :class:`FleetDevice` bundles everything the dispatcher needs to know
 about one modeled accelerator:
 
 * the kernel path, :meth:`FleetDevice.run_batch`: one fused batch of
-  many requests' rank ranges, scanned from the device's own thread with
+  many requests' rank ranges, scanned from the thread running the device
+  (its own, or a submitter's, one at a time) with
   :func:`~repro.fleet.batcher.first_matches`, each range walked in C on
   the device's ``workers`` cores and cut short by its request's stop
   byte;
@@ -85,6 +86,9 @@ class FleetDevice:
         self.was_quarantined = False
         # -- dispatcher state (guarded by the scheduler's lock) --
         self.inflight = None  # the device's current _InflightBatch, if any
+        #: A thread — the device's own or a submitter — is running a
+        #: batch or hedge on it; no other thread may until it is cleared.
+        self.busy = False
         self.recent_lanes: deque[str] = deque(maxlen=fairness_window)
         self.last_primary = None
         # -- accounting --

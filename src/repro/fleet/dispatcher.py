@@ -7,7 +7,8 @@ and 1 — the enrolled seed itself and its 256 neighbours — answered on
 the submitting thread, and is then walked shell by shell from shell 2 by
 its cursor (:mod:`repro.fleet.batcher`), one range at a time,
 through each device's fused batches — one dispatcher thread *per
-device* plus a monitor thread. A request retires the moment
+device* plus a monitor thread, except that a request fitting one range
+on an idle device is run by ``submit`` itself. A request retires the moment
 its seed is found (its remaining ranges are simply dropped — the
 per-request early exit), when its shells are exhausted, when its
 protocol time budget expires (a ``timed_out`` result, exactly like the
@@ -26,8 +27,21 @@ Placement and recovery rules:
   match, or a ``max_distance`` of 0 or 1, settles the ticket before
   ``submit`` returns: no device is woken and none needs to be healthy.
   A miss enters the stream with shells 0 and 1 committed, so devices
-  only ever see shells 2..d, and wakes the kernel's pool, so its
-  helpers are spinning when the first range reaches them.
+  only ever see shells 2..d.
+* **One range on the submitting thread** — a miss whose remaining rows
+  fit one range (a ``max_distance`` of 2, with shell 2's 32 640 ranks
+  within a device's room) and finds a placeable device free has that
+  device's batch assembled under the same lock hold, as a device thread
+  assembles one, and run by ``submit`` itself: the request settles
+  before ``submit`` returns and no device thread is woken. Any other
+  miss wakes the device threads, and the kernel's pool, so its helpers
+  are spinning when the first range reaches them.
+* **One runner per device** — a device runs one batch or hedge at a
+  time, on its own thread or a submitter's: it is marked busy when
+  either is assembled for it and cleared in the lock hold that commits
+  or fails it, and assembly skips a busy device. A request submitted
+  while a submitter holds the device is pulled by the device's thread
+  after that commit.
 * **Pull** — a device that finishes a batch assembles its next one from
   every active request's cursor: no request is pinned to a device, so
   one search's rank ranges run on every device at once and no device
@@ -71,9 +85,12 @@ Placement and recovery rules:
   reason ``no_healthy_devices`` instead of hanging their callers (a
   request that shell 0 or 1 settles at the door is answered all the
   same).
-* **Never hang callers** — a device or monitor thread that dies of an
-  unexpected exception closes the dispatcher and sheds every active
-  request with the typed reason ``shutdown`` before re-raising.
+* **Never hang callers** — a device or monitor thread, or a submitter
+  running a range, that dies of an unexpected exception closes the
+  dispatcher and sheds every active request with the typed reason
+  ``shutdown`` before re-raising (to the caller of ``submit``, for a
+  submitter). A device failure in a submitter's range re-dispatches it
+  as on a device thread.
 
 Each of these events is counted once, where it happens, and read off
 :meth:`FleetScheduler.snapshot`; a request's result carries only its
@@ -312,9 +329,14 @@ class FleetScheduler:
         calling thread (one C call each, ≈ 20 µs for shell 1's 256
         ranks): a match, or ``max_distance <= 1``, returns a ticket that
         is already done. Otherwise the ticket enters the stream at
-        shell 2; when no device is placeable it waits for the next
-        reinstatement, or is shed (``no_healthy_devices``) once the
-        whole fleet stays dark past the grace window.
+        shell 2. If what is left of it fits one range on a free
+        placeable device, that device's batch is run here too, and the
+        ticket is returned done; a device failure in it re-dispatches
+        the batch to the device threads, and any other exception shuts
+        the dispatcher down and is raised here. When no device is
+        placeable the ticket waits for the next reinstatement, or is
+        shed (``no_healthy_devices``) once the whole fleet stays dark
+        past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -374,13 +396,18 @@ class FleetScheduler:
             self._ensure_threads_locked()
             match = self._hash_at_the_door_locked(request)
             settled = match is not None or max_distance <= 1
+            inline: _InflightBatch | None = None
             if settled:
                 request.retired = True
             else:
                 self._active.append(request)
                 self._peak_depth = max(self._peak_depth, len(self._active))
-                self._wake.notify_all()
-        if not settled and self._pool is not None:
+                inline = self._inline_batch_locked(request)
+                if inline is None:
+                    self._wake.notify_all()
+        if inline is not None:
+            self._run_inline(inline)
+        elif not settled and self._pool is not None:
             self._pool.wake()
         if settled:
             self._finalize_result(
@@ -427,6 +454,33 @@ class FleetScheduler:
             )
         return None
 
+    def _inline_batch_locked(
+        self, request: ScheduledSearch
+    ) -> _InflightBatch | None:
+        """The batch ``submit`` runs on the calling thread (lock held):
+        a free placeable device's, assembled as its thread would, when
+        every remaining row of ``request`` fits one range there — all in
+        shell 2 (a ``max_distance`` of 2) and within the device's room."""
+        if request.max_distance != 2:
+            return None
+        for device in self.devices:
+            if (
+                device.placeable
+                and not device.busy
+                and request.remaining_work <= self.batch_size * device.workers
+            ):
+                _kind, inflight = self._assemble_locked(device, time.perf_counter())
+                return inflight
+        return None
+
+    def _run_inline(self, inflight: _InflightBatch) -> None:
+        """Run a batch ``submit`` assembled, on the calling thread."""
+        try:
+            self._run_primary(inflight.device, inflight)
+        except Exception:
+            self._shed_everything()
+            raise
+
     def _ensure_threads_locked(self) -> None:
         if self._threads:
             return
@@ -458,25 +512,30 @@ class FleetScheduler:
 
         An unexpected exception (a kernel that raised something other
         than a device failure, an allocation failure while assembling a
-        batch) closes the dispatcher, sheds every active request as
-        ``shutdown`` and re-raises on this thread. Batches still running
-        on other devices discard their results for the retired requests
-        instead of committing to requests that were just shed.
+        batch) sheds everything (:meth:`_shed_everything`) and re-raises
+        on this thread.
         """
         try:
             loop(*args)
         except Exception:
-            with self._wake:
-                self._closed = True
-                self._drain = False
-                orphans = list(self._active)
-                for request in orphans:
-                    self._retire_locked(request)
-                self._wake.notify_all()
-                self._monitor_wake.notify_all()
-            for request in orphans:
-                self._finalize_shed(request, Refusal.SHUTDOWN)
+            self._shed_everything()
             raise
+
+    def _shed_everything(self) -> None:
+        """Close the dispatcher and shed every active request as
+        ``shutdown``. Batches still running on other devices discard
+        their results for the retired requests instead of committing to
+        requests that were just shed."""
+        with self._wake:
+            self._closed = True
+            self._drain = False
+            orphans = list(self._active)
+            for request in orphans:
+                self._retire_locked(request)
+            self._wake.notify_all()
+            self._monitor_wake.notify_all()
+        for request in orphans:
+            self._finalize_shed(request, Refusal.SHUTDOWN)
 
     def _device_loop(self, device: FleetDevice) -> None:
         while True:
@@ -530,8 +589,10 @@ class FleetScheduler:
     def _assemble_locked(
         self, device: FleetDevice, now: float
     ) -> tuple[str | None, _InflightBatch | None]:
-        """Pull this device's next batch, or find a hedge (lock held)."""
-        if not device.placeable:
+        """Pull this device's next batch, or find a hedge, and mark the
+        device busy until it is committed or failed (lock held). A busy
+        device, run by another thread, pulls and hedges nothing."""
+        if not device.placeable or device.busy:
             return None, None
         runnable = [
             r
@@ -541,6 +602,7 @@ class FleetScheduler:
         if not runnable:
             hedge = self._find_hedge_locked(device, now)
             if hedge is not None:
+                device.busy = True
                 return "hedge", hedge
             return None, None
         self._aged_promotions += self.policy.apply_aging(runnable, now)
@@ -582,6 +644,7 @@ class FleetScheduler:
             room -= hi - lo
         inflight = _InflightBatch(device, tuple(slices), now)
         device.inflight = inflight
+        device.busy = True
         device.recent_lanes.append(primary.lane)
         self._batches_by_lane[primary.lane] = (
             self._batches_by_lane.get(primary.lane, 0) + 1
@@ -636,6 +699,7 @@ class FleetScheduler:
         with self._wake:
             if inflight.settled:
                 inflight.hedge_device = None
+                device.busy = False
                 self._hedges_cancelled += 1
                 return
         try:
@@ -657,6 +721,7 @@ class FleetScheduler:
         requests' rank-ordered commits."""
         retired: list[tuple[ScheduledSearch, SliceOutcome | None]] = []
         with self._wake:
+            winner.busy = False
             if inflight.settled:
                 # Lost the race: the other runner already committed.
                 self._hedges_cancelled += 1
@@ -693,7 +758,10 @@ class FleetScheduler:
                 done, match = self._settle_locked(request)
                 if done:
                     retired.append((request, match))
-            self._wake.notify_all()
+            if self._active or self._closed:
+                # The rest of the stream, and a close, need the device
+                # threads; a commit that empties an open fleet wakes none.
+                self._wake.notify_all()
         for request, match in retired:
             self._finalize_result(
                 request,
@@ -764,6 +832,7 @@ class FleetScheduler:
     ) -> None:
         """A device raised mid-batch: re-dispatch, maybe quarantine."""
         with self._wake:
+            device.busy = False
             is_primary = inflight.device is device
             if is_primary and device.inflight is inflight:
                 device.inflight = None

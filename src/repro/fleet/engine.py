@@ -135,7 +135,7 @@ class FleetSearchEngine:
         tenants: TenantRegistry | None = None,
         workers: int | None = None,
     ):
-        tokens = tuple(devices) if devices else ("host", "host")
+        tokens = tuple(devices) if devices else ("host",)
         for token in tokens:
             if _base_name(token) not in DEVICE_NAMES:
                 raise ValueError(

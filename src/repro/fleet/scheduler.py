@@ -128,8 +128,9 @@ class ScheduledSearch:
     ) -> None:
         """Run ``callback(self)`` when the request retires.
 
-        Fires immediately if already done. Callbacks run on the
-        dispatcher thread — keep them cheap.
+        Fires immediately if already done. Callbacks run on the thread
+        that settles the request — a dispatcher thread, or the submitter
+        inside ``submit`` — keep them cheap.
         """
         with self._callback_lock:
             if not self._done.is_set():

@@ -517,7 +517,7 @@ def _deployment_arguments(parser: argparse.ArgumentParser) -> None:
     """:class:`repro.deploy.topology.TopologySpec` flags (dests are its
     fields), then the storm's own."""
     parser.add_argument("--servers", type=int, default=1)
-    parser.add_argument("--devices", type=_str_tuple, default=("host", "host"),
+    parser.add_argument("--devices", type=_str_tuple, default=("host",),
                         help="fleet device tokens per server")
     parser.add_argument("--hash", default="sha1", dest="hash_name")
     parser.add_argument("--distance", type=int, default=2, dest="max_distance")

@@ -638,6 +638,38 @@ class TestFleetBackedServer:
         assert snapshot["authenticated"] == len(results)
         assert snapshot["queue_depth_peak"] >= 1
 
+    def test_a_submitter_dying_in_its_range_is_counted_failed(
+        self, fleet_authority, monkeypatch
+    ):
+        """A request that fits one range is hashed by the thread calling
+        ``submit``. An unexpected exception there shuts the dispatcher
+        down and reaches the server as a failed search, so
+        ``submitted == completed + failed + pending`` holds."""
+        from repro.fleet import FleetSearchEngine, batcher
+
+        real, caller = batcher.first_matches, threading.current_thread()
+
+        def exploding_scan(algo, fixed_padding, slices, workers=1):
+            if threading.current_thread() is caller and slices[0].distance >= 2:
+                raise RuntimeError("kernel blew up")
+            return real(algo, fixed_padding, slices, workers)
+
+        authority, clients = fleet_authority
+        fleet = FleetSearchEngine("host", hash_name="sha1", batch_size=32768)
+        authority.search_service = RBCSearchService(fleet, max_distance=2)
+        monkeypatch.setattr(batcher, "first_matches", exploding_scan)
+        with ConcurrentCAServer(authority, scheduler=fleet) as server:
+            # An absent digest misses shells 0 and 1 at the door.
+            future = server.submit(clients[0][0], b"\x00" * 20)
+            with pytest.raises(RuntimeError, match="blew up"):
+                future.result(timeout=30)
+            snapshot = server.metrics.snapshot()
+            assert server._pending == 0 and not server._in_flight_clients
+        assert snapshot["submitted"] == snapshot["failed"] == 1
+        assert snapshot["submitted"] == snapshot["completed"] + snapshot["failed"]
+        shed = fleet.scheduler.snapshot()["shed_reasons"]
+        assert shed == {Refusal.SHUTDOWN.reason: 1}
+
     def test_hedged_counts_hedges_not_the_requests_they_carried(
         self, fleet_authority
     ):
@@ -679,7 +711,16 @@ class TestFleetBackedServer:
             return run_batch(slices)
 
         straggler.run_batch = held
-        blocker = fleet.submit(b"\x02" * 32, b"\x00" * 20, 2)
+        # The blocker fits one range on the idle straggler, so its own
+        # submitter runs it there: a thread of its own, held while this
+        # one queues both requests behind it.
+        blockers = []
+        submitter = threading.Thread(
+            target=lambda: blockers.append(
+                fleet.submit(b"\x02" * 32, b"\x00" * 20, 2)
+            )
+        )
+        submitter.start()
         assert busy.wait(timeout=30)
         with ConcurrentCAServer(authority, scheduler=fleet) as server:
             futures = [
@@ -687,6 +728,8 @@ class TestFleetBackedServer:
                 for client_id, _device, _mask in clients[:2]
             ]
             queued.set()
+            submitter.join(timeout=30)
+            (blocker,) = blockers
             assert not blocker.result(timeout=30).found
             assert shared.wait(timeout=30)
             assert set_device_alive(dispatcher, "host-0", True)

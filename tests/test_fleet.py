@@ -1,13 +1,14 @@
 """Fault-tolerant multi-device dispatch (repro.fleet).
 
-Five layers of coverage: the replay machinery that re-dispatch rides on
+Six layers of coverage: the replay machinery that re-dispatch rides on
 (cursor push-back, order preservation); one device's health lifecycle
 (kill, quarantine, probation, reinstatement); the dispatcher's
 protocol-level invariants (byte equivalence with the single-device
 engine, re-dispatch after a mid-search kill, grace shedding when the
 whole fleet is dark, hedged stragglers); host devices on one or more
 cores (the same bytes however the ranges are cut, rank-ordered settle
-across devices, nothing left behind); and the device-loss storm, on
+across devices, nothing left behind); the range a submitting thread
+runs itself (one runner per device); and the device-loss storm, on
 the storm kit (``conftest.run_device_loss_storm``), that exercises all
 of it at once.
 """
@@ -472,6 +473,29 @@ class TestFleetClose:
         engine.close()  # returns: no thread is left to wait for
         assert engine.scheduler.snapshot()["queue_depth"] == 0
 
+    def test_a_dying_submitter_sheds_and_raises(self, monkeypatch):
+        """The same on the thread calling ``submit``, when it runs a
+        range itself: the dispatcher closes, its requests are shed as
+        ``shutdown``, and ``submit`` raises what the scan raised."""
+        real, caller = batcher.first_matches, threading.current_thread()
+
+        def exploding_scan(algo, fixed_padding, slices, workers=1):
+            if threading.current_thread() is caller and slices[0].distance >= 2:
+                raise RuntimeError("kernel blew up")
+            return real(algo, fixed_padding, slices, workers)  # the door
+
+        monkeypatch.setattr(batcher, "first_matches", exploding_scan)
+        engine = build_engine(f"fleet:host,hash=sha1,bs={SHELL_2},workers=1")
+        absent = engine_target(engine, RNG.bytes(32))
+        with pytest.raises(RuntimeError, match="blew up"):
+            engine.submit(BASE_SEED, absent, 2, client_id="orphan")
+        snapshot = engine.scheduler.snapshot()
+        assert snapshot["shed_reasons"] == {Refusal.SHUTDOWN.reason: 1}
+        assert snapshot["queue_depth"] == 0
+        with pytest.raises(ServerClosed):
+            engine.submit(BASE_SEED, absent, 1)
+        engine.close()  # returns: no thread is left to wait for
+
     def test_describe_round_trips_the_spec(self):
         engine = FleetSearchEngine(
             "host", "host", hash_name="sha1", batch_size=4096
@@ -489,15 +513,15 @@ class TestFleetClose:
         finally:
             engine.close()
 
-    def test_default_fleet_is_two_hosts(self):
-        """Two ``host`` tokens, each one device hashing on every core of
-        the cpuset (one core without the compiled kernel)."""
+    def test_default_fleet_is_one_host(self):
+        """One ``host`` token: one device hashing on every core of the
+        cpuset (one core without the compiled kernel)."""
         engine = FleetSearchEngine(hash_name="sha1")
         try:
-            assert engine.describe().startswith("fleet:host,host,")
-            assert [d.name for d in engine.scheduler.devices] == ["host-0", "host-1"]
+            assert engine.describe().startswith("fleet:host,hash=")
+            assert [d.name for d in engine.scheduler.devices] == ["host-0"]
             assert engine.workers == default_worker_count()
-            assert [d.workers for d in engine.scheduler.devices] == [_cores()] * 2
+            assert [d.workers for d in engine.scheduler.devices] == [_cores()]
         finally:
             engine.close()
 
@@ -849,19 +873,25 @@ class TestWorkerEquivalence:
         has 7 360 rows left for the other's, which rides the batch cut
         to those rows. Its match, in the cut part, still counts up to
         the end of its 40 000-row batch, the shell's end: 1 + 256 +
-        32 640 seeds hashed, as ``batch:`` says, not 1 + 256 + 7 360."""
+        32 640 seeds hashed, as ``batch:`` says, not 1 + 256 + 7 360.
+
+        The blocker fits one range on the idle device, so its submitter
+        runs it; the two searches, submitted while it holds the device,
+        are pulled by the device's thread after its commit."""
         real = batcher.first_matches
         entered, queued = threading.Event(), threading.Event()
-        cuts = []
+        cuts, scanners, blockers = [], [], []
 
         def scan(algo, fixed_padding, slices, workers=1):
-            # The first device batch, the blocker's shell 2, is held
-            # until both searches are queued behind it. Shells 0 and 1
-            # are scanned at the door, on the submitting thread.
-            if threading.current_thread().name.startswith("rbc-fleet-"):
-                entered.set()
-                assert queued.wait(30)
+            # Shells 0 and 1 are the door's. The first range of shell 2,
+            # the blocker's, is held until both searches are queued
+            # behind it.
+            if slices[0].distance >= 2:
                 cuts.append([piece.rows for piece in slices])
+                scanners.append(threading.current_thread().name)
+                if len(cuts) == 1:
+                    entered.set()
+                    assert queued.wait(30)
             return real(algo, fixed_padding, slices, workers)
 
         monkeypatch.setattr(batcher, "first_matches", scan)
@@ -871,18 +901,25 @@ class TestWorkerEquivalence:
             "host", workers=1, hash_name="sha1", batch_size=40000
         ) as engine:
             target = engine_target(engine, seed)
-            blocker = engine.submit(
-                BASE_SEED, engine_target(engine, RNG.bytes(32)), 2
+            absent = engine_target(engine, RNG.bytes(32))
+            submitter = threading.Thread(
+                target=lambda: blockers.append(engine.submit(BASE_SEED, absent, 2)),
+                name="submitter",
             )
+            submitter.start()
             assert entered.wait(30)
             tickets = [engine.submit(BASE_SEED, target, 2) for _ in range(2)]
+            assert not any(ticket.done() for ticket in tickets)
             queued.set()
+            submitter.join(60)
             results = [ticket.result(timeout=60) for ticket in tickets]
-            assert not blocker.result(timeout=60).found
+            (blocker,) = blockers
+            assert blocker.done() and not blocker.result().found
         expected = _fingerprint(reference.search(BASE_SEED, target, 2))
         assert expected[3] == 1 + 256 + SHELL_2
         assert [_fingerprint(result) for result in results] == [expected] * 2
         assert cuts[1] == [SHELL_2, 40000 - SHELL_2]
+        assert scanners[:2] == ["submitter", "rbc-fleet-host-0"]
 
     def test_concurrent_scans_each_count_and_answer(self):
         """Two caller threads' searches on three host devices that share
@@ -1061,6 +1098,258 @@ class TestTheStopByte:
                 )
             finally:
                 release.set()
+
+
+class TestOneRangeOnTheSubmittingThread:
+    """A request whose remaining rows fit one range — a d <= 2 miss at
+    the door, shell 2's 32 640 ranks within a device's room — is hashed
+    by the thread calling ``submit`` on a free device: it is settled
+    when ``submit`` returns, equals ``batch:``, and wakes no device
+    thread. Anything else reaches the device threads as before."""
+
+    #: Room for shell 2 with the compiled kernel (2 cores) or without (1).
+    SPEC = "fleet:host,hash={},bs=32768,workers=2"
+
+    @staticmethod
+    def _scans(monkeypatch, hold=None):
+        """Record the thread and ranks of every range past the door;
+        ``hold(slices)`` runs first, on the scanning thread."""
+        real, scans = batcher.first_matches, []
+
+        def scan(algo, fixed_padding, slices, workers=1):
+            if slices[0].distance >= 2:
+                scans.append((
+                    threading.current_thread().name,
+                    [(p.distance, p.lo, p.hi) for p in slices],
+                ))
+                if hold is not None:
+                    hold(slices)
+            return real(algo, fixed_padding, slices, workers)
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        return scans
+
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha3-256"])
+    def test_settles_inside_submit_on_the_calling_thread(
+        self, hash_name, monkeypatch
+    ):
+        scans = self._scans(monkeypatch)
+        reference = build_engine(f"batch:{hash_name},bs=32768")
+        with build_engine(
+            self.SPEC.format(hash_name) + ",heartbeat_seconds=3600"
+        ) as engine:
+            wake = engine.scheduler._wake
+            notified = []
+            real_notify = wake.notify_all
+            monkeypatch.setattr(
+                wake, "notify_all", lambda: notified.append(1) or real_notify()
+            )
+            cases = {
+                "d <= 2 miss": RNG.bytes(32),
+                "first rank of shell 2": flip_bits(
+                    BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 0)
+                ),
+                "last rank of shell 2": flip_bits(
+                    BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, SHELL_2 - 1)
+                ),
+            }
+            for where, seed in cases.items():
+                target = engine_target(engine, seed)
+                before = len(scans)
+                ticket = engine.submit(BASE_SEED, target, 2)
+                assert ticket.done(), where
+                assert scans[before:] == [
+                    (threading.current_thread().name, [(2, 0, SHELL_2)])
+                ], where
+                expected = reference.search(BASE_SEED, target, 2)
+                assert _fingerprint(ticket.result()) == _fingerprint(expected), where
+            snapshot = engine.scheduler.snapshot()
+            assert notified == []  # until the close
+        assert snapshot["devices"]["host-0"]["batches"] == len(cases)
+        assert snapshot["queue_depth"] == 0
+
+    @pytest.mark.parametrize("room", [SHELL_2, SHELL_2 - 1])
+    def test_the_room_decides(self, room, monkeypatch):
+        """Shell 2 in a room of 32 640 rows is one range, run by the
+        submitter; one row fewer, and the device thread pulls the first
+        of two ranges."""
+        scans = self._scans(monkeypatch)
+        reference = build_engine(f"batch:sha1,bs={room}")
+        with FleetSearchEngine(
+            "host", workers=1, hash_name="sha1", batch_size=room
+        ) as engine:
+            target = engine_target(engine, RNG.bytes(32))
+            ticket = engine.submit(BASE_SEED, target, 2)
+            settled_in_submit = ticket.done()
+            result = ticket.result(timeout=60)
+        assert _fingerprint(result) == _fingerprint(
+            reference.search(BASE_SEED, target, 2)
+        )
+        if room == SHELL_2:
+            assert settled_in_submit
+            assert scans == [(threading.current_thread().name, [(2, 0, SHELL_2)])]
+        else:
+            assert scans == [
+                ("rbc-fleet-host-0", [(2, 0, room)]),
+                ("rbc-fleet-host-0", [(2, room, SHELL_2)]),
+            ]
+
+    def test_a_deeper_request_takes_the_device_thread(self, monkeypatch):
+        """A d <= 3 request is more than one range however large the
+        room: its shell 2 is pulled by the device thread."""
+        scans = self._scans(monkeypatch)
+        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 0))
+        with FleetSearchEngine(
+            "host", workers=1, hash_name="sha1", batch_size=1 << 22
+        ) as engine:
+            result = engine.submit(
+                BASE_SEED, engine_target(engine, seed), 3
+            ).result(timeout=60)
+        assert (result.seed, result.distance) == (seed, 2)
+        assert scans == [("rbc-fleet-host-0", [(2, 0, SHELL_2)])]
+
+    def test_a_request_behind_an_inline_range_is_pulled_after_its_commit(
+        self, monkeypatch
+    ):
+        """A submitter's range holds the device; a request submitted
+        meanwhile is queued, and the device's thread pulls it once that
+        range has committed."""
+        entered, release = threading.Event(), threading.Event()
+        held, committed_first = [], []
+
+        def hold(slices):
+            if not held:
+                held.append(slices[0].key)
+                entered.set()
+                assert release.wait(30)
+            else:
+                committed_first.append(held[0].retired)
+
+        scans = self._scans(monkeypatch, hold)
+        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 77))
+        reference = build_engine(f"batch:sha1,bs={SHELL_2}")
+        blockers = []
+        with FleetSearchEngine(
+            "host", workers=1, hash_name="sha1", batch_size=SHELL_2
+        ) as engine:
+            absent, target = (
+                engine_target(engine, RNG.bytes(32)), engine_target(engine, seed)
+            )
+            submitter = threading.Thread(
+                target=lambda: blockers.append(engine.submit(BASE_SEED, absent, 2)),
+                name="submitter",
+            )
+            submitter.start()
+            assert entered.wait(30)
+            ticket = engine.submit(BASE_SEED, target, 2)
+            assert not ticket.done()
+            release.set()
+            submitter.join(60)
+            result = ticket.result(timeout=60)
+        assert blockers[0].done() and not blockers[0].result().found
+        assert [name for name, _r in scans] == ["submitter", "rbc-fleet-host-0"]
+        assert committed_first == [True]
+        assert _fingerprint(result) == _fingerprint(
+            reference.search(BASE_SEED, target, 2)
+        )
+
+    def test_concurrent_submitters_run_the_device_one_at_a_time(
+        self, monkeypatch
+    ):
+        """Four caller threads on one device, the interpreter switching
+        as often as it allows: a range is scanned by a submitter or by
+        the device thread, never by two threads at once, and every
+        search equals ``batch:`` with each committed row counted once."""
+        real, guard = batcher.first_matches, threading.Lock()
+        running, peak, scanners = [0], [0], set()
+
+        def scan(algo, fixed_padding, slices, workers=1):
+            if slices[0].distance < 2:
+                return real(algo, fixed_padding, slices, workers)
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                scanners.add(threading.current_thread().name)
+            try:
+                return real(algo, fixed_padding, slices, workers)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(batcher, "first_matches", scan)
+        reference = build_engine("batch:sha1,bs=32768")
+        ranks = (0, 5000, SHELL_2 - 1, None)
+        answers, searches = [], 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with build_engine(self.SPEC.format("sha1")) as engine:
+                targets = [
+                    engine_target(engine, RNG.bytes(32) if rank is None else flip_bits(
+                        BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, rank)
+                    ))
+                    for rank in ranks
+                ]
+
+                def search(offset):
+                    for index in range(searches):
+                        target = targets[(offset + index) % len(targets)]
+                        answers.append(
+                            (engine.search(BASE_SEED, target, 2), target)
+                        )
+
+                callers = [
+                    threading.Thread(target=search, args=(i,), name=f"caller-{i}")
+                    for i in range(4)
+                ]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                assert not any(caller.is_alive() for caller in callers)
+                snapshot = engine.scheduler.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1
+        assert any(name.startswith("caller-") for name in scanners)
+        assert len(answers) == snapshot["completed"] == 4 * searches
+        expected = {
+            target: _fingerprint(reference.search(BASE_SEED, target, 2))
+            for target in targets
+        }
+        assert all(_fingerprint(r) == expected[t] for r, t in answers)
+        committed = sum(tenant["rows"] for tenant in snapshot["tenants"].values())
+        assert committed == sum(result.seeds_hashed for result, _t in answers)
+
+    def test_a_device_failure_in_the_submitters_range_is_redispatched(
+        self, monkeypatch
+    ):
+        """A ``flaky-host`` whose failure episode starts at the
+        submitter's range: the range is pushed back, and the device's
+        thread replays it once the episode has passed."""
+        scans = self._scans(monkeypatch)
+        seed = flip_bits(BASE_SEED, unrank_lexicographic_exact(SEED_BITS, 2, 4321))
+        reference = build_engine(f"batch:sha1,bs={SHELL_2}")
+        with FleetSearchEngine(
+            "flaky-host", workers=1, hash_name="sha1", batch_size=SHELL_2,
+            failure_threshold=100,
+        ) as engine:
+            (device,) = engine.scheduler.devices
+            start, end = device.injector.episodes[0]
+            absent = engine_target(engine, RNG.bytes(32))
+            for _ in range(start):  # one inline batch each, all healthy
+                assert engine.submit(BASE_SEED, absent, 2).done()
+            target = engine_target(engine, seed)
+            result = engine.submit(BASE_SEED, target, 2).result(timeout=60)
+            snapshot = engine.scheduler.snapshot()
+        assert _fingerprint(result) == _fingerprint(
+            reference.search(BASE_SEED, target, 2)
+        )
+        assert device.failures == snapshot["redispatched_chunks"] == end - start
+        names = [name for name, _r in scans]
+        assert names == [threading.current_thread().name] * start + [
+            "rbc-fleet-flaky-host-0"
+        ]
 
 
 _SHM_SCRIPT = """
