@@ -872,6 +872,8 @@ class FleetScheduler:
     # -- monitor --------------------------------------------------------
 
     def _monitor_loop(self) -> None:
+        with self._wake:
+            states = [device.breaker.state for device in self.devices]
         while True:
             to_probe: list[FleetDevice] = []
             with self._wake:
@@ -902,12 +904,14 @@ class FleetScheduler:
             for device in to_probe:
                 device.probe()
             shed: list[ScheduledSearch] = []
+            reinstated = False
             with self._wake:
                 for device in to_probe:
                     state = device.breaker.state
                     if state == "closed" and device.was_quarantined:
                         device.was_quarantined = False
                         self._reinstatements += 1
+                        reinstated = True
                     elif state != "closed":
                         self._note_quarantine_locked(device)
                 now = time.perf_counter()
@@ -919,7 +923,11 @@ class FleetScheduler:
                     shed = [r for r in self._active if not r.running]
                     for request in shed:
                         self._retire_locked(request)
-                self._wake.notify_all()
+                # The device threads wake only for what they act on: a
+                # heartbeat that changed nothing leaves them asleep.
+                was, states = states, [d.breaker.state for d in self.devices]
+                if reinstated or shed or states != was:
+                    self._wake.notify_all()
             for request in shed:
                 self._finalize_shed(request, Refusal.NO_HEALTHY_DEVICES)
 

@@ -324,13 +324,17 @@ def _serve_on_fleet(
     }
 
 
-#: The worker-scaling reading sweeps on the ladder's serving geometry,
-#: whatever the gate's own ``--hash`` / ``--batch-size``: a small SHA-1
+#: The worker-scaling reading sweeps SHA3-256 at its own batch size,
+#: whatever the gate's ``--hash`` / ``--batch-size``: a small SHA-1
 #: workload is dispatcher-bound (at 4 096 rows it reads 1.0-1.3x however
 #: many cores hash), so a floor on it would gate the dispatcher, not the
-#: host devices.
+#: host devices. Neither side's room (``batch_size x workers``) may hold
+#: shell 2's 32 640 rows: a request that fits one range is scanned by
+#: ``submit`` on the calling thread, and only one side would take that
+#: path (E-INLINE), so the batch is at most 8 192 rows and shrinks on a
+#: cpuset of four CPUs or more.
 _WORKER_SCALING_HASH = "sha3-256"
-_WORKER_SCALING_BATCH = 16384
+_WORKER_SCALING_BATCH = 8192
 _WORKER_SCALING_FLOOR = 1.3
 #: Sweeps per side: this many, and on while the reading is under the
 #: floor — a shared host can hold one CPU at half speed for seconds — up to
@@ -348,10 +352,13 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
     for the hash (on ``hashlib`` a host hashes on one core)."""
     import numpy as np
 
+    from repro._bitutils import SEED_BITS
+    from repro.combinatorics.binomial import binomial
     from repro.fleet.engine import FleetSearchEngine, default_worker_count
     from repro.hashes import compiled
 
     cores = default_worker_count()
+    batch_size = min(_WORKER_SCALING_BATCH, (binomial(SEED_BITS, 2) - 1) // cores)
     kernel = compiled.load()
     skipped: str | None = None
     if cores == 1:
@@ -366,7 +373,7 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
             workers: FleetSearchEngine(
                 "host",
                 hash_name=_WORKER_SCALING_HASH,
-                batch_size=_WORKER_SCALING_BATCH,
+                batch_size=batch_size,
                 workers=workers,
             )
             for workers in (1, cores)
@@ -392,7 +399,7 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
     return {
         "cores": cores,
         "hash_name": _WORKER_SCALING_HASH,
-        "batch_size": _WORKER_SCALING_BATCH,
+        "batch_size": batch_size,
         "skipped": skipped,
         "sweeps": sweep if quiet else 0,
         "one_core_seconds": quiet.get(1),

@@ -9,7 +9,10 @@ the compare of a whole rank range into one call (EXPERIMENTS.md,
 E-NATIVE and E-WALK), and that call spreads the range over the host's
 cores: the calling thread and a process-wide pool of C helper threads
 claim 512-row chunks of it, so no core waits on the interpreter lock
-between ranges (E-POOL).
+between ranges (E-POOL). Its SHA3-256 scan computes only what the
+compare reads: eight candidates that differ in their last position are
+built in the vector lanes, and the permutation's last round makes lane 0
+alone unless it matches (E-LANES).
 Only the fleet's scan (:func:`repro.fleet.batcher.first_matches`) uses
 it: the ``batch:`` reference engine and
 :meth:`~repro.hashes.registry.HashAlgorithm.hash_seeds_batch` stay on
@@ -60,9 +63,9 @@ from repro.hashes.registry import get_hash
 __all__ = ["Kernel", "describe", "library_path", "load"]
 
 SOURCE = Path(__file__).with_name("fused.c")
-#: SHA3-256 per core with gcc 12 on an AVX-512 Xeon: 1.4e7 H/s with
-#: ``-march=native`` (an eight-lane word is one register), 3.5-3.9e6 built
-#: for AVX2 (two), 1.8e6 at plain ``-O3`` (SSE2, four).
+#: SHA3-256 per core with gcc 12 on an AVX-512 Xeon: 1.5e7 H/s with
+#: ``-march=native`` (an eight-lane word is one register), 2.3e6 built
+#: for AVX2 (two), 2.3-2.4e6 at plain ``-O3`` (SSE2, four).
 OPTIMIZE = ("-O3", "-march=native")
 FLAGS = (*OPTIMIZE, "-shared", "-fPIC", "-pthread")
 
@@ -178,12 +181,15 @@ class Kernel:
 def _agrees_with_native(kernel: Kernel) -> bool:
     """Whether every scan finds what ``hashlib`` says is there, and the
     unrank names it: a walk across a prefix of shell 3, in a lane of its
-    first eight-row group and in its short last group."""
+    first eight-row group (whose prefix moves on), of its second (built
+    in the vector lanes) and of its short last group."""
     seed = bytes(range(SEED_BYTES))
-    lo, hi = 253, 264  # rank 253 is (0, 1, 255), rank 254 is (0, 2, 3)
+    # Rank 253 is (0, 1, 255), rank 254 is (0, 2, 3) and rank 261 is
+    # (0, 2, 10): rows 8-15 differ in their last position alone.
+    lo, hi = 253, 272
     never = ctypes.c_uint8(0)
     for name in kernel.hashes:
-        for row in (1, 9):
+        for row in (1, 9, 17):
             candidate = flip_bits(seed, unrank_lexicographic(SEED_BITS, 3, lo + row))
             if kernel.unrank(seed, 3, lo + row) != candidate:
                 return False

@@ -2,7 +2,10 @@
  * detector sees every thread: a planted match (SHA3-256 and SHA-1), the
  * lower of two matches in different chunks, a stop byte set from another
  * thread mid-range, and two callers at once (one finds the pool taken and
- * scans alone). Exits 0 when every answer is right.
+ * scans alone). Also the SHA3-256 scan alone: the planted match in every
+ * lane of a group built in the vector lanes, and a target that equals
+ * its digest in the first eight bytes only. Exits 0 when every answer is
+ * right.
  *
  *   cc -O1 -g -fsanitize=thread -pthread -o driver tests/fused_pool_driver.c
  *   ./driver    # ThreadSanitizer makes a data race exit non-zero
@@ -13,8 +16,8 @@
 
 #include <stdio.h>
 
-/* Rank 1 234 567 of shell 3 around the bytes 0, 1, ..., 31, and its
- * SHA3-256 and SHA-1 digests (hashlib's). */
+/* Rank 1 234 567 of shell 3 around the bytes 0, 1, ..., 31, positions
+ * (45, 133, 204), and its SHA3-256 and SHA-1 digests (hashlib's). */
 #define PLANTED 1234567
 #define SHELL_3 2763520
 static const char *SHA3_HEX =
@@ -98,6 +101,20 @@ int main(void) {
     }
     expect(fused_scan(HASH_SHA3_256, 3, 0, 30000, SEED, ABSENT, &never, 4),
            ~(int64_t)30000, "a miss");
+
+    /* A group starting at (45, 133, 204 - l) is built in the vector
+     * lanes and holds the planted row in lane l. */
+    for (int lane = 0; lane < LANES; lane++)
+        expect(sha3_scan(3, PLANTED - (uint64_t)lane, 16, SEED, SHA3, &never), lane,
+               "the planted row in every lane");
+    /* Lane 0 passes, the full compare does not: no match, pooled or not. */
+    uint8_t near[32];
+    memcpy(near, SHA3, sizeof near);
+    near[31] ^= 1;
+    expect(sha3_scan(3, PLANTED - 3, 16, SEED, near, &never), ~(int64_t)16,
+           "a lane-0 near miss");
+    expect(fused_scan(HASH_SHA3_256, 3, PLANTED - 20000, 40000, SEED, near, &never, 4),
+           ~(int64_t)40000, "a pooled lane-0 near miss");
 
     /* The lower of two matches in different chunks. */
     for (int round = 0; round < 4; round++) {

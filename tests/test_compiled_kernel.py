@@ -294,6 +294,110 @@ class TestEightRowGroups:
         assert compiled._agrees_with_native(kernel)
 
 
+def _vector_built(distance, lo, hi):
+    """The rows (from ``lo``) that start the eight-row groups of
+    ``[lo, hi)`` a SHA3-256 scan builds in its vector lanes: full groups
+    whose rows differ in their last position alone, p .. p + 7 <= 255."""
+    if not distance:
+        return []
+    return [
+        start - lo
+        for start in range(lo, hi - 7, 8)
+        if unrank_lexicographic(SEED_BITS, distance, start)[-1] + 7 < SEED_BITS
+    ]
+
+
+class TestVectorBuiltGroups:
+    """Eight rows that differ in their last position alone are built in
+    the vector lanes from the other positions' words; the permutation
+    stops at lane 0 unless lane 0 equals the target's first word, and a
+    group that passes is hashed again in full and compared on all four."""
+
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    @pytest.mark.parametrize("lane", range(8))
+    def test_a_match_in_every_lane(self, kernel, distance, lane):
+        lo = 3  # (3), (0, 4), (0, 1, 5): two groups of last positions 3 .. 18
+        assert _vector_built(distance, lo, lo + 16) == [0, 8]
+        digests = _digests("sha3-256", distance, lo, lo + 16)
+        for row in (lane, 8 + lane):
+            assert kernel.scan(
+                "sha3-256", distance, lo, lo + 16, SEED, digests[row], _never()
+            ) == (row, row + 1)
+
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    @pytest.mark.parametrize("last", [248, 249, 250])
+    def test_a_group_whose_last_position_crosses_255(self, kernel, distance, last):
+        """A group that starts at last position 248 ends at 255, the last
+        one built in the vector lanes; from 249 or 250 it runs out of
+        positions: the prefix moves on (d >= 2) or the shell ends (d = 1)."""
+        lo = last + 1 - distance  # (last), (0, last), (0, 1, last)
+        hi = min(binomial(SEED_BITS, distance), lo + 24)
+        assert unrank_lexicographic(SEED_BITS, distance, lo)[-1] == last
+        assert (0 in _vector_built(distance, lo, hi)) is (last == 248)
+        for row, digest in enumerate(_digests("sha3-256", distance, lo, hi)):
+            assert kernel.scan(
+                "sha3-256", distance, lo, hi, SEED, digest, _never()
+            ) == (row, row + 1)
+        assert kernel.scan(
+            "sha3-256", distance, lo, hi, SEED, _absent("sha3-256"), _never()
+        ) == (None, hi - lo)
+
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    @pytest.mark.parametrize("lo", [1005, 2011, 3047])
+    @pytest.mark.parametrize("n", [9, 21, 30])
+    def test_ranges_that_start_and_end_mid_group(self, kernel, distance, lo, n):
+        """Ranges whose first row's last position is not a multiple of
+        eight and whose length is not either: vector-built groups beside
+        groups whose prefix moves on, and a short tail."""
+        size = binomial(SEED_BITS, distance)
+        lo, hi = lo % (size - n), lo % (size - n) + n
+        for row, digest in enumerate(_digests("sha3-256", distance, lo, hi)):
+            assert kernel.scan(
+                "sha3-256", distance, lo, hi, SEED, digest, _never()
+            ) == (row, row + 1)
+        assert kernel.scan(
+            "sha3-256", distance, lo, hi, SEED, _absent("sha3-256"), _never()
+        ) == (None, n)
+
+    @pytest.mark.parametrize("distance", [0, 1, 2, 3])
+    def test_a_lane_0_near_miss_is_no_match(self, kernel, distance):
+        """A target that is a row's digest in its first eight bytes and
+        not after them passes the lane-0 compare and fails the full one."""
+        hi = min(binomial(SEED_BITS, distance), 20)
+        digests = _digests("sha3-256", distance, 0, hi)
+        for row in {0, 9, hi - 1} & set(range(hi)):
+            digest = digests[row]
+            for near in (
+                digest[:8] + bytes(b ^ 0xFF for b in digest[8:]),
+                digest[:31] + bytes([digest[31] ^ 1]),
+            ):
+                assert kernel.scan(
+                    "sha3-256", distance, 0, hi, SEED, near, _never()
+                ) == (None, hi)
+            assert kernel.scan("sha3-256", distance, 0, hi, SEED, digest, _never()) == (
+                row,
+                row + 1,
+            )
+
+    def test_the_load_time_self_test_reaches_a_vector_built_group(
+        self, kernel, monkeypatch
+    ):
+        """A kernel that answers nothing in a vector-built group fails the
+        check ``load()`` runs before serving."""
+        real = kernel.scan
+
+        def scalar_groups_only(name, distance, lo, hi, *rest):
+            row, rows = real(name, distance, lo, hi, *rest)
+            if row is not None and row - row % 8 in _vector_built(distance, lo, hi):
+                return None, rows
+            return row, rows
+
+        monkeypatch.setattr(kernel, "scan", scalar_groups_only)
+        assert not compiled._agrees_with_native(kernel)
+        monkeypatch.undo()
+        assert compiled._agrees_with_native(kernel)
+
+
 class TestTheStopByte:
     """§4.4's exit flag: the scan reads its stop byte once per eight rows
     and reports the rows it scanned before it stopped."""

@@ -1439,6 +1439,29 @@ class TestWorkerLoss:
         assert child.returncode == 0, err
         assert float(out) <= 0.03, out
 
+    def test_an_idle_fleet_leaves_its_device_thread_asleep(self):
+        """The monitor's idle heartbeats (every 0.2 s at the default
+        0.02 s) probe the device and change nothing, so they do not wake
+        its thread: at most one pull pass in 2 s with no request."""
+        with FleetSearchEngine("host", hash_name="sha1") as engine:
+            scheduler = engine.scheduler
+            assert not engine.search(
+                BASE_SEED, engine_target(engine, RNG.bytes(32)), 1
+            ).found
+            time.sleep(0.1)  # the device thread's first, empty pass
+            passes = []
+            real = scheduler._assemble_locked
+
+            def counted(*arguments):
+                passes.append(arguments)
+                return real(*arguments)
+
+            scheduler._assemble_locked = counted
+            probes = scheduler.devices[0].probes
+            time.sleep(2.0)
+            assert scheduler.devices[0].probes > probes  # the heartbeat ran
+            assert len(passes) <= 1
+
     def test_served_path_leaves_no_segment_and_forks_no_tracker(self):
         """An exhaustive d = 2 search and a budgeted d = 4 search on a
         two-core host: nothing is left in /dev/shm, and the engine forks

@@ -4,7 +4,9 @@ Each gate's own behaviour is tested with its subsystem; these tests pin
 what the gates share — that every one is reachable from the CLI with
 ``--seed`` and ``--output``, that whatever a gate writes has exactly the
 one schema with ``pass`` tied to ``gates`` and to the exit code, and that
-the committed ``BENCH_*.json`` records are in that schema.
+the committed ``BENCH_*.json`` records are in that schema. The one
+gate-specific rule here is ``fleet --bench``'s scaling sweep, which
+must reach both of its sides through the device thread.
 """
 
 import dataclasses
@@ -15,7 +17,12 @@ import shutil
 
 import pytest
 
+from repro import gates
+from repro._bitutils import SEED_BITS
 from repro.cli import main as cli_main
+from repro.combinatorics.binomial import binomial
+from repro.fleet.dispatcher import FleetScheduler
+from repro.hashes import compiled
 from repro.gates import (
     GATES,
     SCHEMA,
@@ -171,3 +178,32 @@ class TestGitStamp:
         data[0] ^= 1
         target.write_bytes(bytes(data))
         assert _tree_digest(tree) != copied
+
+
+class TestHostDeviceScaling:
+    """``fleet --bench``'s one core against the cpuset: both sides sweep
+    shell 2 through the device thread, in ranges of the same kind."""
+
+    @pytest.mark.parametrize("cores", [2, 3, 4, 8, 64])
+    def test_neither_side_holds_shell_2_in_one_range(self, monkeypatch, cores):
+        monkeypatch.setattr(
+            "repro.fleet.engine.default_worker_count", lambda: cores
+        )
+        monkeypatch.setattr(compiled, "load", lambda: None)  # no sweeps
+        reading = gates._worker_scaling(0)
+        assert reading["skipped"] == "no compiled kernel"
+        assert 0 < reading["batch_size"] * cores < binomial(SEED_BITS, 2)
+
+    def test_no_sweep_is_scanned_by_its_submitter(self, monkeypatch):
+        inline = []
+        real = FleetScheduler._inline_batch_locked
+
+        def watched(self, request):
+            inline.append(real(self, request))
+            return inline[-1]
+
+        monkeypatch.setattr(FleetScheduler, "_inline_batch_locked", watched)
+        reading = gates._worker_scaling(0)
+        if reading["skipped"] is None:
+            assert len(inline) >= 2 * (1 + reading["sweeps"])
+        assert inline.count(None) == len(inline)
