@@ -291,7 +291,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"fleet {engine.describe()}: {stats['found']} found, {stats['shed']} shed; "
         f"batches={snapshot['batches']} "
         f"redispatched={snapshot['redispatched_chunks']} "
-        f"hedges={snapshot['hedges_launched']} "
         f"quarantines={snapshot['quarantines']}"
     )
     for name, dev in sorted(snapshot["devices"].items()):
@@ -364,11 +363,11 @@ def _parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="dispatch demo (one host device unless --devices names "
-             "more); --bench is the host-device scaling + hedging gate",
+             "more); --bench is the host-device scaling gate",
     )
     fleet.add_argument("--devices", type=_str_tuple, default=("host",),
                        help="comma-separated device tokens, e.g. "
-                            "host,flaky-apu or gpu,slow-host")
+                            "host,flaky-apu or gpu,host")
     fleet.add_argument("--hash", default="sha1")
     fleet.add_argument("--requests", type=int, default=8)
     fleet.add_argument("--depths", type=_int_tuple, default=(1, 2, 2, 3),

@@ -5,10 +5,9 @@ CPU) with the fault stream of a
 :class:`~repro.reliability.faults.DeviceFaultInjector`: a scheduled
 failure raises :class:`DeviceFailure` mid-search, a scheduled slowdown
 stretches the modeled time (thermal throttling, a sick HBM stack) — and
-the energy account scales with it. Behind a ``flaky-<token>`` /
-``slow-<token>`` fleet device the same stream fails or throttles that
-device's batches, which the dispatcher answers with quarantine and
-re-dispatch.
+the energy account scales with it. Behind a ``flaky-<token>`` fleet
+device the same stream fails that device's batches, which the
+dispatcher answers with quarantine and re-dispatch.
 """
 
 from __future__ import annotations
@@ -77,8 +76,6 @@ class FlakyDeviceModel(DeviceModel):
         seed: int = 0,
         episodes: int = 1,
         episode_length: int = 6,
-        slow_rate: float = 0.0,
-        slow_factor: float = 4.0,
         horizon: int = 200,
     ) -> "FlakyDeviceModel":
         """Build a flaky model from a device token like ``"flaky-gpu"``.
@@ -87,29 +84,19 @@ class FlakyDeviceModel(DeviceModel):
         ``fleet:gpu,flaky-apu`` resolves each token independently, so a
         fleet can mix healthy and fault-injected devices without the
         caller wiring up a :class:`~repro.reliability.faults.FaultPlan`
-        by hand. A ``slow-`` prefix yields a permanently-throttled
-        device (no failures) instead of a failing one.
+        by hand.
         """
         # Lazy: the reliability package imports the net layer, whose
         # dispatcher imports this module.
         from repro.reliability.faults import FaultPlan, FaultSpec
 
-        name = token
-        slow_only = False
-        if name.startswith("flaky-"):
-            name = name[len("flaky-") :]
-        elif name.startswith("slow-"):
-            name = name[len("slow-") :]
-            slow_only = True
         spec = FaultSpec(
             name=f"token:{token}",
-            device_failure_episodes=0 if slow_only else episodes,
+            device_failure_episodes=episodes,
             device_failure_length=episode_length,
-            device_slow_rate=1.0 if slow_only else slow_rate,
-            device_slow_factor=slow_factor,
         )
         injector = FaultPlan(spec, seed).device_injector(horizon)
-        return cls(_resolve_model(name), injector)
+        return cls(_resolve_model(token.removeprefix("flaky-")), injector)
 
     def _fault(self) -> str | None:
         self.searches_attempted += 1

@@ -33,7 +33,7 @@ register_engine(
 
 register_engine(
     "fleet",
-    description="Health-checked multi-device dispatch with re-dispatch and hedging",
+    description="Health-checked multi-device dispatch with re-dispatch",
 )(FleetSearchEngine)
 
 

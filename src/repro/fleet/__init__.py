@@ -9,10 +9,9 @@ each device batch (:mod:`~repro.fleet.batcher`), and counted as
 its cores, each modeled backend — pulls its own ranges from that stream,
 so one search runs on all of them at once and settles in rank order. The
 dispatcher health-checks them with heartbeat probes and per-device circuit
-breakers, re-dispatches ranges orphaned by a device failure onto
-survivors (preserving the byte-equivalence contract), and hedges
-straggler batches onto idle devices with first-result-wins settlement.
-``sched:`` specs build the one-host case.
+breakers and re-dispatches ranges orphaned by a device failure onto
+survivors (preserving the byte-equivalence contract). No range runs on
+two devices at once. ``sched:`` specs build the one-host case.
 
 Quick start::
 

@@ -10,7 +10,7 @@ about one modeled accelerator:
   the device's ``workers`` cores and cut short by its request's stop
   byte;
 * an optional :class:`~repro.devices.base.DeviceModel` whose fault
-  injector (if any) schedules failures and slowdowns per batch;
+  injector (if any) schedules failures per batch;
 * a per-device :class:`~repro.reliability.breaker.CircuitBreaker` that
   turns consecutive failures into quarantine (open), probation
   (half-open), and reinstatement (closed);
@@ -41,15 +41,11 @@ from repro.reliability.breaker import BreakerState, CircuitBreaker
 
 __all__ = ["FleetDevice"]
 
-#: EWMA weight of the newest batch in per-device latency/rate estimates.
+#: EWMA weight of the newest batch in the per-device rate estimate.
 _EWMA_ALPHA = 0.3
 
 #: What a heartbeat hashes: one row (any seed would do) in the batch form.
 _PROBE_WORDS = np.zeros((1, 4), dtype=np.uint64)
-
-#: Cap on injected slow-down sleep per batch, so a misconfigured factor
-#: cannot wedge a device loop.
-_MAX_THROTTLE_SLEEP = 1.0
 
 
 class FleetDevice:
@@ -85,9 +81,8 @@ class FleetDevice:
         #: Set once per quarantine episode; cleared on reinstatement.
         self.was_quarantined = False
         # -- dispatcher state (guarded by the scheduler's lock) --
-        self.inflight = None  # the device's current _InflightBatch, if any
         #: A thread — the device's own or a submitter — is running a
-        #: batch or hedge on it; no other thread may until it is cleared.
+        #: batch on it; no other thread may until it is cleared.
         self.busy = False
         self.recent_lanes: deque[str] = deque(maxlen=fairness_window)
         self.last_primary = None
@@ -98,9 +93,7 @@ class FleetDevice:
         self.shared_batches = 0
         self.rows_hashed = 0
         self.failures = 0
-        self.slowdowns = 0
         self.probes = 0
-        self.ewma_batch_seconds: float | None = None
         self.ewma_rate: float | None = None
 
     # -- chaos switch ----------------------------------------------------
@@ -164,13 +157,12 @@ class FleetDevice:
 
         Raises :class:`DeviceFailure` (and records a breaker failure)
         when the device is killed or its fault stream schedules a
-        failure; a scheduled slowdown stretches real wall time and the
-        reported per-slice seconds. Each outcome carries the seed at the
-        slice's lowest matching rank, if any, the rows the slice counts
-        (those scanned, if its request's stop byte cut it short) and its
-        share of the batch's seconds. The rows counted are what
-        ``rows_hashed`` and the rate estimates see; a batch that scanned
-        nothing leaves the estimates alone.
+        failure. Each outcome carries the seed at the slice's lowest
+        matching rank, if any, the rows the slice counts (those scanned,
+        if its request's stop byte cut it short) and its share of the
+        batch's seconds. The rows counted are what ``rows_hashed`` and
+        the rate estimate see; a batch that scanned nothing leaves the
+        estimate alone.
         """
         if self.killed:
             self._fail()
@@ -182,28 +174,17 @@ class FleetDevice:
             self.algo, self.fixed_padding, slices, self.workers
         )
         elapsed = time.perf_counter() - start
-        if fault == "slow":
-            self.slowdowns += 1
-            factor = self.injector.spec.device_slow_factor
-            time.sleep(min(elapsed * (factor - 1.0), _MAX_THROTTLE_SLEEP))
-            elapsed *= factor
         if self.killed:
             # Killed mid-hash: the results are from a dead device — drop
             # them and let the dispatcher re-dispatch the ranges.
             self._fail()
         self.breaker.record_success()
-        wall = time.perf_counter() - start
         rows = sum(counted for _row, counted in hits)
         self.batches += 1
         self.shared_batches += len(slices) > 1
         self.rows_hashed += rows
         if rows:
-            rate = rows / max(wall, 1e-9)
-            self.ewma_batch_seconds = (
-                wall
-                if self.ewma_batch_seconds is None
-                else (1 - _EWMA_ALPHA) * self.ewma_batch_seconds + _EWMA_ALPHA * wall
-            )
+            rate = rows / max(elapsed, 1e-9)
             self.ewma_rate = (
                 rate
                 if self.ewma_rate is None
@@ -240,9 +221,7 @@ class FleetDevice:
             "batches": self.batches,
             "rows_hashed": self.rows_hashed,
             "failures": self.failures,
-            "slowdowns": self.slowdowns,
             "probes": self.probes,
-            "ewma_batch_seconds": self.ewma_batch_seconds,
             "ewma_rate": self.ewma_rate,
             "breaker_transitions": self.breaker.transition_names(),
         }

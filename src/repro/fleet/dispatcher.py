@@ -36,10 +36,10 @@ Placement and recovery rules:
   before ``submit`` returns and no device thread is woken. Any other
   miss wakes the device threads, and the kernel's pool, so its helpers
   are spinning when the first range reaches them.
-* **One runner per device** — a device runs one batch or hedge at a
-  time, on its own thread or a submitter's: it is marked busy when
-  either is assembled for it and cleared in the lock hold that commits
-  or fails it, and assembly skips a busy device. A request submitted
+* **One runner per device** — a device runs one batch at a time, on
+  its own thread or a submitter's: it is marked busy when the batch is
+  assembled for it and cleared in the lock hold that commits or fails
+  it, and assembly skips a busy device. A request submitted
   while a submitter holds the device is pulled by the device's thread
   after that commit.
 * **Pull** — a device that finishes a batch assembles its next one from
@@ -74,12 +74,6 @@ Placement and recovery rules:
   a successful heartbeat. The monitor keeps its own heartbeat: only a
   kill, a revive, a close or a dying thread cuts its wait short, never
   a submission or a commit.
-* **Hedging** — a device with nothing left to pull duplicates another
-  device's unsettled batch once it is past the straggler latency
-  threshold; the first
-  result wins (a settle flag CASed under the fleet lock), the loser's
-  output is discarded. The stop byte belongs to the request, not the
-  batch, so a losing runner scans on unless its requests retire.
 * **Grace shedding** — when every device has been quarantined for
   longer than the grace window, queued requests are shed with the typed
   reason ``no_healthy_devices`` instead of hanging their callers (a
@@ -129,42 +123,13 @@ _THROUGHPUT_ALPHA = 0.3
 #: How many heartbeats an idle, all-healthy fleet lets pass between probes.
 _IDLE_HEARTBEAT_STRETCH = 10
 
-#: How often a device loop re-checks expiry and hedge thresholds while
+#: How often a device loop re-checks budget and deadline expiry while
 #: requests are active (an idle fleet blocks until notified).
 _TICK_SECONDS = 0.005
 
 
-class _InflightBatch:
-    """One fused batch handed to a device; settle-once under the lock."""
-
-    __slots__ = (
-        "device",
-        "slices",
-        "started",
-        "settled",
-        "hedge_device",
-        "primary_failed",
-    )
-
-    def __init__(
-        self, device: FleetDevice, slices: tuple[BatchSlice, ...], started: float
-    ):
-        #: The device that pulled the batch (its primary).
-        self.device = device
-        self.slices = slices
-        self.started = started
-        #: True once exactly one runner committed (or the batch was
-        #: pushed back); every other runner discards its results.
-        self.settled = False
-        #: The device hedging this batch, if a hedge was launched.
-        self.hedge_device: FleetDevice | None = None
-        #: The primary died while a hedge was live; the hedge resolves
-        #: the batch (commit on success, push-back on its own failure).
-        self.primary_failed = False
-
-
 class FleetScheduler:
-    """Health-checked multi-device dispatch with re-dispatch and hedging."""
+    """Health-checked multi-device dispatch with re-dispatch."""
 
     def __init__(
         self,
@@ -174,8 +139,6 @@ class FleetScheduler:
         max_queue: int = 256,
         policy: SchedulingPolicy | None = None,
         heartbeat_seconds: float = 0.02,
-        hedge_factor: float | None = 4.0,
-        hedge_min_seconds: float = 0.05,
         no_device_grace: float = 2.0,
         spec_string: str | None = None,
     ):
@@ -191,10 +154,6 @@ class FleetScheduler:
         self.max_queue = max_queue
         self.policy = policy if policy is not None else SchedulingPolicy()
         self._heartbeat = heartbeat_seconds
-        self._hedge_factor = (
-            hedge_factor if hedge_factor is not None and hedge_factor > 0 else None
-        )
-        self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
         #: The kernel whose pool a request entering the stream wakes, when
         #: a device hashes on more than one core.
@@ -233,9 +192,6 @@ class FleetScheduler:
         self._peak_depth = 0
         self._batches_by_lane: dict[str, int] = {}
         self._redispatched = 0
-        self._hedges_launched = 0
-        self._hedge_wins = 0
-        self._hedges_cancelled = 0
         self._quarantines = 0
         self._reinstatements = 0
         self._tenant_admitted: dict[str, int] = {}
@@ -396,7 +352,7 @@ class FleetScheduler:
             self._ensure_threads_locked()
             match = self._hash_at_the_door_locked(request)
             settled = match is not None or max_distance <= 1
-            inline: _InflightBatch | None = None
+            inline: tuple[FleetDevice, tuple[BatchSlice, ...]] | None = None
             if settled:
                 request.retired = True
             else:
@@ -406,7 +362,7 @@ class FleetScheduler:
                 if inline is None:
                     self._wake.notify_all()
         if inline is not None:
-            self._run_inline(inline)
+            self._run_inline(*inline)
         elif not settled and self._pool is not None:
             self._pool.wake()
         if settled:
@@ -456,7 +412,7 @@ class FleetScheduler:
 
     def _inline_batch_locked(
         self, request: ScheduledSearch
-    ) -> _InflightBatch | None:
+    ) -> tuple[FleetDevice, tuple[BatchSlice, ...]] | None:
         """The batch ``submit`` runs on the calling thread (lock held):
         a free placeable device's, assembled as its thread would, when
         every remaining row of ``request`` fits one range there — all in
@@ -469,14 +425,16 @@ class FleetScheduler:
                 and not device.busy
                 and request.remaining_work <= self.batch_size * device.workers
             ):
-                _kind, inflight = self._assemble_locked(device, time.perf_counter())
-                return inflight
+                batch = self._assemble_locked(device, time.perf_counter())
+                return None if batch is None else (device, batch)
         return None
 
-    def _run_inline(self, inflight: _InflightBatch) -> None:
+    def _run_inline(
+        self, device: FleetDevice, batch: tuple[BatchSlice, ...]
+    ) -> None:
         """Run a batch ``submit`` assembled, on the calling thread."""
         try:
-            self._run_primary(inflight.device, inflight)
+            self._run_batch(device, batch)
         except Exception:
             self._shed_everything()
             raise
@@ -540,20 +498,18 @@ class FleetScheduler:
     def _device_loop(self, device: FleetDevice) -> None:
         while True:
             expired: list[tuple[ScheduledSearch, str]] = []
-            kind: str | None = None
-            inflight: _InflightBatch | None = None
+            batch: tuple[BatchSlice, ...] | None = None
             with self._wake:
                 if self._exit_locked():
                     return
                 now = time.perf_counter()
                 expired = self._expire_locked(now)
                 if not expired:
-                    kind, inflight = self._assemble_locked(device, now)
-                    if kind is None:
-                        # Expiry and hedge thresholds are clock-driven,
-                        # so poll while requests are active; an idle
-                        # fleet blocks until submit / kill / revive /
-                        # close notifies.
+                    batch = self._assemble_locked(device, now)
+                    if batch is None:
+                        # Expiry is clock-driven, so poll while requests
+                        # are active; an idle fleet blocks until submit /
+                        # kill / revive / close notifies.
                         self._wake.wait(
                             timeout=_TICK_SECONDS if self._active else None
                         )
@@ -564,12 +520,8 @@ class FleetScheduler:
                     self._finalize_shed(request, Refusal.DEADLINE_EXPIRED)
                 else:
                     self._finalize_result(request, timed_out=True)
-            if kind == "batch":
-                assert inflight is not None
-                self._run_primary(device, inflight)
-            elif kind == "hedge":
-                assert inflight is not None
-                self._run_hedge(device, inflight)
+            if batch is not None:
+                self._run_batch(device, batch)
 
     def _expire_locked(
         self, now: float
@@ -588,23 +540,19 @@ class FleetScheduler:
 
     def _assemble_locked(
         self, device: FleetDevice, now: float
-    ) -> tuple[str | None, _InflightBatch | None]:
-        """Pull this device's next batch, or find a hedge, and mark the
-        device busy until it is committed or failed (lock held). A busy
-        device, run by another thread, pulls and hedges nothing."""
+    ) -> tuple[BatchSlice, ...] | None:
+        """Pull this device's next batch and mark the device busy until
+        it is committed or failed (lock held). A busy device, run by
+        another thread, pulls nothing."""
         if not device.placeable or device.busy:
-            return None, None
+            return None
         runnable = [
             r
             for r in self._active
             if device not in r.running and not r.cursor.exhausted
         ]
         if not runnable:
-            hedge = self._find_hedge_locked(device, now)
-            if hedge is not None:
-                device.busy = True
-                return "hedge", hedge
-            return None, None
+            return None
         self._aged_promotions += self.policy.apply_aging(runnable, now)
         primary = self.policy.pick(
             runnable, device.recent_lanes, self._recent_tenant_rows
@@ -642,95 +590,31 @@ class FleetScheduler:
                 )
             )
             room -= hi - lo
-        inflight = _InflightBatch(device, tuple(slices), now)
-        device.inflight = inflight
         device.busy = True
         device.recent_lanes.append(primary.lane)
         self._batches_by_lane[primary.lane] = (
             self._batches_by_lane.get(primary.lane, 0) + 1
         )
-        return "batch", inflight
+        return tuple(slices)
 
-    def _find_hedge_locked(
-        self, device: FleetDevice, now: float
-    ) -> _InflightBatch | None:
-        """An unsettled straggler batch on another device worth hedging."""
-        if self._hedge_factor is None:
-            return None
-        ewmas = [
-            d.ewma_batch_seconds
-            for d in self.devices
-            if d.ewma_batch_seconds is not None
-        ]
-        threshold = self._hedge_min_seconds
-        if ewmas:
-            threshold = max(
-                threshold, self._hedge_factor * (sum(ewmas) / len(ewmas))
-            )
-        for other in self.devices:
-            if other is device:
-                continue
-            inflight = other.inflight
-            if (
-                inflight is None
-                or inflight.settled
-                or inflight.hedge_device is not None
-                or inflight.primary_failed
-            ):
-                continue
-            if now - inflight.started >= threshold:
-                inflight.hedge_device = device
-                self._hedges_launched += 1
-                return inflight
-        return None
-
-    def _run_primary(self, device: FleetDevice, inflight: _InflightBatch) -> None:
+    def _run_batch(
+        self, device: FleetDevice, batch: tuple[BatchSlice, ...]
+    ) -> None:
         try:
-            outcomes = device.run_batch(inflight.slices)
+            outcomes = device.run_batch(batch)
         except DeviceFailure:
-            self._on_device_failure(device, inflight)
+            self._on_device_failure(device, batch)
             return
-        self._commit(inflight, outcomes, device)
-
-    def _run_hedge(self, device: FleetDevice, inflight: _InflightBatch) -> None:
-        # The early-exit check: the primary may have settled the batch
-        # while this hedge was queued behind the lock — cancel before
-        # paying for the kernel.
-        with self._wake:
-            if inflight.settled:
-                inflight.hedge_device = None
-                device.busy = False
-                self._hedges_cancelled += 1
-                return
-        try:
-            outcomes = device.run_batch(inflight.slices)
-        except DeviceFailure:
-            self._on_device_failure(device, inflight)
-            return
-        self._commit(inflight, outcomes, device)
+        self._commit(device, outcomes)
 
     # -- settlement -----------------------------------------------------
 
-    def _commit(
-        self,
-        inflight: _InflightBatch,
-        outcomes: list[SliceOutcome],
-        winner: FleetDevice,
-    ) -> None:
-        """First-result-wins settlement of a batch, then each of its
-        requests' rank-ordered commits."""
+    def _commit(self, device: FleetDevice, outcomes: list[SliceOutcome]) -> None:
+        """Free the device that hashed a batch, then commit each of its
+        requests' ranges in rank order."""
         retired: list[tuple[ScheduledSearch, SliceOutcome | None]] = []
         with self._wake:
-            winner.busy = False
-            if inflight.settled:
-                # Lost the race: the other runner already committed.
-                self._hedges_cancelled += 1
-                return
-            inflight.settled = True
-            if inflight.device.inflight is inflight:
-                inflight.device.inflight = None
-            if winner is not inflight.device:
-                self._hedge_wins += 1
+            device.busy = False
             total_rows = sum(outcome.rows for outcome in outcomes)
             if total_rows:
                 total_seconds = max(
@@ -740,7 +624,7 @@ class FleetScheduler:
                 # Weighted by rows: a few-row batch is mostly fixed cost,
                 # and counting it as a full batch would drag the estimate
                 # down; a batch its stop bytes emptied moves nothing.
-                room = self.batch_size * inflight.device.workers
+                room = self.batch_size * device.workers
                 weight = _THROUGHPUT_ALPHA * total_rows / room
                 self._throughput = (
                     rate
@@ -751,7 +635,7 @@ class FleetScheduler:
                 request: ScheduledSearch = outcome.key  # type: ignore[assignment]
                 if request.retired:
                     continue  # past its match, its budget or its deadline
-                ranks = request.running.pop(inflight.device)
+                ranks = request.running.pop(device)
                 bisect.insort(
                     request.hashed, (ranks, outcome), key=lambda entry: entry[0]
                 )
@@ -828,40 +712,21 @@ class FleetScheduler:
             self._monitor_wake.notify_all()
 
     def _on_device_failure(
-        self, device: FleetDevice, inflight: _InflightBatch
+        self, device: FleetDevice, batch: tuple[BatchSlice, ...]
     ) -> None:
-        """A device raised mid-batch: re-dispatch, maybe quarantine."""
+        """A device raised mid-batch: replay the batch's ranges ahead of
+        each cursor's unserved ones, and note a quarantine."""
         with self._wake:
             device.busy = False
-            is_primary = inflight.device is device
-            if is_primary and device.inflight is inflight:
-                device.inflight = None
-            if not inflight.settled:
-                if is_primary:
-                    if inflight.hedge_device is not None:
-                        # A hedge is racing: it commits on success or
-                        # pushes the ranges back on its own failure.
-                        inflight.primary_failed = True
-                    else:
-                        self._push_back_locked(inflight)
-                else:
-                    inflight.hedge_device = None
-                    if inflight.primary_failed:
-                        # Both runners died: the ranges are orphaned.
-                        self._push_back_locked(inflight)
+            for piece in batch:
+                request: ScheduledSearch = piece.key  # type: ignore[assignment]
+                if request.retired:
+                    continue
+                del request.running[device]
+                request.cursor.push_back(piece.distance, piece.lo, piece.hi)
+                self._redispatched += 1
             self._note_quarantine_locked(device)
             self._wake.notify_all()
-
-    def _push_back_locked(self, inflight: _InflightBatch) -> None:
-        """Replay the batch's ranges ahead of each cursor's unserved ones."""
-        inflight.settled = True
-        for piece in inflight.slices:
-            request: ScheduledSearch = piece.key  # type: ignore[assignment]
-            if request.retired:
-                continue
-            del request.running[inflight.device]
-            request.cursor.push_back(piece.distance, piece.lo, piece.hi)
-            self._redispatched += 1
 
     def _note_quarantine_locked(self, device: FleetDevice) -> None:
         """Count a quarantine episode once, when the breaker first opens."""
@@ -897,7 +762,7 @@ class FleetScheduler:
                     if state == "half_open":
                         if device.breaker.allow_request():
                             to_probe.append(device)
-                    elif state == "closed" and device.inflight is None:
+                    elif state == "closed" and not device.busy:
                         # Idle healthy devices heartbeat too, so a dead
                         # device without work is still detected.
                         to_probe.append(device)
@@ -1015,9 +880,6 @@ class FleetScheduler:
                 "batches_by_lane": dict(self._batches_by_lane),
                 "throughput": self._throughput,
                 "redispatched_chunks": self._redispatched,
-                "hedges_launched": self._hedges_launched,
-                "hedge_wins": self._hedge_wins,
-                "hedges_cancelled": self._hedges_cancelled,
                 "quarantines": self._quarantines,
                 "reinstatements": self._reinstatements,
                 "probes": sum(d.probes for d in self.devices),

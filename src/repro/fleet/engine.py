@@ -23,7 +23,6 @@ Device tokens compose in the spec string, so a mixed fleet is one line::
 
     fleet:host                         # one device on every core of the cpuset
     fleet:gpu,flaky-apu,hash=sha1      # healthy GPU + fault-injected APU
-    fleet:host,slow-host,hedge=6       # a straggler to exercise hedging
 
 Token grammar (resolved per device, left to right):
 
@@ -31,9 +30,7 @@ Token grammar (resolved per device, left to right):
 * ``gpu`` / ``apu`` / ``cpu`` — one healthy device;
 * ``flaky-<name>`` — the same device (a ``host`` keeps its cores)
   wrapped in :meth:`~repro.devices.flaky.FlakyDeviceModel.from_token`,
-  scheduling deterministic failure episodes seeded by the device's index;
-* ``slow-<name>`` — permanently throttled (every batch slowed by
-  ``slow_factor``), never failing — the canonical hedging straggler.
+  scheduling deterministic failure episodes seeded by the device's index.
 """
 
 from __future__ import annotations
@@ -74,10 +71,7 @@ def default_worker_count() -> int:
 
 
 def _base_name(token: str) -> str:
-    for prefix in ("flaky-", "slow-"):
-        if token.startswith(prefix):
-            return token[len(prefix) :]
-    return token
+    return token.removeprefix("flaky-")
 
 
 def _build_device(
@@ -87,16 +81,13 @@ def _build_device(
     *,
     fixed_padding: bool,
     fairness_window: int,
-    slow_factor: float,
     failure_threshold: int,
     recovery_seconds: float,
     workers: int,
 ) -> FleetDevice:
     model = None
     if token != _base_name(token):
-        model = FlakyDeviceModel.from_token(
-            token, seed=index, slow_factor=slow_factor
-        )
+        model = FlakyDeviceModel.from_token(token, seed=index)
     from repro.reliability.breaker import CircuitBreaker
 
     return FleetDevice(
@@ -126,12 +117,9 @@ class FleetSearchEngine:
         fairness_cap: float = 0.75,
         aging_seconds: float = 30.0,
         heartbeat_seconds: float = 0.02,
-        hedge_factor: float = 4.0,
-        hedge_min_seconds: float = 0.05,
         no_device_grace: float = 2.0,
         failure_threshold: int = 2,
         recovery_seconds: float = 0.25,
-        slow_factor: float = 8.0,
         tenants: TenantRegistry | None = None,
         workers: int | None = None,
     ):
@@ -172,7 +160,6 @@ class FleetSearchEngine:
                 executor.algo,
                 fixed_padding=fixed_padding,
                 fairness_window=policy.config.fairness_window,
-                slow_factor=slow_factor,
                 failure_threshold=failure_threshold,
                 recovery_seconds=recovery_seconds,
                 workers=self.workers if pooled else 1,
@@ -186,8 +173,6 @@ class FleetSearchEngine:
             max_queue=max_queue,
             policy=policy,
             heartbeat_seconds=heartbeat_seconds,
-            hedge_factor=hedge_factor if hedge_factor > 0 else None,
-            hedge_min_seconds=hedge_min_seconds,
             no_device_grace=no_device_grace,
             spec_string=spec,
         )

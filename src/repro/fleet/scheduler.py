@@ -7,10 +7,12 @@ dispatcher threads advance: the caller's handle (:meth:`~ScheduledSearch.result`
 plus the per-request state the policy orders by (``lane`` / ``deadline`` /
 ``remaining_work`` / ``seq``), the shell cursor, the stop byte its
 running ranges read, the ranges running on devices or waiting to
-commit, and the rows and seconds per shell that become the result. What the dispatcher did around a request — preemptions, re-dispatched ranges,
-hedges — is counted once, on the dispatcher (``FleetScheduler.snapshot()``),
-not on the ticket. There is one ticket class for every fleet size — a
-``sched:`` engine is the one-host fleet.
+commit, and the rows and seconds per shell that become the result.
+What the dispatcher did around a request — preemptions, re-dispatched
+ranges — is counted once, on the dispatcher
+(``FleetScheduler.snapshot()``), not on the ticket. There is one
+ticket class for every fleet size — a ``sched:`` engine is the one-host
+fleet.
 
 Equivalence contract the dispatcher keeps per ticket: a request commits
 candidates in the same order as

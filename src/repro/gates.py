@@ -19,11 +19,11 @@ print one ``GATE: ...`` line per failure on stderr, return the exit
 code. ``config`` is the parsed arguments, so a record says exactly how
 to reproduce itself.
 
-The in-process gates build requests, serve them and phrase the three
-invariants every serving gate asserts — zero false authentications,
-every refusal typed, nothing lost — through the storm kit
-(:mod:`repro.storm`); the storm report classes build their ``failures``
-lists on the same phrasing and add their scenario's own.
+Every gate phrases the three invariants every serving gate asserts —
+zero false authentications, every refusal typed, nothing lost — with
+the storm kit's :func:`~repro.storm.invariant_failures`; the storm
+report classes build their ``failures`` lists on the same phrasing and
+add their scenario's own.
 
 Scenario imports are deferred into each ``run`` so that parsing and
 ``--help`` stay import-light.
@@ -43,14 +43,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.storm import (
-    drive,
-    false_authentications,
-    invariant_failures,
-    planted,
-    summarize,
-    ticket_submit,
-)
+from repro.storm import invariant_failures
 
 __all__ = [
     "GATES",
@@ -224,10 +217,6 @@ def select_gate(argv: Sequence[str]) -> Gate | None:
     return max(matches, key=lambda gate: len(gate.flags), default=None)
 
 
-#: How long a gate waits, after its last submit, for every request to
-#: settle before it reports the rest as lost.
-_SETTLE_TIMEOUT = 300.0
-
 # -- shared argument shapes -----------------------------------------------
 
 
@@ -267,69 +256,14 @@ def _chaos_render(record: Record) -> str:
     return ResilienceReport(**record["metrics"]).render()
 
 
-# -- fleet: host-device scaling + hedged stragglers ----------------------
+# -- fleet: host-device scaling --------------------------------------------
 
 
-def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hash", default="sha1", dest="hash_name")
-    parser.add_argument("--batch-size", type=int, default=8192)
-    parser.add_argument("--straggler-requests", type=int, default=4,
-                        help="exhaustive d=2 sweeps served on host + slow-host")
-    # Devices pull ranges, so the straggler holds one batch at a time:
-    # x240 makes that batch straggle about as long as x30 on each of the
-    # ~8 batches of a d=2 sweep pinned to it did, well past the 20 ms
-    # hedge floor below.
-    parser.add_argument("--slow-factor", type=float, default=240.0,
-                        help="throttle of the straggler device")
-
-
-def _serve_on_fleet(
-    devices: tuple[str, ...],
-    workload: list[Any],
-    algo: Any,
-    args: argparse.Namespace,
-    **engine_kwargs: Any,
-) -> dict[str, Any]:
-    """Serve one workload through a fleet; latencies plus the invariants."""
-    from repro.fleet import FleetSearchEngine
-
-    engine = FleetSearchEngine(
-        *devices,
-        hash_name=args.hash_name,
-        batch_size=args.batch_size,
-        **engine_kwargs,
-    )
-    start = time.perf_counter()
-    try:
-        outcomes = drive(ticket_submit(engine), workload, timeout=_SETTLE_TIMEOUT)
-        wall = time.perf_counter() - start
-        snapshot = engine.scheduler.snapshot()
-    finally:
-        engine.close(drain=False)
-    stats = summarize(outcomes)
-    return {
-        "devices": list(devices),
-        "wall_seconds": wall,
-        "resolved": stats["served"] + stats["shed"],
-        "found": stats["found"],
-        "shed": stats["shed"],
-        "lost": stats["lost"],
-        "errors": stats["errors"],
-        "false_authentications": false_authentications(algo, outcomes),
-        "p50_seconds": stats.get("p50_seconds"),
-        "p99_seconds": stats.get("p99_seconds"),
-        "hedges_launched": snapshot["hedges_launched"],
-        "hedge_wins": snapshot["hedge_wins"],
-        "redispatched_chunks": snapshot["redispatched_chunks"],
-    }
-
-
-#: The worker-scaling reading sweeps SHA3-256 at its own batch size,
-#: whatever the gate's ``--hash`` / ``--batch-size``: a small SHA-1
-#: workload is dispatcher-bound (at 4 096 rows it reads 1.0-1.3x however
-#: many cores hash), so a floor on it would gate the dispatcher, not the
-#: host devices. Neither side's room (``batch_size x workers``) may hold
-#: shell 2's 32 640 rows: a request that fits one range is scanned by
+#: The worker-scaling reading sweeps SHA3-256: a small SHA-1 workload is
+#: dispatcher-bound (at 4 096 rows it reads 1.0-1.3x however many cores
+#: hash), so a floor on it would gate the dispatcher, not the host
+#: devices. Neither side's room (``batch_size x workers``) may hold shell
+#: 2's 32 640 rows: a request that fits one range is scanned by
 #: ``submit`` on the calling thread, and only one side would take that
 #: path (E-INLINE), so the batch is at most 8 192 rows and shrinks on a
 #: cpuset of four CPUs or more.
@@ -410,49 +344,15 @@ def _worker_scaling(seed: int) -> dict[str, Any]:
 
 
 def _fleet_run(args: argparse.Namespace) -> Outcome:
-    """Hedging off vs on for a straggler fleet, then one core vs the cpuset."""
-    from repro.hashes.registry import get_hash
-
-    algo = get_hash(args.hash_name)
-    # Absent targets: the full d=2 shell must be swept, so per-request
-    # latency is the straggler story, not where the seed was planted.
-    absent = algo.hash_seed(b"\xa5" * 32)
-    stragglers = [
-        dataclasses.replace(request, digest=absent)
-        for request in planted(
-            algo, args.straggler_requests, (2,), args.seed + 1
-        )
-    ]
-    slow = ("host", "slow-host")
-    unhedged = _serve_on_fleet(
-        slow, stragglers, algo, args,
-        slow_factor=args.slow_factor,
-        hedge_factor=0.0,  # disables hedging
-    )
-    hedged = _serve_on_fleet(
-        slow, stragglers, algo, args,
-        slow_factor=args.slow_factor,
-        hedge_factor=1.0,
-        hedge_min_seconds=0.02,
-    )
-
+    """One core vs the cpuset, on one ``host`` device."""
     worker_scaling = _worker_scaling(args.seed)
-    sections = (unhedged, hedged)
     metrics = {
-        "unhedged": unhedged,
-        "hedged": hedged,
         "worker_scaling": worker_scaling,
         "worker_scaling_ratio": worker_scaling["ratio"],
-        "lost_requests": sum(s["lost"] for s in sections),
-        "false_authentications": sum(
-            s["false_authentications"] for s in sections
-        )
-        + worker_scaling["false_authentications"],
+        "false_authentications": worker_scaling["false_authentications"],
     }
     failures = invariant_failures(
-        false_authentications=metrics["false_authentications"],
-        untyped=[kind for s in sections for kind in s["errors"]],
-        lost=metrics["lost_requests"],
+        false_authentications=metrics["false_authentications"]
     )
     worker_ratio = worker_scaling["ratio"]
     if worker_ratio is not None and worker_ratio < _WORKER_SCALING_FLOOR:
@@ -460,35 +360,11 @@ def _fleet_run(args: argparse.Namespace) -> Outcome:
             f"{worker_scaling['cores']} cores sweep {worker_ratio:.2f}x as "
             f"fast as one (floor {_WORKER_SCALING_FLOOR}x)"
         )
-    if not hedged["hedges_launched"]:
-        failures.append("no hedge was launched on the straggler fleet")
-    if None in (hedged["p99_seconds"], unhedged["p99_seconds"]):
-        failures.append("a straggler run resolved nothing")
-    elif hedged["p99_seconds"] > unhedged["p99_seconds"]:
-        failures.append(
-            f"hedged straggler p99 {hedged['p99_seconds']:.3f}s exceeds "
-            f"unhedged {unhedged['p99_seconds']:.3f}s"
-        )
     return metrics, failures
 
 
 def _fleet_render(record: Record) -> str:
-    config, metrics = record["config"], record["metrics"]
-
-    def seconds(value: float | None) -> str:
-        return f"{value:.3f}s" if value is not None else "n/a"
-
-    def row(label: str, section: dict[str, Any]) -> str:
-        return (
-            f"    {label:<10} devices={','.join(section['devices']):<16} "
-            f"wall={section['wall_seconds']:.2f}s "
-            f"p99={seconds(section['p99_seconds'])} "
-            f"found={section['found']} shed={section['shed']} "
-            f"lost={section['lost']} false={section['false_authentications']} "
-            f"hedges={section['hedges_launched']}"
-        )
-
-    hedged = metrics["hedged"]
+    metrics = record["metrics"]
     scaling = metrics["worker_scaling"]
     if scaling["ratio"] is None:
         workers_line = f"  host-device scaling: n/a ({scaling['skipped']})"
@@ -501,18 +377,9 @@ def _fleet_render(record: Record) -> str:
             f"{scaling['all_cores_seconds']:.3f}s ({scaling['ratio']:.2f}x)"
         )
     return "\n".join([
-        "Fleet — host-device scaling and hedged-straggler p99",
-        f"  hash={config['hash_name']}, bs={config['batch_size']}",
-        f"  hedging ({config['straggler_requests']} exhaustive d=2 sweeps "
-        f"on host + slow-host, x{config['slow_factor']:g} throttle):",
-        row("unhedged", metrics["unhedged"]),
-        row("hedged", hedged),
-        f"    straggler p99: {seconds(metrics['unhedged']['p99_seconds'])} -> "
-        f"{seconds(hedged['p99_seconds'])} "
-        f"({hedged['hedges_launched']} hedges, {hedged['hedge_wins']} wins)",
+        "Fleet — host-device scaling",
         workers_line,
-        f"  lost={metrics['lost_requests']} "
-        f"false_auths={metrics['false_authentications']} "
+        f"  false_auths={metrics['false_authentications']} "
         f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
     ])
 
@@ -621,9 +488,10 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             "fleet", "fleet", ("--bench",),
-            "host-device scaling, hedged vs unhedged straggler p99 (exit 1 "
-            "on a lost request, false auth, scaling or hedging regression)",
-            _fleet_arguments, _fleet_run, _fleet_render,
+            "host-device scaling: one host on the cpuset against one core "
+            "(exit 1 on a false auth or a scaling regression)",
+            # The sweep takes only the two flags every gate has.
+            lambda parser: None, _fleet_run, _fleet_render,
         ),
         Gate(
             "deployment", "deploy", ("--storm",),

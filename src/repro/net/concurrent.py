@@ -72,13 +72,12 @@ _COUNTERS = (
     "seeds_hashed",
     "shells_completed",
     # Requests shed (typed refusals), primary-request preemptions, the
-    # deepest front-door queue observed, chunks replayed on a survivor
-    # after a device failure, and hedges launched onto an idle device.
+    # deepest front-door queue observed, and chunks replayed on a
+    # survivor after a device failure.
     "shed",
     "preempted",
     "queue_depth_peak",
     "redispatched",
-    "hedged",
     # Requests refused because their tenant's admission budget (token
     # bucket) was exhausted.
     "shed_tenant_quota",
@@ -96,7 +95,6 @@ _COUNTERS = (
 _DISPATCHER_KEYS = {
     "preempted": "preempted",
     "redispatched": "redispatched_chunks",
-    "hedged": "hedges_launched",
 }
 _READ = frozenset(_DISPATCHER_KEYS)
 
@@ -122,7 +120,7 @@ class ServerMetrics:
     (per-reason shed counts, written only by :meth:`record_shed`, which
     also increments ``shed`` — the two can never drift apart) and
     ``tenants`` (the per-tenant ledger fed by the same ``record`` /
-    ``record_shed`` calls). The other three names are read at snapshot
+    ``record_shed`` calls). The other two names are read at snapshot
     time from where their events happen, ``dispatcher``'s own
     ``snapshot()``; without a dispatcher they read zero.
     """

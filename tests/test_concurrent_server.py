@@ -329,7 +329,7 @@ PARENT_POOL_COUNTERS = {
     "rejected_busy": 0, "rejected_duplicate": 0,
     "seeds_hashed": 257, "shells_completed": 2,
     "shed": 0, "preempted": 0, "queue_depth_peak": 1,
-    "redispatched": 0, "hedged": 0, "shed_tenant_quota": 0,
+    "redispatched": 0, "shed_tenant_quota": 0,
     "enrollments": 0, "recovered_records": 0, "recovery_seconds": 0.0,
 }
 
@@ -363,8 +363,8 @@ class TestServerMetricsRecord:
         metrics.record(queue_depth=5)
         metrics.record(queue_depth=3)  # gauge: peak is kept, not summed
         # What the dispatcher did is read off it, never recorded here.
-        with pytest.raises(TypeError, match="hedged"):
-            metrics.record(hedged=2)
+        with pytest.raises(TypeError, match="redispatched"):
+            metrics.record(redispatched=2)
         metrics.record_shed("deadline_expired")
         metrics.record_shed("deadline_expired")
         metrics.record_shed("tenant_quota")
@@ -386,7 +386,6 @@ class TestServerMetricsRecord:
             "preempted": 0,
             "queue_depth_peak": 5,
             "redispatched": 0,
-            "hedged": 0,
             "shed_tenant_quota": 1,
             "enrollments": 2,
             "recovered_records": 7,
@@ -484,7 +483,7 @@ PARENT_COUNTER_NAMES = (
     "submitted", "completed", "authenticated", "failed", "rejected_busy",
     "rejected_duplicate", "total_search_seconds", "seeds_hashed",
     "shells_completed", "shed", "preempted",
-    "queue_depth_peak", "redispatched", "hedged", "shed_tenant_quota",
+    "queue_depth_peak", "redispatched", "shed_tenant_quota",
     "enrollments", "recovered_records", "recovery_seconds",
 )
 
@@ -616,9 +615,11 @@ class TestFleetBackedServer:
             server.submit("late", b"\x00" * 20)
         snapshot = server.metrics.snapshot()
         assert snapshot["completed"] == len(results)
-        # The fleet counters are part of the server's metric surface.
-        assert "redispatched" in snapshot and "hedged" in snapshot
-        assert snapshot["redispatched"] >= 0
+        # The fleet counters are part of the server's metric surface,
+        # read off the dispatcher, not summed per request.
+        assert snapshot["redispatched"] == (
+            fleet.scheduler.snapshot()["redispatched_chunks"]
+        )
 
     def test_fleet_backed_server_reports_redispatch(self, fleet_authority):
         from repro.fleet import FleetSearchEngine
@@ -669,80 +670,3 @@ class TestFleetBackedServer:
         assert snapshot["submitted"] == snapshot["completed"] + snapshot["failed"]
         shed = fleet.scheduler.snapshot()["shed_reasons"]
         assert shed == {Refusal.SHUTDOWN.reason: 1}
-
-    def test_hedged_counts_hedges_not_the_requests_they_carried(
-        self, fleet_authority
-    ):
-        """``hedged`` and ``redispatched`` are the dispatcher's own counts:
-        one hedged batch carrying two requests is one hedge, not two."""
-        from repro.fleet import FleetSearchEngine
-        from repro.storm import set_device_alive
-
-        authority, clients = fleet_authority
-        # Shell 2 (32 640 rows) is one range at this width, so two
-        # requests' shells 2 ride one batch.
-        fleet = FleetSearchEngine(
-            "host", "slow-host", workers=1, hash_name="sha1", batch_size=65536,
-            slow_factor=30.0, hedge_factor=1.0, hedge_min_seconds=0.02,
-        )
-        dispatcher = fleet.scheduler
-        authority.search_service = RBCSearchService(fleet, max_distance=2)
-        # One search starts the monitor; then host-0 goes dark, so the
-        # straggler pulls both requests below into one batch.
-        assert fleet.search(b"\x01" * 32, fleet.algo.hash_seed(b"\x01" * 32), 0)
-        assert set_device_alive(dispatcher, "host-0", False)
-        straggler = dispatcher.device("slow-host-1")
-        run_batch = straggler.run_batch
-        busy, queued = threading.Event(), threading.Event()
-        shared, release = threading.Event(), threading.Event()
-
-        def held(slices):
-            if len(slices) >= 2:
-                # The straggler's first batch carrying both requests
-                # stays in flight until host-0 is back and has hedged it.
-                shared.set()
-                release.wait(timeout=30)
-            elif not queued.is_set():
-                # A blocker's shell 2 keeps the straggler from pulling
-                # until both requests are queued, so their shells 2 ride
-                # one batch.
-                busy.set()
-                queued.wait(timeout=30)
-            return run_batch(slices)
-
-        straggler.run_batch = held
-        # The blocker fits one range on the idle straggler, so its own
-        # submitter runs it there: a thread of its own, held while this
-        # one queues both requests behind it.
-        blockers = []
-        submitter = threading.Thread(
-            target=lambda: blockers.append(
-                fleet.submit(b"\x02" * 32, b"\x00" * 20, 2)
-            )
-        )
-        submitter.start()
-        assert busy.wait(timeout=30)
-        with ConcurrentCAServer(authority, scheduler=fleet) as server:
-            futures = [
-                server.submit(client_id, b"\x00" * 20)
-                for client_id, _device, _mask in clients[:2]
-            ]
-            queued.set()
-            submitter.join(timeout=30)
-            (blocker,) = blockers
-            assert not blocker.result(timeout=30).found
-            assert shared.wait(timeout=30)
-            assert set_device_alive(dispatcher, "host-0", True)
-            deadline = time.monotonic() + 30
-            while (
-                dispatcher.snapshot()["hedges_launched"] == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
-            release.set()
-            results = [f.result(timeout=120) for f in futures]
-        assert not any(r.authenticated or r.timed_out for r in results)
-        counters, fleet_counts = server.metrics.snapshot(), dispatcher.snapshot()
-        assert fleet_counts["hedges_launched"] >= 1
-        assert counters["hedged"] == fleet_counts["hedges_launched"]
-        assert counters["redispatched"] == fleet_counts["redispatched_chunks"]

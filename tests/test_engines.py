@@ -130,8 +130,9 @@ class TestSpecGrammar:
             build_engine("definitely-not-an-engine")
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError, match="no option"):
-            build_engine("batch:sha1,warp_factor=9")
+        for spec in ("batch:sha1,warp_factor=9", "fleet:host,hedge_factor=4"):
+            with pytest.raises(ValueError, match="no option"):
+                build_engine(spec)
 
     def test_duplicate_option_rejected(self):
         with pytest.raises(ValueError, match="twice"):

@@ -147,6 +147,7 @@ class TestRunner:
             ["directory", "--storm"],
             ["directory", "--bench"],
             ["fleet", "--bench", "--requests", "8"],
+            ["fleet", "--bench", "--straggler-requests", "3"],
             ["deploy", "--storm", "--crash"],
             ["deploy", "--storm", "--crash", "2"],
             ["deploy", "--storm", "--engine", "sched"],
